@@ -730,26 +730,8 @@ func BenchmarkPipelinePartition(b *testing.B) {
 		return time.Duration(pipe.Stages[i].ComputeSec * float64(time.Second))
 	}
 
-	measure := func(b *testing.B, hops []fleet.ChainHop, local *fleet.SlowStage) {
+	measure := func(b *testing.B, client edge.CloudClient) {
 		b.Helper()
-		ch, err := fleet.StartChain(hops)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer ch.Close()
-		next, err := edge.DialCloud(ch.Addr(), edge.DialConfig{Link: uplink})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var localStage nn.Layer
-		if local != nil { // a typed-nil *SlowStage would read as a present stage
-			localStage = local
-		}
-		client, err := edge.NewChainClient(localStage, next, 0)
-		if err != nil {
-			next.Close()
-			b.Fatal(err)
-		}
 		defer client.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -762,16 +744,45 @@ func BenchmarkPipelinePartition(b *testing.B) {
 	}
 
 	b.Run("direct", func(b *testing.B) {
-		measure(b, []fleet.ChainHop{{
-			Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: chainCompute},
-		}}, nil)
+		srv, err := cloud.NewServer(&benchFlatModel{classes: classes, delay: chainCompute}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.Listen("127.0.0.1:0"); err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		client, err := edge.DialCloud(srv.Addr().String(), edge.DialConfig{Link: uplink})
+		if err != nil {
+			b.Fatal(err)
+		}
+		measure(b, client)
 	})
 	b.Run("pipeline3", func(b *testing.B) {
-		mid := pipe.Stages[1].Out
-		measure(b, []fleet.ChainHop{
-			{Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{mid.C, mid.H, mid.W}}, Delay: stageDelay(1)}, Link: interlink},
-			{Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: stageDelay(2)}},
-		}, &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{pipe.Stages[0].Out.C, pipe.Stages[0].Out.H, pipe.Stages[0].Out.W}}, Delay: stageDelay(0)})
+		// One modeled stage per chain unit, cut after each.
+		stages := make([]nn.Layer, len(pipe.Stages))
+		for i, st := range pipe.Stages {
+			dims := []int{st.Out.C, st.Out.H, st.Out.W}
+			if i == len(stages)-1 {
+				dims = []int{classes}
+			}
+			stages[i] = &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: dims}, Delay: stageDelay(i)}
+		}
+		ch, err := fleet.StartChain([]fleet.ChainHop{{Chain: stages, Link: interlink}, {Chain: stages}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ch.Close()
+		next, err := edge.DialCloud(ch.Addr(), edge.DialConfig{Link: uplink})
+		if err != nil {
+			b.Fatal(err)
+		}
+		client, err := edge.NewRoutedChainClient(next, edge.ChainConfig{Chain: stages, Cuts: []core.CutPoint{1, 2}})
+		if err != nil {
+			next.Close()
+			b.Fatal(err)
+		}
+		measure(b, client)
 	})
 }
 
@@ -794,10 +805,11 @@ func (m *benchFlatModel) Logits(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // BenchmarkChainFailover measures the chain's degraded mode next to its
 // healthy path: the same 2-hop stage pipeline (zero-cpu shape stands with
-// serialized delays) with a direct monolithic fallback replica armed. The
-// healthy sub never touches the fallback; the failover sub kills the
-// terminal hop before the load, so every batch pays a failed relay attempt
-// and then the direct round trip — the images/s gap is the price of
+// serialized delays, the edge's own unit a no-op) with a direct monolithic
+// fallback replica armed. The healthy sub never touches the fallback; the
+// failover sub kills the terminal hop before the load, so a batch pays a
+// failed relay attempt whenever the chain's exclusion window has lapsed and
+// the direct round trip every time — the images/s gap is the price of
 // degraded mode, and the sub regressing is what bench-compare gates on.
 func BenchmarkChainFailover(b *testing.B) {
 	const hopCompute = 2 * time.Millisecond
@@ -809,10 +821,12 @@ func BenchmarkChainFailover(b *testing.B) {
 
 	measure := func(b *testing.B, killTerminal bool) {
 		b.Helper()
-		ch, err := fleet.StartChain([]fleet.ChainHop{
-			{Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{4, 6, 6}}, Delay: hopCompute}, Link: interlink},
-			{Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: hopCompute}},
-		})
+		stages := []nn.Layer{
+			nn.Identity{},
+			&fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{4, 6, 6}}, Delay: hopCompute},
+			&fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: hopCompute},
+		}
+		ch, err := fleet.StartChain([]fleet.ChainHop{{Chain: stages, Link: interlink}, {Chain: stages}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -831,7 +845,7 @@ func BenchmarkChainFailover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		client, err := edge.NewChainClient(nil, next, 0)
+		client, err := edge.NewRoutedChainClient(next, edge.ChainConfig{Chain: stages, Cuts: []core.CutPoint{1, 2}})
 		if err != nil {
 			next.Close()
 			b.Fatal(err)

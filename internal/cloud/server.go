@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/meanet/meanet/internal/linkest"
 	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
@@ -131,24 +132,15 @@ type Server struct {
 	featBatch *batcher    // features-mode collector; nil unless batching and feat are both on
 	shedPol   *ShedPolicy // nil when admission control is disabled
 
-	// Stage-server mode (WithStage): all four are fixed before Listen and
+	// Stage-server mode (WithStage): all three are fixed before Listen and
 	// read-only afterwards, like raw/feat above.
-	stage         nn.Layer      // static chain stage served on MsgRelay; nil with chain = routed-only hop
-	chain         []nn.Layer    // full serving chain for source-routed relays; nil = routed mode off
-	stageInflight int           // per-connection relay dispatch bound
-	failureExcl   time.Duration // downstream transport-failure exclusion window
-
-	// Downstream failover entries (stage.go): the downs slice header is
-	// fixed at config time and safe to read unlocked; downMu serializes
-	// failover selection and each entry's exclusion-window fields (until,
-	// shed). Empty downs = terminal hop.
-	downMu sync.Mutex
-	downs  []*downstreamState
+	chain         []nn.Layer // full serving chain for source-routed relays; nil = stage mode off
+	down          Downstream // next hop (or replica set); nil = terminal hop
+	stageInflight int        // per-connection relay dispatch bound
 
 	// Measured stage service time piggybacked on relay replies (stage.go).
-	svcMu      sync.Mutex // guards svcEWMA, svcSamples
-	svcEWMA    float64    // queue-normalized per-instance seconds
-	svcSamples int
+	svcMu sync.Mutex          // guards svc
+	svc   linkest.ServiceTime // queue-normalized per-instance seconds
 
 	mu     sync.Mutex // guards ln, conns, closed
 	ln     net.Listener
@@ -166,7 +158,7 @@ type Server struct {
 	sheds       atomic.Uint64 // classify frames refused by admission control
 	instServed  atomic.Uint64 // instances classified (batch frames count their size)
 	relayed     atomic.Uint64 // instances forwarded downstream by a non-terminal stage
-	relayActive atomic.Int64  // relay stage forwards running right now (svcEWMA normalization)
+	relayActive atomic.Int64  // relay stage forwards running right now (svc normalization)
 }
 
 // Option configures optional server behaviour.
@@ -435,7 +427,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		// Full frame size, header included: the client's BytesSent counter
 		// accounts whole frames, and the two ends must agree bitwise.
 		s.bytesIn.Add(uint64(protocol.FrameWireSize(len(f.Payload))))
-		if isClassify(f.Type) && !isRelayProbe(f) && s.shouldShed() {
+		if isClassify(f.Type) && s.shouldShed() {
 			// Admission control: answer with a shed frame — the retry-after
 			// hint plus the load snapshot that triggered it — and never park
 			// or dispatch the work. The payload was already read (framing
@@ -500,27 +492,20 @@ func (s *Server) capabilities() protocol.Capabilities {
 }
 
 // isClassify reports whether a frame type carries classification work — the
-// frames admission control may shed (pings and unknown types never are).
-// Relay frames — static and routed — carry exactly one stage of
-// classification work, so a saturated hop sheds them like any other classify;
-// the shed propagates back along the chain as a MsgShed and the edge takes
-// its zero-charge hold.
+// frames admission control may shed (pings, chain probes and unknown types
+// never are: health checks must work exactly when the server is busiest). A
+// routed relay frame carries exactly one stage of classification work, so a
+// saturated hop sheds it like any other classify; the shed propagates back
+// along the chain as a MsgShed and the edge takes its zero-charge hold.
 func isClassify(t protocol.MsgType) bool {
 	switch t {
 	case protocol.MsgClassifyRaw, protocol.MsgClassifyFeat,
 		protocol.MsgClassifyBatch, protocol.MsgClassifyFeatBatch,
-		protocol.MsgRelay, protocol.MsgRelayRoute:
+		protocol.MsgRelayRoute:
 		return true
 	default:
 		return false
 	}
-}
-
-// isRelayProbe reports whether a frame is a zero-instance chain probe. Like
-// pings, probes are never shed: health checks must work exactly when the
-// server is busiest.
-func isRelayProbe(f protocol.Frame) bool {
-	return f.Type == protocol.MsgRelay && protocol.IsRelayProbe(f.Payload)
 }
 
 // dispatch computes the response frame for a request frame.
@@ -563,17 +548,15 @@ func (s *Server) dispatch(f protocol.Frame) protocol.Frame {
 			return errorFrame(f.ID, "features mode not supported by this server")
 		}
 		return s.classifyBatchFrame(f, s.featLogits)
-	case protocol.MsgRelay:
+	case protocol.MsgRelay, protocol.MsgRelayRoute:
 		if !s.stageMode() {
 			// The stage-mode analogue of the MsgHello legacy contract: a
-			// server without a configured stage (or predating the frame
+			// server without a serving chain (or predating the frames
 			// entirely) answers MsgError, and the chain client surfaces it.
 			return errorFrame(f.ID, "stage mode not supported by this server")
 		}
-		return s.relayFrame(f)
-	case protocol.MsgRelayRoute:
-		if len(s.chain) == 0 {
-			return errorFrame(f.ID, "routed relay not supported by this server")
+		if f.Type == protocol.MsgRelay {
+			return s.probeFrame(f)
 		}
 		return s.routedFrame(f)
 	default:

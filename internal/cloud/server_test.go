@@ -484,7 +484,12 @@ func TestServerStatsByteCounters(t *testing.T) {
 	if _, _, err := client.Classify(tensor.Randn(rng, 1, 3, 8, 8)); err != nil {
 		t.Fatal(err)
 	}
+	// The client can read its reply before the handler goroutine adds that
+	// frame to BytesOut (the count follows the write), so wait for it.
 	st := s.Stats()
+	for deadline := time.Now().Add(5 * time.Second); st.BytesOut == 0 && time.Now().Before(deadline); st = s.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.BytesIn == 0 || st.BytesOut == 0 {
 		t.Fatalf("byte counters not updated: %+v", st)
 	}

@@ -1,30 +1,29 @@
 package cloud
 
 // Stage-server mode: a server configured with WithStage participates in a
-// multi-hop partitioned deployment (core.Partition). Two chain flavours share
-// the machinery:
+// multi-hop partitioned deployment (core.Partition). Chains are
+// SOURCE-ROUTED (MsgRelayRoute): every hop holds the FULL serving chain and
+// runs whatever unit span the frame's route assigns it, then forwards the
+// outputs downstream — or, when the route ends here, argmaxes the logits and
+// answers with the usual MsgResultBatch (the SAME post-processing as
+// classifyBatchFrame, so chained predictions are bitwise identical to the
+// monolithic forward). The cuts live in the frame, not in server config — a
+// hop knows neither its index nor the cuts — which is what lets the edge's
+// live re-placement solver move a cut mid-run: in-flight frames complete on
+// the old route while new frames ship the new one, and no server is
+// reconfigured.
 //
-//   - STATIC chains (MsgRelay, PR 9): the hop runs its configured Stage and
-//     forwards the outputs downstream, or — at the terminal hop — argmaxes
-//     the logits and answers with the usual MsgResultBatch (the SAME
-//     post-processing as classifyBatchFrame, so chained predictions are
-//     bitwise identical to the monolithic forward).
-//   - SOURCE-ROUTED chains (MsgRelayRoute): every hop holds the FULL serving
-//     chain and runs whatever unit span the frame's route assigns it. The
-//     cuts live in the frame, not in server config, which is what lets the
-//     edge's live re-placement solver move a cut mid-run: in-flight frames
-//     complete on the old route while new frames ship the new one, and no
-//     server is reconfigured.
-//
-// Downstream is an ordered FAILOVER set (PR 6 exclusion-window semantics): a
-// hop that cannot reach its preferred next hop tries the alternates in order,
-// so a chain heals hop-locally while the edge keeps serving. A shed from
+// The hop keeps no health model of its downstream: Downstream is ONE
+// interface, satisfied by a single transport (*edge.TCPClient) or by a whole
+// replica set behind the edge's router (*edge.MultiClient — p2c, capacity
+// weighting, exclusion windows, live membership), so any chain position can
+// be a set of devices and failover is the router's business. A shed from
 // downstream propagates upstream as MsgShed — the zero-charge hold signal —
 // never as a generic error. Every relay reply piggybacks a per-hop
 // StageStatus vector (measured stage service time + the hop's own downstream
 // link estimate), the telemetry the edge's re-placement solver runs on.
 //
-// This package deliberately depends only on the Downstream interfaces, never
+// This package deliberately depends only on the Downstream interface, never
 // on the edge package; shed-ness of a downstream error is detected through
 // errors.Is against core.ErrShed and the optional RetryAfterHint method,
 // both satisfied by edge.ShedError.
@@ -41,37 +40,15 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// Downstream is the transport a non-terminal stage server forwards
-// activations through. *edge.TCPClient satisfies it (RelayActivations), so a
-// chain hop reuses the full edge transport stack — pipelining, redial with
-// backoff, per-hop link estimation — for its own downstream leg. The server
-// package deliberately depends only on this interface, never on the edge
-// package.
+// Downstream is the transport a non-terminal stage server forwards through:
+// the relay method pair plus the live estimate of the link it rides, which
+// the hop reports in its own StageStatus entry so the edge solver sees every
+// inter-hop link. A chain hop thereby reuses the full edge transport stack —
+// pipelining, redial with backoff, per-hop link estimation, and with a
+// MultiClient replica routing — for its own downstream leg.
 type Downstream interface {
-	RelayActivations(batch *tensor.Tensor, ttl uint8) ([]protocol.Result, error)
-}
-
-// downstreamStatus is the status-aware flavour of Downstream: the reply's
-// piggybacked per-hop StageStatus vector comes back with the results.
-// Optional — a transport without it still chains, with no telemetry.
-type downstreamStatus interface {
-	RelayActivationsStatus(batch *tensor.Tensor, ttl uint8) ([]protocol.Result, []protocol.StageStatus, error)
-}
-
-// downstreamRouted forwards a source-routed relay frame (MsgRelayRoute).
-// Optional — required only on hops of a routed chain.
-type downstreamRouted interface {
 	RelayRouted(batch *tensor.Tensor, ttl uint8, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error)
-}
-
-// downstreamProbe forwards a zero-instance chain probe.
-type downstreamProbe interface {
 	RelayProbe(ttl uint8) ([]protocol.StageStatus, error)
-}
-
-// downstreamLink exposes the transport's live link estimate, reported in this
-// hop's own StageStatus entry so the edge solver sees every inter-hop link.
-type downstreamLink interface {
 	LinkEstimate() linkest.Estimate
 }
 
@@ -81,26 +58,13 @@ type retryAfterHint interface{ RetryAfterHint() time.Duration }
 
 // StageConfig configures a server's role in a relay chain.
 type StageConfig struct {
-	// Stage is the chain stage this hop runs on STATIC relay frames
-	// (MsgRelay; typically one of the *nn.Sequential stages core.Partition
-	// returns). May be nil on a routed-only hop.
-	Stage nn.Layer
 	// Chain is the FULL serving chain at unit granularity
-	// (core.FlattenChain), enabling source-routed relay frames
-	// (MsgRelayRoute): the hop runs whatever span each frame's route assigns
-	// it. May be nil on a static-only hop. At least one of Stage and Chain
-	// must be set for stage mode.
+	// (core.FlattenChain) — the same chain on every hop and on the edge. The
+	// hop runs whatever span each frame's route assigns it.
 	Chain []nn.Layer
-	// Downstream, when non-nil, is shorthand for the first (preferred) entry
-	// of Downstreams.
-	Downstream Downstream
-	// Downstreams is the ordered failover set this hop forwards through:
-	// entries are tried in order, an entry that fails is excluded for a
-	// window (sheds: the carried retry-after; transport failures:
-	// FailureExclusion) and the next is tried — the PR 6 replica-exclusion
-	// semantics applied hop-locally. Empty (and Downstream nil) marks the
+	// Downstream is the next hop (or replica set of next hops); nil marks the
 	// terminal hop.
-	Downstreams []Downstream
+	Downstream Downstream
 	// MaxInFlight bounds concurrent relay dispatches per connection
 	// (default 16). Relay dispatches run concurrently — a non-terminal hop
 	// BLOCKS on its downstream round trip, and handling relays inline would
@@ -108,120 +72,41 @@ type StageConfig struct {
 	// lockstep — so the bound is what turns a fast upstream into TCP
 	// backpressure instead of an unbounded goroutine/tensor backlog.
 	MaxInFlight int
-	// FailureExclusion is how long a downstream that failed at the transport
-	// level is excluded from failover selection (default 250ms — long enough
-	// to stop hammering a dead peer, short enough that a restarted hop is
-	// back in rotation within a blink).
-	FailureExclusion time.Duration
-}
-
-func (c *StageConfig) fillDefaults() {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 16
-	}
-	if c.FailureExclusion <= 0 {
-		c.FailureExclusion = 250 * time.Millisecond
-	}
 }
 
 // defaultDownstreamRetry is the hold hint propagated upstream when a
 // downstream shed carried none.
 const defaultDownstreamRetry = 50 * time.Millisecond
 
-// Queue-normalized stage service-time EWMA (the PR 8 svcEWMA shape).
-const (
-	stageServiceAlpha      = 0.3
-	minStageServiceSamples = 3
-)
-
-// downstreamState is one failover entry plus its exclusion window; the slice
-// of entries is fixed at config time, only the window fields mutate.
-type downstreamState struct {
-	d     Downstream
-	until time.Time // exclusion window end; zero or past = open
-	shed  bool      // current window caused only by sheds
-}
-
-// WithStage enables stage-server mode: MsgRelay frames run cfg.Stage,
-// MsgRelayRoute frames run route-assigned spans of cfg.Chain, and both
-// forward downstream (or terminate the chain). A server may combine a stage
-// with raw/tail models and serve all frame types; a pure relay hop passes
-// nil models to NewServer.
+// WithStage enables stage-server mode: MsgRelayRoute frames run
+// route-assigned spans of cfg.Chain and forward downstream (or terminate the
+// chain), MsgRelay probes traverse it. A server may combine a chain with
+// raw/tail models and serve all frame types; a pure relay hop passes nil
+// models to NewServer.
 func WithStage(cfg StageConfig) Option {
-	cfg.fillDefaults()
+	if cfg.MaxInFlight <= 0 {
+		cfg.MaxInFlight = 16
+	}
 	return func(s *Server) {
-		s.stage = cfg.Stage
 		s.chain = cfg.Chain
+		s.down = cfg.Downstream
 		s.stageInflight = cfg.MaxInFlight
-		s.failureExcl = cfg.FailureExclusion
-		s.downs = nil
-		if cfg.Downstream != nil {
-			s.downs = append(s.downs, &downstreamState{d: cfg.Downstream})
-		}
-		for _, d := range cfg.Downstreams {
-			if d != nil {
-				s.downs = append(s.downs, &downstreamState{d: d})
-			}
-		}
 	}
 }
-
-// stageForward runs the static stage on an NCHW activation batch in eval mode.
-func (s *Server) stageForward(x *tensor.Tensor) *tensor.Tensor { return s.stage.Forward(x, false) }
 
 // stageMode reports whether this server serves relay frames at all.
-func (s *Server) stageMode() bool { return s.stage != nil || len(s.chain) > 0 }
+func (s *Server) stageMode() bool { return len(s.chain) > 0 }
 
-// timedStageForward runs one relay forward pass and folds its duration into
-// the service-time EWMA, normalized by how many relay dispatches shared the
-// cores while it ran.
-func (s *Server) timedStageForward(run func(*tensor.Tensor) *tensor.Tensor, x *tensor.Tensor, n int) (*tensor.Tensor, error) {
-	active := s.relayActive.Add(1)
-	start := time.Now()
-	out, err := safeLogits(run, x)
-	dur := time.Since(start)
-	s.relayActive.Add(-1)
-	if err == nil {
-		s.noteStageService(dur, n, active)
-	}
-	return out, err
-}
-
-// noteStageService folds one measured stage forward into the EWMA piggybacked
-// on relay replies. The sample is per-instance wall time divided by the relay
-// dispatches in flight (the PR 8 queue-normalized shape): a contended hop
-// reports its true per-instance cost, not its queueing delay, so the edge
-// solver doesn't misread upstream congestion as a slow device.
-func (s *Server) noteStageService(dur time.Duration, instances int, active int64) {
-	if instances <= 0 || dur <= 0 {
-		return
-	}
-	sample := dur.Seconds() / float64(instances)
-	if active > 1 {
-		sample /= float64(active)
-	}
-	s.svcMu.Lock()
-	if s.svcSamples == 0 {
-		s.svcEWMA = sample
-	} else {
-		s.svcEWMA = stageServiceAlpha*sample + (1-stageServiceAlpha)*s.svcEWMA
-	}
-	s.svcSamples++
-	s.svcMu.Unlock()
-}
-
-// stageStatus assembles this hop's StageStatus entry for a relay reply. used
-// is the downstream the frame was forwarded through (nil at the terminal
-// hop); its live link estimate becomes the hop's reported downstream link.
-func (s *Server) stageStatus(used Downstream) protocol.StageStatus {
+// stageStatus assembles this hop's StageStatus entry for a relay reply: the
+// measured per-instance service time and, on a forwarding hop, the live
+// estimate of its downstream link.
+func (s *Server) stageStatus() protocol.StageStatus {
 	var st protocol.StageStatus
 	s.svcMu.Lock()
-	if s.svcSamples >= minStageServiceSamples {
-		st.ServiceNanos = uint64(s.svcEWMA * 1e9)
-	}
+	st.ServiceNanos = uint64(s.svc.Seconds(linkest.ServiceMinSamples) * 1e9)
 	s.svcMu.Unlock()
-	if dl, ok := used.(downstreamLink); ok {
-		est := dl.LinkEstimate()
+	if s.down != nil {
+		est := s.down.LinkEstimate()
 		if est.Mbps > 0 {
 			st.DownMbps = float32(est.Mbps)
 		}
@@ -232,101 +117,12 @@ func (s *Server) stageStatus(used Downstream) protocol.StageStatus {
 	return st
 }
 
-// downOrder snapshots the failover order: open entries first (config order),
-// then excluded entries as a last resort — with no healthy alternate it is
-// better to retry an excluded hop than to fail the frame outright.
-func (s *Server) downOrder() []int {
-	now := time.Now()
-	s.downMu.Lock()
-	defer s.downMu.Unlock()
-	order := make([]int, 0, len(s.downs))
-	var excluded []int
-	for i, ds := range s.downs {
-		if now.Before(ds.until) {
-			excluded = append(excluded, i)
-		} else {
-			order = append(order, i)
-		}
-	}
-	return append(order, excluded...)
-}
-
-// excludeDown opens or extends entry i's exclusion window after a failed
-// attempt. Windows EXTEND, never shorten (the PR 6 invariant: overlapping
-// failures only push the reopen time out), and the shed flag stays true only
-// while EVERY failure inside the current window was a shed — one transport
-// failure relabels the window until it lapses.
-func (s *Server) excludeDown(i int, window time.Duration, shedOrigin bool) {
-	now := time.Now()
-	s.downMu.Lock()
-	ds := s.downs[i]
-	if now.Before(ds.until) {
-		ds.shed = ds.shed && shedOrigin
-	} else {
-		ds.shed = shedOrigin
-	}
-	if u := now.Add(window); u.After(ds.until) {
-		ds.until = u
-	}
-	s.downMu.Unlock()
-}
-
-// tryDownstreams runs attempt against each downstream in failover order until
-// one succeeds, excluding the ones that fail. On total failure it reports
-// whether EVERY attempt was refused by admission control (shed) — the caller
-// must then answer MsgShed, preserving the zero-charge hold contract along
-// the whole chain — plus the largest retry-after hint seen.
-func (s *Server) tryDownstreams(attempt func(d Downstream) error) (used Downstream, shed bool, retryAfter time.Duration, err error) {
-	allShed := true
-	var firstErr error
-	for _, i := range s.downOrder() {
-		d := s.downs[i].d
-		aerr := attempt(d)
-		if aerr == nil {
-			return d, false, 0, nil
-		}
-		isShed := errors.Is(aerr, core.ErrShed)
-		window := s.failureExcl
-		if isShed {
-			window = defaultDownstreamRetry
-			var h retryAfterHint
-			if errors.As(aerr, &h) {
-				if ra := h.RetryAfterHint(); ra > 0 {
-					window = ra
-					if ra > retryAfter {
-						retryAfter = ra
-					}
-				}
-			}
-		}
-		allShed = allShed && isShed
-		s.excludeDown(i, window, isShed)
-		if firstErr == nil {
-			firstErr = aerr
-		}
-	}
-	if retryAfter <= 0 {
-		retryAfter = defaultDownstreamRetry
-	}
-	return nil, allShed, retryAfter, firstErr
-}
-
-// shedFrame answers a frame with a MsgShed reply carrying the hold hint and
-// this hop's load snapshot.
-func (s *Server) shedFrame(id uint64, retryAfter time.Duration) protocol.Frame {
-	return protocol.Frame{
-		Type:    protocol.MsgShed,
-		ID:      id,
-		Payload: protocol.EncodeShed(retryAfter, s.loadStatus()),
-	}
-}
-
 // chainReply assembles the MsgResultBatch reply of a relay frame: results,
 // this hop's load snapshot, and the per-hop status vector with this hop's
 // entry PREPENDED to whatever the downstream reported — so the edge receives
 // hop-ordered telemetry with zero extra round trips.
-func (s *Server) chainReply(id uint64, results []protocol.Result, used Downstream, downHops []protocol.StageStatus) protocol.Frame {
-	hops := append([]protocol.StageStatus{s.stageStatus(used)}, downHops...)
+func (s *Server) chainReply(id uint64, results []protocol.Result, downHops []protocol.StageStatus) protocol.Frame {
+	hops := append([]protocol.StageStatus{s.stageStatus()}, downHops...)
 	return protocol.Frame{
 		Type:    protocol.MsgResultBatch,
 		ID:      id,
@@ -334,123 +130,61 @@ func (s *Server) chainReply(id uint64, results []protocol.Result, used Downstrea
 	}
 }
 
-// relayFrame serves one MsgRelay frame: a zero-instance probe traverses the
-// chain without running any stage; an activation batch runs the static stage,
-// then either terminates the chain or forwards downstream with failover.
-// Reached only in stage mode (dispatch answers MsgError otherwise, the
-// legacy-server contract).
-func (s *Server) relayFrame(f protocol.Frame) protocol.Frame {
-	if protocol.IsRelayProbe(f.Payload) {
-		ttl, _ := protocol.DecodeRelayProbe(f.Payload)
-		return s.probeFrame(f.ID, ttl)
-	}
-	if s.stage == nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, "static relay not supported by this hop (source-routed chain; send MsgRelayRoute)")
-	}
-	ttl, t, err := protocol.DecodeActivation(f.Payload)
-	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
-	}
-	if t.Dims() != 4 {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("expected NCHW activation tensor, got rank %d", t.Dims()))
-	}
-	if len(s.downs) > 0 && ttl == 0 {
-		// The TTL guards against relay cycles (a chain misconfigured into a
-		// loop would otherwise circulate frames forever): refuse to forward
-		// rather than decrement below zero.
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, "relay TTL exhausted (chain cycle or more hops than the sender allowed)")
-	}
-	n := t.Dim(0)
-	out, err := s.timedStageForward(s.stageForward, t, n)
-	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
-	}
-	if len(s.downs) == 0 {
-		// Terminal hop: identical post-processing to classifyBatchFrame, so a
-		// chained forward answers bitwise like the monolithic server would.
-		results := make([]protocol.Result, n)
-		for i := range results {
-			pred, conf := argmaxRow(out.Row(i))
-			results[i] = protocol.Result{Pred: int32(pred), Conf: conf}
+// downstreamFailure maps a failed downstream exchange onto the reply frame. A
+// refusal by admission control — not a failure — propagates upstream as
+// MsgShed with the downstream's hold hint, so the edge takes its zero-charge
+// hold instead of charging a retry (a replica-set downstream reports a shed
+// only when EVERY member refused); anything else is an error, wrapped in one
+// "downstream relay:" layer per hop so a probe can locate the break.
+func (s *Server) downstreamFailure(id uint64, err error) protocol.Frame {
+	if errors.Is(err, core.ErrShed) {
+		retryAfter := defaultDownstreamRetry
+		var h retryAfterHint
+		if errors.As(err, &h) && h.RetryAfterHint() > 0 {
+			retryAfter = h.RetryAfterHint()
 		}
-		s.instServed.Add(uint64(n))
-		return s.chainReply(f.ID, results, nil, nil)
-	}
-	var results []protocol.Result
-	var downHops []protocol.StageStatus
-	used, shed, retryAfter, err := s.tryDownstreams(func(d Downstream) error {
-		if ds, ok := d.(downstreamStatus); ok {
-			rs, hs, aerr := ds.RelayActivationsStatus(out, ttl-1)
-			if aerr != nil {
-				return aerr
-			}
-			results, downHops = rs, hs
-			return nil
+		return protocol.Frame{
+			Type:    protocol.MsgShed,
+			ID:      id,
+			Payload: protocol.EncodeShed(retryAfter, s.loadStatus()),
 		}
-		rs, aerr := d.RelayActivations(out, ttl-1)
-		if aerr != nil {
-			return aerr
-		}
-		results, downHops = rs, nil
-		return nil
-	})
-	if err != nil {
-		if shed {
-			// Every reachable next hop refused by admission control: the
-			// refusal — not a failure — propagates upstream as MsgShed so the
-			// edge takes its zero-charge hold instead of charging a retry.
-			return s.shedFrame(f.ID, retryAfter)
-		}
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("downstream relay: %v", err))
 	}
-	if len(results) != n {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("downstream returned %d results for %d instances", len(results), n))
-	}
-	s.relayed.Add(uint64(n))
-	return s.chainReply(f.ID, results, used, downHops)
+	s.errorCount.Add(1)
+	return errorFrame(id, fmt.Sprintf("downstream relay: %v", err))
 }
 
-// probeFrame serves a zero-instance chain probe: no stage runs; a terminal
-// hop answers an empty result batch carrying its own status, a forwarding hop
-// relays the probe downstream (with failover) and prepends its status — so
+// relayTTLExhausted answers a frame whose hop budget ran out before the
+// route did. The TTL guards against relay cycles (a chain misconfigured into
+// a loop would otherwise circulate frames forever): refuse to forward rather
+// than decrement below zero.
+func (s *Server) relayTTLExhausted(id uint64) protocol.Frame {
+	s.errorCount.Add(1)
+	return errorFrame(id, "relay TTL exhausted (chain cycle or more hops than the sender allowed)")
+}
+
+// probeFrame serves a MsgRelay frame, the zero-instance chain probe: no stage
+// runs; a terminal hop answers an empty result batch carrying its own status,
+// a forwarding hop relays the probe downstream and prepends its status — so
 // one probe verifies every transport leg and returns the full per-hop
-// telemetry vector.
-func (s *Server) probeFrame(id uint64, ttl uint8) protocol.Frame {
-	if len(s.downs) == 0 {
-		return s.chainReply(id, nil, nil, nil)
+// telemetry vector. A legacy peer still sending static-chain activations on
+// this wire value gets an error that names the replacement.
+func (s *Server) probeFrame(f protocol.Frame) protocol.Frame {
+	ttl, err := protocol.DecodeRelayProbe(f.Payload)
+	if err != nil {
+		s.errorCount.Add(1)
+		return errorFrame(f.ID, "static relay was removed: MsgRelay carries only the TTL byte of a chain probe; send activations source-routed as MsgRelayRoute")
+	}
+	if s.down == nil {
+		return s.chainReply(f.ID, nil, nil)
 	}
 	if ttl == 0 {
-		s.errorCount.Add(1)
-		return errorFrame(id, "relay TTL exhausted (chain cycle or more hops than the sender allowed)")
+		return s.relayTTLExhausted(f.ID)
 	}
-	var downHops []protocol.StageStatus
-	used, shed, retryAfter, err := s.tryDownstreams(func(d Downstream) error {
-		dp, ok := d.(downstreamProbe)
-		if !ok {
-			return errors.New("downstream transport does not support chain probes")
-		}
-		hs, aerr := dp.RelayProbe(ttl - 1)
-		if aerr != nil {
-			return aerr
-		}
-		downHops = hs
-		return nil
-	})
+	downHops, err := s.down.RelayProbe(ttl - 1)
 	if err != nil {
-		if shed {
-			return s.shedFrame(id, retryAfter)
-		}
-		s.errorCount.Add(1)
-		return errorFrame(id, fmt.Sprintf("downstream relay: %v", err))
+		return s.downstreamFailure(f.ID, err)
 	}
-	return s.chainReply(id, nil, used, downHops)
+	return s.chainReply(f.ID, nil, downHops)
 }
 
 // spanForward composes a chain unit span in eval mode.
@@ -475,11 +209,11 @@ func (s *Server) routedFrame(f protocol.Frame) protocol.Frame {
 		return errorFrame(f.ID, err.Error())
 	}
 	if t.Dims() < 2 {
-		// Routed cuts may sit past the flattening layers, so rank-2
-		// [batch, features] activations are as legal as NCHW here — the only
+		// Cuts may sit past the flattening layers, so rank-2 [batch,
+		// features] activations are as legal as NCHW here — the only
 		// requirement is a batch dimension to count instances by.
 		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("expected batched activation tensor, got rank %d", t.Dims()))
+		return errorFrame(f.ID, fmt.Sprintf("expected a batched activation tensor (NCHW or [batch, features]), got rank %d", t.Dims()))
 	}
 	L := len(s.chain)
 	if pos >= L {
@@ -496,54 +230,53 @@ func (s *Server) routedFrame(f protocol.Frame) protocol.Frame {
 	if len(bounds) > 0 {
 		next = bounds[0]
 		if ttl == 0 {
-			s.errorCount.Add(1)
-			return errorFrame(f.ID, "relay TTL exhausted (chain cycle or more hops than the sender allowed)")
+			return s.relayTTLExhausted(f.ID)
 		}
-		if len(s.downs) == 0 {
+		if s.down == nil {
 			s.errorCount.Add(1)
 			return errorFrame(f.ID, fmt.Sprintf("route continues past this hop (%d boundaries left) but no downstream is configured", len(bounds)))
 		}
 	}
+
+	// Run the span and fold its duration into the service-time estimate
+	// piggybacked on relay replies: per-instance wall time divided by the
+	// relay forwards sharing the cores, so a contended hop reports its true
+	// per-instance cost, not its queueing delay, and the edge solver doesn't
+	// misread upstream congestion as a slow device.
 	n := t.Dim(0)
-	out, err := s.timedStageForward(spanForward(s.chain[pos:next]), t, n)
+	active := s.relayActive.Add(1)
+	start := time.Now()
+	out, err := safeLogits(spanForward(s.chain[pos:next]), t)
+	dur := time.Since(start)
+	s.relayActive.Add(-1)
 	if err != nil {
 		s.errorCount.Add(1)
 		return errorFrame(f.ID, err.Error())
 	}
+	s.svcMu.Lock()
+	s.svc.Observe(dur.Seconds()/float64(n), float64(active), linkest.ServiceAlpha)
+	s.svcMu.Unlock()
+
 	if len(bounds) == 0 {
+		// Terminal for this frame: identical post-processing to
+		// classifyBatchFrame, so a chained forward answers bitwise like the
+		// monolithic server would.
 		results := make([]protocol.Result, n)
 		for i := range results {
 			pred, conf := argmaxRow(out.Row(i))
 			results[i] = protocol.Result{Pred: int32(pred), Conf: conf}
 		}
 		s.instServed.Add(uint64(n))
-		return s.chainReply(f.ID, results, nil, nil)
+		return s.chainReply(f.ID, results, nil)
 	}
-	var results []protocol.Result
-	var downHops []protocol.StageStatus
-	used, shed, retryAfter, err := s.tryDownstreams(func(d Downstream) error {
-		dr, ok := d.(downstreamRouted)
-		if !ok {
-			return errors.New("downstream transport does not support routed relay")
-		}
-		rs, hs, aerr := dr.RelayRouted(out, ttl-1, bounds[0], bounds[1:])
-		if aerr != nil {
-			return aerr
-		}
-		results, downHops = rs, hs
-		return nil
-	})
+	results, downHops, err := s.down.RelayRouted(out, ttl-1, bounds[0], bounds[1:])
 	if err != nil {
-		if shed {
-			return s.shedFrame(f.ID, retryAfter)
-		}
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("downstream relay: %v", err))
+		return s.downstreamFailure(f.ID, err)
 	}
 	if len(results) != n {
 		s.errorCount.Add(1)
 		return errorFrame(f.ID, fmt.Sprintf("downstream returned %d results for %d instances", len(results), n))
 	}
 	s.relayed.Add(uint64(n))
-	return s.chainReply(f.ID, results, used, downHops)
+	return s.chainReply(f.ID, results, downHops)
 }

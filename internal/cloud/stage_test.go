@@ -3,6 +3,7 @@ package cloud
 import (
 	"errors"
 	"math/rand"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -10,15 +11,16 @@ import (
 
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/edge"
+	"github.com/meanet/meanet/internal/linkest"
 	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
 // startStageServer brings up one stage hop on loopback.
-func startStageServer(t *testing.T, stage nn.Layer, down Downstream) *Server {
+func startStageServer(t *testing.T, chain []nn.Layer, down Downstream) *Server {
 	t.Helper()
-	s, err := NewServer(nil, nil, WithStage(StageConfig{Stage: stage, Downstream: down}))
+	s, err := NewServer(nil, nil, WithStage(StageConfig{Chain: chain, Downstream: down}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,25 +43,21 @@ func dialHop(t *testing.T, s *Server) *edge.TCPClient {
 
 // TestStageChainMatchesMonolithic relays a batch through a two-hop stage
 // chain and checks predictions AND confidences bitwise against the in-process
-// monolithic forward — the stages reuse the classifier's own layer objects,
-// so any drift would be a serving-path bug, not numerics.
+// monolithic forward — the hops run the classifier's own layer objects, so
+// any drift would be a serving-path bug, not numerics.
 func TestStageChainMatchesMonolithic(t *testing.T) {
 	cls := testClassifier(t, 41)
 	chain := core.FlattenChain(cls.Backbone, cls.Exit)
 	if len(chain) < 3 {
 		t.Fatalf("test chain too short to cut: %d units", len(chain))
 	}
-	stages, err := core.Partition(chain, []core.CutPoint{core.CutPoint(len(chain) / 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	terminal := startStageServer(t, stages[1], nil)
-	first := startStageServer(t, stages[0], dialHop(t, terminal))
+	terminal := startStageServer(t, chain, nil)
+	first := startStageServer(t, chain, dialHop(t, terminal))
 	client := dialHop(t, first)
 
 	rng := rand.New(rand.NewSource(42))
 	batch := tensor.Randn(rng, 1, 4, 3, 8, 8)
-	rs, err := client.RelayActivations(batch, 4)
+	rs, _, err := client.RelayRouted(batch, 4, 0, []int{len(chain) / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,94 +90,91 @@ func TestStageChainMatchesMonolithic(t *testing.T) {
 func TestRelayTTLExhausted(t *testing.T) {
 	cls := testClassifier(t, 43)
 	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	stages, err := core.Partition(chain, []core.CutPoint{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	terminal := startStageServer(t, stages[1], nil)
-	first := startStageServer(t, stages[0], dialHop(t, terminal))
+	terminal := startStageServer(t, chain, nil)
+	first := startStageServer(t, chain, dialHop(t, terminal))
 	client := dialHop(t, first)
 
 	rng := rand.New(rand.NewSource(44))
 	batch := tensor.Randn(rng, 1, 1, 3, 8, 8)
-	if _, err := client.RelayActivations(batch, 0); err == nil || !strings.Contains(err.Error(), "TTL exhausted") {
+	if _, _, err := client.RelayRouted(batch, 0, 0, []int{1}); err == nil || !strings.Contains(err.Error(), "TTL exhausted") {
 		t.Fatalf("ttl=0 through a non-terminal hop: %v", err)
 	}
 	// A terminal hop needs no hop budget: ttl=0 straight at it still serves.
 	direct := dialHop(t, terminal)
-	mid := stages[0].Forward(batch, false)
-	if _, err := direct.RelayActivations(mid, 0); err != nil {
+	mid := chain[0].Forward(batch, false)
+	if _, _, err := direct.RelayRouted(mid, 0, 1, nil); err != nil {
 		t.Fatalf("ttl=0 at the terminal hop refused: %v", err)
 	}
 }
 
 // TestStageOnlyServerRejectsClassify pins the pure-relay-hop contract: a
-// server with only a stage answers classify frames with an error (not a
+// server with only a chain answers classify frames with an error (not a
 // crash, not a hang) and keeps the connection serving relays.
 func TestStageOnlyServerRejectsClassify(t *testing.T) {
 	cls := testClassifier(t, 45)
 	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	stages, err := core.Partition(chain, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startStageServer(t, stages[0], nil)
+	s := startStageServer(t, chain, nil)
 	client := dialHop(t, s)
 	rng := rand.New(rand.NewSource(46))
 	img := tensor.Randn(rng, 1, 3, 8, 8)
 	if _, _, err := client.Classify(img); err == nil || !strings.Contains(err.Error(), "raw mode not supported") {
 		t.Fatalf("stage-only server served a raw classify: %v", err)
 	}
-	if _, err := client.RelayActivations(img.Reshape(1, 3, 8, 8), 1); err != nil {
+	if _, _, err := client.RelayRouted(img.Reshape(1, 3, 8, 8), 1, 0, nil); err != nil {
 		t.Fatalf("relay broken after rejected classify: %v", err)
 	}
 }
 
-// TestRelayRejectsMalformedPayloads: garbage payloads and non-NCHW tensors
+// TestRelayRejectsMalformedPayloads: garbage payloads and unbatched tensors
 // get error frames; the connection survives.
 //
 // meanet:frame-writer
 func TestRelayRejectsMalformedPayloads(t *testing.T) {
 	cls := testClassifier(t, 47)
 	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	stages, err := core.Partition(chain, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startStageServer(t, stages[0], nil)
+	s := startStageServer(t, chain, nil)
 	client := dialHop(t, s)
 
 	rng := rand.New(rand.NewSource(48))
-	chw := tensor.Randn(rng, 1, 3, 8, 8) // rank 3 — client itself must refuse
-	if _, err := client.RelayActivations(chw, 1); err == nil {
+	flat := tensor.Randn(rng, 1, 192) // rank 1, no batch dim — client itself must refuse
+	if _, _, err := client.RelayRouted(flat, 1, 0, nil); err == nil {
 		t.Fatal("client relayed a non-NCHW tensor")
 	}
 	// The server-side rank check needs a hand-built frame.
+	payload, err := protocol.EncodeRoutedActivation(1, 0, nil, tensor.Randn(rng, 1, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := protocol.Frame{
-		Type:    protocol.MsgRelay,
+		Type:    protocol.MsgRelayRoute,
 		ID:      7,
-		Payload: protocol.EncodeActivation(1, tensor.Randn(rng, 1, 2, 3)),
+		Payload: payload,
 	}
 	resp := s.dispatch(f)
 	if resp.Type != protocol.MsgError || !strings.Contains(string(resp.Payload), "NCHW") {
 		t.Fatalf("rank-3 activation answered with %s %q", resp.Type, resp.Payload)
 	}
-	if resp := s.dispatch(protocol.Frame{Type: protocol.MsgRelay, ID: 8, Payload: []byte{1, 2}}); resp.Type != protocol.MsgError {
+	if resp := s.dispatch(protocol.Frame{Type: protocol.MsgRelayRoute, ID: 8, Payload: []byte{1, 2}}); resp.Type != protocol.MsgError {
 		t.Fatalf("garbage relay payload answered with %s", resp.Type)
 	}
 }
 
-// In-process fake downstreams for the failover and shed-propagation tests.
-// They implement only the base Downstream interface — the failover machinery
-// must work against a minimal transport.
+// In-process fake downstreams for the slot-release and shed-propagation
+// tests: the hop must work against any transport that carries the relay pair.
 
 // failingDown fails every attempt at the transport level.
 type failingDown struct{ calls atomic.Int64 }
 
-func (d *failingDown) RelayActivations(*tensor.Tensor, uint8) ([]protocol.Result, error) {
+func (d *failingDown) RelayRouted(*tensor.Tensor, uint8, int, []int) ([]protocol.Result, []protocol.StageStatus, error) {
 	d.calls.Add(1)
+	return nil, nil, errors.New("dial tcp: connection refused (test stand-in)")
+}
+
+func (d *failingDown) RelayProbe(uint8) ([]protocol.StageStatus, error) {
 	return nil, errors.New("dial tcp: connection refused (test stand-in)")
 }
+
+func (d *failingDown) LinkEstimate() linkest.Estimate { return linkest.Estimate{} }
 
 // sheddingDown refuses every attempt by admission control, carrying a hint.
 type sheddingDown struct {
@@ -187,28 +182,20 @@ type sheddingDown struct {
 	calls atomic.Int64
 }
 
-func (d *sheddingDown) RelayActivations(*tensor.Tensor, uint8) ([]protocol.Result, error) {
+func (d *sheddingDown) RelayRouted(*tensor.Tensor, uint8, int, []int) ([]protocol.Result, []protocol.StageStatus, error) {
 	d.calls.Add(1)
+	return nil, nil, &edge.ShedError{RetryAfter: d.retry}
+}
+
+func (d *sheddingDown) RelayProbe(uint8) ([]protocol.StageStatus, error) {
 	return nil, &edge.ShedError{RetryAfter: d.retry}
 }
 
-// okDown terminates the chain in-process with zeroed results.
-type okDown struct{ calls atomic.Int64 }
+func (d *sheddingDown) LinkEstimate() linkest.Estimate { return linkest.Estimate{} }
 
-func (d *okDown) RelayActivations(batch *tensor.Tensor, _ uint8) ([]protocol.Result, error) {
-	d.calls.Add(1)
-	return make([]protocol.Result, batch.Dim(0)), nil
-}
-
-// relayBatch hand-builds a one-instance static relay frame for dispatch-level
-// failover tests.
-func relayBatch(rng *rand.Rand, id uint64) protocol.Frame {
-	return protocol.Frame{
-		Type:    protocol.MsgRelay,
-		ID:      id,
-		Payload: protocol.EncodeActivation(4, tensor.Randn(rng, 1, 1, 3, 8, 8)),
-	}
-}
+// forwardingChain is the two-unit chain of the fake-downstream tests: the hop
+// runs unit 0 and must forward unit 1's span.
+var forwardingChain = []nn.Layer{nn.Identity{}, nn.Identity{}}
 
 // TestRelaySlotReleasedOnDownstreamError pins the MaxInFlight accounting on
 // the failure path: with a single relay slot and a dead downstream, every
@@ -219,12 +206,9 @@ func relayBatch(rng *rand.Rand, id uint64) protocol.Frame {
 func TestRelaySlotReleasedOnDownstreamError(t *testing.T) {
 	down := &failingDown{}
 	s, err := NewServer(nil, nil, WithStage(StageConfig{
-		Stage:       nn.Identity{},
+		Chain:       forwardingChain,
 		Downstream:  down,
 		MaxInFlight: 1,
-		// Keep the dead downstream in a permanent exclusion window so every
-		// frame exercises the last-resort retry path too.
-		FailureExclusion: time.Hour,
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +226,7 @@ func TestRelaySlotReleasedOnDownstreamError(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	batch := tensor.Randn(rng, 1, 1, 3, 8, 8)
 	for i := 0; i < 3; i++ {
-		_, err := client.RelayActivations(batch, 4)
+		_, _, err := client.RelayRouted(batch, 4, 0, []int{1})
 		if err == nil || !strings.Contains(err.Error(), "downstream relay") {
 			t.Fatalf("relay %d: want the downstream error surfaced promptly, got %v", i, err)
 		}
@@ -260,7 +244,7 @@ func TestRelaySlotReleasedOnDownstreamError(t *testing.T) {
 func TestDownstreamShedPropagatesAsShed(t *testing.T) {
 	const hint = 40 * time.Millisecond
 	down := &sheddingDown{retry: hint}
-	s, err := NewServer(nil, nil, WithStage(StageConfig{Stage: nn.Identity{}, Downstream: down}))
+	s, err := NewServer(nil, nil, WithStage(StageConfig{Chain: forwardingChain, Downstream: down}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +259,7 @@ func TestDownstreamShedPropagatesAsShed(t *testing.T) {
 	defer client.Close()
 
 	rng := rand.New(rand.NewSource(50))
-	_, err = client.RelayActivations(tensor.Randn(rng, 1, 1, 3, 8, 8), 4)
+	_, _, err = client.RelayRouted(tensor.Randn(rng, 1, 1, 3, 8, 8), 4, 0, []int{1})
 	if !errors.Is(err, edge.ErrShed) {
 		t.Fatalf("downstream shed surfaced as a non-shed error: %v", err)
 	}
@@ -288,88 +272,189 @@ func TestDownstreamShedPropagatesAsShed(t *testing.T) {
 	}
 }
 
-// TestDownstreamFailoverOrderAndExclusion drives tryDownstreams through the
-// PR 6 exclusion semantics applied hop-locally: a failed preferred entry is
-// excluded and the alternate serves; while the window holds, the alternate is
-// tried FIRST (the dead entry is not hammered); and when both downstreams
-// shed, the hop answers MsgShed carrying the LARGEST hint.
-func TestDownstreamFailoverOrderAndExclusion(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	bad, good := &failingDown{}, &okDown{}
-	s, err := NewServer(nil, nil, WithStage(StageConfig{
-		Stage:            nn.Identity{},
-		Downstreams:      []Downstream{bad, good},
-		FailureExclusion: time.Hour, // window must outlive the test
-	}))
+// TestNewServerStageOnly: a pure relay hop needs no models, but a server with
+// neither models nor a chain is still rejected.
+func TestNewServerStageOnly(t *testing.T) {
+	if _, err := NewServer(nil, nil); err == nil {
+		t.Fatal("model-less, stage-less server accepted")
+	}
+	if _, err := NewServer(nil, nil, WithStage(StageConfig{Chain: []nn.Layer{nn.Identity{}}})); err != nil {
+		t.Fatalf("stage-only server rejected: %v", err)
+	}
+}
+
+// TestLegacyStaticRelayRejected names the legacy static peer: a type-12 frame
+// still carrying an activation payload (TTL byte + tensor, the deleted static
+// relay) is answered with a MsgError that says what replaced it, counted in
+// Stats.Errors — never a panic, never a dropped connection: the very next
+// frames on the SAME connection, a chain probe on the same wire value and a
+// routed relay, are served.
+func TestLegacyStaticRelayRejected(t *testing.T) {
+	cls := testClassifier(t, 52)
+	chain := core.FlattenChain(cls.Backbone, cls.Exit)
+	s := startStageServer(t, chain, nil)
+	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer conn.Close()
+	exchange := func(f protocol.Frame) protocol.Frame {
+		t.Helper()
+		if err := protocol.WriteFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := protocol.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("connection did not survive: %v", err)
+		}
+		if resp.ID != f.ID {
+			t.Fatalf("reply for frame %d, want %d", resp.ID, f.ID)
+		}
+		return resp
+	}
 
-	// First frame: the preferred entry fails, the alternate serves it.
-	if resp := s.dispatch(relayBatch(rng, 1)); resp.Type != protocol.MsgResultBatch {
-		t.Fatalf("failover frame answered with %s %q", resp.Type, resp.Payload)
+	rng := rand.New(rand.NewSource(53))
+	batch := tensor.Randn(rng, 1, 2, 3, 8, 8)
+	legacy := append([]byte{4}, protocol.EncodeTensor(batch)...)
+	resp := exchange(protocol.Frame{Type: protocol.MsgRelay, ID: 1, Payload: legacy})
+	if resp.Type != protocol.MsgError {
+		t.Fatalf("legacy static relay answered with %s", resp.Type)
 	}
-	if bad.calls.Load() != 1 || good.calls.Load() != 1 {
-		t.Fatalf("first frame attempts: bad %d, good %d (want 1, 1)", bad.calls.Load(), good.calls.Load())
+	for _, want := range []string{"static relay was removed", "MsgRelayRoute"} {
+		if !strings.Contains(string(resp.Payload), want) {
+			t.Fatalf("legacy error %q does not say %q", resp.Payload, want)
+		}
 	}
-	// While the exclusion window holds, the healthy entry is preferred and
-	// the dead one is never re-attempted (it would only be retried as a last
-	// resort if the healthy one also failed).
-	for id := uint64(2); id <= 4; id++ {
-		if resp := s.dispatch(relayBatch(rng, id)); resp.Type != protocol.MsgResultBatch {
+	if st := s.Stats(); st.Errors != 1 || st.InstancesServed != 0 {
+		t.Fatalf("legacy frame accounting: %+v, want 1 error and nothing served", st)
+	}
+
+	if resp := exchange(protocol.Frame{Type: protocol.MsgRelay, ID: 2, Payload: protocol.EncodeRelayProbe(4)}); resp.Type != protocol.MsgResultBatch {
+		t.Fatalf("probe after the legacy frame answered with %s %q", resp.Type, resp.Payload)
+	}
+	routed, err := protocol.EncodeRoutedActivation(4, 0, nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := exchange(protocol.Frame{Type: protocol.MsgRelayRoute, ID: 3, Payload: routed}); resp.Type != protocol.MsgResultBatch {
+		t.Fatalf("routed relay after the legacy frame answered with %s %q", resp.Type, resp.Payload)
+	}
+	if st := s.Stats(); st.Errors != 1 || st.InstancesServed != 2 {
+		t.Fatalf("after recovery: %+v, want still 1 error and 2 instances served", st)
+	}
+}
+
+// relayMember is a replica-set member for the hop-level failover test: an
+// edge.CloudClient that carries the relay pair and answers from a script.
+type relayMember struct {
+	err   func() error // nil = serve zeroed results
+	calls atomic.Int64
+}
+
+func (m *relayMember) RelayRouted(batch *tensor.Tensor, _ uint8, _ int, _ []int) ([]protocol.Result, []protocol.StageStatus, error) {
+	m.calls.Add(1)
+	if m.err != nil {
+		return nil, nil, m.err()
+	}
+	return make([]protocol.Result, batch.Dim(0)), []protocol.StageStatus{{}}, nil
+}
+
+func (m *relayMember) RelayProbe(uint8) ([]protocol.StageStatus, error) {
+	if m.err != nil {
+		return nil, m.err()
+	}
+	return []protocol.StageStatus{{}}, nil
+}
+
+func (m *relayMember) Classify(*tensor.Tensor) (int, float64, error) {
+	return 0, 0, errors.New("relay-only member")
+}
+
+func (m *relayMember) ClassifyBatch([]*tensor.Tensor) ([]int, []float64, error) {
+	return nil, nil, errors.New("relay-only member")
+}
+
+func (m *relayMember) Close() error { return nil }
+
+func deadMember() *relayMember {
+	return &relayMember{err: func() error { return errors.New("dial tcp: connection refused (test stand-in)") }}
+}
+
+func sheddingMember(retry time.Duration) *relayMember {
+	return &relayMember{err: func() error { return &edge.ShedError{RetryAfter: retry} }}
+}
+
+// TestReplicaSetDownstream drives a hop whose downstream is a replica set
+// behind edge.MultiClient — the hop keeps no health model of its own, so the
+// router's semantics must come through the frame replies: a dead member is
+// tried at most once and then left alone while the healthy one serves every
+// frame; when every member sheds the hop answers MsgShed with a hold hint
+// (both were offered the frame first); sheds mixed with a dead member are an
+// error, not a hold — something is actually broken.
+func TestReplicaSetDownstream(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	relayFrame := func(id uint64) protocol.Frame {
+		payload, err := protocol.EncodeRoutedActivation(4, 0, []int{1}, tensor.Randn(rng, 1, 1, 3, 8, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return protocol.Frame{Type: protocol.MsgRelayRoute, ID: id, Payload: payload}
+	}
+	hopOver := func(members ...*relayMember) *Server {
+		clients := make([]edge.CloudClient, len(members))
+		for i, m := range members {
+			clients[i] = m
+		}
+		set, err := edge.NewMultiClient(clients, nil, edge.MultiConfig{FailureExclusion: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewServer(nil, nil, WithStage(StageConfig{Chain: forwardingChain, Downstream: set}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	bad, good := deadMember(), &relayMember{}
+	s := hopOver(bad, good)
+	for id := uint64(1); id <= 8; id++ {
+		if resp := s.dispatch(relayFrame(id)); resp.Type != protocol.MsgResultBatch {
 			t.Fatalf("frame %d answered with %s %q", id, resp.Type, resp.Payload)
 		}
 	}
-	if bad.calls.Load() != 1 || good.calls.Load() != 4 {
-		t.Fatalf("excluded entry re-attempted: bad %d, good %d (want 1, 4)", bad.calls.Load(), good.calls.Load())
+	if bad.calls.Load() > 1 || good.calls.Load() != 8 {
+		t.Fatalf("attempts: dead member %d, healthy member %d (want ≤1, 8)", bad.calls.Load(), good.calls.Load())
+	}
+	if st := s.Stats(); st.Relayed != 8 || st.Errors != 0 {
+		t.Fatalf("hop stats with one dead member: %+v", st)
+	}
+	// A probe fails over the same way.
+	if resp := s.dispatch(protocol.Frame{Type: protocol.MsgRelay, ID: 9, Payload: protocol.EncodeRelayProbe(4)}); resp.Type != protocol.MsgResultBatch {
+		t.Fatalf("probe through the replica set answered with %s %q", resp.Type, resp.Payload)
 	}
 
-	// All-shed hop: the refusal propagates as MsgShed with the largest hint,
-	// and BOTH entries were offered the frame before the hop gave up.
-	shedA, shedB := &sheddingDown{retry: 30 * time.Millisecond}, &sheddingDown{retry: 70 * time.Millisecond}
-	s2, err := NewServer(nil, nil, WithStage(StageConfig{
-		Stage:       nn.Identity{},
-		Downstreams: []Downstream{shedA, shedB},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := s2.dispatch(relayBatch(rng, 5))
+	shedA, shedB := sheddingMember(300*time.Millisecond), sheddingMember(700*time.Millisecond)
+	resp := hopOver(shedA, shedB).dispatch(relayFrame(10))
 	if resp.Type != protocol.MsgShed {
-		t.Fatalf("all-shed chain answered with %s %q, want MsgShed", resp.Type, resp.Payload)
+		t.Fatalf("all-shed replica set answered with %s %q, want MsgShed", resp.Type, resp.Payload)
 	}
 	retryAfter, _, _, err := protocol.DecodeShed(resp.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if retryAfter != 70*time.Millisecond {
-		t.Fatalf("propagated hint %v, want the largest downstream hint 70ms", retryAfter)
+	if retryAfter <= 0 || retryAfter > 700*time.Millisecond {
+		t.Fatalf("propagated hint %v, want within the members' hints (0, 700ms]", retryAfter)
 	}
 	if shedA.calls.Load() != 1 || shedB.calls.Load() != 1 {
 		t.Fatalf("shed attempts: A %d, B %d (want 1, 1)", shedA.calls.Load(), shedB.calls.Load())
 	}
 
-	// Mixed shed + transport failure is NOT all-shed: the hop must report an
-	// error (something is actually broken), not a hold.
-	s3, err := NewServer(nil, nil, WithStage(StageConfig{
-		Stage:       nn.Identity{},
-		Downstreams: []Downstream{&sheddingDown{retry: 10 * time.Millisecond}, &failingDown{}},
-	}))
-	if err != nil {
-		t.Fatal(err)
+	mixed := hopOver(sheddingMember(300*time.Millisecond), deadMember())
+	if resp := mixed.dispatch(relayFrame(11)); resp.Type != protocol.MsgError {
+		t.Fatalf("mixed shed+failure replica set answered with %s, want MsgError", resp.Type)
 	}
-	if resp := s3.dispatch(relayBatch(rng, 6)); resp.Type != protocol.MsgError {
-		t.Fatalf("mixed shed+failure chain answered with %s, want MsgError", resp.Type)
-	}
-}
-
-// TestNewServerStageOnly: a pure relay hop needs no models, but a server with
-// neither models nor a stage is still rejected.
-func TestNewServerStageOnly(t *testing.T) {
-	if _, err := NewServer(nil, nil); err == nil {
-		t.Fatal("model-less, stage-less server accepted")
-	}
-	if _, err := NewServer(nil, nil, WithStage(StageConfig{Stage: nn.Identity{}})); err != nil {
-		t.Fatalf("stage-only server rejected: %v", err)
+	if st := mixed.Stats(); st.Errors != 1 {
+		t.Fatalf("mixed outage not counted as an error: %+v", st)
 	}
 }

@@ -1,36 +1,35 @@
 package edge
 
 // ChainClient drives a multi-hop partitioned deployment (core.Partition)
-// from the edge: it runs stage 0 of the serving chain locally — or ships the
-// raw input when the placement assigns the edge no compute — and relays the
+// from the edge: it runs stage 0 of the serving chain locally and relays the
 // activations to the first stage server, which forwards hop by hop until the
 // terminal hop's results come back along the chain. It implements
 // CloudClient, so the edge runtime, the fleet harness and BatchOffload
-// consume a chain exactly like a single cloud server.
+// consume a chain exactly like a single cloud server. (An edge that runs no
+// unit at all is not a chain: that is direct offload, the classify path.)
 //
-// Two chain flavours:
+// Every chain is SOURCE-ROUTED: every hop holds the full serving chain and
+// each frame carries its own cut chain (MsgRelayRoute). The cuts may stay
+// put for the client's lifetime, or the client may MOVE them mid-run — new
+// frames ship the new route while in-flight frames complete on the old one
+// (drain-never-abort, the PR 8 template), with bitwise-identical predictions
+// either way because core.Partition is exact for every legal cut chain. With
+// Replan enabled the client re-solves placement periodically from MEASURED
+// conditions: the transport's linkest estimate for the first hop, and the
+// per-hop service-time/link telemetry piggybacked on every relay reply.
 //
-//   - STATIC (NewChainClient): the hops' stages live in server config and
-//     frames carry only activations (MsgRelay). The cuts are fixed for the
-//     client's lifetime.
-//   - ROUTED (NewRoutedChainClient): every hop holds the full serving chain
-//     and each frame carries its own cut chain (MsgRelayRoute). The client
-//     may MOVE the cuts mid-run — new frames ship the new route while
-//     in-flight frames complete on the old one (drain-never-abort, the PR 8
-//     template), with bitwise-identical predictions either way because
-//     core.Partition is exact for every legal cut chain. With Replan enabled
-//     the client re-solves placement periodically from MEASURED conditions:
-//     the transport's linkest estimate for the first hop, and the per-hop
-//     service-time/link telemetry piggybacked on every relay reply.
-//
-// Degraded mode (both flavours): when the chain fails mid-hop — transport
-// death, a dead hop, a shed storm — the client falls back to DIRECT offload
-// of the original raw batch through an optional direct replica, with exact
-// per-path accounting in ChainStats. Without a direct replica the error (or
-// shed) surfaces to the caller, whose own fallback is the all-edge path (the
-// runtime counts it as a CloudFailure and serves locally). Edge throughput
-// therefore degrades to the direct-offload (or all-edge) baseline, never to
-// zero.
+// Degraded mode: when the chain fails mid-hop — transport death, a dead hop,
+// a shed storm — the client falls back to DIRECT offload of the original raw
+// batch through an optional direct replica, with exact per-path accounting in
+// ChainStats, and then leaves the chain alone for an exclusion window (the
+// replica router's rule: 250ms after a failure, the retry-after hint after a
+// shed, extended — never shortened — by overlapping failures): new batches
+// go straight to the direct replica until it lapses, so a degraded batch
+// costs one round trip, not a failed relay plus one. Without a direct replica
+// there is no window and the error (or shed) surfaces to the caller, whose
+// own fallback is the all-edge path (the runtime counts it as a CloudFailure
+// and serves locally). Edge throughput therefore degrades to the
+// direct-offload (or all-edge) baseline, never to zero.
 
 import (
 	"errors"
@@ -61,13 +60,6 @@ const (
 	defaultReplanMinSamples = 3
 )
 
-// Local stage service-time EWMA (the same queue-normalized shape as the
-// replica capacity weights and the cloud hops' piggybacked estimate).
-const (
-	localServiceAlpha      = 0.3
-	minLocalServiceSamples = 3
-)
-
 // ChainStats is the per-path accounting a chain client keeps for
 // Report.Chain: which instances went through the chain, which took the
 // direct-offload fallback, and how the live re-solver moved the cuts.
@@ -89,7 +81,7 @@ type ChainStats struct {
 	DirectFailures uint64
 	// CutMoves counts live re-placements that changed the cut chain.
 	CutMoves uint64
-	// Cuts is the current cut chain (routed mode; nil for static chains).
+	// Cuts is the current cut chain.
 	Cuts []core.CutPoint
 	// Hops is the cloud hop count most recently observed on a relay reply.
 	Hops int
@@ -130,7 +122,7 @@ func (r *ReplanConfig) fillDefaults() {
 	}
 }
 
-// ChainConfig configures a routed chain client.
+// ChainConfig configures a chain client.
 type ChainConfig struct {
 	// Chain is the full serving chain at unit granularity
 	// (core.FlattenChain) — the SAME chain every hop was configured with.
@@ -161,27 +153,29 @@ type ChainClient struct {
 	next *TCPClient // transport to the first stage server
 	ttl  uint8      // hop budget stamped on every relay frame
 
-	// Routed mode (nil chain = static mode). chain, costs and maxLocal are
-	// fixed at construction.
+	// chain, costs and maxLocal are fixed at construction.
 	chain    []nn.Layer
-	costs    []profile.Cost // per-unit costs (profile.ChainCosts at build)
+	costs    []profile.Cost // per-unit costs (profile.ChainCosts at build; replan only)
 	maxLocal int
 	replan   ReplanConfig
 
-	mu sync.Mutex // guards cuts, local, direct, stats, localSvcEWMA, localSvcSamples, hopStats, hopSamples, lastReplan
-	// cuts is the CURRENT route (routed mode; replaced wholesale on a move —
-	// snapshots taken under mu stay valid for the frames already carrying
-	// them, which is the whole drain-never-abort trick).
+	mu sync.Mutex // guards cuts, local, direct, until, now, stats, localSvc, hopStats, hopSamples, lastReplan
+	// cuts is the CURRENT route (replaced wholesale on a move — snapshots
+	// taken under mu stay valid for the frames already carrying them, which
+	// is the whole drain-never-abort trick).
 	cuts  []core.CutPoint
-	local nn.Layer // current stage 0; nil = ship the raw input
+	local nn.Layer // current stage 0: chain units [0, cuts[0])
 	// direct is the degraded-mode fallback replica (nil = none).
 	direct CloudClient
-	stats  ChainStats
-	// localSvcEWMA tracks the measured per-instance local stage time,
-	// normalized by concurrent classify calls (localActive), feeding the
-	// edge-device rate of a re-solve.
-	localSvcEWMA    float64
-	localSvcSamples int
+	// until ends the chain's exclusion window (zero or past = open): while it
+	// holds and a direct replica is armed, batches skip the chain.
+	until time.Time
+	now   func() time.Time // test hook; time.Now in production
+	stats ChainStats
+	// localSvc tracks the measured per-instance local stage time, normalized
+	// by concurrent classify calls (localActive), feeding the edge-device
+	// rate of a re-solve.
+	localSvc linkest.ServiceTime
 	// hopStats is the latest per-hop telemetry vector piggybacked on a relay
 	// reply; hopSamples counts replies since the last move.
 	hopStats   []protocol.StageStatus
@@ -202,22 +196,9 @@ var (
 	_ ChainReporter = (*ChainClient)(nil)
 )
 
-// NewChainClient wraps a dialed transport to the first stage server of a
-// STATIC chain. local is the edge's own stage of the chain (nil when the
-// placement puts every stage off-device); ttl bounds the chain length
-// (0 selects DefaultRelayTTL). Use SetDirect to arm the degraded mode.
-func NewChainClient(local nn.Layer, next *TCPClient, ttl uint8) (*ChainClient, error) {
-	if next == nil {
-		return nil, errors.New("edge: chain client needs a transport to the first hop")
-	}
-	if ttl == 0 {
-		ttl = DefaultRelayTTL
-	}
-	return &ChainClient{local: local, next: next, ttl: ttl}, nil
-}
-
-// NewRoutedChainClient wraps a dialed transport to the first hop of a
-// source-routed chain (every hop configured with the same full Chain).
+// NewRoutedChainClient wraps a dialed transport to the first hop of a chain
+// (every hop configured with the same full Chain). Use cfg.Direct or
+// SetDirect to arm the degraded mode.
 func NewRoutedChainClient(next *TCPClient, cfg ChainConfig) (*ChainClient, error) {
 	if next == nil {
 		return nil, errors.New("edge: chain client needs a transport to the first hop")
@@ -251,6 +232,7 @@ func NewRoutedChainClient(next *TCPClient, cfg ChainConfig) (*ChainClient, error
 		cuts:     append([]core.CutPoint(nil), cfg.Cuts...),
 		local:    stages[0],
 		direct:   cfg.Direct,
+		now:      time.Now,
 	}
 	if cfg.Replan.Enabled {
 		// Price the chain up front: an unpriceable unit must fail the build,
@@ -304,9 +286,10 @@ func (c *ChainClient) ClassifyBatch(imgs []*tensor.Tensor) ([]int, []float64, er
 	return c.classifyStacked(batch)
 }
 
-// classifyStacked is the BatchOffload fast path: run the local stage (if
-// any) on the already-stacked NCHW batch, relay the activations, and on a
-// chain failure fall back to direct offload of the ORIGINAL batch.
+// classifyStacked is the BatchOffload fast path: run the local stage on the
+// already-stacked NCHW batch, relay the activations, and on a chain failure —
+// or inside the exclusion window a recent one opened — fall back to direct
+// offload of the ORIGINAL batch.
 func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, error) {
 	if batch.Dims() != 4 {
 		return nil, nil, fmt.Errorf("edge: classifyStacked expects an NCHW batch, got shape %v", batch.Shape())
@@ -319,30 +302,26 @@ func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, e
 	local := c.local
 	cuts := c.cuts
 	direct := c.direct
+	excluded := direct != nil && c.now().Before(c.until)
+	c.mu.Unlock()
+	if excluded {
+		return c.fallback(direct, batch, errors.New("chain excluded after a recent failure"))
+	}
+
+	active := c.localActive.Add(1)
+	start := time.Now()
+	act := local.Forward(batch, false)
+	dur := time.Since(start)
+	c.localActive.Add(-1)
+	c.mu.Lock()
+	c.localSvc.Observe(dur.Seconds()/float64(n), float64(active), linkest.ServiceAlpha)
 	c.mu.Unlock()
 
-	act := batch
-	if local != nil {
-		active := c.localActive.Add(1)
-		start := time.Now()
-		act = local.Forward(batch, false)
-		dur := time.Since(start)
-		c.localActive.Add(-1)
-		c.noteLocalService(dur, n, active)
+	bounds := make([]int, len(cuts)-1)
+	for i, b := range cuts[1:] {
+		bounds[i] = int(b)
 	}
-
-	var rs []protocol.Result
-	var hops []protocol.StageStatus
-	var err error
-	if c.chain != nil {
-		bounds := make([]int, len(cuts)-1)
-		for i, b := range cuts[1:] {
-			bounds[i] = int(b)
-		}
-		rs, hops, err = c.next.RelayRouted(act, c.ttl, int(cuts[0]), bounds)
-	} else {
-		rs, hops, err = c.next.RelayActivationsStatus(act, c.ttl)
-	}
+	rs, hops, err := c.next.RelayRouted(act, c.ttl, int(cuts[0]), bounds)
 	if err == nil {
 		c.mu.Lock()
 		c.stats.ChainCalls++
@@ -364,33 +343,43 @@ func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, e
 
 	// Degraded mode. A shed is a refusal, not a failure — but either way the
 	// chain is not serving this batch, so try the direct replica if one is
-	// armed; the caller's own all-edge fallback handles the rest.
-	shed := errors.Is(err, ErrShed)
-	if !shed {
-		c.mu.Lock()
+	// armed (and send the next batches straight there for a while); the
+	// caller's own all-edge fallback handles the rest.
+	window := defaultFailureExclusion
+	c.mu.Lock()
+	if errors.Is(err, ErrShed) {
+		window = shedRetryAfter(err)
+	} else {
 		c.stats.ChainFailures++
-		c.mu.Unlock()
 	}
+	if direct != nil {
+		c.until = extendWindow(c.until, c.now(), window)
+	}
+	c.mu.Unlock()
 	if direct == nil {
 		return nil, nil, err
 	}
+	return c.fallback(direct, batch, err)
+}
+
+// fallback serves a batch the chain is not serving (cause says why) through
+// the direct replica, keeping the per-path books.
+func (c *ChainClient) fallback(direct CloudClient, batch *tensor.Tensor, cause error) ([]int, []float64, error) {
 	preds, confs, derr := directClassify(direct, batch)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if derr != nil {
-		c.mu.Lock()
 		c.stats.DirectFailures++
-		c.mu.Unlock()
 		if errors.Is(derr, ErrShed) {
 			// Both paths refused by admission control: surface the shed so
 			// the caller takes its zero-charge hold instead of charging a
 			// failure.
 			return nil, nil, derr
 		}
-		return nil, nil, fmt.Errorf("edge: chain failed (%v); direct fallback: %w", err, derr)
+		return nil, nil, fmt.Errorf("edge: chain failed (%v); direct fallback: %w", cause, derr)
 	}
-	c.mu.Lock()
 	c.stats.FallbackCalls++
-	c.stats.FallbackInstances += uint64(n)
-	c.mu.Unlock()
+	c.stats.FallbackInstances += uint64(batch.Dim(0))
 	return preds, confs, nil
 }
 
@@ -405,27 +394,6 @@ func directClassify(d CloudClient, batch *tensor.Tensor) ([]int, []float64, erro
 		imgs[i] = batch.Sample(i)
 	}
 	return d.ClassifyBatch(imgs)
-}
-
-// noteLocalService folds one local stage forward into the EWMA feeding the
-// edge-device compute rate of a re-solve (per-instance wall time, normalized
-// by the classify calls running the local stage concurrently).
-func (c *ChainClient) noteLocalService(dur time.Duration, instances int, active int64) {
-	if instances <= 0 || dur <= 0 {
-		return
-	}
-	sample := dur.Seconds() / float64(instances)
-	if active > 1 {
-		sample /= float64(active)
-	}
-	c.mu.Lock()
-	if c.localSvcSamples == 0 {
-		c.localSvcEWMA = sample
-	} else {
-		c.localSvcEWMA = localServiceAlpha*sample + (1-localServiceAlpha)*c.localSvcEWMA
-	}
-	c.localSvcSamples++
-	c.mu.Unlock()
 }
 
 // spanMACs sums the priced MACs of chain units [from, to).
@@ -443,7 +411,7 @@ func (c *ChainClient) spanMACs(from, to int) float64 {
 // The solve itself runs outside the lock (it enumerates C(L-1,N-1) cut
 // chains); only the snapshot and the swap hold it.
 func (c *ChainClient) maybeReplan() {
-	if c.chain == nil || !c.replan.Enabled {
+	if !c.replan.Enabled {
 		return
 	}
 	now := time.Now()
@@ -456,7 +424,7 @@ func (c *ChainClient) maybeReplan() {
 	c.lastReplan = now
 	curCuts := c.cuts
 	hops := append([]protocol.StageStatus(nil), c.hopStats...)
-	localSvc, localSamples := c.localSvcEWMA, c.localSvcSamples
+	localSvc := c.localSvc.Seconds(linkest.ServiceMinSamples)
 	c.mu.Unlock()
 
 	if len(hops) != len(curCuts) {
@@ -467,7 +435,7 @@ func (c *ChainClient) maybeReplan() {
 	// the configured prior until it matures.
 	devices := make([]profile.Device, 0, len(hops)+1)
 	edgeRate := c.replan.EdgeMACsPerSec
-	if localSamples >= minLocalServiceSamples && localSvc > 0 && curCuts[0] > 0 {
+	if localSvc > 0 {
 		edgeRate = c.spanMACs(0, int(curCuts[0])) / localSvc
 	}
 	if edgeRate <= 0 {
@@ -525,10 +493,6 @@ func (c *ChainClient) maybeReplan() {
 	if err != nil {
 		return
 	}
-	var local nn.Layer
-	if int(solved.Cuts[0]) > 0 {
-		local = stages[0]
-	}
 	c.mu.Lock()
 	if !cutsEqual(c.cuts, curCuts) {
 		// Another call moved the cuts while we solved; its telemetry reset
@@ -538,11 +502,11 @@ func (c *ChainClient) maybeReplan() {
 		return
 	}
 	c.cuts = append([]core.CutPoint(nil), solved.Cuts...)
-	c.local = local
+	c.local = stages[0]
 	c.stats.CutMoves++
 	// The accumulated estimates priced the OLD spans; start fresh so the
 	// next re-solve runs on telemetry for the new ones.
-	c.localSvcEWMA, c.localSvcSamples = 0, 0
+	c.localSvc = linkest.ServiceTime{}
 	c.hopStats, c.hopSamples = nil, 0
 	c.mu.Unlock()
 }
@@ -561,8 +525,9 @@ func cutsEqual(a, b []core.CutPoint) bool {
 
 // ProbeChain traverses the chain end to end with a zero-instance relay
 // probe: no stage runs, every transport leg is exercised, and the healthy
-// hop count comes back from the piggybacked status vector. On failure the
-// returned hop is the 1-based index of the hop whose downstream leg broke
+// hop count comes back from the piggybacked status vector. A probe always
+// traverses — it neither honours nor moves the exclusion window. On failure
+// the returned hop is the 1-based index of the hop whose downstream leg broke
 // (hop 1 = the first stage server): each forwarding hop wraps the failure in
 // one "downstream relay:" layer, so the depth of the wrapping locates it.
 func (c *ChainClient) ProbeChain() (hop int, err error) {

@@ -23,13 +23,10 @@ func TestChainClientMatchesInProc(t *testing.T) {
 	if len(chain) < 4 {
 		t.Fatalf("chain too short: %d", len(chain))
 	}
-	stages, err := core.Partition(chain, []core.CutPoint{
+	cuts := []core.CutPoint{
 		core.CutPoint(len(chain) / 3), core.CutPoint(2 * len(chain) / 3),
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	ch, err := fleet.StartChain([]fleet.ChainHop{{Stage: stages[1]}, {Stage: stages[2]}})
+	ch, err := fleet.StartChain([]fleet.ChainHop{{Chain: chain}, {Chain: chain}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +35,7 @@ func TestChainClientMatchesInProc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := edge.NewChainClient(stages[0], next, 0)
+	client, err := edge.NewRoutedChainClient(next, edge.ChainConfig{Chain: chain, Cuts: cuts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,48 +80,8 @@ func TestChainClientMatchesInProc(t *testing.T) {
 	}
 }
 
-// TestChainClientNoLocalStage: with a nil local stage the client ships the
-// RAW input to hop 0 — the placement solver's "edge runs nothing" case.
-func TestChainClientNoLocalStage(t *testing.T) {
-	cls := buildCloudModel(t, 63)
-	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	stages, err := core.Partition(chain, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := fleet.StartChain([]fleet.ChainHop{{Stage: stages[0]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ch.Close()
-	next, err := edge.DialCloud(ch.Addr(), edge.DialConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := edge.NewChainClient(nil, next, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	rng := rand.New(rand.NewSource(64))
-	img := tensor.Randn(rng, 1, 3, 8, 8)
-	pred, _, err := client.Classify(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc := &edge.InProcClient{Model: cls}
-	want, _, err := inproc.Classify(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred != want {
-		t.Fatalf("raw-shipping chain pred %d, monolithic %d", pred, want)
-	}
-}
-
 // TestRelayLegacyServer pins the mixed-version contract, mirroring the
-// MsgHello pattern: a server predating stage mode answers MsgRelay with
+// MsgHello pattern: a server predating stage mode answers relay frames with
 // MsgError, the client surfaces it as an error, and the SAME connection keeps
 // serving the frame types the server does know.
 func TestRelayLegacyServer(t *testing.T) {
@@ -146,7 +103,7 @@ func TestRelayLegacyServer(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(66))
 	batch := tensor.Randn(rng, 1, 2, 3, 8, 8)
-	_, err = client.RelayActivations(batch, 3)
+	_, _, err = client.RelayRouted(batch, 3, 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "stage mode not supported") {
 		t.Fatalf("legacy server relay error: %v", err)
 	}
@@ -156,8 +113,39 @@ func TestRelayLegacyServer(t *testing.T) {
 	}
 }
 
-func TestNewChainClientValidation(t *testing.T) {
-	if _, err := edge.NewChainClient(nil, nil, 0); err == nil {
+func TestNewRoutedChainClientValidation(t *testing.T) {
+	cls := buildCloudModel(t, 67)
+	chain := core.FlattenChain(cls.Backbone, cls.Exit)
+	srv, err := cloud.NewServer(cls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	next, err := edge.DialCloud(srv.Addr().String(), edge.DialConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	if _, err := edge.NewRoutedChainClient(nil, edge.ChainConfig{Chain: chain, Cuts: []core.CutPoint{1}}); err == nil {
 		t.Fatal("chain client without a transport accepted")
+	}
+	for name, cfg := range map[string]edge.ChainConfig{
+		"no chain":           {Cuts: []core.CutPoint{1}},
+		"no cuts":            {Chain: chain},
+		"edge runs nothing":  {Chain: chain, Cuts: []core.CutPoint{0, 2}},
+		"cut past the chain": {Chain: chain, Cuts: []core.CutPoint{core.CutPoint(len(chain))}},
+		"unordered cuts":     {Chain: chain, Cuts: []core.CutPoint{3, 2}},
+		"cut past MaxLocal":  {Chain: chain, Cuts: []core.CutPoint{3}, MaxLocal: 2},
+		"unpriceable replan": {Chain: chain, Cuts: []core.CutPoint{1}, Replan: edge.ReplanConfig{Enabled: true}},
+	} {
+		if _, err := edge.NewRoutedChainClient(next, cfg); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+	}
+	if _, err := edge.NewRoutedChainClient(next, edge.ChainConfig{Chain: chain, Cuts: []core.CutPoint{1}}); err != nil {
+		t.Fatalf("minimal config rejected: %v", err)
 	}
 }

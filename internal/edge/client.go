@@ -58,6 +58,16 @@ type CapabilityReporter interface {
 	Capabilities() (caps protocol.Capabilities, ok bool)
 }
 
+// Relayer is the relay method pair of a chain transport: the source-routed
+// activation relay and the TTL-only chain probe. *TCPClient implements it
+// over one connection and *MultiClient over a replica set; with LinkEstimate
+// either one is a cloud.Downstream, so a stage hop forwards through the same
+// transport stack the edge uses, without adapters.
+type Relayer interface {
+	RelayRouted(batch *tensor.Tensor, ttl uint8, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error)
+	RelayProbe(ttl uint8) ([]protocol.StageStatus, error)
+}
+
 // stackedBatchClient is the zero-copy fast path of BatchOffload: both
 // built-in clients take the already-stacked NCHW tensor directly, skipping
 // the split-into-views / re-stack round trip of the interface call.
@@ -245,6 +255,7 @@ type clientResult struct {
 
 var _ FeatureCloudClient = (*TCPClient)(nil)
 var _ CapabilityReporter = (*TCPClient)(nil)
+var _ Relayer = (*TCPClient)(nil)
 
 // DialCloud connects to a cloud server. The client redials the address
 // (with exponential backoff) if the connection later breaks, so a transient
@@ -682,40 +693,22 @@ func (c *TCPClient) stackedRoundTrip(msgType protocol.MsgType, batch *tensor.Ten
 	}
 }
 
-// RelayActivations ships one NCHW activation batch as a MsgRelay frame into
-// a stage chain and returns the per-instance results the terminal hop sent
-// back along it. ttl bounds the remaining hop count (each hop decrements).
-// The exchange rides the same pipelined transport as every other frame —
-// many relays overlap on one connection, redial applies, and each successful
-// round trip feeds THIS hop's link estimator, which is what gives a chain
-// per-hop link estimation for free. The method also makes *TCPClient satisfy
-// cloud.Downstream, so a stage server forwards through it without adapters.
-// A legacy server (or one without a stage) answers MsgError, mirroring the
-// MsgHello contract; a shed decodes to *ShedError as usual.
-func (c *TCPClient) RelayActivations(batch *tensor.Tensor, ttl uint8) ([]protocol.Result, error) {
-	rs, _, err := c.RelayActivationsStatus(batch, ttl)
-	return rs, err
-}
-
-// RelayActivationsStatus is RelayActivations plus the per-hop StageStatus
-// vector the chain piggybacks on the reply (empty from pre-chain-status
-// servers) — the telemetry the live re-placement solver runs on.
-func (c *TCPClient) RelayActivationsStatus(batch *tensor.Tensor, ttl uint8) ([]protocol.Result, []protocol.StageStatus, error) {
-	if batch.Dims() != 4 {
-		return nil, nil, fmt.Errorf("edge: RelayActivations expects an NCHW batch, got shape %v", batch.Shape())
-	}
-	return c.relayExchange(protocol.MsgRelay, protocol.EncodeActivation(ttl, batch), batch.Dim(0), true)
-}
-
 // RelayRouted ships one activation batch as a source-routed relay frame
 // (MsgRelayRoute): the receiving hop runs chain units [pos, bounds[0]) — or
 // through the end of its chain when bounds is empty — and forwards the rest
-// of the route. The route travels with the frame, so the caller can change
-// cuts between calls with no server reconfiguration; in-flight frames finish
-// on the route they carry (the drain-never-abort cut move). Unlike static
-// relay, the batch is NOT required to be NCHW — a cut may sit anywhere in the
-// chain, including past the flattening layers where activations are rank-2
-// [batch, features] — only batched (rank ≥ 2, dim 0 = instances).
+// of the route; the per-instance results the terminal hop sent back along the
+// chain return with the per-hop StageStatus vector piggybacked on the reply.
+// The route travels with the frame, so the caller can change cuts between
+// calls with no server reconfiguration; in-flight frames finish on the route
+// they carry (the drain-never-abort cut move). The batch is NOT required to
+// be NCHW — a cut may sit anywhere in the chain, including past the
+// flattening layers where activations are rank-2 [batch, features] — only
+// batched (rank ≥ 2, dim 0 = instances). The exchange rides the same
+// pipelined transport as every other frame — many relays overlap on one
+// connection, redial applies, and each successful round trip feeds THIS
+// hop's link estimator, which is what gives a chain per-hop link estimation
+// for free. A legacy server (or one without a serving chain) answers
+// MsgError, mirroring the MsgHello contract; a shed decodes to *ShedError.
 func (c *TCPClient) RelayRouted(batch *tensor.Tensor, ttl uint8, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error) {
 	if batch.Dims() < 2 {
 		return nil, nil, fmt.Errorf("edge: RelayRouted expects a batched activation tensor, got shape %v", batch.Shape())

@@ -44,19 +44,34 @@ type MultiConfig struct {
 	DisableServiceWeight bool
 }
 
+// defaultFailureExclusion is how long a transport that just failed is left
+// alone — a router's replica and a chain client's whole chain alike.
+const defaultFailureExclusion = 250 * time.Millisecond
+
 func (c *MultiConfig) fillDefaults() {
 	if c.FailureExclusion <= 0 {
-		c.FailureExclusion = 250 * time.Millisecond
+		c.FailureExclusion = defaultFailureExclusion
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.ServiceAlpha <= 0 || c.ServiceAlpha > 1 {
-		c.ServiceAlpha = 0.3
+		c.ServiceAlpha = linkest.ServiceAlpha
 	}
 	if c.MinServiceSamples <= 0 {
-		c.MinServiceSamples = 3
+		c.MinServiceSamples = linkest.ServiceMinSamples
 	}
+}
+
+// extendWindow is the exclusion-window rule shared by the replica router and
+// the chain client: a failure at now keeps the target out until now+d, and
+// overlapping failures only push the reopen time out — windows extend, never
+// shorten.
+func extendWindow(until, now time.Time, d time.Duration) time.Time {
+	if u := now.Add(d); u.After(until) {
+		return u
+	}
+	return until
 }
 
 // ReplicaStats is one replica's accounting snapshot (see
@@ -123,13 +138,11 @@ type replica struct {
 	removed  bool // left the candidate set; drain, then close
 	closed   bool // transport closed (drained after removal, or client Close)
 
-	// svcEWMA tracks this replica's observed per-call service time in
-	// seconds (an EWMA over successful routed calls, end to end: network +
-	// queueing + forward pass). svcN counts the samples folded in. Together
-	// they give the capacity weight that down-ranks a slow replica without
-	// any static configuration.
-	svcEWMA float64
-	svcN    int
+	// svc tracks this replica's observed per-call service time (successful
+	// routed calls, end to end: network + queueing + forward pass) — the
+	// capacity weight that down-ranks a slow replica without any static
+	// configuration.
+	svc linkest.ServiceTime
 }
 
 // MultiClient routes offloads across a live set of cloud replicas. It
@@ -178,6 +191,7 @@ type MultiClient struct {
 
 var _ FeatureCloudClient = (*MultiClient)(nil)
 var _ ReplicaReporter = (*MultiClient)(nil)
+var _ Relayer = (*MultiClient)(nil)
 
 // NewMultiClient builds a router over pre-dialed replica transports. addrs
 // labels the replicas for reporting; it may be nil or must match clients in
@@ -406,11 +420,11 @@ func (m *MultiClient) minServiceEWMALocked() float64 {
 	}
 	best := 0.0
 	for _, r := range m.replicas {
-		if r.removed || r.svcN < m.cfg.MinServiceSamples || r.svcEWMA <= 0 {
+		if r.removed {
 			continue
 		}
-		if best == 0 || r.svcEWMA < best {
-			best = r.svcEWMA
+		if svc := r.svc.Seconds(m.cfg.MinServiceSamples); svc > 0 && (best == 0 || svc < best) {
+			best = svc
 		}
 	}
 	return best
@@ -421,10 +435,11 @@ func (m *MultiClient) minServiceEWMALocked() float64 {
 // slower, so its score reads six times worse). Replicas without enough
 // samples weigh 1 — explored, not judged on noise. The caller holds m.mu.
 func (m *MultiClient) serviceWeightLocked(r *replica, minEWMA float64) float64 {
-	if minEWMA <= 0 || r.svcN < m.cfg.MinServiceSamples || r.svcEWMA <= 0 {
+	svc := r.svc.Seconds(m.cfg.MinServiceSamples)
+	if minEWMA <= 0 || svc <= 0 {
 		return 1
 	}
-	return r.svcEWMA / minEWMA
+	return svc / minEWMA
 }
 
 // score ranks replica r for the next offload; lower is better. The load the
@@ -574,9 +589,7 @@ func (m *MultiClient) release(r *replica) {
 func (m *MultiClient) exclude(r *replica, d time.Duration, shedOrigin bool) {
 	now := m.now()
 	active := now.Before(r.until)
-	if until := now.Add(d); until.After(r.until) {
-		r.until = until
-	}
+	r.until = extendWindow(r.until, now, d)
 	if active {
 		r.shedExcl = r.shedExcl && shedOrigin
 	} else {
@@ -604,36 +617,14 @@ func (m *MultiClient) noteResult(r *replica, err error, svc time.Duration, ahead
 	switch {
 	case err == nil:
 		r.offloads++
-		if svc > 0 {
-			// Per-call service time of a successful call, inferred from the
-			// measured sojourn: with `ahead` jobs queued at dispatch on a
-			// serialized accelerator, the wall time spans ahead+1 service
-			// slots. Without the normalization a busy fast replica measures
-			// SLOWER than an idle straggler — the estimate would encode the
-			// queue it is supposed to be orthogonal to (the score's load
-			// term already charges for queueing). The first sample seeds the
-			// EWMA directly — decaying from zero would understate a slow
-			// replica for its first dozen calls.
-			if ahead < 0 {
-				ahead = 0
-			}
-			sample := svc.Seconds() / (1 + ahead)
-			if r.svcN == 0 {
-				r.svcEWMA = sample
-			} else {
-				a := m.cfg.ServiceAlpha
-				r.svcEWMA = (1-a)*r.svcEWMA + a*sample
-			}
-			r.svcN++
-		}
+		// Per-call service time of a successful call, inferred from the
+		// measured sojourn: with `ahead` jobs queued at dispatch on a
+		// serialized accelerator, the wall time spans ahead+1 service slots
+		// (the score's load term already charges for the queueing itself).
+		r.svc.Observe(svc.Seconds(), 1+ahead, m.cfg.ServiceAlpha)
 	case errors.Is(err, ErrShed):
 		r.sheds++
-		ra := defaultShedRetryAfter
-		var se *ShedError
-		if errors.As(err, &se) && se.RetryAfter > 0 {
-			ra = se.RetryAfter
-		}
-		m.exclude(r, ra, true)
+		m.exclude(r, shedRetryAfter(err), true)
 	default:
 		r.failures++
 		m.exclude(r, m.cfg.FailureExclusion, false)
@@ -653,16 +644,17 @@ func (m *MultiClient) noteResult(r *replica, err error, svc time.Duration, ahead
 // holdState reports when the earliest exclusion among the call-eligible
 // replicas expires and whether every such replica's active exclusion is
 // shed-origin. eligible counts the replicas considered at all — zero only
-// for a features-mode call against a fleet with no tail-capable replica
-// (open membership never drops to zero otherwise).
-func (m *MultiClient) holdState(needTail bool) (reopen time.Duration, allShed bool, eligible int) {
+// when no open replica can carry the call: a features-mode call against a
+// fleet with no tail-capable replica, or a relay whose every candidate was
+// passed over (open membership never drops to zero otherwise).
+func (m *MultiClient) holdState(needTail bool, passed map[*replica]bool) (reopen time.Duration, allShed bool, eligible int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.now()
 	allShed = true
 	first := true
 	for _, r := range m.replicas {
-		if r.removed {
+		if r.removed || passed[r] {
 			continue
 		}
 		if needTail && !replicaTailCapable(r.client) {
@@ -701,11 +693,16 @@ func (m *MultiClient) clock() time.Time {
 // (the runtime holds offloads with zero charges, exactly the single-cloud
 // PR-5 behavior); any transport failure in the mix → a plain error (the
 // instances take the per-instance fallback with CloudFailed accounting). A
-// features-mode call against a fleet with no tail-capable replica fails with
-// a plain error immediately — a capability mismatch is a configuration
-// fact, not congestion, so it must not fabricate a zero-charge hold.
+// call no open replica can carry — features mode against a fleet without a
+// tail, a relay against one without a chain transport — fails with a plain
+// error immediately: a capability mismatch is a configuration fact, not
+// congestion, so it must not fabricate a zero-charge hold. A call answering
+// errPassOver declares its replica incapable of THIS call: the replica is
+// passed over — not excluded, not charged a failure; it still serves what it
+// can — and the call moves on.
 func (m *MultiClient) route(needTail bool, call func(c CloudClient) error) error {
 	tried := make(map[*replica]bool)
+	var passed map[*replica]bool
 	var lastErr error
 	for {
 		r, ok := m.pick(tried, needTail)
@@ -715,6 +712,14 @@ func (m *MultiClient) route(needTail bool, call func(c CloudClient) error) error
 		ahead := jobsAhead(r.client)
 		start := m.clock()
 		err := call(r.client)
+		if errors.Is(err, errPassOver) {
+			m.release(r)
+			if passed == nil {
+				passed = make(map[*replica]bool)
+			}
+			passed[r], tried[r] = true, true
+			continue
+		}
 		m.noteResult(r, err, m.clock().Sub(start), ahead)
 		if err == nil {
 			return nil
@@ -722,9 +727,9 @@ func (m *MultiClient) route(needTail bool, call func(c CloudClient) error) error
 		tried[r] = true
 		lastErr = err
 	}
-	reopen, allShed, eligible := m.holdState(needTail)
+	reopen, allShed, eligible := m.holdState(needTail, passed)
 	if eligible == 0 {
-		return errors.New("edge: no replica can carry the features mode (every open replica advertises no tail)")
+		return errors.New("edge: no open replica can carry this call (features mode needs a tail, a relay needs a chain transport)")
 	}
 	if allShed {
 		// Every eligible replica asked for silence: surface one shed covering
@@ -746,6 +751,45 @@ func (m *MultiClient) route(needTail bool, call func(c CloudClient) error) error
 	}
 	return fmt.Errorf("edge: all %d replicas excluded after transport failures (next retry in %v)",
 		eligible, reopen.Round(time.Millisecond))
+}
+
+// errPassOver is what a route call answers for a replica that cannot carry it
+// at all (see route). Never surfaces to callers.
+var errPassOver = errors.New("edge: replica cannot carry this call")
+
+// RelayRouted routes one source-routed relay frame to a member of a
+// replica-set chain hop — the whole router applies: p2c over load × RTT,
+// capacity weighting, exclusion windows, live membership. Every member shed →
+// one ShedError (the hop answers MsgShed upstream and the edge takes its
+// zero-charge hold); sheds mixed with dead members → a plain error.
+func (m *MultiClient) RelayRouted(batch *tensor.Tensor, ttl uint8, pos int, bounds []int) (rs []protocol.Result, hops []protocol.StageStatus, err error) {
+	err = m.routeRelay(func(rc Relayer) (e error) {
+		rs, hops, e = rc.RelayRouted(batch, ttl, pos, bounds)
+		return e
+	})
+	return rs, hops, err
+}
+
+// routeRelay routes one relay-pair call over the members that carry the pair.
+func (m *MultiClient) routeRelay(call func(Relayer) error) error {
+	return m.route(false, func(c CloudClient) error {
+		rc, ok := c.(Relayer)
+		if !ok {
+			return errPassOver
+		}
+		return call(rc)
+	})
+}
+
+// RelayProbe routes a chain probe like RelayRouted routes a frame: it answers
+// for a member the next relay could land on, fails over like a relay would,
+// and a member that fails it is excluded like one that failed a relay.
+func (m *MultiClient) RelayProbe(ttl uint8) (hops []protocol.StageStatus, err error) {
+	err = m.routeRelay(func(rc Relayer) (e error) {
+		hops, e = rc.RelayProbe(ttl)
+		return e
+	})
+	return hops, err
 }
 
 // splitSamples views an NCHW batch as per-sample CHW tensors (the slow path

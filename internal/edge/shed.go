@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -40,6 +41,16 @@ func (e *ShedError) Error() string {
 // ErrShed) — and core's attempt loop — see through any %w wrapping the
 // transports add.
 func (e *ShedError) Unwrap() error { return core.ErrShed }
+
+// shedRetryAfter is how long a shed asks its sender to stay away: the hint it
+// carried, or the default hold when it carried none.
+func shedRetryAfter(err error) time.Duration {
+	var se *ShedError
+	if errors.As(err, &se) && se.RetryAfter > 0 {
+		return se.RetryAfter
+	}
+	return defaultShedRetryAfter
+}
 
 // RetryAfterHint exposes the hold hint to packages that must not import edge
 // (cloud's stage servers assert for the method via errors.As to propagate a

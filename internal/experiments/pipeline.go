@@ -17,10 +17,13 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"github.com/meanet/meanet/internal/cloud"
+	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/deploy"
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/netsim/fleet"
+	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/profile"
 	"github.com/meanet/meanet/internal/tensor"
 )
@@ -119,9 +122,6 @@ func PipelinePartition(ctx *Context) (*PipelinePartitionResult, error) {
 		out := pipe.Stages[i].Out
 		return &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{out.C, out.H, out.W}}, Delay: stageDelay(i)}
 	}
-	terminalStage := func(delay time.Duration) *fleet.SlowStage {
-		return &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: delay}
-	}
 
 	// All-edge: one serialized accelerator, no network.
 	allEdge := &edge.InProcClient{Model: &fleet.SlowModel{Inner: flatModel{classes: classes}, Delay: pipelineFullCompute}}
@@ -131,56 +131,59 @@ func PipelinePartition(ctx *Context) (*PipelinePartitionResult, error) {
 	}
 	res.Rows = append(res.Rows, PipelinePartitionRow{Config: "all-edge", ImagesPerSec: ps, PredictedPS: localPred.Throughput})
 
-	// Direct: raw input over the uplink to one terminal hop running the whole
-	// chain — today's -offload raw, restated as a 1-hop relay chain.
-	direct, err := fleet.StartChain([]fleet.ChainHop{{Stage: terminalStage(pipelineFullCompute)}})
+	// Direct: raw input over the uplink to one server running the whole
+	// chain — today's -offload raw (an edge that runs no unit is not a
+	// chain).
+	direct, err := cloud.NewServer(&fleet.SlowModel{Inner: flatModel{classes: classes}, Delay: pipelineFullCompute}, nil)
 	if err != nil {
 		return nil, err
 	}
-	ps, err = measureChain(direct, nil, pipelineUplink, img, workers, instances)
+	defer direct.Close()
+	if err := direct.Listen("127.0.0.1:0"); err != nil {
+		return nil, err
+	}
+	directClient, err := edge.DialCloud(direct.Addr().String(), edge.DialConfig{Link: pipelineUplink})
+	if err != nil {
+		return nil, err
+	}
+	defer directClient.Close()
+	ps, err = fleet.RunChainLoad(directClient, img, workers, instances)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: direct run: %w", err)
 	}
 	res.Rows = append(res.Rows, PipelinePartitionRow{Config: "direct", ImagesPerSec: ps, PredictedPS: directPred.Throughput})
 
-	// Pipeline: the solver's placement — stage 0 on the edge, stage 1 behind
-	// the uplink, stage 2 behind the interlink.
+	// Pipeline: the solver's placement as a three-unit serving chain, one
+	// modeled stage per unit — stage 0 on the edge, stage 1 behind the
+	// uplink, stage 2 behind the interlink.
+	stages := []nn.Layer{
+		midStage(0), midStage(1),
+		&fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: stageDelay(2)},
+	}
 	pipeline, err := fleet.StartChain([]fleet.ChainHop{
-		{Stage: midStage(1), Link: pipelineInterlink},
-		{Stage: terminalStage(stageDelay(2))},
+		{Chain: stages, Link: pipelineInterlink},
+		{Chain: stages},
 	})
 	if err != nil {
 		return nil, err
 	}
-	ps, err = measureChain(pipeline, midStage(0), pipelineUplink, img, workers, instances)
+	defer pipeline.Close()
+	next, err := edge.DialCloud(pipeline.Addr(), edge.DialConfig{Link: pipelineUplink})
+	if err != nil {
+		return nil, err
+	}
+	client, err := edge.NewRoutedChainClient(next, edge.ChainConfig{Chain: stages, Cuts: []core.CutPoint{1, 2}})
+	if err != nil {
+		next.Close()
+		return nil, err
+	}
+	defer client.Close()
+	ps, err = fleet.RunChainLoad(client, img, workers, instances)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: pipeline run: %w", err)
 	}
 	res.Rows = append(res.Rows, PipelinePartitionRow{Config: "pipeline3", ImagesPerSec: ps, PredictedPS: pipe.Throughput})
 	return res, nil
-}
-
-// measureChain dials a started chain behind the given uplink, drives the
-// load through a ChainClient with the given local stage, and tears the chain
-// down.
-func measureChain(ch *fleet.Chain, local *fleet.SlowStage, uplink netsim.Link, img *tensor.Tensor, workers, instances int) (float64, error) {
-	defer ch.Close()
-	next, err := edge.DialCloud(ch.Addr(), edge.DialConfig{Link: uplink})
-	if err != nil {
-		return 0, err
-	}
-	var client edge.CloudClient
-	if local == nil {
-		client, err = edge.NewChainClient(nil, next, 0)
-	} else {
-		client, err = edge.NewChainClient(local, next, 0)
-	}
-	if err != nil {
-		next.Close()
-		return 0, err
-	}
-	defer client.Close()
-	return fleet.RunChainLoad(client, img, workers, instances)
 }
 
 // String renders the comparison.

@@ -4,9 +4,9 @@ package fleet
 // connected hop→hop through the real edge transport, each leg shaped by its
 // own netsim link) so pipeline-partition scenarios and benchmarks measure the
 // whole relay path — framing, pipelining, per-hop shaping — on loopback
-// sockets. The caller partitions the serving chain (core.Partition) and
-// decides each hop's compute model; the harness owns wiring order and
-// teardown.
+// sockets. The caller builds the serving chain every hop mounts (real layers,
+// or one SlowStage/ShapeStage unit per modeled stage) and picks the cuts on
+// its chain client; the harness owns wiring order and teardown.
 
 import (
 	"fmt"
@@ -108,12 +108,8 @@ func RunChainLoad(client edge.CloudClient, img *tensor.Tensor, workers, total in
 // ChainHop is one stage server in a relay chain. Link shapes this hop's
 // connection to the NEXT hop (unused on the terminal hop).
 type ChainHop struct {
-	// Stage serves static relay frames (MsgRelay). May be nil on a
-	// routed-only hop.
-	Stage nn.Layer
-	// Chain, when non-nil, is the full serving chain handed to every hop for
-	// source-routed relay frames (MsgRelayRoute) — live cut-move scenarios
-	// set the SAME slice on all hops.
+	// Chain is the full serving chain the hop mounts — the SAME slice on all
+	// hops; each relay frame's route says which span runs where.
 	Chain []nn.Layer
 	Link  netsim.Link
 }
@@ -157,7 +153,7 @@ func StartChain(hops []ChainHop) (*Chain, error) {
 	}
 	var nextAddr string
 	for i := len(hops) - 1; i >= 0; i-- {
-		cfg := cloud.StageConfig{Stage: hops[i].Stage, Chain: hops[i].Chain}
+		cfg := cloud.StageConfig{Chain: hops[i].Chain}
 		if nextAddr != "" {
 			down, err := edge.DialCloud(nextAddr, edge.DialConfig{Link: hops[i].Link})
 			if err != nil {

@@ -77,13 +77,10 @@ func chainServingModel(t *testing.T, seed int64) (*models.Classifier, profile.Sh
 func TestChainMidHopDeathFallsBackDirect(t *testing.T) {
 	cls, in := chainServingModel(t, 71)
 	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	stages, err := core.Partition(chain, []core.CutPoint{
+	cuts := []core.CutPoint{
 		core.CutPoint(len(chain) / 3), core.CutPoint(2 * len(chain) / 3),
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	ch, err := fleet.StartChain([]fleet.ChainHop{{Stage: stages[1]}, {Stage: stages[2]}})
+	ch, err := fleet.StartChain([]fleet.ChainHop{{Chain: chain}, {Chain: chain}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +108,7 @@ func TestChainMidHopDeathFallsBackDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := edge.NewChainClient(stages[0], next, 0)
+	client, err := edge.NewRoutedChainClient(next, edge.ChainConfig{Chain: chain, Cuts: cuts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +190,7 @@ func TestChainMidHopDeathFallsBackDirect(t *testing.T) {
 	// Heal: a replacement terminal server takes the dead hop's ADDRESS. Hop
 	// 1's existing downstream transport must redial into it — no client on
 	// either side is restarted.
-	healed, err := cloud.NewServer(nil, nil, cloud.WithStage(cloud.StageConfig{Stage: stages[2]}))
+	healed, err := cloud.NewServer(nil, nil, cloud.WithStage(cloud.StageConfig{Chain: chain}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,13 @@ import (
 	"testing"
 	"time"
 
+	"github.com/meanet/meanet/internal/cloud"
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/netsim/fleet"
+	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/profile"
 	"github.com/meanet/meanet/internal/tensor"
 )
@@ -97,20 +99,18 @@ func TestPipelineOutThroughputsBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Direct: raw input over the constrained uplink to a single terminal hop
-	// running the whole chain.
-	directChain, err := fleet.StartChain([]fleet.ChainHop{{
-		Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: fullCompute},
-	}})
+	// Direct: raw input over the constrained uplink to a single server
+	// running the whole chain — plain raw offload (an edge that runs no unit
+	// is not a chain).
+	directServer, err := cloud.NewServer(&fleet.SlowModel{Inner: flatLogits{classes}, Delay: fullCompute}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer directChain.Close()
-	directNext, err := edge.DialCloud(directChain.Addr(), edge.DialConfig{Link: uplink})
-	if err != nil {
+	if err := directServer.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	directClient, err := edge.NewChainClient(nil, directNext, 0)
+	defer directServer.Close()
+	directClient, err := edge.DialCloud(directServer.Addr().String(), edge.DialConfig{Link: uplink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,16 @@ func TestPipelineOutThroughputsBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pipeline: the solver's 3-stage placement — stage 0 on the edge, stage 1
-	// behind the uplink, stage 2 behind the interlink.
+	// Pipeline: the solver's 3-stage placement as a three-unit serving chain,
+	// one modeled stage per unit — stage 0 on the edge, stage 1 behind the
+	// uplink, stage 2 behind the interlink.
+	stages := []nn.Layer{
+		midStage(0), midStage(1),
+		&fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: stageDelay(2)},
+	}
 	pipeChain, err := fleet.StartChain([]fleet.ChainHop{
-		{Stage: midStage(1), Link: interlink},
-		{Stage: &fleet.SlowStage{Inner: fleet.ShapeStage{Dims: []int{classes}}, Delay: stageDelay(2)}},
+		{Chain: stages, Link: interlink},
+		{Chain: stages},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +139,7 @@ func TestPipelineOutThroughputsBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipeClient, err := edge.NewChainClient(midStage(0), pipeNext, 0)
+	pipeClient, err := edge.NewRoutedChainClient(pipeNext, edge.ChainConfig{Chain: stages, Cuts: []core.CutPoint{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

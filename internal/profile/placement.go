@@ -36,15 +36,24 @@ type Device struct {
 	MACsPerSec float64
 }
 
-// relayFrameOverheadBytes is the wire overhead of one single-instance relay
-// frame beyond its float32 activation data: the frame header (17 bytes), the
-// TTL byte, the tensor rank byte and four int32 dims. Kept in sync with the
-// protocol package by TestRelayWireBytes.
-const relayFrameOverheadBytes = 35
+// Wire overhead of one single-instance frame beyond its float32 data, kept in
+// sync with the protocol package by TestRelayWireBytes. A routed relay frame
+// (MsgRelayRoute) spends 17 bytes on the frame header, 4 on the route header
+// (TTL, uint16 position, boundary count), 2 per boundary still ahead of it,
+// then the tensor rank byte and four int32 dims; a direct raw offload
+// (MsgClassifyBatch) is the frame header plus the same tensor header.
+const (
+	relayFrameOverheadBytes    = 38
+	relayBoundaryBytes         = 2
+	classifyFrameOverheadBytes = 34
+)
 
 // RelayWireBytes is the modeled wire size of relaying one instance's CHW
-// activation downstream (float32 data plus per-frame overhead).
-func RelayWireBytes(s Shape) int64 { return relayFrameOverheadBytes + 4*s.Elems() }
+// activation downstream with the given number of route boundaries still
+// ahead of the receiving hop (float32 data plus per-frame overhead).
+func RelayWireBytes(s Shape, boundariesLeft int) int64 {
+	return relayFrameOverheadBytes + relayBoundaryBytes*int64(boundariesLeft) + 4*s.Elems()
+}
 
 // StagePlan is one stage of a placement.
 type StagePlan struct {
@@ -208,7 +217,7 @@ func evaluate(cuts []core.CutPoint, costs []Cost, outs []Shape, devices []Device
 			p.Bottleneck = fmt.Sprintf("stage %d compute on %s", i, devices[i].Name)
 		}
 		if i < len(links) {
-			st.WireBytes = RelayWireBytes(st.Out)
+			st.WireBytes = RelayWireBytes(st.Out, len(links)-1-i)
 			st.TransferSec = links[i].TransferTime(st.WireBytes).Seconds()
 			if st.TransferSec > worst {
 				worst = st.TransferSec
@@ -230,8 +239,8 @@ func LocalPlacement(chain []nn.Layer, in Shape, dev Device) (Placement, error) {
 }
 
 // DirectPlacement models today's raw offload: the edge ships the raw input
-// across the uplink (same relay framing) and the remote device runs the
-// whole chain. Its stage 0 is the empty edge stage; the bottleneck is the
+// across the uplink (a classify-batch frame of one) and the remote device
+// runs the whole chain. Its stage 0 is the empty edge stage; the bottleneck is the
 // larger of the raw-input transfer and the remote full-model compute.
 func DirectPlacement(chain []nn.Layer, in Shape, uplink netsim.Link, edge, remote Device) (Placement, error) {
 	if len(chain) == 0 {
@@ -248,7 +257,7 @@ func DirectPlacement(chain []nn.Layer, in Shape, uplink netsim.Link, edge, remot
 	for _, c := range costs {
 		total = total.Add(c)
 	}
-	wire := RelayWireBytes(in)
+	wire := classifyFrameOverheadBytes + 4*in.Elems()
 	transfer := uplink.TransferTime(wire).Seconds()
 	compute := float64(total.MACs) / remote.MACsPerSec
 	p := Placement{

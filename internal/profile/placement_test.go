@@ -170,14 +170,30 @@ func TestPlacePipelineUnknownLayerPropagates(t *testing.T) {
 	}
 }
 
-// TestRelayWireBytes pins the solver's wire-size model to the actual protocol
-// framing of a single-instance relay.
+// TestRelayWireBytes pins the solver's wire-size model to the frames that are
+// actually sent: the source-routed relay of a single instance, whatever route
+// is still ahead of it, and the direct raw offload of one.
 func TestRelayWireBytes(t *testing.T) {
 	s := Shape{C: 16, H: 6, W: 6}
 	act := tensor.New(1, s.C, s.H, s.W)
-	payload := protocol.EncodeActivation(3, act)
-	if got, want := RelayWireBytes(s), int64(protocol.FrameWireSize(len(payload))); got != want {
-		t.Fatalf("RelayWireBytes(%+v) = %d, actual frame is %d bytes", s, got, want)
+	for _, bounds := range [][]int{nil, {7}, {7, 9, 11}} {
+		payload, err := protocol.EncodeRoutedActivation(3, 5, bounds, act)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := RelayWireBytes(s, len(bounds)), int64(protocol.FrameWireSize(len(payload))); got != want {
+			t.Fatalf("RelayWireBytes(%+v, %d) = %d, actual frame is %d bytes", s, len(bounds), got, want)
+		}
+	}
+	chain, in := servingChain(t)
+	dev := Device{Name: "d", MACsPerSec: 1e9}
+	direct, err := DirectPlacement(chain, in, netsim.Link{Latency: time.Millisecond, Mbps: 10}, dev, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := protocol.EncodeTensor(tensor.New(1, in.C, in.H, in.W))
+	if got, want := direct.Stages[0].WireBytes, int64(protocol.FrameWireSize(len(raw))); got != want {
+		t.Fatalf("direct offload modeled at %d wire bytes, actual classify-batch frame is %d", got, want)
 	}
 }
 

@@ -32,7 +32,7 @@ const (
 	MsgClassifyFeatBatch                    // payload: batched feature tensor [N,C,H,W]
 	MsgShed                                 // payload: uint64 retry-after nanos (+ optional LoadStatus)
 	MsgHello                                // request: empty; reply payload: Capabilities
-	MsgRelay                                // payload: relay TTL byte + activation tensor [N,C,H,W]
+	MsgRelay                                // payload: relay TTL byte (zero-instance chain probe)
 	MsgRelayRoute                           // payload: TTL + chain position + remaining boundaries + activation tensor
 )
 
@@ -392,59 +392,31 @@ func DecodeHello(b []byte) (Capabilities, error) {
 	}, nil
 }
 
-// relayHeaderLen is the fixed prefix of a MsgRelay payload (the TTL byte).
-const relayHeaderLen = 1
+// relayProbeLen is the whole MsgRelay payload: the TTL byte.
+const relayProbeLen = 1
 
-// EncodeActivation serializes a MsgRelay payload: one TTL byte followed by
-// the NCHW activation tensor in EncodeTensor form. MsgRelay is the stage-
-// chain frame — a hop receives activations, runs its stage, and either
-// forwards the outputs downstream (TTL decremented per hop, so a
-// misconfigured chain cycle dies with an error instead of amplifying frames
-// forever) or, at the terminal hop, answers with the usual MsgResultBatch.
-// A server predating stage mode answers the unknown type with MsgError,
-// mirroring the MsgHello legacy contract: the chain client surfaces the
-// error and the instances fall back to the edge.
-func EncodeActivation(ttl uint8, t *tensor.Tensor) []byte {
-	body := EncodeTensor(t)
-	out := make([]byte, relayHeaderLen+len(body))
-	out[0] = ttl
-	copy(out[relayHeaderLen:], body)
-	return out
-}
-
-// DecodeActivation reverses EncodeActivation, validating the payload
-// exactly (the tensor decoder rejects truncated or trailing bytes). Rank is
-// NOT constrained here — the serving layer enforces NCHW so the decoder
-// stays reusable for future relay payloads.
-func DecodeActivation(b []byte) (ttl uint8, t *tensor.Tensor, err error) {
-	if len(b) < relayHeaderLen {
-		return 0, nil, fmt.Errorf("protocol: relay payload length %d, want >= %d", len(b), relayHeaderLen)
-	}
-	t, err = DecodeTensor(b[relayHeaderLen:])
-	if err != nil {
-		return 0, nil, err
-	}
-	return b[0], t, nil
-}
-
-// EncodeRelayProbe serializes a zero-instance MsgRelay payload: the TTL byte
-// with NO tensor after it. A probe traverses the chain's transport hops —
-// every non-terminal hop forwards it downstream without running its stage,
-// the terminal hop answers an empty result batch — so the edge can verify a
-// chain end to end (and learn its hop count from the piggybacked per-hop
-// status vector) without shipping a single activation. A server predating
-// probes rejects the empty tensor with MsgError, the usual legacy contract.
+// EncodeRelayProbe serializes a MsgRelay payload: the TTL byte and nothing
+// else. A probe traverses the chain's transport hops — every hop with a
+// downstream forwards it without running a stage (TTL decremented per hop, so
+// a chain misconfigured into a cycle dies with an error instead of
+// circulating frames forever), the terminal hop answers an empty result batch
+// — so the edge can verify a chain end to end, and learn its hop count from
+// the piggybacked per-hop status vector, without shipping a single
+// activation. Wire value 12 once also carried static-chain activations (TTL +
+// tensor); that frame is gone — activations travel source-routed in
+// MsgRelayRoute — and a stage server answers a legacy peer still sending it
+// with a MsgError that says so. A server predating stage mode answers the
+// unknown type with MsgError, the MsgHello legacy contract.
 func EncodeRelayProbe(ttl uint8) []byte { return []byte{ttl} }
 
-// IsRelayProbe reports whether a MsgRelay payload is a zero-instance probe
-// (TTL byte only). Checked before DecodeActivation, whose tensor decoder
-// rejects the empty body.
-func IsRelayProbe(b []byte) bool { return len(b) == relayHeaderLen }
+// IsRelayProbe reports whether a MsgRelay payload is a chain probe (TTL byte
+// only) rather than a legacy static-relay activation.
+func IsRelayProbe(b []byte) bool { return len(b) == relayProbeLen }
 
 // DecodeRelayProbe decodes a probe payload's TTL byte.
 func DecodeRelayProbe(b []byte) (ttl uint8, err error) {
 	if !IsRelayProbe(b) {
-		return 0, fmt.Errorf("protocol: relay probe payload length %d, want %d", len(b), relayHeaderLen)
+		return 0, fmt.Errorf("protocol: relay probe payload length %d, want %d", len(b), relayProbeLen)
 	}
 	return b[0], nil
 }
@@ -500,7 +472,7 @@ func EncodeRoutedActivation(ttl uint8, pos int, bounds []int, t *tensor.Tensor) 
 // DecodeRoutedActivation reverses EncodeRoutedActivation, validating the
 // route exactly (monotonic boundaries, canonical tensor) so an accepted
 // payload always re-encodes bitwise — the same canonicity contract as
-// DecodeActivation, fuzz-enforced.
+// DecodeTensor, fuzz-enforced.
 func DecodeRoutedActivation(b []byte) (ttl uint8, pos int, bounds []int, t *tensor.Tensor, err error) {
 	if len(b) < routedHeaderLen {
 		return 0, 0, nil, nil, fmt.Errorf("protocol: routed relay payload length %d, want >= %d", len(b), routedHeaderLen)
@@ -540,7 +512,7 @@ func DecodeRoutedActivation(b []byte) (ttl uint8, pos int, bounds []int, t *tens
 // offline -plan flags used to guess.
 type StageStatus struct {
 	// ServiceNanos is the hop's queue-normalized EWMA of per-instance stage
-	// service time (the PR 8 svcEWMA shape: wall time divided by the relay
+	// service time (linkest.ServiceTime: wall time divided by the relay
 	// dispatches in flight, so contention doesn't read as slowness). 0 until
 	// the hop has served a relay.
 	ServiceNanos uint64

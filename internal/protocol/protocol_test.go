@@ -392,42 +392,6 @@ func TestShedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestActivationRoundTrip(t *testing.T) {
-	in := tensor.FromSlice([]float32{1, -2, 3.5, 0, 7, -0.25, 9, 11}, 2, 1, 2, 2)
-	payload := EncodeActivation(5, in)
-	ttl, out, err := DecodeActivation(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ttl != 5 {
-		t.Fatalf("ttl = %d, want 5", ttl)
-	}
-	if !out.SameShape(in) {
-		t.Fatalf("shape %v became %v", in.Shape(), out.Shape())
-	}
-	for i, v := range out.Data() {
-		if v != in.Data()[i] {
-			t.Fatalf("element %d: %v became %v", i, in.Data()[i], v)
-		}
-	}
-}
-
-func TestDecodeActivationRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,       // no TTL byte at all
-		{7},       // TTL but no tensor
-		{7, 4},    // rank with no dims
-		{7, 0xff}, // absurd rank
-	}
-	good := EncodeActivation(1, tensor.FromSlice([]float32{1, 2}, 1, 1, 1, 2))
-	cases = append(cases, good[:len(good)-1], append(append([]byte{}, good...), 0))
-	for i, c := range cases {
-		if _, _, err := DecodeActivation(c); err == nil {
-			t.Fatalf("case %d (%d bytes) accepted", i, len(c))
-		}
-	}
-}
-
 func TestRelayProbeRoundTrip(t *testing.T) {
 	for _, ttl := range []uint8{0, 1, 16, 255} {
 		p := EncodeRelayProbe(ttl)
@@ -439,16 +403,14 @@ func TestRelayProbeRoundTrip(t *testing.T) {
 			t.Fatalf("probe TTL %d round-tripped to %d, %v", ttl, got, err)
 		}
 	}
-	// A real activation payload must never read as a probe, and vice versa.
-	act := EncodeActivation(3, tensor.FromSlice([]float32{1, 2}, 1, 1, 1, 2))
+	// A legacy static-relay activation payload (TTL byte + tensor on the same
+	// wire value) must never read as a probe.
+	act := append([]byte{3}, EncodeTensor(tensor.FromSlice([]float32{1, 2}, 1, 1, 1, 2))...)
 	if IsRelayProbe(act) {
 		t.Fatalf("activation payload misread as probe")
 	}
 	if _, err := DecodeRelayProbe(act); err == nil {
 		t.Fatalf("DecodeRelayProbe accepted an activation payload")
-	}
-	if _, _, err := DecodeActivation(EncodeRelayProbe(3)); err == nil {
-		t.Fatalf("DecodeActivation accepted a probe payload")
 	}
 }
 
