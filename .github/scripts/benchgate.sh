@@ -2,11 +2,9 @@
 # benchgate.sh <base.txt> <head.txt>
 #
 # The CI bench-regression gate: compares two `go test -bench` outputs and
-# fails (exit 1) on a >15% regression in the gated benchmarks:
-#
-#   - MatMul512 and MEANetInferBatch: best (minimum) ns/op
-#   - every FleetOffload, FleetWeighted, PipelinePartition and
-#     ChainFailover sub-benchmark: best (maximum) images/s
+# fails (exit 1) on a >15% regression in the gated benchmarks, MatMul512 and
+# MEANetInferBatch, by best (minimum) ns/op. The serving path is gated by
+# benchmark/ (BENCHMARK.json), not here.
 #
 # "Best of N" over the -count repetitions damps scheduler noise on shared
 # runners: a genuine regression slows the best rep too, while a noisy rep
@@ -31,33 +29,21 @@ min_ns() {
   ' "$1"
 }
 
-# max_metric FILE NAME UNIT: maximum UNIT value among lines for NAME.
-max_metric() {
-  awk -v name="$2" -v unit="$3" '
-    $1 ~ ("^" name "(-[0-9]+)?$") {
-      for (i = 2; i < NF; i++)
-        if ($(i + 1) == unit && (best == "" || $i + 0 > best + 0)) best = $i
-    }
-    END { print best }
-  ' "$1"
-}
-
-# gate NAME BASE HEAD DIRECTION UNIT: print the comparison, flip $fail on a
-# >15% move the wrong way. DIRECTION is "lower" (ns/op) or "higher"
-# (images/s) for "which side is better".
+# gate NAME BASE HEAD: print the comparison, flip $fail on a >15% rise in
+# ns/op.
 gate() {
-  local name=$1 b=$2 h=$3 dir=$4 unit=$5
+  local name=$1 b=$2 h=$3
   if [ -z "$b" ] || [ -z "$h" ]; then
     echo "benchgate: MISSING $name (base='${b:-}' head='${h:-}')"
     fail=1
     return
   fi
-  if ! awk -v b="$b" -v h="$h" -v name="$name" -v dir="$dir" -v unit="$unit" '
+  if ! awk -v b="$b" -v h="$h" -v name="$name" '
     BEGIN {
       r = h / b
-      bad = (dir == "lower") ? (r > 1.15) : (r < 0.85)
-      printf "benchgate: %-45s %14.1f -> %14.1f %-9s (%.3fx) %s\n",
-        name, b, h, unit, r, bad ? "REGRESSION" : "ok"
+      bad = r > 1.15
+      printf "benchgate: %-45s %14.1f -> %14.1f ns/op (%.3fx) %s\n",
+        name, b, h, r, bad ? "REGRESSION" : "ok"
       exit bad ? 1 : 0
     }'; then
     fail=1
@@ -65,20 +51,7 @@ gate() {
 }
 
 for name in BenchmarkMatMul512 BenchmarkMEANetInferBatch; do
-  gate "$name" "$(min_ns "$base" "$name")" "$(min_ns "$head" "$name")" lower ns/op
-done
-
-# FleetOffload, FleetWeighted, PipelinePartition and ChainFailover
-# sub-benchmarks,
-# discovered from the BASE file so a head that silently drops one fails as
-# MISSING instead of passing unexamined.
-subs=$(awk '$1 ~ /^(BenchmarkFleet(Offload|Weighted)|BenchmarkPipelinePartition|BenchmarkChainFailover)\// { sub(/-[0-9]+$/, "", $1); print $1 }' "$base" | sort -u)
-if [ -z "$subs" ]; then
-  echo "benchgate: MISSING BenchmarkFleetOffload/BenchmarkFleetWeighted/BenchmarkPipelinePartition/BenchmarkChainFailover in base output"
-  fail=1
-fi
-for name in $subs; do
-  gate "$name" "$(max_metric "$base" "$name" images/s)" "$(max_metric "$head" "$name" images/s)" higher images/s
+  gate "$name" "$(min_ns "$base" "$name")" "$(min_ns "$head" "$name")"
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -15,14 +15,13 @@
 // batched forward pass, waiting at most -linger (default 2ms) for the batch
 // to fill. The collector covers raw-image requests and — when the server is
 // built with a feature tail — partitioned-network feature requests, each in
-// their own batches. Client-assembled batch frames (classify-batch and
-// classify-features-batch), the edge runtime's default offload path, run as
-// one forward pass either way. Predictions are bitwise identical to the
-// unbatched path.
+// their own batches. Client-assembled batches, the edge runtime's default
+// offload path, run as one forward pass either way. Predictions are bitwise
+// identical to the unbatched path.
 //
 // -shed-queue and -shed-inflight enable admission control (load shedding):
 // while the micro-batch collectors hold at least -shed-queue parked requests
-// or at least -shed-inflight dispatches are in flight, classify requests are
+// or at least -shed-inflight dispatches are in flight, inference requests are
 // answered with a shed frame carrying the -shed-retry-after hint (default
 // 50ms) instead of being parked — edges serve those instances themselves and
 // hold further offloads for the hinted duration. Pings are never shed.
@@ -30,14 +29,14 @@
 // -tail additionally serves the §III-C "sending features" mode: the command
 // replays the edge's deterministic main-block pipeline (internal/deploy) for
 // the given -variant, trains a small tail classifier over the resulting
-// feature maps, and answers classify-features(-batch) requests with it. The
+// feature maps, and answers feature requests with it. The
 // edge can then offload feature tensors (-offload features|auto) instead of
 // raw pixels.
 //
 // Every -tail server is also a hop of a multi-hop partitioned deployment: it
 // mounts the full serving chain (main block + tail) and answers source-routed
-// relay frames by running whatever span of it each frame's route assigns.
-// The cut points travel with the frame — a hop knows neither its position
+// activation requests by running whatever span of it each one's route
+// assigns. The cut points travel with the request — a hop knows neither its position
 // nor the cuts — so the edge (meanet-edge -cuts) decides the partitioning and
 // an edge running -replan moves cuts live without any hop being
 // reconfigured. A hop with -downstream (which implies -tail) forwards the

@@ -20,8 +20,8 @@
 // (empty) the edge runs standalone.
 //
 // Cloud offload is batched: within each -batch sized inference batch, every
-// complex (high-entropy) instance is uploaded in ONE classify-batch round
-// trip instead of one round trip per instance. -offload selects the upload
+// complex (high-entropy) instance is uploaded in ONE batched round trip
+// instead of one round trip per instance. -offload selects the upload
 // representation: raw pixels, main-block feature tensors (requires a
 // tail-equipped server, see meanet-cloud -tail), or auto, which compares
 // the modeled bytes/energy of the two and picks the cheaper per batch.
@@ -31,7 +31,7 @@
 // With -latency-budget the adaptation closes the loop on LIVE link
 // estimates: the TCP client measures uplink bandwidth and cloud turnaround
 // on every round trip (and receives the server's queue depth piggybacked on
-// result frames), auto mode prefers raw uploads while they fit the budget
+// replies), auto mode prefers raw uploads while they fit the budget
 // and falls back to the compact feature representation when the measured
 // link no longer affords them, and the entropy threshold is re-tuned after
 // every batch — up when observed cloud latency blows the budget, down when
@@ -258,7 +258,7 @@ func run(args []string) error {
 
 	// Cloud transport: one pipelined connection per replica address, routed
 	// by edge.MultiClient when there is more than one.
-	var client edge.CloudClient
+	var client cloudConn
 	var mc *edge.MultiClient
 	useCloud := len(addrs) > 0
 	if useCloud {
@@ -274,10 +274,8 @@ func run(args []string) error {
 			return fmt.Errorf("dial cloud: %w", err)
 		}
 		defer client.Close()
-		if p, ok := client.(interface{ Ping() error }); ok {
-			if err := p.Ping(); err != nil {
-				return fmt.Errorf("cloud ping: %w", err)
-			}
+		if err := client.Ping(); err != nil {
+			return fmt.Errorf("cloud ping: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "connected to %d cloud replica(s): %s\n", len(addrs), strings.Join(addrs, ", "))
 	}
@@ -300,7 +298,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		cc, err := edge.NewRoutedChainClient(client.(*edge.TCPClient), edge.ChainConfig{
+		cc, err := edge.NewRoutedChainClient(client, edge.ChainConfig{
 			Chain:    deploy.ServingChain(m, &cloud.Tail{Body: cls.Backbone, Exit: cls.Exit}),
 			Cuts:     cuts,
 			MaxLocal: len(flat),
@@ -453,16 +451,12 @@ func run(args []string) error {
 		}
 	}
 	if useCloud {
-		if le, ok := client.(edge.LinkEstimator); ok {
-			est := le.LinkEstimate()
-			fmt.Printf("link estimate:    rtt %v, %.2f Mbps over %d samples\n",
-				est.RTT.Round(time.Microsecond), est.Mbps, est.Samples)
-		}
-		if lr, ok := client.(edge.LoadReporter); ok {
-			if load, ok := lr.CloudLoad(); ok {
-				fmt.Printf("cloud load:       queue %d, active %d (last piggybacked status)\n",
-					load.QueueDepth, load.Active)
-			}
+		est := client.LinkEstimate()
+		fmt.Printf("link estimate:    rtt %v, %.2f Mbps over %d samples\n",
+			est.RTT.Round(time.Microsecond), est.Mbps, est.Samples)
+		if load, ok := client.CloudLoad(); ok {
+			fmt.Printf("cloud load:       queue %d, active %d (last piggybacked status)\n",
+				load.QueueDepth, load.Active)
 		}
 		for _, rs := range rep.Replicas {
 			state := ""
@@ -477,6 +471,14 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+// cloudConn is what run holds of its dialed cloud tier — a TCPClient, a
+// MultiClient or a ChainClient: the runtime's classify surface plus the
+// transport's health probe and live signals.
+type cloudConn interface {
+	edge.CloudClient
+	edge.Transport
 }
 
 // serveAdmin accepts membership control connections until the listener

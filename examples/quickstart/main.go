@@ -88,7 +88,7 @@ func main() {
 	threshold := (res.ThresholdLo + res.ThresholdHi) / 2
 	rep2, err := meanet.Evaluate(m, synth.Test, 32,
 		meanet.Policy{Threshold: threshold, UseCloud: true},
-		func(x *meanet.Tensor) (int, float64, error) { return client.Classify(x) })
+		meanet.Offload(client, meanet.RepRaw))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -107,7 +108,7 @@ func (b *batcher) classify(img *tensor.Tensor) (int32, float32, error) {
 }
 
 // depth reports the requests parked ahead of a forward pass — the
-// queue-depth half of the backpressure signal piggybacked on result frames.
+// queue-depth half of the backpressure signal piggybacked on replies.
 // Requests whose batch is currently executing are not parked (they count as
 // served in the server's Active number instead).
 func (b *batcher) depth() int64 { return b.queued.Load() }
@@ -172,22 +173,7 @@ func (b *batcher) run(batch []batchRequest) {
 	b.batches.Add(1)
 	b.batchedReqs.Add(uint64(len(batch)))
 	for i, r := range batch {
-		pred, conf := argmaxRow(logits.Row(i))
-		r.resp <- batchResponse{pred: int32(pred), conf: conf}
+		res := protocol.ResultOf(logits.Row(i))
+		r.resp <- batchResponse{pred: res.Pred, conf: res.Conf}
 	}
-}
-
-// argmaxRow softmaxes one logits row and returns the winning class and its
-// confidence — the same post-processing as the unbatched path, applied to
-// bitwise-identical logits (see internal/tensor's accumulation-order
-// guarantee), so batched and unbatched predictions agree exactly.
-func argmaxRow(logits []float32) (int, float32) {
-	probs := tensor.SoftmaxRow(logits)
-	pred := 0
-	for i, v := range probs {
-		if v > probs[pred] {
-			pred = i
-		}
-	}
-	return pred, probs[pred]
 }

@@ -1,7 +1,9 @@
-// Package cloud implements the cloud AI server: a TCP service that runs a
-// deep CNN (the paper uses a ResNet101; we use the deepest/widest model of
-// our zoo) over raw images — and optionally a partitioned-network tail over
-// edge features — returning predictions with confidences.
+// Package cloud implements the cloud AI server: a TCP service that answers
+// inference requests (protocol.InferRequest) with predictions and
+// confidences. The request's representation picks the network: a deep CNN
+// over raw images (the paper uses a ResNet101; we use the deepest/widest
+// model of our zoo), optionally a partitioned-network tail over edge
+// features, optionally a span of a multi-hop serving chain (stage.go).
 //
 // Evaluation-mode forward passes of the nn stack are stateless, so requests
 // from many connections are served concurrently without locking the model.
@@ -76,11 +78,11 @@ type Stats struct {
 	Batches         uint64
 	BatchedRequests uint64
 	// InFlight and QueueDepth snapshot the instantaneous load — the same
-	// numbers piggybacked on every result frame as the backpressure signal
+	// numbers piggybacked on every reply as the backpressure signal
 	// (protocol.LoadStatus).
 	InFlight   int64
 	QueueDepth int64
-	// Sheds counts classify frames answered with a shed frame by admission
+	// Sheds counts inference requests answered with a shed frame by admission
 	// control instead of being served (zero without a ShedPolicy). Shed
 	// frames are not Requests: they were refused, not dispatched.
 	Sheds uint64
@@ -95,7 +97,7 @@ type Stats struct {
 }
 
 // ShedPolicy bounds the load the server ACCEPTS: while either limit is hit,
-// classify frames are answered with a protocol.MsgShed frame — carrying a
+// inference requests are answered with a protocol.MsgShed frame — carrying a
 // RetryAfter hint and the load snapshot — instead of being parked or served.
 // The limits read the same atomics the LoadStatus piggyback reads, so the
 // check costs two atomic loads per request. Shedding closes the loop the
@@ -107,7 +109,7 @@ type Stats struct {
 type ShedPolicy struct {
 	// MaxQueue sheds while the micro-batch collectors hold at least this
 	// many parked requests (0 = queue depth never sheds). Meaningful only
-	// with WithBatching — client-assembled batch frames bypass the
+	// with WithBatching — client-assembled batches bypass the
 	// collectors and are governed by MaxInFlight.
 	MaxQueue int64
 	// MaxInFlight sheds while at least this many dispatches are in flight
@@ -155,8 +157,8 @@ type Server struct {
 	active      atomic.Int64
 	total       atomic.Uint64
 	inflight    atomic.Int64  // requests currently being dispatched
-	sheds       atomic.Uint64 // classify frames refused by admission control
-	instServed  atomic.Uint64 // instances classified (batch frames count their size)
+	sheds       atomic.Uint64 // inference requests refused by admission control
+	instServed  atomic.Uint64 // instances classified (a batch counts its size)
 	relayed     atomic.Uint64 // instances forwarded downstream by a non-terminal stage
 	relayActive atomic.Int64  // relay stage forwards running right now (svc normalization)
 }
@@ -164,7 +166,7 @@ type Server struct {
 // Option configures optional server behaviour.
 type Option func(*Server)
 
-// WithBatching enables the micro-batching layer for classify requests:
+// WithBatching enables the micro-batching layer for single-instance requests:
 // concurrent requests from any number of connections are coalesced into one
 // batched forward pass (see BatchConfig). Raw-image and feature-tail
 // requests collect into separate batches (they run different networks); the
@@ -178,25 +180,24 @@ func WithBatching(cfg BatchConfig) Option {
 	}
 }
 
-// WithShedding enables admission control: classify frames arriving while the
-// server is past the policy's limits are answered with a shed frame instead
+// WithShedding enables admission control: inference requests arriving while
+// the server is past the policy's limits are answered with a shed frame instead
 // of being accepted (see ShedPolicy).
 func WithShedding(pol ShedPolicy) Option {
 	pol.fillDefaults()
 	return func(s *Server) { s.shedPol = &pol }
 }
 
-// rawLogits runs the raw-image classifier on an NCHW batch.
-func (s *Server) rawLogits(x *tensor.Tensor) *tensor.Tensor { return s.raw.Logits(x, false) }
-
-// featLogits runs the partitioned-network tail on an NCHW feature batch.
+// rawLogits and featLogits run the raw-image classifier and the
+// partitioned-network tail on an NCHW batch, in eval mode.
+func (s *Server) rawLogits(x *tensor.Tensor) *tensor.Tensor  { return s.raw.Logits(x, false) }
 func (s *Server) featLogits(x *tensor.Tensor) *tensor.Tensor { return s.feat.Logits(x, false) }
 
 // NewServer builds a server around a raw-image model (typically a
 // *models.Classifier, or cloud.Partitioned for a partitioned deployment).
 // tail may be nil. raw may be nil ONLY for a pure stage server (WithStage):
-// such a hop serves relay frames and answers raw classify frames with an
-// error, like a tail-less server answers features frames.
+// such a hop serves activation requests and answers raw ones with an error,
+// like a tail-less server answers feature requests.
 func NewServer(raw Model, tail *Tail, opts ...Option) (*Server, error) {
 	s := &Server{raw: raw, feat: tail, conns: make(map[net.Conn]struct{})}
 	for _, opt := range opts {
@@ -282,7 +283,7 @@ func (s *Server) queuedDepth() int64 {
 	return queued
 }
 
-// shouldShed is the admission check run per classify frame: true while the
+// shouldShed is the admission check run per inference request: true while the
 // server is past either ShedPolicy limit. It reads the same atomics the
 // LoadStatus piggyback snapshots, so admission costs nothing next to even
 // the smallest forward pass.
@@ -427,85 +428,74 @@ func (s *Server) handleConn(conn net.Conn) {
 		// Full frame size, header included: the client's BytesSent counter
 		// accounts whole frames, and the two ends must agree bitwise.
 		s.bytesIn.Add(uint64(protocol.FrameWireSize(len(f.Payload))))
-		if isClassify(f.Type) && s.shouldShed() {
-			// Admission control: answer with a shed frame — the retry-after
-			// hint plus the load snapshot that triggered it — and never park
-			// or dispatch the work. The payload was already read (framing
-			// must stay in sync) and is dropped here. The shed reply goes
-			// through writeResp, the SAME first-write-failure latch as
-			// results: sheds from this read loop interleave with results
-			// from in-flight batcher deliveries on one connection, and an
-			// unlatched shed write racing a close would recount the error
-			// and re-close the dead connection.
+		if f.Type == protocol.MsgInfer && s.shouldShed() {
+			// Admission control: answer with a shed frame and never park or
+			// dispatch the work (a relayed activation is one stage of it: the
+			// shed propagates back along the chain). Pings, hellos and chain
+			// probes are never shed: health checks must work exactly when the
+			// server is busiest. The payload was already read (framing must
+			// stay in sync) and is dropped here. The shed goes through
+			// writeResp, the SAME first-write-failure latch as results: an
+			// unlatched shed write racing a close would recount the error and
+			// re-close the dead connection.
 			s.sheds.Add(1)
-			writeResp(protocol.Frame{
-				Type:    protocol.MsgShed,
-				ID:      f.ID,
-				Payload: protocol.EncodeShed(s.shedPol.RetryAfter, s.loadStatus()),
-			})
+			writeResp(s.shedFrame(f.ID, s.shedPol.RetryAfter))
 			continue
 		}
-		if (f.Type == protocol.MsgRelay || f.Type == protocol.MsgRelayRoute) && s.stageMode() {
-			// Keep reading while the stage (and any downstream hops) work on
-			// this batch, so one pipelined upstream connection keeps every
-			// hop of the chain busy at once. Same wait-group safety argument
-			// as the collector path below.
-			relayInflight <- struct{}{}
-			s.wg.Add(1)
-			go func(f protocol.Frame) {
-				defer s.wg.Done()
-				defer func() { <-relayInflight }()
-				writeResp(s.dispatch(f))
-			}(f)
+		// Keep reading while a request sits in a collector — so one pipelined
+		// connection can fill a batch by itself — or while a stage (and any
+		// downstream hops) works on a relay — so one upstream connection keeps
+		// every hop of the chain busy at once. Everything else runs inline.
+		// Safe to grow the wait group here: this handler's own entry keeps
+		// the counter positive while Close drains.
+		var lane chan struct{}
+		switch {
+		case f.Type == protocol.MsgRelay:
+			lane = relayInflight
+		case f.Type == protocol.MsgInfer:
+			switch rep, one := protocol.PeekInfer(f.Payload); {
+			case rep == protocol.RepActivation:
+				lane = relayInflight
+			case one && s.collector(rep) != nil:
+				lane = inflight
+			}
+		}
+		if lane == nil {
+			writeResp(s.dispatch(f))
 			continue
 		}
-		collected := f.Type == protocol.MsgClassifyRaw && s.batch != nil ||
-			f.Type == protocol.MsgClassifyFeat && s.featBatch != nil
-		if collected {
-			// Keep reading while this request sits in the collector, so
-			// one pipelined connection can fill a batch by itself. Safe to
-			// grow the wait group here: this handler's own entry keeps the
-			// counter positive while Close drains.
-			inflight <- struct{}{}
-			s.wg.Add(1)
-			go func(f protocol.Frame) {
-				defer s.wg.Done()
-				defer func() { <-inflight }()
-				writeResp(s.dispatch(f))
-			}(f)
-			continue
-		}
-		writeResp(s.dispatch(f))
+		lane <- struct{}{}
+		s.wg.Add(1)
+		go func(f protocol.Frame) {
+			defer s.wg.Done()
+			defer func() { <-lane }()
+			writeResp(s.dispatch(f))
+		}(f)
 	}
 }
 
 // capabilities assembles what this server advertises in a MsgHello reply.
-// Both facts are fixed at serve time (the tail is a constructor argument,
-// batching is wired before Serve), so the reply is stable for the life of a
-// connection and the edge may cache it.
+// All three facts are fixed at serve time (tail and chain are construction
+// arguments, batching is wired before Serve), so the reply is stable for the
+// life of a connection and the edge may cache it.
 func (s *Server) capabilities() protocol.Capabilities {
-	c := protocol.Capabilities{TailCapable: s.feat != nil}
+	c := protocol.Capabilities{TailCapable: s.feat != nil, ServesChain: s.stageMode()}
 	if s.batch != nil {
 		c.MaxBatch = uint32(s.batch.cfg.MaxBatch)
 	}
 	return c
 }
 
-// isClassify reports whether a frame type carries classification work — the
-// frames admission control may shed (pings, chain probes and unknown types
-// never are: health checks must work exactly when the server is busiest). A
-// routed relay frame carries exactly one stage of classification work, so a
-// saturated hop sheds it like any other classify; the shed propagates back
-// along the chain as a MsgShed and the edge takes its zero-charge hold.
-func isClassify(t protocol.MsgType) bool {
-	switch t {
-	case protocol.MsgClassifyRaw, protocol.MsgClassifyFeat,
-		protocol.MsgClassifyBatch, protocol.MsgClassifyFeatBatch,
-		protocol.MsgRelayRoute:
-		return true
-	default:
-		return false
+// collector is the micro-batch collector single-instance requests in rep go
+// through; nil when batching is off or the representation has none.
+func (s *Server) collector(rep protocol.Rep) *batcher {
+	switch rep {
+	case protocol.RepRaw:
+		return s.batch
+	case protocol.RepFeatures:
+		return s.featBatch
 	}
+	return nil
 }
 
 // dispatch computes the response frame for a request frame.
@@ -517,131 +507,102 @@ func (s *Server) dispatch(f protocol.Frame) protocol.Frame {
 	case protocol.MsgPing:
 		return protocol.Frame{Type: protocol.MsgPong, ID: f.ID}
 	case protocol.MsgHello:
-		// Capability handshake: the reply tells a capability-aware router
-		// whether features-mode frames can succeed here and how large the
-		// micro-batch collector is. Never shed (isClassify excludes it): a
-		// replica under pressure must still be able to introduce itself.
+		// Never shed: a replica under pressure must still be able to
+		// introduce itself.
 		return protocol.Frame{Type: protocol.MsgHello, ID: f.ID, Payload: protocol.EncodeHello(s.capabilities())}
-	case protocol.MsgClassifyRaw:
-		if s.raw == nil {
-			return errorFrame(f.ID, "raw mode not supported by this server (stage-only hop)")
-		}
-		if s.batch != nil {
-			return s.classifyCollected(s.batch, f)
-		}
-		return s.classify(f, s.rawLogits)
-	case protocol.MsgClassifyFeat:
-		if s.feat == nil {
-			return errorFrame(f.ID, "features mode not supported by this server")
-		}
-		if s.featBatch != nil {
-			return s.classifyCollected(s.featBatch, f)
-		}
-		return s.classify(f, s.featLogits)
-	case protocol.MsgClassifyBatch:
-		if s.raw == nil {
-			return errorFrame(f.ID, "raw mode not supported by this server (stage-only hop)")
-		}
-		return s.classifyBatchFrame(f, s.rawLogits)
-	case protocol.MsgClassifyFeatBatch:
-		if s.feat == nil {
-			return errorFrame(f.ID, "features mode not supported by this server")
-		}
-		return s.classifyBatchFrame(f, s.featLogits)
-	case protocol.MsgRelay, protocol.MsgRelayRoute:
-		if !s.stageMode() {
-			// The stage-mode analogue of the MsgHello legacy contract: a
-			// server without a serving chain (or predating the frames
-			// entirely) answers MsgError, and the chain client surfaces it.
-			return errorFrame(f.ID, "stage mode not supported by this server")
-		}
-		if f.Type == protocol.MsgRelay {
-			return s.probeFrame(f)
-		}
-		return s.routedFrame(f)
+	case protocol.MsgInfer:
+		return s.infer(f)
+	case protocol.MsgRelay:
+		return s.probeFrame(f)
 	default:
+		if f.Type.Retired() {
+			return s.failed(f.ID, fmt.Sprintf("message type %d was retired: send inference requests as MsgInfer (type %d)",
+				uint8(f.Type), uint8(protocol.MsgInfer)))
+		}
 		return errorFrame(f.ID, fmt.Sprintf("unsupported message type %s", f.Type))
 	}
 }
 
-func (s *Server) classify(f protocol.Frame, logits func(*tensor.Tensor) *tensor.Tensor) protocol.Frame {
-	t, err := protocol.DecodeTensor(f.Payload)
-	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
-	}
-	if t.Dims() != 3 {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("expected CHW tensor, got rank %d", t.Dims()))
-	}
-	batch := t.Reshape(append([]int{1}, t.Shape()...)...)
-	out, err := safeLogits(logits, batch)
-	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
-	}
-	pred, conf := argmaxRow(out.Row(0))
-	s.instServed.Add(1)
-	return protocol.Frame{
-		Type:    protocol.MsgResult,
-		ID:      f.ID,
-		Payload: protocol.EncodeResultLoad(int32(pred), conf, s.loadStatus()),
-	}
+// failed counts one bad request and answers it with an error frame.
+func (s *Server) failed(id uint64, msg string) protocol.Frame {
+	s.errorCount.Add(1)
+	return errorFrame(id, msg)
 }
 
-// classifyCollected routes one single-instance request through a micro-batch
-// collector, which fuses it with concurrent requests from other connections.
-func (s *Server) classifyCollected(b *batcher, f protocol.Frame) protocol.Frame {
-	t, err := protocol.DecodeTensor(f.Payload)
+// infer serves one MsgInfer frame: decode, pick the network the request's
+// representation names — the raw model, the feature tail, or the span of the
+// serving chain its route assigns this hop — run it (a single instance
+// through the collector when batching is on; a client-assembled batch as one
+// forward pass directly), then argmax the logits and reply, or forward a
+// non-terminal span's output downstream. One path and one post-processing
+// keep batched, unbatched and chained predictions bitwise identical.
+func (s *Server) infer(f protocol.Frame) protocol.Frame {
+	req, err := protocol.DecodeInfer(f.Payload)
 	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
+		return s.failed(f.ID, err.Error())
 	}
-	if t.Dims() != 3 {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("expected CHW tensor, got rank %d", t.Dims()))
+	var forward func(*tensor.Tensor) *tensor.Tensor
+	switch req.Rep {
+	case protocol.RepRaw:
+		if s.raw == nil {
+			return errorFrame(f.ID, "raw mode not supported by this server (stage-only hop)")
+		}
+		forward = s.rawLogits
+	case protocol.RepFeatures:
+		if s.feat == nil {
+			return errorFrame(f.ID, "features mode not supported by this server")
+		}
+		forward = s.featLogits
+	case protocol.RepActivation:
+		if !s.stageMode() {
+			return errorFrame(f.ID, "stage mode not supported by this server")
+		}
+		if forward, err = s.routeSpan(req); err != nil {
+			return s.failed(f.ID, err.Error())
+		}
 	}
-	pred, conf, err := b.classify(t)
-	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
-	}
-	s.instServed.Add(1)
-	return protocol.Frame{
-		Type:    protocol.MsgResult,
-		ID:      f.ID,
-		Payload: protocol.EncodeResultLoad(pred, conf, s.loadStatus()),
-	}
-}
 
-// classifyBatchFrame serves a client-assembled batch (MsgClassifyBatch or
-// MsgClassifyFeatBatch): the payload already holds an NCHW tensor, so it
-// runs as one forward pass directly, bypassing the collector.
-func (s *Server) classifyBatchFrame(f protocol.Frame, logits func(*tensor.Tensor) *tensor.Tensor) protocol.Frame {
-	t, err := protocol.DecodeTensor(f.Payload)
+	n := req.Instances()
+	if b := s.collector(req.Rep); b != nil && req.OneInstance() {
+		pred, conf, err := b.classify(req.Tensor)
+		if err != nil {
+			return s.failed(f.ID, err.Error())
+		}
+		s.instServed.Add(1)
+		return s.reply(f.ID, []protocol.Result{{Pred: pred, Conf: conf}}, nil)
+	}
+	out, err := safeLogits(forward, req.Batch())
 	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
+		return s.failed(f.ID, err.Error())
 	}
-	if t.Dims() != 4 {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("expected NCHW tensor, got rank %d", t.Dims()))
+	if len(req.Bounds) > 0 {
+		return s.forwardDownstream(f.ID, req, out)
 	}
-	out, err := safeLogits(logits, t)
-	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
-	}
-	results := make([]protocol.Result, t.Dim(0))
+	results := make([]protocol.Result, n)
 	for i := range results {
-		pred, conf := argmaxRow(out.Row(i))
-		results[i] = protocol.Result{Pred: int32(pred), Conf: conf}
+		results[i] = protocol.ResultOf(out.Row(i))
 	}
-	s.instServed.Add(uint64(t.Dim(0)))
+	s.instServed.Add(uint64(n))
+	var hops []protocol.StageStatus
+	if req.Rep == protocol.RepActivation {
+		hops = []protocol.StageStatus{s.stageStatus()}
+	}
+	return s.reply(f.ID, results, hops)
+}
+
+// shedFrame is the admission-control refusal: the retry-after hint plus the
+// load snapshot that triggered it.
+func (s *Server) shedFrame(id uint64, retryAfter time.Duration) protocol.Frame {
+	return protocol.Frame{Type: protocol.MsgShed, ID: id, Payload: protocol.EncodeShed(retryAfter, s.loadStatus())}
+}
+
+// reply assembles the one reply frame: results, this server's load snapshot,
+// and (on a chain) the hop-ordered status vector.
+func (s *Server) reply(id uint64, results []protocol.Result, hops []protocol.StageStatus) protocol.Frame {
 	return protocol.Frame{
 		Type:    protocol.MsgResultBatch,
-		ID:      f.ID,
-		Payload: protocol.EncodeResultsLoad(results, s.loadStatus()),
+		ID:      id,
+		Payload: protocol.EncodeReply(protocol.InferReply{Results: results, Load: s.loadStatus(), Hops: hops}),
 	}
 }
 

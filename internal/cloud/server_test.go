@@ -6,10 +6,12 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/nn"
@@ -126,6 +128,16 @@ func TestServerDropsCorruptStream(t *testing.T) {
 	}
 }
 
+// inferPayload encodes one MsgInfer payload.
+func inferPayload(t testing.TB, req protocol.InferRequest) []byte {
+	t.Helper()
+	payload, err := protocol.EncodeInfer(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
 func TestServerFeatureMode(t *testing.T) {
 	cls := testClassifier(t, 7)
 	rng := rand.New(rand.NewSource(8))
@@ -141,7 +153,7 @@ func TestServerFeatureMode(t *testing.T) {
 	defer conn.Close()
 	feat := tensor.Randn(rng, 1, 4, 4, 4)
 	err = protocol.WriteFrame(conn, protocol.Frame{
-		Type: protocol.MsgClassifyFeat, ID: 77, Payload: protocol.EncodeTensor(feat),
+		Type: protocol.MsgInfer, ID: 77, Payload: inferPayload(t, protocol.InferRequest{Rep: protocol.RepFeatures, Tensor: feat}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +162,7 @@ func TestServerFeatureMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Type != protocol.MsgResult || f.ID != 77 {
+	if f.Type != protocol.MsgResultBatch || f.ID != 77 {
 		t.Fatalf("feature response %s id %d", f.Type, f.ID)
 	}
 }
@@ -201,7 +213,7 @@ func TestServerFeatureModeUnsupported(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	feat := tensor.Randn(rng, 1, 4, 4, 4)
 	err = protocol.WriteFrame(conn, protocol.Frame{
-		Type: protocol.MsgClassifyFeat, ID: 1, Payload: protocol.EncodeTensor(feat),
+		Type: protocol.MsgInfer, ID: 1, Payload: inferPayload(t, protocol.InferRequest{Rep: protocol.RepFeatures, Tensor: feat}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +354,7 @@ func featTestTail(t *testing.T, seed int64, inFeat, classes int) *Tail {
 }
 
 // TestFeatureBatchFrameMatchesSerial ships a client-assembled feature batch
-// (MsgClassifyFeatBatch) and checks it bitwise against per-feature
+// (one NCHW features request) and checks it bitwise against per-feature
 // ClassifyFeatures calls.
 func TestFeatureBatchFrameMatchesSerial(t *testing.T) {
 	tail := featTestTail(t, 31, 8, 5)
@@ -615,12 +627,12 @@ func TestShedWritesLatchedOnDeadConn(t *testing.T) {
 	}
 	s.inflight.Add(5) // every classify frame sheds
 	rng := rand.New(rand.NewSource(45))
-	img := protocol.EncodeTensor(tensor.Randn(rng, 1, 3, 8, 8))
+	img := inferPayload(t, protocol.InferRequest{Rep: protocol.RepRaw, Tensor: tensor.Randn(rng, 1, 3, 8, 8)})
 	var buf bytes.Buffer
 	for i := 0; i < 6; i++ {
 		f := protocol.Frame{Type: protocol.MsgPing, ID: uint64(i)}
 		if i%2 == 0 {
-			f = protocol.Frame{Type: protocol.MsgClassifyRaw, ID: uint64(i), Payload: img}
+			f = protocol.Frame{Type: protocol.MsgInfer, ID: uint64(i), Payload: img}
 		}
 		if err := protocol.WriteFrame(&buf, f); err != nil {
 			t.Fatal(err)
@@ -638,5 +650,89 @@ func TestShedWritesLatchedOnDeadConn(t *testing.T) {
 	}
 	if conn.closes != 2 {
 		t.Fatalf("connection closed %d times, want 2", conn.closes)
+	}
+}
+
+// TestRetiredFrameTypesRejected names the pre-MsgInfer peer: each retired
+// request type — with a well-formed payload of its day — and the retired
+// single-result reply type are answered with a MsgError that names MsgInfer,
+// counted in Stats.Errors; nothing panics, nothing is served, and the SAME
+// connection keeps serving a following MsgInfer.
+//
+// meanet:frame-writer
+func TestRetiredFrameTypesRejected(t *testing.T) {
+	cls := testClassifier(t, 60)
+	chain := core.FlattenChain(cls.Backbone, cls.Exit)
+	s, err := NewServer(cls, nil, WithStage(StageConfig{Chain: chain}),
+		WithBatching(BatchConfig{MaxBatch: 4, Linger: time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exchange := func(f protocol.Frame) protocol.Frame {
+		t.Helper()
+		if err := protocol.WriteFrame(conn, f); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := protocol.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("connection did not survive a type-%d frame: %v", f.Type, err)
+		}
+		if resp.ID != f.ID {
+			t.Fatalf("reply for frame %d, want %d", resp.ID, f.ID)
+		}
+		return resp
+	}
+
+	rng := rand.New(rand.NewSource(61))
+	img := tensor.Randn(rng, 1, 3, 8, 8)
+	batch := tensor.Randn(rng, 1, 2, 3, 8, 8)
+	oldResult := make([]byte, 8) // int32 class + float32 confidence
+	oldRoute := append([]byte{4, 0, 0, 0}, protocol.EncodeTensor(batch)...)
+	retired := []struct {
+		typ     protocol.MsgType
+		was     string
+		payload []byte
+	}{
+		{1, "classify-raw", protocol.EncodeTensor(img)},
+		{2, "classify-features", protocol.EncodeTensor(img)},
+		{3, "result", oldResult},
+		{7, "classify-batch", protocol.EncodeTensor(batch)},
+		{9, "classify-features-batch", protocol.EncodeTensor(batch)},
+		{13, "relay-routed", oldRoute},
+	}
+	for i, r := range retired {
+		if !r.typ.Retired() {
+			t.Fatalf("type %d (%s) is not marked retired", r.typ, r.was)
+		}
+		resp := exchange(protocol.Frame{Type: r.typ, ID: uint64(i + 1), Payload: r.payload})
+		if resp.Type != protocol.MsgError || !strings.Contains(string(resp.Payload), "MsgInfer") {
+			t.Fatalf("retired type %d (%s) answered with %s %q, want a MsgError naming MsgInfer",
+				r.typ, r.was, resp.Type, resp.Payload)
+		}
+		if st := s.Stats(); st.Errors != uint64(i+1) || st.InstancesServed != 0 {
+			t.Fatalf("after retired type %d: %+v, want %d errors and nothing served", r.typ, st, i+1)
+		}
+	}
+
+	resp := exchange(protocol.Frame{Type: protocol.MsgInfer, ID: 99,
+		Payload: inferPayload(t, protocol.InferRequest{Rep: protocol.RepRaw, Tensor: batch})})
+	if resp.Type != protocol.MsgResultBatch {
+		t.Fatalf("MsgInfer after the retired frames answered with %s %q", resp.Type, resp.Payload)
+	}
+	reply, err := protocol.DecodeReply(resp.Payload)
+	if err != nil || len(reply.Results) != 2 {
+		t.Fatalf("MsgInfer reply: %d results, %v", len(reply.Results), err)
+	}
+	if st := s.Stats(); st.Errors != uint64(len(retired)) || st.InstancesServed != 2 {
+		t.Fatalf("after recovery: %+v, want still %d errors and 2 instances served", st, len(retired))
 	}
 }

@@ -2,16 +2,12 @@ package cloud
 
 // Stage-server mode: a server configured with WithStage participates in a
 // multi-hop partitioned deployment (core.Partition). Chains are
-// SOURCE-ROUTED (MsgRelayRoute): every hop holds the FULL serving chain and
-// runs whatever unit span the frame's route assigns it, then forwards the
-// outputs downstream — or, when the route ends here, argmaxes the logits and
-// answers with the usual MsgResultBatch (the SAME post-processing as
-// classifyBatchFrame, so chained predictions are bitwise identical to the
-// monolithic forward). The cuts live in the frame, not in server config — a
-// hop knows neither its index nor the cuts — which is what lets the edge's
-// live re-placement solver move a cut mid-run: in-flight frames complete on
-// the old route while new frames ship the new one, and no server is
-// reconfigured.
+// SOURCE-ROUTED: every hop holds the FULL serving chain and runs whatever
+// unit span an activation request's route assigns it (Server.infer), then
+// forwards the outputs downstream — or, when the route ends here, answers
+// like any other request, so chained predictions are bitwise identical to the
+// monolithic forward. A hop knows neither its index nor the cuts, which is
+// what lets the edge move a cut mid-run with no server reconfigured.
 //
 // The hop keeps no health model of its downstream: Downstream is ONE
 // interface, satisfied by a single transport (*edge.TCPClient) or by a whole
@@ -40,15 +36,14 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// Downstream is the transport a non-terminal stage server forwards through:
-// the relay method pair plus the live estimate of the link it rides, which
-// the hop reports in its own StageStatus entry so the edge solver sees every
-// inter-hop link. A chain hop thereby reuses the full edge transport stack —
-// pipelining, redial with backoff, per-hop link estimation, and with a
-// MultiClient replica routing — for its own downstream leg.
+// Downstream is the transport a non-terminal stage server forwards through —
+// the subset of edge.Transport a hop needs: the inference call, the chain
+// probe, and the live estimate of the link they ride, which the hop reports
+// in its own StageStatus entry so the edge solver sees every inter-hop link.
+// A hop thereby reuses the full edge transport stack for its downstream leg.
 type Downstream interface {
-	RelayRouted(batch *tensor.Tensor, ttl uint8, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error)
-	RelayProbe(ttl uint8) ([]protocol.StageStatus, error)
+	Infer(req protocol.InferRequest) (protocol.InferReply, error)
+	Probe(ttl uint8) ([]protocol.StageStatus, error)
 	LinkEstimate() linkest.Estimate
 }
 
@@ -78,10 +73,10 @@ type StageConfig struct {
 // downstream shed carried none.
 const defaultDownstreamRetry = 50 * time.Millisecond
 
-// WithStage enables stage-server mode: MsgRelayRoute frames run
+// WithStage enables stage-server mode: activation requests run
 // route-assigned spans of cfg.Chain and forward downstream (or terminate the
 // chain), MsgRelay probes traverse it. A server may combine a chain with
-// raw/tail models and serve all frame types; a pure relay hop passes nil
+// raw/tail models and serve every representation; a pure relay hop passes nil
 // models to NewServer.
 func WithStage(cfg StageConfig) Option {
 	if cfg.MaxInFlight <= 0 {
@@ -94,7 +89,7 @@ func WithStage(cfg StageConfig) Option {
 	}
 }
 
-// stageMode reports whether this server serves relay frames at all.
+// stageMode reports whether this server holds a serving chain at all.
 func (s *Server) stageMode() bool { return len(s.chain) > 0 }
 
 // stageStatus assembles this hop's StageStatus entry for a relay reply: the
@@ -117,19 +112,6 @@ func (s *Server) stageStatus() protocol.StageStatus {
 	return st
 }
 
-// chainReply assembles the MsgResultBatch reply of a relay frame: results,
-// this hop's load snapshot, and the per-hop status vector with this hop's
-// entry PREPENDED to whatever the downstream reported — so the edge receives
-// hop-ordered telemetry with zero extra round trips.
-func (s *Server) chainReply(id uint64, results []protocol.Result, downHops []protocol.StageStatus) protocol.Frame {
-	hops := append([]protocol.StageStatus{s.stageStatus()}, downHops...)
-	return protocol.Frame{
-		Type:    protocol.MsgResultBatch,
-		ID:      id,
-		Payload: protocol.EncodeResultsChain(results, s.loadStatus(), hops),
-	}
-}
-
 // downstreamFailure maps a failed downstream exchange onto the reply frame. A
 // refusal by admission control — not a failure — propagates upstream as
 // MsgShed with the downstream's hold hint, so the edge takes its zero-charge
@@ -143,140 +125,103 @@ func (s *Server) downstreamFailure(id uint64, err error) protocol.Frame {
 		if errors.As(err, &h) && h.RetryAfterHint() > 0 {
 			retryAfter = h.RetryAfterHint()
 		}
-		return protocol.Frame{
-			Type:    protocol.MsgShed,
-			ID:      id,
-			Payload: protocol.EncodeShed(retryAfter, s.loadStatus()),
-		}
+		return s.shedFrame(id, retryAfter)
 	}
-	s.errorCount.Add(1)
-	return errorFrame(id, fmt.Sprintf("downstream relay: %v", err))
+	return s.failed(id, fmt.Sprintf("downstream relay: %v", err))
 }
 
-// relayTTLExhausted answers a frame whose hop budget ran out before the
-// route did. The TTL guards against relay cycles (a chain misconfigured into
-// a loop would otherwise circulate frames forever): refuse to forward rather
-// than decrement below zero.
-func (s *Server) relayTTLExhausted(id uint64) protocol.Frame {
-	s.errorCount.Add(1)
-	return errorFrame(id, "relay TTL exhausted (chain cycle or more hops than the sender allowed)")
-}
+// errTTLExhausted answers a frame whose hop budget ran out before the route
+// did. The TTL guards against relay cycles (a chain misconfigured into a loop
+// would otherwise circulate frames forever): refuse to forward rather than
+// decrement below zero.
+var errTTLExhausted = errors.New("relay TTL exhausted (chain cycle or more hops than the sender allowed)")
 
 // probeFrame serves a MsgRelay frame, the zero-instance chain probe: no stage
-// runs; a terminal hop answers an empty result batch carrying its own status,
-// a forwarding hop relays the probe downstream and prepends its status — so
-// one probe verifies every transport leg and returns the full per-hop
-// telemetry vector. A legacy peer still sending static-chain activations on
-// this wire value gets an error that names the replacement.
+// runs; a terminal hop answers an empty reply carrying its own status, a
+// forwarding hop relays the probe downstream and prepends its status — so one
+// probe verifies every transport leg and returns the full per-hop telemetry
+// vector.
 func (s *Server) probeFrame(f protocol.Frame) protocol.Frame {
+	if !s.stageMode() {
+		return errorFrame(f.ID, "stage mode not supported by this server")
+	}
 	ttl, err := protocol.DecodeRelayProbe(f.Payload)
 	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, "static relay was removed: MsgRelay carries only the TTL byte of a chain probe; send activations source-routed as MsgRelayRoute")
+		return s.failed(f.ID, "static relay was removed: MsgRelay carries only the TTL byte of a chain probe; send activations source-routed as MsgInfer")
 	}
-	if s.down == nil {
-		return s.chainReply(f.ID, nil, nil)
+	var downHops []protocol.StageStatus
+	if s.down != nil {
+		if ttl == 0 {
+			return s.failed(f.ID, errTTLExhausted.Error())
+		}
+		if downHops, err = s.down.Probe(ttl - 1); err != nil {
+			return s.downstreamFailure(f.ID, err)
+		}
 	}
-	if ttl == 0 {
-		return s.relayTTLExhausted(f.ID)
-	}
-	downHops, err := s.down.RelayProbe(ttl - 1)
-	if err != nil {
-		return s.downstreamFailure(f.ID, err)
-	}
-	return s.chainReply(f.ID, nil, downHops)
+	return s.reply(f.ID, nil, append([]protocol.StageStatus{s.stageStatus()}, downHops...))
 }
 
-// spanForward composes a chain unit span in eval mode.
-func spanForward(units []nn.Layer) func(*tensor.Tensor) *tensor.Tensor {
+// routeSpan validates an activation request's route against this hop and
+// returns the forward of the unit span it assigns: [Pos, Bounds[0]), or
+// through the end of the chain when no boundaries remain — the terminal hop
+// for THIS request. The cuts travel with the request, so two requests on the
+// same connection may run different spans here: exactly what a live cut move
+// looks like mid-drain. The forward folds its own duration into the
+// service-time estimate piggybacked on relay replies: per-instance wall time
+// divided by the relay forwards sharing the cores, so a contended hop reports
+// its true per-instance cost, not its queueing delay, and the edge solver
+// doesn't misread upstream congestion as a slow device.
+func (s *Server) routeSpan(req protocol.InferRequest) (func(*tensor.Tensor) *tensor.Tensor, error) {
+	L := len(s.chain)
+	if req.Pos >= L {
+		return nil, fmt.Errorf("route position %d past serving chain of %d units", req.Pos, L)
+	}
+	next := L
+	if n := len(req.Bounds); n > 0 {
+		// Catch a bad route here rather than hops later: boundaries are
+		// strictly increasing, so checking the last covers them all.
+		if req.Bounds[n-1] >= L {
+			return nil, fmt.Errorf("route boundary %d past serving chain of %d units", req.Bounds[n-1], L)
+		}
+		if req.TTL == 0 {
+			return nil, errTTLExhausted
+		}
+		if s.down == nil {
+			return nil, fmt.Errorf("route continues past this hop (%d boundaries left) but no downstream is configured", n)
+		}
+		next = req.Bounds[0]
+	}
+	units := s.chain[req.Pos:next]
 	return func(x *tensor.Tensor) *tensor.Tensor {
+		n := x.Dim(0)
+		active := s.relayActive.Add(1)
+		defer s.relayActive.Add(-1) // also when a unit panics on bad geometry
+		start := time.Now()
 		for _, u := range units {
 			x = u.Forward(x, false)
 		}
+		s.svcMu.Lock()
+		s.svc.Observe(time.Since(start).Seconds()/float64(n), float64(active), linkest.ServiceAlpha)
+		s.svcMu.Unlock()
 		return x
-	}
+	}, nil
 }
 
-// routedFrame serves one MsgRelayRoute frame: run the unit span the route
-// assigns this hop, then forward with the leading boundary consumed — or,
-// when no boundaries remain, terminate the chain for THIS frame. The cuts
-// travel with the frame, so two frames on the same connection may run
-// different spans here: exactly what a live cut move looks like mid-drain.
-func (s *Server) routedFrame(f protocol.Frame) protocol.Frame {
-	ttl, pos, bounds, t, err := protocol.DecodeRoutedActivation(f.Payload)
+// forwardDownstream ships a non-terminal span's output on with the leading
+// boundary consumed, and relays the terminal hop's results back with this
+// hop's status PREPENDED to the vector the downstream reported — so the edge
+// receives hop-ordered telemetry with zero extra round trips.
+func (s *Server) forwardDownstream(id uint64, req protocol.InferRequest, out *tensor.Tensor) protocol.Frame {
+	n := req.Instances()
+	down, err := s.down.Infer(protocol.InferRequest{
+		Rep: protocol.RepActivation, TTL: req.TTL - 1, Pos: req.Bounds[0], Bounds: req.Bounds[1:], Tensor: out,
+	})
 	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
+		return s.downstreamFailure(id, err)
 	}
-	if t.Dims() < 2 {
-		// Cuts may sit past the flattening layers, so rank-2 [batch,
-		// features] activations are as legal as NCHW here — the only
-		// requirement is a batch dimension to count instances by.
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("expected a batched activation tensor (NCHW or [batch, features]), got rank %d", t.Dims()))
-	}
-	L := len(s.chain)
-	if pos >= L {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("route position %d past serving chain of %d units", pos, L))
-	}
-	if len(bounds) > 0 && bounds[len(bounds)-1] >= L {
-		// Catch a bad route here rather than hops later: boundaries are
-		// strictly increasing, so checking the last covers them all.
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("route boundary %d past serving chain of %d units", bounds[len(bounds)-1], L))
-	}
-	next := L
-	if len(bounds) > 0 {
-		next = bounds[0]
-		if ttl == 0 {
-			return s.relayTTLExhausted(f.ID)
-		}
-		if s.down == nil {
-			s.errorCount.Add(1)
-			return errorFrame(f.ID, fmt.Sprintf("route continues past this hop (%d boundaries left) but no downstream is configured", len(bounds)))
-		}
-	}
-
-	// Run the span and fold its duration into the service-time estimate
-	// piggybacked on relay replies: per-instance wall time divided by the
-	// relay forwards sharing the cores, so a contended hop reports its true
-	// per-instance cost, not its queueing delay, and the edge solver doesn't
-	// misread upstream congestion as a slow device.
-	n := t.Dim(0)
-	active := s.relayActive.Add(1)
-	start := time.Now()
-	out, err := safeLogits(spanForward(s.chain[pos:next]), t)
-	dur := time.Since(start)
-	s.relayActive.Add(-1)
-	if err != nil {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, err.Error())
-	}
-	s.svcMu.Lock()
-	s.svc.Observe(dur.Seconds()/float64(n), float64(active), linkest.ServiceAlpha)
-	s.svcMu.Unlock()
-
-	if len(bounds) == 0 {
-		// Terminal for this frame: identical post-processing to
-		// classifyBatchFrame, so a chained forward answers bitwise like the
-		// monolithic server would.
-		results := make([]protocol.Result, n)
-		for i := range results {
-			pred, conf := argmaxRow(out.Row(i))
-			results[i] = protocol.Result{Pred: int32(pred), Conf: conf}
-		}
-		s.instServed.Add(uint64(n))
-		return s.chainReply(f.ID, results, nil)
-	}
-	results, downHops, err := s.down.RelayRouted(out, ttl-1, bounds[0], bounds[1:])
-	if err != nil {
-		return s.downstreamFailure(f.ID, err)
-	}
-	if len(results) != n {
-		s.errorCount.Add(1)
-		return errorFrame(f.ID, fmt.Sprintf("downstream returned %d results for %d instances", len(results), n))
+	if len(down.Results) != n {
+		return s.failed(id, fmt.Sprintf("downstream returned %d results for %d instances", len(down.Results), n))
 	}
 	s.relayed.Add(uint64(n))
-	return s.chainReply(f.ID, results, downHops)
+	return s.reply(id, down.Results, append([]protocol.StageStatus{s.stageStatus()}, down.Hops...))
 }

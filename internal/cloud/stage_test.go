@@ -41,6 +41,12 @@ func dialHop(t *testing.T, s *Server) *edge.TCPClient {
 	return c
 }
 
+// relayRouted ships one source-routed activation request through a transport.
+func relayRouted(c Downstream, batch *tensor.Tensor, ttl uint8, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error) {
+	reply, err := c.Infer(protocol.InferRequest{Rep: protocol.RepActivation, TTL: ttl, Pos: pos, Bounds: bounds, Tensor: batch})
+	return reply.Results, reply.Hops, err
+}
+
 // TestStageChainMatchesMonolithic relays a batch through a two-hop stage
 // chain and checks predictions AND confidences bitwise against the in-process
 // monolithic forward — the hops run the classifier's own layer objects, so
@@ -57,7 +63,7 @@ func TestStageChainMatchesMonolithic(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(42))
 	batch := tensor.Randn(rng, 1, 4, 3, 8, 8)
-	rs, _, err := client.RelayRouted(batch, 4, 0, []int{len(chain) / 2})
+	rs, _, err := relayRouted(client, batch, 4, 0, []int{len(chain) / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +73,9 @@ func TestStageChainMatchesMonolithic(t *testing.T) {
 	logits := cls.Logits(batch, false)
 	for i, r := range rs {
 		// The contract is chain == monolithic POST-PROCESSED output, so the
-		// reference goes through the server's own argmax helper.
-		p, c := argmaxRow(logits.Row(i))
-		wantPred, wantConf := int32(p), c
+		// reference goes through the server's own post-processing.
+		want := protocol.ResultOf(logits.Row(i))
+		wantPred, wantConf := want.Pred, want.Conf
 		if r.Pred != wantPred || r.Conf != wantConf {
 			t.Fatalf("row %d: chain gave %d/%v, monolithic %d/%v", i, r.Pred, r.Conf, wantPred, wantConf)
 		}
@@ -96,13 +102,13 @@ func TestRelayTTLExhausted(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(44))
 	batch := tensor.Randn(rng, 1, 1, 3, 8, 8)
-	if _, _, err := client.RelayRouted(batch, 0, 0, []int{1}); err == nil || !strings.Contains(err.Error(), "TTL exhausted") {
+	if _, _, err := relayRouted(client, batch, 0, 0, []int{1}); err == nil || !strings.Contains(err.Error(), "TTL exhausted") {
 		t.Fatalf("ttl=0 through a non-terminal hop: %v", err)
 	}
 	// A terminal hop needs no hop budget: ttl=0 straight at it still serves.
 	direct := dialHop(t, terminal)
 	mid := chain[0].Forward(batch, false)
-	if _, _, err := direct.RelayRouted(mid, 0, 1, nil); err != nil {
+	if _, _, err := relayRouted(direct, mid, 0, 1, nil); err != nil {
 		t.Fatalf("ttl=0 at the terminal hop refused: %v", err)
 	}
 }
@@ -120,7 +126,7 @@ func TestStageOnlyServerRejectsClassify(t *testing.T) {
 	if _, _, err := client.Classify(img); err == nil || !strings.Contains(err.Error(), "raw mode not supported") {
 		t.Fatalf("stage-only server served a raw classify: %v", err)
 	}
-	if _, _, err := client.RelayRouted(img.Reshape(1, 3, 8, 8), 1, 0, nil); err != nil {
+	if _, _, err := relayRouted(client, img.Reshape(1, 3, 8, 8), 1, 0, nil); err != nil {
 		t.Fatalf("relay broken after rejected classify: %v", err)
 	}
 }
@@ -137,16 +143,14 @@ func TestRelayRejectsMalformedPayloads(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(48))
 	flat := tensor.Randn(rng, 1, 192) // rank 1, no batch dim — client itself must refuse
-	if _, _, err := client.RelayRouted(flat, 1, 0, nil); err == nil {
+	if _, _, err := relayRouted(client, flat, 1, 0, nil); err == nil {
 		t.Fatal("client relayed a non-NCHW tensor")
 	}
 	// The server-side rank check needs a hand-built frame.
-	payload, err := protocol.EncodeRoutedActivation(1, 0, nil, tensor.Randn(rng, 1, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// (The encoder refuses it too, so: activation header, TTL 1, no route.)
+	payload := append([]byte{byte(protocol.RepActivation), 1, 0, 0, 0}, protocol.EncodeTensor(tensor.Randn(rng, 1, 6))...)
 	f := protocol.Frame{
-		Type:    protocol.MsgRelayRoute,
+		Type:    protocol.MsgInfer,
 		ID:      7,
 		Payload: payload,
 	}
@@ -154,23 +158,23 @@ func TestRelayRejectsMalformedPayloads(t *testing.T) {
 	if resp.Type != protocol.MsgError || !strings.Contains(string(resp.Payload), "NCHW") {
 		t.Fatalf("rank-3 activation answered with %s %q", resp.Type, resp.Payload)
 	}
-	if resp := s.dispatch(protocol.Frame{Type: protocol.MsgRelayRoute, ID: 8, Payload: []byte{1, 2}}); resp.Type != protocol.MsgError {
+	if resp := s.dispatch(protocol.Frame{Type: protocol.MsgInfer, ID: 8, Payload: []byte{1, 2}}); resp.Type != protocol.MsgError {
 		t.Fatalf("garbage relay payload answered with %s", resp.Type)
 	}
 }
 
 // In-process fake downstreams for the slot-release and shed-propagation
-// tests: the hop must work against any transport that carries the relay pair.
+// tests: the hop must work against any transport that carries relays.
 
 // failingDown fails every attempt at the transport level.
 type failingDown struct{ calls atomic.Int64 }
 
-func (d *failingDown) RelayRouted(*tensor.Tensor, uint8, int, []int) ([]protocol.Result, []protocol.StageStatus, error) {
+func (d *failingDown) Infer(protocol.InferRequest) (protocol.InferReply, error) {
 	d.calls.Add(1)
-	return nil, nil, errors.New("dial tcp: connection refused (test stand-in)")
+	return protocol.InferReply{}, errors.New("dial tcp: connection refused (test stand-in)")
 }
 
-func (d *failingDown) RelayProbe(uint8) ([]protocol.StageStatus, error) {
+func (d *failingDown) Probe(uint8) ([]protocol.StageStatus, error) {
 	return nil, errors.New("dial tcp: connection refused (test stand-in)")
 }
 
@@ -182,12 +186,12 @@ type sheddingDown struct {
 	calls atomic.Int64
 }
 
-func (d *sheddingDown) RelayRouted(*tensor.Tensor, uint8, int, []int) ([]protocol.Result, []protocol.StageStatus, error) {
+func (d *sheddingDown) Infer(protocol.InferRequest) (protocol.InferReply, error) {
 	d.calls.Add(1)
-	return nil, nil, &edge.ShedError{RetryAfter: d.retry}
+	return protocol.InferReply{}, &edge.ShedError{RetryAfter: d.retry}
 }
 
-func (d *sheddingDown) RelayProbe(uint8) ([]protocol.StageStatus, error) {
+func (d *sheddingDown) Probe(uint8) ([]protocol.StageStatus, error) {
 	return nil, &edge.ShedError{RetryAfter: d.retry}
 }
 
@@ -226,7 +230,7 @@ func TestRelaySlotReleasedOnDownstreamError(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	batch := tensor.Randn(rng, 1, 1, 3, 8, 8)
 	for i := 0; i < 3; i++ {
-		_, _, err := client.RelayRouted(batch, 4, 0, []int{1})
+		_, _, err := relayRouted(client, batch, 4, 0, []int{1})
 		if err == nil || !strings.Contains(err.Error(), "downstream relay") {
 			t.Fatalf("relay %d: want the downstream error surfaced promptly, got %v", i, err)
 		}
@@ -259,7 +263,7 @@ func TestDownstreamShedPropagatesAsShed(t *testing.T) {
 	defer client.Close()
 
 	rng := rand.New(rand.NewSource(50))
-	_, _, err = client.RelayRouted(tensor.Randn(rng, 1, 1, 3, 8, 8), 4, 0, []int{1})
+	_, _, err = relayRouted(client, tensor.Randn(rng, 1, 1, 3, 8, 8), 4, 0, []int{1})
 	if !errors.Is(err, edge.ErrShed) {
 		t.Fatalf("downstream shed surfaced as a non-shed error: %v", err)
 	}
@@ -320,7 +324,7 @@ func TestLegacyStaticRelayRejected(t *testing.T) {
 	if resp.Type != protocol.MsgError {
 		t.Fatalf("legacy static relay answered with %s", resp.Type)
 	}
-	for _, want := range []string{"static relay was removed", "MsgRelayRoute"} {
+	for _, want := range []string{"static relay was removed", "MsgInfer"} {
 		if !strings.Contains(string(resp.Payload), want) {
 			t.Fatalf("legacy error %q does not say %q", resp.Payload, want)
 		}
@@ -332,11 +336,8 @@ func TestLegacyStaticRelayRejected(t *testing.T) {
 	if resp := exchange(protocol.Frame{Type: protocol.MsgRelay, ID: 2, Payload: protocol.EncodeRelayProbe(4)}); resp.Type != protocol.MsgResultBatch {
 		t.Fatalf("probe after the legacy frame answered with %s %q", resp.Type, resp.Payload)
 	}
-	routed, err := protocol.EncodeRoutedActivation(4, 0, nil, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp := exchange(protocol.Frame{Type: protocol.MsgRelayRoute, ID: 3, Payload: routed}); resp.Type != protocol.MsgResultBatch {
+	routed := inferPayload(t, protocol.InferRequest{Rep: protocol.RepActivation, TTL: 4, Tensor: batch})
+	if resp := exchange(protocol.Frame{Type: protocol.MsgInfer, ID: 3, Payload: routed}); resp.Type != protocol.MsgResultBatch {
 		t.Fatalf("routed relay after the legacy frame answered with %s %q", resp.Type, resp.Payload)
 	}
 	if st := s.Stats(); st.Errors != 1 || st.InstancesServed != 2 {
@@ -345,21 +346,22 @@ func TestLegacyStaticRelayRejected(t *testing.T) {
 }
 
 // relayMember is a replica-set member for the hop-level failover test: an
-// edge.CloudClient that carries the relay pair and answers from a script.
+// edge.Transport that carries relays and answers from a script.
 type relayMember struct {
+	edge.NoWire
 	err   func() error // nil = serve zeroed results
 	calls atomic.Int64
 }
 
-func (m *relayMember) RelayRouted(batch *tensor.Tensor, _ uint8, _ int, _ []int) ([]protocol.Result, []protocol.StageStatus, error) {
+func (m *relayMember) Infer(req protocol.InferRequest) (protocol.InferReply, error) {
 	m.calls.Add(1)
 	if m.err != nil {
-		return nil, nil, m.err()
+		return protocol.InferReply{}, m.err()
 	}
-	return make([]protocol.Result, batch.Dim(0)), []protocol.StageStatus{{}}, nil
+	return protocol.InferReply{Results: make([]protocol.Result, req.Instances()), Hops: []protocol.StageStatus{{}}}, nil
 }
 
-func (m *relayMember) RelayProbe(uint8) ([]protocol.StageStatus, error) {
+func (m *relayMember) Probe(uint8) ([]protocol.StageStatus, error) {
 	if m.err != nil {
 		return nil, m.err()
 	}
@@ -373,8 +375,6 @@ func (m *relayMember) Classify(*tensor.Tensor) (int, float64, error) {
 func (m *relayMember) ClassifyBatch([]*tensor.Tensor) ([]int, []float64, error) {
 	return nil, nil, errors.New("relay-only member")
 }
-
-func (m *relayMember) Close() error { return nil }
 
 func deadMember() *relayMember {
 	return &relayMember{err: func() error { return errors.New("dial tcp: connection refused (test stand-in)") }}
@@ -394,11 +394,8 @@ func sheddingMember(retry time.Duration) *relayMember {
 func TestReplicaSetDownstream(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	relayFrame := func(id uint64) protocol.Frame {
-		payload, err := protocol.EncodeRoutedActivation(4, 0, []int{1}, tensor.Randn(rng, 1, 1, 3, 8, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return protocol.Frame{Type: protocol.MsgRelayRoute, ID: id, Payload: payload}
+		payload := inferPayload(t, protocol.InferRequest{Rep: protocol.RepActivation, TTL: 4, Bounds: []int{1}, Tensor: tensor.Randn(rng, 1, 1, 3, 8, 8)})
+		return protocol.Frame{Type: protocol.MsgInfer, ID: id, Payload: payload}
 	}
 	hopOver := func(members ...*relayMember) *Server {
 		clients := make([]edge.CloudClient, len(members))
@@ -439,7 +436,7 @@ func TestReplicaSetDownstream(t *testing.T) {
 	if resp.Type != protocol.MsgShed {
 		t.Fatalf("all-shed replica set answered with %s %q, want MsgShed", resp.Type, resp.Payload)
 	}
-	retryAfter, _, _, err := protocol.DecodeShed(resp.Payload)
+	retryAfter, _, err := protocol.DecodeShed(resp.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -374,14 +374,18 @@ func TestInferCloudRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	cloudCalls := 0
-	oracle := func(x *tensor.Tensor) (int, float64, error) {
-		cloudCalls++
-		return 0, 1.0, nil
+	oracle := func(x *tensor.Tensor) ([]int, []float64, []error, error) {
+		cloudCalls += x.Dim(0) // instances the cloud saw
+		confs := make([]float64, x.Dim(0))
+		for i := range confs {
+			confs[i] = 1.0
+		}
+		return make([]int, x.Dim(0)), confs, nil, nil
 	}
 	x, _ := s.Test.Batch([]int{0, 1, 2, 3, 4, 5, 6, 7})
 
 	// Threshold 0 with cloud: every instance has entropy > 0 → all cloud.
-	dec, err := m.Infer(x, Policy{Threshold: 0, UseCloud: true}, oracle)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +400,7 @@ func TestInferCloudRouting(t *testing.T) {
 
 	// Huge threshold: nothing goes to cloud.
 	cloudCalls = 0
-	dec, err = m.Infer(x, Policy{Threshold: 100, UseCloud: true}, oracle)
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 100, UseCloud: true}, RepRaw, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +414,7 @@ func TestInferCloudRouting(t *testing.T) {
 	}
 
 	// UseCloud=false ignores the cloud entirely.
-	dec, err = m.Infer(x, Policy{Threshold: 0, UseCloud: false}, oracle)
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: false}, RepRaw, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,11 +430,11 @@ func TestInferCloudFailureFallsBack(t *testing.T) {
 	if err := TrainMainBlock(m, s.Train, quickCfg(6, 16)); err != nil {
 		t.Fatal(err)
 	}
-	failing := func(x *tensor.Tensor) (int, float64, error) {
-		return 0, 0, errors.New("cloud unreachable")
+	failing := func(x *tensor.Tensor) ([]int, []float64, []error, error) {
+		return nil, nil, nil, errors.New("cloud unreachable")
 	}
 	x, _ := s.Test.Batch([]int{0, 1, 2, 3})
-	dec, err := m.Infer(x, Policy{Threshold: 0, UseCloud: true}, failing)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, failing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +479,7 @@ func TestInferBatchedOneCallAndPartialFailure(t *testing.T) {
 		}
 		return preds, confs, errs, nil
 	}
-	dec, err := m.InferBatched(x, Policy{Threshold: 0, UseCloud: true}, oddFails)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, oddFails)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +506,7 @@ func TestInferBatchedOneCallAndPartialFailure(t *testing.T) {
 	short := func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
 		return []int{1}, []float64{1}, nil, nil
 	}
-	dec, err = m.InferBatched(x, Policy{Threshold: 0, UseCloud: true}, short)
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, short)
 	if err != nil {
 		t.Fatal(err)
 	}

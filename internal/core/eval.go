@@ -87,7 +87,7 @@ type EvalReport struct {
 
 // Evaluate runs Algorithm 2 over a dataset and scores it. A nil dict (no
 // hard-class selection yet) scores main-exit behaviour only.
-func Evaluate(m *MEANet, ds *data.Dataset, batch int, pol Policy, cloud CloudFunc) (EvalReport, error) {
+func Evaluate(m *MEANet, ds *data.Dataset, batch int, pol Policy, cloud CloudBatchFunc) (EvalReport, error) {
 	decisions, err := m.InferDataset(ds, batch, pol, cloud)
 	if err != nil {
 		return EvalReport{}, err

@@ -64,10 +64,6 @@ type Decision struct {
 	CloudAttempts int
 }
 
-// CloudFunc classifies one raw instance on the cloud AI, returning the
-// predicted class and its confidence.
-type CloudFunc func(x *tensor.Tensor) (pred int, conf float64, err error)
-
 // CloudBatchFunc classifies a stacked [N,C,H,W] batch of complex instances
 // on the cloud AI in one round trip. preds and confs are indexed by batch
 // position. errs, when non-nil, carries per-instance failures: errs[i] != nil
@@ -87,27 +83,10 @@ type CloudBatchFunc func(x *tensor.Tensor) (preds []int, confs []float64, errs [
 // (edge.ShedError carries it).
 var ErrShed = errors.New("core: cloud shed the offload")
 
-// SerialOffload adapts a per-instance CloudFunc into a CloudBatchFunc that
-// issues one round trip per instance — the legacy offload pattern, kept for
-// oracle tests and custom per-instance clouds. Real transports should
-// provide a native batch call instead (see edge.CloudClient.ClassifyBatch).
-func SerialOffload(cloud CloudFunc) CloudBatchFunc {
-	return func(x *tensor.Tensor) ([]int, []float64, []error, error) {
-		n := x.Dim(0)
-		preds := make([]int, n)
-		confs := make([]float64, n)
-		errs := make([]error, n)
-		for i := 0; i < n; i++ {
-			preds[i], confs[i], errs[i] = cloud(x.Sample(i))
-		}
-		return preds, confs, errs, nil
-	}
-}
-
 // Policy configures Algorithm 2.
 type Policy struct {
 	// Threshold is the entropy above which an instance is "complex" and is
-	// sent to the cloud (when UseCloud is set and a CloudFunc is available).
+	// sent to the cloud (when UseCloud is set and a cloud call is available).
 	Threshold float64
 	// UseCloud enables the cloud branch.
 	UseCloud bool
@@ -151,41 +130,23 @@ func (r OffloadRep) String() string {
 	}
 }
 
-// Infer runs Algorithm 2 on a batch: every instance passes through the main
-// block; high-entropy ("complex") instances go to the cloud; instances
-// predicted as hard classes take the extension path, with the more confident
-// of the two edge exits winning; everything else exits at the main block.
-// A failed cloud call falls back to the edge decision for that instance.
+// InferBatchedRep runs Algorithm 2 on a batch: every instance passes through
+// the main block; high-entropy ("complex") instances go to the cloud;
+// instances predicted as hard classes take the extension path, with the more
+// confident of the two edge exits winning; everything else exits at the main
+// block.
 //
-// The per-instance CloudFunc is offloaded serially (one round trip per
-// complex instance); transports with a native batch call should go through
-// InferBatched instead, which uploads all complex instances of the batch in
-// a single round trip.
-func (m *MEANet) Infer(x *tensor.Tensor, pol Policy, cloud CloudFunc) ([]Decision, error) {
-	var batch CloudBatchFunc
-	if cloud != nil {
-		batch = SerialOffload(cloud)
-	}
-	return m.InferBatched(x, pol, batch)
-}
-
-// InferBatched is Infer with aggregated cloud offload: the cloud-qualifying
-// (high-entropy) instances of the batch are gathered — exactly like the
-// extension path gathers hard instances — and shipped to the cloud in at
-// most ONE CloudBatchFunc call per input batch (plus Policy.CloudRetries
+// The cloud-qualifying instances of the batch are gathered — exactly like the
+// extension path gathers hard instances — and shipped to the cloud in at most
+// ONE CloudBatchFunc call per input batch (plus Policy.CloudRetries
 // re-offloads of failed instances). Instances whose slot of the batched call
 // failed (or the whole call, if it errored) fall back to the edge decision
 // individually; batching never turns a partial failure into a whole-batch
-// error. The upload carries raw pixels; InferBatchedRep selects the
-// representation explicitly.
-func (m *MEANet) InferBatched(x *tensor.Tensor, pol Policy, cloud CloudBatchFunc) ([]Decision, error) {
-	return m.InferBatchedRep(x, pol, RepRaw, cloud)
-}
-
-// InferBatchedRep is InferBatched with an explicit upload representation:
-// RepRaw gathers and ships the raw sub-batch, RepFeatures the main-block
-// feature sub-batch the edge computed anyway (§III-C "sending features", at
-// zero extra edge compute). The cloud transport must match the
+// error.
+//
+// rep selects what is shipped: RepRaw gathers the raw sub-batch, RepFeatures
+// the main-block feature sub-batch the edge computed anyway (§III-C "sending
+// features", at zero extra edge compute). The cloud transport must match the
 // representation — a feature upload needs a partitioned-network tail on the
 // server. Predictions never depend on the representation choice when the
 // cloud's raw model is the composition of the edge main block and the tail
@@ -311,9 +272,9 @@ func (m *MEANet) InferBatchedRep(x *tensor.Tensor, pol Policy, rep OffloadRep, c
 	return decisions, nil
 }
 
-// InferDataset runs Infer over a whole dataset in mini-batches, returning
-// one decision per instance in dataset order.
-func (m *MEANet) InferDataset(ds datasetView, batch int, pol Policy, cloud CloudFunc) ([]Decision, error) {
+// InferDataset runs InferBatchedRep (raw uploads) over a whole dataset in
+// mini-batches, returning one decision per instance in dataset order.
+func (m *MEANet) InferDataset(ds datasetView, batch int, pol Policy, cloud CloudBatchFunc) ([]Decision, error) {
 	if batch < 1 {
 		return nil, errors.New("core: batch must be ≥1")
 	}
@@ -328,7 +289,7 @@ func (m *MEANet) InferDataset(ds datasetView, batch int, pol Policy, cloud Cloud
 			idx[i] = start + i
 		}
 		x, _ := ds.Batch(idx)
-		ds64, err := m.Infer(x, pol, cloud)
+		ds64, err := m.InferBatchedRep(x, pol, RepRaw, cloud)
 		if err != nil {
 			return nil, err
 		}

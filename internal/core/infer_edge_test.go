@@ -34,7 +34,7 @@ func countingBatchCloud(calls, instances *int) CloudBatchFunc {
 func TestInferBatchedEmptyBatch(t *testing.T) {
 	m := buildA(t, 30, 6)
 	calls, instances := 0, 0
-	dec, err := m.InferBatched(tensor.New(0, 2, 8, 8), Policy{Threshold: 0, UseCloud: true},
+	dec, err := m.InferBatchedRep(tensor.New(0, 2, 8, 8), Policy{Threshold: 0, UseCloud: true}, RepRaw,
 		countingBatchCloud(&calls, &instances))
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestInferBatchedNilCloud(t *testing.T) {
 	m := buildA(t, 31, 6)
 	rng := tensor.Randn(newRand(31), 1, 4, 2, 8, 8)
 	// UseCloud=false with no transport: pure edge operation.
-	dec, err := m.InferBatched(rng, Policy{Threshold: 0, UseCloud: false}, nil)
+	dec, err := m.InferBatchedRep(rng, Policy{Threshold: 0, UseCloud: false}, RepRaw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestInferBatchedNilCloud(t *testing.T) {
 	}
 	// UseCloud=true but nil transport: the cloud branch is silently skipped
 	// (matching Infer's contract), never a nil dereference.
-	dec, err = m.InferBatched(rng, Policy{Threshold: 0, UseCloud: true}, nil)
+	dec, err = m.InferBatchedRep(rng, Policy{Threshold: 0, UseCloud: true}, RepRaw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestInferBatchedAllCloudAllEdge(t *testing.T) {
 	// Threshold 0: every (untrained) instance has positive entropy → one
 	// call carrying the whole batch.
 	calls, instances := 0, 0
-	dec, err := m.InferBatched(x, Policy{Threshold: 0, UseCloud: true}, countingBatchCloud(&calls, &instances))
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, countingBatchCloud(&calls, &instances))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestInferBatchedAllCloudAllEdge(t *testing.T) {
 
 	// Huge threshold: the cloud is never contacted at all.
 	calls, instances = 0, 0
-	dec, err = m.InferBatched(x, Policy{Threshold: 100, UseCloud: true}, countingBatchCloud(&calls, &instances))
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 100, UseCloud: true}, RepRaw, countingBatchCloud(&calls, &instances))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestInferBatchedSingleInstance(t *testing.T) {
 	m := buildA(t, 33, 6)
 	x := tensor.Randn(newRand(33), 1, 1, 2, 8, 8)
 	calls, instances := 0, 0
-	dec, err := m.InferBatched(x, Policy{Threshold: 0, UseCloud: true}, countingBatchCloud(&calls, &instances))
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, countingBatchCloud(&calls, &instances))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestInferBatchedRepValidation(t *testing.T) {
 	if _, err := m.InferBatchedRep(x, Policy{}, OffloadRep(99), nil); err == nil {
 		t.Fatal("invalid representation accepted")
 	}
-	if _, err := m.InferBatched(x.Sample(0), Policy{}, nil); err == nil {
+	if _, err := m.InferBatchedRep(x.Sample(0), Policy{}, RepRaw, nil); err == nil {
 		t.Fatal("3-D input accepted")
 	}
 }
@@ -185,7 +185,7 @@ func TestInferBatchedRetryRecovers(t *testing.T) {
 		}
 		return preds, confs, errs, nil
 	}
-	dec, err := m.InferBatched(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, cloud)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, RepRaw, cloud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestInferBatchedRetryThenFallback(t *testing.T) {
 		call++
 		return nil, nil, nil, errors.New("upload lost")
 	}
-	dec, err := m.InferBatched(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 2}, outage)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 2}, RepRaw, outage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestInferBatchedRetryThenFallback(t *testing.T) {
 		}
 		return preds, confs, nil, nil
 	}
-	dec, err = m.InferBatched(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, shortThenGood)
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, RepRaw, shortThenGood)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestInferBatchedShedNoRetryBurn(t *testing.T) {
 		calls++
 		return nil, nil, nil, fmt.Errorf("transport says: %w", ErrShed)
 	}
-	dec, err := m.InferBatched(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 3}, shedCloud)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 3}, RepRaw, shedCloud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestInferBatchedShedNoRetryBurn(t *testing.T) {
 		}
 		return nil, nil, nil, ErrShed
 	}
-	dec, err = m.InferBatched(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 3}, flaky)
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 3}, RepRaw, flaky)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,19 +3,16 @@ package edge
 // ChainClient drives a multi-hop partitioned deployment (core.Partition)
 // from the edge: it runs stage 0 of the serving chain locally and relays the
 // activations to the first stage server, which forwards hop by hop until the
-// terminal hop's results come back along the chain. It implements
-// CloudClient, so the edge runtime, the fleet harness and BatchOffload
-// consume a chain exactly like a single cloud server. (An edge that runs no
-// unit at all is not a chain: that is direct offload, the classify path.)
+// terminal hop's results come back along the chain. It is a Transport for raw
+// requests, so the edge runtime consumes a chain exactly like a single cloud
+// server. (An edge that runs no unit at all is not a chain: that is direct
+// offload.)
 //
-// Every chain is SOURCE-ROUTED: every hop holds the full serving chain and
-// each frame carries its own cut chain (MsgRelayRoute). The cuts may stay
-// put for the client's lifetime, or the client may MOVE them mid-run — new
-// frames ship the new route while in-flight frames complete on the old one
-// (drain-never-abort, the PR 8 template), with bitwise-identical predictions
-// either way because core.Partition is exact for every legal cut chain. With
-// Replan enabled the client re-solves placement periodically from MEASURED
-// conditions: the transport's linkest estimate for the first hop, and the
+// Every chain is SOURCE-ROUTED (protocol.InferRequest): the cuts may stay put
+// for the client's lifetime, or the client may MOVE them mid-run — new
+// requests ship the new route while those in flight complete on the old one,
+// with bitwise-identical predictions either way. With Replan enabled the
+// client re-solves placement periodically from MEASURED conditions: the transport's linkest estimate for the first hop, and the
 // per-hop service-time/link telemetry piggybacked on every relay reply.
 //
 // Degraded mode: when the chain fails mid-hop — transport death, a dead hop,
@@ -34,6 +31,7 @@ package edge
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,7 +43,6 @@ import (
 	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/profile"
 	"github.com/meanet/meanet/internal/protocol"
-	"github.com/meanet/meanet/internal/tensor"
 )
 
 // DefaultRelayTTL is the hop budget a chain client stamps on relay frames
@@ -141,7 +138,7 @@ type ChainConfig struct {
 	MaxLocal int
 	// Direct, when non-nil, is the degraded-mode fallback: a client to a
 	// replica that serves whole raw batches (typically a *TCPClient to a
-	// monolithic server). The ORIGINAL raw batch ships there when the chain
+	// monolithic server). The ORIGINAL raw request ships there when the chain
 	// fails.
 	Direct CloudClient
 	// Replan enables live re-placement.
@@ -150,8 +147,9 @@ type ChainConfig struct {
 
 // ChainClient is the edge endpoint of a stage chain.
 type ChainClient struct {
-	next *TCPClient // transport to the first stage server
-	ttl  uint8      // hop budget stamped on every relay frame
+	calls           // Classify and ClassifyBatch, over Infer
+	next  Transport // transport to the first stage server (or replica set of them)
+	ttl   uint8     // hop budget stamped on every relay frame
 
 	// chain, costs and maxLocal are fixed at construction.
 	chain    []nn.Layer
@@ -166,7 +164,7 @@ type ChainClient struct {
 	cuts  []core.CutPoint
 	local nn.Layer // current stage 0: chain units [0, cuts[0])
 	// direct is the degraded-mode fallback replica (nil = none).
-	direct CloudClient
+	direct Transport
 	// until ends the chain's exclusion window (zero or past = open): while it
 	// holds and a direct replica is armed, batches skip the chain.
 	until time.Time
@@ -182,7 +180,8 @@ type ChainClient struct {
 	hopSamples int
 	lastReplan time.Time
 
-	localActive atomic.Int64 // classify calls running the local stage right now
+	localActive atomic.Int64  // classify calls running the local stage right now
+	sheds       atomic.Uint64 // relays the first hop refused with a shed
 }
 
 // ChainReporter surfaces per-path chain accounting. *ChainClient implements
@@ -192,14 +191,14 @@ type ChainReporter interface {
 }
 
 var (
-	_ CloudClient   = (*ChainClient)(nil)
+	_ Transport     = (*ChainClient)(nil)
 	_ ChainReporter = (*ChainClient)(nil)
 )
 
 // NewRoutedChainClient wraps a dialed transport to the first hop of a chain
 // (every hop configured with the same full Chain). Use cfg.Direct or
 // SetDirect to arm the degraded mode.
-func NewRoutedChainClient(next *TCPClient, cfg ChainConfig) (*ChainClient, error) {
+func NewRoutedChainClient(next Transport, cfg ChainConfig) (*ChainClient, error) {
 	if next == nil {
 		return nil, errors.New("edge: chain client needs a transport to the first hop")
 	}
@@ -231,9 +230,10 @@ func NewRoutedChainClient(next *TCPClient, cfg ChainConfig) (*ChainClient, error
 		replan:   cfg.Replan,
 		cuts:     append([]core.CutPoint(nil), cfg.Cuts...),
 		local:    stages[0],
-		direct:   cfg.Direct,
+		direct:   asTransport(cfg.Direct),
 		now:      time.Now,
 	}
+	c.calls = calls{c.Infer}
 	if cfg.Replan.Enabled {
 		// Price the chain up front: an unpriceable unit must fail the build,
 		// not the first mid-run re-solve.
@@ -249,7 +249,7 @@ func NewRoutedChainClient(next *TCPClient, cfg ChainConfig) (*ChainClient, error
 // SetDirect arms (or swaps) the degraded-mode direct-offload fallback.
 func (c *ChainClient) SetDirect(d CloudClient) {
 	c.mu.Lock()
-	c.direct = d
+	c.direct = asTransport(d)
 	c.mu.Unlock()
 }
 
@@ -263,41 +263,20 @@ func (c *ChainClient) ChainStats() ChainStats {
 	return st
 }
 
-// Classify runs one CHW image through the chain (a 1-image batch, so single
-// and batched predictions agree bitwise).
-func (c *ChainClient) Classify(img *tensor.Tensor) (int, float64, error) {
-	if img.Dims() != 3 {
-		return 0, 0, fmt.Errorf("edge: Classify expects a CHW image, got shape %v", img.Shape())
+// Infer runs one raw request through the chain — one local stage-0 forward
+// over the whole batch (a single image as a batch of one, so single and
+// batched predictions agree bitwise), one relay per hop — and on a chain
+// failure, or inside the exclusion window a recent one opened, falls back to
+// direct offload of the ORIGINAL request.
+func (c *ChainClient) Infer(req protocol.InferRequest) (protocol.InferReply, error) {
+	if err := rawOnly(req); err != nil {
+		return protocol.InferReply{}, err
 	}
-	preds, confs, err := c.classifyStacked(img.Reshape(append([]int{1}, img.Shape()...)...))
-	if err != nil {
-		return 0, 0, err
-	}
-	return preds[0], confs[0], nil
-}
-
-// ClassifyBatch stacks the images and runs the chain once over the whole
-// batch: one local stage-0 forward, one relay frame per hop.
-func (c *ChainClient) ClassifyBatch(imgs []*tensor.Tensor) ([]int, []float64, error) {
-	batch, err := stackCHW(imgs, "ClassifyBatch")
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.classifyStacked(batch)
-}
-
-// classifyStacked is the BatchOffload fast path: run the local stage on the
-// already-stacked NCHW batch, relay the activations, and on a chain failure —
-// or inside the exclusion window a recent one opened — fall back to direct
-// offload of the ORIGINAL batch.
-func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, error) {
-	if batch.Dims() != 4 {
-		return nil, nil, fmt.Errorf("edge: classifyStacked expects an NCHW batch, got shape %v", batch.Shape())
-	}
+	batch := req.Batch()
 	n := batch.Dim(0)
 
 	// Snapshot the route under the lock; the snapshot stays coherent for
-	// this frame even if a re-solve moves the cuts while it is in flight.
+	// this request even if a re-solve moves the cuts while it is in flight.
 	c.mu.Lock()
 	local := c.local
 	cuts := c.cuts
@@ -305,7 +284,7 @@ func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, e
 	excluded := direct != nil && c.now().Before(c.until)
 	c.mu.Unlock()
 	if excluded {
-		return c.fallback(direct, batch, errors.New("chain excluded after a recent failure"))
+		return c.fallback(direct, req, errors.New("chain excluded after a recent failure"))
 	}
 
 	active := c.localActive.Add(1)
@@ -321,24 +300,20 @@ func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, e
 	for i, b := range cuts[1:] {
 		bounds[i] = int(b)
 	}
-	rs, hops, err := c.next.RelayRouted(act, c.ttl, int(cuts[0]), bounds)
+	reply, err := c.next.Infer(protocol.InferRequest{
+		Rep: protocol.RepActivation, TTL: c.ttl, Pos: int(cuts[0]), Bounds: bounds, Tensor: act,
+	})
 	if err == nil {
 		c.mu.Lock()
 		c.stats.ChainCalls++
 		c.stats.ChainInstances += uint64(n)
-		if len(hops) > 0 {
-			c.hopStats = hops
+		if len(reply.Hops) > 0 {
+			c.hopStats = reply.Hops
 		}
 		c.hopSamples++
 		c.mu.Unlock()
 		c.maybeReplan()
-		preds := make([]int, len(rs))
-		confs := make([]float64, len(rs))
-		for i, r := range rs {
-			preds[i] = int(r.Pred)
-			confs[i] = float64(r.Conf)
-		}
-		return preds, confs, nil
+		return reply, nil
 	}
 
 	// Degraded mode. A shed is a refusal, not a failure — but either way the
@@ -349,6 +324,7 @@ func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, e
 	c.mu.Lock()
 	if errors.Is(err, ErrShed) {
 		window = shedRetryAfter(err)
+		c.sheds.Add(1)
 	} else {
 		c.stats.ChainFailures++
 	}
@@ -357,15 +333,15 @@ func (c *ChainClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, e
 	}
 	c.mu.Unlock()
 	if direct == nil {
-		return nil, nil, err
+		return protocol.InferReply{}, err
 	}
-	return c.fallback(direct, batch, err)
+	return c.fallback(direct, req, err)
 }
 
-// fallback serves a batch the chain is not serving (cause says why) through
+// fallback serves a request the chain is not serving (cause says why) through
 // the direct replica, keeping the per-path books.
-func (c *ChainClient) fallback(direct CloudClient, batch *tensor.Tensor, cause error) ([]int, []float64, error) {
-	preds, confs, derr := directClassify(direct, batch)
+func (c *ChainClient) fallback(direct Transport, req protocol.InferRequest, cause error) (protocol.InferReply, error) {
+	reply, derr := direct.Infer(req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if derr != nil {
@@ -374,26 +350,13 @@ func (c *ChainClient) fallback(direct CloudClient, batch *tensor.Tensor, cause e
 			// Both paths refused by admission control: surface the shed so
 			// the caller takes its zero-charge hold instead of charging a
 			// failure.
-			return nil, nil, derr
+			return protocol.InferReply{}, derr
 		}
-		return nil, nil, fmt.Errorf("edge: chain failed (%v); direct fallback: %w", cause, derr)
+		return protocol.InferReply{}, fmt.Errorf("edge: chain failed (%v); direct fallback: %w", cause, derr)
 	}
 	c.stats.FallbackCalls++
-	c.stats.FallbackInstances += uint64(batch.Dim(0))
-	return preds, confs, nil
-}
-
-// directClassify ships a stacked batch through the fallback replica, using
-// its zero-copy stacked path when the transport has one.
-func directClassify(d CloudClient, batch *tensor.Tensor) ([]int, []float64, error) {
-	if sc, ok := d.(stackedBatchClient); ok {
-		return sc.classifyStacked(batch)
-	}
-	imgs := make([]*tensor.Tensor, batch.Dim(0))
-	for i := range imgs {
-		imgs[i] = batch.Sample(i)
-	}
-	return d.ClassifyBatch(imgs)
+	c.stats.FallbackInstances += uint64(req.Instances())
+	return reply, nil
 }
 
 // spanMACs sums the priced MACs of chain units [from, to).
@@ -481,7 +444,7 @@ func (c *ChainClient) maybeReplan() {
 	if err != nil || int(solved.Cuts[0]) > c.maxLocal {
 		return
 	}
-	if cutsEqual(solved.Cuts, curCuts) {
+	if slices.Equal(solved.Cuts, curCuts) {
 		return
 	}
 	current, err := profile.EvaluateCuts(c.chain, c.replan.In, devices, links, curCuts)
@@ -494,7 +457,7 @@ func (c *ChainClient) maybeReplan() {
 		return
 	}
 	c.mu.Lock()
-	if !cutsEqual(c.cuts, curCuts) {
+	if !slices.Equal(c.cuts, curCuts) {
 		// Another call moved the cuts while we solved; its telemetry reset
 		// stands. (Single writer in practice — replans are interval-gated —
 		// but the check costs nothing.)
@@ -511,18 +474,6 @@ func (c *ChainClient) maybeReplan() {
 	c.mu.Unlock()
 }
 
-func cutsEqual(a, b []core.CutPoint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ProbeChain traverses the chain end to end with a zero-instance relay
 // probe: no stage runs, every transport leg is exercised, and the healthy
 // hop count comes back from the piggybacked status vector. A probe always
@@ -531,7 +482,7 @@ func cutsEqual(a, b []core.CutPoint) bool {
 // (hop 1 = the first stage server): each forwarding hop wraps the failure in
 // one "downstream relay:" layer, so the depth of the wrapping locates it.
 func (c *ChainClient) ProbeChain() (hop int, err error) {
-	hops, err := c.next.RelayProbe(c.ttl)
+	hops, err := c.next.Probe(c.ttl)
 	if err != nil {
 		failing := strings.Count(err.Error(), "downstream relay:") + 1
 		return failing, fmt.Errorf("edge: chain probe failed at hop %d: %w", failing, err)
@@ -547,19 +498,22 @@ func (c *ChainClient) Ping() error {
 	return err
 }
 
-// LinkEstimate reports the live estimate of the edge→first-hop link (each
-// further hop's downstream transport keeps its own).
-func (c *ChainClient) LinkEstimate() linkest.Estimate { return c.next.LinkEstimate() }
+// The transport to the first hop answers for the chain's wire: a probe with
+// the caller's hop budget, the live estimate of the edge→first-hop link (each
+// further hop's downstream keeps its own), the first hop's piggybacked load,
+// the bytes shipped to it. Close releases it (the direct fallback client, if
+// any, belongs to the caller).
+func (c *ChainClient) Probe(ttl uint8) ([]protocol.StageStatus, error) { return c.next.Probe(ttl) }
+func (c *ChainClient) LinkEstimate() linkest.Estimate                  { return c.next.LinkEstimate() }
+func (c *ChainClient) CloudLoad() (protocol.LoadStatus, bool)          { return c.next.CloudLoad() }
+func (c *ChainClient) BytesSent() uint64                               { return c.next.BytesSent() }
+func (c *ChainClient) Close() error                                    { return c.next.Close() }
 
-// CloudLoad reports the first hop's piggybacked backpressure signal.
-func (c *ChainClient) CloudLoad() (protocol.LoadStatus, bool) { return c.next.CloudLoad() }
+// Capabilities: a chain takes raw requests only (see rawOnly) — its own stage
+// 0 is what turns them into activations.
+func (c *ChainClient) Capabilities() (protocol.Capabilities, bool) {
+	return protocol.Capabilities{}, true
+}
 
-// Sheds reports how many relay frames the first hop answered with a shed.
-func (c *ChainClient) Sheds() uint64 { return c.next.Sheds() }
-
-// BytesSent reports the wire bytes shipped to the first hop.
-func (c *ChainClient) BytesSent() uint64 { return c.next.BytesSent() }
-
-// Close releases the transport to the first hop (the direct fallback client,
-// if any, belongs to the caller).
-func (c *ChainClient) Close() error { return c.next.Close() }
+// Sheds reports how many relays the first hop answered with a shed.
+func (c *ChainClient) Sheds() uint64 { return c.sheds.Load() }

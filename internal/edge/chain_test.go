@@ -14,6 +14,7 @@ import (
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/netsim/fleet"
+	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -103,7 +104,7 @@ func TestRelayLegacyServer(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(66))
 	batch := tensor.Randn(rng, 1, 2, 3, 8, 8)
-	_, _, err = client.RelayRouted(batch, 3, 0, nil)
+	_, err = client.Infer(protocol.InferRequest{Rep: protocol.RepActivation, TTL: 3, Tensor: batch})
 	if err == nil || !strings.Contains(err.Error(), "stage mode not supported") {
 		t.Fatalf("legacy server relay error: %v", err)
 	}

@@ -4,8 +4,8 @@ package edge
 // hop: it opens on a failed relay, a shed opens it for the hint, overlapping
 // failures extend it and never shorten it, it never skips the chain without a
 // direct replica to skip to, and a probe bypasses it. Plus the replica-set
-// half of the same design: MultiClient carries the relay pair over its
-// router, passing over — not excluding — a member that cannot relay.
+// half of the same design: MultiClient carries relays over its router,
+// passing over — not excluding — a member that cannot relay.
 
 import (
 	"errors"
@@ -91,7 +91,7 @@ func (h *scriptedHop) shed(f protocol.Frame, hint time.Duration) {
 
 func (h *scriptedHop) serve(f protocol.Frame, n int) {
 	h.reply(f, protocol.MsgResultBatch,
-		protocol.EncodeResultsChain(make([]protocol.Result, n), protocol.LoadStatus{}, []protocol.StageStatus{{}}))
+		protocol.EncodeReply(protocol.InferReply{Results: make([]protocol.Result, n), Hops: []protocol.StageStatus{{}}}))
 }
 
 // classifyAsync starts one single-image classify and returns its outcome
@@ -175,7 +175,7 @@ func TestChainExclusionWindow(t *testing.T) {
 		probed := make(chan error, 1)
 		go func() { _, err := c.ProbeChain(); probed <- err }()
 		f := hop.next()
-		if f.Type != protocol.MsgRelay || !protocol.IsRelayProbe(f.Payload) {
+		if _, err := protocol.DecodeRelayProbe(f.Payload); f.Type != protocol.MsgRelay || err != nil {
 			t.Fatalf("probe inside the window sent a %s frame", f.Type)
 		}
 		if healthy {
@@ -263,23 +263,34 @@ func TestChainExclusionWindow(t *testing.T) {
 	}
 }
 
-// relayReplica is a scriptReplica that also carries the relay pair.
+// relayReplica is a scriptReplica that also serves a chain.
 type relayReplica struct {
 	scriptReplica
 }
 
-func (r *relayReplica) RelayRouted(batch *tensor.Tensor, _ uint8, _ int, _ []int) ([]protocol.Result, []protocol.StageStatus, error) {
-	if err := r.outcome(); err != nil {
-		return nil, nil, err
-	}
-	return make([]protocol.Result, batch.Dim(0)), []protocol.StageStatus{{}}, nil
+func (r *relayReplica) Capabilities() (protocol.Capabilities, bool) {
+	return protocol.Capabilities{TailCapable: true, ServesChain: true}, true
 }
 
-func (r *relayReplica) RelayProbe(uint8) ([]protocol.StageStatus, error) {
+func (r *relayReplica) Infer(req protocol.InferRequest) (protocol.InferReply, error) {
+	reply, err := r.scriptReplica.Infer(req)
+	if err == nil && req.Rep == protocol.RepActivation {
+		reply.Hops = []protocol.StageStatus{{}}
+	}
+	return reply, err
+}
+
+func (r *relayReplica) Probe(uint8) ([]protocol.StageStatus, error) {
 	if err := r.outcome(); err != nil {
 		return nil, err
 	}
 	return []protocol.StageStatus{{}}, nil
+}
+
+// relayRouted ships one source-routed activation request through a router.
+func relayRouted(m *MultiClient, batch *tensor.Tensor, ttl uint8, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error) {
+	reply, err := m.Infer(protocol.InferRequest{Rep: protocol.RepActivation, TTL: ttl, Pos: pos, Bounds: bounds, Tensor: batch})
+	return reply.Results, reply.Hops, err
 }
 
 // TestMultiRelayPassesOverNonRelayer: in a mixed replica set a member that
@@ -294,12 +305,12 @@ func TestMultiRelayPassesOverNonRelayer(t *testing.T) {
 	}
 	batch := tensor.New(2, 3, 4, 4)
 	for i := 0; i < 20; i++ {
-		rs, hops, err := m.RelayRouted(batch, 4, 1, []int{2})
+		rs, hops, err := relayRouted(m, batch, 4, 1, []int{2})
 		if err != nil || len(rs) != 2 || len(hops) != 1 {
 			t.Fatalf("relay %d through the mixed set: %d results, %d hops, err %v", i, len(rs), len(hops), err)
 		}
 	}
-	if _, err := m.RelayProbe(4); err != nil {
+	if _, err := m.Probe(4); err != nil {
 		t.Fatalf("probe through the mixed set: %v", err)
 	}
 	if plain.callCount() != 0 || relayer.callCount() != 21 {
@@ -321,7 +332,7 @@ func TestMultiRelayPassesOverNonRelayer(t *testing.T) {
 
 	// A dead relayer next to a member that cannot relay: a failure, not a
 	// hold, and the member that was only passed over stays open.
-	if _, _, err := m.RelayRouted(batch, 4, 1, nil); err == nil || errors.Is(err, ErrShed) {
+	if _, _, err := relayRouted(m, batch, 4, 1, nil); err == nil || errors.Is(err, ErrShed) {
 		t.Fatalf("relay with the only relayer dead: %v", err)
 	}
 	if st := m.ReplicaStats(); st[0].Excluded || st[0].Failures != 0 {
@@ -332,7 +343,7 @@ func TestMultiRelayPassesOverNonRelayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := none.RelayRouted(batch, 4, 1, nil); err == nil || errors.Is(err, ErrShed) {
+	if _, _, err := relayRouted(none, batch, 4, 1, nil); err == nil || errors.Is(err, ErrShed) {
 		t.Fatalf("relay through a set with no relayer: %v", err)
 	}
 }
@@ -350,7 +361,7 @@ func TestMultiRelayShedSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := tensor.New(1, 3, 4, 4)
-	_, _, err = m.RelayRouted(batch, 4, 1, nil)
+	_, _, err = relayRouted(m, batch, 4, 1, nil)
 	var se *ShedError
 	if !errors.As(err, &se) || se.RetryAfter <= 0 || se.RetryAfter > 700*time.Millisecond {
 		t.Fatalf("all relayers shed: %v, want one ShedError within the members' hints", err)
@@ -366,7 +377,7 @@ func TestMultiRelayShedSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := mixed.RelayRouted(batch, 4, 1, nil); err == nil || errors.Is(err, ErrShed) {
+	if _, _, err := relayRouted(mixed, batch, 4, 1, nil); err == nil || errors.Is(err, ErrShed) {
 		t.Fatalf("shed + dead relayer: %v, want a plain failure", err)
 	}
 }

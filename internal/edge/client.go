@@ -1,7 +1,8 @@
 // Package edge implements the edge runtime of the distributed system: the
-// cloud client transports (real TCP with optional link shaping, and an
-// in-process client for deterministic simulation) and the inference runtime
-// that executes Algorithm 2 with exit, byte and energy accounting.
+// cloud transports (see Transport — real TCP with optional link shaping, a
+// replica router, a partitioned chain, and an in-process client for
+// deterministic simulation) and the inference runtime that executes
+// Algorithm 2 with exit, byte and energy accounting.
 package edge
 
 import (
@@ -12,161 +13,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/linkest"
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
-
-// CloudClient classifies raw instances on the cloud AI.
-type CloudClient interface {
-	// Classify sends one CHW image and returns the cloud's prediction.
-	Classify(img *tensor.Tensor) (pred int, conf float64, err error)
-	// ClassifyBatch sends same-shaped CHW images in ONE round trip and
-	// returns per-image predictions. An error fails the whole call; callers
-	// that need per-instance fallback map it onto every image (see
-	// BatchOffload).
-	ClassifyBatch(imgs []*tensor.Tensor) (preds []int, confs []float64, err error)
-	// Close releases the transport.
-	Close() error
-}
-
-// FeatureCloudClient is the optional refinement of CloudClient for
-// transports that also carry the §III-C "sending features" mode: main-block
-// feature tensors classified by the server's partitioned-network tail. Both
-// built-in clients implement it; whether a call succeeds depends on the far
-// end actually having a tail (a server without one answers with an error,
-// and the instances fall back to the edge).
-type FeatureCloudClient interface {
-	CloudClient
-	// ClassifyFeaturesBatch sends same-shaped CHW feature tensors in ONE
-	// round trip through the cloud's feature tail.
-	ClassifyFeaturesBatch(feats []*tensor.Tensor) (preds []int, confs []float64, err error)
-}
-
-// CapabilityReporter is the optional refinement of CloudClient for
-// transports that know what the far end can do — typically learned from the
-// MsgHello handshake at connect. A capability-aware router uses it to skip
-// replicas that cannot serve a features-mode call instead of discovering the
-// mismatch by burning the call (and an exclusion window) on an error reply.
-type CapabilityReporter interface {
-	// Capabilities returns the replica's advertised capabilities, and whether
-	// they are known. ok is false until a handshake has succeeded — unknown
-	// capabilities mean "route optimistically", exactly the pre-handshake
-	// behavior, so a legacy server that errors on MsgHello keeps working.
-	Capabilities() (caps protocol.Capabilities, ok bool)
-}
-
-// Relayer is the relay method pair of a chain transport: the source-routed
-// activation relay and the TTL-only chain probe. *TCPClient implements it
-// over one connection and *MultiClient over a replica set; with LinkEstimate
-// either one is a cloud.Downstream, so a stage hop forwards through the same
-// transport stack the edge uses, without adapters.
-type Relayer interface {
-	RelayRouted(batch *tensor.Tensor, ttl uint8, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error)
-	RelayProbe(ttl uint8) ([]protocol.StageStatus, error)
-}
-
-// stackedBatchClient is the zero-copy fast path of BatchOffload: both
-// built-in clients take the already-stacked NCHW tensor directly, skipping
-// the split-into-views / re-stack round trip of the interface call.
-type stackedBatchClient interface {
-	classifyStacked(batch *tensor.Tensor) (preds []int, confs []float64, err error)
-}
-
-// stackedFeatureBatchClient is stackedBatchClient for the features mode.
-type stackedFeatureBatchClient interface {
-	classifyFeaturesStacked(batch *tensor.Tensor) (preds []int, confs []float64, err error)
-}
-
-// partialStackedClient lets a transport fail individual slots of a stacked
-// raw batch. Production transports fail whole calls only; fault-injection
-// tests implement this to exercise the per-instance fallback and retry
-// paths.
-type partialStackedClient interface {
-	classifyStackedPartial(batch *tensor.Tensor) (preds []int, confs []float64, errs []error, err error)
-}
-
-// partialFeatureStackedClient is partialStackedClient for the features mode.
-type partialFeatureStackedClient interface {
-	classifyFeaturesStackedPartial(batch *tensor.Tensor) (preds []int, confs []float64, errs []error, err error)
-}
-
-// BatchOffload adapts a CloudClient's batch call into the core.CloudBatchFunc
-// that InferBatched consumes: the stacked cloud-qualifying sub-batch goes out
-// as one ClassifyBatch round trip, and a transport error is spread onto every
-// instance so each falls back to the edge individually.
-func BatchOffload(c CloudClient) core.CloudBatchFunc {
-	return func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
-		if pc, ok := c.(partialStackedClient); ok {
-			return pc.classifyStackedPartial(sub)
-		}
-		var preds []int
-		var confs []float64
-		var err error
-		if sc, ok := c.(stackedBatchClient); ok {
-			preds, confs, err = sc.classifyStacked(sub)
-		} else {
-			imgs := make([]*tensor.Tensor, sub.Dim(0))
-			for i := range imgs {
-				imgs[i] = sub.Sample(i)
-			}
-			preds, confs, err = c.ClassifyBatch(imgs)
-		}
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("edge: cloud classify batch: %w", err)
-		}
-		return preds, confs, nil, nil
-	}
-}
-
-// FeatureBatchOffload is BatchOffload for the features representation: the
-// stacked sub-batch of main-block feature tensors goes out as one
-// ClassifyFeaturesBatch round trip.
-func FeatureBatchOffload(c FeatureCloudClient) core.CloudBatchFunc {
-	return func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
-		if pc, ok := c.(partialFeatureStackedClient); ok {
-			return pc.classifyFeaturesStackedPartial(sub)
-		}
-		var preds []int
-		var confs []float64
-		var err error
-		if sc, ok := c.(stackedFeatureBatchClient); ok {
-			preds, confs, err = sc.classifyFeaturesStacked(sub)
-		} else {
-			feats := make([]*tensor.Tensor, sub.Dim(0))
-			for i := range feats {
-				feats[i] = sub.Sample(i)
-			}
-			preds, confs, err = c.ClassifyFeaturesBatch(feats)
-		}
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("edge: cloud classify features batch: %w", err)
-		}
-		return preds, confs, nil, nil
-	}
-}
-
-// stackCHW validates same-shaped CHW tensors and stacks them into one NCHW
-// batch (the shared front half of every client-side batch call).
-func stackCHW(ts []*tensor.Tensor, name string) (*tensor.Tensor, error) {
-	if len(ts) == 0 {
-		return nil, fmt.Errorf("edge: %s with no tensors", name)
-	}
-	shape := ts[0].Shape()
-	if len(shape) != 3 {
-		return nil, fmt.Errorf("edge: %s expects CHW tensors, got shape %v", name, shape)
-	}
-	batch := tensor.New(append([]int{len(ts)}, shape...)...)
-	for i, img := range ts {
-		if !img.SameShape(ts[0]) {
-			return nil, fmt.Errorf("edge: %s tensor %d has shape %v, want %v", name, i, img.Shape(), shape)
-		}
-		copy(batch.Sample(i).Data(), img.Data())
-	}
-	return batch, nil
-}
 
 // DialConfig configures the TCP cloud client.
 type DialConfig struct {
@@ -212,7 +63,8 @@ func (c *DialConfig) fillDefaults() {
 // uplink carries many overlapping offloads (which is what lets a batching
 // server coalesce them).
 type TCPClient struct {
-	cfg DialConfig
+	calls // Classify, ClassifyBatch and their features twins, over Infer
+	cfg   DialConfig
 
 	wmu sync.Mutex // serializes frame writes onto the connection
 
@@ -237,11 +89,9 @@ type TCPClient struct {
 
 	est *linkest.Estimator
 
-	loadMu   sync.Mutex // guards lastLoad, haveLoad
+	sigMu    sync.Mutex // guards lastLoad, haveLoad, caps, haveCaps
 	lastLoad protocol.LoadStatus
 	haveLoad bool
-
-	capsMu   sync.Mutex // guards caps, haveCaps
 	caps     protocol.Capabilities
 	haveCaps bool
 }
@@ -253,9 +103,7 @@ type clientResult struct {
 	err   error
 }
 
-var _ FeatureCloudClient = (*TCPClient)(nil)
-var _ CapabilityReporter = (*TCPClient)(nil)
-var _ Relayer = (*TCPClient)(nil)
+var _ Transport = (*TCPClient)(nil)
 
 // DialCloud connects to a cloud server. The client redials the address
 // (with exponential backoff) if the connection later breaks, so a transient
@@ -299,6 +147,7 @@ func newTCPClient(conn net.Conn, cfg DialConfig) *TCPClient {
 		backoff: cfg.RedialBackoff,
 		est:     linkest.New(cfg.Estimator),
 	}
+	c.calls = calls{c.Infer}
 	go c.readLoop(conn, c.gen)
 	return c
 }
@@ -494,53 +343,71 @@ func (c *TCPClient) await(id uint64, ch chan clientResult) (protocol.Frame, erro
 	}
 }
 
-// Classify performs one classify-raw round trip.
-func (c *TCPClient) Classify(img *tensor.Tensor) (int, float64, error) {
-	if img.Dims() != 3 {
-		return 0, 0, fmt.Errorf("edge: Classify expects a CHW image, got shape %v", img.Shape())
-	}
-	return c.roundTrip(protocol.MsgClassifyRaw, img)
-}
-
-// ClassifyFeatures sends a CHW feature tensor for the partitioned-network
-// mode (§III-C "sending features"); the server must be configured with a
-// feature tail.
-func (c *TCPClient) ClassifyFeatures(feat *tensor.Tensor) (int, float64, error) {
-	if feat.Dims() != 3 {
-		return 0, 0, fmt.Errorf("edge: ClassifyFeatures expects a CHW tensor, got shape %v", feat.Shape())
-	}
-	return c.roundTrip(protocol.MsgClassifyFeat, feat)
-}
-
-// roundTrip performs one classify exchange of the given message type. Many
-// round trips may overlap on the same connection. Every successful exchange
-// feeds the link estimator and captures the piggybacked server load.
-func (c *TCPClient) roundTrip(msgType protocol.MsgType, t *tensor.Tensor) (int, float64, error) {
-	payload := protocol.EncodeTensor(t)
-	id, ch, writeDur, err := c.send(msgType, payload)
+// roundTrip sends one request frame and waits for the response frame matched
+// to it — the one exchange every call below is made of. Many round trips may
+// overlap on the same connection. It also returns how long the write and the
+// wait took, the two phases the link estimator consumes.
+func (c *TCPClient) roundTrip(typ protocol.MsgType, payload []byte) (f protocol.Frame, writeDur, waitDur time.Duration, err error) {
+	id, ch, writeDur, err := c.send(typ, payload)
 	if err != nil {
-		return 0, 0, err
+		return protocol.Frame{}, 0, 0, err
 	}
 	waitStart := time.Now()
-	f, err := c.await(id, ch)
+	f, err = c.await(id, ch)
+	return f, writeDur, time.Since(waitStart), err
+}
+
+// exchange round-trips one inference-family frame (a request or a chain
+// probe) and decodes the one reply layout. Every success captures the
+// piggybacked server load; observeLink also feeds the link estimator (a
+// payload-less probe would read as an absurdly fast link). A shed decodes to
+// *ShedError; a MsgError reply — the one a server predating MsgInfer sends
+// included — is an ordinary cloud failure.
+func (c *TCPClient) exchange(typ protocol.MsgType, payload []byte, want int, observeLink bool) (protocol.InferReply, error) {
+	f, writeDur, waitDur, err := c.roundTrip(typ, payload)
 	if err != nil {
-		return 0, 0, err
+		return protocol.InferReply{}, err
 	}
 	switch f.Type {
-	case protocol.MsgResult:
-		pred, conf, load, hasLoad, err := protocol.DecodeResultLoad(f.Payload)
+	case protocol.MsgResultBatch:
+		reply, err := protocol.DecodeReply(f.Payload)
 		if err != nil {
-			return 0, 0, err
+			return protocol.InferReply{}, err
 		}
-		c.observe(len(payload), writeDur, time.Since(waitStart), load, hasLoad)
-		return int(pred), float64(conf), nil
+		if len(reply.Results) != want {
+			return protocol.InferReply{}, fmt.Errorf("edge: reply has %d results for %d instances", len(reply.Results), want)
+		}
+		if observeLink {
+			c.est.Record(int64(protocol.FrameWireSize(len(payload))), writeDur, waitDur)
+		}
+		c.noteLoad(reply.Load)
+		return reply, nil
 	case protocol.MsgShed:
-		return 0, 0, c.shedResult(f.Payload)
+		return protocol.InferReply{}, c.shedResult(f.Payload)
 	case protocol.MsgError:
-		return 0, 0, fmt.Errorf("edge: cloud error: %s", f.Payload)
+		return protocol.InferReply{}, fmt.Errorf("edge: cloud error: %s", f.Payload)
 	default:
-		return 0, 0, fmt.Errorf("edge: unexpected response type %s", f.Type)
+		return protocol.InferReply{}, fmt.Errorf("edge: unexpected response type %s", f.Type)
 	}
+}
+
+// Infer round-trips one inference request as a MsgInfer frame over the
+// pipelined transport. Each success feeds THIS connection's link estimator,
+// which is what gives a chain per-hop link estimation for free.
+func (c *TCPClient) Infer(req protocol.InferRequest) (protocol.InferReply, error) {
+	payload, err := protocol.EncodeInfer(req)
+	if err != nil {
+		return protocol.InferReply{}, err
+	}
+	return c.exchange(protocol.MsgInfer, payload, req.Instances(), true)
+}
+
+// Probe ships a zero-instance chain probe (see protocol.EncodeRelayProbe): a
+// healthy return proves every transport leg of the chain, and the returned
+// statuses enumerate the hops.
+func (c *TCPClient) Probe(ttl uint8) ([]protocol.StageStatus, error) {
+	reply, err := c.exchange(protocol.MsgRelay, protocol.EncodeRelayProbe(ttl), 0, false)
+	return reply.Hops, err
 }
 
 // shedResult decodes a shed frame into the typed *ShedError, folding the
@@ -550,47 +417,28 @@ func (c *TCPClient) roundTrip(msgType protocol.MsgType, t *tensor.Tensor) (int, 
 // measured only the admission check — folding that in would bias the RTT
 // estimate fast exactly when the server is slowest.
 func (c *TCPClient) shedResult(payload []byte) error {
-	retryAfter, load, hasLoad, err := protocol.DecodeShed(payload)
+	retryAfter, load, err := protocol.DecodeShed(payload)
 	if err != nil {
 		return fmt.Errorf("edge: bad shed frame: %w", err)
 	}
 	c.sheds.Add(1)
-	if hasLoad {
-		c.loadMu.Lock()
-		c.lastLoad = load
-		c.haveLoad = true
-		c.loadMu.Unlock()
-	}
+	c.noteLoad(load)
 	if retryAfter < 0 {
 		retryAfter = 0
 	}
-	return &ShedError{RetryAfter: retryAfter, Load: load, HasLoad: hasLoad}
+	return &ShedError{RetryAfter: retryAfter, Load: load, HasLoad: true}
 }
 
 // Sheds reports how many of this client's requests the cloud answered with a
 // shed frame.
 func (c *TCPClient) Sheds() uint64 { return c.sheds.Load() }
 
-// observe folds one successful exchange into the live link estimate and the
-// last-seen server load.
-func (c *TCPClient) observe(payloadLen int, writeDur, waitDur time.Duration, load protocol.LoadStatus, hasLoad bool) {
-	c.est.Record(int64(protocol.FrameWireSize(payloadLen)), writeDur, waitDur)
-	if hasLoad {
-		c.loadMu.Lock()
-		c.lastLoad = load
-		c.haveLoad = true
-		c.loadMu.Unlock()
-	}
-}
-
-// noteLoad records a piggybacked load snapshot without feeding the link
-// estimator — for exchanges whose timing says nothing about the link, like
-// zero-payload chain probes.
+// noteLoad records a piggybacked load snapshot.
 func (c *TCPClient) noteLoad(load protocol.LoadStatus) {
-	c.loadMu.Lock()
+	c.sigMu.Lock()
 	c.lastLoad = load
 	c.haveLoad = true
-	c.loadMu.Unlock()
+	c.sigMu.Unlock()
 }
 
 // LinkEstimate reports the live uplink estimate accumulated over this
@@ -601,179 +449,16 @@ func (c *TCPClient) LinkEstimate() linkest.Estimate {
 }
 
 // CloudLoad reports the most recent backpressure signal piggybacked by the
-// server on a result frame. ok is false until the first result arrives (or
-// when talking to a server that predates the status field).
+// server on a reply. ok is false until the first one arrives.
 func (c *TCPClient) CloudLoad() (protocol.LoadStatus, bool) {
-	c.loadMu.Lock()
-	defer c.loadMu.Unlock()
+	c.sigMu.Lock()
+	defer c.sigMu.Unlock()
 	return c.lastLoad, c.haveLoad
-}
-
-// ClassifyBatch ships a client-assembled batch of same-shaped CHW images as
-// one MsgClassifyBatch frame and returns the per-image predictions. One
-// frame, one forward pass on the server, one response — the cheapest way to
-// offload a burst the edge has already accumulated locally.
-func (c *TCPClient) ClassifyBatch(imgs []*tensor.Tensor) ([]int, []float64, error) {
-	return c.batchRoundTrip(protocol.MsgClassifyBatch, "ClassifyBatch", imgs)
-}
-
-// ClassifyFeaturesBatch is ClassifyBatch for the partitioned-network mode
-// (§III-C "sending features"): same-shaped CHW feature tensors go out as one
-// MsgClassifyFeatBatch frame and run through the server's feature tail in a
-// single forward pass.
-func (c *TCPClient) ClassifyFeaturesBatch(feats []*tensor.Tensor) ([]int, []float64, error) {
-	return c.batchRoundTrip(protocol.MsgClassifyFeatBatch, "ClassifyFeaturesBatch", feats)
-}
-
-// classifyStacked sends an already-stacked NCHW batch without re-copying it
-// (the BatchOffload fast path).
-func (c *TCPClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, error) {
-	if batch.Dims() != 4 {
-		return nil, nil, fmt.Errorf("edge: classifyStacked expects an NCHW batch, got shape %v", batch.Shape())
-	}
-	return c.stackedRoundTrip(protocol.MsgClassifyBatch, batch)
-}
-
-// classifyFeaturesStacked is classifyStacked for the features mode (the
-// FeatureBatchOffload fast path).
-func (c *TCPClient) classifyFeaturesStacked(batch *tensor.Tensor) ([]int, []float64, error) {
-	if batch.Dims() != 4 {
-		return nil, nil, fmt.Errorf("edge: classifyFeaturesStacked expects an NCHW batch, got shape %v", batch.Shape())
-	}
-	return c.stackedRoundTrip(protocol.MsgClassifyFeatBatch, batch)
-}
-
-// batchRoundTrip stacks same-shaped CHW tensors into one NCHW frame of the
-// given type and decodes the per-instance result batch.
-func (c *TCPClient) batchRoundTrip(msgType protocol.MsgType, name string, ts []*tensor.Tensor) ([]int, []float64, error) {
-	batch, err := stackCHW(ts, name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.stackedRoundTrip(msgType, batch)
-}
-
-// stackedRoundTrip ships one NCHW tensor as a batch classify frame and
-// decodes the per-instance result batch.
-func (c *TCPClient) stackedRoundTrip(msgType protocol.MsgType, batch *tensor.Tensor) ([]int, []float64, error) {
-	n := batch.Dim(0)
-	payload := protocol.EncodeTensor(batch)
-	id, ch, writeDur, err := c.send(msgType, payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	waitStart := time.Now()
-	f, err := c.await(id, ch)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch f.Type {
-	case protocol.MsgResultBatch:
-		rs, load, hasLoad, err := protocol.DecodeResultsLoad(f.Payload)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(rs) != n {
-			return nil, nil, fmt.Errorf("edge: batch response has %d results for %d tensors", len(rs), n)
-		}
-		c.observe(len(payload), writeDur, time.Since(waitStart), load, hasLoad)
-		preds := make([]int, len(rs))
-		confs := make([]float64, len(rs))
-		for i, r := range rs {
-			preds[i] = int(r.Pred)
-			confs[i] = float64(r.Conf)
-		}
-		return preds, confs, nil
-	case protocol.MsgShed:
-		return nil, nil, c.shedResult(f.Payload)
-	case protocol.MsgError:
-		return nil, nil, fmt.Errorf("edge: cloud error: %s", f.Payload)
-	default:
-		return nil, nil, fmt.Errorf("edge: unexpected response type %s", f.Type)
-	}
-}
-
-// RelayRouted ships one activation batch as a source-routed relay frame
-// (MsgRelayRoute): the receiving hop runs chain units [pos, bounds[0]) — or
-// through the end of its chain when bounds is empty — and forwards the rest
-// of the route; the per-instance results the terminal hop sent back along the
-// chain return with the per-hop StageStatus vector piggybacked on the reply.
-// The route travels with the frame, so the caller can change cuts between
-// calls with no server reconfiguration; in-flight frames finish on the route
-// they carry (the drain-never-abort cut move). The batch is NOT required to
-// be NCHW — a cut may sit anywhere in the chain, including past the
-// flattening layers where activations are rank-2 [batch, features] — only
-// batched (rank ≥ 2, dim 0 = instances). The exchange rides the same
-// pipelined transport as every other frame — many relays overlap on one
-// connection, redial applies, and each successful round trip feeds THIS
-// hop's link estimator, which is what gives a chain per-hop link estimation
-// for free. A legacy server (or one without a serving chain) answers
-// MsgError, mirroring the MsgHello contract; a shed decodes to *ShedError.
-func (c *TCPClient) RelayRouted(batch *tensor.Tensor, ttl uint8, pos int, bounds []int) ([]protocol.Result, []protocol.StageStatus, error) {
-	if batch.Dims() < 2 {
-		return nil, nil, fmt.Errorf("edge: RelayRouted expects a batched activation tensor, got shape %v", batch.Shape())
-	}
-	payload, err := protocol.EncodeRoutedActivation(ttl, pos, bounds, batch)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.relayExchange(protocol.MsgRelayRoute, payload, batch.Dim(0), true)
-}
-
-// RelayProbe ships a zero-instance chain probe: every hop forwards it without
-// running its stage and the terminal hop answers an empty result batch, so a
-// healthy return proves every transport leg of the chain and the returned
-// statuses enumerate the hops. Probes do NOT feed the link estimator — they
-// carry no payload, so their round trips would read as absurdly fast links.
-func (c *TCPClient) RelayProbe(ttl uint8) ([]protocol.StageStatus, error) {
-	_, hops, err := c.relayExchange(protocol.MsgRelay, protocol.EncodeRelayProbe(ttl), 0, false)
-	return hops, err
-}
-
-// relayExchange round-trips one relay-family frame and decodes the shared
-// reply shape (results + load piggyback + optional per-hop statuses).
-// observe=false skips the link estimator (probes).
-func (c *TCPClient) relayExchange(typ protocol.MsgType, payload []byte, want int, observeLink bool) ([]protocol.Result, []protocol.StageStatus, error) {
-	id, ch, writeDur, err := c.send(typ, payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	waitStart := time.Now()
-	f, err := c.await(id, ch)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch f.Type {
-	case protocol.MsgResultBatch:
-		rs, load, hasLoad, hops, _, err := protocol.DecodeResultsChain(f.Payload)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(rs) != want {
-			return nil, nil, fmt.Errorf("edge: relay response has %d results for %d instances", len(rs), want)
-		}
-		if observeLink {
-			c.observe(len(payload), writeDur, time.Since(waitStart), load, hasLoad)
-		} else if hasLoad {
-			c.noteLoad(load)
-		}
-		return rs, hops, nil
-	case protocol.MsgShed:
-		return nil, nil, c.shedResult(f.Payload)
-	case protocol.MsgError:
-		return nil, nil, fmt.Errorf("edge: cloud error: %s", f.Payload)
-	default:
-		return nil, nil, fmt.Errorf("edge: unexpected response type %s", f.Type)
-	}
 }
 
 // Ping round-trips a ping frame, verifying the link end to end.
 func (c *TCPClient) Ping() error {
-	id, ch, _, err := c.send(protocol.MsgPing, nil)
-	if err != nil {
-		return err
-	}
-	f, err := c.await(id, ch)
+	f, _, _, err := c.roundTrip(protocol.MsgPing, nil)
 	if err != nil {
 		return err
 	}
@@ -790,11 +475,7 @@ func (c *TCPClient) Ping() error {
 // the far end's capabilities are fixed per server, so the cache only ever
 // converges.
 func (c *TCPClient) Hello() (protocol.Capabilities, error) {
-	id, ch, _, err := c.send(protocol.MsgHello, nil)
-	if err != nil {
-		return protocol.Capabilities{}, err
-	}
-	f, err := c.await(id, ch)
+	f, _, _, err := c.roundTrip(protocol.MsgHello, nil)
 	if err != nil {
 		return protocol.Capabilities{}, err
 	}
@@ -804,10 +485,10 @@ func (c *TCPClient) Hello() (protocol.Capabilities, error) {
 		if err != nil {
 			return protocol.Capabilities{}, fmt.Errorf("edge: hello reply: %w", err)
 		}
-		c.capsMu.Lock()
+		c.sigMu.Lock()
 		c.caps = caps
 		c.haveCaps = true
-		c.capsMu.Unlock()
+		c.sigMu.Unlock()
 		return caps, nil
 	case protocol.MsgError:
 		return protocol.Capabilities{}, fmt.Errorf("edge: hello unsupported by server: %s", f.Payload)
@@ -819,8 +500,8 @@ func (c *TCPClient) Hello() (protocol.Capabilities, error) {
 // Capabilities reports the far end's advertised capabilities; ok is false
 // until a Hello round trip has succeeded.
 func (c *TCPClient) Capabilities() (protocol.Capabilities, bool) {
-	c.capsMu.Lock()
-	defer c.capsMu.Unlock()
+	c.sigMu.Lock()
+	defer c.sigMu.Unlock()
 	return c.caps, c.haveCaps
 }
 
@@ -859,100 +540,74 @@ type LogitModel interface {
 // deterministic transport used by simulations and benchmarks. It is safe for
 // concurrent use (evaluation-mode forwards are stateless).
 type InProcClient struct {
-	// Model answers raw-image requests (typically a *models.Classifier).
+	NoWire
+	// Model answers raw requests (typically a *models.Classifier).
 	Model LogitModel
 	// Tail, when non-nil, answers feature requests — the in-process analogue
 	// of a server-side partitioned-network tail (e.g. a *cloud.Tail).
 	Tail LogitModel
 }
 
-var _ FeatureCloudClient = (*InProcClient)(nil)
-var _ CapabilityReporter = (*InProcClient)(nil)
+var _ Transport = (*InProcClient)(nil)
+
+// Infer runs ONE forward pass over the request's tensor (a single instance as
+// a batch of one) with the server's own post-processing, so in-process, TCP,
+// single and batched predictions all agree bitwise (the tensor kernels
+// accumulate in the same order for every batch size). It serves no chain.
+func (c *InProcClient) Infer(req protocol.InferRequest) (protocol.InferReply, error) {
+	if err := req.Validate(); err != nil {
+		return protocol.InferReply{}, err
+	}
+	if req.Rep == protocol.RepActivation {
+		return protocol.InferReply{}, errors.New("edge: in-process client serves no chain")
+	}
+	model := c.Model
+	if req.Rep == protocol.RepFeatures {
+		model = c.Tail
+	}
+	if model == nil {
+		return protocol.InferReply{}, fmt.Errorf("edge: in-process client has no model for %s requests", req.Rep)
+	}
+	logits := model.Logits(req.Batch(), false)
+	reply := protocol.InferReply{Results: make([]protocol.Result, req.Instances())}
+	for i := range reply.Results {
+		reply.Results[i] = protocol.ResultOf(logits.Row(i))
+	}
+	return reply, nil
+}
+
+// The CloudClient surface, spelled out because an InProcClient is built as a
+// literal and has no constructor to wire an embedded calls in.
+func (c *InProcClient) Classify(img *tensor.Tensor) (int, float64, error) {
+	return calls{c.Infer}.Classify(img)
+}
+func (c *InProcClient) ClassifyBatch(imgs []*tensor.Tensor) ([]int, []float64, error) {
+	return calls{c.Infer}.ClassifyBatch(imgs)
+}
+func (c *InProcClient) ClassifyFeaturesBatch(feats []*tensor.Tensor) ([]int, []float64, error) {
+	return calls{c.Infer}.ClassifyFeaturesBatch(feats)
+}
 
 // Capabilities reports what this client can serve — always known, since
 // there is no wire between the router and the model: features mode works
-// exactly when a Tail is configured, and there is no batch collector.
+// exactly when a Tail is configured, and there is neither a chain nor a
+// batch collector.
 func (c *InProcClient) Capabilities() (protocol.Capabilities, bool) {
 	return protocol.Capabilities{TailCapable: c.Tail != nil}, true
 }
 
-// Classify runs the classifier directly (a 1-image batch through the same
-// post-processing as the batched path, so the two agree bitwise).
-func (c *InProcClient) Classify(img *tensor.Tensor) (int, float64, error) {
-	if img.Dims() != 3 {
-		return 0, 0, fmt.Errorf("edge: Classify expects a CHW image, got shape %v", img.Shape())
-	}
-	preds, confs, err := c.classifyStacked(img.Reshape(append([]int{1}, img.Shape()...)...))
-	if err != nil {
-		return 0, 0, err
-	}
-	return preds[0], confs[0], nil
-}
+// NoWire is the signal half of a Transport that has no wire to probe,
+// estimate or count — embed it and write Infer. Every signal answers its zero
+// value: healthy, unmeasured, capabilities unknown, and a chain probe fails
+// like any other chain request would.
+type NoWire struct{}
 
-// ClassifyBatch stacks the images and runs ONE forward pass — the in-process
-// analogue of the batched offload frame, so simulations exercise the same
-// gather-then-batch code path as the TCP transport. Predictions are bitwise
-// identical to per-image Classify calls (the tensor kernels accumulate in
-// the same order for every batch size).
-func (c *InProcClient) ClassifyBatch(imgs []*tensor.Tensor) ([]int, []float64, error) {
-	batch, err := stackCHW(imgs, "ClassifyBatch")
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.classifyStacked(batch)
+func (NoWire) Probe(uint8) ([]protocol.StageStatus, error) {
+	return nil, errors.New("edge: this transport serves no chain")
 }
-
-// ClassifyFeaturesBatch stacks the feature tensors and runs ONE forward pass
-// through the tail — the in-process analogue of a classify-features-batch
-// frame. It fails like a tail-less server when no Tail is configured.
-func (c *InProcClient) ClassifyFeaturesBatch(feats []*tensor.Tensor) ([]int, []float64, error) {
-	batch, err := stackCHW(feats, "ClassifyFeaturesBatch")
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.classifyFeaturesStacked(batch)
-}
-
-// classifyStacked classifies an already-stacked NCHW batch without
-// re-copying it (the BatchOffload fast path).
-func (c *InProcClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, error) {
-	if c.Model == nil {
-		return nil, nil, errors.New("edge: in-process client has no model")
-	}
-	return c.stackedLogits(c.Model, batch)
-}
-
-// classifyFeaturesStacked classifies an already-stacked NCHW feature batch
-// through the tail (the FeatureBatchOffload fast path).
-func (c *InProcClient) classifyFeaturesStacked(batch *tensor.Tensor) ([]int, []float64, error) {
-	if c.Tail == nil {
-		return nil, nil, errors.New("edge: features mode not supported by this client (no tail)")
-	}
-	return c.stackedLogits(c.Tail, batch)
-}
-
-// stackedLogits runs one forward pass over a stacked NCHW batch and decodes
-// per-instance predictions with the same post-processing as the server.
-func (c *InProcClient) stackedLogits(model LogitModel, batch *tensor.Tensor) ([]int, []float64, error) {
-	if batch.Dims() != 4 {
-		return nil, nil, fmt.Errorf("edge: classifyStacked expects an NCHW batch, got shape %v", batch.Shape())
-	}
-	n := batch.Dim(0)
-	logits := model.Logits(batch, false)
-	preds := make([]int, n)
-	confs := make([]float64, n)
-	for i := 0; i < n; i++ {
-		probs := tensor.SoftmaxRow(logits.Row(i))
-		pred := 0
-		for j, v := range probs {
-			if v > probs[pred] {
-				pred = j
-			}
-		}
-		preds[i], confs[i] = pred, float64(probs[pred])
-	}
-	return preds, confs, nil
-}
-
-// Close is a no-op.
-func (c *InProcClient) Close() error { return nil }
+func (NoWire) Ping() error                                 { return nil }
+func (NoWire) LinkEstimate() linkest.Estimate              { return linkest.Estimate{} }
+func (NoWire) CloudLoad() (protocol.LoadStatus, bool)      { return protocol.LoadStatus{}, false }
+func (NoWire) Capabilities() (protocol.Capabilities, bool) { return protocol.Capabilities{}, false }
+func (NoWire) BytesSent() uint64                           { return 0 }
+func (NoWire) Close() error                                { return nil }

@@ -12,6 +12,7 @@ import (
 	"github.com/meanet/meanet/internal/energy"
 	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/nn"
+	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -219,7 +220,7 @@ func TestRuntimeCloudFailureFallback(t *testing.T) {
 	}
 	// Edge-only reference: the fallback predictions must match what the edge
 	// would have decided with no cloud at all.
-	edgeOnly, err := m.Infer(x, core.Policy{UseCloud: false}, nil)
+	edgeOnly, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, core.RepRaw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,12 +277,12 @@ func (c *countingClient) ClassifyBatch(imgs []*tensor.Tensor) ([]int, []float64,
 	return c.InProcClient.ClassifyBatch(imgs)
 }
 
-// classifyStacked intercepts the zero-copy fast path BatchOffload prefers
-// (promoted from the embedded InProcClient otherwise).
-func (c *countingClient) classifyStacked(batch *tensor.Tensor) ([]int, []float64, error) {
+// Infer intercepts the call the runtime makes (promoted from the embedded
+// InProcClient otherwise).
+func (c *countingClient) Infer(req protocol.InferRequest) (protocol.InferReply, error) {
 	c.batchCalls++
-	c.instances += batch.Dim(0)
-	return c.InProcClient.classifyStacked(batch)
+	c.instances += req.Instances()
+	return c.InProcClient.Infer(req)
 }
 
 // TestRuntimeBatchedOffloadOneRoundTrip: all complex instances of a batch
@@ -306,8 +307,15 @@ func TestRuntimeBatchedOffloadOneRoundTrip(t *testing.T) {
 		t.Fatalf("batched call carried %d instances, want 8", cc.instances)
 	}
 	// Serial reference: per-instance offload through the same model.
-	serial, err := m.Infer(x, core.Policy{Threshold: 0, UseCloud: true},
-		func(img *tensor.Tensor) (int, float64, error) { return cc.InProcClient.Classify(img) })
+	serial, err := m.InferBatchedRep(x, core.Policy{Threshold: 0, UseCloud: true}, core.RepRaw,
+		func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
+			preds, confs := make([]int, sub.Dim(0)), make([]float64, sub.Dim(0))
+			errs := make([]error, sub.Dim(0))
+			for i := range preds {
+				preds[i], confs[i], errs[i] = cc.InProcClient.Classify(sub.Sample(i))
+			}
+			return preds, confs, errs, nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +430,7 @@ func (c *rawOnlyClient) Close() error { return nil }
 
 func TestRuntimeSetOffloadModeValidation(t *testing.T) {
 	m, _ := tinyMEANet(t, 20)
-	inproc := &InProcClient{Model: tinyCloud(t, 20, 6, 2)}
+	inproc := tinyPartitionedClient(t, m, 20, 6) // feature-capable: it has a tail
 	cost := testCost()
 	cost.FeatureBytes = 64
 	rt, err := NewRuntime(m, core.Policy{Threshold: 0, UseCloud: true}, inproc, cost)
@@ -459,8 +467,7 @@ func TestRuntimeSetOffloadModeValidation(t *testing.T) {
 
 	// A transport without the features extension rejects features/auto.
 	raw := &rawOnlyClient{inner: InProcClient{Model: tinyCloud(t, 20, 6, 2)}}
-	var rawIface CloudClient = raw
-	if _, ok := rawIface.(FeatureCloudClient); ok {
+	if carries(asTransport(raw), protocol.RepFeatures) {
 		t.Fatal("rawOnlyClient unexpectedly feature-capable")
 	}
 	rt2, err := NewRuntime(m, core.Policy{Threshold: 0, UseCloud: true}, raw, testCost())

@@ -25,9 +25,9 @@ type flakyStep struct {
 // flakyClient wraps an inner in-process client and fails scripted subsets of
 // each batched call. The schedule is consumed one step per batched call
 // (raw or features alike), in call order; once exhausted every call
-// succeeds. It implements the partial-failure hooks BatchOffload and
-// FeatureBatchOffload prefer, so injected faults reach core.InferBatchedRep
-// with per-instance granularity — exactly what a lossy uplink produces.
+// succeeds. It installs itself on the runtime's offload hook (see runtime),
+// so injected faults reach core.InferBatchedRep with per-instance
+// granularity — exactly what a lossy uplink produces.
 type flakyClient struct {
 	inner *InProcClient
 
@@ -37,19 +37,22 @@ type flakyClient struct {
 	sizes    []int // instances per batched call
 }
 
-func (f *flakyClient) Classify(img *tensor.Tensor) (int, float64, error) {
-	return f.inner.Classify(img)
+// runtime builds a runtime over the inner client whose every cloud call
+// passes through inject.
+func (f *flakyClient) runtime(m *core.MEANet, pol core.Policy, cost *CostParams) (*Runtime, error) {
+	rt, err := NewRuntime(m, pol, f.inner, cost)
+	if err != nil {
+		return nil, err
+	}
+	rt.offload = func(t Transport, rep core.OffloadRep) core.CloudBatchFunc {
+		inner := Offload(t, rep)
+		return func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
+			preds, confs, _, err := inner(sub)
+			return f.inject(sub.Dim(0), preds, confs, err)
+		}
+	}
+	return rt, nil
 }
-
-func (f *flakyClient) ClassifyBatch(imgs []*tensor.Tensor) ([]int, []float64, error) {
-	return f.inner.ClassifyBatch(imgs)
-}
-
-func (f *flakyClient) ClassifyFeaturesBatch(feats []*tensor.Tensor) ([]int, []float64, error) {
-	return f.inner.ClassifyFeaturesBatch(feats)
-}
-
-func (f *flakyClient) Close() error { return nil }
 
 // next consumes one schedule step for a batched call of n instances.
 func (f *flakyClient) next(n int) flakyStep {
@@ -91,22 +94,6 @@ func (f *flakyClient) inject(n int, preds []int, confs []float64, err error) ([]
 	}
 	return preds, confs, errs, nil
 }
-
-func (f *flakyClient) classifyStackedPartial(batch *tensor.Tensor) ([]int, []float64, []error, error) {
-	preds, confs, err := f.inner.classifyStacked(batch)
-	return f.inject(batch.Dim(0), preds, confs, err)
-}
-
-func (f *flakyClient) classifyFeaturesStackedPartial(batch *tensor.Tensor) ([]int, []float64, []error, error) {
-	preds, confs, err := f.inner.classifyFeaturesStacked(batch)
-	return f.inject(batch.Dim(0), preds, confs, err)
-}
-
-var (
-	_ FeatureCloudClient          = (*flakyClient)(nil)
-	_ partialStackedClient        = (*flakyClient)(nil)
-	_ partialFeatureStackedClient = (*flakyClient)(nil)
-)
 
 // allModes runs a subtest per offload mode. The cost params make features
 // the cheaper representation, so auto resolves to features.
@@ -151,7 +138,7 @@ func TestFlakyPartialBatchFailure(t *testing.T) {
 			inner:    tinyPartitionedClient(t, m, 40, 6),
 			schedule: []flakyStep{{fail: []int{1, 3}}},
 		}
-		rt, err := NewRuntime(m, core.Policy{Threshold: 0, UseCloud: true}, fc, cost)
+		rt, err := fc.runtime(m, core.Policy{Threshold: 0, UseCloud: true}, cost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +150,7 @@ func TestFlakyPartialBatchFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edgeOnly, err := m.Infer(x, core.Policy{UseCloud: false}, nil)
+		edgeOnly, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, core.RepRaw, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +196,7 @@ func TestFlakyRetryThenFallback(t *testing.T) {
 			inner:    tinyPartitionedClient(t, m, 41, 6),
 			schedule: []flakyStep{{fail: []int{1, 3}}, {fail: []int{0}}},
 		}
-		rt, err := NewRuntime(m, core.Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, fc, cost)
+		rt, err := fc.runtime(m, core.Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, cost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +212,7 @@ func TestFlakyRetryThenFallback(t *testing.T) {
 		if calls != 2 || sizes[0] != 5 || sizes[1] != 2 {
 			t.Fatalf("retry cost %d calls of sizes %v, want [5 2]", calls, sizes)
 		}
-		edgeOnly, err := m.Infer(x, core.Policy{UseCloud: false}, nil)
+		edgeOnly, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, core.RepRaw, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +276,7 @@ func TestFlakyTotalOutage(t *testing.T) {
 			// Outage for every attempt of both concurrent batches.
 			schedule: []flakyStep{{failAll: true}, {failAll: true}, {failAll: true}, {failAll: true}},
 		}
-		rt, err := NewRuntime(m, core.Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, fc, cost)
+		rt, err := fc.runtime(m, core.Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, cost)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 
 	"github.com/meanet/meanet/internal/linkest"
 	"github.com/meanet/meanet/internal/protocol"
-	"github.com/meanet/meanet/internal/tensor"
 )
 
 // MultiConfig tunes a MultiClient's routing behavior. The zero value picks
@@ -126,7 +125,7 @@ const scoreBaseSeconds = 1e-3
 // mutable state protected by the owning MultiClient's mu (the replica has no
 // lock of its own — all mutation happens through the router).
 type replica struct {
-	client CloudClient
+	client Transport
 	addr   string
 
 	until    time.Time // exclusion expiry (zero = open)
@@ -145,26 +144,25 @@ type replica struct {
 	svc linkest.ServiceTime
 }
 
-// MultiClient routes offloads across a live set of cloud replicas. It
-// implements the same FeatureCloudClient interface as the single-connection
-// TCPClient, so the edge runtime, core.InferBatchedRep, the auto offload
-// mode and the threshold controller all work unchanged on top of it.
+// MultiClient routes requests across a live set of cloud replicas. It is a
+// Transport like the single-connection TCPClient, so the edge runtime — and
+// a stage hop whose downstream is a replica set — work unchanged on top of
+// it.
 //
 // Routing is client-side power-of-two-choices: each call samples two open
 // replicas and takes the one with the lower score, where a replica's score
-// combines the load its server last piggybacked on a result frame
-// (queue depth + in-flight dispatches), the replica link's measured RTT, and
-// a capacity weight learned from an EWMA of observed service times (so a
-// half-speed replica is down-ranked without config — see score). Two random
-// choices with local scores avoid the herd behavior of deterministic
-// least-loaded routing when many edges share the same stale load snapshots.
+// combines the load its server last piggybacked on a reply (queue depth +
+// in-flight dispatches), the replica link's measured RTT, and a capacity
+// weight learned from an EWMA of observed service times (so a half-speed
+// replica is down-ranked without config — see score). Two random choices with
+// local scores avoid the herd behavior of deterministic least-loaded routing
+// when many edges share the same stale load snapshots.
 //
 // Membership is dynamic: AddReplica/AddReplicaAddr join a replica mid-run
-// and RemoveReplica retires one — removal drains, never aborts: in-flight
-// calls finish on the leaving transport, which closes only when the last one
-// returns. A features-mode call only considers replicas whose advertised
-// capabilities (MsgHello handshake) include a feature tail, so a tail-less
-// replica is skipped rather than burned on a guaranteed error.
+// and RemoveReplica retires one — removal drains, never aborts. A request
+// only considers replicas whose advertised capabilities (MsgHello) serve its
+// representation, so a tail-less replica is skipped for a features request —
+// and one without a chain for a relay — rather than burned on an error.
 //
 // A shed reply excludes the replica until its retry-after hint expires and
 // the call moves on to the next open replica; only when EVERY replica is
@@ -176,12 +174,13 @@ type replica struct {
 // background — so a replica dying mid-run costs at most the batches that
 // were in flight on it.
 type MultiClient struct {
-	cfg MultiConfig
+	calls // Classify, ClassifyBatch and their features twins, over Infer
+	cfg   MultiConfig
 
 	// dial reconnects the admin path: set by DialMultiCloud (capturing its
 	// DialConfig and the capability handshake), nil on a client built over
 	// pre-dialed transports. Immutable after construction.
-	dial func(addr string) (CloudClient, error)
+	dial func(addr string) (*TCPClient, error)
 
 	mu       sync.Mutex // guards rng, replicas, now
 	rng      *rand.Rand
@@ -189,13 +188,13 @@ type MultiClient struct {
 	now      func() time.Time // test hook; time.Now in production
 }
 
-var _ FeatureCloudClient = (*MultiClient)(nil)
+var _ Transport = (*MultiClient)(nil)
 var _ ReplicaReporter = (*MultiClient)(nil)
-var _ Relayer = (*MultiClient)(nil)
 
 // NewMultiClient builds a router over pre-dialed replica transports. addrs
 // labels the replicas for reporting; it may be nil or must match clients in
-// length, without duplicates. The MultiClient owns the transports: Close
+// length, without duplicates. A client that is not a Transport is adapted as
+// a raw-only member (asTransport). The MultiClient owns the transports: Close
 // closes them all.
 func NewMultiClient(clients []CloudClient, addrs []string, cfg MultiConfig) (*MultiClient, error) {
 	if len(clients) == 0 {
@@ -225,14 +224,16 @@ func NewMultiClient(clients []CloudClient, addrs []string, cfg MultiConfig) (*Mu
 	cfg.fillDefaults()
 	reps := make([]*replica, len(clients))
 	for i, c := range clients {
-		reps[i] = &replica{client: c, addr: addrs[i]}
+		reps[i] = &replica{client: asTransport(c), addr: addrs[i]}
 	}
-	return &MultiClient{
+	m := &MultiClient{
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		replicas: reps,
 		now:      time.Now,
-	}, nil
+	}
+	m.calls = calls{m.Infer}
+	return m, nil
 }
 
 // DialMultiCloud dials every replica address with the same DialConfig (each
@@ -251,7 +252,7 @@ func DialMultiCloud(addrs []string, cfg DialConfig, mcfg MultiConfig) (*MultiCli
 	if len(addrs) == 0 {
 		return nil, errors.New("edge: no replica addresses")
 	}
-	dial := func(addr string) (CloudClient, error) {
+	dial := func(addr string) (*TCPClient, error) {
 		c, err := DialCloud(addr, cfg)
 		if err != nil {
 			return nil, err
@@ -320,7 +321,7 @@ func (m *MultiClient) AddReplica(client CloudClient, addr string) error {
 			return fmt.Errorf("edge: replica %s already present", addr)
 		}
 	}
-	m.replicas = append(m.replicas, &replica{client: client, addr: addr})
+	m.replicas = append(m.replicas, &replica{client: asTransport(client), addr: addr})
 	return nil
 }
 
@@ -381,10 +382,7 @@ func (m *MultiClient) RemoveReplica(addr string) error {
 		return fmt.Errorf("edge: cannot remove %s: it is the last open replica", addr)
 	}
 	victim.removed = true
-	closeNow := victim.inflight == 0 && !victim.closed
-	if closeNow {
-		victim.closed = true
-	}
+	closeNow := victim.drainedLocked()
 	m.mu.Unlock()
 	if closeNow {
 		return victim.client.Close()
@@ -392,21 +390,12 @@ func (m *MultiClient) RemoveReplica(addr string) error {
 	return nil
 }
 
-// replicaTailCapable reports whether a features-mode call can possibly
-// succeed on this transport: it must carry the features interface at all,
-// and if it advertises capabilities (MsgHello), they must include a tail.
-// Unknown capabilities read as capable — a legacy server without the
-// handshake is routed optimistically, exactly the pre-handshake behavior.
-func replicaTailCapable(c CloudClient) bool {
-	if _, ok := c.(FeatureCloudClient); !ok {
-		return false
-	}
-	if cr, ok := c.(CapabilityReporter); ok {
-		if caps, known := cr.Capabilities(); known && !caps.TailCapable {
-			return false
-		}
-	}
-	return true
+// carries reports whether a request in rep can possibly succeed on t: known
+// capabilities must serve the representation. Unknown capabilities read as
+// capable — a server without the handshake is routed optimistically.
+func carries(t Transport, rep protocol.Rep) bool {
+	caps, known := t.Capabilities()
+	return !known || caps.Serves(rep)
 }
 
 // minServiceEWMALocked finds the fastest observed service time among open
@@ -451,19 +440,22 @@ func (m *MultiClient) serviceWeightLocked(r *replica, minEWMA float64) float64 {
 // Signals that are not known yet read as optimistic (zero load, floor RTT),
 // so cold replicas get explored rather than starved.
 func (m *MultiClient) score(r *replica) float64 {
-	load := 0.0
-	if lr, ok := r.client.(LoadReporter); ok {
-		if st, ok := lr.CloudLoad(); ok {
-			load = float64(st.QueueDepth) + float64(st.Active)
-		}
-	}
 	lat := scoreBaseSeconds
-	if le, ok := r.client.(LinkEstimator); ok {
-		if est := le.LinkEstimate(); est.Samples > 0 && est.RTT > 0 {
-			lat += est.RTT.Seconds()
-		}
+	if est := r.client.LinkEstimate(); est.Samples > 0 && est.RTT > 0 {
+		lat += est.RTT.Seconds()
 	}
-	return (1 + load) * lat
+	return (1 + jobsAhead(r.client)) * lat
+}
+
+// drainedLocked latches closed on a removed replica whose last in-flight call
+// has returned, and reports that the caller must close its transport once the
+// router's lock drops (the close talks to the network).
+func (r *replica) drainedLocked() bool {
+	if !r.removed || r.closed || r.inflight > 0 {
+		return false
+	}
+	r.closed = true
+	return true
 }
 
 // weighted pairs a candidate with the capacity weight captured under m.mu,
@@ -473,26 +465,32 @@ type weighted struct {
 	w float64
 }
 
-// pick selects the next replica to try: power-of-two-choices over the open
-// (not removed, not excluded, not yet tried this call) candidates. needTail
-// further restricts the set to replicas that can carry the features mode.
-// The returned replica's inflight count is raised; the caller MUST pass the
-// call's outcome to noteResult, which lowers it again (that pairing is what
-// lets RemoveReplica drain instead of abort).
-func (m *MultiClient) pick(tried map[*replica]bool, needTail bool) (*replica, bool) {
-	m.mu.Lock()
+// openLocked lists the replicas a request in rep could land on right now —
+// not removed, not excluded, not in skip, able to carry it — each with its
+// capacity weight. A member that cannot carry the request is never a
+// candidate, so it is neither excluded nor charged and keeps serving what it
+// can. The caller holds m.mu.
+func (m *MultiClient) openLocked(skip map[*replica]bool, rep protocol.Rep) []weighted {
 	now := m.now()
 	cands := make([]weighted, 0, len(m.replicas))
 	minEWMA := m.minServiceEWMALocked()
 	for _, r := range m.replicas {
-		if r.removed || tried[r] || now.Before(r.until) {
-			continue
-		}
-		if needTail && !replicaTailCapable(r.client) {
+		if r.removed || skip[r] || now.Before(r.until) || !carries(r.client, rep) {
 			continue
 		}
 		cands = append(cands, weighted{r: r, w: m.serviceWeightLocked(r, minEWMA)})
 	}
+	return cands
+}
+
+// pick selects the next replica to try: power-of-two-choices over the open
+// candidates not yet tried this call. The returned replica's inflight count
+// is raised; the caller MUST pass the call's outcome to noteResult, which
+// lowers it again (that pairing is what lets RemoveReplica drain instead of
+// abort).
+func (m *MultiClient) pick(tried map[*replica]bool, rep protocol.Rep) (*replica, bool) {
+	m.mu.Lock()
+	cands := m.openLocked(tried, rep)
 	var a, b weighted
 	switch len(cands) {
 	case 0:
@@ -542,15 +540,7 @@ func (m *MultiClient) pick(tried map[*replica]bool, needTail bool) (*replica, bo
 // replica, the same one the next offload would most likely land on.
 func (m *MultiClient) best() (*replica, bool) {
 	m.mu.Lock()
-	now := m.now()
-	cands := make([]weighted, 0, len(m.replicas))
-	minEWMA := m.minServiceEWMALocked()
-	for _, r := range m.replicas {
-		if r.removed || now.Before(r.until) {
-			continue
-		}
-		cands = append(cands, weighted{r: r, w: m.serviceWeightLocked(r, minEWMA)})
-	}
+	cands := m.openLocked(nil, protocol.RepRaw)
 	m.mu.Unlock()
 	if len(cands) == 0 {
 		return nil, false
@@ -571,10 +561,7 @@ func (m *MultiClient) best() (*replica, bool) {
 func (m *MultiClient) release(r *replica) {
 	m.mu.Lock()
 	r.inflight--
-	closeNow := r.removed && !r.closed && r.inflight == 0
-	if closeNow {
-		r.closed = true
-	}
+	closeNow := r.drainedLocked()
 	m.mu.Unlock()
 	if closeNow {
 		r.client.Close()
@@ -599,11 +586,9 @@ func (m *MultiClient) exclude(r *replica, d time.Duration, shedOrigin bool) {
 
 // jobsAhead reads the replica's last piggybacked load snapshot — the queue
 // the next call will wait behind. Unknown load reads as an empty queue.
-func jobsAhead(c CloudClient) float64 {
-	if lr, ok := c.(LoadReporter); ok {
-		if st, ok := lr.CloudLoad(); ok {
-			return float64(st.QueueDepth) + float64(st.Active)
-		}
+func jobsAhead(t Transport) float64 {
+	if st, ok := t.CloudLoad(); ok {
+		return float64(st.QueueDepth) + float64(st.Active)
 	}
 	return 0
 }
@@ -629,12 +614,8 @@ func (m *MultiClient) noteResult(r *replica, err error, svc time.Duration, ahead
 		r.failures++
 		m.exclude(r, m.cfg.FailureExclusion, false)
 	}
-	closeNow := false
 	r.inflight--
-	if r.removed && !r.closed && r.inflight == 0 {
-		r.closed = true
-		closeNow = true
-	}
+	closeNow := r.drainedLocked()
 	m.mu.Unlock()
 	if closeNow {
 		r.client.Close()
@@ -644,20 +625,15 @@ func (m *MultiClient) noteResult(r *replica, err error, svc time.Duration, ahead
 // holdState reports when the earliest exclusion among the call-eligible
 // replicas expires and whether every such replica's active exclusion is
 // shed-origin. eligible counts the replicas considered at all — zero only
-// when no open replica can carry the call: a features-mode call against a
-// fleet with no tail-capable replica, or a relay whose every candidate was
-// passed over (open membership never drops to zero otherwise).
-func (m *MultiClient) holdState(needTail bool, passed map[*replica]bool) (reopen time.Duration, allShed bool, eligible int) {
+// when no open replica can carry rep (open membership never drops to zero).
+func (m *MultiClient) holdState(rep protocol.Rep) (reopen time.Duration, allShed bool, eligible int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.now()
 	allShed = true
 	first := true
 	for _, r := range m.replicas {
-		if r.removed || passed[r] {
-			continue
-		}
-		if needTail && !replicaTailCapable(r.client) {
+		if r.removed || !carries(r.client, rep) {
 			continue
 		}
 		eligible++
@@ -690,36 +666,22 @@ func (m *MultiClient) clock() time.Time {
 // and move on. When every eligible replica is excluded (on entry or because
 // this call's attempts excluded the rest), the degraded-mode error depends
 // on WHY: all sheds → a ShedError whose RetryAfter spans the earliest reopen
-// (the runtime holds offloads with zero charges, exactly the single-cloud
-// PR-5 behavior); any transport failure in the mix → a plain error (the
-// instances take the per-instance fallback with CloudFailed accounting). A
-// call no open replica can carry — features mode against a fleet without a
-// tail, a relay against one without a chain transport — fails with a plain
-// error immediately: a capability mismatch is a configuration fact, not
-// congestion, so it must not fabricate a zero-charge hold. A call answering
-// errPassOver declares its replica incapable of THIS call: the replica is
-// passed over — not excluded, not charged a failure; it still serves what it
-// can — and the call moves on.
-func (m *MultiClient) route(needTail bool, call func(c CloudClient) error) error {
+// (the runtime holds offloads with zero charges; a stage hop answers MsgShed
+// upstream); any transport failure in the mix → a plain error (per-instance
+// fallback with CloudFailed accounting). A call no open replica can carry
+// fails with a plain error immediately: a capability mismatch is a
+// configuration fact, not congestion, so it must not fabricate a hold.
+func (m *MultiClient) route(rep protocol.Rep, call func(t Transport) error) error {
 	tried := make(map[*replica]bool)
-	var passed map[*replica]bool
 	var lastErr error
 	for {
-		r, ok := m.pick(tried, needTail)
+		r, ok := m.pick(tried, rep)
 		if !ok {
 			break
 		}
 		ahead := jobsAhead(r.client)
 		start := m.clock()
 		err := call(r.client)
-		if errors.Is(err, errPassOver) {
-			m.release(r)
-			if passed == nil {
-				passed = make(map[*replica]bool)
-			}
-			passed[r], tried[r] = true, true
-			continue
-		}
 		m.noteResult(r, err, m.clock().Sub(start), ahead)
 		if err == nil {
 			return nil
@@ -727,9 +689,9 @@ func (m *MultiClient) route(needTail bool, call func(c CloudClient) error) error
 		tried[r] = true
 		lastErr = err
 	}
-	reopen, allShed, eligible := m.holdState(needTail, passed)
+	reopen, allShed, eligible := m.holdState(rep)
 	if eligible == 0 {
-		return errors.New("edge: no open replica can carry this call (features mode needs a tail, a relay needs a chain transport)")
+		return fmt.Errorf("edge: no open replica can carry a %s request", rep)
 	}
 	if allShed {
 		// Every eligible replica asked for silence: surface one shed covering
@@ -753,128 +715,26 @@ func (m *MultiClient) route(needTail bool, call func(c CloudClient) error) error
 		eligible, reopen.Round(time.Millisecond))
 }
 
-// errPassOver is what a route call answers for a replica that cannot carry it
-// at all (see route). Never surfaces to callers.
-var errPassOver = errors.New("edge: replica cannot carry this call")
-
-// RelayRouted routes one source-routed relay frame to a member of a
-// replica-set chain hop — the whole router applies: p2c over load × RTT,
-// capacity weighting, exclusion windows, live membership. Every member shed →
-// one ShedError (the hop answers MsgShed upstream and the edge takes its
-// zero-charge hold); sheds mixed with dead members → a plain error.
-func (m *MultiClient) RelayRouted(batch *tensor.Tensor, ttl uint8, pos int, bounds []int) (rs []protocol.Result, hops []protocol.StageStatus, err error) {
-	err = m.routeRelay(func(rc Relayer) (e error) {
-		rs, hops, e = rc.RelayRouted(batch, ttl, pos, bounds)
+// Infer routes one request to a replica that can carry its representation.
+// The whole request goes to ONE replica — splitting a batch would turn one
+// round trip into several and defeat the server-side batched forward.
+func (m *MultiClient) Infer(req protocol.InferRequest) (reply protocol.InferReply, err error) {
+	err = m.route(req.Rep, func(t Transport) (e error) {
+		reply, e = t.Infer(req)
 		return e
 	})
-	return rs, hops, err
+	return reply, err
 }
 
-// routeRelay routes one relay-pair call over the members that carry the pair.
-func (m *MultiClient) routeRelay(call func(Relayer) error) error {
-	return m.route(false, func(c CloudClient) error {
-		rc, ok := c.(Relayer)
-		if !ok {
-			return errPassOver
-		}
-		return call(rc)
-	})
-}
-
-// RelayProbe routes a chain probe like RelayRouted routes a frame: it answers
-// for a member the next relay could land on, fails over like a relay would,
-// and a member that fails it is excluded like one that failed a relay.
-func (m *MultiClient) RelayProbe(ttl uint8) (hops []protocol.StageStatus, err error) {
-	err = m.routeRelay(func(rc Relayer) (e error) {
-		hops, e = rc.RelayProbe(ttl)
+// Probe routes a chain probe like Infer routes a relay: it answers for a
+// member the next relay could land on, fails over like a relay would, and a
+// member that fails it is excluded like one that failed a relay.
+func (m *MultiClient) Probe(ttl uint8) (hops []protocol.StageStatus, err error) {
+	err = m.route(protocol.RepActivation, func(t Transport) (e error) {
+		hops, e = t.Probe(ttl)
 		return e
 	})
 	return hops, err
-}
-
-// splitSamples views an NCHW batch as per-sample CHW tensors (the slow path
-// for replica transports without the stacked fast path).
-func splitSamples(batch *tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, batch.Dim(0))
-	for i := range out {
-		out[i] = batch.Sample(i)
-	}
-	return out
-}
-
-// Classify routes one raw image to a replica.
-func (m *MultiClient) Classify(img *tensor.Tensor) (pred int, conf float64, err error) {
-	err = m.route(false, func(c CloudClient) error {
-		var e error
-		pred, conf, e = c.Classify(img)
-		return e
-	})
-	return pred, conf, err
-}
-
-// ClassifyBatch routes one raw batch to a replica (the whole batch goes to
-// ONE replica — splitting a batch would turn one round trip into several and
-// defeat the server-side batched forward).
-func (m *MultiClient) ClassifyBatch(imgs []*tensor.Tensor) (preds []int, confs []float64, err error) {
-	err = m.route(false, func(c CloudClient) error {
-		var e error
-		preds, confs, e = c.ClassifyBatch(imgs)
-		return e
-	})
-	return preds, confs, err
-}
-
-// ClassifyFeaturesBatch routes one feature batch to a tail-capable replica.
-// Capability-aware: replicas that advertised no tail in their MsgHello
-// handshake are skipped, not burned — the call fails only when no capable
-// replica can answer, never merely because an incapable one was sampled.
-func (m *MultiClient) ClassifyFeaturesBatch(feats []*tensor.Tensor) (preds []int, confs []float64, err error) {
-	err = m.route(true, func(c CloudClient) error {
-		fc, ok := c.(FeatureCloudClient)
-		if !ok {
-			return errors.New("edge: replica cannot carry features")
-		}
-		var e error
-		preds, confs, e = fc.ClassifyFeaturesBatch(feats)
-		return e
-	})
-	return preds, confs, err
-}
-
-// classifyStacked is the BatchOffload fast path: the stacked batch goes to
-// the routed replica without re-splitting when that replica also has the
-// fast path.
-func (m *MultiClient) classifyStacked(batch *tensor.Tensor) (preds []int, confs []float64, err error) {
-	err = m.route(false, func(c CloudClient) error {
-		var e error
-		if sc, ok := c.(stackedBatchClient); ok {
-			preds, confs, e = sc.classifyStacked(batch)
-		} else {
-			preds, confs, e = c.ClassifyBatch(splitSamples(batch))
-		}
-		return e
-	})
-	return preds, confs, err
-}
-
-// classifyFeaturesStacked is classifyStacked for the features mode — like
-// ClassifyFeaturesBatch, it only samples tail-capable replicas.
-func (m *MultiClient) classifyFeaturesStacked(batch *tensor.Tensor) (preds []int, confs []float64, err error) {
-	err = m.route(true, func(c CloudClient) error {
-		if sc, ok := c.(stackedFeatureBatchClient); ok {
-			var e error
-			preds, confs, e = sc.classifyFeaturesStacked(batch)
-			return e
-		}
-		fc, ok := c.(FeatureCloudClient)
-		if !ok {
-			return errors.New("edge: replica cannot carry features")
-		}
-		var e error
-		preds, confs, e = fc.ClassifyFeaturesBatch(splitSamples(batch))
-		return e
-	})
-	return preds, confs, err
 }
 
 // LinkEstimate reports the best open replica's live link estimate — the link
@@ -885,10 +745,7 @@ func (m *MultiClient) LinkEstimate() linkest.Estimate {
 	if !ok {
 		return linkest.Estimate{}
 	}
-	if le, ok := r.client.(LinkEstimator); ok {
-		return le.LinkEstimate()
-	}
-	return linkest.Estimate{}
+	return r.client.LinkEstimate()
 }
 
 // CloudLoad reports the best open replica's piggybacked load snapshot.
@@ -897,10 +754,13 @@ func (m *MultiClient) CloudLoad() (protocol.LoadStatus, bool) {
 	if !ok {
 		return protocol.LoadStatus{}, false
 	}
-	if lr, ok := r.client.(LoadReporter); ok {
-		return lr.CloudLoad()
-	}
-	return protocol.LoadStatus{}, false
+	return r.client.CloudLoad()
+}
+
+// Capabilities is unknown for a router: what the fleet can serve changes
+// with membership, and route asks each member when it picks.
+func (m *MultiClient) Capabilities() (protocol.Capabilities, bool) {
+	return protocol.Capabilities{}, false
 }
 
 // Sheds reports the total shed replies observed across all replicas
@@ -916,18 +776,12 @@ func (m *MultiClient) Sheds() uint64 {
 }
 
 // BytesSent sums the replicas' wire-byte counters.
-func (m *MultiClient) BytesSent() uint64 {
+func (m *MultiClient) BytesSent() (n uint64) {
 	m.mu.Lock()
-	clients := make([]CloudClient, 0, len(m.replicas))
-	for _, r := range m.replicas {
-		clients = append(clients, r.client)
-	}
+	reps := m.replicas // append-only, clients immutable: the header is a snapshot
 	m.mu.Unlock()
-	var n uint64
-	for _, c := range clients {
-		if bc, ok := c.(interface{ BytesSent() uint64 }); ok {
-			n += bc.BytesSent()
-		}
+	for _, r := range reps {
+		n += r.client.BytesSent()
 	}
 	return n
 }
@@ -940,35 +794,18 @@ func (m *MultiClient) BytesSent() uint64 {
 // is reported down even when its transports would still pong.
 func (m *MultiClient) Ping() error {
 	m.mu.Lock()
-	now := m.now()
-	type target struct {
-		c    CloudClient
-		addr string
-	}
-	var open []target
-	for _, r := range m.replicas {
-		if r.removed || now.Before(r.until) {
-			continue
-		}
-		open = append(open, target{c: r.client, addr: r.addr})
-	}
+	open := m.openLocked(nil, protocol.RepRaw)
 	m.mu.Unlock()
 	if len(open) == 0 {
 		return errors.New("edge: every replica is excluded or removed")
 	}
 	var errs []error
-	for _, t := range open {
-		p, ok := t.c.(interface{ Ping() error })
-		if !ok {
-			// A transport without a health probe counts as healthy — the
-			// in-process client has no wire to verify.
+	for _, c := range open {
+		err := c.r.client.Ping()
+		if err == nil {
 			return nil
 		}
-		if err := p.Ping(); err != nil {
-			errs = append(errs, fmt.Errorf("replica %s: %w", t.addr, err))
-			continue
-		}
-		return nil
+		errs = append(errs, fmt.Errorf("replica %s: %w", c.r.addr, err))
 	}
 	return errors.Join(errs...)
 }
@@ -979,9 +816,9 @@ func (m *MultiClient) Ping() error {
 func (m *MultiClient) ReplicaStats() []ReplicaStats {
 	m.mu.Lock()
 	now := m.now()
-	out := make([]ReplicaStats, len(m.replicas))
-	clients := make([]CloudClient, len(m.replicas))
-	for i, r := range m.replicas {
+	reps := m.replicas
+	out := make([]ReplicaStats, len(reps))
+	for i, r := range reps {
 		out[i] = ReplicaStats{
 			Addr:     r.addr,
 			Offloads: r.offloads,
@@ -990,19 +827,14 @@ func (m *MultiClient) ReplicaStats() []ReplicaStats {
 			Excluded: now.Before(r.until),
 			Removed:  r.removed,
 		}
-		clients[i] = r.client
 	}
 	m.mu.Unlock()
-	for i, c := range clients {
-		if bc, ok := c.(interface{ BytesSent() uint64 }); ok {
-			out[i].BytesSent = bc.BytesSent()
-		}
-		if cr, ok := c.(CapabilityReporter); ok {
-			if caps, known := cr.Capabilities(); known {
-				out[i].CapsKnown = true
-				out[i].TailCapable = caps.TailCapable
-				out[i].MaxBatch = caps.MaxBatch
-			}
+	for i, r := range reps {
+		out[i].BytesSent = r.client.BytesSent()
+		if caps, known := r.client.Capabilities(); known {
+			out[i].CapsKnown = true
+			out[i].TailCapable = caps.TailCapable
+			out[i].MaxBatch = caps.MaxBatch
 		}
 	}
 	return out
@@ -1012,7 +844,7 @@ func (m *MultiClient) ReplicaStats() []ReplicaStats {
 // the first error wins but all are closed.
 func (m *MultiClient) Close() error {
 	m.mu.Lock()
-	var toClose []CloudClient
+	var toClose []Transport
 	for _, r := range m.replicas {
 		if !r.closed {
 			r.closed = true

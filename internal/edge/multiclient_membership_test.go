@@ -46,9 +46,9 @@ type timedReplica struct {
 	delay time.Duration
 }
 
-func (r *timedReplica) ClassifyBatch(imgs []*tensor.Tensor) ([]int, []float64, error) {
+func (r *timedReplica) Infer(req protocol.InferRequest) (protocol.InferReply, error) {
 	r.clk.advance(r.delay)
-	return r.scriptReplica.ClassifyBatch(imgs)
+	return r.scriptReplica.Infer(req)
 }
 
 // blockingReplica parks batch calls until released and records Close — the

@@ -46,8 +46,10 @@ func (c *fakeClock) advance(d time.Duration) {
 
 // scriptReplica is a steerable fake replica: each call consumes the
 // configured outcome (shed, transport failure, or success) and is counted.
-// Load and link estimates are settable so tests can steer the p2c scores.
+// Load and link estimates are settable so tests can steer the p2c scores. It
+// advertises what it serves: classify traffic, raw and features, no chain.
 type scriptReplica struct {
+	NoWire
 	mu       sync.Mutex
 	shed     *ShedError // non-nil: answer calls with this shed
 	fail     error      // non-nil: answer calls with this transport error
@@ -79,30 +81,28 @@ func (r *scriptReplica) set(shed *ShedError, fail error) {
 	r.mu.Unlock()
 }
 
-func (r *scriptReplica) Classify(img *tensor.Tensor) (int, float64, error) {
+func (r *scriptReplica) Infer(req protocol.InferRequest) (protocol.InferReply, error) {
 	if err := r.outcome(); err != nil {
-		return 0, 0, err
+		return protocol.InferReply{}, err
 	}
-	return 1, 0.9, nil
+	reply := protocol.InferReply{Results: make([]protocol.Result, req.Instances())}
+	for i := range reply.Results {
+		reply.Results[i] = protocol.Result{Pred: 1, Conf: 0.9}
+	}
+	return reply, nil
+}
+
+func (r *scriptReplica) Classify(img *tensor.Tensor) (int, float64, error) {
+	return calls{r.Infer}.Classify(img)
 }
 
 func (r *scriptReplica) ClassifyBatch(imgs []*tensor.Tensor) ([]int, []float64, error) {
-	if err := r.outcome(); err != nil {
-		return nil, nil, err
-	}
-	preds := make([]int, len(imgs))
-	confs := make([]float64, len(imgs))
-	for i := range preds {
-		preds[i], confs[i] = 1, 0.9
-	}
-	return preds, confs, nil
+	return calls{r.Infer}.ClassifyBatch(imgs)
 }
 
-func (r *scriptReplica) ClassifyFeaturesBatch(feats []*tensor.Tensor) ([]int, []float64, error) {
-	return r.ClassifyBatch(feats)
+func (r *scriptReplica) Capabilities() (protocol.Capabilities, bool) {
+	return protocol.Capabilities{TailCapable: true}, true
 }
-
-func (r *scriptReplica) Close() error { return nil }
 
 func (r *scriptReplica) CloudLoad() (protocol.LoadStatus, bool) {
 	r.mu.Lock()
@@ -142,7 +142,7 @@ func testImgs(n int) []*tensor.Tensor {
 	rng := rand.New(rand.NewSource(7))
 	imgs := make([]*tensor.Tensor, n)
 	for i := range imgs {
-		imgs[i] = tensor.Randn(rng, 1, 3, 8, 8).Sample(0)
+		imgs[i] = tensor.Randn(rng, 1, 3, 8, 8)
 	}
 	return imgs
 }
@@ -213,7 +213,7 @@ func TestMultiP2CNeverPicksExcluded(t *testing.T) {
 		t.Fatalf("exclusion state wrong after shed+failure: %+v", stats)
 	}
 	for i := 0; i < 500; i++ {
-		got, ok := m.pick(nil, false)
+		got, ok := m.pick(nil, protocol.RepRaw)
 		if !ok || got.addr != "10.0.0.1:9400" {
 			t.Fatalf("pick %d chose replica %+v (ok=%v), want the only open replica 1", i, got, ok)
 		}

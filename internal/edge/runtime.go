@@ -13,15 +13,14 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// LinkEstimator supplies a live uplink estimate. *TCPClient implements it;
-// the runtime auto-wires the estimator from its cloud client and adapts the
-// offload decisions to what the transport actually measures.
+// LinkEstimator supplies a live uplink estimate — by default the runtime's
+// own transport; SetLinkEstimator injects another (a steerable fake).
 type LinkEstimator interface {
 	LinkEstimate() linkest.Estimate
 }
 
-// LoadReporter supplies the cloud server's piggybacked backpressure signal.
-// *TCPClient implements it.
+// LoadReporter supplies the cloud server's piggybacked backpressure signal —
+// by default the runtime's own transport (see SetLoadReporter).
 type LoadReporter interface {
 	CloudLoad() (protocol.LoadStatus, bool)
 }
@@ -232,8 +231,13 @@ func (r Report) CloudFraction() float64 {
 // accumulating exit statistics and edge-side energy.
 type Runtime struct {
 	net   *core.MEANet
-	cloud CloudClient
+	cloud Transport // nil = edge-only
 	cost  *CostParams
+
+	// offload builds the cloud call of one batch (Offload); fault-injection
+	// tests swap it to fail individual slots of a call, which no production
+	// transport does.
+	offload func(t Transport, rep core.OffloadRep) core.CloudBatchFunc
 
 	// mu guards policy, mode, est, load, budget, adapt, lastRep, haveLastRep,
 	// repFlips, shedUntil, n, exits, cloudFailures, shedEvents, shedFallbacks,
@@ -263,12 +267,13 @@ type Runtime struct {
 	latencyComm    time.Duration
 }
 
-// defaultShedRetryAfter is the offload hold applied when a shed arrives
-// without a usable RetryAfter hint (a legacy frame or a zero hint).
+// defaultShedRetryAfter is the hold applied when a shed arrives without a
+// usable RetryAfter hint (see shedRetryAfter).
 const defaultShedRetryAfter = 50 * time.Millisecond
 
-// NewRuntime builds a runtime. cloud may be nil (edge-only operation);
-// cost may be nil (no energy accounting).
+// NewRuntime builds a runtime. cloud may be nil (edge-only operation) and
+// need not be a Transport (asTransport adapts it); cost may be nil (no energy
+// accounting).
 func NewRuntime(m *core.MEANet, policy core.Policy, cloud CloudClient, cost *CostParams) (*Runtime, error) {
 	if m == nil {
 		return nil, errors.New("edge: nil MEANet")
@@ -277,20 +282,17 @@ func NewRuntime(m *core.MEANet, policy core.Policy, cloud CloudClient, cost *Cos
 		return nil, errors.New("edge: policy enables cloud but no cloud client given")
 	}
 	r := &Runtime{
-		net:    m,
-		policy: policy,
-		cloud:  cloud,
-		cost:   cost,
-		exits:  make(map[core.ExitPoint]int),
+		net:     m,
+		policy:  policy,
+		cost:    cost,
+		offload: Offload,
+		exits:   make(map[core.ExitPoint]int),
 	}
 	r.adapt.fillDefaults()
-	// Auto-wire the live signals from transports that measure them (the TCP
-	// client does; the in-process client does not).
-	if est, ok := cloud.(LinkEstimator); ok {
-		r.est = est
-	}
-	if lr, ok := cloud.(LoadReporter); ok {
-		r.load = lr
+	// The live signals come from the transport itself; one that measures
+	// nothing (the in-process client) reports an estimate with no samples.
+	if r.cloud = asTransport(cloud); r.cloud != nil {
+		r.est, r.load = r.cloud, r.cloud
 	}
 	return r, nil
 }
@@ -368,16 +370,14 @@ func (r *Runtime) SetCloudRetries(n int) {
 }
 
 // SetOffloadMode selects the upload representation for cloud offloads. The
-// features and auto modes require a feature-capable transport
-// (FeatureCloudClient).
+// features and auto modes are rejected on a transport KNOWN to serve no
+// features (see carries).
 func (r *Runtime) SetOffloadMode(mode OffloadMode) error {
 	switch mode {
 	case OffloadRaw:
 	case OffloadFeatures, OffloadAuto:
-		if r.cloud != nil {
-			if _, ok := r.cloud.(FeatureCloudClient); !ok {
-				return fmt.Errorf("edge: offload mode %s needs a feature-capable cloud client", mode)
-			}
+		if r.cloud != nil && !carries(r.cloud, protocol.RepFeatures) {
+			return fmt.Errorf("edge: offload mode %s needs a feature-capable cloud client", mode)
 		}
 		// A cost model without FeatureBytes would charge feature uploads as
 		// zero bytes/energy — reject the forced mode instead of silently
@@ -447,7 +447,7 @@ func (r *Runtime) resolveRep(mode OffloadMode, snap adaptSnapshot) core.OffloadR
 	case OffloadFeatures:
 		return core.RepFeatures
 	case OffloadAuto:
-		if _, ok := r.cloud.(FeatureCloudClient); !ok {
+		if !carries(r.cloud, protocol.RepFeatures) {
 			return core.RepRaw
 		}
 		if r.cost == nil || r.cost.FeatureBytes <= 0 {
@@ -522,7 +522,7 @@ func observedCloudLatency(est linkest.Estimate, uploadBytes int64) time.Duration
 // collector linger (a request or two parked while a batch fills) from
 // reading as congestion. The signal exists when the server's collectors
 // carry traffic (fleets of single-frame edges sharing a batching server);
-// this runtime's own batch frames bypass the collectors, so for a
+// this runtime's own batched requests bypass the collectors, so for a
 // batch-only workload congestion is seen through the measured turnaround
 // instead.
 func queueSaturated(load protocol.LoadStatus) bool {
@@ -616,8 +616,7 @@ func (r *Runtime) Classify(x *tensor.Tensor) ([]core.Decision, error) {
 	r.mu.Unlock()
 	rep := core.RepRaw
 	var cloudFn core.CloudBatchFunc
-	shedSeen := false
-	shedRetryAfter := time.Duration(0)
+	shedHeld := time.Duration(0) // > 0: the cloud shed this batch; hold offloads this long
 	// A live shed hold keeps the batch on the edge entirely: the server
 	// asked for RetryAfter of silence, so qualifying instances take the edge
 	// decision without a round trip (and without upload charges) until the
@@ -625,27 +624,14 @@ func (r *Runtime) Classify(x *tensor.Tensor) ([]core.Decision, error) {
 	// than letting every edge hammer a saturated server with rejections.
 	if pol.UseCloud && r.cloud != nil && !shedHold {
 		rep = r.resolveRep(mode, snap)
-		if rep == core.RepFeatures {
-			fc, ok := r.cloud.(FeatureCloudClient)
-			if !ok {
-				return nil, fmt.Errorf("edge: offload mode %s needs a feature-capable cloud client", mode)
-			}
-			cloudFn = FeatureBatchOffload(fc)
-		} else {
-			cloudFn = BatchOffload(r.cloud)
-		}
 		// Capture shed replies on their way through to core's attempt loop:
 		// core stops retrying on them, but only the runtime can honor the
 		// RetryAfter hint (it spans batches, not attempts).
-		inner := cloudFn
+		inner := r.offload(r.cloud, rep)
 		cloudFn = func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
 			preds, confs, errs, err := inner(sub)
-			if err != nil && errors.Is(err, ErrShed) {
-				shedSeen = true
-				var se *ShedError
-				if errors.As(err, &se) {
-					shedRetryAfter = se.RetryAfter
-				}
+			if errors.Is(err, ErrShed) {
+				shedHeld = shedRetryAfter(err)
 			}
 			return preds, confs, errs, err
 		}
@@ -664,8 +650,8 @@ func (r *Runtime) Classify(x *tensor.Tensor) ([]core.Decision, error) {
 	// Representation flips are an auto-mode metric (the trace of live
 	// adaptation); manual SetOffloadMode switches are not counted.
 	r.account(decisions, rep, cloudFn != nil && mode == OffloadAuto)
-	if shedSeen {
-		r.noteShed(shedRetryAfter)
+	if shedHeld > 0 {
+		r.noteShed(shedHeld)
 		// The shed feeds the threshold controller immediately: the entropy
 		// threshold rises BEFORE the next batch ships, so fewer instances
 		// even qualify once the hold expires.
@@ -680,19 +666,14 @@ func (r *Runtime) Classify(x *tensor.Tensor) ([]core.Decision, error) {
 }
 
 // noteShed records one admission-control refusal: the event counter and the
-// RetryAfter hold during which Classify keeps qualifying instances on the
-// edge without attempting an upload. Overlapping sheds extend the hold, they
-// never shorten it.
-func (r *Runtime) noteShed(retryAfter time.Duration) {
-	if retryAfter <= 0 {
-		retryAfter = defaultShedRetryAfter
-	}
+// hold during which Classify keeps qualifying instances on the edge without
+// attempting an upload — the exclusion-window rule the replica router and the
+// chain client apply to a shed (shedRetryAfter, extendWindow).
+func (r *Runtime) noteShed(hold time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.shedEvents++
-	if until := time.Now().Add(retryAfter); until.After(r.shedUntil) {
-		r.shedUntil = until
-	}
+	r.shedUntil = extendWindow(r.shedUntil, time.Now(), hold)
 }
 
 // account folds a batch of decisions into the counters. rep is the upload

@@ -24,9 +24,8 @@ type ShedError struct {
 	// RetryAfter is the server's back-off hint. Always ≥ 0 as surfaced by
 	// the built-in transports (negative wire values are clamped).
 	RetryAfter time.Duration
-	// Load is the congestion snapshot piggybacked on the shed frame;
-	// HasLoad reports whether the frame carried one (a legacy base payload
-	// does not).
+	// Load is the congestion snapshot a shed frame carries; HasLoad is false
+	// on a shed a router synthesized for a whole fleet (see MultiClient).
 	Load    protocol.LoadStatus
 	HasLoad bool
 }

@@ -18,6 +18,7 @@ import (
 	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/nn"
+	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -147,7 +148,14 @@ func TestTCPClientSurvivesInjectedTransportFault(t *testing.T) {
 // tensor kernels accumulate in the same order for every batch size.
 func TestBatchedServerMatchesUnbatchedBitwise(t *testing.T) {
 	cls := buildCloudModel(t, 40)
-	plain, err := cloud.NewServer(cls, nil)
+	// Both servers also mount the classifier's own layers as a features tail
+	// (units [cut, end)) and as a serving chain, for the same-answers table at
+	// the end; the raw traffic in between never touches either.
+	chain := core.FlattenChain(cls.Backbone, cls.Exit)
+	const cut = 3
+	tail := &cloud.Tail{Body: nn.NewSequential("tailbody", chain[cut:len(chain)-1]...), Exit: chain[len(chain)-1]}
+	stage := cloud.WithStage(cloud.StageConfig{Chain: chain})
+	plain, err := cloud.NewServer(cls, tail, stage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +163,7 @@ func TestBatchedServerMatchesUnbatchedBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	batched, err := cloud.NewServer(cls, nil,
+	batched, err := cloud.NewServer(cls, tail, stage,
 		cloud.WithBatching(cloud.BatchConfig{MaxBatch: 8, Linger: 50 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +245,71 @@ func TestBatchedServerMatchesUnbatchedBitwise(t *testing.T) {
 		t.Fatalf("no coalescing: %d batches for %d requests", st.Batches, st.BatchedRequests)
 	}
 	t.Logf("coalesced %d requests into %d forwards", st.BatchedRequests, st.Batches)
+
+	// Same answers from the one frame: a raw, a features and an activation
+	// request — one instance and a batch of 16 each — get the monolithic
+	// forward's predictions and confidences, bitwise, from the unbatched
+	// server, from the batching server (whose collector serves the single
+	// instances) and from the in-process client, which serves no chain and
+	// says so.
+	viaBatched, err := edge.DialCloud(batched.Addr().String(), edge.DialConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viaBatched.Close()
+	inproc := &edge.InProcClient{Model: cls, Tail: tail}
+	if caps, known := inproc.Capabilities(); !known || !caps.TailCapable || caps.ServesChain {
+		t.Fatalf("in-process capabilities %+v (known %v), want a tail and no chain", caps, known)
+	}
+	for _, n := range []int{1, 16} {
+		x := tensor.Randn(rng, 1, n, 3, 8, 8)
+		logits := cls.Logits(x, false)
+		want := make([]protocol.Result, n)
+		for i := range want {
+			want[i] = protocol.ResultOf(logits.Row(i))
+		}
+		feat := x
+		for _, u := range chain[:cut] {
+			feat = u.Forward(feat, false)
+		}
+		one := func(b *tensor.Tensor) *tensor.Tensor { // one instance travels as CHW
+			if n == 1 {
+				return b.Sample(0)
+			}
+			return b
+		}
+		for _, req := range []protocol.InferRequest{
+			{Rep: protocol.RepRaw, Tensor: one(x)},
+			{Rep: protocol.RepFeatures, Tensor: one(feat)},
+			{Rep: protocol.RepActivation, TTL: 1, Pos: cut, Tensor: feat},
+		} {
+			transports := map[string]edge.Transport{"tcp": ref, "tcp/batching": viaBatched}
+			if req.Rep != protocol.RepActivation {
+				transports["in-process"] = inproc
+			} else if _, err := inproc.Infer(req); err == nil {
+				t.Fatal("in-process client served an activation request")
+			}
+			for name, tr := range transports {
+				reply, err := tr.Infer(req)
+				if err != nil {
+					t.Fatalf("%s ×%d over %s: %v", req.Rep, n, name, err)
+				}
+				if len(reply.Results) != n {
+					t.Fatalf("%s ×%d over %s: %d results", req.Rep, n, name, len(reply.Results))
+				}
+				for i, r := range reply.Results {
+					if r != want[i] {
+						t.Fatalf("%s ×%d over %s, instance %d: %+v, monolithic forward %+v (must be bitwise identical)",
+							req.Rep, n, name, i, r, want[i])
+					}
+				}
+			}
+		}
+	}
+	if after := batched.Stats(); after.BatchedRequests != total+2 {
+		t.Fatalf("collector served %d requests, want %d (the table's two single instances go through it)",
+			after.BatchedRequests, total+2)
+	}
 }
 
 // TestPipelinedClientConcurrentRequests drives one TCP connection from many
@@ -458,8 +531,15 @@ func TestBatchedOffloadEndToEndBitwise(t *testing.T) {
 	before = srv.Stats().Requests
 	var serialDec []core.Decision
 	for _, x := range inputs {
-		dec, err := m.Infer(x, core.Policy{Threshold: 0, UseCloud: true},
-			func(img *tensor.Tensor) (int, float64, error) { return client.Classify(img) })
+		dec, err := m.InferBatchedRep(x, core.Policy{Threshold: 0, UseCloud: true}, core.RepRaw,
+			func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
+				preds, confs := make([]int, sub.Dim(0)), make([]float64, sub.Dim(0))
+				errs := make([]error, sub.Dim(0))
+				for i := range preds {
+					preds[i], confs[i], errs[i] = client.Classify(sub.Sample(i))
+				}
+				return preds, confs, errs, nil
+			})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/energy"
 	"github.com/meanet/meanet/internal/metrics"
-	"github.com/meanet/meanet/internal/tensor"
 )
 
 // Fig2Result is the confusion matrix of the main block on the CIFAR-like
@@ -295,7 +294,7 @@ func sweepThresholds(sys *System, thresholds []float64) (*Fig7Series, error) {
 	}
 	series.CloudOnlyAcc = cloudCM.Accuracy()
 
-	cloudFn := func(x *tensor.Tensor) (int, float64, error) { return client.Classify(x) }
+	cloudFn := edge.Offload(client, core.RepRaw)
 	for _, th := range thresholds {
 		rep, err := core.Evaluate(sys.Edge, sys.Synth.Test, 64,
 			core.Policy{Threshold: th, UseCloud: true}, cloudFn)
@@ -400,9 +399,9 @@ func Fig8(ctx *Context) (*Fig8Result, error) {
 
 		mix := func(th float64, useCloud bool) (fExt, fCloud float64, err error) {
 			client := &edge.InProcClient{Model: sys.Cloud}
-			var fn core.CloudFunc
+			var fn core.CloudBatchFunc
 			if useCloud {
-				fn = func(x *tensor.Tensor) (int, float64, error) { return client.Classify(x) }
+				fn = edge.Offload(client, core.RepRaw)
 			}
 			rep, err := core.Evaluate(sys.Edge, sys.Synth.Test, 64,
 				core.Policy{Threshold: th, UseCloud: useCloud}, fn)

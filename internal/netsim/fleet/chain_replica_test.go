@@ -211,7 +211,7 @@ func startSheddingHop(t *testing.T, hint time.Duration) string {
 						return
 					}
 					resp := protocol.Frame{Type: protocol.MsgError, ID: f.ID, Payload: []byte("shedding stand-in")}
-					if f.Type == protocol.MsgRelayRoute {
+					if f.Type == protocol.MsgInfer {
 						resp = protocol.Frame{Type: protocol.MsgShed, ID: f.ID, Payload: protocol.EncodeShed(hint, protocol.LoadStatus{})}
 					}
 					if protocol.WriteFrame(conn, resp) != nil {

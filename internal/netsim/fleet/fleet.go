@@ -318,6 +318,7 @@ func Run(cfg Config) (*Result, error) {
 func runEdge(cfg *Config, i int) (EdgeResult, error) {
 	nrep := cfg.replicaCount()
 	clients := make([]edge.CloudClient, 0, nrep)
+	var tcp *edge.TCPClient // the last (with one replica: the only) connection
 	closeAll := func() {
 		for _, c := range clients {
 			c.Close()
@@ -332,12 +333,18 @@ func runEdge(cfg *Config, i int) (EdgeResult, error) {
 		}
 		ccfg := cfg.ClientConfig
 		ccfg.Redial = dial
-		clients = append(clients, edge.NewClientOnConn(conn, ccfg))
+		tcp = edge.NewClientOnConn(conn, ccfg)
+		clients = append(clients, tcp)
 	}
-	var client edge.CloudClient
+	// Both the TCPClient and the MultiClient classify and keep wire counters.
+	var client interface {
+		edge.CloudClient
+		BytesSent() uint64
+		Sheds() uint64
+	}
 	var mc *edge.MultiClient
 	if nrep == 1 {
-		client = clients[0]
+		client = tcp
 	} else {
 		mcfg := cfg.Multi
 		// Decorrelate the edges' routers: same scenario, independent
@@ -395,20 +402,13 @@ func runEdge(cfg *Config, i int) (EdgeResult, error) {
 			}
 		}
 	}
-	res := EdgeResult{
-		Index:   i,
-		Report:  rt.Report(),
-		Correct: correct,
-	}
-	// Both the TCPClient and the MultiClient expose the wire counters; the
-	// asserts keep the harness working for any other CloudClient too.
-	if bc, ok := client.(interface{ BytesSent() uint64 }); ok {
-		res.WireBytes = bc.BytesSent()
-	}
-	if sc, ok := client.(interface{ Sheds() uint64 }); ok {
-		res.WireSheds = sc.Sheds()
-	}
-	return res, nil
+	return EdgeResult{
+		Index:     i,
+		Report:    rt.Report(),
+		Correct:   correct,
+		WireBytes: client.BytesSent(),
+		WireSheds: client.Sheds(),
+	}, nil
 }
 
 // SlowModel wraps a cloud model with a serialized fixed delay per forward

@@ -36,23 +36,22 @@ type Device struct {
 	MACsPerSec float64
 }
 
-// Wire overhead of one single-instance frame beyond its float32 data, kept in
-// sync with the protocol package by TestRelayWireBytes. A routed relay frame
-// (MsgRelayRoute) spends 17 bytes on the frame header, 4 on the route header
-// (TTL, uint16 position, boundary count), 2 per boundary still ahead of it,
-// then the tensor rank byte and four int32 dims; a direct raw offload
-// (MsgClassifyBatch) is the frame header plus the same tensor header.
+// Wire overhead of one single-instance MsgInfer frame beyond its float32
+// data, kept in sync with the protocol package by TestRelayWireBytes: 17 bytes
+// of frame header, 5 of request header (representation, TTL, uint16 position,
+// boundary count), 2 per route boundary still ahead of a relayed activation,
+// then the tensor rank byte and four int32 dims. A direct raw offload is the
+// same frame with no route.
 const (
-	relayFrameOverheadBytes    = 38
-	relayBoundaryBytes         = 2
-	classifyFrameOverheadBytes = 34
+	inferFrameOverheadBytes = 39
+	relayBoundaryBytes      = 2
 )
 
 // RelayWireBytes is the modeled wire size of relaying one instance's CHW
 // activation downstream with the given number of route boundaries still
 // ahead of the receiving hop (float32 data plus per-frame overhead).
 func RelayWireBytes(s Shape, boundariesLeft int) int64 {
-	return relayFrameOverheadBytes + relayBoundaryBytes*int64(boundariesLeft) + 4*s.Elems()
+	return inferFrameOverheadBytes + relayBoundaryBytes*int64(boundariesLeft) + 4*s.Elems()
 }
 
 // StagePlan is one stage of a placement.
@@ -239,7 +238,7 @@ func LocalPlacement(chain []nn.Layer, in Shape, dev Device) (Placement, error) {
 }
 
 // DirectPlacement models today's raw offload: the edge ships the raw input
-// across the uplink (a classify-batch frame of one) and the remote device
+// across the uplink (a raw batch-of-one request) and the remote device
 // runs the whole chain. Its stage 0 is the empty edge stage; the bottleneck is the
 // larger of the raw-input transfer and the remote full-model compute.
 func DirectPlacement(chain []nn.Layer, in Shape, uplink netsim.Link, edge, remote Device) (Placement, error) {
@@ -257,7 +256,7 @@ func DirectPlacement(chain []nn.Layer, in Shape, uplink netsim.Link, edge, remot
 	for _, c := range costs {
 		total = total.Add(c)
 	}
-	wire := classifyFrameOverheadBytes + 4*in.Elems()
+	wire := inferFrameOverheadBytes + 4*in.Elems()
 	transfer := uplink.TransferTime(wire).Seconds()
 	compute := float64(total.MACs) / remote.MACsPerSec
 	p := Placement{

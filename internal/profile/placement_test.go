@@ -177,7 +177,7 @@ func TestRelayWireBytes(t *testing.T) {
 	s := Shape{C: 16, H: 6, W: 6}
 	act := tensor.New(1, s.C, s.H, s.W)
 	for _, bounds := range [][]int{nil, {7}, {7, 9, 11}} {
-		payload, err := protocol.EncodeRoutedActivation(3, 5, bounds, act)
+		payload, err := protocol.EncodeInfer(protocol.InferRequest{Rep: protocol.RepActivation, TTL: 3, Pos: 5, Bounds: bounds, Tensor: act})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,9 +191,12 @@ func TestRelayWireBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := protocol.EncodeTensor(tensor.New(1, in.C, in.H, in.W))
+	raw, err := protocol.EncodeInfer(protocol.InferRequest{Rep: protocol.RepRaw, Tensor: tensor.New(1, in.C, in.H, in.W)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got, want := direct.Stages[0].WireBytes, int64(protocol.FrameWireSize(len(raw))); got != want {
-		t.Fatalf("direct offload modeled at %d wire bytes, actual classify-batch frame is %d", got, want)
+		t.Fatalf("direct offload modeled at %d wire bytes, actual raw batch-of-one frame is %d", got, want)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package protocol defines the binary wire format between the edge runtime
-// and the cloud AI server: length-prefixed frames carrying either a raw
-// image, a feature tensor, a classification result, an error, or a shed
-// notice (the admission-control refusal, see EncodeShed). The paper's
-// two edge-cloud collaboration modes (§III-C: sending raw data or processed
-// features) map onto the two classify message types.
+// and the cloud AI server: length-prefixed frames, ONE inference request
+// (MsgInfer: a small header saying where in the network the tensor starts,
+// then the tensor), ONE reply layout, and the control frames around them.
+// The paper's collaboration modes (§III-C: sending raw data or processed
+// features) and the multi-hop partitioned chain differ only in the request's
+// representation byte.
 package protocol
 
 import (
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/meanet/meanet/internal/tensor"
@@ -19,52 +21,49 @@ import (
 // MsgType discriminates frame payloads.
 type MsgType uint8
 
-// Message types.
+// Message types. Wire values are pinned (TestMsgTypeWireValuesStable) and
+// never reused: 1, 2, 3, 7, 9 and 13 carried the per-representation classify
+// and relay frames MsgInfer replaced, and stay retired (see Retired).
 const (
-	MsgClassifyRaw       MsgType = iota + 1 // payload: image tensor [C,H,W]
-	MsgClassifyFeat                         // payload: feature tensor [C,H,W]
-	MsgResult                               // payload: int32 class + float32 confidence
-	MsgError                                // payload: UTF-8 error text
-	MsgPing                                 // empty payload
-	MsgPong                                 // empty payload
-	MsgClassifyBatch                        // payload: batched image tensor [N,C,H,W]
-	MsgResultBatch                          // payload: uint32 count + count results
-	MsgClassifyFeatBatch                    // payload: batched feature tensor [N,C,H,W]
-	MsgShed                                 // payload: uint64 retry-after nanos (+ optional LoadStatus)
-	MsgHello                                // request: empty; reply payload: Capabilities
-	MsgRelay                                // payload: relay TTL byte (zero-instance chain probe)
-	MsgRelayRoute                           // payload: TTL + chain position + remaining boundaries + activation tensor
+	MsgError       MsgType = 4  // payload: UTF-8 error text
+	MsgPing        MsgType = 5  // empty payload
+	MsgPong        MsgType = 6  // empty payload
+	MsgResultBatch MsgType = 8  // payload: InferReply
+	MsgShed        MsgType = 10 // payload: retry-after nanos + LoadStatus
+	MsgHello       MsgType = 11 // request: empty; reply payload: Capabilities
+	MsgRelay       MsgType = 12 // payload: relay TTL byte (zero-instance chain probe)
+	MsgInfer       MsgType = 14 // payload: InferRequest
 )
+
+// Retired reports whether t is the wire value of a frame that no longer
+// exists. A server answers one with a MsgError naming MsgInfer.
+func (t MsgType) Retired() bool {
+	switch t {
+	case 1, 2, 3, 7, 9, 13:
+		return true
+	}
+	return false
+}
 
 // String names the message type.
 func (t MsgType) String() string {
 	switch t {
-	case MsgClassifyRaw:
-		return "classify-raw"
-	case MsgClassifyFeat:
-		return "classify-features"
-	case MsgResult:
-		return "result"
 	case MsgError:
 		return "error"
 	case MsgPing:
 		return "ping"
 	case MsgPong:
 		return "pong"
-	case MsgClassifyBatch:
-		return "classify-batch"
 	case MsgResultBatch:
 		return "result-batch"
-	case MsgClassifyFeatBatch:
-		return "classify-features-batch"
 	case MsgShed:
 		return "shed"
 	case MsgHello:
 		return "hello"
 	case MsgRelay:
 		return "relay"
-	case MsgRelayRoute:
-		return "relay-routed"
+	case MsgInfer:
+		return "infer"
 	default:
 		return fmt.Sprintf("msgtype(%d)", uint8(t))
 	}
@@ -136,24 +135,36 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return f, nil
 }
 
-// EncodeTensor serializes a tensor: uint8 rank, int32 dims, float32 data.
-func EncodeTensor(t *tensor.Tensor) []byte {
+// tensorWireSize is the encoded size of t: uint8 rank, int32 dims, float32
+// data.
+func tensorWireSize(t *tensor.Tensor) int { return 1 + 4*t.Dims() + 4*t.Numel() }
+
+// AppendTensor appends t's encoding to dst; with enough spare capacity it
+// allocates nothing (how EncodeInfer shares one buffer with its header).
+func AppendTensor(dst []byte, t *tensor.Tensor) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, tensorWireSize(t))[:off+tensorWireSize(t)]
 	shape := t.Shape()
-	out := make([]byte, 1+4*len(shape)+4*t.Numel())
-	out[0] = byte(len(shape))
-	off := 1
+	dst[off] = byte(len(shape))
+	off++
 	for _, d := range shape {
-		binary.LittleEndian.PutUint32(out[off:], uint32(d))
+		binary.LittleEndian.PutUint32(dst[off:], uint32(d))
 		off += 4
 	}
 	for _, v := range t.Data() {
-		binary.LittleEndian.PutUint32(out[off:], math.Float32bits(v))
+		binary.LittleEndian.PutUint32(dst[off:], math.Float32bits(v))
 		off += 4
 	}
-	return out
+	return dst
 }
 
-// DecodeTensor reverses EncodeTensor, validating the payload exactly.
+// EncodeTensor serializes a tensor: uint8 rank, int32 dims, float32 data.
+func EncodeTensor(t *tensor.Tensor) []byte {
+	return AppendTensor(make([]byte, 0, tensorWireSize(t)), t)
+}
+
+// DecodeTensor reverses EncodeTensor, validating the payload exactly. The
+// tensor owns fresh storage, so b may be a sub-slice of a frame payload.
 func DecodeTensor(b []byte) (*tensor.Tensor, error) {
 	if len(b) < 1 {
 		return nil, fmt.Errorf("protocol: empty tensor payload")
@@ -191,80 +202,218 @@ func DecodeTensor(b []byte) (*tensor.Tensor, error) {
 	return tensor.FromSlice(data, shape...), nil
 }
 
-// EncodeResult serializes a classification result.
-func EncodeResult(pred int32, conf float32) []byte {
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint32(out, uint32(pred))
-	binary.LittleEndian.PutUint32(out[4:], math.Float32bits(conf))
-	return out
-}
+// Rep says where in the network an inference request's tensor starts — the
+// one thing that distinguishes the paper's collaboration modes on the wire.
+type Rep uint8
 
-// DecodeResult reverses EncodeResult.
-func DecodeResult(b []byte) (pred int32, conf float32, err error) {
-	if len(b) != 8 {
-		return 0, 0, fmt.Errorf("protocol: result payload length %d, want 8", len(b))
+// Representations.
+const (
+	// RepRaw is an input image: the server's raw model runs all of it.
+	RepRaw Rep = iota
+	// RepFeatures is a main-block feature tensor (§III-C "sending features"):
+	// the server's partitioned-network tail finishes it.
+	RepFeatures
+	// RepActivation is the activation at a cut of the serving chain: the
+	// request carries its own route, and each hop runs the span it is assigned.
+	RepActivation
+)
+
+// String names the representation.
+func (r Rep) String() string {
+	switch r {
+	case RepRaw:
+		return "raw"
+	case RepFeatures:
+		return "features"
+	case RepActivation:
+		return "activation"
+	default:
+		return fmt.Sprintf("rep(%d)", uint8(r))
 	}
-	pred = int32(binary.LittleEndian.Uint32(b))
-	conf = math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))
-	return pred, conf, nil
 }
 
-// Result is one classification outcome inside a MsgResultBatch payload.
+// InferRequest is the decoded MsgInfer payload: ship a tensor, get labels
+// back. Raw and feature tensors are one instance (CHW — a batching server
+// fuses it with concurrent requests) or a client-assembled batch (NCHW — one
+// forward pass, directly); which one is read off the rank.
+//
+// An activation request is SOURCE-ROUTED: Pos is the unit of the full serving
+// chain (held by every hop) its tensor starts at and Bounds the ordered stage
+// boundaries still ahead. Each hop runs units [Pos, Bounds[0]) — through the
+// end of the chain when none remain — then forwards with the boundary
+// consumed and TTL decremented. Because the route travels with the request,
+// the edge moves a cut by stamping different boundaries on NEW requests while
+// those in flight complete on the old ones (drain-never-abort, bitwise
+// identical on both routes: core.Partition is exact for every legal cut
+// chain). Activations are always batched (rank ≥ 2, dim 0 = instances): a cut
+// may sit past the flattening layers. The other representations carry no
+// route.
+type InferRequest struct {
+	Rep    Rep
+	TTL    uint8
+	Pos    int
+	Bounds []int
+	Tensor *tensor.Tensor
+}
+
+const (
+	// inferHeaderLen is the fixed prefix of a MsgInfer payload: representation,
+	// TTL, uint16 chain position, boundary count. uint16 boundaries follow,
+	// then the tensor.
+	inferHeaderLen = 5
+	// maxChainUnits bounds the chain positions a request can carry.
+	maxChainUnits = 1 << 16
+)
+
+// OneInstance reports whether the request carries a single CHW instance.
+func (r *InferRequest) OneInstance() bool {
+	return r.Rep != RepActivation && r.Tensor.Dims() == 3
+}
+
+// Batch is the request's tensor with a leading instance dimension: a single
+// instance becomes a batch of one.
+func (r *InferRequest) Batch() *tensor.Tensor {
+	if r.OneInstance() {
+		return r.Tensor.Reshape(append([]int{1}, r.Tensor.Shape()...)...)
+	}
+	return r.Tensor
+}
+
+// Instances is the number of results the request asks for.
+func (r *InferRequest) Instances() int {
+	if r.OneInstance() {
+		return 1
+	}
+	return r.Tensor.Dim(0)
+}
+
+// Validate is the contract both codec directions enforce, so an accepted
+// payload always re-encodes bitwise (and a transport with no wire checks it
+// itself).
+func (r *InferRequest) Validate() error {
+	rank := r.Tensor.Dims()
+	if r.Rep == RepActivation {
+		if rank < 2 {
+			return fmt.Errorf("protocol: expected a batched activation tensor (NCHW or [batch, features]), got rank %d", rank)
+		}
+		if r.Pos < 0 || r.Pos >= maxChainUnits {
+			return fmt.Errorf("protocol: route position %d out of range", r.Pos)
+		}
+		if len(r.Bounds) > 255 {
+			return fmt.Errorf("protocol: %d route boundaries, want <= 255", len(r.Bounds))
+		}
+		prev := r.Pos
+		for _, b := range r.Bounds {
+			if b <= prev || b >= maxChainUnits {
+				return fmt.Errorf("protocol: route boundaries must be strictly increasing past position %d, got %v", r.Pos, r.Bounds)
+			}
+			prev = b
+		}
+		return nil
+	}
+	if r.Rep > RepActivation {
+		return fmt.Errorf("protocol: unknown representation %d", uint8(r.Rep))
+	}
+	if r.TTL != 0 || r.Pos != 0 || len(r.Bounds) != 0 {
+		return fmt.Errorf("protocol: a %s request carries no route", r.Rep)
+	}
+	if rank != 3 && rank != 4 {
+		return fmt.Errorf("protocol: expected a CHW instance or an NCHW batch, got rank %d", rank)
+	}
+	return nil
+}
+
+// EncodeInfer serializes a MsgInfer payload — header, boundaries and tensor
+// in ONE allocation.
+func EncodeInfer(r InferRequest) ([]byte, error) {
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	hdr := inferHeaderLen + 2*len(r.Bounds)
+	out := make([]byte, hdr, hdr+tensorWireSize(r.Tensor))
+	out[0] = byte(r.Rep)
+	out[1] = r.TTL
+	binary.LittleEndian.PutUint16(out[2:], uint16(r.Pos))
+	out[4] = byte(len(r.Bounds))
+	for i, b := range r.Bounds {
+		binary.LittleEndian.PutUint16(out[inferHeaderLen+2*i:], uint16(b))
+	}
+	return AppendTensor(out, r.Tensor), nil
+}
+
+// PeekInfer reads off the header what a server schedules a MsgInfer payload
+// by, before decoding it. A malformed payload reads as (RepRaw, false);
+// DecodeInfer says what is wrong with it.
+func PeekInfer(b []byte) (rep Rep, one bool) {
+	if len(b) <= inferHeaderLen {
+		return RepRaw, false
+	}
+	rep = Rep(b[0])
+	return rep, rep != RepActivation && b[4] == 0 && b[inferHeaderLen] == 3
+}
+
+// DecodeInfer reverses EncodeInfer, decoding the tensor straight out of the
+// payload's tail.
+func DecodeInfer(b []byte) (InferRequest, error) {
+	if len(b) < inferHeaderLen {
+		return InferRequest{}, fmt.Errorf("protocol: infer payload length %d, want >= %d", len(b), inferHeaderLen)
+	}
+	r := InferRequest{Rep: Rep(b[0]), TTL: b[1], Pos: int(binary.LittleEndian.Uint16(b[2:]))}
+	n := int(b[4])
+	off := inferHeaderLen + 2*n
+	if len(b) < off {
+		return InferRequest{}, fmt.Errorf("protocol: truncated infer header (%d boundaries)", n)
+	}
+	if n > 0 {
+		r.Bounds = make([]int, n)
+		for i := range r.Bounds {
+			r.Bounds[i] = int(binary.LittleEndian.Uint16(b[inferHeaderLen+2*i:]))
+		}
+	}
+	var err error
+	if r.Tensor, err = DecodeTensor(b[off:]); err != nil {
+		return InferRequest{}, err
+	}
+	if err := r.Validate(); err != nil {
+		return InferRequest{}, err
+	}
+	return r, nil
+}
+
+// Result is one classification outcome.
 type Result struct {
 	Pred int32
 	Conf float32
 }
 
-// EncodeResults serializes a batch of classification results:
-// uint32 count followed by count (int32 class, float32 confidence) pairs.
-func EncodeResults(rs []Result) []byte {
-	out := make([]byte, 4+8*len(rs))
-	binary.LittleEndian.PutUint32(out, uint32(len(rs)))
-	off := 4
-	for _, r := range rs {
-		binary.LittleEndian.PutUint32(out[off:], uint32(r.Pred))
-		binary.LittleEndian.PutUint32(out[off+4:], math.Float32bits(r.Conf))
-		off += 8
+// ResultOf is the post-processing every serving path shares: softmax one
+// logits row and take the winning class with its confidence. One copy over
+// bitwise-identical logits (internal/tensor's accumulation-order guarantee)
+// makes batched, unbatched, chained and in-process predictions agree exactly.
+func ResultOf(logits []float32) Result {
+	probs := tensor.SoftmaxRow(logits)
+	pred := 0
+	for i, v := range probs {
+		if v > probs[pred] {
+			pred = i
+		}
 	}
-	return out
+	return Result{Pred: int32(pred), Conf: probs[pred]}
 }
 
-// DecodeResults reverses EncodeResults, validating the payload exactly.
-func DecodeResults(b []byte) ([]Result, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("protocol: result batch payload length %d, want >= 4", len(b))
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if n > MaxPayload/8 {
-		return nil, fmt.Errorf("protocol: implausible result batch count %d", n)
-	}
-	if len(b) != 4+8*int(n) {
-		return nil, fmt.Errorf("protocol: result batch payload length %d, want %d", len(b), 4+8*int(n))
-	}
-	rs := make([]Result, n)
-	off := 4
-	for i := range rs {
-		rs[i].Pred = int32(binary.LittleEndian.Uint32(b[off:]))
-		rs[i].Conf = math.Float32frombits(binary.LittleEndian.Uint32(b[off+4:]))
-		off += 8
-	}
-	return rs, nil
-}
-
-// LoadStatus is the cloud server's backpressure signal, piggybacked on
-// result frames: a snapshot of the server's own atomic counters at response
-// time, delivered to the edge with ZERO extra round trips. The edge's
-// adaptive controller uses QueueDepth as a leading congestion indicator —
-// queue growth shows up here one round trip before it shows up in measured
-// latency. Note the scope: QueueDepth counts traffic in the micro-batch
-// COLLECTORS (single-instance classify frames from many lightweight edges);
-// client-assembled batch frames dispatch directly and appear only in
-// Active, so a batch-frame-only workload surfaces congestion through its
-// measured turnaround instead.
+// LoadStatus is the cloud server's backpressure signal, piggybacked on every
+// reply: a snapshot of the server's own atomic counters at response time,
+// delivered to the edge with ZERO extra round trips. The edge's adaptive
+// controller uses QueueDepth as a leading congestion indicator — queue growth
+// shows up here one round trip before it shows up in measured latency. Note
+// the scope: QueueDepth counts traffic in the micro-batch COLLECTORS
+// (single-instance requests from many lightweight edges); client-assembled
+// batches dispatch directly and appear only in Active, so a batch-only
+// workload surfaces congestion through its measured turnaround instead.
 type LoadStatus struct {
 	// QueueDepth is the number of requests accepted by the server's
 	// micro-batch collectors but not yet answered (0 when batching is off
-	// or when all traffic arrives as pre-assembled batch frames).
+	// or when all traffic arrives as pre-assembled batches).
 	QueueDepth uint32
 	// Active is the number of requests currently being SERVED across all
 	// connections (including this one) — in-flight dispatches excluding
@@ -273,239 +422,20 @@ type LoadStatus struct {
 	Active uint32
 }
 
-// loadStatusLen is the wire size of the trailing status field.
+// loadStatusLen is the wire size of a LoadStatus.
 const loadStatusLen = 8
 
-// appendLoadStatus extends a result payload with the trailing status field.
-func appendLoadStatus(b []byte, st LoadStatus) []byte {
-	out := make([]byte, len(b)+loadStatusLen)
-	copy(out, b)
-	binary.LittleEndian.PutUint32(out[len(b):], st.QueueDepth)
-	binary.LittleEndian.PutUint32(out[len(b)+4:], st.Active)
-	return out
+func putLoadStatus(b []byte, st LoadStatus) {
+	binary.LittleEndian.PutUint32(b, st.QueueDepth)
+	binary.LittleEndian.PutUint32(b[4:], st.Active)
 }
 
-// EncodeResultLoad is EncodeResult with the trailing LoadStatus field.
-func EncodeResultLoad(pred int32, conf float32, st LoadStatus) []byte {
-	return appendLoadStatus(EncodeResult(pred, conf), st)
-}
-
-// EncodeResultsLoad is EncodeResults with the trailing LoadStatus field.
-func EncodeResultsLoad(rs []Result, st LoadStatus) []byte {
-	return appendLoadStatus(EncodeResults(rs), st)
-}
-
-// shedBaseLen is the wire size of a shed payload's retry-after field.
-const shedBaseLen = 8
-
-// EncodeShed serializes a MsgShed payload: the server's retry-after hint
-// (int64 nanoseconds) followed by the same trailing LoadStatus field result
-// frames carry, so a shed reply delivers the congestion snapshot that caused
-// it. MsgShed is the reply a server under admission control sends INSTEAD of
-// parking or serving a classify request: the request was read and discarded,
-// no inference ran, and the client should not re-offer load before the hint
-// elapses. Servers that never shed never emit the frame, so an old server
-// interoperates with a new edge unchanged; an OLD edge receiving MsgShed
-// treats it as an unexpected response type and falls back to the edge
-// decision — safe, just without the retry-after courtesy.
-func EncodeShed(retryAfter time.Duration, st LoadStatus) []byte {
-	base := make([]byte, shedBaseLen)
-	binary.LittleEndian.PutUint64(base, uint64(retryAfter))
-	return appendLoadStatus(base, st)
-}
-
-// DecodeShed decodes a MsgShed payload with or without the trailing
-// LoadStatus field, mirroring the legacy-compatibility contract of
-// DecodeResultLoad: the 8-byte base payload decodes with hasLoad == false,
-// the 16-byte extended payload carries the load snapshot. The retry-after
-// bits are returned as-is (the encoding is canonical); callers clamp
-// negative hints to zero rather than the decoder rejecting them.
-func DecodeShed(b []byte) (retryAfter time.Duration, st LoadStatus, hasLoad bool, err error) {
-	switch len(b) {
-	case shedBaseLen:
-	case shedBaseLen + loadStatusLen:
-		st.QueueDepth = binary.LittleEndian.Uint32(b[shedBaseLen:])
-		st.Active = binary.LittleEndian.Uint32(b[shedBaseLen+4:])
-		hasLoad = true
-	default:
-		return 0, LoadStatus{}, false, fmt.Errorf("protocol: shed payload length %d, want %d or %d",
-			len(b), shedBaseLen, shedBaseLen+loadStatusLen)
-	}
-	return time.Duration(binary.LittleEndian.Uint64(b)), st, hasLoad, nil
-}
-
-// Capabilities is what a replica advertises in its MsgHello reply: the
-// fixed facts about this server an edge router needs before the first
-// offload. The handshake replaces discovery-by-failure — without it, an edge
-// only learns a replica has no feature tail by burning a features call on an
-// error reply (and excluding a perfectly healthy replica for it).
-type Capabilities struct {
-	// TailCapable reports whether the server carries a partitioned-network
-	// feature tail, i.e. whether classify-features(-batch) frames can succeed
-	// here. A capability-aware router never samples a tail-less replica for a
-	// features-mode call.
-	TailCapable bool
-	// MaxBatch is the server's micro-batch collector size (0 when batching is
-	// off) — advisory: a hint for client-side batch sizing, not a limit the
-	// server enforces on client-assembled batch frames.
-	MaxBatch uint32
-}
-
-// helloLen is the wire size of a MsgHello reply payload.
-const helloLen = 5
-
-// helloTailFlag is the TailCapable bit in the hello flags byte.
-const helloTailFlag = 1 << 0
-
-// EncodeHello serializes a MsgHello reply payload: one flags byte (bit 0 =
-// tail-capable) followed by the uint32 micro-batch size. A MsgHello REQUEST
-// carries an empty payload — the client has nothing to advertise yet; the
-// frame exists so a replica can announce itself to the router at connect
-// instead of being pre-configured. An old server answers the unknown type
-// with MsgError, which a new edge treats as "capabilities unknown" (route
-// optimistically, as before the handshake existed); an old edge simply never
-// sends MsgHello, so the frame is invisible to it.
-func EncodeHello(c Capabilities) []byte {
-	out := make([]byte, helloLen)
-	if c.TailCapable {
-		out[0] |= helloTailFlag
-	}
-	binary.LittleEndian.PutUint32(out[1:], c.MaxBatch)
-	return out
-}
-
-// DecodeHello reverses EncodeHello, validating the payload exactly. Unknown
-// flag bits are rejected rather than ignored: a frame with bits this decoder
-// does not know is from a NEWER peer, and silently dropping its advertised
-// capabilities would let the router make stale assumptions — the caller
-// treats the error like a legacy server (capabilities unknown) instead.
-func DecodeHello(b []byte) (Capabilities, error) {
-	if len(b) != helloLen {
-		return Capabilities{}, fmt.Errorf("protocol: hello payload length %d, want %d", len(b), helloLen)
-	}
-	if b[0]&^helloTailFlag != 0 {
-		return Capabilities{}, fmt.Errorf("protocol: unknown hello flags %#x", b[0])
-	}
-	return Capabilities{
-		TailCapable: b[0]&helloTailFlag != 0,
-		MaxBatch:    binary.LittleEndian.Uint32(b[1:]),
-	}, nil
-}
-
-// relayProbeLen is the whole MsgRelay payload: the TTL byte.
-const relayProbeLen = 1
-
-// EncodeRelayProbe serializes a MsgRelay payload: the TTL byte and nothing
-// else. A probe traverses the chain's transport hops — every hop with a
-// downstream forwards it without running a stage (TTL decremented per hop, so
-// a chain misconfigured into a cycle dies with an error instead of
-// circulating frames forever), the terminal hop answers an empty result batch
-// — so the edge can verify a chain end to end, and learn its hop count from
-// the piggybacked per-hop status vector, without shipping a single
-// activation. Wire value 12 once also carried static-chain activations (TTL +
-// tensor); that frame is gone — activations travel source-routed in
-// MsgRelayRoute — and a stage server answers a legacy peer still sending it
-// with a MsgError that says so. A server predating stage mode answers the
-// unknown type with MsgError, the MsgHello legacy contract.
-func EncodeRelayProbe(ttl uint8) []byte { return []byte{ttl} }
-
-// IsRelayProbe reports whether a MsgRelay payload is a chain probe (TTL byte
-// only) rather than a legacy static-relay activation.
-func IsRelayProbe(b []byte) bool { return len(b) == relayProbeLen }
-
-// DecodeRelayProbe decodes a probe payload's TTL byte.
-func DecodeRelayProbe(b []byte) (ttl uint8, err error) {
-	if !IsRelayProbe(b) {
-		return 0, fmt.Errorf("protocol: relay probe payload length %d, want %d", len(b), relayProbeLen)
-	}
-	return b[0], nil
-}
-
-// routedHeaderLen is the fixed prefix of a MsgRelayRoute payload: the TTL
-// byte, the uint16 chain position and the boundary-count byte.
-const routedHeaderLen = 4
-
-// maxChainUnits bounds the chain positions a routed relay frame can carry
-// (uint16 on the wire; real serving chains are tens of units).
-const maxChainUnits = 1 << 16
-
-// EncodeRoutedActivation serializes a MsgRelayRoute payload — the
-// SOURCE-ROUTED relay frame: the edge stamps each frame with the chain
-// position its activations start at (pos, a unit index into the full serving
-// chain every hop holds) and the ordered list of remaining stage boundaries.
-// Each hop runs units [pos, bounds[0]) — or [pos, end-of-chain) when no
-// boundaries remain, making it the terminal hop for THIS frame — then
-// forwards with pos = bounds[0] and the boundary consumed. Because the route
-// travels with the frame instead of living in server config, the edge can
-// move a cut by stamping different boundaries on NEW frames while frames
-// already in flight complete on the old ones: the drain-never-abort cut move,
-// with bitwise-identical predictions on both routes (core.Partition is exact
-// for every legal cut chain).
-func EncodeRoutedActivation(ttl uint8, pos int, bounds []int, t *tensor.Tensor) ([]byte, error) {
-	if pos < 0 || pos >= maxChainUnits {
-		return nil, fmt.Errorf("protocol: routed relay position %d out of range", pos)
-	}
-	if len(bounds) > 255 {
-		return nil, fmt.Errorf("protocol: %d route boundaries, want <= 255", len(bounds))
-	}
-	prev := pos
-	for _, b := range bounds {
-		if b <= prev || b >= maxChainUnits {
-			return nil, fmt.Errorf("protocol: route boundaries must be strictly increasing past position %d, got %v", pos, bounds)
-		}
-		prev = b
-	}
-	body := EncodeTensor(t)
-	out := make([]byte, routedHeaderLen+2*len(bounds)+len(body))
-	out[0] = ttl
-	binary.LittleEndian.PutUint16(out[1:], uint16(pos))
-	out[3] = byte(len(bounds))
-	off := routedHeaderLen
-	for _, b := range bounds {
-		binary.LittleEndian.PutUint16(out[off:], uint16(b))
-		off += 2
-	}
-	copy(out[off:], body)
-	return out, nil
-}
-
-// DecodeRoutedActivation reverses EncodeRoutedActivation, validating the
-// route exactly (monotonic boundaries, canonical tensor) so an accepted
-// payload always re-encodes bitwise — the same canonicity contract as
-// DecodeTensor, fuzz-enforced.
-func DecodeRoutedActivation(b []byte) (ttl uint8, pos int, bounds []int, t *tensor.Tensor, err error) {
-	if len(b) < routedHeaderLen {
-		return 0, 0, nil, nil, fmt.Errorf("protocol: routed relay payload length %d, want >= %d", len(b), routedHeaderLen)
-	}
-	ttl = b[0]
-	pos = int(binary.LittleEndian.Uint16(b[1:]))
-	n := int(b[3])
-	if len(b) < routedHeaderLen+2*n {
-		return 0, 0, nil, nil, fmt.Errorf("protocol: truncated routed relay header (%d boundaries)", n)
-	}
-	off := routedHeaderLen
-	prev := pos
-	if n > 0 {
-		bounds = make([]int, n)
-		for i := range bounds {
-			v := int(binary.LittleEndian.Uint16(b[off:]))
-			if v <= prev {
-				return 0, 0, nil, nil, fmt.Errorf("protocol: route boundary %d not past %d", v, prev)
-			}
-			bounds[i] = v
-			prev = v
-			off += 2
-		}
-	}
-	t, err = DecodeTensor(b[off:])
-	if err != nil {
-		return 0, 0, nil, nil, err
-	}
-	return ttl, pos, bounds, t, nil
+func getLoadStatus(b []byte) LoadStatus {
+	return LoadStatus{QueueDepth: binary.LittleEndian.Uint32(b), Active: binary.LittleEndian.Uint32(b[4:])}
 }
 
 // StageStatus is one chain hop's live telemetry, piggybacked per hop on every
-// relay reply: each hop APPENDS its own entry to the vector its downstream
+// relay reply: each hop PREPENDS its own entry to the vector its downstream
 // returned, so the edge receives hop-ordered estimates — entry 0 is the first
 // cloud hop — with zero extra round trips. The edge's live re-placement
 // solver consumes them as the per-device compute rates and per-hop links the
@@ -526,22 +456,33 @@ type StageStatus struct {
 // stageStatusLen is the wire size of one StageStatus entry.
 const stageStatusLen = 20
 
-// EncodeResultsChain is EncodeResultsLoad with a trailing per-hop status
-// vector: results, the 8-byte LoadStatus, then one count byte and count
-// 20-byte StageStatus entries. The count byte makes the extension
-// unambiguous against both legacy layouts — base and base+load payloads are
-// multiples of 4 bytes, the chain section is 1+20c ≡ 1 (mod 4) — so
-// DecodeResultsChain needs no version flag, mirroring how the LoadStatus
-// piggyback itself stays legacy-compatible.
-func EncodeResultsChain(rs []Result, st LoadStatus, hops []StageStatus) []byte {
+// InferReply is the decoded MsgResultBatch payload: uint32 count and count
+// (int32 class, float32 confidence) results, the server's LoadStatus, one
+// hop-count byte and that many StageStatus entries (none outside a chain).
+type InferReply struct {
+	Results []Result
+	Load    LoadStatus
+	Hops    []StageStatus
+}
+
+// EncodeReply serializes a MsgResultBatch payload in one allocation.
+func EncodeReply(r InferReply) []byte {
+	hops := r.Hops
 	if len(hops) > 255 {
 		hops = hops[:255] // longer chains than the TTL allows cannot occur
 	}
-	base := appendLoadStatus(EncodeResults(rs), st)
-	out := make([]byte, len(base)+1+stageStatusLen*len(hops))
-	copy(out, base)
-	out[len(base)] = byte(len(hops))
-	off := len(base) + 1
+	out := make([]byte, 4+8*len(r.Results)+loadStatusLen+1+stageStatusLen*len(hops))
+	binary.LittleEndian.PutUint32(out, uint32(len(r.Results)))
+	off := 4
+	for _, res := range r.Results {
+		binary.LittleEndian.PutUint32(out[off:], uint32(res.Pred))
+		binary.LittleEndian.PutUint32(out[off+4:], math.Float32bits(res.Conf))
+		off += 8
+	}
+	putLoadStatus(out[off:], r.Load)
+	off += loadStatusLen
+	out[off] = byte(len(hops))
+	off++
 	for _, h := range hops {
 		binary.LittleEndian.PutUint64(out[off:], h.ServiceNanos)
 		binary.LittleEndian.PutUint32(out[off+8:], math.Float32bits(h.DownMbps))
@@ -551,79 +492,157 @@ func EncodeResultsChain(rs []Result, st LoadStatus, hops []StageStatus) []byte {
 	return out
 }
 
-// DecodeResultsChain decodes a MsgResultBatch payload in any of its three
-// layouts: bare results (legacy), results+LoadStatus, or
-// results+LoadStatus+per-hop chain status. hasChain reports whether the
-// frame carried the status vector (hops may be empty either way — a probe
-// reply from a zero-hop... chain never occurs, but the decoder does not
-// assume it).
-func DecodeResultsChain(b []byte) (rs []Result, st LoadStatus, hasLoad bool, hops []StageStatus, hasChain bool, err error) {
-	if len(b) >= 4+loadStatusLen+1 {
-		n := binary.LittleEndian.Uint32(b)
-		if n <= uint32(MaxPayload/8) {
-			base := 4 + 8*int(n) + loadStatusLen
-			if len(b) > base {
-				c := int(b[base])
-				if len(b) == base+1+stageStatusLen*c {
-					hops = make([]StageStatus, c)
-					off := base + 1
-					for i := range hops {
-						hops[i].ServiceNanos = binary.LittleEndian.Uint64(b[off:])
-						hops[i].DownMbps = math.Float32frombits(binary.LittleEndian.Uint32(b[off+8:]))
-						hops[i].DownRTTNanos = binary.LittleEndian.Uint64(b[off+12:])
-						off += stageStatusLen
-					}
-					hasChain = true
-					b = b[:base]
-				}
-			}
+// DecodeReply reverses EncodeReply, validating the payload exactly.
+func DecodeReply(b []byte) (InferReply, error) {
+	const fixed = 4 + loadStatusLen + 1
+	if len(b) < fixed {
+		return InferReply{}, fmt.Errorf("protocol: reply payload length %d, want >= %d", len(b), fixed)
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n > MaxPayload/8 {
+		return InferReply{}, fmt.Errorf("protocol: implausible result count %d", n)
+	}
+	hopsAt := 4 + 8*int(n) + loadStatusLen
+	if len(b) <= hopsAt {
+		return InferReply{}, fmt.Errorf("protocol: reply payload length %d too short for %d results", len(b), n)
+	}
+	c := int(b[hopsAt])
+	if want := hopsAt + 1 + stageStatusLen*c; len(b) != want {
+		return InferReply{}, fmt.Errorf("protocol: reply payload length %d, want %d", len(b), want)
+	}
+	r := InferReply{Results: make([]Result, n), Load: getLoadStatus(b[hopsAt-loadStatusLen:])}
+	off := 4
+	for i := range r.Results {
+		r.Results[i].Pred = int32(binary.LittleEndian.Uint32(b[off:]))
+		r.Results[i].Conf = math.Float32frombits(binary.LittleEndian.Uint32(b[off+4:]))
+		off += 8
+	}
+	if c > 0 {
+		r.Hops = make([]StageStatus, c)
+		off = hopsAt + 1
+		for i := range r.Hops {
+			r.Hops[i].ServiceNanos = binary.LittleEndian.Uint64(b[off:])
+			r.Hops[i].DownMbps = math.Float32frombits(binary.LittleEndian.Uint32(b[off+8:]))
+			r.Hops[i].DownRTTNanos = binary.LittleEndian.Uint64(b[off+12:])
+			off += stageStatusLen
 		}
 	}
-	rs, st, hasLoad, err = DecodeResultsLoad(b)
-	if err != nil {
-		return nil, LoadStatus{}, false, nil, false, err
-	}
-	return rs, st, hasLoad, hops, hasChain, nil
+	return r, nil
 }
 
-// DecodeResultLoad decodes a MsgResult payload with or without the trailing
-// LoadStatus field. hasLoad reports whether the frame carried one (legacy
-// 8-byte payloads decode with hasLoad == false), so a NEW edge interoperates
-// with an OLD server. The reverse is not true: servers always append the
-// status field, and the strict legacy decoders reject extended payloads —
-// upgrade edges before (or with) their servers.
-func DecodeResultLoad(b []byte) (pred int32, conf float32, st LoadStatus, hasLoad bool, err error) {
-	if len(b) == 8+loadStatusLen {
-		st.QueueDepth = binary.LittleEndian.Uint32(b[8:])
-		st.Active = binary.LittleEndian.Uint32(b[12:])
-		hasLoad = true
-		b = b[:8]
-	}
-	pred, conf, err = DecodeResult(b)
-	if err != nil {
-		return 0, 0, LoadStatus{}, false, err
-	}
-	return pred, conf, st, hasLoad, nil
+// shedLen is the wire size of a MsgShed payload.
+const shedLen = 8 + loadStatusLen
+
+// EncodeShed serializes a MsgShed payload: the server's retry-after hint
+// (int64 nanoseconds) and the congestion snapshot that caused it. MsgShed is
+// the reply a server under admission control sends INSTEAD of parking or
+// serving an inference request: the request was read and discarded, no
+// inference ran, and the client should not re-offer load before the hint
+// elapses.
+func EncodeShed(retryAfter time.Duration, st LoadStatus) []byte {
+	out := make([]byte, shedLen)
+	binary.LittleEndian.PutUint64(out, uint64(retryAfter))
+	putLoadStatus(out[8:], st)
+	return out
 }
 
-// DecodeResultsLoad decodes a MsgResultBatch payload with or without the
-// trailing LoadStatus field (see DecodeResultLoad). The base layout is
-// self-describing — uint32 count then count results — so the 8 trailing
-// status bytes are unambiguous: a payload is either exactly the base length
-// or exactly base+8.
-func DecodeResultsLoad(b []byte) (rs []Result, st LoadStatus, hasLoad bool, err error) {
-	if len(b) >= 4+loadStatusLen {
-		n := binary.LittleEndian.Uint32(b)
-		if n <= uint32(MaxPayload/8) && len(b) == 4+8*int(n)+loadStatusLen {
-			st.QueueDepth = binary.LittleEndian.Uint32(b[len(b)-8:])
-			st.Active = binary.LittleEndian.Uint32(b[len(b)-4:])
-			hasLoad = true
-			b = b[:len(b)-loadStatusLen]
-		}
+// DecodeShed reverses EncodeShed. The retry-after bits are returned as-is
+// (the encoding is canonical); callers clamp negative hints to zero rather
+// than the decoder rejecting them.
+func DecodeShed(b []byte) (retryAfter time.Duration, st LoadStatus, err error) {
+	if len(b) != shedLen {
+		return 0, LoadStatus{}, fmt.Errorf("protocol: shed payload length %d, want %d", len(b), shedLen)
 	}
-	rs, err = DecodeResults(b)
-	if err != nil {
-		return nil, LoadStatus{}, false, err
+	return time.Duration(binary.LittleEndian.Uint64(b)), getLoadStatus(b[8:]), nil
+}
+
+// Capabilities is what a replica advertises in its MsgHello reply: the
+// fixed facts an edge router needs before the first offload, instead of
+// learning that a replica cannot serve a representation by burning a call on
+// an error reply (and excluding a perfectly healthy replica for it).
+type Capabilities struct {
+	// TailCapable reports whether the server carries a partitioned-network
+	// feature tail, i.e. whether RepFeatures requests can succeed here.
+	TailCapable bool
+	// ServesChain reports whether the server holds a serving chain, i.e.
+	// whether RepActivation requests and chain probes can succeed here.
+	ServesChain bool
+	// MaxBatch is the server's micro-batch collector size (0 when batching is
+	// off) — advisory: a hint for client-side batch sizing, not a limit the
+	// server enforces on client-assembled batches.
+	MaxBatch uint32
+}
+
+// Serves reports whether such a server can serve a request in rep (raw:
+// always).
+func (c Capabilities) Serves(rep Rep) bool {
+	switch rep {
+	case RepFeatures:
+		return c.TailCapable
+	case RepActivation:
+		return c.ServesChain
 	}
-	return rs, st, hasLoad, nil
+	return true
+}
+
+// helloLen is the wire size of a MsgHello reply payload.
+const helloLen = 5
+
+// Bits of the hello flags byte.
+const (
+	helloTailFlag  = 1 << 0
+	helloChainFlag = 1 << 1
+	helloKnown     = helloTailFlag | helloChainFlag
+)
+
+// EncodeHello serializes a MsgHello reply payload: one flags byte (bit 0 =
+// tail-capable, bit 1 = serves a chain) followed by the uint32 micro-batch
+// size. A MsgHello REQUEST carries an empty payload. A server that answers
+// MsgError leaves its capabilities unknown, and the edge routes to it
+// optimistically.
+func EncodeHello(c Capabilities) []byte {
+	out := make([]byte, helloLen)
+	if c.TailCapable {
+		out[0] |= helloTailFlag
+	}
+	if c.ServesChain {
+		out[0] |= helloChainFlag
+	}
+	binary.LittleEndian.PutUint32(out[1:], c.MaxBatch)
+	return out
+}
+
+// DecodeHello reverses EncodeHello, validating the payload exactly. Unknown
+// flag bits are rejected rather than ignored: a frame with bits this decoder
+// does not know is from a NEWER peer, and silently dropping its advertised
+// capabilities would let the router make stale assumptions — the caller
+// treats the error as capabilities unknown instead.
+func DecodeHello(b []byte) (Capabilities, error) {
+	if len(b) != helloLen {
+		return Capabilities{}, fmt.Errorf("protocol: hello payload length %d, want %d", len(b), helloLen)
+	}
+	if b[0]&^helloKnown != 0 {
+		return Capabilities{}, fmt.Errorf("protocol: unknown hello flags %#x", b[0])
+	}
+	return Capabilities{
+		TailCapable: b[0]&helloTailFlag != 0,
+		ServesChain: b[0]&helloChainFlag != 0,
+		MaxBatch:    binary.LittleEndian.Uint32(b[1:]),
+	}, nil
+}
+
+// EncodeRelayProbe serializes a MsgRelay payload: the TTL byte and nothing
+// else. A probe traverses the chain's transport hops — every hop with a
+// downstream forwards it without running a stage (TTL decremented per hop, so
+// a chain misconfigured into a cycle dies with an error), the terminal hop
+// answers a reply with no results — so the edge can verify a chain end to end
+// and learn its hop count without shipping a single activation.
+func EncodeRelayProbe(ttl uint8) []byte { return []byte{ttl} }
+
+// DecodeRelayProbe decodes a probe payload's TTL byte.
+func DecodeRelayProbe(b []byte) (ttl uint8, err error) {
+	if len(b) != 1 {
+		return 0, fmt.Errorf("protocol: relay probe payload length %d, want 1", len(b))
+	}
+	return b[0], nil
 }

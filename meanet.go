@@ -12,7 +12,7 @@
 //     into main, extension and adaptive blocks (Fig 4);
 //   - TrainDistributed — cloud-side main-block pretraining, FDR-based
 //     hard-class selection and blockwise edge adaptation (Algorithm 1);
-//   - Policy / Infer / Runtime — complexity-aware inference with entropy-
+//   - Policy / InferBatchedRep / Runtime — complexity-aware inference with entropy-
 //     gated cloud offload (Algorithm 2), over in-process or real TCP
 //     transports (CloudServer / DialCloud);
 //   - CostModel / WiFiModel — the paper's Table I/VII energy algebra.
@@ -88,8 +88,6 @@ type (
 	Decision = core.Decision
 	// ExitPoint says where an instance's inference terminated.
 	ExitPoint = core.ExitPoint
-	// CloudFunc classifies one instance on the cloud.
-	CloudFunc = core.CloudFunc
 	// CloudBatchFunc classifies a stacked batch on the cloud in one round
 	// trip, with per-instance error granularity.
 	CloudBatchFunc = core.CloudBatchFunc
@@ -127,11 +125,12 @@ const (
 type (
 	// CloudServer serves classification requests over TCP.
 	CloudServer = cloud.Server
-	// CloudClient is the edge-side cloud transport.
+	// CloudClient is the classic call surface of an edge-side cloud
+	// transport (raw images in, predictions out).
 	CloudClient = edge.CloudClient
-	// FeatureCloudClient is a transport that also carries the §III-C
-	// "sending features" mode.
-	FeatureCloudClient = edge.FeatureCloudClient
+	// Transport is one edge-side connection to the cloud tier: one Infer
+	// call for every representation, plus its live signals.
+	Transport = edge.Transport
 	// CloudTail is the cloud half of a partitioned network (features mode).
 	CloudTail = cloud.Tail
 	// OffloadMode selects the upload representation (raw/features/auto).
@@ -157,7 +156,7 @@ type (
 	// threshold control and live auto-mode representation choice).
 	AdaptConfig = edge.AdaptConfig
 	// CloudLoadStatus is the server backpressure signal piggybacked on
-	// result frames.
+	// replies.
 	CloudLoadStatus = protocol.LoadStatus
 	// ShedPolicy bounds the load a CloudServer accepts before answering
 	// classify requests with shed frames (admission control).
@@ -240,14 +239,9 @@ var (
 	DialCloud = edge.DialCloud
 	// NewRuntime builds an edge inference runtime.
 	NewRuntime = edge.NewRuntime
-	// SerialOffload adapts a per-instance CloudFunc into a CloudBatchFunc
-	// (one round trip per instance — the legacy pattern).
-	SerialOffload = core.SerialOffload
-	// BatchOffload adapts a CloudClient's batch call into a CloudBatchFunc
-	// (one round trip per batch — the serving default).
-	BatchOffload = edge.BatchOffload
-	// FeatureBatchOffload is BatchOffload for the features representation.
-	FeatureBatchOffload = edge.FeatureBatchOffload
+	// Offload is the CloudBatchFunc over a transport: one round trip per
+	// batch, in the given representation.
+	Offload = edge.Offload
 	// ParseOffloadMode parses raw|features|auto.
 	ParseOffloadMode = edge.ParseOffloadMode
 	// Partitioned composes an edge main block with a features tail into a
