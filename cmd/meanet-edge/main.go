@@ -228,17 +228,8 @@ func run(args []string) error {
 	}
 
 	start := time.Now()
-	tm, err := deploy.TrainMain(spec, m, synth)
+	tm, err := deploy.TrainEdge(spec, m, synth)
 	if err != nil {
-		return err
-	}
-	m.Dict, err = core.SelectHardClasses(tm.Confusion, classes/2)
-	if err != nil {
-		return err
-	}
-	edgeCfg := core.DefaultTrainConfig(spec.Epochs, *seed+13)
-	edgeCfg.Progress = progress("edge blocks")
-	if err := core.TrainEdgeBlocks(m, tm.Train, edgeCfg); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "edge training done in %.1fs; hard classes: %v\n",
@@ -246,14 +237,10 @@ func run(args []string) error {
 
 	// Threshold: validation midpoint unless overridden.
 	th := *threshold
-	lo, hi, ok := tm.Entropy.ThresholdRange()
 	if th < 0 {
-		if ok {
-			th = (lo + hi) / 2
-		} else {
-			th = lo
-		}
+		th = tm.Entropy.ThresholdMidpoint()
 	}
+	lo, hi, _ := tm.Entropy.ThresholdRange()
 	fmt.Fprintf(os.Stderr, "entropy means (val): correct %.3f, wrong %.3f; using threshold %.3f\n", lo, hi, th)
 
 	// Cloud transport: one pipelined connection per replica address, routed
@@ -681,12 +668,6 @@ func parseLinks(s string) ([]netsim.Link, error) {
 		links = append(links, netsim.Link{Latency: lat, Mbps: mbps})
 	}
 	return links, nil
-}
-
-func progress(what string) func(int, float64) {
-	return func(epoch int, loss float64) {
-		fmt.Fprintf(os.Stderr, "%s epoch %d loss %.4f\n", what, epoch+1, loss)
-	}
 }
 
 func progressf(format string, args ...any) {

@@ -16,7 +16,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/meanet/meanet/internal/data"
+	"github.com/meanet/meanet/internal/deploy"
 	"github.com/meanet/meanet/internal/experiments"
 )
 
@@ -44,7 +44,7 @@ func run(args []string) error {
 		fmt.Println(strings.Join(experiments.Names(), "\n"))
 		return nil
 	}
-	scale, err := parseScale(*scaleName)
+	scale, err := deploy.ParseScale(*scaleName)
 	if err != nil {
 		return err
 	}
@@ -63,17 +63,4 @@ func run(args []string) error {
 		return experiments.RunOne(ctx, *runName, os.Stdout)
 	}
 	return experiments.RunAll(ctx, os.Stdout)
-}
-
-func parseScale(name string) (data.Scale, error) {
-	switch name {
-	case "tiny":
-		return data.ScaleTiny, nil
-	case "small":
-		return data.ScaleSmall, nil
-	case "full":
-		return data.ScaleFull, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (want tiny, small or full)", name)
-	}
 }

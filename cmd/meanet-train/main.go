@@ -11,13 +11,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
 	"github.com/meanet/meanet/internal/core"
-	"github.com/meanet/meanet/internal/data"
-	"github.com/meanet/meanet/internal/models"
+	"github.com/meanet/meanet/internal/deploy"
 )
 
 func main() {
@@ -38,82 +36,31 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	scale, err := parseScale(*scaleName)
+	scale, err := deploy.ParseScale(*scaleName)
 	if err != nil {
 		return err
 	}
-	var synth *data.Synth
-	switch *dataset {
-	case "c100":
-		synth, err = data.Generate(data.SynthC100(scale, *seed))
-	case "imagenet":
-		synth, err = data.Generate(data.SynthImageNet(scale, *seed+100))
-	default:
-		return fmt.Errorf("unknown dataset %q", *dataset)
-	}
+	synth, err := deploy.GeneratePreset(*dataset, scale, *seed)
 	if err != nil {
 		return err
 	}
-	classes := synth.Train.NumClasses
-
-	rng := rand.New(rand.NewSource(*seed + 17))
-	var backbone *models.Backbone
-	if *dataset == "c100" {
-		backbone, err = models.BuildResNet(rng, models.ResNetEdgeC100(1))
-	} else {
-		backbone, err = models.BuildResNet(rng, models.ResNetEdgeImageNet(1))
+	spec := deploy.EdgeSpec{
+		Dataset: *dataset, Scale: scale, Seed: *seed, Variant: *variant,
+		Epochs: *epochs,
+		Progress: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		},
 	}
+	if spec.Epochs == 0 {
+		spec.Epochs = deploy.DefaultEpochs(scale)
+	}
+	m, err := deploy.BuildEdgeNet(spec, synth.Train.NumClasses)
 	if err != nil {
 		return err
-	}
-	var m *core.MEANet
-	switch *variant {
-	case "A":
-		m, err = core.BuildMEANetA(rng, backbone, len(backbone.Groups)-1, classes)
-	case "B":
-		m, err = core.BuildMEANetB(rng, backbone, 2, classes, core.CombineSum)
-	default:
-		return fmt.Errorf("unknown variant %q", *variant)
-	}
-	if err != nil {
-		return err
-	}
-
-	e := *epochs
-	if e == 0 {
-		switch scale {
-		case data.ScaleTiny:
-			e = 8
-		case data.ScaleFull:
-			e = 30
-		default:
-			e = 18
-		}
-	}
-	mainCfg := core.DefaultTrainConfig(e, *seed+11)
-	edgeCfg := core.DefaultTrainConfig(e, *seed+13)
-	mainCfg.Progress = func(epoch int, loss float64) {
-		fmt.Fprintf(os.Stderr, "main epoch %d/%d loss %.4f\n", epoch+1, e, loss)
-	}
-	edgeCfg.Progress = func(epoch int, loss float64) {
-		fmt.Fprintf(os.Stderr, "edge epoch %d/%d loss %.4f\n", epoch+1, e, loss)
 	}
 
 	start := time.Now()
-	rng2 := rand.New(rand.NewSource(mainCfg.Seed))
-	val, train := synth.Train.Split(0.1, rng2)
-	if err := core.TrainMainBlock(m, train, mainCfg); err != nil {
-		return err
-	}
-	cm, _, err := core.EvaluateMain(m, val, 64)
-	if err != nil {
-		return err
-	}
-	m.Dict, err = core.SelectHardClasses(cm, classes/2)
-	if err != nil {
-		return err
-	}
-	if err := core.TrainEdgeBlocks(m, train, edgeCfg); err != nil {
+	if _, err := deploy.TrainEdge(spec, m, synth); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "pipeline finished in %.1fs; hard classes %v\n",
@@ -149,17 +96,4 @@ func run(args []string) error {
 	}
 	fmt.Printf("state saved to %s (%d bytes)\n", *out, info.Size())
 	return nil
-}
-
-func parseScale(name string) (data.Scale, error) {
-	switch name {
-	case "tiny":
-		return data.ScaleTiny, nil
-	case "small":
-		return data.ScaleSmall, nil
-	case "full":
-		return data.ScaleFull, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (want tiny, small or full)", name)
-	}
 }

@@ -116,14 +116,8 @@ type ShedPolicy struct {
 	// across all connections (0 = in-flight count never sheds).
 	MaxInFlight int64
 	// RetryAfter is the back-off hint carried in every shed frame
-	// (default 50ms).
+	// (default protocol.DefaultRetryAfter).
 	RetryAfter time.Duration
-}
-
-func (p *ShedPolicy) fillDefaults() {
-	if p.RetryAfter <= 0 {
-		p.RetryAfter = 50 * time.Millisecond
-	}
 }
 
 // Server serves classification requests over TCP.
@@ -184,7 +178,9 @@ func WithBatching(cfg BatchConfig) Option {
 // the server is past the policy's limits are answered with a shed frame instead
 // of being accepted (see ShedPolicy).
 func WithShedding(pol ShedPolicy) Option {
-	pol.fillDefaults()
+	if pol.RetryAfter <= 0 {
+		pol.RetryAfter = protocol.DefaultRetryAfter
+	}
 	return func(s *Server) { s.shedPol = &pol }
 }
 

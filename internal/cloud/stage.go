@@ -69,10 +69,6 @@ type StageConfig struct {
 	MaxInFlight int
 }
 
-// defaultDownstreamRetry is the hold hint propagated upstream when a
-// downstream shed carried none.
-const defaultDownstreamRetry = 50 * time.Millisecond
-
 // WithStage enables stage-server mode: activation requests run
 // route-assigned spans of cfg.Chain and forward downstream (or terminate the
 // chain), MsgRelay probes traverse it. A server may combine a chain with
@@ -120,7 +116,7 @@ func (s *Server) stageStatus() protocol.StageStatus {
 // "downstream relay:" layer per hop so a probe can locate the break.
 func (s *Server) downstreamFailure(id uint64, err error) protocol.Frame {
 	if errors.Is(err, core.ErrShed) {
-		retryAfter := defaultDownstreamRetry
+		retryAfter := protocol.DefaultRetryAfter // the downstream shed carried none
 		var h retryAfterHint
 		if errors.As(err, &h) && h.RetryAfterHint() > 0 {
 			retryAfter = h.RetryAfterHint()

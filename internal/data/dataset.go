@@ -12,7 +12,9 @@
 //     genuinely ambiguous (the paper's "complex" instances, which only a
 //     larger model can resolve).
 //
-// See DESIGN.md §2 for the substitution rationale.
+// The paper's method depends on which classes are hard and which instances
+// are complex, not on the pixels, so a substrate with both under direct
+// control tests its training and inference claims without the originals.
 package data
 
 import (

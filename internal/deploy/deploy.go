@@ -28,7 +28,7 @@ type EdgeSpec struct {
 	Scale   data.Scale
 	Seed    int64
 	Variant string // "A" or "B"
-	Epochs  int    // main-block training epochs
+	Epochs  int    // training epochs per phase (main block, edge blocks)
 
 	// Progress, when non-nil, receives coarse progress lines.
 	Progress func(format string, args ...any)
@@ -125,6 +125,31 @@ func TrainMain(spec EdgeSpec, m *core.MEANet, synth *data.Synth) (*TrainedMain, 
 		return nil, err
 	}
 	return &TrainedMain{Net: m, Train: train, Val: val, Confusion: cm, Entropy: es}, nil
+}
+
+// TrainEdge runs all of Algorithm 1 for the edge network: TrainMain, then the
+// half of the classes the main block is least precise on become the hard
+// classes, and the edge blocks train on them over the same split. It returns
+// TrainMain's outcome, so the validation confusion and threshold range stay
+// available; meanet-train and meanet-edge both deploy exactly this recipe.
+func TrainEdge(spec EdgeSpec, m *core.MEANet, synth *data.Synth) (*TrainedMain, error) {
+	tm, err := TrainMain(spec, m, synth)
+	if err != nil {
+		return nil, err
+	}
+	if m.Dict, err = core.SelectHardClasses(tm.Confusion, synth.Train.NumClasses/2); err != nil {
+		return nil, err
+	}
+	edgeCfg := core.DefaultTrainConfig(spec.Epochs, spec.Seed+13)
+	if spec.Progress != nil {
+		edgeCfg.Progress = func(epoch int, loss float64) {
+			spec.logf("edge blocks epoch %d loss %.4f", epoch+1, loss)
+		}
+	}
+	if err := core.TrainEdgeBlocks(m, tm.Train, edgeCfg); err != nil {
+		return nil, err
+	}
+	return tm, nil
 }
 
 // TrainTail trains the cloud half of the partitioned network: a small

@@ -21,8 +21,10 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// fakeLink is a steerable LinkEstimator/LoadReporter pair.
+// fakeLink is the in-process client with steerable live signals: its
+// LinkEstimate and CloudLoad answer what the test set, not what was measured.
 type fakeLink struct {
+	*InProcClient
 	mu   sync.Mutex
 	est  linkest.Estimate
 	load protocol.LoadStatus
@@ -70,7 +72,7 @@ func adaptiveFixture(t *testing.T, seed int64) (*Runtime, *fakeLink, *tensor.Ten
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := tinyPartitionedClient(t, m, seed+1, 6)
+	link := &fakeLink{InProcClient: tinyPartitionedClient(t, m, seed+1, 6)}
 	cost := &CostParams{
 		Compute:      energy.EdgeGPUCIFAR(),
 		WiFi:         energy.DefaultWiFi(),
@@ -80,16 +82,13 @@ func adaptiveFixture(t *testing.T, seed int64) (*Runtime, *fakeLink, *tensor.Ten
 	if cost.FeatureBytes >= cost.ImageBytes {
 		t.Fatalf("fixture wants FeatureBytes < ImageBytes, got %d vs %d", cost.FeatureBytes, cost.ImageBytes)
 	}
-	rt, err := NewRuntime(m, core.Policy{Threshold: 0, UseCloud: true}, client, cost)
+	rt, err := NewRuntime(m, core.Policy{Threshold: 0, UseCloud: true}, link, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.SetOffloadMode(OffloadAuto); err != nil {
 		t.Fatal(err)
 	}
-	link := &fakeLink{}
-	rt.SetLinkEstimator(link)
-	rt.SetLoadReporter(link)
 	x := tensor.Randn(rng, 1, 4, 3, 16, 16)
 	return rt, link, x, cost
 }

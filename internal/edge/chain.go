@@ -54,8 +54,12 @@ const DefaultRelayTTL = 16
 const (
 	defaultReplanInterval   = 500 * time.Millisecond
 	defaultReplanHysteresis = 0.15
-	defaultReplanMinSamples = 3
 )
+
+// replanMinSamples is how many successful relay round trips must accumulate
+// before the first re-solve, and again after every move — matching the cloud
+// hops' own sample gate.
+const replanMinSamples = 3
 
 // ChainStats is the per-path accounting a chain client keeps for
 // Report.Chain: which instances went through the chain, which took the
@@ -95,10 +99,6 @@ type ReplanConfig struct {
 	// (default 0.15). The margin is what keeps measurement noise from
 	// flapping the cuts back and forth.
 	Hysteresis float64
-	// MinSamples is how many successful relay round trips (and local stage
-	// forwards) must accumulate before the first re-solve, and again after
-	// every move (default 3) — matching the cloud hops' own sample gate.
-	MinSamples int
 	// In is the CHW shape of one input instance, needed to price the chain.
 	In profile.Shape
 	// EdgeMACsPerSec is the edge device's compute-rate prior, used until the
@@ -113,9 +113,6 @@ func (r *ReplanConfig) fillDefaults() {
 	}
 	if r.Hysteresis <= 0 {
 		r.Hysteresis = defaultReplanHysteresis
-	}
-	if r.MinSamples <= 0 {
-		r.MinSamples = defaultReplanMinSamples
 	}
 }
 
@@ -380,7 +377,7 @@ func (c *ChainClient) maybeReplan() {
 	now := time.Now()
 	c.mu.Lock()
 	if now.Sub(c.lastReplan) < c.replan.Interval ||
-		c.hopSamples < c.replan.MinSamples || len(c.hopStats) == 0 {
+		c.hopSamples < replanMinSamples || len(c.hopStats) == 0 {
 		c.mu.Unlock()
 		return
 	}

@@ -252,7 +252,7 @@ func TestChainExclusionWindow(t *testing.T) {
 	done = classifyAsync(c)
 	hop.shed(hop.next(), 0)
 	mustServe(done, "hintless shed must fall back to direct")
-	if got, want := c.windowEnd(), t2.Add(defaultShedRetryAfter); !got.Equal(want) {
+	if got, want := c.windowEnd(), t2.Add(protocol.DefaultRetryAfter); !got.Equal(want) {
 		t.Fatalf("window after a hintless shed ends %v, want %v", got, want)
 	}
 

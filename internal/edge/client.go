@@ -21,8 +21,6 @@ import (
 
 // DialConfig configures the TCP cloud client.
 type DialConfig struct {
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
 	// RequestTimeout bounds one classify round trip (default 10s).
 	RequestTimeout time.Duration
 	// Link, when non-zero, shapes uploads through a simulated WiFi/WAN link.
@@ -33,27 +31,24 @@ type DialConfig struct {
 	// transport error is terminal, as before.
 	Redial func() (net.Conn, error)
 	// RedialBackoff is the wait before the first redial after a failure
-	// (default 50ms); it doubles per consecutive failed redial up to
-	// RedialBackoffMax (default 2s) and resets on success.
+	// (default 50ms); it doubles per consecutive failed redial up to 2s
+	// (redialBackoffMax) and resets on success.
 	RedialBackoff time.Duration
-	// RedialBackoffMax caps the exponential redial backoff.
-	RedialBackoffMax time.Duration
-	// Estimator tunes the built-in link estimator (zero value = defaults).
-	Estimator linkest.Config
 }
 
+const (
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 5 * time.Second
+	// redialBackoffMax caps the exponential redial backoff.
+	redialBackoffMax = 2 * time.Second
+)
+
 func (c *DialConfig) fillDefaults() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
 	if c.RedialBackoff <= 0 {
 		c.RedialBackoff = 50 * time.Millisecond
-	}
-	if c.RedialBackoffMax <= 0 {
-		c.RedialBackoffMax = 2 * time.Second
 	}
 }
 
@@ -115,9 +110,8 @@ func DialCloud(addr string, cfg DialConfig) (*TCPClient, error) {
 	}
 	if cfg.Redial == nil {
 		link := cfg.Link
-		timeout := cfg.DialTimeout
 		cfg.Redial = func() (net.Conn, error) {
-			conn, err := net.DialTimeout("tcp", addr, timeout)
+			conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 			if err != nil {
 				return nil, err
 			}
@@ -145,7 +139,7 @@ func newTCPClient(conn net.Conn, cfg DialConfig) *TCPClient {
 		conn:    conn,
 		pending: make(map[uint64]chan clientResult),
 		backoff: cfg.RedialBackoff,
-		est:     linkest.New(cfg.Estimator),
+		est:     linkest.New(),
 	}
 	c.calls = calls{c.Infer}
 	go c.readLoop(conn, c.gen)
@@ -210,7 +204,7 @@ func (c *TCPClient) fail(err error, gen uint64) {
 
 // reconnectLocked replaces a broken connection with a freshly dialed one.
 // Caller holds c.mu with c.broken != nil; the lock is RELEASED around the
-// dial itself (which can block for DialTimeout) so concurrent senders fail
+// dial itself (which can block for dialTimeout) so concurrent senders fail
 // fast with "redial in progress" and Close never waits on a dial, and is
 // re-held on return. The poisoned-stream safety argument is preserved: the
 // old connection is never written to again — a brand-new connection (and
@@ -238,28 +232,20 @@ func (c *TCPClient) reconnectLocked() error {
 		}
 		return errors.New("edge: client closed")
 	}
+	// Either outcome CONSUMES backoff credit — a successful dial does not
+	// restore it: the next redial may not run before the current backoff
+	// elapses, and the wait keeps doubling, until a response frame proves the
+	// link healthy (see readLoop). Otherwise an endpoint that accepts and
+	// immediately dies would be redialed at full client rate.
+	c.nextRedial = time.Now().Add(c.backoff)
+	c.backoff = min(2*c.backoff, redialBackoffMax)
 	if err != nil {
-		c.nextRedial = time.Now().Add(c.backoff)
-		c.backoff *= 2
-		if c.backoff > c.cfg.RedialBackoffMax {
-			c.backoff = c.cfg.RedialBackoffMax
-		}
 		return fmt.Errorf("edge: redial: %w", err)
 	}
 	old := c.conn
 	c.conn = conn
 	c.broken = nil
 	c.gen++
-	// A successful dial CONSUMES backoff credit rather than restoring it:
-	// the next redial may not run before the current backoff elapses, and
-	// the wait keeps doubling, until a response frame proves the link
-	// healthy (see readLoop). Otherwise an endpoint that accepts and
-	// immediately dies would be redialed at full client rate.
-	c.nextRedial = time.Now().Add(c.backoff)
-	c.backoff *= 2
-	if c.backoff > c.cfg.RedialBackoffMax {
-		c.backoff = c.cfg.RedialBackoffMax
-	}
 	// The new path may have different characteristics; discard the dead
 	// connection's link estimate rather than adapt on stale numbers (the
 	// runtime falls back to its static model until fresh samples mature).

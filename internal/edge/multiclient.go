@@ -27,11 +27,6 @@ type MultiConfig struct {
 	// so any seed gives the same aggregate behavior; a fixed default keeps
 	// simulations reproducible.
 	Seed int64
-	// ServiceAlpha is the EWMA weight of each new per-call service-time
-	// sample in a replica's capacity estimate (default 0.3): high enough to
-	// track a replica that slows down mid-run, low enough that one stalled
-	// batch does not write off a healthy replica.
-	ServiceAlpha float64
 	// MinServiceSamples is how many successful calls a replica must have
 	// answered before its service-time estimate starts weighting its score
 	// (default 3). Below the floor a replica is scored at weight 1, so cold
@@ -53,9 +48,6 @@ func (c *MultiConfig) fillDefaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.ServiceAlpha <= 0 || c.ServiceAlpha > 1 {
-		c.ServiceAlpha = linkest.ServiceAlpha
 	}
 	if c.MinServiceSamples <= 0 {
 		c.MinServiceSamples = linkest.ServiceMinSamples
@@ -606,7 +598,7 @@ func (m *MultiClient) noteResult(r *replica, err error, svc time.Duration, ahead
 		// measured sojourn: with `ahead` jobs queued at dispatch on a
 		// serialized accelerator, the wall time spans ahead+1 service slots
 		// (the score's load term already charges for the queueing itself).
-		r.svc.Observe(svc.Seconds(), 1+ahead, m.cfg.ServiceAlpha)
+		r.svc.Observe(svc.Seconds(), 1+ahead, linkest.ServiceAlpha)
 	case errors.Is(err, ErrShed):
 		r.sheds++
 		m.exclude(r, shedRetryAfter(err), true)

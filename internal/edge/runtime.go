@@ -13,18 +13,6 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// LinkEstimator supplies a live uplink estimate — by default the runtime's
-// own transport; SetLinkEstimator injects another (a steerable fake).
-type LinkEstimator interface {
-	LinkEstimate() linkest.Estimate
-}
-
-// LoadReporter supplies the cloud server's piggybacked backpressure signal —
-// by default the runtime's own transport (see SetLoadReporter).
-type LoadReporter interface {
-	CloudLoad() (protocol.LoadStatus, bool)
-}
-
 // OffloadMode selects which representation of a cloud-qualifying instance
 // the runtime uploads.
 type OffloadMode int
@@ -126,50 +114,40 @@ type AdaptConfig struct {
 	// folded in this many round trips, decisions fall back to the static
 	// CostParams model (default 8).
 	MinSamples int
-	// StepUp and StepDown are the multiplicative threshold nudges: over
-	// budget raises Threshold by ×(1+StepUp) (offload less), headroom
-	// lowers it by ×(1−StepDown). Up faster than down — shedding load when
-	// the budget is blown matters more than reclaiming accuracy (defaults
-	// 0.15 and 0.05).
-	StepUp, StepDown float64
-	// Headroom is the fraction of the budget below which the controller
-	// nudges the threshold down; between Headroom×budget and the budget is
-	// the deadband where the threshold holds (default 0.6).
-	Headroom float64
-	// MinThreshold and MaxThreshold clamp the controlled threshold
-	// (defaults 1e-3 and 10 — entropy over any plausible class count lies
-	// inside).
-	MinThreshold, MaxThreshold float64
-	// RepHysteresis damps representation flapping in auto mode: once the
-	// runtime has fallen back to the compact representation, raw must fit
-	// within RepHysteresis×budget (not just the budget) to flip back
-	// (default 0.8).
-	RepHysteresis float64
+	// MaxThreshold is the ceiling of the controlled threshold (default 10 —
+	// entropy over any plausible class count lies below).
+	MaxThreshold float64
 }
 
 func (c *AdaptConfig) fillDefaults() {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 8
 	}
-	if c.StepUp <= 0 {
-		c.StepUp = 0.15
-	}
-	if c.StepDown <= 0 {
-		c.StepDown = 0.05
-	}
-	if c.Headroom <= 0 || c.Headroom >= 1 {
-		c.Headroom = 0.6
-	}
-	if c.MinThreshold <= 0 {
-		c.MinThreshold = 1e-3
-	}
 	if c.MaxThreshold <= 0 {
 		c.MaxThreshold = 10
 	}
-	if c.RepHysteresis <= 0 || c.RepHysteresis > 1 {
-		c.RepHysteresis = 0.8
-	}
 }
+
+// The controller's fixed tuning.
+const (
+	// adaptStepUp and adaptStepDown are the multiplicative threshold nudges:
+	// over budget raises Threshold by ×(1+adaptStepUp) (offload less),
+	// headroom lowers it by ×(1−adaptStepDown). Up faster than down —
+	// shedding load when the budget is blown matters more than reclaiming
+	// accuracy.
+	adaptStepUp   = 0.15
+	adaptStepDown = 0.05
+	// adaptHeadroom is the fraction of the budget below which the controller
+	// nudges the threshold down; between adaptHeadroom×budget and the budget
+	// is the deadband where the threshold holds.
+	adaptHeadroom = 0.6
+	// adaptMinThreshold is the floor of the controlled threshold.
+	adaptMinThreshold = 1e-3
+	// repHysteresis damps representation flapping in auto mode: once the
+	// runtime has fallen back to the compact representation, raw must fit
+	// within repHysteresis×budget (not just the budget) to flip back.
+	repHysteresis = 0.8
+)
 
 // Report summarizes a runtime's activity.
 type Report struct {
@@ -239,15 +217,12 @@ type Runtime struct {
 	// transport does.
 	offload func(t Transport, rep core.OffloadRep) core.CloudBatchFunc
 
-	// mu guards policy, mode, est, load, budget, adapt, lastRep, haveLastRep,
-	// repFlips, shedUntil, n, exits, cloudFailures, shedEvents, shedFallbacks,
-	// bytesSent, rawUploads, featUploads, energyTotal, latencyCompute,
-	// latencyComm
+	// mu guards policy, mode, budget, adapt, lastRep, haveLastRep, repFlips,
+	// shedUntil, n, exits, cloudFailures, shedEvents, shedFallbacks, bytesSent,
+	// rawUploads, featUploads, energyTotal, latencyCompute, latencyComm
 	mu             sync.Mutex
 	policy         core.Policy
 	mode           OffloadMode
-	est            LinkEstimator // nil = no live estimates (static model only)
-	load           LoadReporter  // nil = no backpressure signal
 	budget         time.Duration // 0 = closed-loop adaptation off
 	adapt          AdaptConfig
 	lastRep        core.OffloadRep
@@ -267,10 +242,6 @@ type Runtime struct {
 	latencyComm    time.Duration
 }
 
-// defaultShedRetryAfter is the hold applied when a shed arrives without a
-// usable RetryAfter hint (see shedRetryAfter).
-const defaultShedRetryAfter = 50 * time.Millisecond
-
 // NewRuntime builds a runtime. cloud may be nil (edge-only operation) and
 // need not be a Transport (asTransport adapts it); cost may be nil (no energy
 // accounting).
@@ -283,34 +254,14 @@ func NewRuntime(m *core.MEANet, policy core.Policy, cloud CloudClient, cost *Cos
 	}
 	r := &Runtime{
 		net:     m,
+		cloud:   asTransport(cloud),
 		policy:  policy,
 		cost:    cost,
 		offload: Offload,
 		exits:   make(map[core.ExitPoint]int),
 	}
 	r.adapt.fillDefaults()
-	// The live signals come from the transport itself; one that measures
-	// nothing (the in-process client) reports an estimate with no samples.
-	if r.cloud = asTransport(cloud); r.cloud != nil {
-		r.est, r.load = r.cloud, r.cloud
-	}
 	return r, nil
-}
-
-// SetLinkEstimator overrides the live link source (tests inject synthetic
-// estimators; nil disables live adaptation and falls back to the static
-// cost model).
-func (r *Runtime) SetLinkEstimator(est LinkEstimator) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.est = est
-}
-
-// SetLoadReporter overrides the backpressure source (see SetLinkEstimator).
-func (r *Runtime) SetLoadReporter(lr LoadReporter) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.load = lr
 }
 
 // SetAdaptConfig replaces the adaptation tuning (zero fields take defaults).
@@ -340,13 +291,6 @@ func (r *Runtime) SetLatencyBudget(d time.Duration) {
 	r.budget = d
 }
 
-// LatencyBudget reports the active budget (0 = closed-loop control off).
-func (r *Runtime) LatencyBudget() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.budget
-}
-
 // Policy returns the active inference policy.
 func (r *Runtime) Policy() core.Policy {
 	r.mu.Lock()
@@ -359,14 +303,6 @@ func (r *Runtime) SetThreshold(th float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.policy.Threshold = th
-}
-
-// SetCloudRetries updates the number of extra batched attempts granted to
-// instances whose cloud call failed (see core.Policy.CloudRetries).
-func (r *Runtime) SetCloudRetries(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.policy.CloudRetries = n
 }
 
 // SetOffloadMode selects the upload representation for cloud offloads. The
@@ -407,21 +343,17 @@ func (r *Runtime) OffloadMode() OffloadMode {
 type adaptSnapshot struct {
 	budget      time.Duration
 	adapt       AdaptConfig
-	est         LinkEstimator
-	load        LoadReporter
 	lastRep     core.OffloadRep
 	haveLastRep bool
 }
 
-// liveEstimate returns the link estimate when it is mature enough to act on
-// (the estimator exists, has MinSamples round trips, and measured a
-// bandwidth).
-func (s *adaptSnapshot) liveEstimate() (linkest.Estimate, bool) {
-	if s.est == nil {
-		return linkest.Estimate{}, false
-	}
-	est := s.est.LinkEstimate()
-	if est.Samples < s.adapt.MinSamples || est.Mbps <= 0 {
+// liveEstimate returns the transport's link estimate when it is mature enough
+// to act on (MinSamples round trips and a measured bandwidth); a transport
+// that measures nothing — the in-process client — never gets there. Only a
+// batch with a cloud path wired asks.
+func (r *Runtime) liveEstimate(snap adaptSnapshot) (linkest.Estimate, bool) {
+	est := r.cloud.LinkEstimate()
+	if est.Samples < snap.adapt.MinSamples || est.Mbps <= 0 {
 		return linkest.Estimate{}, false
 	}
 	return est, true
@@ -453,7 +385,7 @@ func (r *Runtime) resolveRep(mode OffloadMode, snap adaptSnapshot) core.OffloadR
 		if r.cost == nil || r.cost.FeatureBytes <= 0 {
 			return core.RepRaw
 		}
-		if est, ok := snap.liveEstimate(); ok {
+		if est, ok := r.liveEstimate(snap); ok {
 			return r.resolveRepLive(est, snap)
 		}
 		return r.resolveRepStatic()
@@ -490,7 +422,7 @@ func (r *Runtime) resolveRepLive(est linkest.Estimate, snap adaptSnapshot) core.
 		affordRaw := snap.budget
 		if snap.haveLastRep && snap.lastRep == core.RepFeatures {
 			// Hysteresis: flipping back to raw needs clear headroom.
-			affordRaw = time.Duration(float64(snap.budget) * snap.adapt.RepHysteresis)
+			affordRaw = time.Duration(float64(snap.budget) * repHysteresis)
 		}
 		if tRaw <= affordRaw {
 			return core.RepRaw
@@ -542,48 +474,25 @@ func queueSaturated(load protocol.LoadStatus) bool {
 // meaningful even without a latency budget or a mature link estimate — so
 // the step up runs unconditionally.
 func (r *Runtime) adaptThreshold(snap adaptSnapshot, rep core.OffloadRep, shed bool) {
-	if shed {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		th := r.policy.Threshold * (1 + snap.adapt.StepUp)
-		if th < snap.adapt.MinThreshold {
-			th = snap.adapt.MinThreshold
+	step := 1 + adaptStepUp
+	if !shed {
+		est, ok := r.liveEstimate(snap)
+		if !ok || snap.budget <= 0 || r.cost == nil {
+			return
 		}
-		if th > snap.adapt.MaxThreshold {
-			th = snap.adapt.MaxThreshold
+		load, haveLoad := r.cloud.CloudLoad()
+		obs := observedCloudLatency(est, r.cost.wireUploadBytes(rep))
+		switch {
+		case obs > snap.budget || (haveLoad && queueSaturated(load)):
+		case obs < time.Duration(float64(snap.budget)*adaptHeadroom):
+			step = 1 - adaptStepDown
+		default:
+			return // deadband: on target, hold
 		}
-		r.policy.Threshold = th
-		return
 	}
-	est, ok := snap.liveEstimate()
-	if !ok || snap.budget <= 0 || r.cost == nil {
-		return
-	}
-	var load protocol.LoadStatus
-	var haveLoad bool
-	if snap.load != nil {
-		load, haveLoad = snap.load.CloudLoad()
-	}
-	obs := observedCloudLatency(est, r.cost.wireUploadBytes(rep))
-	saturated := haveLoad && queueSaturated(load)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	th := r.policy.Threshold
-	switch {
-	case obs > snap.budget || saturated:
-		th *= 1 + snap.adapt.StepUp
-	case obs < time.Duration(float64(snap.budget)*snap.adapt.Headroom):
-		th *= 1 - snap.adapt.StepDown
-	default:
-		return // deadband: on target, hold
-	}
-	if th < snap.adapt.MinThreshold {
-		th = snap.adapt.MinThreshold
-	}
-	if th > snap.adapt.MaxThreshold {
-		th = snap.adapt.MaxThreshold
-	}
-	r.policy.Threshold = th
+	r.policy.Threshold = min(max(r.policy.Threshold*step, adaptMinThreshold), snap.adapt.MaxThreshold)
 }
 
 // Classify runs Algorithm 2 on a batch, updating the runtime's accounting.
@@ -607,8 +516,6 @@ func (r *Runtime) Classify(x *tensor.Tensor) ([]core.Decision, error) {
 	snap := adaptSnapshot{
 		budget:      r.budget,
 		adapt:       r.adapt,
-		est:         r.est,
-		load:        r.load,
 		lastRep:     r.lastRep,
 		haveLastRep: r.haveLastRep,
 	}

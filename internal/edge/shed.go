@@ -48,7 +48,7 @@ func shedRetryAfter(err error) time.Duration {
 	if errors.As(err, &se) && se.RetryAfter > 0 {
 		return se.RetryAfter
 	}
-	return defaultShedRetryAfter
+	return protocol.DefaultRetryAfter
 }
 
 // RetryAfterHint exposes the hold hint to packages that must not import edge

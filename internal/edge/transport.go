@@ -173,10 +173,12 @@ func asTransport(c CloudClient) Transport {
 		return t
 	}
 	f := &foreign{c: c, link: NoWire{}.LinkEstimate, load: NoWire{}.CloudLoad, bytes: NoWire{}.BytesSent}
-	if le, ok := c.(LinkEstimator); ok {
+	if le, ok := c.(interface{ LinkEstimate() linkest.Estimate }); ok {
 		f.link = le.LinkEstimate
 	}
-	if lr, ok := c.(LoadReporter); ok {
+	if lr, ok := c.(interface {
+		CloudLoad() (protocol.LoadStatus, bool)
+	}); ok {
 		f.load = lr.CloudLoad
 	}
 	if bc, ok := c.(interface{ BytesSent() uint64 }); ok {

@@ -25,9 +25,11 @@ import (
 	"github.com/meanet/meanet/internal/netsim"
 )
 
-// simEstimator is a steerable edge.LinkEstimator: the experiment sets the
-// link per phase, standing in for the TCP client's measured EWMA.
+// simEstimator is the in-process cloud behind a steerable link estimate: the
+// experiment sets the link per phase, standing in for the TCP client's
+// measured EWMA.
 type simEstimator struct {
+	*edge.InProcClient
 	mu  sync.Mutex // guards est
 	est linkest.Estimate
 }
@@ -81,10 +83,10 @@ func AdaptiveLink(ctx *Context) (*AdaptiveLinkResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := &edge.InProcClient{
+	est := &simEstimator{InProcClient: &edge.InProcClient{
 		Model: cloud.Partitioned(sys.Edge.Main, tail),
 		Tail:  tail,
-	}
+	}}
 
 	// True wire sizes: the transport ships float32 tensors either way.
 	probe, _ := sys.Synth.Test.Batch([]int{0})
@@ -96,11 +98,7 @@ func AdaptiveLink(ctx *Context) (*AdaptiveLinkResult, error) {
 			sys.Key, featBytes, imageBytes)
 	}
 
-	lo, hi, ok := sys.ValEntropy.ThresholdRange()
-	th := lo
-	if ok {
-		th = (lo + hi) / 2
-	}
+	th := sys.ValEntropy.ThresholdMidpoint()
 	cost := &edge.CostParams{
 		MainMACs:     sys.MainMACs(),
 		ExtMACs:      sys.ExtMACs(),
@@ -109,15 +107,13 @@ func AdaptiveLink(ctx *Context) (*AdaptiveLinkResult, error) {
 		ImageBytes:   imageBytes,
 		FeatureBytes: featBytes,
 	}
-	rt, err := edge.NewRuntime(sys.Edge, core.Policy{Threshold: th, UseCloud: true}, client, cost)
+	rt, err := edge.NewRuntime(sys.Edge, core.Policy{Threshold: th, UseCloud: true}, est, cost)
 	if err != nil {
 		return nil, err
 	}
 	if err := rt.SetOffloadMode(edge.OffloadAuto); err != nil {
 		return nil, err
 	}
-	est := &simEstimator{}
-	rt.SetLinkEstimator(est)
 
 	good := netsim.Link{Latency: 2 * time.Millisecond, Mbps: 20}
 	degraded := netsim.Link{Latency: 25 * time.Millisecond, Mbps: 1}

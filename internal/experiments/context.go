@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section on the synthetic substrate (see DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for recorded paper-vs-measured
-// results). A Context lazily builds and caches the trained edge-cloud
-// systems that the individual experiment functions share.
+// evaluation section on the synthetic substrate (Runners in all.go is the
+// index, in paper order; `meanet-experiments -list` prints it). A Context
+// lazily builds and caches the trained edge-cloud systems that the individual
+// experiment functions share.
 package experiments
 
 import (

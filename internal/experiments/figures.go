@@ -72,11 +72,8 @@ func Fig3(ctx *Context) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo, hi, ok := sys.ValEntropy.ThresholdRange()
-	th := lo
-	if ok {
-		th = (lo + hi) / 2
-	}
+	th := sys.ValEntropy.ThresholdMidpoint()
+	lo, hi, _ := sys.ValEntropy.ThresholdRange()
 	res := &Fig3Result{
 		Key:        C100A,
 		HardSet:    sys.Edge.Dict.HardSet(),

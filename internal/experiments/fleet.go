@@ -87,11 +87,7 @@ func FleetShedding(ctx *Context) (*FleetSheddingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo, hi, ok := sys.ValEntropy.ThresholdRange()
-	th := lo
-	if ok {
-		th = (lo + hi) / 2
-	}
+	th := sys.ValEntropy.ThresholdMidpoint()
 	cost := &edge.CostParams{
 		MainMACs:   sys.MainMACs(),
 		ExtMACs:    sys.ExtMACs(),

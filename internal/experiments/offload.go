@@ -59,11 +59,7 @@ func OffloadModes(ctx *Context) (*OffloadModesResult, error) {
 	feat := sys.Edge.Main.Forward(probe, false)
 	featBytes := energy.FeatureBytes(int64(feat.Numel()))
 
-	lo, hi, ok := sys.ValEntropy.ThresholdRange()
-	th := lo
-	if ok {
-		th = (lo + hi) / 2
-	}
+	th := sys.ValEntropy.ThresholdMidpoint()
 	cost := &edge.CostParams{
 		MainMACs:     sys.MainMACs(),
 		ExtMACs:      sys.ExtMACs(),

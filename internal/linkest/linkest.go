@@ -11,7 +11,7 @@
 //     bandwidth-limited link takes bytes/throughput, so the effective uplink
 //     throughput sample is wireBytes/sendDur. Small frames (pings) carry no
 //     bandwidth information and are skipped, and so are sends that complete
-//     faster than Config.MinSendDur — on a real socket those only measured
+//     faster than minSendDur — on a real socket those only measured
 //     the copy into the kernel buffer, not the wire, so the estimator
 //     reports "unknown" (static-model fallback) rather than a fantasy rate.
 //   - RTT comes from the wait phase: the time from write completion to the
@@ -27,41 +27,30 @@ import (
 	"time"
 )
 
-// Config tunes an Estimator. The zero value picks usable defaults.
-type Config struct {
-	// Alpha is the EWMA smoothing factor in (0,1]: the weight of the newest
-	// sample. Default 0.25 — heavy enough to track a mid-run link change
-	// within a handful of batches, light enough to ride out jitter.
-	Alpha float64
-	// MinBytes is the smallest wire size that contributes a throughput
-	// sample (default 256). Below it, serialization time is dominated by
-	// per-write overhead and the bytes/duration quotient is noise; the
-	// sample still updates the RTT estimate.
-	MinBytes int64
-	// MinSendDur is the shortest send duration that contributes a
-	// throughput sample (default 1ms). On a real TCP socket, a Write that
-	// returns faster than this only measured the copy into the kernel send
-	// buffer, not the wire — folding it in would report an absurdly fast
-	// link and zero predicted upload times. Skipped samples leave the
-	// throughput unknown, which callers treat as "fall back to the static
-	// model": the safe answer when the uplink is too fast (or the frame too
-	// small) to observe from the sender. Shaped links (netsim) and
-	// genuinely slow uplinks block the writer for the serialization time,
-	// so their samples pass. RTT still updates either way.
-	MinSendDur time.Duration
-}
-
-func (c *Config) fillDefaults() {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.25
-	}
-	if c.MinBytes <= 0 {
-		c.MinBytes = 256
-	}
-	if c.MinSendDur <= 0 {
-		c.MinSendDur = time.Millisecond
-	}
-}
+// The estimator's tuning. Nothing in the system has ever needed other values,
+// so they are constants, not configuration.
+const (
+	// alpha is the EWMA smoothing factor, the weight of the newest sample:
+	// heavy enough to track a mid-run link change within a handful of
+	// batches, light enough to ride out jitter.
+	alpha = 0.25
+	// minBytes is the smallest wire size that contributes a throughput
+	// sample. Below it, serialization time is dominated by per-write overhead
+	// and the bytes/duration quotient is noise; the sample still updates the
+	// RTT estimate.
+	minBytes = 256
+	// minSendDur is the shortest send duration that contributes a throughput
+	// sample. On a real TCP socket, a Write that returns faster than this
+	// only measured the copy into the kernel send buffer, not the wire —
+	// folding it in would report an absurdly fast link and zero predicted
+	// upload times. Skipped samples leave the throughput unknown, which
+	// callers treat as "fall back to the static model": the safe answer when
+	// the uplink is too fast (or the frame too small) to observe from the
+	// sender. Shaped links (netsim) and genuinely slow uplinks block the
+	// writer for the serialization time, so their samples pass. RTT still
+	// updates either way.
+	minSendDur = time.Millisecond
+)
 
 // Estimate is a snapshot of the link state.
 type Estimate struct {
@@ -97,8 +86,6 @@ func (e Estimate) UploadTime(bytes int64) time.Duration {
 // takes one ~200ms sample to show up as 2 Mbps-worth of upload time in the
 // time domain, but ~17 samples in the rate domain).
 type Estimator struct {
-	cfg Config
-
 	mu        sync.Mutex // guards rtt, secPerBit, haveRTT, haveBW, samples
 	rtt       float64    // seconds
 	secPerBit float64
@@ -107,18 +94,15 @@ type Estimator struct {
 	samples   int
 }
 
-// New builds an estimator. A zero Config selects the defaults.
-func New(cfg Config) *Estimator {
-	cfg.fillDefaults()
-	return &Estimator{cfg: cfg}
-}
+// New builds an empty estimator.
+func New() *Estimator { return &Estimator{} }
 
 // Record folds one round trip in: wireBytes were written in sendDur, and the
 // response arrived waitDur after the write completed. Non-positive durations
 // (clock quirks, in-process transports) skip the corresponding component.
 func (e *Estimator) Record(wireBytes int64, sendDur, waitDur time.Duration) {
 	var spbSample float64
-	if wireBytes >= e.cfg.MinBytes && sendDur >= e.cfg.MinSendDur {
+	if wireBytes >= minBytes && sendDur >= minSendDur {
 		spbSample = sendDur.Seconds() / float64(wireBytes*8)
 	}
 	e.mu.Lock()
@@ -126,14 +110,14 @@ func (e *Estimator) Record(wireBytes int64, sendDur, waitDur time.Duration) {
 	e.samples++
 	if waitDur > 0 {
 		if e.haveRTT {
-			e.rtt += e.cfg.Alpha * (waitDur.Seconds() - e.rtt)
+			e.rtt += alpha * (waitDur.Seconds() - e.rtt)
 		} else {
 			e.rtt, e.haveRTT = waitDur.Seconds(), true
 		}
 	}
 	if spbSample > 0 {
 		if e.haveBW {
-			e.secPerBit += e.cfg.Alpha * (spbSample - e.secPerBit)
+			e.secPerBit += alpha * (spbSample - e.secPerBit)
 		} else {
 			e.secPerBit, e.haveBW = spbSample, true
 		}

@@ -32,7 +32,7 @@ func TestEstimatorConvergesUnderStepChange(t *testing.T) {
 	fast := netsim.Link{Latency: 2 * time.Millisecond, Mbps: 100}
 	slow := netsim.Link{Latency: 20 * time.Millisecond, Mbps: 4}
 
-	e := New(Config{})
+	e := New()
 	feed(e, fast, wireBytes, 32)
 	est := e.Estimate()
 	if est.Samples != 32 {
@@ -73,7 +73,7 @@ func TestEstimatorConvergesUnderStepChange(t *testing.T) {
 // TestEstimatorSkipsDegenerateSamples pins the guard rails: tiny frames and
 // non-positive durations must not poison the throughput estimate.
 func TestEstimatorSkipsDegenerateSamples(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	e.Record(17, 0, 500*time.Microsecond) // ping-sized, instant write
 	est := e.Estimate()
 	if est.Mbps != 0 {
@@ -110,7 +110,7 @@ func TestEstimatorSkipsDegenerateSamples(t *testing.T) {
 // writers (the pipelined client records from many goroutines); run with
 // -race.
 func TestEstimatorConcurrentRecords(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	link := netsim.Link{Latency: time.Millisecond, Mbps: 50}
 	var wg sync.WaitGroup
 	const workers, per = 8, 50
@@ -130,5 +130,32 @@ func TestEstimatorConcurrentRecords(t *testing.T) {
 	want := float64(32*1024*8) / send.Seconds() / 1e6
 	if math.Abs(est.Mbps-want) > 0.01*want {
 		t.Fatalf("uniform samples must converge exactly: %.3f vs %.3f", est.Mbps, want)
+	}
+}
+
+// TestZeroConfigEstimates pins the estimator's built-in tuning — EWMA weight
+// 0.25, 256-byte and 1ms sample floors — through a fixed sample script. The
+// literals were read off the tree in which the three were still Config fields
+// left at zero; the rows on either side of each floor (255/256 bytes,
+// 999µs/1ms) make a moved floor change which samples count, not just a digit.
+func TestZeroConfigEstimates(t *testing.T) {
+	e := New()
+	for i, s := range []struct {
+		bytes      int64
+		send, wait time.Duration
+		want       Estimate
+	}{
+		{17, 0, 500 * time.Microsecond, Estimate{RTT: 500000, Samples: 1}},
+		{255, 2 * time.Millisecond, time.Millisecond, Estimate{RTT: 625000, Samples: 2}},
+		{256, 999 * time.Microsecond, time.Millisecond, Estimate{RTT: 718750, Samples: 3}},
+		{256, time.Millisecond, 2 * time.Millisecond, Estimate{RTT: 1039062, Mbps: 2.048, Samples: 4}},
+		{64 << 10, 100 * time.Millisecond, 10 * time.Millisecond, Estimate{RTT: 3279296, Mbps: 2.4160737327188944, Samples: 5}},
+		{64 << 10, 300 * time.Millisecond, 40 * time.Millisecond, Estimate{RTT: 12459472, Mbps: 2.2052071503680337, Samples: 6}},
+		{1 << 20, 50 * time.Millisecond, 0, Estimate{RTT: 12459472, Mbps: 2.927450008724481, Samples: 7}},
+	} {
+		e.Record(s.bytes, s.send, s.wait)
+		if got := e.Estimate(); got != s.want {
+			t.Errorf("sample %d: estimate %#v, want %#v", i, got, s.want)
+		}
 	}
 }

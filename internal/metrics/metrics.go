@@ -222,6 +222,13 @@ func (s EntropyStats) ThresholdRange() (lo, hi float64, ok bool) {
 	return s.MeanCorrect, s.MeanWrong, true
 }
 
+// ThresholdMidpoint is the default cloud offload threshold: the midpoint of
+// ThresholdRange, which is µ_correct itself when the range is degenerate.
+func (s EntropyStats) ThresholdMidpoint() float64 {
+	lo, hi, _ := s.ThresholdRange()
+	return (lo + hi) / 2
+}
+
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -25,6 +25,7 @@ import (
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/nn"
+	"github.com/meanet/meanet/internal/protocol"
 )
 
 // Device is one pipeline hop's compute capability.
@@ -36,22 +37,11 @@ type Device struct {
 	MACsPerSec float64
 }
 
-// Wire overhead of one single-instance MsgInfer frame beyond its float32
-// data, kept in sync with the protocol package by TestRelayWireBytes: 17 bytes
-// of frame header, 5 of request header (representation, TTL, uint16 position,
-// boundary count), 2 per route boundary still ahead of a relayed activation,
-// then the tensor rank byte and four int32 dims. A direct raw offload is the
-// same frame with no route.
-const (
-	inferFrameOverheadBytes = 39
-	relayBoundaryBytes      = 2
-)
-
-// RelayWireBytes is the modeled wire size of relaying one instance's CHW
-// activation downstream with the given number of route boundaries still
-// ahead of the receiving hop (float32 data plus per-frame overhead).
+// RelayWireBytes is the wire size of relaying one instance's CHW activation
+// downstream with the given number of route boundaries still ahead of the
+// receiving hop: the batch-of-one MsgInfer frame the chain actually sends.
 func RelayWireBytes(s Shape, boundariesLeft int) int64 {
-	return inferFrameOverheadBytes + relayBoundaryBytes*int64(boundariesLeft) + 4*s.Elems()
+	return int64(protocol.InferWireSize(boundariesLeft, 1, s.C, s.H, s.W))
 }
 
 // StagePlan is one stage of a placement.
@@ -256,7 +246,7 @@ func DirectPlacement(chain []nn.Layer, in Shape, uplink netsim.Link, edge, remot
 	for _, c := range costs {
 		total = total.Add(c)
 	}
-	wire := inferFrameOverheadBytes + 4*in.Elems()
+	wire := RelayWireBytes(in, 0) // a direct raw offload is the same frame with no route
 	transfer := uplink.TransferTime(wire).Seconds()
 	compute := float64(total.MACs) / remote.MACsPerSec
 	p := Placement{

@@ -135,16 +135,23 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return f, nil
 }
 
-// tensorWireSize is the encoded size of t: uint8 rank, int32 dims, float32
-// data.
-func tensorWireSize(t *tensor.Tensor) int { return 1 + 4*t.Dims() + 4*t.Numel() }
+// tensorWireSize is the encoded size of a tensor of the given shape: uint8
+// rank, int32 dims, float32 data.
+func tensorWireSize(shape []int) int {
+	elems := 1
+	for _, d := range shape {
+		elems *= d
+	}
+	return 1 + 4*len(shape) + 4*elems
+}
 
 // AppendTensor appends t's encoding to dst; with enough spare capacity it
 // allocates nothing (how EncodeInfer shares one buffer with its header).
 func AppendTensor(dst []byte, t *tensor.Tensor) []byte {
 	off := len(dst)
-	dst = slices.Grow(dst, tensorWireSize(t))[:off+tensorWireSize(t)]
 	shape := t.Shape()
+	size := tensorWireSize(shape)
+	dst = slices.Grow(dst, size)[:off+size]
 	dst[off] = byte(len(shape))
 	off++
 	for _, d := range shape {
@@ -160,7 +167,7 @@ func AppendTensor(dst []byte, t *tensor.Tensor) []byte {
 
 // EncodeTensor serializes a tensor: uint8 rank, int32 dims, float32 data.
 func EncodeTensor(t *tensor.Tensor) []byte {
-	return AppendTensor(make([]byte, 0, tensorWireSize(t)), t)
+	return AppendTensor(make([]byte, 0, tensorWireSize(t.Shape())), t)
 }
 
 // DecodeTensor reverses EncodeTensor, validating the payload exactly. The
@@ -323,6 +330,14 @@ func (r *InferRequest) Validate() error {
 	return nil
 }
 
+// InferWireSize is the number of bytes a MsgInfer frame occupies on the wire,
+// frame header included, when it carries a float32 tensor of the given shape
+// behind that many route boundaries — what a cost model prices an upload or a
+// relay at without encoding one.
+func InferWireSize(boundaries int, shape ...int) int {
+	return FrameWireSize(inferHeaderLen + 2*boundaries + tensorWireSize(shape))
+}
+
 // EncodeInfer serializes a MsgInfer payload — header, boundaries and tensor
 // in ONE allocation.
 func EncodeInfer(r InferRequest) ([]byte, error) {
@@ -330,7 +345,7 @@ func EncodeInfer(r InferRequest) ([]byte, error) {
 		return nil, err
 	}
 	hdr := inferHeaderLen + 2*len(r.Bounds)
-	out := make([]byte, hdr, hdr+tensorWireSize(r.Tensor))
+	out := make([]byte, hdr, hdr+tensorWireSize(r.Tensor.Shape()))
 	out[0] = byte(r.Rep)
 	out[1] = r.TTL
 	binary.LittleEndian.PutUint16(out[2:], uint16(r.Pos))
@@ -532,6 +547,12 @@ func DecodeReply(b []byte) (InferReply, error) {
 
 // shedLen is the wire size of a MsgShed payload.
 const shedLen = 8 + loadStatusLen
+
+// DefaultRetryAfter is the retry-after hint of a shed that names none: what a
+// server's admission control sends unless configured otherwise, what a hop
+// propagates upstream for a downstream shed without a hint, and how long an
+// edge holds its offloads when the frame it got carried none.
+const DefaultRetryAfter = 50 * time.Millisecond
 
 // EncodeShed serializes a MsgShed payload: the server's retry-after hint
 // (int64 nanoseconds) and the congestion snapshot that caused it. MsgShed is

@@ -17,8 +17,8 @@
 //     transports (CloudServer / DialCloud);
 //   - CostModel / WiFiModel — the paper's Table I/VII energy algebra.
 //
-// See examples/ for runnable walk-throughs and DESIGN.md for the system
-// inventory.
+// See examples/ for runnable walk-throughs and README.md for the serving
+// system, section by section.
 package meanet
 
 import (
