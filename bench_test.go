@@ -288,7 +288,7 @@ func BenchmarkMEANetInferBatch(b *testing.B) {
 	x := tensor.Randn(rng, 1, 16, 3, 12, 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, core.RepRaw, nil); err != nil {
+		if _, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, protocol.RepRaw, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

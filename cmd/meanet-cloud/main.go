@@ -101,7 +101,7 @@ func run(args []string) error {
 	dataset := fs.String("dataset", "c100", "dataset preset: c100 or imagenet")
 	scaleName := fs.String("scale", "small", "workload scale: tiny, small or full")
 	seed := fs.Int64("seed", 1, "master random seed (must match the edge)")
-	epochs := fs.Int("epochs", 0, "training epochs (0 = scale default)")
+	epochs := fs.Int("epochs", 0, "training epochs of the cloud CNN, or of the features tail under -tail/-downstream (0 = scale default; the replayed main block always trains the edge's default)")
 	weights := fs.String("weights", "", "load pretrained cloud weights instead of training")
 	save := fs.String("save", "", "save trained weights to this file")
 	batch := fs.Int("batch", 0, "micro-batch size (0 = no batching)")
@@ -110,18 +110,21 @@ func run(args []string) error {
 	variant := fs.String("variant", "A", "edge MEANet variant the tail partitions (must match the edge)")
 	shedQueue := fs.Int64("shed-queue", 0, "shed classify requests while the collector queue holds at least this many (0 = off)")
 	shedInflight := fs.Int64("shed-inflight", 0, "shed classify requests while at least this many dispatches are in flight (0 = off)")
-	shedRetryAfter := fs.Duration("shed-retry-after", 0, "retry-after hint carried in shed frames (0 = default 50ms)")
+	shedHint := fs.Duration("shed-retry-after", 0, "retry-after hint carried in shed frames (0 = default 50ms)")
 	downstreamAddr := fs.String("downstream", "", "next chain hop for relayed activations (implies -tail); a comma-separated list is a replica set; empty = terminal hop")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	downAddrs := edge.SplitAddrs(*downstreamAddr)
-	shed := cloud.ShedPolicy{MaxQueue: *shedQueue, MaxInFlight: *shedInflight, RetryAfter: *shedRetryAfter}
+	shed := cloud.ShedPolicy{MaxQueue: *shedQueue, MaxInFlight: *shedInflight, RetryAfter: *shedHint}
 	if *shedQueue < 0 || *shedInflight < 0 {
 		return fmt.Errorf("negative shed limits (%d queue, %d inflight)", *shedQueue, *shedInflight)
 	}
 	if *shedQueue > 0 && *batch <= 0 {
 		return fmt.Errorf("-shed-queue needs -batch: only the micro-batch collectors have a queue")
+	}
+	if *epochs < 0 {
+		return fmt.Errorf("negative -epochs %d", *epochs)
 	}
 	scale, err := deploy.ParseScale(*scaleName)
 	if err != nil {
@@ -145,6 +148,8 @@ func run(args []string) error {
 		}
 		spec := deploy.EdgeSpec{
 			Dataset: *dataset, Scale: scale, Seed: *seed, Variant: *variant,
+			// The edge's recipe, not -epochs: the replayed main block must
+			// stay bitwise equal to the edge's.
 			Epochs: deploy.DefaultEpochs(scale),
 			Progress: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "tail: "+format+"\n", args...)
@@ -158,7 +163,7 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("replay edge main block: %w", err)
 		}
-		tail, err := deploy.TrainTail(m, tm.Train, *seed+900, defaultEpochs(scale), spec.Progress)
+		tail, err := deploy.TrainTail(m, tm.Train, *seed+900, cloudEpochs(*epochs, scale), spec.Progress)
 		if err != nil {
 			return fmt.Errorf("train features tail: %w", err)
 		}
@@ -221,10 +226,7 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "loaded cloud weights from %s\n", *weights)
 	} else {
-		e := *epochs
-		if e == 0 {
-			e = defaultEpochs(scale)
-		}
+		e := cloudEpochs(*epochs, scale)
 		cfg := core.DefaultTrainConfig(e, *seed+501)
 		cfg.Progress = func(epoch int, loss float64) {
 			fmt.Fprintf(os.Stderr, "cloud training epoch %d/%d loss %.4f\n", epoch+1, e, loss)
@@ -342,7 +344,14 @@ func evalModel(m cloud.Model, ds *data.Dataset) (float64, error) {
 	return float64(correct) / float64(ds.N), nil
 }
 
-func defaultEpochs(scale data.Scale) int {
+// cloudEpochs is how long the cloud trains its own model — the standalone
+// CNN, or the features tail under -tail/-downstream: the -epochs value when
+// set, else the scale default. The main-block replay under -tail never reads
+// it: it trains deploy.DefaultEpochs so it stays bitwise equal to the edge's.
+func cloudEpochs(flagEpochs int, scale data.Scale) int {
+	if flagEpochs > 0 {
+		return flagEpochs
+	}
 	switch scale {
 	case data.ScaleTiny:
 		return 6

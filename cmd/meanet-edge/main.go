@@ -25,8 +25,8 @@
 // representation: raw pixels, main-block feature tensors (requires a
 // tail-equipped server, see meanet-cloud -tail), or auto, which compares
 // the modeled bytes/energy of the two and picks the cheaper per batch.
-// Failed instances are re-offloaded -retries times before falling back to
-// the edge decision per instance.
+// A failed upload is re-offloaded -retries times before its instances fall
+// back to the edge decision.
 //
 // With -latency-budget the adaptation closes the loop on LIVE link
 // estimates: the TCP client measures uplink bandwidth and cloud turnaround
@@ -247,6 +247,7 @@ func run(args []string) error {
 	// by edge.MultiClient when there is more than one.
 	var client cloudConn
 	var mc *edge.MultiClient
+	var cc *edge.ChainClient
 	useCloud := len(addrs) > 0
 	if useCloud {
 		dcfg := edge.DialConfig{Link: netsim.Link{Latency: *latency, Mbps: *mbps}}
@@ -285,7 +286,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		cc, err := edge.NewRoutedChainClient(client, edge.ChainConfig{
+		cc, err = edge.NewRoutedChainClient(client, edge.ChainConfig{
 			Chain:    deploy.ServingChain(m, &cloud.Tail{Body: cls.Backbone, Exit: cls.Exit}),
 			Cuts:     cuts,
 			MaxLocal: len(flat),
@@ -429,8 +430,8 @@ func run(args []string) error {
 		fmt.Printf("adaptation:       threshold %.3f (started %.3f), %d representation flips\n",
 			rep.Threshold, th, rep.RepFlips)
 	}
-	if rep.Chain != nil {
-		cs := rep.Chain
+	if cc != nil {
+		cs := cc.ChainStats()
 		fmt.Printf("chain paths:      %d instances through the chain, %d via direct fallback, %d chain failures, %d direct failures\n",
 			cs.ChainInstances, cs.FallbackInstances, cs.ChainFailures, cs.DirectFailures)
 		if cs.Cuts != nil {
@@ -445,7 +446,9 @@ func run(args []string) error {
 			fmt.Printf("cloud load:       queue %d, active %d (last piggybacked status)\n",
 				load.QueueDepth, load.Active)
 		}
-		for _, rs := range rep.Replicas {
+	}
+	if mc != nil {
+		for _, rs := range mc.ReplicaStats() {
 			state := ""
 			if rs.Excluded {
 				state += " (excluded)"

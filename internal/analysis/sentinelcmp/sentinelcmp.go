@@ -1,8 +1,9 @@
 // Package sentinelcmp forbids comparing sentinel errors with == or !=.
 //
-// The offload path wraps core.ErrShed as it crosses layers (edge.ErrShed
-// wraps it, %w-wrapping adds replica context), so an identity comparison
-// silently stops matching the moment anyone adds context — the failure mode
+// The offload path wraps protocol.ErrShed as it crosses layers (a
+// *protocol.ShedError unwraps to it, %w-wrapping adds replica and offload
+// context), so an identity comparison silently stops matching the moment
+// anyone adds context — the failure mode
 // behind the PR 5/6 shed-vs-failure accounting chain. Any package-level
 // `var Err... = ...` of error type is treated as a sentinel: comparisons
 // must go through errors.Is, including `switch err { case ErrShed: }`.

@@ -5,7 +5,7 @@ package sc
 import (
 	"errors"
 
-	"core"
+	"protocol"
 )
 
 var ErrLocal = errors.New("sc: local sentinel")
@@ -13,10 +13,10 @@ var ErrLocal = errors.New("sc: local sentinel")
 var notAnError = 7
 
 func cmp(err error) bool {
-	if err == core.ErrShed { // want `sentinel error core\.ErrShed compared with ==`
+	if err == protocol.ErrShed { // want `sentinel error protocol\.ErrShed compared with ==`
 		return true
 	}
-	if core.ErrShed == err { // want `sentinel error core\.ErrShed compared with ==`
+	if protocol.ErrShed == err { // want `sentinel error protocol\.ErrShed compared with ==`
 		return true
 	}
 	if err != ErrLocal { // want `sentinel error ErrLocal compared with !=`
@@ -25,12 +25,12 @@ func cmp(err error) bool {
 	if err == nil { // nil comparisons stay legal
 		return false
 	}
-	return errors.Is(err, core.ErrShed) // the blessed form
+	return errors.Is(err, protocol.ErrShed) // the blessed form
 }
 
 func sw(err error, n int) int {
 	switch err {
-	case core.ErrShed: // want `sentinel error core\.ErrShed matched by switch case`
+	case protocol.ErrShed: // want `sentinel error protocol\.ErrShed matched by switch case`
 		return 1
 	case nil:
 		return 0

@@ -535,12 +535,12 @@ func TestServerShedsUnderSaturation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	img := tensor.Randn(rng, 1, 3, 8, 8)
 	_, _, err = client.Classify(img)
-	var shed *edge.ShedError
+	var shed *protocol.ShedError
 	if !errors.As(err, &shed) {
-		t.Fatalf("saturated classify returned %v, want *edge.ShedError", err)
+		t.Fatalf("saturated classify returned %v, want *protocol.ShedError", err)
 	}
-	if !errors.Is(err, edge.ErrShed) {
-		t.Fatal("shed error does not match edge.ErrShed")
+	if !errors.Is(err, protocol.ErrShed) {
+		t.Fatal("shed error does not match protocol.ErrShed")
 	}
 	if shed.RetryAfter != 123*time.Millisecond {
 		t.Fatalf("RetryAfter hint %v, want 123ms", shed.RetryAfter)
@@ -549,7 +549,7 @@ func TestServerShedsUnderSaturation(t *testing.T) {
 		t.Fatal("shed frame carried no load snapshot")
 	}
 	// Batch frames are shed too.
-	if _, _, err := client.ClassifyBatch([]*tensor.Tensor{img, img}); !errors.Is(err, edge.ErrShed) {
+	if _, _, err := client.ClassifyBatch([]*tensor.Tensor{img, img}); !errors.Is(err, protocol.ErrShed) {
 		t.Fatalf("saturated batch returned %v, want shed", err)
 	}
 	// Probes are never shed: a busy server must stay observable.
@@ -601,7 +601,7 @@ func TestServerShedsOnQueueDepth(t *testing.T) {
 	// Pin the queue gauge past the limit (the collector itself would drain a
 	// real queue nondeterministically fast).
 	s.batch.queued.Add(3)
-	if _, _, err := client.Classify(img); !errors.Is(err, edge.ErrShed) {
+	if _, _, err := client.Classify(img); !errors.Is(err, protocol.ErrShed) {
 		t.Fatalf("deep queue returned %v, want shed", err)
 	}
 	s.batch.queued.Add(-3)

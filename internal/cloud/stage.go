@@ -20,16 +20,14 @@ package cloud
 // link estimate), the telemetry the edge's re-placement solver runs on.
 //
 // This package deliberately depends only on the Downstream interface, never
-// on the edge package; shed-ness of a downstream error is detected through
-// errors.Is against core.ErrShed and the optional RetryAfterHint method,
-// both satisfied by edge.ShedError.
+// on the edge package; a downstream shed is a protocol.ShedError, the same
+// type the edge transports surface.
 
 import (
 	"errors"
 	"fmt"
 	"time"
 
-	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/linkest"
 	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/protocol"
@@ -46,10 +44,6 @@ type Downstream interface {
 	Probe(ttl uint8) ([]protocol.StageStatus, error)
 	LinkEstimate() linkest.Estimate
 }
-
-// retryAfterHint extracts the hold hint a shed error carries upstream
-// (edge.ShedError implements it).
-type retryAfterHint interface{ RetryAfterHint() time.Duration }
 
 // StageConfig configures a server's role in a relay chain.
 type StageConfig struct {
@@ -115,13 +109,8 @@ func (s *Server) stageStatus() protocol.StageStatus {
 // only when EVERY member refused); anything else is an error, wrapped in one
 // "downstream relay:" layer per hop so a probe can locate the break.
 func (s *Server) downstreamFailure(id uint64, err error) protocol.Frame {
-	if errors.Is(err, core.ErrShed) {
-		retryAfter := protocol.DefaultRetryAfter // the downstream shed carried none
-		var h retryAfterHint
-		if errors.As(err, &h) && h.RetryAfterHint() > 0 {
-			retryAfter = h.RetryAfterHint()
-		}
-		return s.shedFrame(id, retryAfter)
+	if errors.Is(err, protocol.ErrShed) {
+		return s.shedFrame(id, protocol.RetryAfter(err))
 	}
 	return s.failed(id, fmt.Sprintf("downstream relay: %v", err))
 }

@@ -188,11 +188,11 @@ type sheddingDown struct {
 
 func (d *sheddingDown) Infer(protocol.InferRequest) (protocol.InferReply, error) {
 	d.calls.Add(1)
-	return protocol.InferReply{}, &edge.ShedError{RetryAfter: d.retry}
+	return protocol.InferReply{}, &protocol.ShedError{RetryAfter: d.retry}
 }
 
 func (d *sheddingDown) Probe(uint8) ([]protocol.StageStatus, error) {
-	return nil, &edge.ShedError{RetryAfter: d.retry}
+	return nil, &protocol.ShedError{RetryAfter: d.retry}
 }
 
 func (d *sheddingDown) LinkEstimate() linkest.Estimate { return linkest.Estimate{} }
@@ -264,10 +264,10 @@ func TestDownstreamShedPropagatesAsShed(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(50))
 	_, _, err = relayRouted(client, tensor.Randn(rng, 1, 1, 3, 8, 8), 4, 0, []int{1})
-	if !errors.Is(err, edge.ErrShed) {
+	if !errors.Is(err, protocol.ErrShed) {
 		t.Fatalf("downstream shed surfaced as a non-shed error: %v", err)
 	}
-	var se *edge.ShedError
+	var se *protocol.ShedError
 	if !errors.As(err, &se) {
 		t.Fatalf("shed error lost its type through the chain: %v", err)
 	}
@@ -381,7 +381,7 @@ func deadMember() *relayMember {
 }
 
 func sheddingMember(retry time.Duration) *relayMember {
-	return &relayMember{err: func() error { return &edge.ShedError{RetryAfter: retry} }}
+	return &relayMember{err: func() error { return &protocol.ShedError{RetryAfter: retry} }}
 }
 
 // TestReplicaSetDownstream drives a hop whose downstream is a replica set

@@ -10,6 +10,7 @@ import (
 	"github.com/meanet/meanet/internal/data"
 	"github.com/meanet/meanet/internal/metrics"
 	"github.com/meanet/meanet/internal/models"
+	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -374,18 +375,14 @@ func TestInferCloudRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	cloudCalls := 0
-	oracle := func(x *tensor.Tensor) ([]int, []float64, []error, error) {
+	oracle := func(x *tensor.Tensor) ([]int, error) {
 		cloudCalls += x.Dim(0) // instances the cloud saw
-		confs := make([]float64, x.Dim(0))
-		for i := range confs {
-			confs[i] = 1.0
-		}
-		return make([]int, x.Dim(0)), confs, nil, nil
+		return make([]int, x.Dim(0)), nil
 	}
 	x, _ := s.Test.Batch([]int{0, 1, 2, 3, 4, 5, 6, 7})
 
 	// Threshold 0 with cloud: every instance has entropy > 0 → all cloud.
-	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, oracle)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +397,7 @@ func TestInferCloudRouting(t *testing.T) {
 
 	// Huge threshold: nothing goes to cloud.
 	cloudCalls = 0
-	dec, err = m.InferBatchedRep(x, Policy{Threshold: 100, UseCloud: true}, RepRaw, oracle)
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 100, UseCloud: true}, protocol.RepRaw, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +411,7 @@ func TestInferCloudRouting(t *testing.T) {
 	}
 
 	// UseCloud=false ignores the cloud entirely.
-	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: false}, RepRaw, oracle)
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: false}, protocol.RepRaw, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,11 +427,11 @@ func TestInferCloudFailureFallsBack(t *testing.T) {
 	if err := TrainMainBlock(m, s.Train, quickCfg(6, 16)); err != nil {
 		t.Fatal(err)
 	}
-	failing := func(x *tensor.Tensor) ([]int, []float64, []error, error) {
-		return nil, nil, nil, errors.New("cloud unreachable")
+	failing := func(x *tensor.Tensor) ([]int, error) {
+		return nil, errors.New("cloud unreachable")
 	}
 	x, _ := s.Test.Batch([]int{0, 1, 2, 3})
-	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, failing)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw, failing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,8 +450,8 @@ func TestInferCloudFailureFallsBack(t *testing.T) {
 
 // TestInferBatchedOneCallAndPartialFailure pins the aggregated offload
 // contract: all complex instances of a batch reach the cloud in ONE
-// CloudBatchFunc call, and per-instance errors fail only their own slot —
-// the rest of the batch still exits at the cloud.
+// CloudBatchFunc call, and a reply that answers only part of the batch fails
+// the whole batch.
 func TestInferBatchedOneCallAndPartialFailure(t *testing.T) {
 	s := testData(t, 21)
 	m := buildA(t, 21, 6)
@@ -464,22 +461,15 @@ func TestInferBatchedOneCallAndPartialFailure(t *testing.T) {
 	x, _ := s.Test.Batch([]int{0, 1, 2, 3, 4, 5})
 
 	calls := 0
-	oddFails := func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
+	threes := func(sub *tensor.Tensor) ([]int, error) {
 		calls++
-		n := sub.Dim(0)
-		preds := make([]int, n)
-		confs := make([]float64, n)
-		errs := make([]error, n)
-		for i := 0; i < n; i++ {
-			if i%2 == 1 {
-				errs[i] = errors.New("slot dropped")
-				continue
-			}
-			preds[i], confs[i] = 3, 1.0
+		preds := make([]int, sub.Dim(0))
+		for i := range preds {
+			preds[i] = 3
 		}
-		return preds, confs, errs, nil
+		return preds, nil
 	}
-	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, oddFails)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw, threes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,26 +477,17 @@ func TestInferBatchedOneCallAndPartialFailure(t *testing.T) {
 		t.Fatalf("cloud batch called %d times for one input batch, want 1", calls)
 	}
 	for i, d := range dec {
-		if i%2 == 0 {
-			if d.Exit != ExitCloud || d.Pred != 3 || d.CloudFailed {
-				t.Fatalf("instance %d should exit at cloud, got %+v", i, d)
-			}
-		} else {
-			if d.Exit == ExitCloud || !d.CloudFailed {
-				t.Fatalf("instance %d should fall back to the edge, got %+v", i, d)
-			}
-			if d.Pred != d.MainPred {
-				t.Fatalf("instance %d fallback pred %d, want main pred %d (no Dict)", i, d.Pred, d.MainPred)
-			}
+		if d.Exit != ExitCloud || d.Pred != 3 || d.CloudFailed {
+			t.Fatalf("instance %d should exit at cloud, got %+v", i, d)
 		}
 	}
 
 	// A short result slice is a malformed response: the whole batch falls
 	// back rather than misassigning predictions.
-	short := func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
-		return []int{1}, []float64{1}, nil, nil
+	short := func(sub *tensor.Tensor) ([]int, error) {
+		return []int{1}, nil
 	}
-	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, short)
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw, short)
 	if err != nil {
 		t.Fatal(err)
 	}

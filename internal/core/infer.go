@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -47,8 +48,8 @@ type Decision struct {
 	CloudFailed bool
 
 	// Shed is set when the cloud REFUSED the instance's offload through
-	// admission control (the cloud call's error wrapped ErrShed): the
-	// decision comes from the edge fallback, like CloudFailed, but no
+	// admission control (the cloud call's error wrapped protocol.ErrShed):
+	// the decision comes from the edge fallback, like CloudFailed, but no
 	// retries are burned — the server just said it is saturated, and
 	// re-uploading immediately would feed the congestion — and no
 	// CloudAttempts are charged: the modeled accounting bills offloads the
@@ -65,23 +66,13 @@ type Decision struct {
 }
 
 // CloudBatchFunc classifies a stacked [N,C,H,W] batch of complex instances
-// on the cloud AI in one round trip. preds and confs are indexed by batch
-// position. errs, when non-nil, carries per-instance failures: errs[i] != nil
-// means instance i alone falls back to the edge. A non-nil err fails every
-// instance of the batch (the whole upload was lost) — unless it wraps
-// ErrShed, in which case the batch was refused by admission control and the
-// attempt loop stops instead of retrying (see Decision.Shed).
-type CloudBatchFunc func(x *tensor.Tensor) (preds []int, confs []float64, errs []error, err error)
-
-// ErrShed is the sentinel a CloudBatchFunc error wraps when the cloud
-// refused the whole batch through ADMISSION CONTROL (load shedding) rather
-// than failing in transport: the server is saturated and answered with a
-// shed frame instead of parking the work. The attempt loop does not retry a
-// shed — the refusal is deliberate, and re-uploading the same batch would
-// feed the congestion the server is trying to relieve; the edge runtime
-// honors the server's retry-after hint across batches instead
-// (edge.ShedError carries it).
-var ErrShed = errors.New("core: cloud shed the offload")
+// on the cloud AI in one round trip, returning one label per batch position.
+// A non-nil err fails every instance of the batch (the whole upload was lost)
+// — unless it wraps protocol.ErrShed, in which case the batch was refused by
+// admission control and the attempt loop stops instead of retrying (see
+// Decision.Shed); the edge runtime honors the server's retry-after hint
+// across batches.
+type CloudBatchFunc func(x *tensor.Tensor) (preds []int, err error)
 
 // Policy configures Algorithm 2.
 type Policy struct {
@@ -91,43 +82,14 @@ type Policy struct {
 	// UseCloud enables the cloud branch.
 	UseCloud bool
 	// CloudRetries is the number of extra batched attempts granted to
-	// instances whose cloud call failed: the failed subset of the batch is
-	// gathered and re-offloaded, and only instances still failing after the
-	// last attempt fall back to the edge exit. 0 keeps the single-attempt
-	// behaviour.
+	// instances whose cloud call failed: the batch is re-offloaded, and only
+	// if the last attempt fails too do its instances fall back to the edge
+	// exit. 0 keeps the single-attempt behaviour.
 	CloudRetries int
 	// Detector, when non-nil, replaces the default easy/hard routing (main
 	// argmax ∈ hard set) with the learned binary detector — the paper's
 	// optional variant (§III-B).
 	Detector *HardnessDetector
-}
-
-// OffloadRep selects which representation of a cloud-qualifying instance the
-// batched cloud call receives — the paper's two edge-cloud collaboration
-// modes (§III-C).
-type OffloadRep int
-
-// Offload representations.
-const (
-	// RepRaw ships the gathered raw sub-batch ([k,C,H,W] pixels).
-	RepRaw OffloadRep = iota
-	// RepFeatures ships the gathered main-block feature sub-batch. The edge
-	// already computed the features during MainForward, so this
-	// representation costs no extra edge compute — only its (often smaller)
-	// upload.
-	RepFeatures
-)
-
-// String names the representation.
-func (r OffloadRep) String() string {
-	switch r {
-	case RepRaw:
-		return "raw"
-	case RepFeatures:
-		return "features"
-	default:
-		return fmt.Sprintf("offloadrep(%d)", int(r))
-	}
 }
 
 // InferBatchedRep runs Algorithm 2 on a batch: every instance passes through
@@ -139,23 +101,22 @@ func (r OffloadRep) String() string {
 // The cloud-qualifying instances of the batch are gathered — exactly like the
 // extension path gathers hard instances — and shipped to the cloud in at most
 // ONE CloudBatchFunc call per input batch (plus Policy.CloudRetries
-// re-offloads of failed instances). Instances whose slot of the batched call
-// failed (or the whole call, if it errored) fall back to the edge decision
-// individually; batching never turns a partial failure into a whole-batch
-// error.
+// re-offloads when the call fails). Instances whose call failed fall back to
+// the edge decision; a cloud failure never becomes an error of the batch.
 //
-// rep selects what is shipped: RepRaw gathers the raw sub-batch, RepFeatures
-// the main-block feature sub-batch the edge computed anyway (§III-C "sending
-// features", at zero extra edge compute). The cloud transport must match the
-// representation — a feature upload needs a partitioned-network tail on the
-// server. Predictions never depend on the representation choice when the
-// cloud's raw model is the composition of the edge main block and the tail
-// (see cloud.Partitioned); only bytes, energy and latency differ.
-func (m *MEANet) InferBatchedRep(x *tensor.Tensor, pol Policy, rep OffloadRep, cloud CloudBatchFunc) ([]Decision, error) {
+// rep selects what is shipped (§III-C): protocol.RepRaw gathers the raw
+// sub-batch, protocol.RepFeatures the main-block feature sub-batch the edge
+// computed anyway ("sending features", at zero extra edge compute). The cloud
+// transport must match the representation — a feature upload needs a
+// partitioned-network tail on the server. Predictions never depend on the
+// representation choice when the cloud's raw model is the composition of the
+// edge main block and the tail (see cloud.Partitioned); only bytes, energy
+// and latency differ.
+func (m *MEANet) InferBatchedRep(x *tensor.Tensor, pol Policy, rep protocol.Rep, cloud CloudBatchFunc) ([]Decision, error) {
 	if x.Dims() != 4 {
 		return nil, fmt.Errorf("core: Infer expects NCHW input, got %v", x.Shape())
 	}
-	if rep != RepRaw && rep != RepFeatures {
+	if rep != protocol.RepRaw && rep != protocol.RepFeatures {
 		return nil, fmt.Errorf("core: invalid offload representation %d", int(rep))
 	}
 	n := x.Dim(0)
@@ -187,49 +148,35 @@ func (m *MEANet) InferBatchedRep(x *tensor.Tensor, pol Policy, rep OffloadRep, c
 
 	if len(cloudIdx) > 0 {
 		src := x
-		if rep == RepFeatures {
+		if rep == protocol.RepFeatures {
 			src = feat
 		}
-		// Attempt loop: the first pass uploads every qualifying instance;
-		// each retry gathers only the instances that failed (their slot or
-		// the whole call) and re-offloads them as one smaller batch.
-		pending := cloudIdx
-		for attempt := 0; len(pending) > 0 && attempt <= pol.CloudRetries; attempt++ {
-			preds, confs, errs, err := cloud(gatherSamples(src, pending))
-			if errors.Is(err, ErrShed) {
-				// Admission control refused the batch: every pending
-				// instance takes the edge fallback NOW, with no retries
-				// burned and no attempts charged (the offload was refused,
-				// not served — see Decision.Shed).
-				for _, i := range pending {
-					decisions[i].Shed = true
-				}
-				pending = nil
+		sub := gatherSamples(src, cloudIdx)
+		// Attempt loop: a call succeeds or fails as one, so every attempt
+		// ships the whole gathered set.
+		served, shed := false, false
+		for attempt := 0; !served && attempt <= pol.CloudRetries; attempt++ {
+			preds, err := cloud(sub)
+			// Admission control refused the batch: every instance takes the
+			// edge fallback NOW, with no retries burned and no attempts
+			// charged (the offload was refused, not served — see
+			// Decision.Shed).
+			if shed = errors.Is(err, protocol.ErrShed); shed {
 				break
 			}
-			if err == nil && (len(preds) != len(pending) || len(confs) != len(pending)) {
-				err = fmt.Errorf("core: cloud batch returned %d/%d results for %d instances",
-					len(preds), len(confs), len(pending))
-			}
-			if err == nil && errs != nil && len(errs) != len(pending) {
-				err = fmt.Errorf("core: cloud batch returned %d errors for %d instances",
-					len(errs), len(pending))
-			}
-			var failed []int
-			for bi, i := range pending {
+			served = err == nil && len(preds) == len(cloudIdx)
+			for bi, i := range cloudIdx {
 				d := &decisions[i]
 				d.CloudAttempts++
-				if err != nil || (errs != nil && errs[bi] != nil) {
-					failed = append(failed, i)
-					continue
+				if served {
+					d.Pred = preds[bi]
+					d.Exit = ExitCloud
 				}
-				d.Pred = preds[bi]
-				d.Exit = ExitCloud
 			}
-			pending = failed
 		}
-		for _, i := range pending {
-			decisions[i].CloudFailed = true // fall through to the edge path
+		for _, i := range cloudIdx {
+			decisions[i].Shed = shed
+			decisions[i].CloudFailed = !served && !shed // fall through to the edge path
 		}
 	}
 
@@ -289,7 +236,7 @@ func (m *MEANet) InferDataset(ds datasetView, batch int, pol Policy, cloud Cloud
 			idx[i] = start + i
 		}
 		x, _ := ds.Batch(idx)
-		ds64, err := m.InferBatchedRep(x, pol, RepRaw, cloud)
+		ds64, err := m.InferBatchedRep(x, pol, protocol.RepRaw, cloud)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -18,23 +19,17 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // countingBatchCloud returns every instance as class 0 with confidence 1 and
 // counts calls and instances.
 func countingBatchCloud(calls, instances *int) CloudBatchFunc {
-	return func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
+	return func(sub *tensor.Tensor) ([]int, error) {
 		*calls++
 		*instances += sub.Dim(0)
-		n := sub.Dim(0)
-		preds := make([]int, n)
-		confs := make([]float64, n)
-		for i := range confs {
-			confs[i] = 1
-		}
-		return preds, confs, nil, nil
+		return make([]int, sub.Dim(0)), nil
 	}
 }
 
 func TestInferBatchedEmptyBatch(t *testing.T) {
 	m := buildA(t, 30, 6)
 	calls, instances := 0, 0
-	dec, err := m.InferBatchedRep(tensor.New(0, 2, 8, 8), Policy{Threshold: 0, UseCloud: true}, RepRaw,
+	dec, err := m.InferBatchedRep(tensor.New(0, 2, 8, 8), Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw,
 		countingBatchCloud(&calls, &instances))
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +46,7 @@ func TestInferBatchedNilCloud(t *testing.T) {
 	m := buildA(t, 31, 6)
 	rng := tensor.Randn(newRand(31), 1, 4, 2, 8, 8)
 	// UseCloud=false with no transport: pure edge operation.
-	dec, err := m.InferBatchedRep(rng, Policy{Threshold: 0, UseCloud: false}, RepRaw, nil)
+	dec, err := m.InferBatchedRep(rng, Policy{Threshold: 0, UseCloud: false}, protocol.RepRaw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +57,7 @@ func TestInferBatchedNilCloud(t *testing.T) {
 	}
 	// UseCloud=true but nil transport: the cloud branch is silently skipped
 	// (matching Infer's contract), never a nil dereference.
-	dec, err = m.InferBatchedRep(rng, Policy{Threshold: 0, UseCloud: true}, RepRaw, nil)
+	dec, err = m.InferBatchedRep(rng, Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +75,7 @@ func TestInferBatchedAllCloudAllEdge(t *testing.T) {
 	// Threshold 0: every (untrained) instance has positive entropy → one
 	// call carrying the whole batch.
 	calls, instances := 0, 0
-	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, countingBatchCloud(&calls, &instances))
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw, countingBatchCloud(&calls, &instances))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +90,7 @@ func TestInferBatchedAllCloudAllEdge(t *testing.T) {
 
 	// Huge threshold: the cloud is never contacted at all.
 	calls, instances = 0, 0
-	dec, err = m.InferBatchedRep(x, Policy{Threshold: 100, UseCloud: true}, RepRaw, countingBatchCloud(&calls, &instances))
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 100, UseCloud: true}, protocol.RepRaw, countingBatchCloud(&calls, &instances))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +108,7 @@ func TestInferBatchedSingleInstance(t *testing.T) {
 	m := buildA(t, 33, 6)
 	x := tensor.Randn(newRand(33), 1, 1, 2, 8, 8)
 	calls, instances := 0, 0
-	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, countingBatchCloud(&calls, &instances))
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw, countingBatchCloud(&calls, &instances))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,33 +123,32 @@ func TestInferBatchedSingleInstance(t *testing.T) {
 func TestInferBatchedRepValidation(t *testing.T) {
 	m := buildA(t, 34, 6)
 	x := tensor.Randn(newRand(34), 1, 2, 2, 8, 8)
-	if _, err := m.InferBatchedRep(x, Policy{}, OffloadRep(99), nil); err == nil {
+	if _, err := m.InferBatchedRep(x, Policy{}, protocol.Rep(99), nil); err == nil {
 		t.Fatal("invalid representation accepted")
 	}
-	if _, err := m.InferBatchedRep(x.Sample(0), Policy{}, RepRaw, nil); err == nil {
+	if _, err := m.InferBatchedRep(x.Sample(0), Policy{}, protocol.RepRaw, nil); err == nil {
 		t.Fatal("3-D input accepted")
 	}
 }
 
 // TestInferBatchedRepFeaturesShipsFeatures pins the representation contract:
-// RepRaw uploads pixel-shaped sub-batches, RepFeatures uploads main-block
+// protocol.RepRaw uploads pixel-shaped sub-batches, protocol.RepFeatures uploads main-block
 // feature maps (here 4 channels vs the 2 input channels).
 func TestInferBatchedRepFeaturesShipsFeatures(t *testing.T) {
 	m := buildA(t, 35, 6)
 	x := tensor.Randn(newRand(35), 1, 3, 2, 8, 8)
 	var gotShape []int
-	record := func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
+	record := func(sub *tensor.Tensor) ([]int, error) {
 		gotShape = sub.Shape()
-		n := sub.Dim(0)
-		return make([]int, n), make([]float64, n), nil, nil
+		return make([]int, sub.Dim(0)), nil
 	}
-	if _, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepRaw, record); err != nil {
+	if _, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw, record); err != nil {
 		t.Fatal(err)
 	}
 	if len(gotShape) != 4 || gotShape[1] != 2 {
 		t.Fatalf("raw rep uploaded shape %v, want [3 2 8 8]", gotShape)
 	}
-	if _, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, RepFeatures, record); err != nil {
+	if _, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true}, protocol.RepFeatures, record); err != nil {
 		t.Fatal(err)
 	}
 	if len(gotShape) != 4 || gotShape[1] != m.MainOutChannels() {
@@ -162,62 +156,55 @@ func TestInferBatchedRepFeaturesShipsFeatures(t *testing.T) {
 	}
 }
 
-// TestInferBatchedRetryRecovers: with CloudRetries=1, instances whose slot
-// failed on the first attempt are re-offloaded as one smaller batch; a
-// successful retry still exits at the cloud, with both attempts recorded.
+// TestInferBatchedRetryRecovers: with CloudRetries=1, a batch whose first
+// call failed is re-offloaded whole; a successful retry still exits at the
+// cloud, with both attempts recorded.
 func TestInferBatchedRetryRecovers(t *testing.T) {
 	m := buildA(t, 36, 6)
 	x := tensor.Randn(newRand(36), 1, 4, 2, 8, 8)
 	call := 0
 	var sizes []int
-	cloud := func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
+	cloud := func(sub *tensor.Tensor) ([]int, error) {
 		call++
 		sizes = append(sizes, sub.Dim(0))
-		n := sub.Dim(0)
-		preds := make([]int, n)
-		confs := make([]float64, n)
-		errs := make([]error, n)
-		for i := 0; i < n; i++ {
-			preds[i], confs[i] = 2, 1
-			if call == 1 && i >= 2 {
-				errs[i] = errors.New("slot dropped")
-			}
+		if call == 1 {
+			return nil, errors.New("upload lost")
 		}
-		return preds, confs, errs, nil
+		preds := make([]int, sub.Dim(0))
+		for i := range preds {
+			preds[i] = 2
+		}
+		return preds, nil
 	}
-	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, RepRaw, cloud)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, protocol.RepRaw, cloud)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if call != 2 || sizes[0] != 4 || sizes[1] != 2 {
-		t.Fatalf("retry shipped call sizes %v over %d calls, want [4 2]", sizes, call)
+	if call != 2 || sizes[0] != 4 || sizes[1] != 4 {
+		t.Fatalf("retry shipped call sizes %v over %d calls, want [4 4]", sizes, call)
 	}
 	for i, d := range dec {
 		if d.Exit != ExitCloud || d.Pred != 2 || d.CloudFailed {
 			t.Fatalf("instance %d should exit at cloud after retry: %+v", i, d)
 		}
-		wantAttempts := 1
-		if i >= 2 {
-			wantAttempts = 2
-		}
-		if d.CloudAttempts != wantAttempts {
-			t.Fatalf("instance %d attempts %d, want %d", i, d.CloudAttempts, wantAttempts)
+		if d.CloudAttempts != 2 {
+			t.Fatalf("instance %d attempts %d, want 2", i, d.CloudAttempts)
 		}
 	}
 }
 
 // TestInferBatchedRetryThenFallback: instances that fail every attempt
-// (including whole-call errors) fall back to the edge with the full attempt
+// fall back to the edge with the full attempt
 // count recorded — the accounting must charge each transmission.
 func TestInferBatchedRetryThenFallback(t *testing.T) {
 	m := buildA(t, 37, 6)
 	x := tensor.Randn(newRand(37), 1, 3, 2, 8, 8)
 	call := 0
-	outage := func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
+	outage := func(sub *tensor.Tensor) ([]int, error) {
 		call++
-		return nil, nil, nil, errors.New("upload lost")
+		return nil, errors.New("upload lost")
 	}
-	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 2}, RepRaw, outage)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 2}, protocol.RepRaw, outage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,20 +223,18 @@ func TestInferBatchedRetryThenFallback(t *testing.T) {
 	// Malformed (short) responses count as failed attempts too, and the
 	// retry gives the cloud a second chance to answer correctly.
 	call = 0
-	shortThenGood := func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
+	shortThenGood := func(sub *tensor.Tensor) ([]int, error) {
 		call++
 		if call == 1 {
-			return []int{1}, []float64{1}, nil, nil // short: malformed
+			return []int{1}, nil // short: malformed
 		}
-		n := sub.Dim(0)
-		preds := make([]int, n)
-		confs := make([]float64, n)
-		for i := range confs {
-			preds[i], confs[i] = 1, 1
+		preds := make([]int, sub.Dim(0))
+		for i := range preds {
+			preds[i] = 1
 		}
-		return preds, confs, nil, nil
+		return preds, nil
 	}
-	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, RepRaw, shortThenGood)
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 1}, protocol.RepRaw, shortThenGood)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +246,7 @@ func TestInferBatchedRetryThenFallback(t *testing.T) {
 }
 
 // TestInferBatchedShedNoRetryBurn pins the admission-control contract: a
-// cloud call whose error wraps ErrShed ends the attempt loop after ONE call
+// cloud call whose error wraps protocol.ErrShed ends the attempt loop after ONE call
 // — even with retries granted — and the pending instances take the edge
 // fallback with Shed set, zero CloudAttempts (no charges) and CloudFailed
 // clear (the server refused; nothing failed).
@@ -269,11 +254,11 @@ func TestInferBatchedShedNoRetryBurn(t *testing.T) {
 	m := buildA(t, 60, 6)
 	x := tensor.Randn(newRand(60), 1, 5, 2, 8, 8)
 	calls := 0
-	shedCloud := func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
+	shedCloud := func(sub *tensor.Tensor) ([]int, error) {
 		calls++
-		return nil, nil, nil, fmt.Errorf("transport says: %w", ErrShed)
+		return nil, fmt.Errorf("transport says: %w", protocol.ErrShed)
 	}
-	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 3}, RepRaw, shedCloud)
+	dec, err := m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 3}, protocol.RepRaw, shedCloud)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,14 +284,14 @@ func TestInferBatchedShedNoRetryBurn(t *testing.T) {
 	// also stops the loop: the surviving pending set is shed, the first
 	// attempt stays charged.
 	calls = 0
-	flaky := func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
+	flaky := func(sub *tensor.Tensor) ([]int, error) {
 		calls++
 		if calls == 1 {
-			return nil, nil, nil, errors.New("transport fault")
+			return nil, errors.New("transport fault")
 		}
-		return nil, nil, nil, ErrShed
+		return nil, protocol.ErrShed
 	}
-	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 3}, RepRaw, flaky)
+	dec, err = m.InferBatchedRep(x, Policy{Threshold: 0, UseCloud: true, CloudRetries: 3}, protocol.RepRaw, flaky)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,9 +61,9 @@ const (
 // hops' own sample gate.
 const replanMinSamples = 3
 
-// ChainStats is the per-path accounting a chain client keeps for
-// Report.Chain: which instances went through the chain, which took the
-// direct-offload fallback, and how the live re-solver moved the cuts.
+// ChainStats is the per-path accounting a chain client keeps (see
+// ChainClient.ChainStats): which instances went through the chain, which
+// took the direct-offload fallback, and how the live re-solver moved the cuts.
 type ChainStats struct {
 	// ChainCalls/ChainInstances count relay round trips that succeeded
 	// end-to-end and the instances they classified.
@@ -181,16 +181,7 @@ type ChainClient struct {
 	sheds       atomic.Uint64 // relays the first hop refused with a shed
 }
 
-// ChainReporter surfaces per-path chain accounting. *ChainClient implements
-// it; the runtime duck-types against it in Report like ReplicaReporter.
-type ChainReporter interface {
-	ChainStats() ChainStats
-}
-
-var (
-	_ Transport     = (*ChainClient)(nil)
-	_ ChainReporter = (*ChainClient)(nil)
-)
+var _ Transport = (*ChainClient)(nil)
 
 // NewRoutedChainClient wraps a dialed transport to the first hop of a chain
 // (every hop configured with the same full Chain). Use cfg.Direct or
@@ -319,8 +310,8 @@ func (c *ChainClient) Infer(req protocol.InferRequest) (protocol.InferReply, err
 	// caller's own all-edge fallback handles the rest.
 	window := defaultFailureExclusion
 	c.mu.Lock()
-	if errors.Is(err, ErrShed) {
-		window = shedRetryAfter(err)
+	if errors.Is(err, protocol.ErrShed) {
+		window = protocol.RetryAfter(err)
 		c.sheds.Add(1)
 	} else {
 		c.stats.ChainFailures++
@@ -343,7 +334,7 @@ func (c *ChainClient) fallback(direct Transport, req protocol.InferRequest, caus
 	defer c.mu.Unlock()
 	if derr != nil {
 		c.stats.DirectFailures++
-		if errors.Is(derr, ErrShed) {
+		if errors.Is(derr, protocol.ErrShed) {
 			// Both paths refused by admission control: surface the shed so
 			// the caller takes its zero-charge hold instead of charging a
 			// failure.

@@ -332,7 +332,7 @@ func TestMultiRelayPassesOverNonRelayer(t *testing.T) {
 
 	// A dead relayer next to a member that cannot relay: a failure, not a
 	// hold, and the member that was only passed over stays open.
-	if _, _, err := relayRouted(m, batch, 4, 1, nil); err == nil || errors.Is(err, ErrShed) {
+	if _, _, err := relayRouted(m, batch, 4, 1, nil); err == nil || errors.Is(err, protocol.ErrShed) {
 		t.Fatalf("relay with the only relayer dead: %v", err)
 	}
 	if st := m.ReplicaStats(); st[0].Excluded || st[0].Failures != 0 {
@@ -343,7 +343,7 @@ func TestMultiRelayPassesOverNonRelayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := relayRouted(none, batch, 4, 1, nil); err == nil || errors.Is(err, ErrShed) {
+	if _, _, err := relayRouted(none, batch, 4, 1, nil); err == nil || errors.Is(err, protocol.ErrShed) {
 		t.Fatalf("relay through a set with no relayer: %v", err)
 	}
 }
@@ -354,15 +354,15 @@ func TestMultiRelayPassesOverNonRelayer(t *testing.T) {
 // plain failure.
 func TestMultiRelayShedSemantics(t *testing.T) {
 	a, b := &relayReplica{}, &relayReplica{}
-	a.set(&ShedError{RetryAfter: 300 * time.Millisecond}, nil)
-	b.set(&ShedError{RetryAfter: 700 * time.Millisecond}, nil)
+	a.set(&protocol.ShedError{RetryAfter: 300 * time.Millisecond}, nil)
+	b.set(&protocol.ShedError{RetryAfter: 700 * time.Millisecond}, nil)
 	m, err := NewMultiClient([]CloudClient{a, &scriptReplica{}, b}, nil, MultiConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := tensor.New(1, 3, 4, 4)
 	_, _, err = relayRouted(m, batch, 4, 1, nil)
-	var se *ShedError
+	var se *protocol.ShedError
 	if !errors.As(err, &se) || se.RetryAfter <= 0 || se.RetryAfter > 700*time.Millisecond {
 		t.Fatalf("all relayers shed: %v, want one ShedError within the members' hints", err)
 	}
@@ -371,13 +371,13 @@ func TestMultiRelayShedSemantics(t *testing.T) {
 	}
 
 	c, d := &relayReplica{}, &relayReplica{}
-	c.set(&ShedError{RetryAfter: 300 * time.Millisecond}, nil)
+	c.set(&protocol.ShedError{RetryAfter: 300 * time.Millisecond}, nil)
 	d.set(nil, errors.New("connection reset (test stand-in)"))
 	mixed, err := NewMultiClient([]CloudClient{c, d}, nil, MultiConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := relayRouted(mixed, batch, 4, 1, nil); err == nil || errors.Is(err, ErrShed) {
+	if _, _, err := relayRouted(mixed, batch, 4, 1, nil); err == nil || errors.Is(err, protocol.ErrShed) {
 		t.Fatalf("shed + dead relayer: %v, want a plain failure", err)
 	}
 }

@@ -347,8 +347,8 @@ func (c *TCPClient) roundTrip(typ protocol.MsgType, payload []byte) (f protocol.
 // probe) and decodes the one reply layout. Every success captures the
 // piggybacked server load; observeLink also feeds the link estimator (a
 // payload-less probe would read as an absurdly fast link). A shed decodes to
-// *ShedError; a MsgError reply — the one a server predating MsgInfer sends
-// included — is an ordinary cloud failure.
+// *protocol.ShedError; a MsgError reply — the one a server predating MsgInfer
+// sends included — is an ordinary cloud failure.
 func (c *TCPClient) exchange(typ protocol.MsgType, payload []byte, want int, observeLink bool) (protocol.InferReply, error) {
 	f, writeDur, waitDur, err := c.roundTrip(typ, payload)
 	if err != nil {
@@ -396,8 +396,8 @@ func (c *TCPClient) Probe(ttl uint8) ([]protocol.StageStatus, error) {
 	return reply.Hops, err
 }
 
-// shedResult decodes a shed frame into the typed *ShedError, folding the
-// piggybacked load snapshot into the last-seen server load (a shed is the
+// shedResult decodes a shed frame into the typed *protocol.ShedError, folding
+// the piggybacked load snapshot into the last-seen server load (a shed is the
 // backpressure signal at its sharpest) and counting the event. The link
 // estimator is deliberately NOT fed: no inference ran, so the wait phase
 // measured only the admission check — folding that in would bias the RTT
@@ -412,7 +412,7 @@ func (c *TCPClient) shedResult(payload []byte) error {
 	if retryAfter < 0 {
 		retryAfter = 0
 	}
-	return &ShedError{RetryAfter: retryAfter, Load: load, HasLoad: true}
+	return &protocol.ShedError{RetryAfter: retryAfter, Load: load, HasLoad: true}
 }
 
 // Sheds reports how many of this client's requests the cloud answered with a

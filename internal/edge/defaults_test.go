@@ -40,7 +40,7 @@ func (c *scriptedCloud) Infer(req protocol.InferRequest) (protocol.InferReply, e
 	if c.shed {
 		// A 1ns hint: the hold it opens has lapsed by the next batch, so the
 		// script never waits on the wall clock.
-		return protocol.InferReply{}, &ShedError{RetryAfter: time.Nanosecond, HasLoad: true}
+		return protocol.InferReply{}, &protocol.ShedError{RetryAfter: time.Nanosecond, HasLoad: true}
 	}
 	return c.InProcClient.Infer(req)
 }

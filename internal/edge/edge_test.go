@@ -220,7 +220,7 @@ func TestRuntimeCloudFailureFallback(t *testing.T) {
 	}
 	// Edge-only reference: the fallback predictions must match what the edge
 	// would have decided with no cloud at all.
-	edgeOnly, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, core.RepRaw, nil)
+	edgeOnly, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, protocol.RepRaw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,14 +307,16 @@ func TestRuntimeBatchedOffloadOneRoundTrip(t *testing.T) {
 		t.Fatalf("batched call carried %d instances, want 8", cc.instances)
 	}
 	// Serial reference: per-instance offload through the same model.
-	serial, err := m.InferBatchedRep(x, core.Policy{Threshold: 0, UseCloud: true}, core.RepRaw,
-		func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
-			preds, confs := make([]int, sub.Dim(0)), make([]float64, sub.Dim(0))
-			errs := make([]error, sub.Dim(0))
+	serial, err := m.InferBatchedRep(x, core.Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw,
+		func(sub *tensor.Tensor) ([]int, error) {
+			preds := make([]int, sub.Dim(0))
 			for i := range preds {
-				preds[i], confs[i], errs[i] = cc.InProcClient.Classify(sub.Sample(i))
+				var err error
+				if preds[i], _, err = cc.InProcClient.Classify(sub.Sample(i)); err != nil {
+					return nil, err
+				}
 			}
-			return preds, confs, errs, nil
+			return preds, nil
 		})
 	if err != nil {
 		t.Fatal(err)

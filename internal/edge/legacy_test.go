@@ -60,7 +60,7 @@ func TestInferAgainstPreInferServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a failing cloud must not fail the batch: %v", err)
 	}
-	edgeOnly, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, core.RepRaw, nil)
+	edgeOnly, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, protocol.RepRaw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

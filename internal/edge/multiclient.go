@@ -66,7 +66,7 @@ func extendWindow(until, now time.Time, d time.Duration) time.Time {
 }
 
 // ReplicaStats is one replica's accounting snapshot (see
-// MultiClient.ReplicaStats and Report.Replicas).
+// MultiClient.ReplicaStats).
 type ReplicaStats struct {
 	// Addr identifies the replica (the dialed address, or "replica-i" when
 	// the client was built over pre-dialed transports).
@@ -94,13 +94,6 @@ type ReplicaStats struct {
 	CapsKnown   bool
 	TailCapable bool
 	MaxBatch    uint32
-}
-
-// ReplicaReporter surfaces per-replica accounting. *MultiClient implements
-// it; edge.Runtime.Report folds the snapshot into Report.Replicas when its
-// cloud client does.
-type ReplicaReporter interface {
-	ReplicaStats() []ReplicaStats
 }
 
 // scoreBaseSeconds floors the latency term of a replica's routing score, so
@@ -158,8 +151,8 @@ type replica struct {
 //
 // A shed reply excludes the replica until its retry-after hint expires and
 // the call moves on to the next open replica; only when EVERY replica is
-// shed or excluded does the call surface a ShedError, which degrades the
-// runtime to the single-cloud edge-hold behavior (instances take the edge
+// shed or excluded does the call surface a protocol.ShedError, which degrades
+// the runtime to the single-cloud edge-hold behavior (instances take the edge
 // decision with zero upload charges until the earliest replica reopens). A
 // transport error likewise fails the call over to the next replica, with a
 // short failure exclusion while the underlying client redials in the
@@ -181,7 +174,6 @@ type MultiClient struct {
 }
 
 var _ Transport = (*MultiClient)(nil)
-var _ ReplicaReporter = (*MultiClient)(nil)
 
 // NewMultiClient builds a router over pre-dialed replica transports. addrs
 // labels the replicas for reporting; it may be nil or must match clients in
@@ -599,9 +591,9 @@ func (m *MultiClient) noteResult(r *replica, err error, svc time.Duration, ahead
 		// serialized accelerator, the wall time spans ahead+1 service slots
 		// (the score's load term already charges for the queueing itself).
 		r.svc.Observe(svc.Seconds(), 1+ahead, linkest.ServiceAlpha)
-	case errors.Is(err, ErrShed):
+	case errors.Is(err, protocol.ErrShed):
 		r.sheds++
-		m.exclude(r, shedRetryAfter(err), true)
+		m.exclude(r, protocol.RetryAfter(err), true)
 	default:
 		r.failures++
 		m.exclude(r, m.cfg.FailureExclusion, false)
@@ -657,11 +649,11 @@ func (m *MultiClient) clock() time.Time {
 // route tries replicas until one answers: pick, call, and on error exclude
 // and move on. When every eligible replica is excluded (on entry or because
 // this call's attempts excluded the rest), the degraded-mode error depends
-// on WHY: all sheds → a ShedError whose RetryAfter spans the earliest reopen
-// (the runtime holds offloads with zero charges; a stage hop answers MsgShed
-// upstream); any transport failure in the mix → a plain error (per-instance
-// fallback with CloudFailed accounting). A call no open replica can carry
-// fails with a plain error immediately: a capability mismatch is a
+// on WHY: all sheds → a protocol.ShedError whose RetryAfter spans the
+// earliest reopen (the runtime holds offloads with zero charges; a stage hop
+// answers MsgShed upstream); any transport failure in the mix → a plain
+// error (edge fallback with CloudFailed accounting). A call no open replica
+// can carry fails with a plain error immediately: a capability mismatch is a
 // configuration fact, not congestion, so it must not fabricate a hold.
 func (m *MultiClient) route(rep protocol.Rep, call func(t Transport) error) error {
 	tried := make(map[*replica]bool)
@@ -689,10 +681,10 @@ func (m *MultiClient) route(rep protocol.Rep, call func(t Transport) error) erro
 		// Every eligible replica asked for silence: surface one shed covering
 		// the earliest reopen. Load is intentionally absent — the snapshots
 		// belong to individual replicas, not the fleet.
-		return &ShedError{RetryAfter: reopen}
+		return &protocol.ShedError{RetryAfter: reopen}
 	}
 	if lastErr != nil {
-		if errors.Is(lastErr, ErrShed) {
+		if errors.Is(lastErr, protocol.ErrShed) {
 			// Mixed outage: sheds happened, but transports died too, so the
 			// degraded mode is a FAILURE (CloudFailed accounting, per-policy
 			// retries), not a zero-charge hold — a hold fabricated out of a

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -87,7 +88,7 @@ func FuzzMultiRoute(f *testing.F) {
 			for i := 0; i < n; i++ {
 				switch (outcomes >> (2 * i)) & 3 {
 				case 2:
-					reps[i].set(&ShedError{RetryAfter: retryAfter}, nil)
+					reps[i].set(&protocol.ShedError{RetryAfter: retryAfter}, nil)
 				case 3:
 					reps[i].set(nil, errors.New("fuzz: transport down"))
 				default:
@@ -145,9 +146,9 @@ func FuzzMultiRoute(f *testing.F) {
 						open++
 					}
 				}
-				if open == 0 && errors.Is(err, ErrShed) != allShed {
+				if open == 0 && errors.Is(err, protocol.ErrShed) != allShed {
 					t.Fatalf("degraded error kind wrong: shed=%v, want %v (err %v)",
-						errors.Is(err, ErrShed), allShed, err)
+						errors.Is(err, protocol.ErrShed), allShed, err)
 				}
 			}
 		}

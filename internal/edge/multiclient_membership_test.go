@@ -253,7 +253,7 @@ func TestMultiFeaturesNoCapableReplica(t *testing.T) {
 	if ferr == nil {
 		t.Fatal("features call succeeded on a tail-less fleet")
 	}
-	if errors.Is(ferr, ErrShed) {
+	if errors.Is(ferr, protocol.ErrShed) {
 		t.Fatalf("capability mismatch surfaced as a shed: %v", ferr)
 	}
 	if rep.callCount() != 0 {
@@ -324,13 +324,13 @@ func TestMultiLastOpenShedAfterFailureStaysFailure(t *testing.T) {
 	reps[1].load, reps[1].haveLoad = protocol.LoadStatus{QueueDepth: 50, Active: 4}, true
 	reps[1].mu.Unlock()
 	reps[0].set(nil, errors.New("conn reset"))
-	reps[1].set(&ShedError{RetryAfter: time.Hour}, nil)
+	reps[1].set(&protocol.ShedError{RetryAfter: time.Hour}, nil)
 
 	_, _, err := m.ClassifyBatch(testImgs(1))
 	if err == nil {
 		t.Fatal("mixed failure+shed outage succeeded")
 	}
-	if errors.Is(err, ErrShed) {
+	if errors.Is(err, protocol.ErrShed) {
 		t.Fatalf("failure-then-shed outage surfaced as a fleet-wide shed: %v", err)
 	}
 	if reps[0].callCount() != 1 || reps[1].callCount() != 1 {
@@ -385,9 +385,9 @@ func TestMultiPingConsultsExclusions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0.set(&ShedError{RetryAfter: time.Hour}, nil)
-	p1.set(&ShedError{RetryAfter: time.Hour}, nil)
-	if _, _, err := m2.ClassifyBatch(testImgs(1)); !errors.Is(err, ErrShed) {
+	p0.set(&protocol.ShedError{RetryAfter: time.Hour}, nil)
+	p1.set(&protocol.ShedError{RetryAfter: time.Hour}, nil)
+	if _, _, err := m2.ClassifyBatch(testImgs(1)); !errors.Is(err, protocol.ErrShed) {
 		t.Fatalf("all-shed fleet: %v", err)
 	}
 	if err := m2.Ping(); err == nil {

@@ -51,8 +51,8 @@ func (c *fakeClock) advance(d time.Duration) {
 type scriptReplica struct {
 	NoWire
 	mu       sync.Mutex
-	shed     *ShedError // non-nil: answer calls with this shed
-	fail     error      // non-nil: answer calls with this transport error
+	shed     *protocol.ShedError // non-nil: answer calls with this shed
+	fail     error               // non-nil: answer calls with this transport error
 	calls    int
 	load     protocol.LoadStatus
 	haveLoad bool
@@ -75,7 +75,7 @@ func (r *scriptReplica) callCount() int {
 	return r.calls
 }
 
-func (r *scriptReplica) set(shed *ShedError, fail error) {
+func (r *scriptReplica) set(shed *protocol.ShedError, fail error) {
 	r.mu.Lock()
 	r.shed, r.fail = shed, fail
 	r.mu.Unlock()
@@ -156,7 +156,7 @@ func TestMultiShedExclusionWindow(t *testing.T) {
 	reps[1].mu.Lock()
 	reps[1].load, reps[1].haveLoad = protocol.LoadStatus{QueueDepth: 50, Active: 4}, true
 	reps[1].mu.Unlock()
-	reps[0].set(&ShedError{RetryAfter: 100 * time.Millisecond}, nil)
+	reps[0].set(&protocol.ShedError{RetryAfter: 100 * time.Millisecond}, nil)
 
 	imgs := testImgs(3)
 	if _, _, err := m.ClassifyBatch(imgs); err != nil {
@@ -198,7 +198,7 @@ func TestMultiShedExclusionWindow(t *testing.T) {
 // replicas excluded, the sampler must return the open one every time.
 func TestMultiP2CNeverPicksExcluded(t *testing.T) {
 	m, reps, _ := newTestMulti(t, 3)
-	reps[0].set(&ShedError{RetryAfter: time.Hour}, nil)
+	reps[0].set(&protocol.ShedError{RetryAfter: time.Hour}, nil)
 	reps[2].set(nil, errors.New("conn reset"))
 	// One call excludes replica 0 (shed) and replica 2 (failure): steer the
 	// first two attempts onto them by loading replica 1.
@@ -260,12 +260,12 @@ func TestMultiAllFailedIsNotShed(t *testing.T) {
 	if err == nil {
 		t.Fatal("all replicas failed but the call succeeded")
 	}
-	if errors.Is(err, ErrShed) {
+	if errors.Is(err, protocol.ErrShed) {
 		t.Fatalf("transport outage surfaced as a shed: %v", err)
 	}
 	// With every replica now excluded by failures, the immediate next call
 	// must also fail fast as a NON-shed error.
-	if _, _, err := m.ClassifyBatch(testImgs(2)); err == nil || errors.Is(err, ErrShed) {
+	if _, _, err := m.ClassifyBatch(testImgs(2)); err == nil || errors.Is(err, protocol.ErrShed) {
 		t.Fatalf("failure-excluded fleet surfaced as a shed: %v", err)
 	}
 	if c := reps[0].callCount() + reps[1].callCount(); c != 2 {
@@ -320,7 +320,7 @@ func multiRuntimeFixture(t *testing.T, n int) (*Runtime, []*scriptReplica, *tens
 func TestMultiAllShedDegradesToEdgeHold(t *testing.T) {
 	rt, reps, x := multiRuntimeFixture(t, 3)
 	for _, r := range reps {
-		r.set(&ShedError{RetryAfter: 5 * time.Second}, nil)
+		r.set(&protocol.ShedError{RetryAfter: 5 * time.Second}, nil)
 	}
 	decisions, err := rt.Classify(x)
 	if err != nil {
@@ -346,8 +346,8 @@ func TestMultiAllShedDegradesToEdgeHold(t *testing.T) {
 		t.Fatalf("shed accounting: %d events, %d fallbacks, want 1 and %d",
 			rep.ShedEvents, rep.ShedFallbacks, len(decisions))
 	}
-	if len(rep.Replicas) != 3 {
-		t.Fatalf("Report.Replicas has %d entries, want 3", len(rep.Replicas))
+	if replicas := rt.cloud.(*MultiClient).ReplicaStats(); len(replicas) != 3 {
+		t.Fatalf("ReplicaStats has %d entries, want 3", len(replicas))
 	}
 	// The RetryAfter hold: the very next batch must not touch any replica.
 	if _, err := rt.Classify(x); err != nil {
@@ -367,13 +367,13 @@ func TestMultiAllShedDegradesToEdgeHold(t *testing.T) {
 // fleet-wide shed hold out of transport errors.
 func TestMultiMixedShedAndFailure(t *testing.T) {
 	m, reps, _ := newTestMulti(t, 2)
-	reps[0].set(&ShedError{RetryAfter: time.Hour}, nil)
+	reps[0].set(&protocol.ShedError{RetryAfter: time.Hour}, nil)
 	reps[1].set(nil, errors.New("conn reset"))
 	_, _, err := m.ClassifyBatch(testImgs(2))
 	if err == nil {
 		t.Fatal("mixed outage succeeded")
 	}
-	if errors.Is(err, ErrShed) {
+	if errors.Is(err, protocol.ErrShed) {
 		t.Fatalf("mixed shed+failure outage surfaced as a fleet-wide shed: %v", err)
 	}
 }
@@ -395,7 +395,7 @@ func TestMultiLinkSignalsFollowBestReplica(t *testing.T) {
 		t.Fatalf("LinkEstimate came from the worse replica: %+v", est)
 	}
 	// Replica 0 sheds → excluded → the signals must flip to replica 1.
-	reps[0].set(&ShedError{RetryAfter: time.Hour}, nil)
+	reps[0].set(&protocol.ShedError{RetryAfter: time.Hour}, nil)
 	if _, _, err := m.ClassifyBatch(testImgs(1)); err != nil {
 		t.Fatal(err)
 	}

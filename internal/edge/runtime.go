@@ -87,8 +87,8 @@ type CostParams struct {
 
 // uploadBytes is the per-instance MODELED upload size of a representation
 // (the paper's accounting unit: bytes, energy, modeled latency).
-func (c *CostParams) uploadBytes(rep core.OffloadRep) int64 {
-	if rep == core.RepFeatures {
+func (c *CostParams) uploadBytes(rep protocol.Rep) int64 {
+	if rep == protocol.RepFeatures {
 		return c.FeatureBytes
 	}
 	return c.ImageBytes
@@ -97,8 +97,8 @@ func (c *CostParams) uploadBytes(rep core.OffloadRep) int64 {
 // wireUploadBytes is the per-instance size a representation actually
 // serializes — the unit the live latency predictions must use, since the
 // estimator's bandwidth was measured from real frames.
-func (c *CostParams) wireUploadBytes(rep core.OffloadRep) int64 {
-	if rep == core.RepFeatures {
+func (c *CostParams) wireUploadBytes(rep protocol.Rep) int64 {
+	if rep == protocol.RepFeatures {
 		return c.FeatureBytes
 	}
 	if c.WireImageBytes > 0 {
@@ -185,16 +185,6 @@ type Report struct {
 	// representation (raw↔features) — the observable trace of live link
 	// adaptation.
 	RepFlips int
-
-	// Replicas is the per-replica routing snapshot when the cloud client is
-	// a multi-replica router (edge.MultiClient); nil for single-connection
-	// transports.
-	Replicas []ReplicaStats
-
-	// Chain is the per-path chain accounting when the cloud client is a
-	// ChainClient (chain vs direct-fallback instances, cut moves, current
-	// cuts); nil for non-chain transports.
-	Chain *ChainStats
 }
 
 // CloudFraction is β: the fraction of instances that exited at the cloud.
@@ -212,11 +202,6 @@ type Runtime struct {
 	cloud Transport // nil = edge-only
 	cost  *CostParams
 
-	// offload builds the cloud call of one batch (Offload); fault-injection
-	// tests swap it to fail individual slots of a call, which no production
-	// transport does.
-	offload func(t Transport, rep core.OffloadRep) core.CloudBatchFunc
-
 	// mu guards policy, mode, budget, adapt, lastRep, haveLastRep, repFlips,
 	// shedUntil, n, exits, cloudFailures, shedEvents, shedFallbacks, bytesSent,
 	// rawUploads, featUploads, energyTotal, latencyCompute, latencyComm
@@ -225,7 +210,7 @@ type Runtime struct {
 	mode           OffloadMode
 	budget         time.Duration // 0 = closed-loop adaptation off
 	adapt          AdaptConfig
-	lastRep        core.OffloadRep
+	lastRep        protocol.Rep
 	haveLastRep    bool
 	repFlips       int
 	shedUntil      time.Time // offload hold from the last shed's RetryAfter
@@ -253,12 +238,11 @@ func NewRuntime(m *core.MEANet, policy core.Policy, cloud CloudClient, cost *Cos
 		return nil, errors.New("edge: policy enables cloud but no cloud client given")
 	}
 	r := &Runtime{
-		net:     m,
-		cloud:   asTransport(cloud),
-		policy:  policy,
-		cost:    cost,
-		offload: Offload,
-		exits:   make(map[core.ExitPoint]int),
+		net:    m,
+		cloud:  asTransport(cloud),
+		policy: policy,
+		cost:   cost,
+		exits:  make(map[core.ExitPoint]int),
 	}
 	r.adapt.fillDefaults()
 	return r, nil
@@ -343,7 +327,7 @@ func (r *Runtime) OffloadMode() OffloadMode {
 type adaptSnapshot struct {
 	budget      time.Duration
 	adapt       AdaptConfig
-	lastRep     core.OffloadRep
+	lastRep     protocol.Rep
 	haveLastRep bool
 }
 
@@ -374,66 +358,66 @@ func (r *Runtime) liveEstimate(snap adaptSnapshot) (linkest.Estimate, bool) {
 // a degenerate WiFi model), as before. Auto still degrades to raw when the
 // transport cannot carry features or no cost model exists (the comparison
 // needs FeatureBytes).
-func (r *Runtime) resolveRep(mode OffloadMode, snap adaptSnapshot) core.OffloadRep {
+func (r *Runtime) resolveRep(mode OffloadMode, snap adaptSnapshot) protocol.Rep {
 	switch mode {
 	case OffloadFeatures:
-		return core.RepFeatures
+		return protocol.RepFeatures
 	case OffloadAuto:
 		if !carries(r.cloud, protocol.RepFeatures) {
-			return core.RepRaw
+			return protocol.RepRaw
 		}
 		if r.cost == nil || r.cost.FeatureBytes <= 0 {
-			return core.RepRaw
+			return protocol.RepRaw
 		}
 		if est, ok := r.liveEstimate(snap); ok {
 			return r.resolveRepLive(est, snap)
 		}
 		return r.resolveRepStatic()
 	default:
-		return core.RepRaw
+		return protocol.RepRaw
 	}
 }
 
 // resolveRepStatic is the pre-adaptation auto decision: the cheaper modeled
 // upload through the static WiFi model.
-func (r *Runtime) resolveRepStatic() core.OffloadRep {
+func (r *Runtime) resolveRepStatic() protocol.Rep {
 	rawJ := r.cost.WiFi.UploadEnergyJ(r.cost.ImageBytes)
 	featJ := r.cost.WiFi.UploadEnergyJ(r.cost.FeatureBytes)
 	if rawJ == 0 && featJ == 0 {
 		// Degenerate WiFi model: fall back to the byte comparison.
 		if r.cost.FeatureBytes < r.cost.ImageBytes {
-			return core.RepFeatures
+			return protocol.RepFeatures
 		}
-		return core.RepRaw
+		return protocol.RepRaw
 	}
 	if featJ < rawJ {
-		return core.RepFeatures
+		return protocol.RepFeatures
 	}
-	return core.RepRaw
+	return protocol.RepRaw
 }
 
 // resolveRepLive is the measured-link auto decision (see resolveRep). It
 // predicts from WIRE sizes — the estimator's bandwidth was measured from
 // the frames the transport really ships.
-func (r *Runtime) resolveRepLive(est linkest.Estimate, snap adaptSnapshot) core.OffloadRep {
-	tRaw := est.RTT + est.UploadTime(r.cost.wireUploadBytes(core.RepRaw))
-	tFeat := est.RTT + est.UploadTime(r.cost.wireUploadBytes(core.RepFeatures))
+func (r *Runtime) resolveRepLive(est linkest.Estimate, snap adaptSnapshot) protocol.Rep {
+	tRaw := est.RTT + est.UploadTime(r.cost.wireUploadBytes(protocol.RepRaw))
+	tFeat := est.RTT + est.UploadTime(r.cost.wireUploadBytes(protocol.RepFeatures))
 	if snap.budget > 0 {
 		affordRaw := snap.budget
-		if snap.haveLastRep && snap.lastRep == core.RepFeatures {
+		if snap.haveLastRep && snap.lastRep == protocol.RepFeatures {
 			// Hysteresis: flipping back to raw needs clear headroom.
 			affordRaw = time.Duration(float64(snap.budget) * repHysteresis)
 		}
 		if tRaw <= affordRaw {
-			return core.RepRaw
+			return protocol.RepRaw
 		}
 	}
 	// Over budget (or no budget): the cheaper measured upload wins; ties
 	// favour raw, the paper's default.
 	if tFeat < tRaw {
-		return core.RepFeatures
+		return protocol.RepFeatures
 	}
-	return core.RepRaw
+	return protocol.RepRaw
 }
 
 // observedCloudLatency is the controller's error signal: the measured cloud
@@ -473,7 +457,7 @@ func queueSaturated(load protocol.LoadStatus) bool {
 // definitive over-capacity signal — stronger than the queue heuristic, and
 // meaningful even without a latency budget or a mature link estimate — so
 // the step up runs unconditionally.
-func (r *Runtime) adaptThreshold(snap adaptSnapshot, rep core.OffloadRep, shed bool) {
+func (r *Runtime) adaptThreshold(snap adaptSnapshot, rep protocol.Rep, shed bool) {
 	step := 1 + adaptStepUp
 	if !shed {
 		est, ok := r.liveEstimate(snap)
@@ -498,8 +482,8 @@ func (r *Runtime) adaptThreshold(snap adaptSnapshot, rep core.OffloadRep, shed b
 // Classify runs Algorithm 2 on a batch, updating the runtime's accounting.
 // All cloud-qualifying instances of the batch are offloaded in one batched
 // round trip (core.InferBatchedRep) in the representation the offload mode
-// resolves to; failed instances are retried per the policy and then fall
-// back to the edge decision per instance, with β, bytes and energy staying
+// resolves to; a failed upload is retried per the policy and then its
+// instances fall back to the edge decision, with β, bytes and energy staying
 // per-instance (every attempt transmitted, so every attempt is charged).
 //
 // When a latency budget is set (SetLatencyBudget) and the transport reports
@@ -521,7 +505,7 @@ func (r *Runtime) Classify(x *tensor.Tensor) ([]core.Decision, error) {
 	}
 	shedHold := time.Now().Before(r.shedUntil)
 	r.mu.Unlock()
-	rep := core.RepRaw
+	rep := protocol.RepRaw
 	var cloudFn core.CloudBatchFunc
 	shedHeld := time.Duration(0) // > 0: the cloud shed this batch; hold offloads this long
 	// A live shed hold keeps the batch on the edge entirely: the server
@@ -534,13 +518,13 @@ func (r *Runtime) Classify(x *tensor.Tensor) ([]core.Decision, error) {
 		// Capture shed replies on their way through to core's attempt loop:
 		// core stops retrying on them, but only the runtime can honor the
 		// RetryAfter hint (it spans batches, not attempts).
-		inner := r.offload(r.cloud, rep)
-		cloudFn = func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
-			preds, confs, errs, err := inner(sub)
-			if errors.Is(err, ErrShed) {
-				shedHeld = shedRetryAfter(err)
+		inner := Offload(r.cloud, rep)
+		cloudFn = func(sub *tensor.Tensor) ([]int, error) {
+			preds, err := inner(sub)
+			if errors.Is(err, protocol.ErrShed) {
+				shedHeld = protocol.RetryAfter(err)
 			}
-			return preds, confs, errs, err
+			return preds, err
 		}
 	}
 	decisions, err := r.net.InferBatchedRep(x, pol, rep, cloudFn)
@@ -575,7 +559,7 @@ func (r *Runtime) Classify(x *tensor.Tensor) ([]core.Decision, error) {
 // noteShed records one admission-control refusal: the event counter and the
 // hold during which Classify keeps qualifying instances on the edge without
 // attempting an upload — the exclusion-window rule the replica router and the
-// chain client apply to a shed (shedRetryAfter, extendWindow).
+// chain client apply to a shed (protocol.RetryAfter, extendWindow).
 func (r *Runtime) noteShed(hold time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -588,7 +572,7 @@ func (r *Runtime) noteShed(hold time.Duration) {
 // representation was an auto-mode choice with a cloud path wired — only
 // those update lastRep and count flips (Report.RepFlips traces live
 // adaptation, not manual mode switches).
-func (r *Runtime) account(decisions []core.Decision, rep core.OffloadRep, trackRep bool) {
+func (r *Runtime) account(decisions []core.Decision, rep protocol.Rep, trackRep bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if trackRep {
@@ -612,7 +596,7 @@ func (r *Runtime) account(decisions []core.Decision, rep core.OffloadRep, trackR
 			r.shedFallbacks++
 		}
 		if d.CloudAttempts > 0 {
-			if rep == core.RepFeatures {
+			if rep == protocol.RepFeatures {
 				r.featUploads += d.CloudAttempts
 			} else {
 				r.rawUploads += d.CloudAttempts
@@ -642,19 +626,6 @@ func (r *Runtime) account(decisions []core.Decision, rep core.OffloadRep, trackR
 
 // Report snapshots the accumulated statistics.
 func (r *Runtime) Report() Report {
-	// The replica snapshot comes from the client's own lock; take it before
-	// r.mu so the two locks never nest the other way anywhere.
-	var replicas []ReplicaStats
-	if rr, ok := r.cloud.(ReplicaReporter); ok {
-		replicas = rr.ReplicaStats()
-	}
-	// Same lock-ordering rule for the chain snapshot: the chain client's own
-	// lock is taken and released before r.mu.
-	var chain *ChainStats
-	if cr, ok := r.cloud.(ChainReporter); ok {
-		st := cr.ChainStats()
-		chain = &st
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	exits := make(map[core.ExitPoint]int, len(r.exits))
@@ -662,8 +633,6 @@ func (r *Runtime) Report() Report {
 		exits[k] = v
 	}
 	return Report{
-		Replicas:       replicas,
-		Chain:          chain,
 		N:              r.n,
 		Exits:          exits,
 		CloudFailures:  r.cloudFailures,

@@ -16,11 +16,12 @@ import (
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/energy"
 	"github.com/meanet/meanet/internal/models"
+	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
 // shedClient wraps the in-process client with steerable admission control:
-// the next shedNext batch calls are answered with a *ShedError carrying
+// the next shedNext batch calls are answered with a *protocol.ShedError carrying
 // retryAfter, later calls delegate. Batch calls are counted either way — the
 // tests' "no retry burn" and "RetryAfter honored" assertions are call-count
 // assertions.
@@ -47,7 +48,7 @@ func (c *shedClient) ClassifyBatch(imgs []*tensor.Tensor) ([]int, []float64, err
 	retryAfter := c.retryAfter
 	c.mu.Unlock()
 	if shed {
-		return nil, nil, &ShedError{RetryAfter: retryAfter}
+		return nil, nil, &protocol.ShedError{RetryAfter: retryAfter}
 	}
 	return c.inner.ClassifyBatch(imgs)
 }
@@ -93,12 +94,12 @@ func shedFixture(t *testing.T, seed int64, retryAfter time.Duration) (*Runtime, 
 }
 
 func TestShedErrorMatchesSentinel(t *testing.T) {
-	err := &ShedError{RetryAfter: 10 * time.Millisecond}
-	if !errors.Is(err, ErrShed) {
+	err := &protocol.ShedError{RetryAfter: 10 * time.Millisecond}
+	if !errors.Is(err, protocol.ErrShed) {
 		t.Fatal("ShedError does not match ErrShed")
 	}
-	if !errors.Is(err, core.ErrShed) {
-		t.Fatal("ShedError does not match core.ErrShed (core's retry loop would burn retries)")
+	if !errors.Is(err, protocol.ErrShed) {
+		t.Fatal("ShedError does not match protocol.ErrShed (core's retry loop would burn retries)")
 	}
 }
 

@@ -531,14 +531,16 @@ func TestBatchedOffloadEndToEndBitwise(t *testing.T) {
 	before = srv.Stats().Requests
 	var serialDec []core.Decision
 	for _, x := range inputs {
-		dec, err := m.InferBatchedRep(x, core.Policy{Threshold: 0, UseCloud: true}, core.RepRaw,
-			func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
-				preds, confs := make([]int, sub.Dim(0)), make([]float64, sub.Dim(0))
-				errs := make([]error, sub.Dim(0))
+		dec, err := m.InferBatchedRep(x, core.Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw,
+			func(sub *tensor.Tensor) ([]int, error) {
+				preds := make([]int, sub.Dim(0))
 				for i := range preds {
-					preds[i], confs[i], errs[i] = client.Classify(sub.Sample(i))
+					var err error
+					if preds[i], _, err = client.Classify(sub.Sample(i)); err != nil {
+						return nil, err
+					}
 				}
-				return preds, confs, errs, nil
+				return preds, nil
 			})
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // measure one answers its zero value.
 type Transport interface {
 	// Infer round-trips one inference request. A refusal by admission control
-	// surfaces as an error wrapping ErrShed (a *ShedError).
+	// surfaces as an error wrapping protocol.ErrShed (a *protocol.ShedError).
 	Infer(req protocol.InferRequest) (protocol.InferReply, error)
 	// Probe traverses a chain with a zero-instance request — every transport
 	// leg, no stage — and returns the per-hop status vector.
@@ -132,20 +132,16 @@ func stackCHW(ts []*tensor.Tensor) (*tensor.Tensor, error) {
 
 // Offload is the core.CloudBatchFunc over a transport: the stacked
 // cloud-qualifying sub-batch InferBatchedRep gathered goes out as ONE request
-// in rep, and a transport error fails the whole call, so each instance falls
-// back to the edge individually.
-func Offload(t Transport, rep core.OffloadRep) core.CloudBatchFunc {
-	wire := protocol.RepRaw
-	if rep == core.RepFeatures {
-		wire = protocol.RepFeatures
-	}
-	return func(sub *tensor.Tensor) ([]int, []float64, []error, error) {
-		reply, err := t.Infer(protocol.InferRequest{Rep: wire, Tensor: sub})
+// in rep, and a transport error fails the whole call, so the batch falls back
+// to the edge.
+func Offload(t Transport, rep protocol.Rep) core.CloudBatchFunc {
+	return func(sub *tensor.Tensor) ([]int, error) {
+		reply, err := t.Infer(protocol.InferRequest{Rep: rep, Tensor: sub})
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("edge: cloud %s offload: %w", wire, err)
+			return nil, fmt.Errorf("edge: cloud %s offload: %w", rep, err)
 		}
-		preds, confs := unpack(reply.Results)
-		return preds, confs, nil, nil
+		preds, _ := unpack(reply.Results)
+		return preds, nil
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/energy"
 	"github.com/meanet/meanet/internal/metrics"
+	"github.com/meanet/meanet/internal/protocol"
 )
 
 // Fig2Result is the confusion matrix of the main block on the CIFAR-like
@@ -291,7 +292,7 @@ func sweepThresholds(sys *System, thresholds []float64) (*Fig7Series, error) {
 	}
 	series.CloudOnlyAcc = cloudCM.Accuracy()
 
-	cloudFn := edge.Offload(client, core.RepRaw)
+	cloudFn := edge.Offload(client, protocol.RepRaw)
 	for _, th := range thresholds {
 		rep, err := core.Evaluate(sys.Edge, sys.Synth.Test, 64,
 			core.Policy{Threshold: th, UseCloud: true}, cloudFn)
@@ -398,7 +399,7 @@ func Fig8(ctx *Context) (*Fig8Result, error) {
 			client := &edge.InProcClient{Model: sys.Cloud}
 			var fn core.CloudBatchFunc
 			if useCloud {
-				fn = edge.Offload(client, core.RepRaw)
+				fn = edge.Offload(client, protocol.RepRaw)
 			}
 			rep, err := core.Evaluate(sys.Edge, sys.Synth.Test, 64,
 				core.Policy{Threshold: th, UseCloud: useCloud}, fn)

@@ -248,8 +248,8 @@ func TestReplicaSetHopShedContract(t *testing.T) {
 	// an error.
 	client, hop1 := chainOver(dialSet(t, startSheddingHop(t, 300*time.Millisecond), startSheddingHop(t, 700*time.Millisecond)))
 	_, _, err := client.Classify(img)
-	var se *edge.ShedError
-	if !errors.Is(err, edge.ErrShed) || !errors.As(err, &se) {
+	var se *protocol.ShedError
+	if !errors.Is(err, protocol.ErrShed) || !errors.As(err, &se) {
 		t.Fatalf("all-members-shed reached the edge as %v, want a shed", err)
 	}
 	if se.RetryAfter <= 0 || se.RetryAfter > 700*time.Millisecond {
@@ -267,7 +267,7 @@ func TestReplicaSetHopShedContract(t *testing.T) {
 	doomed.Close()
 	client, hop1 = chainOver(set)
 	_, _, err = client.Classify(img)
-	if err == nil || errors.Is(err, edge.ErrShed) || !strings.Contains(err.Error(), "downstream relay") {
+	if err == nil || errors.Is(err, protocol.ErrShed) || !strings.Contains(err.Error(), "downstream relay") {
 		t.Fatalf("shed+dead mix reached the edge as %v, want a downstream error", err)
 	}
 	if client.Sheds() != 0 || hop1.Stats().Errors != 1 || client.ChainStats().ChainFailures != 1 {

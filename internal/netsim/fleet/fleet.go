@@ -4,9 +4,9 @@
 // replica, routed by edge.MultiClient when M > 1 — and aggregates per-edge
 // reports into fleet-level throughput, shed-rate and accounting totals.
 //
-// The harness is what the fleet-shedding experiment, the stress/soak tests
-// and BenchmarkFleetOffload share: the caller owns the server (and its
-// batching/shedding configuration); the harness owns the edges. The edge
+// The harness is what the fleet-shedding experiment and the stress/soak tests
+// share: the caller owns the server (and its batching/shedding
+// configuration); the harness owns the edges. The edge
 // runtimes share one MEANet — evaluation-mode forward passes of the nn stack
 // are stateless, so a single set of weights serves any number of concurrent
 // edges, which is also what keeps an N-edge scenario affordable in tests.
@@ -174,6 +174,9 @@ type EdgeResult struct {
 	// accounting.
 	WireBytes uint64
 	WireSheds uint64
+	// Replicas is the edge's replica router snapshot (edge.MultiClient);
+	// nil for single-replica edges.
+	Replicas []edge.ReplicaStats
 }
 
 // ReplicaTotals is one replica's fleet-wide routing accounting: the sums of
@@ -293,7 +296,7 @@ func Run(cfg Config) (*Result, error) {
 		res.ShedEvents += rep.ShedEvents
 		res.CloudFailures += rep.CloudFailures
 		res.Correct += results[i].Correct
-		for _, st := range rep.Replicas {
+		for _, st := range results[i].Replicas {
 			r, ok := replicaRow[st.Addr]
 			if !ok {
 				r = len(res.Replicas)
@@ -402,13 +405,17 @@ func runEdge(cfg *Config, i int) (EdgeResult, error) {
 			}
 		}
 	}
-	return EdgeResult{
+	res := EdgeResult{
 		Index:     i,
 		Report:    rt.Report(),
 		Correct:   correct,
 		WireBytes: client.BytesSent(),
 		WireSheds: client.Sheds(),
-	}, nil
+	}
+	if mc != nil {
+		res.Replicas = mc.ReplicaStats()
+	}
+	return res, nil
 }
 
 // SlowModel wraps a cloud model with a serialized fixed delay per forward

@@ -112,7 +112,7 @@ func TestFleetMultiReplicaCleanExactAgreement(t *testing.T) {
 	var wireBytes uint64
 	for _, er := range res.Edges {
 		wireBytes += er.WireBytes
-		if got := len(er.Report.Replicas); got != 2 {
+		if got := len(er.Replicas); got != 2 {
 			t.Fatalf("edge %d report has %d replica entries, want 2", er.Index, got)
 		}
 	}
@@ -372,7 +372,7 @@ func TestFleetMultiReplicaSoakJoinLeave(t *testing.T) {
 	// removed, counters intact; the joined replica has a live row next to it.
 	for _, er := range res.Edges {
 		var sawRemoved, sawJoined bool
-		for _, st := range er.Report.Replicas {
+		for _, st := range er.Replicas {
 			switch st.Addr {
 			case leaveAddr:
 				sawRemoved = true
@@ -391,7 +391,7 @@ func TestFleetMultiReplicaSoakJoinLeave(t *testing.T) {
 		}
 		if !sawRemoved || !sawJoined {
 			t.Fatalf("edge %d stat table misses membership rows (removed %v, joined %v): %+v",
-				er.Index, sawRemoved, sawJoined, er.Report.Replicas)
+				er.Index, sawRemoved, sawJoined, er.Replicas)
 		}
 	}
 	t.Logf("join/leave soak: %d edges × %d batches in %v (%.0f img/s): %d edge / %d cloud / %d shed-fallback; replicas %+v",

@@ -9,6 +9,7 @@ package protocol
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -575,6 +576,44 @@ func DecodeShed(b []byte) (retryAfter time.Duration, st LoadStatus, err error) {
 		return 0, LoadStatus{}, fmt.Errorf("protocol: shed payload length %d, want %d", len(b), shedLen)
 	}
 	return time.Duration(binary.LittleEndian.Uint64(b)), getLoadStatus(b[8:]), nil
+}
+
+// ErrShed is the sentinel matched by errors.Is when a request was answered
+// with a shed frame: admission control refused the work. Algorithm 2's attempt
+// loop stops on it instead of re-uploading into a saturated server.
+var ErrShed = errors.New("protocol: cloud shed the request")
+
+// ShedError is what a shed frame surfaces as on the sending side: the
+// server's retry-after hint and the load snapshot that triggered the refusal.
+// errors.Is(err, ErrShed) holds for any error wrapping one.
+type ShedError struct {
+	// RetryAfter is the server's back-off hint. Always ≥ 0 as surfaced by
+	// the built-in transports (negative wire values are clamped).
+	RetryAfter time.Duration
+	// Load is the congestion snapshot a shed frame carries; HasLoad is false
+	// on a shed a router synthesized for a whole replica set.
+	Load    LoadStatus
+	HasLoad bool
+}
+
+// Error renders the refusal with its hint.
+func (e *ShedError) Error() string {
+	return fmt.Sprintf("protocol: cloud shed the request (retry after %v, queue %d, active %d)",
+		e.RetryAfter, e.Load.QueueDepth, e.Load.Active)
+}
+
+// Unwrap ties the typed error into the sentinel chain through any %w
+// wrapping the transports add.
+func (e *ShedError) Unwrap() error { return ErrShed }
+
+// RetryAfter is how long a shed asks its sender to stay away: the hint the
+// ShedError in err's chain carried, or DefaultRetryAfter when it carried none.
+func RetryAfter(err error) time.Duration {
+	var se *ShedError
+	if errors.As(err, &se) && se.RetryAfter > 0 {
+		return se.RetryAfter
+	}
+	return DefaultRetryAfter
 }
 
 // Capabilities is what a replica advertises in its MsgHello reply: the

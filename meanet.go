@@ -89,10 +89,8 @@ type (
 	// ExitPoint says where an instance's inference terminated.
 	ExitPoint = core.ExitPoint
 	// CloudBatchFunc classifies a stacked batch on the cloud in one round
-	// trip, with per-instance error granularity.
+	// trip; an error fails the whole call.
 	CloudBatchFunc = core.CloudBatchFunc
-	// OffloadRep is the resolved upload representation of a batched offload.
-	OffloadRep = core.OffloadRep
 	// EvalReport scores an inference run.
 	EvalReport = core.EvalReport
 	// HardnessDetector is the optional learned easy/hard detector (§III-B).
@@ -113,8 +111,8 @@ const (
 	ExitExtension = core.ExitExtension
 	ExitCloud     = core.ExitCloud
 
-	RepRaw      = core.RepRaw
-	RepFeatures = core.RepFeatures
+	RepRaw      = protocol.RepRaw
+	RepFeatures = protocol.RepFeatures
 
 	OffloadRaw      = edge.OffloadRaw
 	OffloadFeatures = edge.OffloadFeatures
@@ -163,7 +161,7 @@ type (
 	ShedPolicy = cloud.ShedPolicy
 	// ShedError is the typed error a shed offload surfaces as on the edge
 	// (match with errors.Is(err, ErrShed)).
-	ShedError = edge.ShedError
+	ShedError = protocol.ShedError
 )
 
 // Cost model types.
@@ -234,7 +232,7 @@ var (
 	WithShedding = cloud.WithShedding
 	// ErrShed is the sentinel for offloads refused by cloud admission
 	// control (the edge falls back without burning retries).
-	ErrShed = edge.ErrShed
+	ErrShed = protocol.ErrShed
 	// DialCloud connects to a cloud server.
 	DialCloud = edge.DialCloud
 	// NewRuntime builds an edge inference runtime.
