@@ -253,10 +253,28 @@ func BenchmarkMatMul128(b *testing.B) { benchmarkMatMul(b, 128) }
 
 func BenchmarkMatMul512(b *testing.B) { benchmarkMatMul(b, 512) }
 
+// BenchmarkMatMulConvTile is the eval conv's product on edge-only's widest
+// layer: W[8,72] x cols[72,2304], one 16-image tile of group 1's 3x3 conv at
+// 12x12, written into a caller-owned buffer as the conv does.
+func BenchmarkMatMulConvTile(b *testing.B) {
+	const m, k, n = 8, 72, 16 * 12 * 12
+	rng := rand.New(rand.NewSource(1))
+	w := tensor.Randn(rng, 1, m, k)
+	cols := tensor.Randn(rng, 1, k, n)
+	out := make([]float32, m*n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.MatMulInto(out, w.Data(), cols.Data(), m, k, n)
+	}
+	b.ReportMetric(2*m*k*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+}
+
 func BenchmarkConv2DForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	conv := nn.NewConv2D(rng, "b", 16, 32, 3, 1, 1, false)
 	x := tensor.Randn(rng, 1, 8, 16, 16, 16)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conv.Forward(x, false)
@@ -286,6 +304,7 @@ func BenchmarkMEANetInferBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	x := tensor.Randn(rng, 1, 16, 3, 12, 12)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, protocol.RepRaw, nil); err != nil {

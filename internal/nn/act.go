@@ -31,6 +31,18 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
+// evalInPlace applies max(x, 0) to x itself; see the in-place rule on
+// Layer. Everything not above zero (negatives, both zeros, NaN) becomes +0,
+// exactly as in Forward's zero-filled output.
+func (r *ReLU) evalInPlace(x *tensor.Tensor) {
+	d := x.Data()
+	for i, v := range d {
+		if !(v > 0) {
+			d[i] = 0
+		}
+	}
+}
+
 // Backward gates the gradient by the positive mask.
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if r.mask == nil {

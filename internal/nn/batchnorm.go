@@ -49,37 +49,29 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 // Channels reports the number of normalized channels.
 func (bn *BatchNorm2D) Channels() int { return bn.Gamma.Data.Numel() }
 
+func (bn *BatchNorm2D) checkInput(x *tensor.Tensor) {
+	if x.Dims() != 4 {
+		panic(fmt.Sprintf("nn: BatchNorm2D expects NCHW input, got %v", x.Shape()))
+	}
+	if x.Dim(1) != bn.Channels() {
+		panic(fmt.Sprintf("nn: BatchNorm2D has %d channels, input has %d", bn.Channels(), x.Dim(1)))
+	}
+}
+
 // Forward normalizes x. Training mode computes batch statistics (biased
 // variance, matching the normalization path of standard implementations)
 // and updates the running statistics in place.
 func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Dims() != 4 {
-		panic(fmt.Sprintf("nn: BatchNorm2D expects NCHW input, got %v", x.Shape()))
-	}
+	bn.checkInput(x)
 	n, cch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	if cch != bn.Channels() {
-		panic(fmt.Sprintf("nn: BatchNorm2D has %d channels, input has %d", bn.Channels(), cch))
-	}
 	out := tensor.New(n, cch, h, w)
+	if !train {
+		bn.evalInto(x, out)
+		return out
+	}
 	plane := h * w
 	m := n * plane
 	gamma, beta := bn.Gamma.Data.Data(), bn.Beta.Data.Data()
-
-	if !train {
-		forEachSample(cch, func(c int) {
-			mean := bn.RunningMean[c]
-			inv := float32(1.0 / math.Sqrt(float64(bn.RunningVar[c])+bn.Eps))
-			g, b := gamma[c], beta[c]
-			for i := 0; i < n; i++ {
-				src := x.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-				dst := out.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-				for j, v := range src {
-					dst[j] = g*(v-mean)*inv + b
-				}
-			}
-		})
-		return out
-	}
 
 	xhat := tensor.New(n, cch, h, w)
 	invStd := make([]float32, cch)
@@ -117,6 +109,32 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bn.invStd = invStd
 	bn.batch = n
 	return out
+}
+
+// evalInPlace normalizes x with the running statistics, overwriting it; see
+// the in-place rule on Layer.
+func (bn *BatchNorm2D) evalInPlace(x *tensor.Tensor) {
+	bn.checkInput(x)
+	bn.evalInto(x, x)
+}
+
+// evalInto writes the eval-mode normalization of x to out, which may be x.
+func (bn *BatchNorm2D) evalInto(x, out *tensor.Tensor) {
+	n, cch := x.Dim(0), x.Dim(1)
+	plane := x.Dim(2) * x.Dim(3)
+	gamma, beta := bn.Gamma.Data.Data(), bn.Beta.Data.Data()
+	forEachSample(cch, func(c int) {
+		mean := bn.RunningMean[c]
+		inv := float32(1.0 / math.Sqrt(float64(bn.RunningVar[c])+bn.Eps))
+		g, b := gamma[c], beta[c]
+		for i := 0; i < n; i++ {
+			src := x.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+			dst := out.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+			for j, v := range src {
+				dst[j] = g*(v-mean)*inv + b
+			}
+		}
+	})
 }
 
 // Backward implements the standard batch-norm gradient:

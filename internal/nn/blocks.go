@@ -36,14 +36,27 @@ func NewResidualBlock(rng *rand.Rand, name string, inC, outC, stride int) *Resid
 	return &ResidualBlock{Body: body, Shortcut: shortcut, act: NewReLU()}
 }
 
-// Forward computes relu(body(x) + shortcut(x)).
+// Forward computes relu(body(x) + shortcut(x)). In eval mode, when the body
+// produced its output itself (see Layer), the add and the ReLU run in place
+// on that output.
 func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := b.Body.Forward(x, train)
+	var y *tensor.Tensor
+	owned := false
+	if train {
+		y = b.Body.Forward(x, true)
+	} else {
+		y, owned = b.Body.forwardEval(x)
+	}
 	s := b.Shortcut.Forward(x, train)
 	if !y.SameShape(s) {
 		panic(fmt.Sprintf("nn: residual branch shapes diverge: %v vs %v", y.Shape(), s.Shape()))
 	}
-	return b.act.Forward(tensor.Add(y, s), train)
+	if !owned {
+		return b.act.Forward(tensor.Add(y, s), train)
+	}
+	y.AddInPlace(s)
+	b.act.evalInPlace(y)
+	return y
 }
 
 // Backward routes the gradient through both branches and sums.

@@ -61,21 +61,16 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	dims := tensor.NewConvDims(inC, h, w, k, k, c.Stride, c.Pad)
 	outC := c.OutChannels()
 	out := tensor.New(n, outC, dims.OutH, dims.OutW)
-
-	colLen := dims.ColRows() * dims.ColCols()
-	var cols []float32
-	if train {
-		cols = make([]float32, n*colLen)
+	if !train {
+		c.forwardTiles(x, out, dims)
+		return out
 	}
 
+	colLen := dims.ColRows() * dims.ColCols()
+	cols := make([]float32, n*colLen)
 	w2d := c.W.Data.Reshape(outC, dims.ColRows())
 	forEachSample(n, func(i int) {
-		var buf []float32
-		if train {
-			buf = cols[i*colLen : (i+1)*colLen]
-		} else {
-			buf = make([]float32, colLen)
-		}
+		buf := cols[i*colLen : (i+1)*colLen]
 		dims.Im2Col(x.Sample(i).Data(), buf)
 		colsT := tensor.FromSlice(buf, dims.ColRows(), dims.ColCols())
 		res := tensor.MatMul(w2d, colsT) // [outC, oHW]
@@ -95,13 +90,88 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 	})
 
-	if train {
-		c.dims = dims
-		c.batch = n
-		c.cols = cols
-		c.outShape = out.Shape()
-	}
+	c.dims = dims
+	c.batch = n
+	c.cols = cols
+	c.outShape = out.Shape()
 	return out
+}
+
+// convTileFloats caps each eval-conv workspace at 256 Ki floats (1 MiB).
+// The eval forward convolves a tile of whole images with one GEMM: their
+// unfolds sit side by side in one [K, t*oH*oW] column matrix (K =
+// inC*kh*kw) and the product lands in one [outC, t*oH*oW] result, so the
+// weights are packed once per tile rather than once per image and the GEMM
+// sees wide operands. The tile t is the most images for which both matrices
+// fit under the cap — 1 MiB keeps the working set cache-sized and every
+// pooled buffer a constant size whatever batch a caller sends — and at
+// least one image: a single image larger than the cap gets exact-size
+// buffers that are never pooled.
+const convTileFloats = 256 << 10
+
+// convWorkspaces pools the eval conv's column and result matrices. They live
+// here rather than on the layer because eval Forward runs concurrently on
+// one shared model.
+var convWorkspaces = sync.Pool{New: func() any { return new([convTileFloats]float32) }}
+
+// takeWorkspace returns a buffer of size floats, pooled (non-nil handle)
+// when it fits under convTileFloats.
+func takeWorkspace(size int) ([]float32, *[convTileFloats]float32) {
+	if size > convTileFloats {
+		return make([]float32, size), nil
+	}
+	ws := convWorkspaces.Get().(*[convTileFloats]float32)
+	return ws[:size], ws
+}
+
+// forwardTiles is the eval convolution of x into out, one tile of images at
+// a time. Each output column of a GEMM depends only on its own unfold
+// column and the weights, so out is bitwise what a per-image product gives.
+func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
+	n := x.Dim(0)
+	if n == 0 {
+		return
+	}
+	outC, rows, plane := c.OutChannels(), dims.ColRows(), dims.ColCols()
+	tile := min(n, max(1, convTileFloats/(max(rows, outC)*plane)))
+	cols, colsWS := takeWorkspace(rows * tile * plane)
+	res, resWS := takeWorkspace(outC * tile * plane)
+	inSize, outSize := x.Numel()/n, outC*plane
+	xd, od, wd := x.Data(), out.Data(), c.W.Data.Data()
+	var bias []float32
+	if c.B != nil {
+		bias = c.B.Data.Data()
+	}
+	for i0 := 0; i0 < n; i0 += tile {
+		t := min(tile, n-i0)
+		ld := t * plane
+		forEachSample(t, func(j int) {
+			img := i0 + j
+			dims.Im2ColInto(xd[img*inSize:(img+1)*inSize], cols[j*plane:], ld)
+		})
+		tensor.MatMulInto(res, wd, cols, outC, rows, ld)
+		forEachSample(t, func(j int) {
+			dst := od[(i0+j)*outSize : (i0+j+1)*outSize]
+			for f := 0; f < outC; f++ {
+				src := res[f*ld+j*plane : f*ld+(j+1)*plane]
+				seg := dst[f*plane : (f+1)*plane]
+				if bias == nil {
+					copy(seg, src)
+					continue
+				}
+				bv := bias[f]
+				for p, v := range src {
+					seg[p] = v + bv
+				}
+			}
+		})
+	}
+	if colsWS != nil {
+		convWorkspaces.Put(colsWS)
+	}
+	if resWS != nil {
+		convWorkspaces.Put(resWS)
+	}
 }
 
 // Backward accumulates dW (and dB) and returns dX.

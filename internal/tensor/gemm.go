@@ -1,5 +1,7 @@
 package tensor
 
+import "sync"
+
 // Cache-blocked GEMM in the Goto/BLIS style, shared by the three matmul
 // variants (NN, NT, TN). The operand layouts differ only in their element
 // strides, so one blocked driver serves all three:
@@ -16,6 +18,16 @@ package tensor
 // accumulators resident in registers across the whole k block. On amd64 the
 // micro-kernel is four-wide SSE assembly (see gemm_amd64.s); elsewhere a
 // pure-Go version with the same accumulation order is used.
+//
+// The only fork is the parfor over row panels of A, once per (column block,
+// k block): each worker owns whole gemmMR-row stripes of C, so no two
+// workers ever write the same element. The B block is packed serially
+// before the fork and read by every worker.
+//
+// The pack panels are constant-size buffers from sync.Pools (one B panel per
+// product, one A panel per worker), sized for the largest block rather than
+// for the operands, so a product allocates nothing in steady state however
+// often it runs and however large its operands are.
 //
 // Accumulation order over k is ascending everywhere — identical to the
 // naive small-product kernels and independent of worker count, block
@@ -34,37 +46,51 @@ const (
 	gemmSmall = 32 * 1024
 )
 
+// Pools of pack panels, sized for a full block.
+var (
+	aPanels = sync.Pool{New: func() any { return new([gemmKC * gemmMR]float32) }}
+	bPanels = sync.Pool{New: func() any { return new([gemmKC * gemmNC]float32) }}
+)
+
 // gemmBlocked computes out[m,n] += A @ B where A(i,p) = a[i*ars+p*acs] and
 // B(p,j) = b[p*brs+j*bcs]. out must be row-major [m,n] and zero-initialised
 // (or hold a partial sum to accumulate onto).
 func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, out []float32, m, k, n int) {
 	nPanels := (m + gemmMR - 1) / gemmMR
-	bBuf := make([]float32, gemmKC*gemmNC)
-	for jc := 0; jc < n; jc += gemmNC {
-		nb := min(gemmNC, n-jc)
-		nPanelsB := (nb + gemmNR - 1) / gemmNR
-		for pc := 0; pc < k; pc += gemmKC {
-			kb := min(gemmKC, k-pc)
-			packB(bBuf, b, brs, bcs, pc, kb, jc, nb)
-			parfor(nPanels, func(ps, pe int) {
-				aBuf := make([]float32, kb*gemmMR)
-				for pi := ps; pi < pe; pi++ {
-					i0 := pi * gemmMR
-					rows := min(gemmMR, m-i0)
-					packA(aBuf, a, ars, acs, i0, rows, pc, kb)
-					cBase := i0*n + jc
-					for jp := 0; jp < nPanelsB; jp++ {
-						j0 := jp * gemmNR
-						cols := min(gemmNR, nb-j0)
-						bp := bBuf[jp*kb*gemmNR : (jp+1)*kb*gemmNR]
-						if rows == gemmMR && cols == gemmNR {
-							micro4x8(&aBuf[0], &bp[0], kb, &out[cBase+j0], n)
-						} else {
-							microEdge(aBuf, bp, kb, out[cBase+j0:], n, rows, cols)
-						}
-					}
+	bPanel := bPanels.Get().(*[gemmKC * gemmNC]float32)
+	defer bPanels.Put(bPanel)
+	bBuf := bPanel[:]
+	// One closure for the whole product: it reads the block coordinates
+	// below, which parfor's wait orders before the next block's writes.
+	var jc, nb, nPanelsB, pc, kb int
+	rowPanels := func(ps, pe int) {
+		aPanel := aPanels.Get().(*[gemmKC * gemmMR]float32)
+		defer aPanels.Put(aPanel)
+		aBuf := aPanel[:kb*gemmMR]
+		for pi := ps; pi < pe; pi++ {
+			i0 := pi * gemmMR
+			rows := min(gemmMR, m-i0)
+			packA(aBuf, a, ars, acs, i0, rows, pc, kb)
+			cBase := i0*n + jc
+			for jp := 0; jp < nPanelsB; jp++ {
+				j0 := jp * gemmNR
+				cols := min(gemmNR, nb-j0)
+				bp := bBuf[jp*kb*gemmNR : (jp+1)*kb*gemmNR]
+				if rows == gemmMR && cols == gemmNR {
+					micro4x8(&aBuf[0], &bp[0], kb, &out[cBase+j0], n)
+				} else {
+					microEdge(aBuf, bp, kb, out[cBase+j0:], n, rows, cols)
 				}
-			})
+			}
+		}
+	}
+	for jc = 0; jc < n; jc += gemmNC {
+		nb = min(gemmNC, n-jc)
+		nPanelsB = (nb + gemmNR - 1) / gemmNR
+		for pc = 0; pc < k; pc += gemmKC {
+			kb = min(gemmKC, k-pc)
+			packB(bBuf, b, brs, bcs, pc, kb, jc, nb)
+			parfor(nPanels, rowPanels)
 		}
 	}
 }

@@ -29,11 +29,15 @@ func refGemm(a, b *Tensor) *Tensor {
 // gemmShapes exercises ragged micro-tiles (m, n not multiples of the 4x4
 // register tile), k spans crossing the 64-deep packed block, and n spans
 // crossing the 256-wide B block, on both sides of the small-product cutoff.
+// The last three rows are the eval conv's tile products on the edge network:
+// W[outC, inC*9] x cols[inC*9, images*oH*oW] for 16 images at 12x12, 6x6 and
+// 3x3.
 var gemmShapes = [][3]int{
 	{1, 1, 1}, {3, 5, 2}, {4, 4, 4}, {5, 7, 6},
 	{31, 33, 29}, {32, 32, 32}, {64, 64, 64},
 	{65, 66, 67}, {128, 128, 128}, {13, 200, 301},
 	{100, 65, 260}, {4, 300, 257},
+	{8, 72, 2304}, {16, 144, 576}, {32, 288, 144},
 }
 
 func TestBlockedGemmMatchesReferenceBitwise(t *testing.T) {

@@ -38,19 +38,32 @@ func (d ConvDims) ColCols() int { return d.OutH * d.OutW }
 // convolution becomes a single matrix product weight[F, C*kh*kw] @ cols.
 // src is the image data; dst must have length ColRows()*ColCols().
 func (d ConvDims) Im2Col(src, dst []float32) {
-	if len(src) != d.InC*d.InH*d.InW {
-		panic(fmt.Sprintf("tensor: Im2Col src length %d != %d", len(src), d.InC*d.InH*d.InW))
-	}
 	if len(dst) != d.ColRows()*d.ColCols() {
 		panic(fmt.Sprintf("tensor: Im2Col dst length %d != %d", len(dst), d.ColRows()*d.ColCols()))
 	}
+	d.Im2ColInto(src, dst, d.ColCols())
+}
+
+// Im2ColInto unfolds one image like Im2Col into a wider matrix whose rows
+// are ld floats apart: unfold row r lands at dst[r*ld : r*ld+ColCols()].
+// Pointing dst at column j*ColCols() of a [ColRows, t*ColCols] matrix, with
+// ld = t*ColCols(), places image j of a t-image tile beside the others, so
+// one matrix product convolves the whole tile.
+func (d ConvDims) Im2ColInto(src, dst []float32, ld int) {
+	if len(src) != d.InC*d.InH*d.InW {
+		panic(fmt.Sprintf("tensor: Im2Col src length %d != %d", len(src), d.InC*d.InH*d.InW))
+	}
 	cols := d.ColCols()
+	if ld < cols || len(dst) < (d.ColRows()-1)*ld+cols {
+		panic(fmt.Sprintf("tensor: Im2ColInto dst length %d with row stride %d cannot hold [%d,%d]",
+			len(dst), ld, d.ColRows(), cols))
+	}
 	row := 0
 	for c := 0; c < d.InC; c++ {
 		plane := src[c*d.InH*d.InW : (c+1)*d.InH*d.InW]
 		for ky := 0; ky < d.KH; ky++ {
 			for kx := 0; kx < d.KW; kx++ {
-				dstRow := dst[row*cols : (row+1)*cols]
+				dstRow := dst[row*ld : row*ld+cols]
 				i := 0
 				for oy := 0; oy < d.OutH; oy++ {
 					sy := oy*d.Stride + ky - d.Pad

@@ -15,6 +15,20 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
+// MatMulInto overwrites out with a @ b for row-major a [m,k], b [k,n] and
+// out [m,n], given as flat slices (each at least that long). It is MatMul
+// for a caller that owns the result buffer, such as a pooled workspace, and
+// produces the same bits.
+func MatMulInto(out, a, b []float32, m, k, n int) {
+	if len(a) < m*k || len(b) < k*n || len(out) < m*n {
+		panic(fmt.Sprintf("tensor: MatMulInto [%d,%d] x [%d,%d] with slice lengths a %d, b %d, out %d",
+			m, k, k, n, len(a), len(b), len(out)))
+	}
+	out = out[:m*n]
+	clear(out)
+	gemmNN(a[:m*k], b[:k*n], out, m, k, n)
+}
+
 // MatMulNT returns a @ bᵀ for a [m,k] and b [n,k].
 func MatMulNT(a, b *Tensor) *Tensor {
 	m, k := mustMatrix("MatMulNT lhs", a)
