@@ -11,7 +11,9 @@ import (
 // (internal/protocol, a leaf over internal/tensor) and knows no transport;
 // the cloud server knows neither the algorithm nor the edge transports, so a
 // shed's identity and its retry-after rule live in protocol and nowhere else.
-// Each rule is checked against the transitive dependencies `go list -deps`
+// The paper's experiments are science, not serving: they reach the cloud
+// model in process and depend on no transport, server, deployment, link
+// estimator or network simulator. Each rule is checked against the transitive dependencies `go list -deps`
 // reports.
 func TestImportGraph(t *testing.T) {
 	goTool, err := exec.LookPath("go")
@@ -30,14 +32,10 @@ func TestImportGraph(t *testing.T) {
 		{"internal/protocol", func(dep string) bool {
 			return dep == "internal/tensor"
 		}, "the wire protocol is a leaf over internal/tensor"},
-		{"internal/core", func(dep string) bool {
-			for _, banned := range []string{"internal/edge", "internal/cloud", "internal/linkest", "internal/netsim"} {
-				if dep == banned || strings.HasPrefix(dep, banned+"/") {
-					return false
-				}
-			}
-			return true
-		}, "Algorithm 2 must not depend on a transport, the server or the link model"},
+		{"internal/core", outside("internal/edge", "internal/cloud", "internal/linkest", "internal/netsim"),
+			"Algorithm 2 must not depend on a transport, the server or the link model"},
+		{"internal/experiments", outside("internal/edge", "internal/cloud", "internal/deploy", "internal/linkest", "internal/netsim"),
+			"the paper's experiments must not depend on the serving stack"},
 	} {
 		out, err := exec.Command(goTool, "list", "-deps", "-f", "{{.ImportPath}}", "./"+rule.pkg).CombinedOutput()
 		if err != nil {
@@ -50,5 +48,18 @@ func TestImportGraph(t *testing.T) {
 			}
 			t.Errorf("%s depends on %s: %s", rule.pkg, dep, rule.reason)
 		}
+	}
+}
+
+// outside allows every dependency except the banned packages and their
+// subpackages.
+func outside(banned ...string) func(dep string) bool {
+	return func(dep string) bool {
+		for _, b := range banned {
+			if dep == b || strings.HasPrefix(dep, b+"/") {
+				return false
+			}
+		}
+		return true
 	}
 }

@@ -155,7 +155,7 @@ func TrainEdge(spec EdgeSpec, m *core.MEANet, synth *data.Synth) (*TrainedMain, 
 // TrainTail trains the cloud half of the partitioned network: a small
 // residual classifier over the frozen main block's feature maps, returned as
 // a serving tail. seed and epochs are explicit so callers outside the
-// deploy pipeline (experiments) can reuse it.
+// deploy pipeline (meanet-cloud, the benchmark) can reuse it.
 func TrainTail(m *core.MEANet, train *data.Dataset, seed int64, epochs int,
 	progress func(format string, args ...any)) (*cloud.Tail, error) {
 	feats, err := m.FeatureDataset(train, 64)

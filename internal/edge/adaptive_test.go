@@ -97,7 +97,9 @@ func adaptiveFixture(t *testing.T, seed int64) (*Runtime, *fakeLink, *tensor.Ten
 // test at unit level: on a link that degrades mid-run, auto mode must switch
 // the upload representation from raw (affordable on the fast link) to
 // features (the compact fallback), and flip back — with hysteresis — when
-// the link recovers. No restarts, no reconfiguration.
+// the link recovers. No restarts, no reconfiguration. The threshold
+// controller follows the same link: it rises while the degraded link blows
+// the budget and falls again once the link has fully recovered.
 func TestAutoFlipsRepresentationOnLinkDegradation(t *testing.T) {
 	rt, link, x, cost := adaptiveFixture(t, 100)
 	const budget = 50 * time.Millisecond
@@ -131,6 +133,9 @@ func TestAutoFlipsRepresentationOnLinkDegradation(t *testing.T) {
 	if p2.RepFlips != 1 {
 		t.Fatalf("degraded link: %d representation flips, want 1", p2.RepFlips)
 	}
+	if p2.Threshold <= p1.Threshold {
+		t.Fatalf("degraded link did not raise the threshold: %.4f → %.4f", p1.Threshold, p2.Threshold)
+	}
 
 	// Phase 3 — borderline recovery: raw fits the budget but NOT the
 	// hysteresis band (0.8×50ms = 40ms): 35ms + ~0.5ms ≈ 35.5ms... that IS
@@ -150,6 +155,9 @@ func TestAutoFlipsRepresentationOnLinkDegradation(t *testing.T) {
 	}
 	if p4.RawUploads <= p1.RawUploads {
 		t.Fatal("recovered link: raw uploads did not resume")
+	}
+	if p4.Threshold >= p3.Threshold {
+		t.Fatalf("recovered link did not lower the threshold: %.4f → %.4f", p3.Threshold, p4.Threshold)
 	}
 	if got := cost.ImageBytes*int64(p4.RawUploads) + cost.FeatureBytes*int64(p4.FeatureUploads); got != p4.BytesSent {
 		t.Fatalf("byte accounting drifted across flips: %d != %d", got, p4.BytesSent)

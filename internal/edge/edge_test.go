@@ -3,6 +3,7 @@ package edge
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -485,17 +486,22 @@ func TestRuntimeSetOffloadModeValidation(t *testing.T) {
 // the tentpole: against a partitioned cloud (raw model = tail∘main),
 // predictions are bitwise identical in raw, features and auto modes; only
 // the modeled bytes and communication energy differ, and auto picks the
-// cheaper representation.
+// cheaper representation. Two rows: every instance offloaded, and a
+// threshold at the batch's median main-exit entropy, where some instances
+// exit at the edge and accuracy, β and every exit must still agree.
 func TestRuntimeOffloadModesBitwiseAndBytes(t *testing.T) {
 	m, s := tinyMEANet(t, 21)
-	client := tinyPartitionedClient(t, m, 21, 6)
-	x, _ := s.Test.Batch([]int{0, 1, 2, 3, 4, 5})
+	// The untrained tail's seed is picked so its answers vary across the
+	// batch (seed 21's tail answers class 5 for all six), or a mode that shipped
+	// the wrong rows could still agree on every prediction.
+	client := tinyPartitionedClient(t, m, 36, 6)
+	x, y := s.Test.Batch([]int{0, 1, 2, 3, 4, 5})
 
 	cost := testCost()
 	cost.FeatureBytes = 64 // cheaper than ImageBytes (128) → auto picks features
-	runMode := func(mode OffloadMode) ([]core.Decision, Report) {
+	runMode := func(mode OffloadMode, th float64) ([]core.Decision, Report) {
 		t.Helper()
-		rt, err := NewRuntime(m, core.Policy{Threshold: 0, UseCloud: true}, client, cost)
+		rt, err := NewRuntime(m, core.Policy{Threshold: th, UseCloud: true}, client, cost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -508,44 +514,76 @@ func TestRuntimeOffloadModesBitwiseAndBytes(t *testing.T) {
 		}
 		return dec, rt.Report()
 	}
-
-	rawDec, rawRep := runMode(OffloadRaw)
-	featDec, featRep := runMode(OffloadFeatures)
-	autoDec, autoRep := runMode(OffloadAuto)
-	for i := range rawDec {
-		if rawDec[i].Exit != core.ExitCloud {
-			t.Fatalf("instance %d did not exit at cloud: %+v", i, rawDec[i])
+	correct := func(dec []core.Decision) int {
+		n := 0
+		for i, d := range dec {
+			if d.Pred == y[i] {
+				n++
+			}
 		}
-		if rawDec[i].Pred != featDec[i].Pred || rawDec[i].Pred != autoDec[i].Pred ||
-			rawDec[i].Exit != featDec[i].Exit || rawDec[i].Exit != autoDec[i].Exit {
-			t.Fatalf("instance %d diverged across modes: raw %+v, features %+v, auto %+v",
-				i, rawDec[i], featDec[i], autoDec[i])
-		}
+		return n
 	}
 
-	if rawRep.BytesSent != 6*cost.ImageBytes || rawRep.RawUploads != 6 || rawRep.FeatureUploads != 0 {
-		t.Fatalf("raw accounting wrong: %+v", rawRep)
+	allCloud, _ := runMode(OffloadRaw, 0)
+	ents := make([]float64, len(allCloud))
+	for i, d := range allCloud {
+		ents[i] = d.Entropy
 	}
-	if featRep.BytesSent != 6*cost.FeatureBytes || featRep.FeatureUploads != 6 || featRep.RawUploads != 0 {
-		t.Fatalf("features accounting wrong: %+v", featRep)
-	}
-	if autoRep.BytesSent != featRep.BytesSent || autoRep.FeatureUploads != 6 {
-		t.Fatalf("auto did not pick the cheaper features representation: %+v", autoRep)
-	}
-	if featRep.Energy.CommJ >= rawRep.Energy.CommJ {
-		t.Fatalf("feature uploads should cost less comm energy: %v >= %v",
-			featRep.Energy.CommJ, rawRep.Energy.CommJ)
+	sort.Float64s(ents)
+	for _, row := range []struct {
+		name string
+		th   float64
+	}{{"all-cloud", 0}, {"mixed-exit", ents[len(ents)/2]}} {
+		rawDec, rawRep := runMode(OffloadRaw, row.th)
+		featDec, featRep := runMode(OffloadFeatures, row.th)
+		autoDec, autoRep := runMode(OffloadAuto, row.th)
+		for i := range rawDec {
+			if rawDec[i].Pred != featDec[i].Pred || rawDec[i].Pred != autoDec[i].Pred ||
+				rawDec[i].Exit != featDec[i].Exit || rawDec[i].Exit != autoDec[i].Exit {
+				t.Fatalf("%s: instance %d diverged across modes: raw %+v, features %+v, auto %+v",
+					row.name, i, rawDec[i], featDec[i], autoDec[i])
+			}
+		}
+		if c := correct(rawDec); c != correct(featDec) || c != correct(autoDec) {
+			t.Fatalf("%s: accuracy not representation-invariant: raw %d, features %d, auto %d of %d correct",
+				row.name, c, correct(featDec), correct(autoDec), len(y))
+		}
+		if b := rawRep.CloudFraction(); b != featRep.CloudFraction() || b != autoRep.CloudFraction() {
+			t.Fatalf("%s: β not representation-invariant: %v/%v/%v",
+				row.name, b, featRep.CloudFraction(), autoRep.CloudFraction())
+		}
+		n := rawRep.Exits[core.ExitCloud]
+		if row.th == 0 && n != len(rawDec) {
+			t.Fatalf("%s: %d of %d instances exited at the cloud", row.name, n, len(rawDec))
+		}
+		if row.th > 0 && (n == 0 || n == len(rawDec)) {
+			t.Fatalf("%s: %d of %d cloud exits, want a mix of edge and cloud", row.name, n, len(rawDec))
+		}
+
+		if rawRep.BytesSent != int64(n)*cost.ImageBytes || rawRep.RawUploads != n || rawRep.FeatureUploads != 0 {
+			t.Fatalf("%s: raw accounting wrong: %+v", row.name, rawRep)
+		}
+		if featRep.BytesSent != int64(n)*cost.FeatureBytes || featRep.FeatureUploads != n || featRep.RawUploads != 0 {
+			t.Fatalf("%s: features accounting wrong: %+v", row.name, featRep)
+		}
+		if autoRep.BytesSent != featRep.BytesSent || autoRep.FeatureUploads != n {
+			t.Fatalf("%s: auto did not pick the cheaper features representation: %+v", row.name, autoRep)
+		}
+		if featRep.Energy.CommJ >= rawRep.Energy.CommJ {
+			t.Fatalf("%s: feature uploads should cost less comm energy: %v >= %v",
+				row.name, featRep.Energy.CommJ, rawRep.Energy.CommJ)
+		}
 	}
 
 	// When features are the more expensive representation, auto flips to raw.
 	cost.FeatureBytes = 4 * cost.ImageBytes
-	expDec, expRep := runMode(OffloadAuto)
+	expDec, expRep := runMode(OffloadAuto, 0)
 	if expRep.BytesSent != 6*cost.ImageBytes || expRep.RawUploads != 6 || expRep.FeatureUploads != 0 {
 		t.Fatalf("auto should fall back to raw when features cost more: %+v", expRep)
 	}
 	for i := range expDec {
-		if expDec[i].Pred != rawDec[i].Pred {
-			t.Fatalf("auto(raw) instance %d pred %d, want %d", i, expDec[i].Pred, rawDec[i].Pred)
+		if expDec[i].Pred != allCloud[i].Pred {
+			t.Fatalf("auto(raw) instance %d pred %d, want %d", i, expDec[i].Pred, allCloud[i].Pred)
 		}
 	}
 }

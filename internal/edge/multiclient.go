@@ -27,15 +27,6 @@ type MultiConfig struct {
 	// so any seed gives the same aggregate behavior; a fixed default keeps
 	// simulations reproducible.
 	Seed int64
-	// MinServiceSamples is how many successful calls a replica must have
-	// answered before its service-time estimate starts weighting its score
-	// (default 3). Below the floor a replica is scored at weight 1, so cold
-	// and newly joined replicas are explored instead of judged on noise.
-	MinServiceSamples int
-	// DisableServiceWeight turns capacity weighting off, reverting to the
-	// uniform p2c score (load × latency). Used by the weighted-vs-uniform
-	// experiment; production fleets want it off (i.e. weighting on).
-	DisableServiceWeight bool
 }
 
 // defaultFailureExclusion is how long a transport that just failed is left
@@ -48,9 +39,6 @@ func (c *MultiConfig) fillDefaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MinServiceSamples <= 0 {
-		c.MinServiceSamples = linkest.ServiceMinSamples
 	}
 }
 
@@ -384,19 +372,15 @@ func carries(t Transport, rep protocol.Rep) bool {
 
 // minServiceEWMALocked finds the fastest observed service time among open
 // replicas with enough samples — the denominator of the capacity weight.
-// Returns 0 when no replica qualifies yet (or weighting is disabled), which
-// serviceWeightLocked reads as "score everyone at weight 1". The caller
-// holds m.mu.
+// Returns 0 when no replica qualifies yet, which serviceWeightLocked reads as
+// "score everyone at weight 1". The caller holds m.mu.
 func (m *MultiClient) minServiceEWMALocked() float64 {
-	if m.cfg.DisableServiceWeight {
-		return 0
-	}
 	best := 0.0
 	for _, r := range m.replicas {
 		if r.removed {
 			continue
 		}
-		if svc := r.svc.Seconds(m.cfg.MinServiceSamples); svc > 0 && (best == 0 || svc < best) {
+		if svc := r.svc.Seconds(linkest.ServiceMinSamples); svc > 0 && (best == 0 || svc < best) {
 			best = svc
 		}
 	}
@@ -405,10 +389,11 @@ func (m *MultiClient) minServiceEWMALocked() float64 {
 
 // serviceWeightLocked is replica r's capacity multiplier: its service-time
 // EWMA relative to the fleet's fastest (1 = full speed, 6 = six times
-// slower, so its score reads six times worse). Replicas without enough
-// samples weigh 1 — explored, not judged on noise. The caller holds m.mu.
+// slower, so its score reads six times worse). Replicas with fewer than
+// linkest.ServiceMinSamples answered calls weigh 1, so cold and newly joined
+// replicas are explored, not judged on noise. The caller holds m.mu.
 func (m *MultiClient) serviceWeightLocked(r *replica, minEWMA float64) float64 {
-	svc := r.svc.Seconds(m.cfg.MinServiceSamples)
+	svc := r.svc.Seconds(linkest.ServiceMinSamples)
 	if minEWMA <= 0 || svc <= 0 {
 		return 1
 	}

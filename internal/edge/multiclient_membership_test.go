@@ -266,18 +266,18 @@ func TestMultiFeaturesNoCapableReplica(t *testing.T) {
 
 // TestMultiWeightedRoutingDownranksSlowReplica: a replica six times slower
 // (as observed by the service-time EWMA, no static config) stops winning p2c
-// comparisons once both replicas have MinServiceSamples — and with weighting
-// disabled it keeps roughly half the traffic, which is the gap the
-// fleet-weighted experiment measures end to end.
+// comparisons once both replicas have linkest.ServiceMinSamples — while two
+// equally fast replicas keep splitting the traffic roughly in half, so only
+// the observed service time steers.
 func TestMultiWeightedRoutingDownranksSlowReplica(t *testing.T) {
-	run := func(disable bool) (fast, slow int) {
+	run := func(fastDelay, slowDelay time.Duration) (fast, slow int) {
 		clk := newFakeClock()
-		fastR := &timedReplica{clk: clk, delay: 10 * time.Millisecond}
-		slowR := &timedReplica{clk: clk, delay: 60 * time.Millisecond}
+		fastR := &timedReplica{clk: clk, delay: fastDelay}
+		slowR := &timedReplica{clk: clk, delay: slowDelay}
 		m, err := NewMultiClient(
 			[]CloudClient{fastR, slowR},
 			[]string{"fast:1", "slow:1"},
-			MultiConfig{DisableServiceWeight: disable},
+			MultiConfig{},
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -287,7 +287,7 @@ func TestMultiWeightedRoutingDownranksSlowReplica(t *testing.T) {
 		m.mu.Unlock()
 		imgs := testImgs(1)
 		// Warmup: with flat scores the seeded sampler splits ~50/50, so both
-		// replicas pass MinServiceSamples well within 30 calls.
+		// replicas pass linkest.ServiceMinSamples well within 30 calls.
 		for i := 0; i < 30; i++ {
 			if _, _, err := m.ClassifyBatch(imgs); err != nil {
 				t.Fatal(err)
@@ -301,13 +301,13 @@ func TestMultiWeightedRoutingDownranksSlowReplica(t *testing.T) {
 		}
 		return fastR.callCount() - f0, slowR.callCount() - s0
 	}
-	fastW, slowW := run(false)
+	fastW, slowW := run(10*time.Millisecond, 60*time.Millisecond)
 	if slowW != 0 {
 		t.Fatalf("weighted routing still sent %d/%d calls to the slow replica", slowW, fastW+slowW)
 	}
-	fastU, slowU := run(true)
-	if slowU < 10 {
-		t.Fatalf("uniform p2c should split broadly evenly, got fast=%d slow=%d", fastU, slowU)
+	fastE, slowE := run(10*time.Millisecond, 10*time.Millisecond)
+	if fastE < 10 || slowE < 10 {
+		t.Fatalf("equally fast replicas should split broadly evenly, got %d/%d", fastE, slowE)
 	}
 }
 

@@ -81,7 +81,7 @@ type CostParams struct {
 	// raw upload's latency from ImageBytes would undercount it 4×
 	// (FeatureBytes is already the true float32 size). 0 falls back to
 	// ImageBytes (correct when ImageBytes is itself a wire-true size, as
-	// the benchmarks and experiments configure).
+	// the benchmarks and tests configure).
 	WireImageBytes int64
 }
 

@@ -44,6 +44,35 @@ func (w WiFiModel) UploadEnergyJ(bytes int64) float64 {
 	return w.UploadPowerWatts() * w.UploadTime(bytes).Seconds()
 }
 
+// Link describes a one-way network path.
+type Link struct {
+	Latency time.Duration // propagation delay applied per message
+	Mbps    float64       // serialization bandwidth; 0 = infinite
+}
+
+// TransferTime is the analytic time to move a payload across the link:
+// latency + bytes/bandwidth. It is used for deterministic simulation;
+// netsim's shaped connections apply the same model to real sockets.
+func (l Link) TransferTime(bytes int64) time.Duration {
+	d := l.Latency
+	if l.Mbps > 0 && bytes > 0 {
+		seconds := float64(bytes*8) / (l.Mbps * 1e6)
+		d += time.Duration(seconds * float64(time.Second))
+	}
+	return d
+}
+
+// Validate reports configuration errors.
+func (l Link) Validate() error {
+	if l.Latency < 0 {
+		return fmt.Errorf("energy: negative link latency %v", l.Latency)
+	}
+	if l.Mbps < 0 {
+		return fmt.Errorf("energy: negative link bandwidth %v", l.Mbps)
+	}
+	return nil
+}
+
 // ComputeModel converts MAC counts into edge latency and energy. The paper
 // measures GPU power and per-image latency directly (Table VII); we
 // calibrate MACsPerSec so the published (power, latency) pairs are

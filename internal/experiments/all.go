@@ -38,12 +38,6 @@ func Runners() []Runner {
 		{"table5", wrap(TableV)},
 		{"table6", wrap(TableVI)},
 		{"table7", wrap(TableVII)},
-		{"offload-modes", wrap(OffloadModes)},
-		{"adaptive-link", wrap(AdaptiveLink)},
-		{"fleet-shedding", wrap(FleetShedding)},
-		{"fleet-replicas", wrap(FleetReplicas)},
-		{"fleet-weighted", wrap(FleetWeighted)},
-		{"pipeline-partition", wrap(PipelinePartition)},
 		{"ablation-combine", wrap(AblationCombine)},
 		{"ablation-optimization", wrap(AblationOptimization)},
 		{"ablation-detector", wrap(AblationDetector)},

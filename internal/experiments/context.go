@@ -12,11 +12,8 @@ import (
 	"math/rand"
 	"sync"
 
-	"github.com/meanet/meanet/internal/cloud"
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/data"
-	"github.com/meanet/meanet/internal/deploy"
-	"github.com/meanet/meanet/internal/energy"
 	"github.com/meanet/meanet/internal/metrics"
 	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/profile"
@@ -101,14 +98,6 @@ type System struct {
 
 	InShape profile.Shape
 	Profile profile.MEANetProfile
-	Compute energy.ComputeModel
-	WiFi    energy.WiFiModel
-}
-
-// ImageBytes is the raw upload size of one image (8-bit pixels, as in the
-// paper's communication cost model).
-func (s *System) ImageBytes() int64 {
-	return energy.RawImageBytes(s.InShape.H, s.InShape.W, s.InShape.C)
 }
 
 // MainMACs is the per-instance cost of the always-on main path.
@@ -122,11 +111,10 @@ func (s *System) ExtMACs() int64 { return s.Profile.Trained.MACs }
 type Context struct {
 	cfg Config
 
-	mu      sync.Mutex // guards synths, clouds, systems, tails
+	mu      sync.Mutex // guards synths, clouds, systems
 	synths  map[string]*data.Synth
 	clouds  map[string]*models.Classifier
 	systems map[SystemKey]*System
-	tails   map[SystemKey]*cloud.Tail
 }
 
 // NewContext builds an experiment context.
@@ -136,25 +124,7 @@ func NewContext(cfg Config) *Context {
 		synths:  make(map[string]*data.Synth),
 		clouds:  make(map[string]*models.Classifier),
 		systems: make(map[SystemKey]*System),
-		tails:   make(map[SystemKey]*cloud.Tail),
 	}
-}
-
-// FeatureTail returns the cached partitioned-network tail for a system,
-// training it over the system's main-block features on first use.
-func (ctx *Context) FeatureTail(sys *System) (*cloud.Tail, error) {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
-	if t, ok := ctx.tails[sys.Key]; ok {
-		return t, nil
-	}
-	ctx.cfg.logf("[%s] training features tail (%d epochs)", sys.Key, ctx.cfg.CloudEpochs)
-	t, err := deploy.TrainTail(sys.Edge, sys.Train, ctx.cfg.Seed+900, ctx.cfg.CloudEpochs, nil)
-	if err != nil {
-		return nil, err
-	}
-	ctx.tails[sys.Key] = t
-	return t, nil
 }
 
 // Config returns the normalized configuration.
@@ -329,10 +299,6 @@ func (ctx *Context) systemLocked(key SystemKey) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	compute := energy.EdgeGPUCIFAR()
-	if dsName == "imagenet" {
-		compute = energy.EdgeGPUImageNet()
-	}
 	sys := &System{
 		Key:          key,
 		Synth:        synth,
@@ -344,8 +310,6 @@ func (ctx *Context) systemLocked(key SystemKey) (*System, error) {
 		ValEntropy:   es,
 		InShape:      inShape,
 		Profile:      prof,
-		Compute:      compute,
-		WiFi:         energy.DefaultWiFi(),
 	}
 	ctx.systems[key] = sys
 	return sys, nil

@@ -301,51 +301,6 @@ func TestTableVIIMatchesPaperConstants(t *testing.T) {
 	}
 }
 
-// TestOffloadModesInvariantAccuracy pins the experiment's headline claims:
-// against the partitioned cloud, accuracy and β are identical across raw,
-// features and auto modes, and auto's bytes equal the cheaper column.
-func TestOffloadModesInvariantAccuracy(t *testing.T) {
-	skipPaperScale(t)
-	r, err := OffloadModes(sharedCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("have %d rows, want 3", len(r.Rows))
-	}
-	raw, feat, auto := r.Rows[0], r.Rows[1], r.Rows[2]
-	if raw.Accuracy != feat.Accuracy || raw.Accuracy != auto.Accuracy {
-		t.Fatalf("accuracy not representation-invariant: raw %v, features %v, auto %v",
-			raw.Accuracy, feat.Accuracy, auto.Accuracy)
-	}
-	if raw.Beta != feat.Beta || raw.Beta != auto.Beta {
-		t.Fatalf("beta not representation-invariant: %v/%v/%v", raw.Beta, feat.Beta, auto.Beta)
-	}
-	if raw.FeatureUploads != 0 || feat.RawUploads != 0 {
-		t.Fatalf("uploads charged to the wrong representation: raw %+v, features %+v", raw, feat)
-	}
-	if raw.Beta > 0 {
-		if raw.BytesSent == 0 || feat.BytesSent == 0 {
-			t.Fatalf("offloads happened but bytes are zero: raw %+v, features %+v", raw, feat)
-		}
-		// Auto must equal the cheaper of the two fixed modes exactly.
-		want := raw.BytesSent
-		if feat.BytesSent < raw.BytesSent {
-			want = feat.BytesSent
-		}
-		if auto.BytesSent != want {
-			t.Fatalf("auto bytes %d, want cheaper column %d", auto.BytesSent, want)
-		}
-		if r.FeatureBytes < r.ImageBytes && auto.BytesSent >= raw.BytesSent {
-			t.Fatalf("features cheaper (%d < %d) but auto sent %d >= raw %d",
-				r.FeatureBytes, r.ImageBytes, auto.BytesSent, raw.BytesSent)
-		}
-	}
-	if testing.Verbose() {
-		t.Log("\n" + r.String())
-	}
-}
-
 func TestRunOneUnknownName(t *testing.T) {
 	if err := RunOne(sharedCtx, "fig99", &strings.Builder{}); err == nil {
 		t.Fatal("unknown experiment accepted")
@@ -354,8 +309,8 @@ func TestRunOneUnknownName(t *testing.T) {
 
 func TestNamesComplete(t *testing.T) {
 	names := Names()
-	if len(names) != 22 {
-		t.Fatalf("have %d experiments, want 22", len(names))
+	if len(names) != 16 {
+		t.Fatalf("have %d experiments, want 16", len(names))
 	}
 	seen := map[string]bool{}
 	for _, n := range names {
@@ -364,7 +319,7 @@ func TestNamesComplete(t *testing.T) {
 		}
 		seen[n] = true
 	}
-	for _, want := range []string{"fig7", "table2", "table6", "offload-modes", "fleet-shedding", "fleet-replicas", "fleet-weighted", "pipeline-partition", "ablation-combine"} {
+	for _, want := range []string{"fig7", "table2", "table6", "ablation-combine"} {
 		if !seen[want] {
 			t.Fatalf("experiment %q missing", want)
 		}
@@ -411,275 +366,5 @@ func TestFreshEdgeWithPretrainedMainPreservesMainBehaviour(t *testing.T) {
 	if cmOrig.Accuracy() != cmClone.Accuracy() {
 		t.Fatalf("cloned main behaves differently: %.4f vs %.4f",
 			cmOrig.Accuracy(), cmClone.Accuracy())
-	}
-}
-
-// TestAdaptiveLinkClosedLoop is the acceptance test of PR 4's demo: on a
-// link that degrades mid-run, the runtime must switch the upload
-// representation without restart (raw on the good link, compact features
-// when degraded, raw again on recovery), re-tune the threshold toward the
-// budget, and keep bytes tracking the link change.
-func TestAdaptiveLinkClosedLoop(t *testing.T) {
-	skipPaperScale(t)
-	r, err := AdaptiveLink(sharedCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Phases) != 3 {
-		t.Fatalf("have %d phases, want 3", len(r.Phases))
-	}
-	good, degraded, recovered := r.Phases[0], r.Phases[1], r.Phases[2]
-	if r.FeatureBytes >= r.ImageBytes {
-		t.Fatalf("experiment picked a system without a compact fallback: feat %dB vs image %dB",
-			r.FeatureBytes, r.ImageBytes)
-	}
-	// There must be cloud traffic in every phase, or the demo shows nothing.
-	for _, ph := range r.Phases {
-		if ph.RawUploads+ph.FeatureUploads == 0 {
-			t.Fatalf("phase %s had no uploads (threshold %.3f)", ph.Name, ph.ThresholdEnd)
-		}
-	}
-	// Representation follows the link: raw while affordable, features when
-	// degraded, raw again on recovery.
-	if good.FeatureUploads != 0 {
-		t.Fatalf("good link used features (%d/%d)", good.RawUploads, good.FeatureUploads)
-	}
-	if degraded.RawUploads != 0 {
-		t.Fatalf("degraded link kept uploading raw (%d/%d)", degraded.RawUploads, degraded.FeatureUploads)
-	}
-	if recovered.FeatureUploads != 0 {
-		t.Fatalf("recovered link did not flip back to raw (%d/%d)",
-			recovered.RawUploads, recovered.FeatureUploads)
-	}
-	if recovered.RepFlipsTotal != 2 {
-		t.Fatalf("want exactly 2 representation flips (raw→features→raw), got %d", recovered.RepFlipsTotal)
-	}
-	// Bytes per upload track the representation: the degraded phase pays
-	// the feature size per attempt, the others the image size.
-	if got := good.BytesSent; got != int64(good.RawUploads)*r.ImageBytes {
-		t.Fatalf("good-phase bytes %d != %d raw uploads × %dB", got, good.RawUploads, r.ImageBytes)
-	}
-	if got := degraded.BytesSent; got != int64(degraded.FeatureUploads)*r.FeatureBytes {
-		t.Fatalf("degraded-phase bytes %d != %d feature uploads × %dB",
-			got, degraded.FeatureUploads, r.FeatureBytes)
-	}
-	// The controller sheds offload load when the budget is blown: the
-	// degraded phase must end with a higher threshold than the good phase.
-	if degraded.ThresholdEnd <= good.ThresholdEnd {
-		t.Fatalf("degraded phase did not raise the threshold: %.4f → %.4f",
-			good.ThresholdEnd, degraded.ThresholdEnd)
-	}
-	// And reclaims it with headroom: recovery walks the threshold back down.
-	if recovered.ThresholdEnd >= degraded.ThresholdEnd {
-		t.Fatalf("recovered phase did not lower the threshold: %.4f → %.4f",
-			degraded.ThresholdEnd, recovered.ThresholdEnd)
-	}
-	if testing.Verbose() {
-		t.Log("\n" + r.String())
-	}
-}
-
-// TestFleetSheddingLoadShedding is the acceptance test of the multi-edge
-// tentpole: at the saturating fleet size, the server running admission
-// control must sustain STRICTLY higher aggregate throughput than the server
-// that parks every request behind its slow accelerator — while every shed
-// instance is accounted as an edge fallback (the fleet harness fails the run
-// if edge + cloud + shed-fallback ever disagrees with the instance total;
-// the soak test asserts the same identity under faults).
-func TestFleetSheddingLoadShedding(t *testing.T) {
-	skipPaperScale(t)
-	r, err := FleetShedding(sharedCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 6 {
-		t.Fatalf("have %d rows, want 6 (3 fleet sizes × 2 server modes)", len(r.Rows))
-	}
-	sat := r.MaxEdges()
-	park, ok := r.Row(sat, false)
-	if !ok {
-		t.Fatalf("no park-all row at %d edges", sat)
-	}
-	shed, ok := r.Row(sat, true)
-	if !ok {
-		t.Fatalf("no shedding row at %d edges", sat)
-	}
-	// The park-all server must actually be saturated for the comparison to
-	// mean anything: cloud traffic present, and aggregate throughput well
-	// below the single-edge number.
-	if park.Beta == 0 {
-		t.Fatal("park-all fleet never offloaded; the scenario exercises nothing")
-	}
-	if shed.ImagesPerSec <= park.ImagesPerSec {
-		t.Fatalf("shedding server not faster at %d edges: %.0f vs %.0f images/s",
-			sat, shed.ImagesPerSec, park.ImagesPerSec)
-	}
-	// Shedding must have actually happened at saturation — and only under
-	// the shedding server.
-	if shed.ShedRate == 0 || shed.ShedEvents == 0 {
-		t.Fatalf("shedding server at %d edges shed nothing (rate %.3f, %d events)",
-			sat, shed.ShedRate, shed.ShedEvents)
-	}
-	for _, row := range r.Rows {
-		if !row.Shed && (row.ShedRate != 0 || row.ShedEvents != 0) {
-			t.Fatalf("park-all row at %d edges reports shed activity: %+v", row.Edges, row)
-		}
-	}
-	// A lone edge cannot saturate MaxInFlight=2 with one pipelined batch
-	// frame at a time: the shedding server must be transparent at N=1.
-	if single, ok := r.Row(1, true); !ok || single.ShedRate != 0 {
-		t.Fatalf("shedding server shed a single-edge fleet: %+v", single)
-	}
-	if testing.Verbose() {
-		t.Log("\n" + r.String())
-	}
-}
-
-func TestFleetReplicasScaling(t *testing.T) {
-	skipPaperScale(t)
-	r, err := FleetReplicas(sharedCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("have %d rows, want 3 (1/2/4 replicas)", len(r.Rows))
-	}
-	base, ok := r.Row(1)
-	if !ok || base.ImagesPerSec <= 0 {
-		t.Fatalf("no usable 1-replica baseline: %+v", base)
-	}
-	// Threshold 0 must actually put the cloud on the critical path.
-	for _, row := range r.Rows {
-		if row.Beta < 0.99 {
-			t.Fatalf("%d-replica run offloaded only %.1f%% — the scenario is not cloud-bound",
-				row.Replicas, 100*row.Beta)
-		}
-	}
-	// The acceptance bar: going 1→2 replicas buys ≥1.7× aggregate
-	// throughput, and 4 replicas keep improving on 2.
-	two, ok := r.Row(2)
-	if !ok {
-		t.Fatal("no 2-replica row")
-	}
-	if two.Speedup < 1.7 {
-		t.Fatalf("2 replicas scale only %.2f× (%.0f vs %.0f images/s), want ≥ 1.7×",
-			two.Speedup, two.ImagesPerSec, base.ImagesPerSec)
-	}
-	four, ok := r.Row(4)
-	if !ok {
-		t.Fatal("no 4-replica row")
-	}
-	if four.ImagesPerSec <= two.ImagesPerSec {
-		t.Fatalf("4 replicas no faster than 2: %.0f vs %.0f images/s",
-			four.ImagesPerSec, two.ImagesPerSec)
-	}
-	// Every replica must have carried offloads — p2c spreading, not pinning.
-	for _, row := range r.Rows {
-		if len(row.Offloads) != row.Replicas {
-			t.Fatalf("%d-replica row reports %d per-replica counters", row.Replicas, len(row.Offloads))
-		}
-		for rep, o := range row.Offloads {
-			if o == 0 {
-				t.Fatalf("replica %d of %d starved: %+v", rep, row.Replicas, row.Offloads)
-			}
-		}
-	}
-	if testing.Verbose() {
-		t.Log("\n" + r.String())
-	}
-}
-
-// TestFleetWeightedRouting is the heterogeneous-fleet acceptance test: over
-// 2 fast + 1 slow replicas, the learned service-time weighting must strictly
-// beat uniform p2c on aggregate throughput, and it must do so the honest way
-// — by sending the straggler a smaller share of the round trips.
-func TestFleetWeightedRouting(t *testing.T) {
-	skipPaperScale(t)
-	r, err := FleetWeighted(sharedCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniform, ok := r.Row("uniform")
-	if !ok {
-		t.Fatal("no uniform row")
-	}
-	weighted, ok := r.Row("weighted")
-	if !ok {
-		t.Fatal("no weighted row")
-	}
-	for _, row := range []FleetWeightedRow{uniform, weighted} {
-		if len(row.Offloads) != 3 {
-			t.Fatalf("%s row reports %d per-replica counters, want 3", row.Policy, len(row.Offloads))
-		}
-		var total uint64
-		for _, o := range row.Offloads {
-			total += o
-		}
-		if want := uint64(r.Workers * r.Batches); total != want {
-			t.Fatalf("%s row answered %d round trips, want %d", row.Policy, total, want)
-		}
-	}
-	// The acceptance bar: weighted routing strictly beats uniform p2c on
-	// aggregate images/s over the SAME uneven fleet.
-	if weighted.ImagesPerSec <= uniform.ImagesPerSec {
-		t.Fatalf("weighted routing no faster than uniform: %.0f vs %.0f images/s (slow share %.1f%% vs %.1f%%)",
-			weighted.ImagesPerSec, uniform.ImagesPerSec,
-			100*weighted.SlowShare(), 100*uniform.SlowShare())
-	}
-	// And it wins by starving the straggler, not by luck: the slow replica's
-	// share of round trips must shrink, while both fast replicas still carry
-	// load (down-weighting is not pinning).
-	if weighted.SlowShare() >= uniform.SlowShare() {
-		t.Fatalf("weighted routing did not cut the straggler's share: %.1f%% vs %.1f%%",
-			100*weighted.SlowShare(), 100*uniform.SlowShare())
-	}
-	if weighted.Offloads[0] == 0 || weighted.Offloads[1] == 0 {
-		t.Fatalf("a fast replica starved under weighted routing: %+v", weighted.Offloads)
-	}
-	if testing.Verbose() {
-		t.Log("\n" + r.String())
-	}
-}
-
-func TestPipelinePartitionExperiment(t *testing.T) {
-	skipPaperScale(t)
-	r, err := PipelinePartition(sharedCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, ok := r.Row("pipeline3")
-	if !ok {
-		t.Fatal("no pipeline3 row")
-	}
-	local, ok := r.Row("all-edge")
-	if !ok {
-		t.Fatal("no all-edge row")
-	}
-	direct, ok := r.Row("direct")
-	if !ok {
-		t.Fatal("no direct row")
-	}
-	// The solver must predict a pipeline win on this scenario, and the
-	// measured rows must reproduce the ordering strictly.
-	if pipe.PredictedPS <= local.PredictedPS || pipe.PredictedPS <= direct.PredictedPS {
-		t.Fatalf("solver does not predict a pipeline win: %+v", r.Rows)
-	}
-	if pipe.ImagesPerSec <= local.ImagesPerSec {
-		t.Fatalf("measured pipeline %.0f img/s does not beat all-edge %.0f", pipe.ImagesPerSec, local.ImagesPerSec)
-	}
-	if pipe.ImagesPerSec <= direct.ImagesPerSec {
-		t.Fatalf("measured pipeline %.0f img/s does not beat direct %.0f", pipe.ImagesPerSec, direct.ImagesPerSec)
-	}
-	if len(r.Placement.Cuts) != 2 || len(r.Placement.Stages) != 3 {
-		t.Fatalf("placement is not a 3-hop pipeline: %+v", r.Placement)
-	}
-	out := r.String()
-	for _, want := range []string{"pipeline3", "all-edge", "direct", "solver cuts"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("rendering missing %q:\n%s", want, out)
-		}
-	}
-	if testing.Verbose() {
-		t.Log("\n" + out)
 	}
 }

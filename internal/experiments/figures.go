@@ -8,10 +8,10 @@ import (
 	"text/tabwriter"
 
 	"github.com/meanet/meanet/internal/core"
-	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/energy"
 	"github.com/meanet/meanet/internal/metrics"
 	"github.com/meanet/meanet/internal/protocol"
+	"github.com/meanet/meanet/internal/tensor"
 )
 
 // Fig2Result is the confusion matrix of the main block on the CIFAR-like
@@ -273,10 +273,23 @@ func Fig7(ctx *Context) (*Fig7Result, error) {
 	return res, nil
 }
 
+// cloudOffload answers Algorithm 2's offloads with the system's cloud AI in
+// process: one forward over the gathered sub-batch, then the server's
+// softmax-argmax per row, so predictions match a served cloud bit for bit.
+func cloudOffload(sys *System) core.CloudBatchFunc {
+	return func(sub *tensor.Tensor) ([]int, error) {
+		logits := sys.Cloud.Logits(sub, false)
+		preds := make([]int, sub.Dim(0))
+		for i := range preds {
+			preds[i] = int(protocol.ResultOf(logits.Row(i)).Pred)
+		}
+		return preds, nil
+	}
+}
+
 // sweepThresholds measures accuracy and β across thresholds for a system.
 func sweepThresholds(sys *System, thresholds []float64) (*Fig7Series, error) {
 	series := &Fig7Series{Key: sys.Key}
-	client := &edge.InProcClient{Model: sys.Cloud}
 
 	// Edge-only reference.
 	rep, err := core.Evaluate(sys.Edge, sys.Synth.Test, 64, core.Policy{UseCloud: false}, nil)
@@ -292,7 +305,7 @@ func sweepThresholds(sys *System, thresholds []float64) (*Fig7Series, error) {
 	}
 	series.CloudOnlyAcc = cloudCM.Accuracy()
 
-	cloudFn := edge.Offload(client, protocol.RepRaw)
+	cloudFn := cloudOffload(sys)
 	for _, th := range thresholds {
 		rep, err := core.Evaluate(sys.Edge, sys.Synth.Test, 64,
 			core.Policy{Threshold: th, UseCloud: true}, cloudFn)
@@ -396,10 +409,9 @@ func Fig8(ctx *Context) (*Fig8Result, error) {
 		n := float64(cfgRow.n)
 
 		mix := func(th float64, useCloud bool) (fExt, fCloud float64, err error) {
-			client := &edge.InProcClient{Model: sys.Cloud}
 			var fn core.CloudBatchFunc
 			if useCloud {
-				fn = edge.Offload(client, protocol.RepRaw)
+				fn = cloudOffload(sys)
 			}
 			rep, err := core.Evaluate(sys.Edge, sys.Synth.Test, 64,
 				core.Policy{Threshold: th, UseCloud: useCloud}, fn)

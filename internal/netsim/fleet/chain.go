@@ -2,7 +2,7 @@ package fleet
 
 // The chain harness: stand up an N-hop stage pipeline (cloud stage servers
 // connected hop→hop through the real edge transport, each leg shaped by its
-// own netsim link) so pipeline-partition scenarios and benchmarks measure the
+// own netsim link) so the pipeline tests and benchmarks measure the
 // whole relay path — framing, pipelining, per-hop shaping — on loopback
 // sockets. The caller builds the serving chain every hop mounts (real layers,
 // or one SlowStage/ShapeStage unit per modeled stage) and picks the cuts on
@@ -47,8 +47,7 @@ func (s *SlowStage) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (s *SlowStage) Backward(grad *tensor.Tensor) *tensor.Tensor { return s.Inner.Backward(grad) }
 func (s *SlowStage) Params() []*nn.Param                         { return s.Inner.Params() }
 
-// ShapeStage is the zero-cpu chain-stage stand-in (the flatModel idea for
-// relay hops): it emits a zero tensor of the configured per-instance shape,
+// ShapeStage is the zero-cpu chain-stage stand-in for relay hops: it emits a zero tensor of the configured per-instance shape,
 // so a hop's serving cost is exactly its SlowStage delay and its downstream
 // wire cost is exactly the modeled activation size. Non-terminal hops use a
 // CHW Dims (rank-4 batches relay downstream); the terminal hop uses a single

@@ -1,10 +1,10 @@
 // Package fleet is the multi-edge scenario harness: it runs N concurrent
-// edge runtimes against M cloud replicas, each edge over its own
-// (independently shaped, optionally fault-injected) connections — one per
-// replica, routed by edge.MultiClient when M > 1 — and aggregates per-edge
-// reports into fleet-level throughput, shed-rate and accounting totals.
+// edge runtimes against M cloud replicas, each edge over its own connections
+// (shaped or fault-injected through Config.Dial) — one per replica, routed by
+// edge.MultiClient when M > 1 — and aggregates per-edge reports into
+// fleet-level throughput and accounting totals.
 //
-// The harness is what the fleet-shedding experiment and the stress/soak tests
+// The harness is what the stress/soak tests and the nightly saturation ratios
 // share: the caller owns the server (and its batching/shedding
 // configuration); the harness owns the edges. The edge
 // runtimes share one MEANet — evaluation-mode forward passes of the nn stack
@@ -22,7 +22,6 @@ import (
 	"github.com/meanet/meanet/internal/cloud"
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/edge"
-	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -32,9 +31,7 @@ type Config struct {
 	Addr string
 	// Addrs are the cloud replica addresses for a multi-replica fleet; each
 	// edge dials every replica and routes offloads with edge.MultiClient.
-	// Set Addr or Addrs, not both. With DialReplica set, Addrs still
-	// provides the replica count and report labels (addresses need not be
-	// dialable then).
+	// Set Addr or Addrs, not both.
 	Addrs []string
 	// Edges is the number of concurrent edge runtimes (required, ≥ 1).
 	Edges int
@@ -48,30 +45,14 @@ type Config struct {
 	Policy core.Policy
 	// Cost parameterizes the per-edge accounting (may be nil).
 	Cost *edge.CostParams
-	// Mode is the upload representation (default raw).
-	Mode edge.OffloadMode
 	// Input is the NCHW batch each edge classifies per iteration (required).
 	Input *tensor.Tensor
-	// Labels, when non-nil, are Input's row labels; accuracy is accumulated
-	// against them.
-	Labels []int
 
-	// Link shapes edge i's uplink (nil or zero links = unshaped). Ignored
-	// when Dial is set.
-	Link func(i int) netsim.Link
 	// Dial, when non-nil, replaces the default dialer for edge i — the hook
 	// the soak tests use to inject flaky transports. The SAME function is
 	// installed as the client's Redial, so a broken connection is replaced
 	// by another Dial(i) call.
 	Dial func(i int) (net.Conn, error)
-	// DialReplica is Dial for multi-replica runs: it dials edge i's
-	// connection to replica r (and serves as that connection's Redial). It
-	// requires Addrs for the replica count; set it or Dial, not both.
-	DialReplica func(i, r int) (net.Conn, error)
-	// Multi tunes each edge's replica router (multi-replica runs only). The
-	// per-edge router seed is decorrelated across edges on top of Multi.Seed
-	// so the fleet's power-of-two choices don't sample in lockstep.
-	Multi edge.MultiConfig
 	// Membership, when non-nil, runs in its own goroutine per edge next to
 	// the classify loop, holding that edge's replica router — the hook the
 	// join/leave soak uses to add and remove replicas mid-run. done closes
@@ -82,9 +63,6 @@ type Config struct {
 	// ClientConfig is the base TCP client configuration (per-edge Redial is
 	// installed on top).
 	ClientConfig edge.DialConfig
-	// LatencyBudget, when > 0, arms each runtime's closed-loop threshold
-	// controller (edge.Runtime.SetLatencyBudget).
-	LatencyBudget time.Duration
 	// Adapt, when non-nil, replaces each runtime's adaptation tuning (the
 	// soak tests cap MaxThreshold below the workload's entropy so shed
 	// pressure stays continuous instead of the controller shedding ALL
@@ -99,12 +77,6 @@ func (c *Config) validate() error {
 	if c.Addr != "" && len(c.Addrs) > 0 {
 		return errors.New("fleet: set Addr or Addrs, not both")
 	}
-	if c.Dial != nil && c.DialReplica != nil {
-		return errors.New("fleet: set Dial or DialReplica, not both")
-	}
-	if c.DialReplica != nil && len(c.Addrs) == 0 {
-		return errors.New("fleet: DialReplica needs Addrs for the replica count")
-	}
 	if c.Edges < 1 {
 		return fmt.Errorf("fleet: %d edges, want ≥ 1", c.Edges)
 	}
@@ -116,9 +88,6 @@ func (c *Config) validate() error {
 	}
 	if c.Input == nil || c.Input.Dims() != 4 {
 		return errors.New("fleet: Input must be an NCHW batch")
-	}
-	if c.Labels != nil && len(c.Labels) != c.Input.Dim(0) {
-		return fmt.Errorf("fleet: %d labels for %d input rows", len(c.Labels), c.Input.Dim(0))
 	}
 	if c.Membership != nil && len(c.Addrs) < 2 {
 		return errors.New("fleet: Membership needs a multi-replica run (≥ 2 Addrs)")
@@ -134,13 +103,8 @@ func (c *Config) replicaCount() int {
 	return 1
 }
 
-// dialer resolves edge i's dial function for replica r. All of an edge's
-// replica connections share the edge's link shaping — the uplink is the
-// edge's bottleneck, not the replicas'.
+// dialer resolves edge i's dial function for replica r.
 func (c *Config) dialer(i, r int) func() (net.Conn, error) {
-	if c.DialReplica != nil {
-		return func() (net.Conn, error) { return c.DialReplica(i, r) }
-	}
 	if c.Dial != nil {
 		return func() (net.Conn, error) { return c.Dial(i) }
 	}
@@ -148,17 +112,7 @@ func (c *Config) dialer(i, r int) func() (net.Conn, error) {
 	if len(c.Addrs) > 0 {
 		addr = c.Addrs[r]
 	}
-	var link netsim.Link
-	if c.Link != nil {
-		link = c.Link(i)
-	}
-	return func() (net.Conn, error) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return netsim.Shape(conn, link), nil
-	}
+	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
 }
 
 // EdgeResult is one edge runtime's outcome.
@@ -166,8 +120,6 @@ type EdgeResult struct {
 	Index int
 	// Report is the runtime's full accounting.
 	Report edge.Report
-	// Correct counts label matches (0 without Labels).
-	Correct int
 	// WireBytes and WireSheds are the TRANSPORT's counters: actual frame
 	// bytes written (headers included, retries and refused uploads too) and
 	// shed frames received — the wire truth next to the Report's modeled
@@ -216,32 +168,6 @@ type Result struct {
 	// CloudFailures instances whose transport attempts all failed.
 	ShedEvents    int
 	CloudFailures int
-	// Correct sums label matches (meaningful only with Labels).
-	Correct int
-}
-
-// Accuracy is the fleet-wide label-match rate (0 without labels).
-func (r *Result) Accuracy() float64 {
-	if r.Instances == 0 {
-		return 0
-	}
-	return float64(r.Correct) / float64(r.Instances)
-}
-
-// ShedRate is the fraction of instances served as shed fallbacks.
-func (r *Result) ShedRate() float64 {
-	if r.Instances == 0 {
-		return 0
-	}
-	return float64(r.ShedFallbacks) / float64(r.Instances)
-}
-
-// CloudFraction is the fleet-wide β.
-func (r *Result) CloudFraction() float64 {
-	if r.Instances == 0 {
-		return 0
-	}
-	return float64(r.CloudServed) / float64(r.Instances)
 }
 
 // Run executes the fleet: Edges goroutines, each with its own TCP client and
@@ -295,7 +221,6 @@ func Run(cfg Config) (*Result, error) {
 		res.ShedFallbacks += rep.ShedFallbacks
 		res.ShedEvents += rep.ShedEvents
 		res.CloudFailures += rep.CloudFailures
-		res.Correct += results[i].Correct
 		for _, st := range results[i].Replicas {
 			r, ok := replicaRow[st.Addr]
 			if !ok {
@@ -349,12 +274,11 @@ func runEdge(cfg *Config, i int) (EdgeResult, error) {
 	if nrep == 1 {
 		client = tcp
 	} else {
-		mcfg := cfg.Multi
 		// Decorrelate the edges' routers: same scenario, independent
-		// tie-breaks, so p2c does not sample in fleet-wide lockstep.
-		mcfg.Seed += int64(i) * 7919
+		// tie-breaks, so p2c does not sample in fleet-wide lockstep. Edge 0
+		// keeps the default seed.
 		var err error
-		mc, err = edge.NewMultiClient(clients, cfg.Addrs, mcfg)
+		mc, err = edge.NewMultiClient(clients, cfg.Addrs, edge.MultiConfig{Seed: int64(i) * 7919})
 		if err != nil {
 			closeAll()
 			return EdgeResult{}, err
@@ -382,33 +306,17 @@ func runEdge(cfg *Config, i int) (EdgeResult, error) {
 	if err != nil {
 		return EdgeResult{}, err
 	}
-	if err := rt.SetOffloadMode(cfg.Mode); err != nil {
-		return EdgeResult{}, err
-	}
-	if cfg.LatencyBudget > 0 {
-		rt.SetLatencyBudget(cfg.LatencyBudget)
-	}
 	if cfg.Adapt != nil {
 		rt.SetAdaptConfig(*cfg.Adapt)
 	}
-	correct := 0
 	for b := 0; b < cfg.Batches; b++ {
-		decisions, err := rt.Classify(cfg.Input)
-		if err != nil {
+		if _, err := rt.Classify(cfg.Input); err != nil {
 			return EdgeResult{}, fmt.Errorf("batch %d: %w", b, err)
-		}
-		if cfg.Labels != nil {
-			for j, d := range decisions {
-				if d.Pred == cfg.Labels[j] {
-					correct++
-				}
-			}
 		}
 	}
 	res := EdgeResult{
 		Index:     i,
 		Report:    rt.Report(),
-		Correct:   correct,
 		WireBytes: client.BytesSent(),
 		WireSheds: client.Sheds(),
 	}

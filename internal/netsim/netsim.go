@@ -9,36 +9,13 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"github.com/meanet/meanet/internal/energy"
 )
 
-// Link describes a one-way network path.
-type Link struct {
-	Latency time.Duration // propagation delay applied per message
-	Mbps    float64       // serialization bandwidth; 0 = infinite
-}
-
-// TransferTime is the analytic time to move a payload across the link:
-// latency + bytes/bandwidth. It is used for deterministic simulation; the
-// shaped Conn below applies the same model to real sockets.
-func (l Link) TransferTime(bytes int64) time.Duration {
-	d := l.Latency
-	if l.Mbps > 0 && bytes > 0 {
-		seconds := float64(bytes*8) / (l.Mbps * 1e6)
-		d += time.Duration(seconds * float64(time.Second))
-	}
-	return d
-}
-
-// Validate reports configuration errors.
-func (l Link) Validate() error {
-	if l.Latency < 0 {
-		return fmt.Errorf("netsim: negative latency %v", l.Latency)
-	}
-	if l.Mbps < 0 {
-		return fmt.Errorf("netsim: negative bandwidth %v", l.Mbps)
-	}
-	return nil
-}
+// Link describes a one-way network path. The analytic model lives with the
+// other cost models in energy; this package applies it to real sockets.
+type Link = energy.Link
 
 // ShapedConn delays writes according to a Link, emulating a slow uplink on a
 // real socket. Reads are untouched (the downlink result payloads are tiny).

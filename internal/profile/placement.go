@@ -7,7 +7,7 @@ package profile
 // pipelined frames in flight, aggregate images/s is bounded by the slowest
 // stage — either one device's per-instance compute time (stage MACs divided
 // by the device's MACs/s) or one link's per-instance transfer time for the
-// activation crossing it. Link times use netsim.Link.TransferTime (latency +
+// activation crossing it. Link times use energy.Link.TransferTime (latency +
 // serialization), matching how ShapedConn charges each relay frame, so the
 // solver's predictions line up with netsim-measured scenarios; on real links
 // latency would partly amortize across pipelined frames, making the
@@ -23,7 +23,7 @@ import (
 	"fmt"
 
 	"github.com/meanet/meanet/internal/core"
-	"github.com/meanet/meanet/internal/netsim"
+	"github.com/meanet/meanet/internal/energy"
 	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/protocol"
 )
@@ -96,7 +96,7 @@ func ChainCosts(chain []nn.Layer, in Shape) (costs []Cost, outs []Shape, err err
 // EvaluateCuts prices ONE specific cut chain against the devices and links —
 // the comparison a live re-solver makes between the cuts it is running and a
 // freshly solved placement before paying the cost of a move.
-func EvaluateCuts(chain []nn.Layer, in Shape, devices []Device, links []netsim.Link, cuts []core.CutPoint) (Placement, error) {
+func EvaluateCuts(chain []nn.Layer, in Shape, devices []Device, links []energy.Link, cuts []core.CutPoint) (Placement, error) {
 	if len(devices) == 0 {
 		return Placement{}, fmt.Errorf("profile: placement needs at least one device")
 	}
@@ -132,7 +132,7 @@ func EvaluateCuts(chain []nn.Layer, in Shape, devices []Device, links []netsim.L
 // hop; links[i] connects device i to i+1) and returns the
 // throughput-maximizing placement. Every device runs at least one chain
 // unit; use DirectPlacement for the ship-raw-input baseline.
-func PlacePipeline(chain []nn.Layer, in Shape, devices []Device, links []netsim.Link) (Placement, error) {
+func PlacePipeline(chain []nn.Layer, in Shape, devices []Device, links []energy.Link) (Placement, error) {
 	if len(devices) == 0 {
 		return Placement{}, fmt.Errorf("profile: placement needs at least one device")
 	}
@@ -181,7 +181,7 @@ func PlacePipeline(chain []nn.Layer, in Shape, devices []Device, links []netsim.
 
 // evaluate prices one cut chain: per-stage compute on its device, per-link
 // transfer of the crossing activation, bottleneck = the slowest of them all.
-func evaluate(cuts []core.CutPoint, costs []Cost, outs []Shape, devices []Device, links []netsim.Link) Placement {
+func evaluate(cuts []core.CutPoint, costs []Cost, outs []Shape, devices []Device, links []energy.Link) Placement {
 	bounds := make([]int, 0, len(cuts)+2)
 	bounds = append(bounds, 0)
 	for _, c := range cuts {
@@ -231,7 +231,7 @@ func LocalPlacement(chain []nn.Layer, in Shape, dev Device) (Placement, error) {
 // across the uplink (a raw batch-of-one request) and the remote device
 // runs the whole chain. Its stage 0 is the empty edge stage; the bottleneck is the
 // larger of the raw-input transfer and the remote full-model compute.
-func DirectPlacement(chain []nn.Layer, in Shape, uplink netsim.Link, edge, remote Device) (Placement, error) {
+func DirectPlacement(chain []nn.Layer, in Shape, uplink energy.Link, edge, remote Device) (Placement, error) {
 	if len(chain) == 0 {
 		return Placement{}, fmt.Errorf("profile: empty chain")
 	}

@@ -28,7 +28,9 @@ func TestOptionsCensus(t *testing.T) {
 		fields int
 	}{
 		{edge.DialConfig{}, 4},
-		{edge.MultiConfig{}, 4},
+		// MinServiceSamples had no setter and DisableServiceWeight only a
+		// deleted experiment: one value each, so constants under the rule.
+		{edge.MultiConfig{}, 2},
 		{edge.ChainConfig{}, 6},
 		{edge.ReplanConfig{}, 5},
 		{edge.AdaptConfig{}, 2},
