@@ -3,8 +3,8 @@
 #
 # The CI bench-regression gate: compares two `go test -bench` outputs and
 # fails (exit 1) on a >15% regression in the gated benchmarks: ns/op of
-# MatMul512 and MEANetInferBatch, B/op of MEANetInferBatch (the edge
-# forward's garbage per 16-image batch) and B/op of MEANetTrainStep (one
+# MatMul512 and MEANetInferBatch, B/op and allocs/op of MEANetInferBatch (the
+# edge forward's garbage per 16-image batch) and of MEANetTrainStep (one
 # 16-image step of the edge blocks' training), each by its best (minimum)
 # value. The serving path is gated by benchmark/ (BENCHMARK.json), not here.
 #
@@ -15,8 +15,9 @@
 # "Best of N" over the -count repetitions damps scheduler noise on shared
 # runners: a genuine regression slows the best rep too, while a noisy rep
 # only inflates the worst. 15% sits far above the residual jitter of
-# -benchtime=3x -count=3 on these benchmarks; B/op barely moves between reps
-# (pools refilled after a GC are its only noise).
+# -benchtime=3x -count=3 on these benchmarks. B/op and allocs/op barely move
+# between reps: the kernels' scratch comes from free lists the GC never
+# empties, so what is left is the layers' outputs and one fork per product.
 set -euo pipefail
 
 base=${1:?usage: benchgate.sh base.txt head.txt}
@@ -61,7 +62,8 @@ gate() {
 }
 
 for gated in "BenchmarkMatMul512 ns/op" "BenchmarkMEANetInferBatch ns/op" \
-  "BenchmarkMEANetInferBatch B/op" "BenchmarkMEANetTrainStep B/op"; do
+  "BenchmarkMEANetInferBatch B/op" "BenchmarkMEANetTrainStep B/op" \
+  "BenchmarkMEANetInferBatch allocs/op" "BenchmarkMEANetTrainStep allocs/op"; do
   read -r name unit <<<"$gated"
   gate "$name" "$unit" "$(best "$base" "$name" "$unit")" "$(best "$head" "$name" "$unit")"
 done

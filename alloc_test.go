@@ -15,8 +15,8 @@ import (
 
 // quietestPerImage runs run ten times in each of five windows and returns
 // the fewest kB and allocations per image of a batch-image call that any
-// window measured. A GC empties the pools, and the refill is charged to
-// whichever window it lands in, so the quietest window is the steady state.
+// window measured. A refill of scratch is charged to whichever window it
+// lands in, so the quietest window is the steady state.
 func quietestPerImage(batch int, run func()) (kb, allocs float64) {
 	const windows, reps = 5, 10
 	kb, allocs = math.Inf(1), math.Inf(1)
@@ -38,18 +38,20 @@ func quietestPerImage(batch int, run func()) (kb, allocs float64) {
 // allocates per image: the main block and its exit, then the adaptive and
 // extension blocks and the extension exit, over a 16-image batch of the
 // benchmark's 3x12x12 inputs with two kernel workers. Beyond the layers'
-// outputs the forward allocates only small per-fork bookkeeping: conv
-// workspaces and GEMM panels are pooled, and eval BN, ReLU and the residual
-// add run in place on tensors their own composite produced. The ceilings
-// sit 25 % above the measured 36.5 kB and 49.2 allocations per image; the
-// per-image im2col/GEMM with allocated BN/ReLU/add outputs measured 825.5 kB
-// and 349.6 allocations. The race detector's instrumentation allocates, so
-// the file is excluded under -race.
+// outputs the forward allocates only small per-fork bookkeeping, one fork
+// per product: conv workspaces and GEMM pack buffers come from shared free
+// lists, the conv packs its unfold straight from the images, and eval BN,
+// ReLU and the residual add run in place on tensors their own composite
+// produced. The ceilings sit 25 % above the measured 35.6 kB and 13.7
+// allocations per image; one fork per k block over a formed unfold measured
+// 36.5 kB and 49.2, and the per-image im2col/GEMM with allocated
+// BN/ReLU/add outputs 825.5 kB and 349.6. The race detector's
+// instrumentation allocates, so the file is excluded under -race.
 func TestEdgeForwardAllocCeiling(t *testing.T) {
 	const (
 		batch       = 16
-		maxKBPerImg = 45.6
-		maxAllocs   = 61.5
+		maxKBPerImg = 44.5
+		maxAllocs   = 17.1
 	)
 	// Each fork allocates a little, so pin the worker count the ceilings
 	// were measured at.
@@ -72,7 +74,7 @@ func TestEdgeForwardAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	forward() // fill the pools
+	forward() // fill the free lists
 	kb, allocs := quietestPerImage(batch, forward)
 	t.Logf("eval forward: %.1f kB and %.1f allocations per image", kb, allocs)
 	if kb > maxKBPerImg {
@@ -87,21 +89,22 @@ func TestEdgeForwardAllocCeiling(t *testing.T) {
 // training allocates per image: edgeTrainStep over a 16-image batch with two
 // kernel workers. Beyond the layers' outputs, caches and gradients the step
 // allocates only small per-fork bookkeeping: the train-mode conv runs on the
-// pooled forward tiles and caches its input rather than its unfold, and its
-// backward re-unfolds one image at a time into a pooled per-worker
-// workspace. The ceilings sit 25 % above the measured 112.0 kB and 157.2
-// allocations per image; a batch-sized unfold cache and fresh per-image
-// product tensors measured 311.9 kB and 377.2 allocations.
+// forward tiles and caches its input rather than its unfold, and its
+// backward re-unfolds one image at a time into a shared per-worker
+// workspace. The ceilings sit 25 % above the measured 109.6 kB and 92.3
+// allocations per image; with one fork per k block of every product it
+// measured 112.0 kB and 157.2, and with a batch-sized unfold cache and fresh
+// per-image product tensors 311.9 kB and 377.2.
 func TestEdgeTrainStepAllocCeiling(t *testing.T) {
 	const (
 		batch       = 16
-		maxKBPerImg = 140.0
-		maxAllocs   = 196.5
+		maxKBPerImg = 137.0
+		maxAllocs   = 115.4
 	)
 	defer tensor.SetParallelism(tensor.Parallelism())
 	tensor.SetParallelism(2)
 	step := edgeTrainStep(t, batch)
-	step() // fill the pools and the optimizer's velocity
+	step() // fill the free lists and the optimizer's velocity
 	kb, allocs := quietestPerImage(batch, step)
 	t.Logf("edge train step: %.1f kB and %.1f allocations per image", kb, allocs)
 	if kb > maxKBPerImg {

@@ -254,9 +254,10 @@ func BenchmarkMatMul128(b *testing.B) { benchmarkMatMul(b, 128) }
 
 func BenchmarkMatMul512(b *testing.B) { benchmarkMatMul(b, 512) }
 
-// BenchmarkMatMulConvTile is the eval conv's product on edge-only's widest
-// layer: W[8,72] x cols[72,2304], one 16-image tile of group 1's 3x3 conv at
-// 12x12, written into a caller-owned buffer as the conv does.
+// BenchmarkMatMulConvTile times the plain matrix product at the eval conv's
+// widest shape in edge-only: W[8,72] x cols[72,2304], one 16-image tile of
+// group 1's 3x3 conv at 12x12, from a formed column matrix into a
+// caller-owned buffer. BenchmarkConv2DTileProduct is the conv's own path.
 func BenchmarkMatMulConvTile(b *testing.B) {
 	const m, k, n = 8, 72, 16 * 12 * 12
 	rng := rand.New(rand.NewSource(1))
@@ -269,6 +270,25 @@ func BenchmarkMatMulConvTile(b *testing.B) {
 		tensor.MatMulInto(out, w.Data(), cols.Data(), m, k, n)
 	}
 	b.ReportMetric(2*m*k*n*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+}
+
+// BenchmarkConv2DTileProduct is the same product as BenchmarkMatMulConvTile
+// the way the eval conv now runs it: W[8,72] over the unfolds of 16 8x12x12
+// images, packed straight from the images with no column matrix.
+func BenchmarkConv2DTileProduct(b *testing.B) {
+	const m, images = 8, 16
+	rng := rand.New(rand.NewSource(1))
+	dims := tensor.NewConvDims(8, 12, 12, 3, 3, 1, 1)
+	k, n := dims.ColRows(), images*dims.ColCols()
+	w := tensor.Randn(rng, 1, m, k)
+	x := tensor.Randn(rng, 1, images, 8, 12, 12)
+	out := make([]float32, m*n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dims.MatMulUnfoldInto(out, w.Data(), x.Data(), m, images)
+	}
+	b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
 func BenchmarkConv2DForward(b *testing.B) {

@@ -75,35 +75,37 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	xhat := tensor.New(n, cch, h, w)
 	invStd := make([]float32, cch)
-	forEachSample(cch, func(c int) {
-		var sum, sumSq float64
-		for i := 0; i < n; i++ {
-			src := x.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-			for _, v := range src {
-				sum += float64(v)
-				sumSq += float64(v) * float64(v)
+	tensor.ParFor(cch, func(c0, c1 int) {
+		for c := c0; c < c1; c++ {
+			var sum, sumSq float64
+			for i := 0; i < n; i++ {
+				src := x.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+				for _, v := range src {
+					sum += float64(v)
+					sumSq += float64(v) * float64(v)
+				}
 			}
-		}
-		mean := sum / float64(m)
-		variance := sumSq/float64(m) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		inv := 1.0 / math.Sqrt(variance+bn.Eps)
-		invStd[c] = float32(inv)
-		g, b := gamma[c], beta[c]
-		for i := 0; i < n; i++ {
-			src := x.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-			xh := xhat.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-			dst := out.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-			for j, v := range src {
-				xv := float32((float64(v) - mean) * inv)
-				xh[j] = xv
-				dst[j] = g*xv + b
+			mean := sum / float64(m)
+			variance := sumSq/float64(m) - mean*mean
+			if variance < 0 {
+				variance = 0
 			}
+			inv := 1.0 / math.Sqrt(variance+bn.Eps)
+			invStd[c] = float32(inv)
+			g, b := gamma[c], beta[c]
+			for i := 0; i < n; i++ {
+				src := x.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+				xh := xhat.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+				dst := out.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+				for j, v := range src {
+					xv := float32((float64(v) - mean) * inv)
+					xh[j] = xv
+					dst[j] = g*xv + b
+				}
+			}
+			bn.RunningMean[c] = float32((1-bn.Momentum)*float64(bn.RunningMean[c]) + bn.Momentum*mean)
+			bn.RunningVar[c] = float32((1-bn.Momentum)*float64(bn.RunningVar[c]) + bn.Momentum*variance)
 		}
-		bn.RunningMean[c] = float32((1-bn.Momentum)*float64(bn.RunningMean[c]) + bn.Momentum*mean)
-		bn.RunningVar[c] = float32((1-bn.Momentum)*float64(bn.RunningVar[c]) + bn.Momentum*variance)
 	})
 	bn.xhat = xhat
 	bn.invStd = invStd
@@ -123,15 +125,17 @@ func (bn *BatchNorm2D) evalInto(x, out *tensor.Tensor) {
 	n, cch := x.Dim(0), x.Dim(1)
 	plane := x.Dim(2) * x.Dim(3)
 	gamma, beta := bn.Gamma.Data.Data(), bn.Beta.Data.Data()
-	forEachSample(cch, func(c int) {
-		mean := bn.RunningMean[c]
-		inv := float32(1.0 / math.Sqrt(float64(bn.RunningVar[c])+bn.Eps))
-		g, b := gamma[c], beta[c]
-		for i := 0; i < n; i++ {
-			src := x.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-			dst := out.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-			for j, v := range src {
-				dst[j] = g*(v-mean)*inv + b
+	tensor.ParFor(cch, func(c0, c1 int) {
+		for c := c0; c < c1; c++ {
+			mean := bn.RunningMean[c]
+			inv := float32(1.0 / math.Sqrt(float64(bn.RunningVar[c])+bn.Eps))
+			g, b := gamma[c], beta[c]
+			for i := 0; i < n; i++ {
+				src := x.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+				dst := out.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+				for j, v := range src {
+					dst[j] = g*(v-mean)*inv + b
+				}
 			}
 		}
 	})
@@ -151,25 +155,27 @@ func (bn *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	gamma := bn.Gamma.Data.Data()
 	gGamma, gBeta := bn.Gamma.Grad.Data(), bn.Beta.Grad.Data()
 
-	forEachSample(cch, func(c int) {
-		var sumDy, sumDyXhat float64
-		for i := 0; i < n; i++ {
-			d := dy.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-			xh := bn.xhat.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-			for j, v := range d {
-				sumDy += float64(v)
-				sumDyXhat += float64(v) * float64(xh[j])
+	tensor.ParFor(cch, func(c0, c1 int) {
+		for c := c0; c < c1; c++ {
+			var sumDy, sumDyXhat float64
+			for i := 0; i < n; i++ {
+				d := dy.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+				xh := bn.xhat.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+				for j, v := range d {
+					sumDy += float64(v)
+					sumDyXhat += float64(v) * float64(xh[j])
+				}
 			}
-		}
-		gGamma[c] += float32(sumDyXhat)
-		gBeta[c] += float32(sumDy)
-		scale := float64(gamma[c]) * float64(bn.invStd[c]) / m
-		for i := 0; i < n; i++ {
-			d := dy.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-			xh := bn.xhat.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-			dst := dx.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
-			for j, v := range d {
-				dst[j] = float32(scale * (m*float64(v) - sumDy - float64(xh[j])*sumDyXhat))
+			gGamma[c] += float32(sumDyXhat)
+			gBeta[c] += float32(sumDy)
+			scale := float64(gamma[c]) * float64(bn.invStd[c]) / m
+			for i := 0; i < n; i++ {
+				d := dy.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+				xh := bn.xhat.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+				dst := dx.Data()[(i*cch+c)*plane : (i*cch+c+1)*plane]
+				for j, v := range d {
+					dst[j] = float32(scale * (m*float64(v) - sumDy - float64(xh[j])*sumDyXhat))
+				}
 			}
 		}
 	})

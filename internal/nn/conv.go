@@ -3,16 +3,17 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// Conv2D is a standard 2-D convolution over NCHW tensors, implemented as
-// im2col followed by a matrix product. Weight layout is [outC, inC, kh, kw].
-// Train mode shares the eval forward's pooled tiles; Backward keeps the
-// per-image products and the per-worker dW reduction the layer has always
-// used, so training stays bit-identical at a given worker count.
+// Conv2D is a standard 2-D convolution over NCHW tensors, implemented as a
+// matrix product of the weights with the input's unfold (im2col). Weight
+// layout is [outC, inC, kh, kw]. The forward, in both modes, convolves a
+// tile of images with one product that packs the unfold straight from the
+// images and never forms it; Backward keeps the per-image Im2Col products
+// and the per-worker dW reduction the layer has always used, so training
+// stays bit-identical at a given worker count.
 type Conv2D struct {
 	W      *Param
 	B      *Param // nil when the convolution has no bias (conv+BN idiom)
@@ -73,46 +74,58 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // convTileFloats caps each conv workspace at 256 Ki floats (1 MiB).
-// The forward convolves a tile of whole images with one GEMM: their
-// unfolds sit side by side in one [K, t*oH*oW] column matrix (K =
-// inC*kh*kw) and the product lands in one [outC, t*oH*oW] result, so the
-// weights are packed once per tile rather than once per image and the GEMM
-// sees wide operands. The tile t is the most images for which both matrices
+// The forward convolves a tile of whole images with one product,
+// tensor.ConvDims.MatMulUnfoldInto, whose packer reads the images straight
+// into the GEMM's panels, so no [K, t*oH*oW] unfold (K = inC*kh*kw) is ever
+// formed. The product lands in one [outC, t*oH*oW] result, so the weights
+// are packed once per tile rather than once per image and the GEMM sees
+// wide operands; the tile t (convTile) is the most images whose results
 // fit under the cap — 1 MiB keeps the working set cache-sized and every
-// pooled buffer a constant size whatever batch a caller sends — and at
-// least one image: a single image larger than the cap gets exact-size
-// buffers that are never pooled. The backward takes one workspace per kernel
-// worker, holding the worker's partial dW and one image's dW product, unfold
-// and unfold gradient (2·outC·K + 2·K·oH·oW floats), under the same rule.
+// shared buffer a constant size whatever batch a caller sends — and at
+// least one image: a single image larger than the cap gets an exact-size
+// buffer that is never kept. The backward takes one workspace per kernel
+// worker, holding the worker's partial dW and one image's dW product,
+// unfold and unfold gradient (2·outC·K + 2·K·oH·oW floats), under the same
+// rule.
 const convTileFloats = 256 << 10
 
-// convWorkspaces pools the forward's column and result matrices and the
-// backward's per-worker scratch. They live here rather than on the layer
-// because eval Forward runs concurrently on one shared model.
-var convWorkspaces = sync.Pool{New: func() any { return new([convTileFloats]float32) }}
+// convWorkspaceBufs caps the workspaces the shared list retains: the
+// forward's result and one per backward worker, for a few layers or models
+// running at once. It retains at most 8 MiB.
+const convWorkspaceBufs = 8
 
-// takeWorkspace returns a buffer of size floats, pooled (non-nil handle)
-// when it fits under convTileFloats.
-func takeWorkspace(size int) ([]float32, *[convTileFloats]float32) {
+// convWorkspaces holds the forward's result matrices and the backward's
+// per-worker scratch. They live here rather than on the layer because eval
+// Forward runs concurrently on one shared model.
+var convWorkspaces = tensor.NewFreeList(convTileFloats, convWorkspaceBufs)
+
+// takeWorkspace returns a buffer of size floats. It comes from
+// convWorkspaces, and keep is true, when it fits under convTileFloats; the
+// caller hands a kept buffer back with convWorkspaces.Put.
+func takeWorkspace(size int) (ws []float32, keep bool) {
 	if size > convTileFloats {
-		return make([]float32, size), nil
+		return make([]float32, size), false
 	}
-	ws := convWorkspaces.Get().(*[convTileFloats]float32)
-	return ws[:size], ws
+	return convWorkspaces.Get()[:size], true
+}
+
+// convTile is the number of whole images whose [outC, oH*oW] results fit
+// together under convTileFloats, 0 when one image's alone exceeds it.
+func convTile(outC int, dims tensor.ConvDims) int {
+	return convTileFloats / (outC * dims.ColCols())
 }
 
 // forwardTiles is the convolution of x into out, one tile of images at a
-// time. Each output column of a GEMM depends only on its own unfold column
-// and the weights, so out is bitwise what a per-image product gives.
+// time. Each output column of a product depends only on its own unfold
+// column and the weights, so out is bitwise what a per-image product gives.
 func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
 	n := x.Dim(0)
 	if n == 0 {
 		return
 	}
-	outC, rows, plane := c.OutChannels(), dims.ColRows(), dims.ColCols()
-	tile := min(n, max(1, convTileFloats/(max(rows, outC)*plane)))
-	cols, colsWS := takeWorkspace(rows * tile * plane)
-	res, resWS := takeWorkspace(outC * tile * plane)
+	outC, plane := c.OutChannels(), dims.ColCols()
+	tile := min(n, max(1, convTile(outC, dims)))
+	res, keep := takeWorkspace(outC * tile * plane)
 	inSize, outSize := x.Numel()/n, outC*plane
 	xd, od, wd := x.Data(), out.Data(), c.W.Data.Data()
 	var bias []float32
@@ -122,12 +135,11 @@ func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
 	for i0 := 0; i0 < n; i0 += tile {
 		t := min(tile, n-i0)
 		ld := t * plane
-		forEachSample(t, func(j int) {
-			img := i0 + j
-			dims.Im2ColInto(xd[img*inSize:(img+1)*inSize], cols[j*plane:], ld)
-		})
-		tensor.MatMulInto(res, wd, cols, outC, rows, ld)
-		forEachSample(t, func(j int) {
+		dims.MatMulUnfoldInto(res, wd, xd[i0*inSize:(i0+t)*inSize], outC, t)
+		// Scatter the [outC, t*plane] result into the images' NCHW
+		// outputs, adding the bias. It moves a few kB per image: serial, it
+		// costs less than a fork.
+		for j := 0; j < t; j++ {
 			dst := od[(i0+j)*outSize : (i0+j+1)*outSize]
 			for f := 0; f < outC; f++ {
 				src := res[f*ld+j*plane : f*ld+(j+1)*plane]
@@ -141,20 +153,17 @@ func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
 					seg[p] = v + bv
 				}
 			}
-		})
+		}
 	}
-	if colsWS != nil {
-		convWorkspaces.Put(colsWS)
-	}
-	if resWS != nil {
-		convWorkspaces.Put(resWS)
+	if keep {
+		convWorkspaces.Put(res)
 	}
 }
 
 // Backward accumulates dW (and dB) and returns dX.
 //
-// The batch splits into one contiguous chunk of images per kernel worker.
-// A worker takes one pooled workspace and, image by image, unfolds x_i
+// The batch splits into one contiguous chunk of images per kernel worker,
+// the chunks tensor.ParFor forks. A worker takes one shared workspace and, image by image, unfolds x_i
 // again, forms dy_i @ cols_iᵀ on its own and adds it to the worker's partial
 // dW, sums dy_i's planes into its partial dB, and folds Wᵀ @ dy_i into dx_i.
 // The partials are then added to the gradients in worker order. That is the
@@ -178,17 +187,14 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	workers := max(1, min(tensor.Parallelism(), n))
 	chunk := (n + workers - 1) / workers
 	partials := make([][]float32, workers)
-	handles := make([]*[convTileFloats]float32, workers)
+	kept := make([][]float32, workers)
 	var dBs []float64
 	if c.B != nil {
 		dBs = make([]float64, workers*outC)
 	}
-	forEachSample(workers, func(wkr int) {
-		start, end := wkr*chunk, min((wkr+1)*chunk, n)
-		if start >= end {
-			return
-		}
-		ws, h := takeWorkspace(2*wSize + 2*rows*plane)
+	tensor.ParFor(n, func(start, end int) {
+		wkr := start / chunk // ParFor's chunks are these workers'
+		ws, keep := takeWorkspace(2*wSize + 2*rows*plane)
 		dW, prod := ws[:wSize], ws[wSize:2*wSize]
 		cols, dcols := ws[2*wSize:2*wSize+rows*plane], ws[2*wSize+rows*plane:]
 		clear(dW)
@@ -212,7 +218,10 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			tensor.MatMulTNInto(dcols, wd, dyi, rows, outC, plane)
 			dims.Col2Im(dcols, dxd[i*inSize:(i+1)*inSize])
 		}
-		partials[wkr], handles[wkr] = dW, h
+		partials[wkr] = dW
+		if keep {
+			kept[wkr] = ws
+		}
 	})
 
 	gW := c.W.Grad.Data()
@@ -220,8 +229,8 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		for j, v := range dW {
 			gW[j] += v
 		}
-		if handles[wkr] != nil {
-			convWorkspaces.Put(handles[wkr])
+		if kept[wkr] != nil {
+			convWorkspaces.Put(kept[wkr])
 		}
 		if dBs != nil {
 			gB := c.B.Grad.Data()
@@ -239,36 +248,6 @@ func (c *Conv2D) Params() []*Param {
 		return []*Param{c.W}
 	}
 	return []*Param{c.W, c.B}
-}
-
-// forEachSample runs body(i) for each sample index in parallel.
-func forEachSample(n int, body func(i int)) {
-	workers := tensor.Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			for i := s; i < e; i++ {
-				body(i)
-			}
-		}(start, end)
-	}
-	wg.Wait()
 }
 
 var _ Layer = (*Conv2D)(nil)

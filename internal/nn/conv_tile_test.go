@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/meanet/meanet/internal/tensor"
@@ -26,9 +27,9 @@ func requireBitwise(t *testing.T, label string, got, want *tensor.Tensor) {
 // its tile boundaries — no images, one, a tile short, a full tile, one over,
 // and two tiles plus a ragged tail — and requires the tiled forward to equal
 // the per-image train-mode forward bit for bit. Geometries cover stride 1
-// and 2, pad 0 and 1, with and without bias, a tile bounded by the output
-// width rather than the unfold height, and one image too large for the
-// pooled workspace.
+// and 2, pad 0 and 1, with and without bias, and one image whose result
+// alone is too large for the shared workspace; the tile is convTile's, the
+// one forwardTiles uses.
 func TestConvEvalTilesMatchPerImageBitwise(t *testing.T) {
 	geoms := []struct {
 		name           string
@@ -37,9 +38,9 @@ func TestConvEvalTilesMatchPerImageBitwise(t *testing.T) {
 		strides, pads  []int
 		singleOversize bool
 	}{
-		{name: "3x3", inC: 4, outC: 8, k: 3, size: 20, strides: []int{1, 2}, pads: []int{0, 1}},
+		{name: "3x3", inC: 4, outC: 32, k: 3, size: 20, strides: []int{1, 2}, pads: []int{0, 1}},
 		{name: "1x1-wide", inC: 2, outC: 24, k: 1, size: 20, strides: []int{1, 2}, pads: []int{0, 1}},
-		{name: "oversize", inC: 16, outC: 4, k: 3, size: 48, strides: []int{1}, pads: []int{1}, singleOversize: true},
+		{name: "oversize", inC: 2, outC: 32, k: 3, size: 96, strides: []int{1}, pads: []int{1}, singleOversize: true},
 	}
 	rng := rand.New(rand.NewSource(28))
 	for _, g := range geoms {
@@ -51,12 +52,12 @@ func TestConvEvalTilesMatchPerImageBitwise(t *testing.T) {
 						conv.B.Data.CopyFrom(tensor.Randn(rng, 1, g.outC))
 					}
 					dims := tensor.NewConvDims(g.inC, g.size, g.size, g.k, g.k, stride, pad)
-					per := max(dims.ColRows(), g.outC) * dims.ColCols()
-					tile := convTileFloats / per
+					tile := convTile(g.outC, dims)
 					ns := []int{0, 1, tile - 1, tile, tile + 1, 2*tile + 3}
 					if g.singleOversize {
 						if tile != 0 {
-							t.Fatalf("%s: %d floats per image fits the %d-float workspace", g.name, per, convTileFloats)
+							t.Fatalf("%s: %d result floats per image fit the %d-float workspace",
+								g.name, g.outC*dims.ColCols(), convTileFloats)
 						}
 						ns = []int{1, 2}
 					}
@@ -143,8 +144,9 @@ func referenceConvStep(c *Conv2D, x, dy, gW0, gB0 *tensor.Tensor, workers int) p
 
 // TestConvMatchesPerImageReference walks the train-mode convolution across
 // the forward's tile boundaries — no images, one, a tile short, a full tile,
-// one over, two tiles plus a ragged tail, and a single image too large for
-// the pooled workspace — at 1, 2 and 3 kernel workers (3 leaves a worker
+// one over, two tiles plus a ragged tail (the tile is convTile's, the one
+// forwardTiles uses), and a single image whose result alone is too large
+// for the shared workspace — at 1, 2 and 3 kernel workers (3 leaves a worker
 // idle at some sizes), and requires the output, the input gradient and the
 // accumulated weight and bias gradients to equal referenceConvStep bit for
 // bit. Geometries cover stride 1 and 2, pad 0 and 1, with and without bias;
@@ -158,9 +160,9 @@ func TestConvMatchesPerImageReference(t *testing.T) {
 		strides, pads  []int
 		singleOversize bool
 	}{
-		{name: "3x3", inC: 4, outC: 8, k: 3, size: 20, strides: []int{1, 2}, pads: []int{0, 1}},
+		{name: "3x3", inC: 4, outC: 32, k: 3, size: 20, strides: []int{1, 2}, pads: []int{0, 1}},
 		{name: "1x1-wide", inC: 2, outC: 24, k: 1, size: 20, strides: []int{1, 2}, pads: []int{0, 1}},
-		{name: "oversize", inC: 16, outC: 4, k: 3, size: 48, strides: []int{1}, pads: []int{1}, singleOversize: true},
+		{name: "oversize", inC: 2, outC: 32, k: 3, size: 96, strides: []int{1}, pads: []int{1}, singleOversize: true},
 	}
 	defer tensor.SetParallelism(tensor.Parallelism())
 	rng := rand.New(rand.NewSource(29))
@@ -173,9 +175,13 @@ func TestConvMatchesPerImageReference(t *testing.T) {
 						conv.B.Data.CopyFrom(tensor.Randn(rng, 1, g.outC))
 					}
 					dims := tensor.NewConvDims(g.inC, g.size, g.size, g.k, g.k, stride, pad)
-					tile := convTileFloats / (max(dims.ColRows(), g.outC) * dims.ColCols())
+					tile := convTile(g.outC, dims)
 					ns := []int{0, 1, tile - 1, tile, tile + 1, 2*tile + 3}
 					if g.singleOversize {
+						if tile != 0 {
+							t.Fatalf("%s: %d result floats per image fit the %d-float workspace",
+								g.name, g.outC*dims.ColCols(), convTileFloats)
+						}
 						ns = []int{1, 2}
 					}
 					for _, n := range ns {
@@ -206,5 +212,80 @@ func TestConvMatchesPerImageReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConvConcurrentMixedShapesShareWorkspaces runs convolutions of mixed
+// geometries from 8 goroutines at once at 2 kernel workers: eval forwards
+// on shared layers, and train steps on layers each goroutine owns, so the
+// shared workspaces and pack buffers change hands between products of
+// different shapes. Every output and gradient must equal the same step run
+// alone. Run it under -race.
+func TestConvConcurrentMixedShapesShareWorkspaces(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(2)
+	geoms := []struct{ inC, outC, k, stride, pad, size, n int }{
+		{3, 8, 3, 1, 1, 12, 16}, {8, 16, 3, 2, 1, 12, 5}, {16, 32, 1, 1, 0, 6, 9}, {4, 6, 5, 1, 2, 9, 3},
+	}
+	type step struct{ out, dx, gW *tensor.Tensor }
+	const goroutines, rounds = 8, 3
+	rng := rand.New(rand.NewSource(31))
+	shared := make([]*Conv2D, len(geoms))   // the eval layers, also the references
+	layers := make([][]*Conv2D, goroutines) // [goroutine][geometry], the train layers
+	xs, dys := make([]*tensor.Tensor, len(geoms)), make([]*tensor.Tensor, len(geoms))
+	want := make([]step, len(geoms))
+	for i, g := range geoms {
+		proto := NewConv2D(rng, "mixed", g.inC, g.outC, g.k, g.stride, g.pad, i%2 == 0)
+		shared[i] = proto
+		dims := tensor.NewConvDims(g.inC, g.size, g.size, g.k, g.k, g.stride, g.pad)
+		xs[i] = tensor.Randn(rng, 1, g.n, g.inC, g.size, g.size)
+		dys[i] = tensor.Randn(rng, 1, g.n, g.outC, dims.OutH, dims.OutW)
+		for gr := range layers {
+			c := &Conv2D{W: NewParam("mixed.weight", proto.W.Data.Clone()), Stride: g.stride, Pad: g.pad}
+			if proto.B != nil {
+				c.B = NewParam("mixed.bias", proto.B.Data.Clone())
+			}
+			layers[gr] = append(layers[gr], c)
+		}
+		out := proto.Forward(xs[i], true)
+		want[i] = step{out: out, dx: proto.Backward(dys[i]), gW: proto.W.Grad.Clone()}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for gr := 0; gr < goroutines; gr++ {
+		wg.Add(1)
+		go func(gr int) {
+			defer wg.Done()
+			check := func(label string, i int, got, want *tensor.Tensor) bool {
+				for e, w := range want.Data() {
+					if math.Float32bits(got.Data()[e]) != math.Float32bits(w) {
+						errs <- fmt.Sprintf("goroutine %d geometry %d %s: element %d = %v, want %v", gr, i, label, e, got.Data()[e], w)
+						return false
+					}
+				}
+				return true
+			}
+			for r := 0; r < rounds; r++ {
+				for j := range geoms {
+					i := (j + gr) % len(geoms)
+					if !check("eval output", i, shared[i].Forward(xs[i], false), want[i].out) {
+						return
+					}
+					c := layers[gr][i]
+					ZeroGrads(c.Params())
+					if !check("train output", i, c.Forward(xs[i], true), want[i].out) ||
+						!check("dx", i, c.Backward(dys[i]), want[i].dx) ||
+						!check("dW", i, c.W.Grad, want[i].gW) {
+						return
+					}
+				}
+			}
+		}(gr)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

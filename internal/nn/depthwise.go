@@ -49,28 +49,30 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	k := d.Kernel()
 	geo := tensor.NewConvDims(1, h, w, k, k, d.Stride, d.Pad)
 	out := tensor.New(n, c, geo.OutH, geo.OutW)
-	forEachSample(n*c, func(idx int) {
-		ch := idx % c
-		src := x.Data()[idx*h*w : (idx+1)*h*w]
-		dst := out.Data()[idx*geo.OutH*geo.OutW : (idx+1)*geo.OutH*geo.OutW]
-		ker := d.W.Data.Data()[ch*k*k : (ch+1)*k*k]
-		for oy := 0; oy < geo.OutH; oy++ {
-			for ox := 0; ox < geo.OutW; ox++ {
-				var s float32
-				for ky := 0; ky < k; ky++ {
-					sy := oy*d.Stride + ky - d.Pad
-					if sy < 0 || sy >= h {
-						continue
-					}
-					for kx := 0; kx < k; kx++ {
-						sx := ox*d.Stride + kx - d.Pad
-						if sx < 0 || sx >= w {
+	tensor.ParFor(n*c, func(idx0, idx1 int) {
+		for idx := idx0; idx < idx1; idx++ {
+			ch := idx % c
+			src := x.Data()[idx*h*w : (idx+1)*h*w]
+			dst := out.Data()[idx*geo.OutH*geo.OutW : (idx+1)*geo.OutH*geo.OutW]
+			ker := d.W.Data.Data()[ch*k*k : (ch+1)*k*k]
+			for oy := 0; oy < geo.OutH; oy++ {
+				for ox := 0; ox < geo.OutW; ox++ {
+					var s float32
+					for ky := 0; ky < k; ky++ {
+						sy := oy*d.Stride + ky - d.Pad
+						if sy < 0 || sy >= h {
 							continue
 						}
-						s += src[sy*w+sx] * ker[ky*k+kx]
+						for kx := 0; kx < k; kx++ {
+							sx := ox*d.Stride + kx - d.Pad
+							if sx < 0 || sx >= w {
+								continue
+							}
+							s += src[sy*w+sx] * ker[ky*k+kx]
+						}
 					}
+					dst[oy*geo.OutW+ox] = s
 				}
-				dst[oy*geo.OutW+ox] = s
 			}
 		}
 	})
@@ -92,32 +94,34 @@ func (d *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	k := d.Kernel()
 	geo := d.dims
 	dx := tensor.New(n, c, h, w)
-	forEachSample(c, func(ch int) {
-		gW := d.W.Grad.Data()[ch*k*k : (ch+1)*k*k]
-		ker := d.W.Data.Data()[ch*k*k : (ch+1)*k*k]
-		for i := 0; i < n; i++ {
-			idx := i*c + ch
-			src := x.Data()[idx*h*w : (idx+1)*h*w]
-			g := dy.Data()[idx*geo.OutH*geo.OutW : (idx+1)*geo.OutH*geo.OutW]
-			dst := dx.Data()[idx*h*w : (idx+1)*h*w]
-			for oy := 0; oy < geo.OutH; oy++ {
-				for ox := 0; ox < geo.OutW; ox++ {
-					gv := g[oy*geo.OutW+ox]
-					if gv == 0 {
-						continue
-					}
-					for ky := 0; ky < k; ky++ {
-						sy := oy*d.Stride + ky - d.Pad
-						if sy < 0 || sy >= h {
+	tensor.ParFor(c, func(ch0, ch1 int) {
+		for ch := ch0; ch < ch1; ch++ {
+			gW := d.W.Grad.Data()[ch*k*k : (ch+1)*k*k]
+			ker := d.W.Data.Data()[ch*k*k : (ch+1)*k*k]
+			for i := 0; i < n; i++ {
+				idx := i*c + ch
+				src := x.Data()[idx*h*w : (idx+1)*h*w]
+				g := dy.Data()[idx*geo.OutH*geo.OutW : (idx+1)*geo.OutH*geo.OutW]
+				dst := dx.Data()[idx*h*w : (idx+1)*h*w]
+				for oy := 0; oy < geo.OutH; oy++ {
+					for ox := 0; ox < geo.OutW; ox++ {
+						gv := g[oy*geo.OutW+ox]
+						if gv == 0 {
 							continue
 						}
-						for kx := 0; kx < k; kx++ {
-							sx := ox*d.Stride + kx - d.Pad
-							if sx < 0 || sx >= w {
+						for ky := 0; ky < k; ky++ {
+							sy := oy*d.Stride + ky - d.Pad
+							if sy < 0 || sy >= h {
 								continue
 							}
-							gW[ky*k+kx] += src[sy*w+sx] * gv
-							dst[sy*w+sx] += ker[ky*k+kx] * gv
+							for kx := 0; kx < k; kx++ {
+								sx := ox*d.Stride + kx - d.Pad
+								if sx < 0 || sx >= w {
+									continue
+								}
+								gW[ky*k+kx] += src[sy*w+sx] * gv
+								dst[sy*w+sx] += ker[ky*k+kx] * gv
+							}
 						}
 					}
 				}

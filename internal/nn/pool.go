@@ -36,20 +36,22 @@ func (p *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w, oh, ow := poolGeom(x, p.K, p.Stride)
 	out := tensor.New(n, c, oh, ow)
 	inv := 1.0 / float32(p.K*p.K)
-	forEachSample(n, func(i int) {
-		for ch := 0; ch < c; ch++ {
-			src := x.Data()[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
-			dst := out.Data()[(i*c+ch)*oh*ow : (i*c+ch+1)*oh*ow]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					var s float32
-					for ky := 0; ky < p.K; ky++ {
-						row := src[(oy*p.Stride+ky)*w+ox*p.Stride:]
-						for kx := 0; kx < p.K; kx++ {
-							s += row[kx]
+	tensor.ParFor(n, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			for ch := 0; ch < c; ch++ {
+				src := x.Data()[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
+				dst := out.Data()[(i*c+ch)*oh*ow : (i*c+ch+1)*oh*ow]
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						var s float32
+						for ky := 0; ky < p.K; ky++ {
+							row := src[(oy*p.Stride+ky)*w+ox*p.Stride:]
+							for kx := 0; kx < p.K; kx++ {
+								s += row[kx]
+							}
 						}
+						dst[oy*ow+ox] = s * inv
 					}
-					dst[oy*ow+ox] = s * inv
 				}
 			}
 		}
@@ -69,17 +71,19 @@ func (p *AvgPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	oh, ow := dy.Dim(2), dy.Dim(3)
 	dx := tensor.New(n, c, h, w)
 	inv := 1.0 / float32(p.K*p.K)
-	forEachSample(n, func(i int) {
-		for ch := 0; ch < c; ch++ {
-			src := dy.Data()[(i*c+ch)*oh*ow : (i*c+ch+1)*oh*ow]
-			dst := dx.Data()[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					g := src[oy*ow+ox] * inv
-					for ky := 0; ky < p.K; ky++ {
-						row := dst[(oy*p.Stride+ky)*w+ox*p.Stride:]
-						for kx := 0; kx < p.K; kx++ {
-							row[kx] += g
+	tensor.ParFor(n, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			for ch := 0; ch < c; ch++ {
+				src := dy.Data()[(i*c+ch)*oh*ow : (i*c+ch+1)*oh*ow]
+				dst := dx.Data()[(i*c+ch)*h*w : (i*c+ch+1)*h*w]
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						g := src[oy*ow+ox] * inv
+						for ky := 0; ky < p.K; ky++ {
+							row := dst[(oy*p.Stride+ky)*w+ox*p.Stride:]
+							for kx := 0; kx < p.K; kx++ {
+								row[kx] += g
+							}
 						}
 					}
 				}
@@ -113,27 +117,29 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		argmax = make([]int32, n*c*oh*ow)
 	}
-	forEachSample(n, func(i int) {
-		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * h * w
-			src := x.Data()[base : base+h*w]
-			obase := (i*c + ch) * oh * ow
-			dst := out.Data()[obase : obase+oh*ow]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bestIdx := (oy*p.Stride)*w + ox*p.Stride
-					best := src[bestIdx]
-					for ky := 0; ky < p.K; ky++ {
-						for kx := 0; kx < p.K; kx++ {
-							idx := (oy*p.Stride+ky)*w + ox*p.Stride + kx
-							if src[idx] > best {
-								best, bestIdx = src[idx], idx
+	tensor.ParFor(n, func(i0, i1 int) {
+		for i := i0; i < i1; i++ {
+			for ch := 0; ch < c; ch++ {
+				base := (i*c + ch) * h * w
+				src := x.Data()[base : base+h*w]
+				obase := (i*c + ch) * oh * ow
+				dst := out.Data()[obase : obase+oh*ow]
+				for oy := 0; oy < oh; oy++ {
+					for ox := 0; ox < ow; ox++ {
+						bestIdx := (oy*p.Stride)*w + ox*p.Stride
+						best := src[bestIdx]
+						for ky := 0; ky < p.K; ky++ {
+							for kx := 0; kx < p.K; kx++ {
+								idx := (oy*p.Stride+ky)*w + ox*p.Stride + kx
+								if src[idx] > best {
+									best, bestIdx = src[idx], idx
+								}
 							}
 						}
-					}
-					dst[oy*ow+ox] = best
-					if train {
-						argmax[obase+oy*ow+ox] = int32(base + bestIdx)
+						dst[oy*ow+ox] = best
+						if train {
+							argmax[obase+oy*ow+ox] = int32(base + bestIdx)
+						}
 					}
 				}
 			}

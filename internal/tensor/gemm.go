@@ -1,39 +1,44 @@
 package tensor
 
-import "sync"
-
 // Cache-blocked GEMM in the Goto/BLIS style, shared by the three matmul
-// variants (NN, NT, TN). The operand layouts differ only in their element
-// strides, so one blocked driver serves all three:
+// variants (NN, NT, TN) and the convolution's unfolded product. The operand
+// layouts differ only in how a block of B is read, so one blocked routine
+// serves all of them, with B given as a packer that writes a block straight
+// into the panel layout:
 //
-//	for each column block of B (gemmNC wide):
-//	  for each k block (gemmKC deep):
-//	    pack the B block into panels of gemmNR contiguous columns
-//	    parfor over row panels of A (gemmMR rows each):
-//	      pack the A panel, then run the register-tiled micro-kernel
-//	      against every packed B panel
+//	fork once: each worker takes a sub-rectangle of C (below)
+//	  for each column block of its columns (gemmNC wide):
+//	    for each k block (gemmKC deep), in ascending order:
+//	      pack the B block into panels of gemmNR contiguous columns
+//	      for each row panel of its rows (gemmMR rows each):
+//	        pack the A panel, then run the register-tiled micro-kernel
+//	        against every packed B panel
 //
 // Packing makes the micro-kernel's loads contiguous regardless of operand
 // orientation, and the gemmMR x gemmNR register tile keeps the C
 // accumulators resident in registers across the whole k block. On amd64 the
 // micro-kernel is four-wide SSE assembly (see gemm_amd64.s); elsewhere a
-// pure-Go version with the same accumulation order is used.
+// pure-Go version with the same accumulation order is used. A strided
+// matrix's packer is packB; a convolution's (ConvDims.MatMulUnfoldInto)
+// reads the images themselves, so the unfold is never formed.
 //
-// The only fork is the parfor over row panels of A, once per (column block,
-// k block): each worker owns whole gemmMR-row stripes of C, so no two
-// workers ever write the same element. The B block is packed serially
-// before the fork and read by every worker.
+// A product forks exactly once. When C has at least gemmColsPerWorker
+// column panels per worker, the workers split the column panels, each
+// packing its own B blocks and all of A; otherwise (tall, narrow products
+// such as a convolution's input gradient Wᵀ @ dy) they split the row panels,
+// each packing its own A panels and all of B. Every worker owns whole
+// panels of C, so no two write the same element.
 //
-// The pack panels are constant-size buffers from sync.Pools (one B panel per
-// product, one A panel per worker), sized for the largest block rather than
-// for the operands, so a product allocates nothing in steady state however
-// often it runs and however large its operands are.
+// Each worker takes one pack buffer, an A panel and a B block, from a shared
+// FreeList sized for the largest block rather than for the operands, so a
+// product allocates only its fork's bookkeeping however often it runs and
+// however large its operands are.
 //
 // Accumulation order over k is ascending everywhere — identical to the
-// naive small-product kernels and independent of worker count, block
-// boundaries and row grouping — so results are bitwise identical across
-// batch sizes and parallelism settings. The cloud micro-batching layer
-// relies on this to return the same predictions batched or not.
+// naive small-product kernels and independent of worker count, split,
+// block boundaries and row grouping — so results are bitwise identical
+// across batch sizes and parallelism settings. The cloud micro-batching
+// layer relies on this to return the same predictions batched or not.
 
 const (
 	gemmMR = 4   // micro-tile rows (C rows resident in registers)
@@ -44,53 +49,81 @@ const (
 	// gemmSmall is the multiply-add count below which the naive kernels
 	// win: packing costs more than it saves once operands fit in L1.
 	gemmSmall = 32 * 1024
+
+	// gemmColsPerWorker is the fewest column panels per worker for which a
+	// product splits over columns rather than rows: below it, a column
+	// split would leave workers idle or hand each a sliver of B while all
+	// of them re-pack the whole of A.
+	gemmColsPerWorker = 4
+
+	// gemmPackBufs caps the pack buffers the shared list retains: one per
+	// worker of every product in flight, with room for the nested forks of
+	// a convolution's backward and a few concurrent callers. It retains at
+	// most 16 × 65 KiB ≈ 1.0 MiB.
+	gemmPackBufs = 16
 )
 
-// Pools of pack panels, sized for a full block.
-var (
-	aPanels = sync.Pool{New: func() any { return new([gemmKC * gemmMR]float32) }}
-	bPanels = sync.Pool{New: func() any { return new([gemmKC * gemmNC]float32) }}
-)
+// packBufs hands each worker of a product one buffer: an A panel
+// [gemmKC][gemmMR] followed by a B block, gemmNC/gemmNR panels
+// [gemmKC][gemmNR].
+var packBufs = NewFreeList(gemmKC*gemmMR+gemmKC*gemmNC, gemmPackBufs)
+
+// bPacker writes rows [p0, p0+kb) and columns [j0, j0+nb) of a GEMM's B
+// operand into dst as ceil(nb/gemmNR) panels, each [kb][gemmNR], with the
+// ragged final panel zero-padded. gemmBlocked calls it from several workers
+// at once, for disjoint or identical blocks, so it must only read B.
+type bPacker func(dst []float32, p0, kb, j0, nb int)
+
+// stridedB is the packer of a strided B, B(p,j) = b[p*brs+j*bcs].
+func stridedB(b []float32, brs, bcs int) bPacker {
+	return func(dst []float32, p0, kb, j0, nb int) { packB(dst, b, brs, bcs, p0, kb, j0, nb) }
+}
 
 // gemmBlocked computes out[m,n] += A @ B where A(i,p) = a[i*ars+p*acs] and
-// B(p,j) = b[p*brs+j*bcs]. out must be row-major [m,n] and zero-initialised
-// (or hold a partial sum to accumulate onto).
-func gemmBlocked(a []float32, ars, acs int, b []float32, brs, bcs int, out []float32, m, k, n int) {
-	nPanels := (m + gemmMR - 1) / gemmMR
-	bPanel := bPanels.Get().(*[gemmKC * gemmNC]float32)
-	defer bPanels.Put(bPanel)
-	bBuf := bPanel[:]
-	// One closure for the whole product: it reads the block coordinates
-	// below, which parfor's wait orders before the next block's writes.
-	var jc, nb, nPanelsB, pc, kb int
-	rowPanels := func(ps, pe int) {
-		aPanel := aPanels.Get().(*[gemmKC * gemmMR]float32)
-		defer aPanels.Put(aPanel)
-		aBuf := aPanel[:kb*gemmMR]
-		for pi := ps; pi < pe; pi++ {
-			i0 := pi * gemmMR
-			rows := min(gemmMR, m-i0)
-			packA(aBuf, a, ars, acs, i0, rows, pc, kb)
-			cBase := i0*n + jc
-			for jp := 0; jp < nPanelsB; jp++ {
-				j0 := jp * gemmNR
-				cols := min(gemmNR, nb-j0)
-				bp := bBuf[jp*kb*gemmNR : (jp+1)*kb*gemmNR]
-				if rows == gemmMR && cols == gemmNR {
-					micro4x8(&aBuf[0], &bp[0], kb, &out[cBase+j0], n)
-				} else {
-					microEdge(aBuf, bp, kb, out[cBase+j0:], n, rows, cols)
+// B is written into panels by pack. out must be row-major [m,n] and
+// zero-initialised (or hold a partial sum to accumulate onto).
+func gemmBlocked(a []float32, ars, acs int, pack bPacker, out []float32, m, k, n int) {
+	rowPanels := (m + gemmMR - 1) / gemmMR
+	colPanels := (n + gemmNR - 1) / gemmNR
+	if colPanels >= gemmColsPerWorker*maxWorkers {
+		ParFor(colPanels, func(s, e int) {
+			gemmRect(a, ars, acs, pack, out, n, k, 0, m, s*gemmNR, min(e*gemmNR, n))
+		})
+		return
+	}
+	ParFor(rowPanels, func(s, e int) {
+		gemmRect(a, ars, acs, pack, out, n, k, s*gemmMR, min(e*gemmMR, m), 0, n)
+	})
+}
+
+// gemmRect is one worker's share of gemmBlocked: rows [i0, i1) and columns
+// [j0, j1) of the [m,n] product out (ldc = n), over all k. i0 and j0 fall on
+// panel boundaries, so the ragged panels are those of the whole product.
+func gemmRect(a []float32, ars, acs int, pack bPacker, out []float32, n, k, i0, i1, j0, j1 int) {
+	buf := packBufs.Get()
+	defer packBufs.Put(buf)
+	aBuf, bBuf := buf[:gemmKC*gemmMR], buf[gemmKC*gemmMR:]
+	for jc := j0; jc < j1; jc += gemmNC {
+		nb := min(gemmNC, j1-jc)
+		nPanelsB := (nb + gemmNR - 1) / gemmNR
+		for pc := 0; pc < k; pc += gemmKC {
+			kb := min(gemmKC, k-pc)
+			pack(bBuf, pc, kb, jc, nb)
+			for i := i0; i < i1; i += gemmMR {
+				rows := min(gemmMR, i1-i)
+				packA(aBuf, a, ars, acs, i, rows, pc, kb)
+				cBase := i*n + jc
+				for jp := 0; jp < nPanelsB; jp++ {
+					j := jp * gemmNR
+					cols := min(gemmNR, nb-j)
+					bp := bBuf[jp*kb*gemmNR : (jp+1)*kb*gemmNR]
+					if rows == gemmMR && cols == gemmNR {
+						micro4x8(&aBuf[0], &bp[0], kb, &out[cBase+j], n)
+					} else {
+						microEdge(aBuf, bp, kb, out[cBase+j:], n, rows, cols)
+					}
 				}
 			}
-		}
-	}
-	for jc = 0; jc < n; jc += gemmNC {
-		nb = min(gemmNC, n-jc)
-		nPanelsB = (nb + gemmNR - 1) / gemmNR
-		for pc = 0; pc < k; pc += gemmKC {
-			kb = min(gemmKC, k-pc)
-			packB(bBuf, b, brs, bcs, pc, kb, jc, nb)
-			parfor(nPanels, rowPanels)
 		}
 	}
 }

@@ -38,32 +38,19 @@ func (d ConvDims) ColCols() int { return d.OutH * d.OutW }
 // convolution becomes a single matrix product weight[F, C*kh*kw] @ cols.
 // src is the image data; dst must have length ColRows()*ColCols().
 func (d ConvDims) Im2Col(src, dst []float32) {
-	if len(dst) != d.ColRows()*d.ColCols() {
-		panic(fmt.Sprintf("tensor: Im2Col dst length %d != %d", len(dst), d.ColRows()*d.ColCols()))
-	}
-	d.Im2ColInto(src, dst, d.ColCols())
-}
-
-// Im2ColInto unfolds one image like Im2Col into a wider matrix whose rows
-// are ld floats apart: unfold row r lands at dst[r*ld : r*ld+ColCols()].
-// Pointing dst at column j*ColCols() of a [ColRows, t*ColCols] matrix, with
-// ld = t*ColCols(), places image j of a t-image tile beside the others, so
-// one matrix product convolves the whole tile.
-func (d ConvDims) Im2ColInto(src, dst []float32, ld int) {
 	if len(src) != d.InC*d.InH*d.InW {
 		panic(fmt.Sprintf("tensor: Im2Col src length %d != %d", len(src), d.InC*d.InH*d.InW))
 	}
-	cols := d.ColCols()
-	if ld < cols || len(dst) < (d.ColRows()-1)*ld+cols {
-		panic(fmt.Sprintf("tensor: Im2ColInto dst length %d with row stride %d cannot hold [%d,%d]",
-			len(dst), ld, d.ColRows(), cols))
+	if len(dst) != d.ColRows()*d.ColCols() {
+		panic(fmt.Sprintf("tensor: Im2Col dst length %d != %d", len(dst), d.ColRows()*d.ColCols()))
 	}
+	cols := d.ColCols()
 	row := 0
 	for c := 0; c < d.InC; c++ {
 		plane := src[c*d.InH*d.InW : (c+1)*d.InH*d.InW]
 		for ky := 0; ky < d.KH; ky++ {
 			for kx := 0; kx < d.KW; kx++ {
-				dstRow := dst[row*ld : row*ld+cols]
+				dstRow := dst[row*cols : (row+1)*cols]
 				i := 0
 				for oy := 0; oy < d.OutH; oy++ {
 					sy := oy*d.Stride + ky - d.Pad
@@ -86,6 +73,86 @@ func (d ConvDims) Im2ColInto(src, dst []float32, ld int) {
 					}
 				}
 				row++
+			}
+		}
+	}
+}
+
+// MatMulUnfoldInto overwrites out [m, t*ColCols()] with w [m, ColRows()]
+// times the unfolds of t images x [t, InC, InH, InW] side by side: column
+// j*ColCols()+q of the product is output position q of image j. It gives
+// the bits that Im2Col of each image into the columns of one
+// [ColRows(), t*ColCols()] matrix followed by MatMulInto would, but never
+// forms that matrix: the product's packer reads each block of it straight
+// from the images into the panel layout the micro-kernel wants. A product
+// under gemmSmall takes the blocked path too: its accumulation order is the
+// naive kernels', so the bits are the same.
+func (d ConvDims) MatMulUnfoldInto(out, w, x []float32, m, t int) {
+	k, n := d.ColRows(), t*d.ColCols()
+	if len(w) < m*k || len(x) < t*d.InC*d.InH*d.InW || len(out) < m*n {
+		panic(fmt.Sprintf("tensor: MatMulUnfoldInto m %d over %d images of %+v with slice lengths w %d, x %d, out %d",
+			m, t, d, len(w), len(x), len(out)))
+	}
+	out = out[:m*n]
+	clear(out)
+	gemmBlocked(w, k, 1, func(dst []float32, p0, kb, j0, nb int) {
+		d.packUnfold(dst, x, p0, kb, j0, nb)
+	}, out, m, k, n)
+}
+
+// packUnfold is the bPacker of MatMulUnfoldInto: rows [p0, p0+kb) and
+// columns [j0, j0+nb) of the images' side-by-side unfold, as panels
+// [kb][gemmNR]. Unfold row p is tap (c, ky, kx) = (p/(KH*KW), p/KW%KH,
+// p%KW) and column j output position (oy, ox) of image j/ColCols(); the
+// element is x[image][c][oy*Stride+ky-Pad][ox*Stride+kx-Pad], or 0 in the
+// padding. The packer walks a panel column by column: a column whose
+// window lies wholly inside its image gathers its kb elements through one
+// offset table; only a border column tests each tap against the padding.
+func (d ConvDims) packUnfold(dst, x []float32, p0, kb, j0, nb int) {
+	var (
+		off    [gemmKC]int // tap offset within an image: c*InH*InW + ky*InW + kx
+		ky, kx [gemmKC]int
+	)
+	inPlane, imgSize, plane := d.InH*d.InW, d.InC*d.InH*d.InW, d.ColCols()
+	c, y, xx := p0/(d.KH*d.KW), p0/d.KW%d.KH, p0%d.KW
+	for p := 0; p < kb; p++ {
+		off[p], ky[p], kx[p] = c*inPlane+y*d.InW+xx, y, xx
+		if xx++; xx == d.KW {
+			if xx, y = 0, y+1; y == d.KH {
+				y, c = 0, c+1
+			}
+		}
+	}
+	offs, kys, kxs := off[:kb], ky[:kb], kx[:kb]
+	nPanels := (nb + gemmNR - 1) / gemmNR
+	for jp := 0; jp < nPanels; jp++ {
+		panel := dst[jp*kb*gemmNR : (jp+1)*kb*gemmNR]
+		cols := min(gemmNR, nb-jp*gemmNR)
+		for col := 0; col < cols; col++ {
+			j := j0 + jp*gemmNR + col
+			img, q := j/plane, j%plane
+			sy0, sx0 := q/d.OutW*d.Stride-d.Pad, q%d.OutW*d.Stride-d.Pad
+			origin := img*imgSize + sy0*d.InW + sx0
+			if sy0 >= 0 && sx0 >= 0 && sy0+d.KH <= d.InH && sx0+d.KW <= d.InW {
+				src := x[img*imgSize : (img+1)*imgSize]
+				base := sy0*d.InW + sx0
+				for p, o := range offs {
+					panel[p*gemmNR+col] = src[base+o]
+				}
+				continue
+			}
+			for p, o := range offs {
+				sy, sx := sy0+kys[p], sx0+kxs[p]
+				if uint(sy) < uint(d.InH) && uint(sx) < uint(d.InW) {
+					panel[p*gemmNR+col] = x[origin+o]
+				} else {
+					panel[p*gemmNR+col] = 0
+				}
+			}
+		}
+		for col := cols; col < gemmNR; col++ {
+			for p := 0; p < kb; p++ {
+				panel[p*gemmNR+col] = 0
 			}
 		}
 	}

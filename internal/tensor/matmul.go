@@ -77,10 +77,10 @@ func MatMulTN(a, b *Tensor) *Tensor {
 // in ascending order, so the paths agree bitwise.
 func gemmNN(a, b, out []float32, m, k, n int) {
 	if m*k*n > gemmSmall {
-		gemmBlocked(a, k, 1, b, n, 1, out, m, k, n)
+		gemmBlocked(a, k, 1, stridedB(b, n, 1), out, m, k, n)
 		return
 	}
-	parfor(m, func(rs, re int) {
+	ParFor(m, func(rs, re int) {
 		for i := rs; i < re; i++ {
 			ar := a[i*k : (i+1)*k]
 			or := out[i*n : (i+1)*n]
@@ -98,10 +98,10 @@ func gemmNN(a, b, out []float32, m, k, n int) {
 // contiguous, so the small-product fallback uses the dot-product form.
 func gemmNT(a, b, out []float32, m, k, n int) {
 	if m*k*n > gemmSmall {
-		gemmBlocked(a, k, 1, b, 1, k, out, m, k, n)
+		gemmBlocked(a, k, 1, stridedB(b, 1, k), out, m, k, n)
 		return
 	}
-	parfor(m, func(rs, re int) {
+	ParFor(m, func(rs, re int) {
 		for i := rs; i < re; i++ {
 			ar := a[i*k : (i+1)*k]
 			or := out[i*n : (i+1)*n]
@@ -121,10 +121,10 @@ func gemmNT(a, b, out []float32, m, k, n int) {
 // accumulates rank-1 updates, parallelised over output rows (columns of a).
 func gemmTN(a, b, out []float32, m, k, n int) {
 	if m*k*n > gemmSmall {
-		gemmBlocked(a, 1, m, b, n, 1, out, m, k, n)
+		gemmBlocked(a, 1, m, stridedB(b, n, 1), out, m, k, n)
 		return
 	}
-	parfor(m, func(rs, re int) {
+	ParFor(m, func(rs, re int) {
 		for i := rs; i < re; i++ {
 			or := out[i*n : (i+1)*n]
 			for p := 0; p < k; p++ {

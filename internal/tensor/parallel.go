@@ -22,10 +22,12 @@ func SetParallelism(n int) {
 // Parallelism reports the current worker count used by parallel kernels.
 func Parallelism() int { return maxWorkers }
 
-// parfor splits [0,n) into contiguous chunks and runs body on each chunk,
-// using up to maxWorkers goroutines. It waits for all chunks to finish.
-// For small n it runs inline to avoid goroutine overhead.
-func parfor(n int, body func(start, end int)) {
+// ParFor splits [0,n) into contiguous chunks and runs body on each chunk in
+// its own goroutine: with w = min(maxWorkers, n), chunks of ceil(n/w)
+// indices from 0 up, the last one short, so at most w of them. It waits for
+// all chunks to finish. With one worker, or n == 1, it runs inline. It is
+// the one fork primitive of the kernels and the layers built on them.
+func ParFor(n int, body func(start, end int)) {
 	if n <= 0 {
 		return
 	}
