@@ -5,8 +5,10 @@
 # fails (exit 1) on a >15% regression in the gated benchmarks: ns/op of
 # MatMul512 and MEANetInferBatch, B/op and allocs/op of MEANetInferBatch (the
 # edge forward's garbage per 16-image batch) and of MEANetTrainStep (one
-# 16-image step of the edge blocks' training), each by its best (minimum)
-# value. The serving path is gated by benchmark/ (BENCHMARK.json), not here.
+# 16-image step of the edge blocks' training), and ns/op and allocs/op of
+# MEANetInferBatchMixed (the same batch with part of it on the extension
+# path), each by its best (minimum) value. The serving path is gated by
+# benchmark/ (BENCHMARK.json), not here.
 #
 # A gated benchmark the base lacks but the head has is printed NEW and
 # passes, so a change can add a benchmark and gate it in one go; one the
@@ -17,7 +19,7 @@
 # only inflates the worst. 15% sits far above the residual jitter of
 # -benchtime=3x -count=3 on these benchmarks. B/op and allocs/op barely move
 # between reps: the kernels' scratch comes from free lists the GC never
-# empties, so what is left is the layers' outputs and one fork per product.
+# empties, so what is left is the layers' outputs and the forks' closures.
 set -euo pipefail
 
 base=${1:?usage: benchgate.sh base.txt head.txt}
@@ -63,7 +65,8 @@ gate() {
 
 for gated in "BenchmarkMatMul512 ns/op" "BenchmarkMEANetInferBatch ns/op" \
   "BenchmarkMEANetInferBatch B/op" "BenchmarkMEANetTrainStep B/op" \
-  "BenchmarkMEANetInferBatch allocs/op" "BenchmarkMEANetTrainStep allocs/op"; do
+  "BenchmarkMEANetInferBatch allocs/op" "BenchmarkMEANetTrainStep allocs/op" \
+  "BenchmarkMEANetInferBatchMixed ns/op" "BenchmarkMEANetInferBatchMixed allocs/op"; do
   read -r name unit <<<"$gated"
   gate "$name" "$unit" "$(best "$base" "$name" "$unit")" "$(best "$head" "$name" "$unit")"
 done

@@ -13,6 +13,7 @@ package meanet_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -382,6 +383,76 @@ func BenchmarkMEANetInferBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(16*b.N)/b.Elapsed().Seconds(), "images/s")
+}
+
+// BenchmarkMEANetInferBatchMixed is BenchmarkMEANetInferBatch with the
+// extension path built: an extension exit, and a hard-class set that the
+// main exit predicts for part of the 16-image batch, so both of Algorithm 2's
+// edge exits run in every iteration.
+func BenchmarkMEANetInferBatchMixed(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	backbone, err := models.BuildResNet(rng, models.ResNetEdgeC100(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := core.BuildMEANetA(rng, backbone, 2, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.ExtExit = models.NewExit(rng, "bench.extexit", m.ExtOutChannels(), 10)
+	x := tensor.Randn(rng, 1, 16, 3, 12, 12)
+	// Untrained, the main exit gives every image the same label. Centring
+	// its logits over the batch spreads them; then the hard classes are the
+	// labels of the batch's first six images, padded to the extension
+	// exit's ten with classes no image of the batch gets.
+	_, logits := m.MainForward(x, false)
+	bias := m.MainExit.Layers[1].(*nn.Linear).B.Data.Data()
+	for c := range bias {
+		var mean float32
+		for i := 0; i < 16; i++ {
+			mean += logits.Row(i)[c] / 16
+		}
+		bias[c] -= mean
+	}
+	_, logits = m.MainForward(x, false)
+	preds := logits.ArgMaxRows()
+	hard, predicted := []int{}, map[int]bool{}
+	for i, p := range preds {
+		if i < 6 && !slices.Contains(hard, p) {
+			hard = append(hard, p)
+		}
+		predicted[p] = true
+	}
+	for c := 0; len(hard) < 10; c++ {
+		if !predicted[c] {
+			hard = append(hard, c)
+		}
+	}
+	if m.Dict, err = core.NewClassDict(hard); err != nil {
+		b.Fatal(err)
+	}
+	dec, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, protocol.RepRaw, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ext := 0
+	for _, d := range dec {
+		if d.Exit == core.ExitExtension {
+			ext++
+		}
+	}
+	if ext == 0 || ext == len(dec) {
+		b.Fatalf("%d of %d images take the extension exit, want part of the batch", ext, len(dec))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, protocol.RepRaw, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(16*b.N)/b.Elapsed().Seconds(), "images/s")
+	b.ReportMetric(float64(ext), "ext-images/batch")
 }
 
 func BenchmarkProtocolTensorRoundTrip(b *testing.B) {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
@@ -112,6 +113,23 @@ type Policy struct {
 // representation choice when the cloud's raw model is the composition of the
 // edge main block and the tail (see cloud.Partitioned); only bytes, energy
 // and latency differ.
+//
+// Every image's eval forward is bitwise independent of its batch-mates, so
+// the batch is split into contiguous chunks of images, one per kernel
+// worker, and runs in three phases:
+//  1. each chunk runs the main block and its exit on a view of its images,
+//     fills its own decisions and marks its hard instances (tensor.ParFor
+//     over the chunks);
+//  2. serially, the cloud-qualifying instances are gathered from x or from
+//     the chunks' features in ascending index order, and each attempt is
+//     one CloudBatchFunc call;
+//  3. the hard instances the cloud did not serve, gathered in ascending
+//     index order, are split evenly across the workers again (ParFor over
+//     them), and each part runs the adaptive and extension blocks.
+//
+// The kernels' own forks inside a phase find the helpers taken and run
+// inline, so a batch forks twice instead of once per layer. Decisions and
+// the tensor the cloud receives are bitwise those of a one-worker run.
 func (m *MEANet) InferBatchedRep(x *tensor.Tensor, pol Policy, rep protocol.Rep, cloud CloudBatchFunc) ([]Decision, error) {
 	if x.Dims() != 4 {
 		return nil, fmt.Errorf("core: Infer expects NCHW input, got %v", x.Shape())
@@ -123,35 +141,24 @@ func (m *MEANet) InferBatchedRep(x *tensor.Tensor, pol Policy, rep protocol.Rep,
 	if n == 0 {
 		return []Decision{}, nil // nothing to classify; skip the forward pass
 	}
-	feat, logits := m.MainForward(x, false)
-	probs := tensor.Softmax(logits)
-
-	var detectorFlags []bool
-	if pol.Detector != nil {
-		detectorFlags = pol.Detector.Predict(feat)
-	}
 	decisions := make([]Decision, n)
+	chunks := splitBatch(x)
+	tensor.ParFor(len(chunks), func(c0, c1 int) {
+		for c := c0; c < c1; c++ {
+			m.mainChunk(&chunks[c], decisions, pol.Detector)
+		}
+	})
+
 	var cloudIdx []int
-	for i := 0; i < n; i++ {
-		row := probs.Row(i)
-		pred1 := argmax(row)
-		d := &decisions[i]
-		d.Pred = pred1
-		d.MainPred = pred1
-		d.Exit = ExitMain
-		d.Entropy = tensor.Entropy(row)
-		d.ConfMain = float64(row[pred1])
-		if pol.UseCloud && cloud != nil && d.Entropy > pol.Threshold {
-			cloudIdx = append(cloudIdx, i)
+	if pol.UseCloud && cloud != nil {
+		for i := range decisions {
+			if decisions[i].Entropy > pol.Threshold {
+				cloudIdx = append(cloudIdx, i)
+			}
 		}
 	}
-
 	if len(cloudIdx) > 0 {
-		src := x
-		if rep == protocol.RepFeatures {
-			src = feat
-		}
-		sub := gatherSamples(src, cloudIdx)
+		sub := gatherRows(x, chunks, cloudIdx, rep)
 		// Attempt loop: a call succeeds or fails as one, so every attempt
 		// ships the whole gathered set.
 		served, shed := false, false
@@ -181,42 +188,126 @@ func (m *MEANet) InferBatchedRep(x *tensor.Tensor, pol Policy, rep protocol.Rep,
 	}
 
 	var hardIdx []int
-	for i := 0; i < n; i++ {
-		d := &decisions[i]
-		if d.Exit == ExitCloud {
-			continue
-		}
-		isHard := m.Dict != nil && m.Dict.IsHard(d.MainPred)
-		if detectorFlags != nil {
-			isHard = detectorFlags[i]
-		}
-		if m.Dict != nil && m.ExtExit != nil && isHard {
-			hardIdx = append(hardIdx, i)
+	for _, c := range chunks {
+		for i := c.start; c.hard != nil && i < c.end; i++ {
+			if c.hard[i-c.start] && decisions[i].Exit != ExitCloud {
+				hardIdx = append(hardIdx, i)
+			}
 		}
 	}
-
-	if len(hardIdx) > 0 {
-		subX := gatherSamples(x, hardIdx)
-		subF := gatherSamples(feat, hardIdx)
-		extLogits, err := m.ExtForward(subX, subF, false)
-		if err != nil {
-			return nil, err
+	var (
+		mu     sync.Mutex
+		extErr error
+	)
+	tensor.ParFor(len(hardIdx), func(s, e int) {
+		if err := m.extPart(x, chunks, hardIdx[s:e], decisions); err != nil {
+			mu.Lock()
+			extErr = err
+			mu.Unlock()
 		}
-		extProbs := tensor.Softmax(extLogits)
-		for bi, i := range hardIdx {
-			row := extProbs.Row(bi)
-			pred2 := argmax(row)
-			d := &decisions[i]
-			d.ConfExt = float64(row[pred2])
-			// Select the more confident exit (§III-B); ties favour the main
-			// block, which saw all classes.
-			if d.ConfExt > d.ConfMain {
-				d.Pred = m.Dict.FromHard[pred2]
-			}
-			d.Exit = ExitExtension
-		}
+	})
+	if extErr != nil {
+		return nil, extErr
 	}
 	return decisions, nil
+}
+
+// batchChunk is one contiguous run [start, end) of a batch's images: a view
+// of them, and what phase 1 computed for them — their main-block features
+// and whether each is to take the extension path unless the cloud serves it.
+type batchChunk struct {
+	start, end int
+	x, feat    *tensor.Tensor
+	hard       []bool
+}
+
+// splitBatch cuts x into the chunks tensor.ParFor would fork over its
+// images: ceil(n/w) images each for w = min(Parallelism, n) workers.
+func splitBatch(x *tensor.Tensor) []batchChunk {
+	n := x.Dim(0)
+	workers := min(tensor.Parallelism(), n)
+	size := (n + workers - 1) / workers
+	shape := x.Shape()
+	per := x.Numel() / n
+	chunks := make([]batchChunk, 0, workers)
+	for s := 0; s < n; s += size {
+		e := min(s+size, n)
+		view := tensor.FromSlice(x.Data()[s*per:e*per], e-s, shape[1], shape[2], shape[3])
+		chunks = append(chunks, batchChunk{start: s, end: e, x: view})
+	}
+	return chunks
+}
+
+// mainChunk runs the main block and its exit on c's images, fills their
+// decisions as main exits, and marks the ones the hard-class dictionary (or
+// the detector, when set) routes to the extension path.
+func (m *MEANet) mainChunk(c *batchChunk, decisions []Decision, det *HardnessDetector) {
+	feat, logits := m.MainForward(c.x, false)
+	c.feat = feat
+	probs := tensor.Softmax(logits)
+	for i := c.start; i < c.end; i++ {
+		row := probs.Row(i - c.start)
+		pred1 := argmax(row)
+		d := &decisions[i]
+		d.Pred = pred1
+		d.MainPred = pred1
+		d.Exit = ExitMain
+		d.Entropy = tensor.Entropy(row)
+		d.ConfMain = float64(row[pred1])
+	}
+	if m.Dict == nil || m.ExtExit == nil {
+		return // no extension path: c.hard stays nil
+	}
+	if det != nil {
+		c.hard = det.Predict(feat)
+		return
+	}
+	c.hard = make([]bool, c.end-c.start)
+	for i := range c.hard {
+		c.hard[i] = m.Dict.IsHard(decisions[c.start+i].MainPred)
+	}
+}
+
+// gatherRows copies the instances idx (ascending batch positions) into one
+// tensor: their raw images from x, or their main-block features from the
+// chunks that computed them.
+func gatherRows(x *tensor.Tensor, chunks []batchChunk, idx []int, rep protocol.Rep) *tensor.Tensor {
+	if rep == protocol.RepRaw {
+		return gatherSamples(x, idx)
+	}
+	shape := append([]int{len(idx)}, chunks[0].feat.Shape()[1:]...)
+	out := tensor.New(shape...)
+	per, size := out.Numel()/len(idx), chunks[0].end
+	for bi, i := range idx {
+		c := &chunks[i/size]
+		j := i - c.start
+		copy(out.Data()[bi*per:(bi+1)*per], c.feat.Data()[j*per:(j+1)*per])
+	}
+	return out
+}
+
+// extPart runs the adaptive and extension blocks on the hard instances idx
+// (ascending batch positions), and the more confident edge exit wins.
+func (m *MEANet) extPart(x *tensor.Tensor, chunks []batchChunk, idx []int, decisions []Decision) error {
+	extLogits, err := m.ExtForward(gatherRows(x, chunks, idx, protocol.RepRaw),
+		gatherRows(x, chunks, idx, protocol.RepFeatures), false)
+	if err != nil {
+		return err
+	}
+	extProbs := tensor.Softmax(extLogits)
+	for bi, i := range idx {
+		row := extProbs.Row(bi)
+		pred2 := argmax(row)
+		d := &decisions[i]
+		d.ConfExt = float64(row[pred2])
+		// Select the more confident exit (§III-B); ties favour the main
+		// block, which saw all classes.
+		if d.ConfExt > d.ConfMain {
+			d.Pred = m.Dict.FromHard[pred2]
+		}
+		d.Exit = ExitExtension
+	}
+	return nil
 }
 
 // InferDataset runs InferBatchedRep (raw uploads) over a whole dataset in
@@ -267,9 +358,9 @@ func argmax(row []float32) int {
 func gatherSamples(t *tensor.Tensor, idx []int) *tensor.Tensor {
 	shape := append([]int{len(idx)}, t.Shape()[1:]...)
 	out := tensor.New(shape...)
-	sub := t.Numel() / t.Dim(0)
+	sub, src := t.Numel()/t.Dim(0), t.Data()
 	for bi, i := range idx {
-		copy(out.Data()[bi*sub:(bi+1)*sub], t.Sample(i).Data())
+		copy(out.Data()[bi*sub:(bi+1)*sub], src[i*sub:(i+1)*sub])
 	}
 	return out
 }
