@@ -126,6 +126,12 @@ func run(args []string) error {
 	if *epochs < 0 {
 		return fmt.Errorf("negative -epochs %d", *epochs)
 	}
+	if *batch < 0 {
+		return fmt.Errorf("negative -batch %d (0 = no batching)", *batch)
+	}
+	if *linger < 0 {
+		return fmt.Errorf("negative -linger %v", *linger)
+	}
 	scale, err := deploy.ParseScale(*scaleName)
 	if err != nil {
 		return err

@@ -36,3 +36,21 @@ func TestNegativeEpochsRejected(t *testing.T) {
 		t.Fatalf("run with -epochs -1 returned %v, want a -epochs validation error", err)
 	}
 }
+
+// TestNegativeBatchingFlagsRejected: a negative -batch or -linger fails flag
+// validation, before any training starts, instead of serving unbatched or
+// with the default linger.
+func TestNegativeBatchingFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-batch", []string{"-scale", "tiny", "-batch", "-1"}},
+		{"-linger", []string{"-scale", "tiny", "-batch", "8", "-linger", "-1ms"}},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("run %q returned %v, want a %s validation error", tc.args, err, tc.flag)
+		}
+	}
+}

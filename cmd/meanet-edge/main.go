@@ -155,24 +155,36 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Fail fast on bad flags and illegal combinations: every check up to
+	// training reads only the flags (and the untrained network's geometry),
+	// so a bad invocation dies in milliseconds instead of after minutes of
+	// training. Each error names its flag.
 	if *batch < 1 {
-		return fmt.Errorf("batch size %d, want ≥1", *batch)
+		return fmt.Errorf("-batch %d, want ≥ 1", *batch)
 	}
 	if *retries < 0 {
-		return fmt.Errorf("retries %d, want ≥0", *retries)
+		return fmt.Errorf("-retries %d, want ≥ 0", *retries)
 	}
 	mode, err := edge.ParseOffloadMode(*offload)
 	if err != nil {
-		return err
+		return fmt.Errorf("-offload: %w", err)
 	}
 	scale, err := deploy.ParseScale(*scaleName)
 	if err != nil {
-		return err
+		return fmt.Errorf("-scale: %w", err)
 	}
-
-	// Fail fast on illegal flag combinations: every check here reads only
-	// the flags, so a bad invocation dies in milliseconds instead of after
-	// minutes of training.
+	if err := (netsim.Link{Latency: *latency}).Validate(); err != nil {
+		return fmt.Errorf("-latency: %w", err)
+	}
+	if err := (netsim.Link{Mbps: *mbps}).Validate(); err != nil {
+		return fmt.Errorf("-mbps: %w", err)
+	}
+	if *budget < 0 {
+		return fmt.Errorf("-latency-budget %v, want ≥ 0 (0 = off)", *budget)
+	}
+	if *minSamples < 0 {
+		return fmt.Errorf("-adapt-min-samples %d, want ≥ 0 (0 = default 8)", *minSamples)
+	}
 	addrs := edge.SplitAddrs(*cloudAddr)
 	var cuts []core.CutPoint
 	if *cutsFlag != "" {
@@ -183,7 +195,7 @@ func run(args []string) error {
 			return fmt.Errorf("-cuts relays stage activations through the chain; only -offload raw applies")
 		}
 		if cuts, err = deploy.ParseCuts(*cutsFlag); err != nil {
-			return err
+			return fmt.Errorf("-cuts: %w", err)
 		}
 	}
 	if *replan && *cutsFlag == "" {
@@ -198,10 +210,13 @@ func run(args []string) error {
 	if *adminAddr != "" && len(addrs) < 2 {
 		return fmt.Errorf("-admin needs a multi-replica run (-cloud with ≥2 addresses)")
 	}
+	if !*plan && (*planRates != "" || *planLinks != "") {
+		return fmt.Errorf("-plan-rates/-plan-links only apply with -plan")
+	}
 
 	synth, err := deploy.GeneratePreset(*dataset, scale, *seed)
 	if err != nil {
-		return err
+		return fmt.Errorf("-dataset: %w", err)
 	}
 	classes := synth.Train.NumClasses
 
@@ -215,7 +230,7 @@ func run(args []string) error {
 	}
 	m, err := deploy.BuildEdgeNet(spec, classes)
 	if err != nil {
-		return err
+		return fmt.Errorf("-variant: %w", err)
 	}
 
 	// Planning mode: the solver only reads the chain's layer geometry, so it
@@ -223,8 +238,10 @@ func run(args []string) error {
 	if *plan {
 		return planPlacement(m, synth, *planRates, *planLinks)
 	}
-	if *planRates != "" || *planLinks != "" {
-		return fmt.Errorf("-plan-rates/-plan-links only apply with -plan")
+	flat := core.FlattenChain(m.Main)
+	if len(cuts) > 0 && int(cuts[0]) > len(flat) {
+		return fmt.Errorf("-cuts: first cut %d is past the edge main block (%d units): the edge can only run main-block units locally",
+			cuts[0], len(flat))
 	}
 
 	start := time.Now()
@@ -249,8 +266,9 @@ func run(args []string) error {
 	var mc *edge.MultiClient
 	var cc *edge.ChainClient
 	useCloud := len(addrs) > 0
+	link := netsim.Link{Latency: *latency, Mbps: *mbps}
 	if useCloud {
-		dcfg := edge.DialConfig{Link: netsim.Link{Latency: *latency, Mbps: *mbps}}
+		dcfg := edge.DialConfig{Link: link}
 		var err error
 		if len(addrs) == 1 {
 			client, err = edge.DialCloud(addrs[0], dcfg)
@@ -272,11 +290,6 @@ func run(args []string) error {
 	// the edge's own stage of the cut chain; offloads relay activations
 	// through the stage servers instead of shipping raw pixels.
 	if *cutsFlag != "" {
-		flat := core.FlattenChain(m.Main)
-		if int(cuts[0]) > len(flat) {
-			return fmt.Errorf("first cut %d is past the edge main block (%d units): the edge can only run main-block units locally",
-				cuts[0], len(flat))
-		}
 		// The client needs the FULL chain geometry — main block plus tail —
 		// to validate the route and, with -replan, to price every legal
 		// placement. The tail is built untrained: only its layer geometry
@@ -305,7 +318,7 @@ func run(args []string) error {
 			fmt.Fprintf(os.Stderr, "live re-placement on: cuts move beyond +%.0f%% modeled gain\n", 100**replanHyst)
 		}
 		if *chainFallback != "" {
-			direct, err := edge.DialCloud(*chainFallback, edge.DialConfig{Link: netsim.Link{Latency: *latency, Mbps: *mbps}})
+			direct, err := edge.DialCloud(*chainFallback, edge.DialConfig{Link: link})
 			if err != nil {
 				return fmt.Errorf("dial chain fallback %s: %w", *chainFallback, err)
 			}
@@ -668,7 +681,11 @@ func parseLinks(s string) ([]netsim.Link, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad -plan-links latency %q: %w", latStr, err)
 		}
-		links = append(links, netsim.Link{Latency: lat, Mbps: mbps})
+		link := netsim.Link{Latency: lat, Mbps: mbps}
+		if err := link.Validate(); err != nil {
+			return nil, fmt.Errorf("bad -plan-links entry %q: %w", part, err)
+		}
+		links = append(links, link)
 	}
 	return links, nil
 }

@@ -46,35 +46,6 @@ func startServer(t *testing.T, cls *models.Classifier, tail *Tail) *Server {
 	return s
 }
 
-func TestServerClassifyMatchesLocalModel(t *testing.T) {
-	cls := testClassifier(t, 1)
-	s := startServer(t, cls, nil)
-	client, err := edge.DialCloud(s.Addr().String(), edge.DialConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	rng := rand.New(rand.NewSource(2))
-	img := tensor.Randn(rng, 1, 3, 8, 8)
-	pred, conf, err := client.Classify(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Local reference.
-	inproc := &edge.InProcClient{Model: cls}
-	wantPred, wantConf, err := inproc.Classify(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred != wantPred {
-		t.Fatalf("remote pred %d, local pred %d", pred, wantPred)
-	}
-	if diff := conf - wantConf; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("remote conf %v, local conf %v", conf, wantConf)
-	}
-}
-
 func TestServerPing(t *testing.T) {
 	s := startServer(t, testClassifier(t, 3), nil)
 	client, err := edge.DialCloud(s.Addr().String(), edge.DialConfig{})
@@ -351,39 +322,6 @@ func featTestTail(t *testing.T, seed int64, inFeat, classes int) *Tail {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	return &Tail{Body: nn.Identity{}, Exit: models.NewExit(rng, "tailtest", inFeat, classes)}
-}
-
-// TestFeatureBatchFrameMatchesSerial ships a client-assembled feature batch
-// (one NCHW features request) and checks it bitwise against per-feature
-// ClassifyFeatures calls.
-func TestFeatureBatchFrameMatchesSerial(t *testing.T) {
-	tail := featTestTail(t, 31, 8, 5)
-	s := startServer(t, testClassifier(t, 31), tail)
-	client, err := edge.DialCloud(s.Addr().String(), edge.DialConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	rng := rand.New(rand.NewSource(32))
-	feats := make([]*tensor.Tensor, 6)
-	for i := range feats {
-		feats[i] = tensor.Randn(rng, 1, 8, 3, 3)
-	}
-	preds, confs, err := client.ClassifyFeaturesBatch(feats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, feat := range feats {
-		pred, conf, err := client.ClassifyFeatures(feat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if preds[i] != pred || confs[i] != conf {
-			t.Fatalf("feature %d: batch %d/%v, single %d/%v (must be bitwise identical)",
-				i, preds[i], confs[i], pred, conf)
-		}
-	}
 }
 
 // TestFeatureBatchFrameUnsupported: a server with no tail must answer the

@@ -47,49 +47,6 @@ func relayRouted(c Downstream, batch *tensor.Tensor, ttl uint8, pos int, bounds 
 	return reply.Results, reply.Hops, err
 }
 
-// TestStageChainMatchesMonolithic relays a batch through a two-hop stage
-// chain and checks predictions AND confidences bitwise against the in-process
-// monolithic forward — the hops run the classifier's own layer objects, so
-// any drift would be a serving-path bug, not numerics.
-func TestStageChainMatchesMonolithic(t *testing.T) {
-	cls := testClassifier(t, 41)
-	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	if len(chain) < 3 {
-		t.Fatalf("test chain too short to cut: %d units", len(chain))
-	}
-	terminal := startStageServer(t, chain, nil)
-	first := startStageServer(t, chain, dialHop(t, terminal))
-	client := dialHop(t, first)
-
-	rng := rand.New(rand.NewSource(42))
-	batch := tensor.Randn(rng, 1, 4, 3, 8, 8)
-	rs, _, err := relayRouted(client, batch, 4, 0, []int{len(chain) / 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 4 {
-		t.Fatalf("%d results for 4 instances", len(rs))
-	}
-	logits := cls.Logits(batch, false)
-	for i, r := range rs {
-		// The contract is chain == monolithic POST-PROCESSED output, so the
-		// reference goes through the server's own post-processing.
-		want := protocol.ResultOf(logits.Row(i))
-		wantPred, wantConf := want.Pred, want.Conf
-		if r.Pred != wantPred || r.Conf != wantConf {
-			t.Fatalf("row %d: chain gave %d/%v, monolithic %d/%v", i, r.Pred, r.Conf, wantPred, wantConf)
-		}
-	}
-
-	// Accounting: the first hop forwarded, the terminal hop served.
-	if st := first.Stats(); st.Relayed != 4 || st.InstancesServed != 0 {
-		t.Fatalf("first hop stats %+v", st)
-	}
-	if st := terminal.Stats(); st.Relayed != 0 || st.InstancesServed != 4 {
-		t.Fatalf("terminal hop stats %+v", st)
-	}
-}
-
 // TestRelayTTLExhausted drives a frame whose hop budget runs out at a
 // non-terminal hop: the chain must answer with an error instead of
 // forwarding — the cycle guard.

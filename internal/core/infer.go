@@ -336,8 +336,8 @@ func (m *MEANet) InferDataset(ds datasetView, batch int, pol Policy, cloud Cloud
 	return out, nil
 }
 
-// datasetView is the subset of data.Dataset Infer needs; declared locally to
-// keep the dependency direction explicit.
+// datasetView is the subset of data.Dataset InferDataset needs; declared
+// locally to keep the dependency direction explicit.
 type datasetView interface {
 	Batch(indices []int) (*tensor.Tensor, []int)
 	Len() int

@@ -1,9 +1,10 @@
 package edge_test
 
-// End-to-end tests of the multi-hop chain client over real TCP: a partitioned
-// chain answers bitwise like the monolithic model, a pre-stage-mode server
-// answers relay frames with MsgError and the client survives (the MsgHello
-// legacy pattern), and the chain surfaces transport-level accounting.
+// End-to-end tests of the multi-hop chain client over real TCP: a
+// pre-stage-mode server answers relay frames with MsgError and the client
+// survives (the MsgHello legacy pattern), and the routed client validates its
+// configuration. That a chain answers bitwise like the monolithic model, at
+// every cut, is a row of TestServingConformance (internal/deploy).
 
 import (
 	"math/rand"
@@ -13,73 +14,9 @@ import (
 	"github.com/meanet/meanet/internal/cloud"
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/edge"
-	"github.com/meanet/meanet/internal/netsim/fleet"
 	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
-
-func TestChainClientMatchesInProc(t *testing.T) {
-	cls := buildCloudModel(t, 61)
-	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	if len(chain) < 4 {
-		t.Fatalf("chain too short: %d", len(chain))
-	}
-	cuts := []core.CutPoint{
-		core.CutPoint(len(chain) / 3), core.CutPoint(2 * len(chain) / 3),
-	}
-	ch, err := fleet.StartChain([]fleet.ChainHop{{Chain: chain}, {Chain: chain}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ch.Close()
-	next, err := edge.DialCloud(ch.Addr(), edge.DialConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := edge.NewRoutedChainClient(next, edge.ChainConfig{Chain: chain, Cuts: cuts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	rng := rand.New(rand.NewSource(62))
-	imgs := make([]*tensor.Tensor, 5)
-	for i := range imgs {
-		imgs[i] = tensor.Randn(rng, 1, 3, 8, 8)
-	}
-	preds, confs, err := client.ClassifyBatch(imgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inproc := &edge.InProcClient{Model: cls}
-	wantPreds, wantConfs, err := inproc.ClassifyBatch(imgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range imgs {
-		if preds[i] != wantPreds[i] {
-			t.Fatalf("img %d: chain pred %d, monolithic %d", i, preds[i], wantPreds[i])
-		}
-		if diff := confs[i] - wantConfs[i]; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("img %d: chain conf %v, monolithic %v", i, confs[i], wantConfs[i])
-		}
-	}
-
-	// The single-image path goes through the same stacked fast path.
-	pred, _, err := client.Classify(imgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred != wantPreds[0] {
-		t.Fatalf("single-image pred %d, batch pred %d", pred, wantPreds[0])
-	}
-	if client.BytesSent() == 0 {
-		t.Fatal("chain client reported zero wire bytes after classifying")
-	}
-	if est := client.LinkEstimate(); est.Samples == 0 {
-		t.Fatal("relay round trips fed no link-estimator samples")
-	}
-}
 
 // TestRelayLegacyServer pins the mixed-version contract, mirroring the
 // MsgHello pattern: a server predating stage mode answers relay frames with

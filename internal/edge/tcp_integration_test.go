@@ -18,7 +18,6 @@ import (
 	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/nn"
-	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -137,178 +136,6 @@ func TestTCPClientSurvivesInjectedTransportFault(t *testing.T) {
 	}
 	if _, _, err := client.Classify(img); err == nil {
 		t.Fatal("classify succeeded over a broken link")
-	}
-}
-
-// TestBatchedServerMatchesUnbatchedBitwise is the acceptance test of the
-// micro-batching path: N concurrent edge clients offload to a batching
-// server, and every prediction and confidence must be bitwise identical to
-// the unbatched server running the same model — batching is a pure
-// throughput optimisation, never a numerics change. This holds because the
-// tensor kernels accumulate in the same order for every batch size.
-func TestBatchedServerMatchesUnbatchedBitwise(t *testing.T) {
-	cls := buildCloudModel(t, 40)
-	// Both servers also mount the classifier's own layers as a features tail
-	// (units [cut, end)) and as a serving chain, for the same-answers table at
-	// the end; the raw traffic in between never touches either.
-	chain := core.FlattenChain(cls.Backbone, cls.Exit)
-	const cut = 3
-	tail := &cloud.Tail{Body: nn.NewSequential("tailbody", chain[cut:len(chain)-1]...), Exit: chain[len(chain)-1]}
-	stage := cloud.WithStage(cloud.StageConfig{Chain: chain})
-	plain, err := cloud.NewServer(cls, tail, stage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	batched, err := cloud.NewServer(cls, tail, stage,
-		cloud.WithBatching(cloud.BatchConfig{MaxBatch: 8, Linger: 50 * time.Millisecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := batched.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer batched.Close()
-
-	const clients, perClient = 6, 4
-	const total = clients * perClient
-	rng := rand.New(rand.NewSource(41))
-	imgs := make([]*tensor.Tensor, total)
-	for i := range imgs {
-		imgs[i] = tensor.Randn(rng, 1, 3, 8, 8)
-	}
-
-	// Reference: the unbatched server, one request at a time.
-	ref, err := edge.DialCloud(plain.Addr().String(), edge.DialConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	wantPred := make([]int, total)
-	wantConf := make([]float64, total)
-	for i, img := range imgs {
-		wantPred[i], wantConf[i], err = ref.Classify(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Measurement: N concurrent clients against the batching server.
-	gotPred := make([]int, total)
-	gotConf := make([]float64, total)
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			client, err := edge.DialCloud(batched.Addr().String(), edge.DialConfig{})
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer client.Close()
-			for i := c * perClient; i < (c+1)*perClient; i++ {
-				pred, conf, err := client.Classify(imgs[i])
-				if err != nil {
-					errs <- err
-					return
-				}
-				gotPred[i], gotConf[i] = pred, conf
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	for i := range imgs {
-		if gotPred[i] != wantPred[i] {
-			t.Fatalf("image %d: batched pred %d, unbatched %d", i, gotPred[i], wantPred[i])
-		}
-		if gotConf[i] != wantConf[i] {
-			t.Fatalf("image %d: batched conf %v != unbatched %v (must be bitwise identical)",
-				i, gotConf[i], wantConf[i])
-		}
-	}
-
-	st := batched.Stats()
-	if st.BatchedRequests != total {
-		t.Fatalf("collector served %d requests, want %d", st.BatchedRequests, total)
-	}
-	if st.Batches >= st.BatchedRequests {
-		t.Fatalf("no coalescing: %d batches for %d requests", st.Batches, st.BatchedRequests)
-	}
-	t.Logf("coalesced %d requests into %d forwards", st.BatchedRequests, st.Batches)
-
-	// Same answers from the one frame: a raw, a features and an activation
-	// request — one instance and a batch of 16 each — get the monolithic
-	// forward's predictions and confidences, bitwise, from the unbatched
-	// server, from the batching server (whose collector serves the single
-	// instances) and from the in-process client, which serves no chain and
-	// says so.
-	viaBatched, err := edge.DialCloud(batched.Addr().String(), edge.DialConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viaBatched.Close()
-	inproc := &edge.InProcClient{Model: cls, Tail: tail}
-	if caps, known := inproc.Capabilities(); !known || !caps.TailCapable || caps.ServesChain {
-		t.Fatalf("in-process capabilities %+v (known %v), want a tail and no chain", caps, known)
-	}
-	for _, n := range []int{1, 16} {
-		x := tensor.Randn(rng, 1, n, 3, 8, 8)
-		logits := cls.Logits(x, false)
-		want := make([]protocol.Result, n)
-		for i := range want {
-			want[i] = protocol.ResultOf(logits.Row(i))
-		}
-		feat := x
-		for _, u := range chain[:cut] {
-			feat = u.Forward(feat, false)
-		}
-		one := func(b *tensor.Tensor) *tensor.Tensor { // one instance travels as CHW
-			if n == 1 {
-				return b.Sample(0)
-			}
-			return b
-		}
-		for _, req := range []protocol.InferRequest{
-			{Rep: protocol.RepRaw, Tensor: one(x)},
-			{Rep: protocol.RepFeatures, Tensor: one(feat)},
-			{Rep: protocol.RepActivation, TTL: 1, Pos: cut, Tensor: feat},
-		} {
-			transports := map[string]edge.Transport{"tcp": ref, "tcp/batching": viaBatched}
-			if req.Rep != protocol.RepActivation {
-				transports["in-process"] = inproc
-			} else if _, err := inproc.Infer(req); err == nil {
-				t.Fatal("in-process client served an activation request")
-			}
-			for name, tr := range transports {
-				reply, err := tr.Infer(req)
-				if err != nil {
-					t.Fatalf("%s ×%d over %s: %v", req.Rep, n, name, err)
-				}
-				if len(reply.Results) != n {
-					t.Fatalf("%s ×%d over %s: %d results", req.Rep, n, name, len(reply.Results))
-				}
-				for i, r := range reply.Results {
-					if r != want[i] {
-						t.Fatalf("%s ×%d over %s, instance %d: %+v, monolithic forward %+v (must be bitwise identical)",
-							req.Rep, n, name, i, r, want[i])
-					}
-				}
-			}
-		}
-	}
-	if after := batched.Stats(); after.BatchedRequests != total+2 {
-		t.Fatalf("collector served %d requests, want %d (the table's two single instances go through it)",
-			after.BatchedRequests, total+2)
 	}
 }
 
@@ -468,146 +295,14 @@ func TestClassifyBatchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBatchedOffloadEndToEndBitwise is the acceptance test of the batched
-// offload path over real TCP: an edge runtime whose whole batch qualifies
-// for the cloud must issue exactly ONE round trip per input batch (not one
-// per complex instance), with predictions bitwise identical to the serial
-// per-instance path — in the raw mode and in the §III-C features mode.
-func TestBatchedOffloadEndToEndBitwise(t *testing.T) {
-	cloudCls := buildCloudModel(t, 80)
-	srv, err := cloud.NewServer(cloudCls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := edge.DialCloud(srv.Addr().String(), edge.DialConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	// A small untrained edge MEANet: its entropies are all positive, so a
-	// zero threshold routes every instance to the cloud.
-	rng := rand.New(rand.NewSource(81))
-	backbone, err := models.BuildResNet(rng, models.ResNetSpec{
-		Name: "edgeitest", InChannels: 3, StemChannels: 4,
-		Channels: []int{4, 8}, Blocks: []int{1, 1}, Strides: []int{1, 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.BuildMEANetA(rng, backbone, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := edge.NewRuntime(m, core.Policy{Threshold: 0, UseCloud: true}, client, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const batches, perBatch = 3, 8
-	inputs := make([]*tensor.Tensor, batches)
-	for i := range inputs {
-		inputs[i] = tensor.Randn(rng, 1, perBatch, 3, 8, 8)
-	}
-	before := srv.Stats().Requests
-	var batchedDec []core.Decision
-	for _, x := range inputs {
-		dec, err := rt.Classify(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchedDec = append(batchedDec, dec...)
-	}
-	if got := srv.Stats().Requests - before; got != batches {
-		t.Fatalf("batched offload cost %d round trips for %d input batches, want %d",
-			got, batches, batches)
-	}
-
-	// Serial reference: one round trip per instance through the same server.
-	before = srv.Stats().Requests
-	var serialDec []core.Decision
-	for _, x := range inputs {
-		dec, err := m.InferBatchedRep(x, core.Policy{Threshold: 0, UseCloud: true}, protocol.RepRaw,
-			func(sub *tensor.Tensor) ([]int, error) {
-				preds := make([]int, sub.Dim(0))
-				for i := range preds {
-					var err error
-					if preds[i], _, err = client.Classify(sub.Sample(i)); err != nil {
-						return nil, err
-					}
-				}
-				return preds, nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		serialDec = append(serialDec, dec...)
-	}
-	if got := srv.Stats().Requests - before; got != batches*perBatch {
-		t.Fatalf("serial reference cost %d round trips, want %d", got, batches*perBatch)
-	}
-	for i := range batchedDec {
-		if batchedDec[i].Exit != core.ExitCloud {
-			t.Fatalf("instance %d did not exit at cloud: %+v", i, batchedDec[i])
-		}
-		if batchedDec[i].Pred != serialDec[i].Pred || batchedDec[i].Exit != serialDec[i].Exit {
-			t.Fatalf("instance %d: batched %d/%v, serial %d/%v (must be bitwise identical)",
-				i, batchedDec[i].Pred, batchedDec[i].Exit, serialDec[i].Pred, serialDec[i].Exit)
-		}
-	}
-
-	// Features mode: a tail-equipped server must give bitwise-identical
-	// results for one classify-features-batch frame vs serial feature calls.
-	tail := &cloud.Tail{Body: nn.Identity{}, Exit: models.NewExit(rng, "itail", 8, 4)}
-	fsrv, err := cloud.NewServer(cloudCls, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fsrv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer fsrv.Close()
-	fclient, err := edge.DialCloud(fsrv.Addr().String(), edge.DialConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fclient.Close()
-	feats := make([]*tensor.Tensor, 6)
-	for i := range feats {
-		feats[i] = tensor.Randn(rng, 1, 8, 3, 3)
-	}
-	fBefore := fsrv.Stats().Requests
-	preds, confs, err := fclient.ClassifyFeaturesBatch(feats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fsrv.Stats().Requests - fBefore; got != 1 {
-		t.Fatalf("feature batch cost %d round trips, want 1", got)
-	}
-	for i, feat := range feats {
-		pred, conf, err := fclient.ClassifyFeatures(feat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if preds[i] != pred || confs[i] != conf {
-			t.Fatalf("feature %d: batch %d/%v, serial %d/%v (must be bitwise identical)",
-				i, preds[i], confs[i], pred, conf)
-		}
-	}
-}
-
-// TestOffloadModesEndToEndBitwiseTCP is the acceptance test of the adaptive
-// feature-vs-raw offload over real TCP: a tail-equipped server whose raw
-// model is the partitioned composition tail∘main must produce bitwise
-// identical predictions whether the edge uploads raw pixels, main-block
-// features, or lets auto mode choose — and with FeatureBytes < ImageBytes,
-// auto must resolve to features and send strictly fewer bytes than raw, both
-// in the modeled accounting and on the wire.
-func TestOffloadModesEndToEndBitwiseTCP(t *testing.T) {
+// TestRuntimeAutoPicksCheaperRepresentation: over real TCP to a
+// tail-equipped server whose raw model is tail∘main, auto mode uploads the
+// representation the cost model prices lower. With FeatureBytes < ImageBytes
+// it ships features: the modeled bytes, the feature upload count and the
+// wire bytes are the features mode's, strictly below raw's, and so is the
+// communication energy. With features the dearer upload it ships raw. The
+// predictions never move (TestServingConformance pins them bitwise).
+func TestRuntimeAutoPicksCheaperRepresentation(t *testing.T) {
 	// An edge MEANet whose main block downsamples: 3×16×16 input (768-elem
 	// images), main output 4×8×8 (256-elem features) — features are the
 	// cheaper upload in float32 wire bytes too.
@@ -633,24 +328,18 @@ func TestOffloadModesEndToEndBitwiseTCP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	const batches, perBatch = 2, 6
-	inputs := make([]*tensor.Tensor, batches)
-	for i := range inputs {
-		inputs[i] = tensor.Randn(rng, 1, perBatch, 3, 16, 16)
-	}
-	// Modeled costs use the float32 wire sizes: features strictly cheaper.
+	const n = 6
+	x := tensor.Randn(rng, 1, n, 3, 16, 16)
 	cost := &edge.CostParams{
 		Compute:      energy.EdgeGPUCIFAR(),
 		WiFi:         energy.DefaultWiFi(),
 		ImageBytes:   4 * 3 * 16 * 16,                        // 3072
 		FeatureBytes: 4 * int64(m.MainOutChannels()) * 8 * 8, // 1024
 	}
-
 	type run struct {
-		dec   []core.Decision
-		rep   edge.Report
-		wire  uint64
-		trips uint64
+		dec  []core.Decision
+		rep  edge.Report
+		wire uint64
 	}
 	runMode := func(mode edge.OffloadMode) run {
 		t.Helper()
@@ -659,6 +348,7 @@ func TestOffloadModesEndToEndBitwiseTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer client.Close()
+		// Threshold 0: every instance of the untrained net goes to the cloud.
 		rt, err := edge.NewRuntime(m, core.Policy{Threshold: 0, UseCloud: true}, client, cost)
 		if err != nil {
 			t.Fatal(err)
@@ -666,55 +356,46 @@ func TestOffloadModesEndToEndBitwiseTCP(t *testing.T) {
 		if err := rt.SetOffloadMode(mode); err != nil {
 			t.Fatal(err)
 		}
-		before := srv.Stats().Requests
-		var dec []core.Decision
-		for _, x := range inputs {
-			d, err := rt.Classify(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dec = append(dec, d...)
+		dec, err := rt.Classify(x)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return run{dec: dec, rep: rt.Report(), wire: client.BytesSent(), trips: srv.Stats().Requests - before}
+		return run{dec: dec, rep: rt.Report(), wire: client.BytesSent()}
 	}
 
 	raw := runMode(edge.OffloadRaw)
 	feat := runMode(edge.OffloadFeatures)
 	auto := runMode(edge.OffloadAuto)
-
-	for _, r := range []run{raw, feat, auto} {
-		if r.trips != batches {
-			t.Fatalf("offload cost %d round trips for %d batches, want %d", r.trips, batches, batches)
-		}
-	}
-	for i := range raw.dec {
-		if raw.dec[i].Exit != core.ExitCloud {
-			t.Fatalf("instance %d did not exit at cloud: %+v", i, raw.dec[i])
-		}
-		if raw.dec[i].Pred != feat.dec[i].Pred || raw.dec[i].Pred != auto.dec[i].Pred ||
-			raw.dec[i].Exit != feat.dec[i].Exit || raw.dec[i].Exit != auto.dec[i].Exit {
-			t.Fatalf("instance %d diverged across modes: raw %+v, features %+v, auto %+v (must be bitwise identical)",
-				i, raw.dec[i], feat.dec[i], auto.dec[i])
-		}
-	}
-
-	// Auto resolved to features: strictly fewer bytes than raw, modeled and
-	// on the wire.
-	const n = batches * perBatch
-	if raw.rep.BytesSent != n*cost.ImageBytes || raw.rep.RawUploads != n {
-		t.Fatalf("raw accounting: %+v", raw.rep)
-	}
-	if auto.rep.BytesSent != n*cost.FeatureBytes || auto.rep.FeatureUploads != n {
-		t.Fatalf("auto accounting (should match features): %+v", auto.rep)
+	if auto.rep.BytesSent != n*cost.FeatureBytes || auto.rep.FeatureUploads != n || auto.rep.RawUploads != 0 {
+		t.Fatalf("auto did not pick the cheaper features representation: %+v", auto.rep)
 	}
 	if auto.rep.BytesSent >= raw.rep.BytesSent {
 		t.Fatalf("auto modeled bytes %d not strictly fewer than raw %d", auto.rep.BytesSent, raw.rep.BytesSent)
 	}
-	if auto.wire >= raw.wire {
-		t.Fatalf("auto wire bytes %d not strictly fewer than raw %d", auto.wire, raw.wire)
+	if auto.wire != feat.wire || auto.wire >= raw.wire {
+		t.Fatalf("wire bytes: auto %d, features %d, raw %d; want auto == features < raw", auto.wire, feat.wire, raw.wire)
 	}
-	if auto.wire != feat.wire {
-		t.Fatalf("auto wire bytes %d differ from features %d", auto.wire, feat.wire)
+	if auto.rep.Energy.CommJ != feat.rep.Energy.CommJ || feat.rep.Energy.CommJ >= raw.rep.Energy.CommJ {
+		t.Fatalf("comm energy: auto %v, features %v, raw %v; want auto == features < raw",
+			auto.rep.Energy.CommJ, feat.rep.Energy.CommJ, raw.rep.Energy.CommJ)
+	}
+
+	// When features are the dearer representation, auto uploads raw.
+	cost.FeatureBytes = 4 * cost.ImageBytes
+	dear := runMode(edge.OffloadAuto)
+	if dear.rep.BytesSent != n*cost.ImageBytes || dear.rep.RawUploads != n || dear.rep.FeatureUploads != 0 {
+		t.Fatalf("auto should upload raw when features cost more: %+v", dear.rep)
+	}
+	for i := range raw.dec {
+		if raw.dec[i].Exit != core.ExitCloud {
+			t.Fatalf("instance %d did not exit at the cloud: %+v", i, raw.dec[i])
+		}
+		for _, r := range []run{feat, auto, dear} {
+			if r.dec[i].Pred != raw.dec[i].Pred {
+				t.Fatalf("instance %d: %d, raw %d (predictions must not depend on the representation)",
+					i, r.dec[i].Pred, raw.dec[i].Pred)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,12 @@
 package fleet
 
 // Multi-replica fleet tests: N edges routing across M cloud replicas via
-// edge.MultiClient. The clean companion pins EXACT cross-agreement between
-// the edges' books and the sum of the replicas' books; the soak kills one
-// replica mid-run and demands continued service with zero accounting drift.
+// edge.MultiClient. One soak kills a replica mid-run and demands continued
+// service with zero accounting drift; the other joins and removes replicas
+// mid-run on a healthy fleet, where the edges' books and the sum of the
+// replicas' books agree exactly. TestServingConformance (internal/deploy)
+// pins the same agreement, and bitwise predictions, for one edge over a
+// replica set.
 
 import (
 	"os"
@@ -51,80 +54,6 @@ func startReplicas(t *testing.T, m int, build func(r int) (*cloud.Server, error)
 		addrs[r] = srv.Addr().String()
 	}
 	return servers, addrs
-}
-
-// TestFleetMultiReplicaCleanExactAgreement runs 2 healthy replicas with no
-// shedding: the edge-side books and the sum of the server-side books must
-// agree exactly — instances, wire bytes, zero sheds — and BOTH replicas must
-// have carried offloads (the router actually balances, it does not pin to
-// one replica).
-func TestFleetMultiReplicaCleanExactAgreement(t *testing.T) {
-	goroutinesBefore := runtime.NumGoroutine()
-	m, cls, x, cost := fleetFixture(t, 3)
-	servers, addrs := startReplicas(t, 2, func(int) (*cloud.Server, error) {
-		return cloud.NewServer(cls, nil)
-	})
-
-	res, err := Run(Config{
-		Addrs:   addrs,
-		Edges:   4,
-		Batches: 6,
-		Net:     m,
-		Policy:  core.Policy{Threshold: 0, UseCloud: true},
-		Cost:    cost,
-		Input:   x,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 4 * 6 * x.Dim(0)
-	if res.Instances != total || res.EdgeServed+res.CloudServed+res.ShedFallbacks != total {
-		t.Fatalf("accounting identity broken: %+v, want %d instances", res, total)
-	}
-	if res.CloudServed == 0 {
-		t.Fatal("multi-replica fleet never reached the cloud")
-	}
-	if res.ShedEvents != 0 || res.ShedFallbacks != 0 {
-		t.Fatalf("shed activity without a ShedPolicy: %d/%d", res.ShedEvents, res.ShedFallbacks)
-	}
-	if len(res.Replicas) != 2 {
-		t.Fatalf("aggregated %d replicas, want 2", len(res.Replicas))
-	}
-	var served, bytesIn, offloads uint64
-	for _, srv := range servers {
-		st := srv.Stats()
-		served += st.InstancesServed
-		bytesIn += st.BytesIn
-	}
-	for r, rt := range res.Replicas {
-		if rt.Offloads == 0 {
-			t.Fatalf("replica %d (%s) carried no offloads — router pinned to one replica: %+v",
-				r, rt.Addr, res.Replicas)
-		}
-		if rt.Failures != 0 || rt.Sheds != 0 {
-			t.Fatalf("replica %d saw %d failures / %d sheds on clean links", r, rt.Failures, rt.Sheds)
-		}
-		offloads += rt.Offloads
-	}
-	if served != uint64(res.CloudServed) {
-		t.Fatalf("servers served %d instances, edges counted %d cloud exits", served, res.CloudServed)
-	}
-	var wireBytes uint64
-	for _, er := range res.Edges {
-		wireBytes += er.WireBytes
-		if got := len(er.Replicas); got != 2 {
-			t.Fatalf("edge %d report has %d replica entries, want 2", er.Index, got)
-		}
-	}
-	if bytesIn != wireBytes {
-		t.Fatalf("wire bytes disagree: clients sent %d, servers read %d", wireBytes, bytesIn)
-	}
-	for _, srv := range servers {
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkNoGoroutineLeaks(t, goroutinesBefore)
 }
 
 // TestFleetMultiReplicaSoakKillOne is the replica-outage soak: N edges route

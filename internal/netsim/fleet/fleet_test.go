@@ -3,9 +3,9 @@ package fleet
 // Fleet-scale stress/soak tests: many goroutine edges × flaky shaped links ×
 // a shedding server, several seconds under -race, with exact instance
 // accounting (edge-served + cloud-served + shed-fallback == total, per edge
-// and fleet-wide) and a goleak-style final goroutine check. A clean-link
-// companion pins the edge/server cross-agreement that faults legitimately
-// relax.
+// and fleet-wide) and a goleak-style final goroutine check. The exact
+// edge/server cross-agreement that faults legitimately relax is pinned on
+// clean links by TestServingConformance (internal/deploy).
 
 import (
 	"math/rand"
@@ -194,62 +194,6 @@ func TestFleetSoakSheddingFlakyLinks(t *testing.T) {
 		edges, batches, res.Elapsed.Round(time.Millisecond), res.ImagesPerSec,
 		res.EdgeServed, res.CloudServed, res.ShedFallbacks, res.ShedEvents, res.CloudFailures, st.Sheds)
 
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	checkNoGoroutineLeaks(t, goroutinesBefore)
-}
-
-// TestFleetCleanLinksExactAgreement is the fault-free companion: with
-// healthy links and no shedding, edge-side and server-side books agree
-// EXACTLY — instances served, zero sheds, and bitwise wire-byte agreement
-// between the clients' senders and the server's receiver.
-func TestFleetCleanLinksExactAgreement(t *testing.T) {
-	goroutinesBefore := runtime.NumGoroutine()
-	m, cls, x, cost := fleetFixture(t, 2)
-	srv, err := cloud.NewServer(cls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{
-		Addr:    srv.Addr().String(),
-		Edges:   4,
-		Batches: 5,
-		Net:     m,
-		Policy:  core.Policy{Threshold: 0, UseCloud: true},
-		Cost:    cost,
-		Input:   x,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 4 * 5 * x.Dim(0)
-	if res.Instances != total || res.EdgeServed+res.CloudServed != total {
-		t.Fatalf("clean fleet accounting: %+v, want %d instances", res, total)
-	}
-	if res.CloudServed == 0 {
-		t.Fatal("clean fleet never reached the cloud (threshold too high for the fixture?)")
-	}
-	if res.ShedFallbacks != 0 || res.ShedEvents != 0 {
-		t.Fatalf("shed activity without a ShedPolicy: %d/%d", res.ShedEvents, res.ShedFallbacks)
-	}
-	st := srv.Stats()
-	if st.Sheds != 0 {
-		t.Fatalf("server shed %d without a policy", st.Sheds)
-	}
-	if st.InstancesServed != uint64(res.CloudServed) {
-		t.Fatalf("server served %d instances, edges counted %d cloud exits", st.InstancesServed, res.CloudServed)
-	}
-	var wireBytes uint64
-	for _, er := range res.Edges {
-		wireBytes += er.WireBytes
-	}
-	if st.BytesIn != wireBytes {
-		t.Fatalf("wire bytes disagree: clients sent %d, server read %d", wireBytes, st.BytesIn)
-	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
