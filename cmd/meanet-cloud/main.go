@@ -132,6 +132,9 @@ func run(args []string) error {
 	if *linger < 0 {
 		return fmt.Errorf("negative -linger %v", *linger)
 	}
+	if *shedHint < 0 {
+		return fmt.Errorf("negative -shed-retry-after %v (0 = default 50ms)", *shedHint)
+	}
 	scale, err := deploy.ParseScale(*scaleName)
 	if err != nil {
 		return err

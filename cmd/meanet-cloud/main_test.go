@@ -37,9 +37,9 @@ func TestNegativeEpochsRejected(t *testing.T) {
 	}
 }
 
-// TestNegativeBatchingFlagsRejected: a negative -batch or -linger fails flag
-// validation, before any training starts, instead of serving unbatched or
-// with the default linger.
+// TestNegativeBatchingFlagsRejected: a negative -batch, -linger or
+// -shed-retry-after fails flag validation, before any training starts,
+// instead of serving unbatched or with the default linger or hint.
 func TestNegativeBatchingFlagsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		flag string
@@ -47,6 +47,7 @@ func TestNegativeBatchingFlagsRejected(t *testing.T) {
 	}{
 		{"-batch", []string{"-scale", "tiny", "-batch", "-1"}},
 		{"-linger", []string{"-scale", "tiny", "-batch", "8", "-linger", "-1ms"}},
+		{"-shed-retry-after", []string{"-scale", "tiny", "-shed-retry-after", "-5ms"}},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {

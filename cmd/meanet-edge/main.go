@@ -118,6 +118,7 @@ import (
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/energy"
 	"github.com/meanet/meanet/internal/netsim"
+	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/profile"
 	"github.com/meanet/meanet/internal/tensor"
 )
@@ -164,6 +165,9 @@ func run(args []string) error {
 	}
 	if *retries < 0 {
 		return fmt.Errorf("-retries %d, want ≥ 0", *retries)
+	}
+	if *threshold < 0 && *threshold != -1 {
+		return fmt.Errorf("-threshold %g, want ≥ 0 (or -1 = validation midpoint)", *threshold)
 	}
 	mode, err := edge.ParseOffloadMode(*offload)
 	if err != nil {
@@ -267,8 +271,8 @@ func run(args []string) error {
 	var cc *edge.ChainClient
 	useCloud := len(addrs) > 0
 	link := netsim.Link{Latency: *latency, Mbps: *mbps}
+	dcfg := edge.DialConfig{Link: link}
 	if useCloud {
-		dcfg := edge.DialConfig{Link: link}
 		var err error
 		if len(addrs) == 1 {
 			client, err = edge.DialCloud(addrs[0], dcfg)
@@ -292,17 +296,26 @@ func run(args []string) error {
 	if *cutsFlag != "" {
 		// The client needs the FULL chain geometry — main block plus tail —
 		// to validate the route and, with -replan, to price every legal
-		// placement. The tail is built untrained: only its layer geometry
-		// enters the cost model, and MaxLocal pins the edge's span inside the
-		// main block, whose weights are the only ones it holds.
-		cls, err := deploy.BuildTailNet(rand.New(rand.NewSource(1)), m.MainOutChannels(), classes)
+		// placement. MaxLocal pins the edge's span inside the main block,
+		// whose weights are the only ones it holds.
+		chain, err := untrainedServingChain(m, classes)
 		if err != nil {
 			return err
 		}
+		var direct edge.Transport
+		if *chainFallback != "" {
+			d, err := edge.DialCloud(*chainFallback, dcfg)
+			if err != nil {
+				return fmt.Errorf("dial chain fallback %s: %w", *chainFallback, err)
+			}
+			defer d.Close()
+			direct = d
+		}
 		cc, err = edge.NewRoutedChainClient(client, edge.ChainConfig{
-			Chain:    deploy.ServingChain(m, &cloud.Tail{Body: cls.Backbone, Exit: cls.Exit}),
+			Chain:    chain,
 			Cuts:     cuts,
 			MaxLocal: len(flat),
+			Direct:   direct,
 			Replan: edge.ReplanConfig{
 				Enabled:    *replan,
 				Hysteresis: *replanHyst,
@@ -317,13 +330,7 @@ func run(args []string) error {
 		if *replan {
 			fmt.Fprintf(os.Stderr, "live re-placement on: cuts move beyond +%.0f%% modeled gain\n", 100**replanHyst)
 		}
-		if *chainFallback != "" {
-			direct, err := edge.DialCloud(*chainFallback, edge.DialConfig{Link: link})
-			if err != nil {
-				return fmt.Errorf("dial chain fallback %s: %w", *chainFallback, err)
-			}
-			defer direct.Close()
-			cc.SetDirect(direct)
+		if direct != nil {
 			fmt.Fprintf(os.Stderr, "chain degraded mode armed: raw batches fall back to %s when the chain fails\n", *chainFallback)
 		}
 		// Probe the WHOLE chain before streaming: the dial-time ping only
@@ -342,7 +349,7 @@ func run(args []string) error {
 			return fmt.Errorf("admin listen: %w", err)
 		}
 		adminDone := make(chan struct{})
-		go func() { defer close(adminDone); serveAdmin(ln, mc) }()
+		go func() { defer close(adminDone); serveAdmin(ln, mc, dcfg) }()
 		// Registered after the router's Close defer, so (LIFO) the admin
 		// loop — including every accepted connection — is fully stopped
 		// before the router it commands is closed.
@@ -369,9 +376,6 @@ func run(args []string) error {
 		WiFi:         energy.DefaultWiFi(),
 		ImageBytes:   energy.RawImageBytes(inShape.H, inShape.W, inShape.C),
 		FeatureBytes: energy.FeatureBytes(int64(feat.Numel())),
-		// The wire ships float32 tensors (protocol.EncodeTensor), 4× the
-		// 8-bit modeled image; live latency predictions must use this.
-		WireImageBytes: 4 * int64(inShape.C) * int64(inShape.H) * int64(inShape.W),
 	}
 
 	rt, err := edge.NewRuntime(m, core.Policy{Threshold: th, UseCloud: useCloud, CloudRetries: *retries}, client, cost)
@@ -462,15 +466,7 @@ func run(args []string) error {
 	}
 	if mc != nil {
 		for _, rs := range mc.ReplicaStats() {
-			state := ""
-			if rs.Excluded {
-				state += " (excluded)"
-			}
-			if rs.Removed {
-				state += " (removed)"
-			}
-			fmt.Printf("replica %-22s %d offloads, %d sheds, %d failures, %d wire bytes, %s%s\n",
-				rs.Addr+":", rs.Offloads, rs.Sheds, rs.Failures, rs.BytesSent, capsString(rs), state)
+			fmt.Println(replicaRow(rs))
 		}
 	}
 	return nil
@@ -488,8 +484,9 @@ type cloudConn interface {
 // closes, then closes every connection still open and waits for its
 // handlers — so the caller knows no command can still reach the router.
 // The wire format is one command line in ("add <addr>", "remove <addr>",
-// "list"), one "ok"/"err" reply out.
-func serveAdmin(ln net.Listener, mc *edge.MultiClient) {
+// "list"), one "ok"/"err" reply out; dcfg is the run's transport settings,
+// which an added replica is dialed with.
+func serveAdmin(ln net.Listener, mc *edge.MultiClient, dcfg edge.DialConfig) {
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
@@ -514,7 +511,7 @@ func serveAdmin(ln net.Listener, mc *edge.MultiClient) {
 			}()
 			sc := bufio.NewScanner(conn)
 			for sc.Scan() {
-				if _, err := fmt.Fprintln(conn, adminReply(mc, sc.Text())); err != nil {
+				if _, err := fmt.Fprintln(conn, adminReply(mc, dcfg, sc.Text())); err != nil {
 					return
 				}
 			}
@@ -528,8 +525,10 @@ func serveAdmin(ln net.Listener, mc *edge.MultiClient) {
 	wg.Wait()
 }
 
-// adminReply executes one control command against the replica router.
-func adminReply(mc *edge.MultiClient, line string) string {
+// adminReply executes one control command against the replica router. add
+// dials the replica with dcfg and runs the capability handshake before it
+// joins, so routing knows what the newcomer serves.
+func adminReply(mc *edge.MultiClient, dcfg edge.DialConfig, line string) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return "err empty command (want add <addr>, remove <addr> or list)"
@@ -539,7 +538,13 @@ func adminReply(mc *edge.MultiClient, line string) string {
 		if len(fields) != 2 {
 			return "err usage: add <addr>"
 		}
-		if err := mc.AddReplicaAddr(fields[1]); err != nil {
+		c, err := edge.DialCloud(fields[1], dcfg)
+		if err != nil {
+			return "err " + err.Error()
+		}
+		c.Hello() // best-effort: errors leave capabilities unknown
+		if err := mc.AddReplica(c, fields[1]); err != nil {
+			c.Close()
 			return "err " + err.Error()
 		}
 		return "ok added " + fields[1]
@@ -554,15 +559,7 @@ func adminReply(mc *edge.MultiClient, line string) string {
 	case "list":
 		var sb strings.Builder
 		for _, rs := range mc.ReplicaStats() {
-			state := ""
-			if rs.Excluded {
-				state += " excluded"
-			}
-			if rs.Removed {
-				state += " removed"
-			}
-			fmt.Fprintf(&sb, "replica %s: %d offloads, %d sheds, %d failures, %s%s\n",
-				rs.Addr, rs.Offloads, rs.Sheds, rs.Failures, capsString(rs), state)
+			sb.WriteString(replicaRow(rs) + "\n")
 		}
 		return sb.String() + "ok"
 	default:
@@ -570,17 +567,37 @@ func adminReply(mc *edge.MultiClient, line string) string {
 	}
 }
 
-// capsString renders the capability matrix a replica advertised in its
-// MsgHello handshake for the report and the admin list.
-func capsString(rs edge.ReplicaStats) string {
-	if !rs.CapsKnown {
-		return "caps unknown"
+// replicaRow renders one replica's accounting for the final report and the
+// admin list: its counters, the capability matrix it advertised in its
+// MsgHello handshake, and its membership state.
+func replicaRow(rs edge.ReplicaStats) string {
+	caps := "caps unknown"
+	if rs.CapsKnown {
+		tail := "no tail"
+		if rs.TailCapable {
+			tail = "tail"
+		}
+		caps = fmt.Sprintf("%s, max batch %d", tail, rs.MaxBatch)
 	}
-	tail := "no tail"
-	if rs.TailCapable {
-		tail = "tail"
+	if rs.Excluded {
+		caps += " (excluded)"
 	}
-	return fmt.Sprintf("%s, max batch %d", tail, rs.MaxBatch)
+	if rs.Removed {
+		caps += " (removed)"
+	}
+	return fmt.Sprintf("replica %-22s %d offloads, %d sheds, %d failures, %d wire bytes, %s",
+		rs.Addr+":", rs.Offloads, rs.Sheds, rs.Failures, rs.BytesSent, caps)
+}
+
+// untrainedServingChain is the deployment's full serving chain — main block
+// plus features tail — with an untrained tail: it has the deployment's exact
+// geometry, and weights enter neither the cost model nor the route checks.
+func untrainedServingChain(m *core.MEANet, classes int) ([]nn.Layer, error) {
+	cls, err := deploy.BuildTailNet(rand.New(rand.NewSource(1)), m.MainOutChannels(), classes)
+	if err != nil {
+		return nil, err
+	}
+	return deploy.ServingChain(m, &cloud.Tail{Body: cls.Backbone, Exit: cls.Exit}), nil
 }
 
 // planPlacement runs the placement solver over the untrained serving chain
@@ -598,14 +615,10 @@ func planPlacement(m *core.MEANet, synth *data.Synth, ratesFlag, linksFlag strin
 	if err != nil {
 		return err
 	}
-	// The untrained tail has the deployment's exact geometry; weights do not
-	// enter the cost model.
-	cls, err := deploy.BuildTailNet(rand.New(rand.NewSource(1)), m.MainOutChannels(), synth.Train.NumClasses)
+	chain, err := untrainedServingChain(m, synth.Train.NumClasses)
 	if err != nil {
 		return err
 	}
-	tail := &cloud.Tail{Body: cls.Backbone, Exit: cls.Exit}
-	chain := deploy.ServingChain(m, tail)
 	in := profile.Shape{C: synth.Train.C, H: synth.Train.H, W: synth.Train.W}
 
 	pipe, err := profile.PlacePipeline(chain, in, devices, links)

@@ -3,6 +3,11 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/meanet/meanet/internal/cloud"
+	"github.com/meanet/meanet/internal/edge"
+	"github.com/meanet/meanet/internal/tensor"
 )
 
 // TestFlagErrorsBeforeTraining covers every flag-error return of run that
@@ -16,6 +21,7 @@ func TestFlagErrorsBeforeTraining(t *testing.T) {
 	}{
 		{"-batch", []string{"-batch", "0"}},
 		{"-retries", []string{"-retries", "-1"}},
+		{"-threshold", []string{"-threshold", "-0.5"}},
 		{"-offload", []string{"-offload", "pixels"}},
 		{"-scale", []string{"-scale", "huge"}},
 		{"-latency", []string{"-latency", "-1ms"}},
@@ -43,5 +49,79 @@ func TestFlagErrorsBeforeTraining(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {
 			t.Errorf("run %q = %v, want an error naming %s", tc.args, err, tc.flag)
 		}
+	}
+}
+
+// zeroModel answers every raw instance with zero logits over three classes.
+type zeroModel struct{}
+
+func (zeroModel) Logits(x *tensor.Tensor, _ bool) *tensor.Tensor { return tensor.New(x.Dim(0), 3) }
+
+// TestAdminMembership drives the -admin command surface over two loopback
+// servers: add dials a replica with the run's settings and joins it with its
+// capabilities known, a duplicate add is rejected and its fresh connection
+// closed, list prints one row per replica, and remove drains the replica —
+// its transport closes, its row stays.
+func TestAdminMembership(t *testing.T) {
+	var srvs [2]*cloud.Server
+	for i := range srvs {
+		s, err := cloud.NewServer(zeroModel{}, nil, cloud.WithBatching(cloud.BatchConfig{MaxBatch: 4}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		srvs[i] = s
+	}
+	first, second := srvs[0].Addr().String(), srvs[1].Addr().String()
+	dcfg := edge.DialConfig{RequestTimeout: 5 * time.Second}
+	mc, err := edge.DialMultiCloud([]string{first}, dcfg, edge.MultiConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	// conns waits until the second server sees the given connection counts.
+	conns := func(what string, total uint64, active int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			st := srvs[1].Stats()
+			if st.TotalConns == total && st.ActiveConns == active {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: second server has %d connections, %d open; want %d, %d",
+					what, st.TotalConns, st.ActiveConns, total, active)
+			}
+		}
+	}
+
+	if got := adminReply(mc, dcfg, "add "+second); got != "ok added "+second {
+		t.Fatalf("add: %q", got)
+	}
+	if rs := mc.ReplicaStats(); len(rs) != 2 || rs[1].Addr != second || !rs[1].CapsKnown || rs[1].MaxBatch != 4 {
+		t.Fatalf("joined replica's capabilities unknown: %+v", rs)
+	}
+	conns("add", 1, 1)
+
+	if got := adminReply(mc, dcfg, "add "+second); !strings.HasPrefix(got, "err ") || !strings.Contains(got, "already present") {
+		t.Fatalf("duplicate add: %q, want an already-present error", got)
+	}
+	conns("duplicate add", 2, 1)
+
+	list := strings.Split(adminReply(mc, dcfg, "list"), "\n")
+	if len(list) != 3 || list[2] != "ok" ||
+		!strings.HasPrefix(list[0], "replica "+first+":") || !strings.HasPrefix(list[1], "replica "+second+":") ||
+		!strings.HasSuffix(list[1], "no tail, max batch 4") {
+		t.Fatalf("list: %q, want one row per replica then ok", list)
+	}
+
+	if got := adminReply(mc, dcfg, "remove "+second); !strings.HasPrefix(got, "ok removing "+second) {
+		t.Fatalf("remove: %q", got)
+	}
+	conns("remove", 2, 0)
+	if list := adminReply(mc, dcfg, "list"); !strings.Contains(list, "max batch 4 (removed)") {
+		t.Fatalf("list after remove: %q, want the removed row kept", list)
 	}
 }

@@ -132,7 +132,7 @@ type Server struct {
 	// read-only afterwards, like raw/feat above.
 	chain         []nn.Layer // full serving chain for source-routed relays; nil = stage mode off
 	down          Downstream // next hop (or replica set); nil = terminal hop
-	stageInflight int        // per-connection relay dispatch bound
+	stageInflight int        // per-connection relay dispatch bound (relaySlots)
 
 	// Measured stage service time piggybacked on relay replies (stage.go).
 	svcMu sync.Mutex          // guards svc

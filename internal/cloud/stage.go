@@ -54,14 +54,15 @@ type StageConfig struct {
 	// Downstream is the next hop (or replica set of next hops); nil marks the
 	// terminal hop.
 	Downstream Downstream
-	// MaxInFlight bounds concurrent relay dispatches per connection
-	// (default 16). Relay dispatches run concurrently — a non-terminal hop
-	// BLOCKS on its downstream round trip, and handling relays inline would
-	// stall the connection's read loop and collapse chain pipelining to
-	// lockstep — so the bound is what turns a fast upstream into TCP
-	// backpressure instead of an unbounded goroutine/tensor backlog.
-	MaxInFlight int
 }
+
+// relaySlots bounds concurrent relay dispatches per connection. Relay
+// dispatches run concurrently — a non-terminal hop BLOCKS on its downstream
+// round trip, and handling relays inline would stall the connection's read
+// loop and collapse chain pipelining to lockstep — so the bound is what turns
+// a fast upstream into TCP backpressure instead of an unbounded
+// goroutine/tensor backlog.
+const relaySlots = 16
 
 // WithStage enables stage-server mode: activation requests run
 // route-assigned spans of cfg.Chain and forward downstream (or terminate the
@@ -69,13 +70,10 @@ type StageConfig struct {
 // raw/tail models and serve every representation; a pure relay hop passes nil
 // models to NewServer.
 func WithStage(cfg StageConfig) Option {
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 16
-	}
 	return func(s *Server) {
 		s.chain = cfg.Chain
 		s.down = cfg.Downstream
-		s.stageInflight = cfg.MaxInFlight
+		s.stageInflight = relaySlots
 	}
 }
 

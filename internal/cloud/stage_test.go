@@ -158,7 +158,7 @@ func (d *sheddingDown) LinkEstimate() linkest.Estimate { return linkest.Estimate
 // runs unit 0 and must forward unit 1's span.
 var forwardingChain = []nn.Layer{nn.Identity{}, nn.Identity{}}
 
-// TestRelaySlotReleasedOnDownstreamError pins the MaxInFlight accounting on
+// TestRelaySlotReleasedOnDownstreamError pins the relay-slot accounting on
 // the failure path: with a single relay slot and a dead downstream, every
 // sequential relay must still be ANSWERED (with the downstream error), not
 // parked behind a leaked slot. Before reading this as trivial, note the slot
@@ -166,14 +166,11 @@ var forwardingChain = []nn.Layer{nn.Identity{}, nn.Identity{}}
 // goroutine — this test is what keeps that pairing honest.
 func TestRelaySlotReleasedOnDownstreamError(t *testing.T) {
 	down := &failingDown{}
-	s, err := NewServer(nil, nil, WithStage(StageConfig{
-		Chain:       forwardingChain,
-		Downstream:  down,
-		MaxInFlight: 1,
-	}))
+	s, err := NewServer(nil, nil, WithStage(StageConfig{Chain: forwardingChain, Downstream: down}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.stageInflight = 1
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +356,7 @@ func TestReplicaSetDownstream(t *testing.T) {
 		for i, m := range members {
 			clients[i] = m
 		}
-		set, err := edge.NewMultiClient(clients, nil, edge.MultiConfig{FailureExclusion: time.Hour})
+		set, err := edge.NewMultiClient(clients, nil, edge.MultiConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -301,3 +301,48 @@ func TestBackpressureTriggersLoadShedding(t *testing.T) {
 		t.Fatalf("backpressure did not raise the threshold: %.5f → %.5f", thBefore, th)
 	}
 }
+
+// TestLivePredictionsPriceRawAtWireSize: with ImageBytes at the paper's 8-bit
+// size, both live decisions must price a raw upload at what the batch really
+// ships — 4 bytes per element — because the estimator's bandwidth was
+// measured from those frames. At the 8-bit size the raw upload would read 4×
+// cheaper than it is: auto would keep raw on a link that cannot carry it,
+// and the controller would lower the threshold on a blown budget.
+func TestLivePredictionsPriceRawAtWireSize(t *testing.T) {
+	rt, link, x, cost := adaptiveFixture(t, 500)
+	cost.ImageBytes = energy.RawImageBytes(16, 16, 3) // 768, the modeled size
+	wire := int64(4 * 3 * 16 * 16)                    // 3072, what ships
+	if !(cost.ImageBytes < cost.FeatureBytes && cost.FeatureBytes < wire) {
+		t.Fatalf("fixture wants 8-bit image < features < float32 image, got %d, %d, %d",
+			cost.ImageBytes, cost.FeatureBytes, wire)
+	}
+	// 1 Mbps: 8 µs per byte. Raw at its wire size needs 1ms + 24.6ms, over
+	// the 15ms budget; at the 8-bit size it would read 1ms + 6.1ms, inside
+	// even the 9ms headroom band. Features need 1ms + 8 µs × FeatureBytes.
+	const budget = 15 * time.Millisecond
+	rt.SetLatencyBudget(budget)
+	link.set(netsim.Link{Latency: time.Millisecond, Mbps: 1}, 32)
+
+	if _, err := rt.Classify(x); err != nil {
+		t.Fatal(err)
+	}
+	if rep := rt.Report(); rep.FeatureUploads == 0 || rep.RawUploads != 0 {
+		t.Fatalf("auto over a link raw cannot afford: raw=%d feat=%d, want features only",
+			rep.RawUploads, rep.FeatureUploads)
+	}
+
+	if err := rt.SetOffloadMode(OffloadRaw); err != nil {
+		t.Fatal(err)
+	}
+	const th0 = 0.01 // far below the untrained entropies: every instance still offloads
+	rt.SetThreshold(th0)
+	if _, err := rt.Classify(x); err != nil {
+		t.Fatal(err)
+	}
+	if rep := rt.Report(); rep.RawUploads == 0 {
+		t.Fatal("raw mode uploaded nothing; the controller step is untested")
+	}
+	if th := rt.Policy().Threshold; th <= th0 {
+		t.Fatalf("raw uploads over budget did not raise the threshold: %.4f → %.4f", th0, th)
+	}
+}

@@ -45,14 +45,14 @@ import (
 	"github.com/meanet/meanet/internal/protocol"
 )
 
-// DefaultRelayTTL is the hop budget a chain client stamps on relay frames
-// when the caller does not pin one: far above any sane chain length, so it
-// only ever trips on a misconfigured relay cycle.
-const DefaultRelayTTL = 16
+// relayTTL is the hop budget a chain client stamps on relay frames: far above
+// any sane chain length, so it only ever trips on a misconfigured relay cycle.
+const relayTTL = 16
 
-// Replan defaults.
+// Replan tuning: the minimum time between re-solves, and the hysteresis a
+// zero ReplanConfig.Hysteresis selects.
 const (
-	defaultReplanInterval   = 500 * time.Millisecond
+	replanInterval          = 500 * time.Millisecond
 	defaultReplanHysteresis = 0.15
 )
 
@@ -90,10 +90,10 @@ type ChainStats struct {
 
 // ReplanConfig enables live re-placement on a routed chain client.
 type ReplanConfig struct {
-	// Enabled turns the periodic re-solve on.
+	// Enabled turns the periodic re-solve on (at most one re-solve per
+	// replanInterval; the edge's compute rate is the measured local stage,
+	// so the first re-solve waits for linkest.ServiceMinSamples of it).
 	Enabled bool
-	// Interval is the minimum time between re-solves (default 500ms).
-	Interval time.Duration
 	// Hysteresis is the fractional modeled-throughput improvement a solved
 	// placement must show over the CURRENT cuts before the client moves them
 	// (default 0.15). The margin is what keeps measurement noise from
@@ -101,19 +101,6 @@ type ReplanConfig struct {
 	Hysteresis float64
 	// In is the CHW shape of one input instance, needed to price the chain.
 	In profile.Shape
-	// EdgeMACsPerSec is the edge device's compute-rate prior, used until the
-	// local stage has enough measured samples (and again right after a move
-	// resets them). 0 = wait for measurements instead.
-	EdgeMACsPerSec float64
-}
-
-func (r *ReplanConfig) fillDefaults() {
-	if r.Interval <= 0 {
-		r.Interval = defaultReplanInterval
-	}
-	if r.Hysteresis <= 0 {
-		r.Hysteresis = defaultReplanHysteresis
-	}
 }
 
 // ChainConfig configures a chain client.
@@ -125,19 +112,17 @@ type ChainConfig struct {
 	// later boundary starts the next hop's span. Strictly increasing,
 	// len(cuts) = number of cloud hops.
 	Cuts []core.CutPoint
-	// TTL bounds the chain length (0 selects DefaultRelayTTL).
-	TTL uint8
 	// MaxLocal caps how many chain units a re-solve may assign to the edge
 	// (default len(Chain)-1: every placement must leave the cloud hops at
 	// least one unit each anyway). The cap is what keeps the solver from
 	// parking the whole chain on a battery-powered device just because the
 	// uplink dipped.
 	MaxLocal int
-	// Direct, when non-nil, is the degraded-mode fallback: a client to a
+	// Direct, when non-nil, is the degraded-mode fallback: a transport to a
 	// replica that serves whole raw batches (typically a *TCPClient to a
 	// monolithic server). The ORIGINAL raw request ships there when the chain
-	// fails.
-	Direct CloudClient
+	// fails. It stays the caller's to close.
+	Direct Transport
 	// Replan enables live re-placement.
 	Replan ReplanConfig
 }
@@ -146,22 +131,20 @@ type ChainConfig struct {
 type ChainClient struct {
 	calls           // Classify and ClassifyBatch, over Infer
 	next  Transport // transport to the first stage server (or replica set of them)
-	ttl   uint8     // hop budget stamped on every relay frame
 
-	// chain, costs and maxLocal are fixed at construction.
+	// chain, costs, maxLocal, replan and direct are fixed at construction.
 	chain    []nn.Layer
 	costs    []profile.Cost // per-unit costs (profile.ChainCosts at build; replan only)
 	maxLocal int
 	replan   ReplanConfig
+	direct   Transport // degraded-mode fallback replica (nil = none)
 
-	mu sync.Mutex // guards cuts, local, direct, until, now, stats, localSvc, hopStats, hopSamples, lastReplan
+	mu sync.Mutex // guards cuts, local, until, now, stats, localSvc, hopStats, hopSamples, lastReplan
 	// cuts is the CURRENT route (replaced wholesale on a move — snapshots
 	// taken under mu stay valid for the frames already carrying them, which
 	// is the whole drain-never-abort trick).
 	cuts  []core.CutPoint
 	local nn.Layer // current stage 0: chain units [0, cuts[0])
-	// direct is the degraded-mode fallback replica (nil = none).
-	direct Transport
 	// until ends the chain's exclusion window (zero or past = open): while it
 	// holds and a direct replica is armed, batches skip the chain.
 	until time.Time
@@ -184,8 +167,8 @@ type ChainClient struct {
 var _ Transport = (*ChainClient)(nil)
 
 // NewRoutedChainClient wraps a dialed transport to the first hop of a chain
-// (every hop configured with the same full Chain). Use cfg.Direct or
-// SetDirect to arm the degraded mode.
+// (every hop configured with the same full Chain). cfg.Direct arms the
+// degraded mode.
 func NewRoutedChainClient(next Transport, cfg ChainConfig) (*ChainClient, error) {
 	if next == nil {
 		return nil, errors.New("edge: chain client needs a transport to the first hop")
@@ -200,25 +183,23 @@ func NewRoutedChainClient(next Transport, cfg ChainConfig) (*ChainClient, error)
 	if err != nil {
 		return nil, fmt.Errorf("edge: routed chain: %w", err)
 	}
-	if cfg.TTL == 0 {
-		cfg.TTL = DefaultRelayTTL
-	}
 	if cfg.MaxLocal <= 0 || cfg.MaxLocal > len(cfg.Chain)-1 {
 		cfg.MaxLocal = len(cfg.Chain) - 1
 	}
 	if int(cfg.Cuts[0]) > cfg.MaxLocal {
 		return nil, fmt.Errorf("edge: initial cut %d exceeds MaxLocal %d", cfg.Cuts[0], cfg.MaxLocal)
 	}
-	cfg.Replan.fillDefaults()
+	if cfg.Replan.Hysteresis <= 0 {
+		cfg.Replan.Hysteresis = defaultReplanHysteresis
+	}
 	c := &ChainClient{
 		next:     next,
-		ttl:      cfg.TTL,
 		chain:    cfg.Chain,
 		maxLocal: cfg.MaxLocal,
 		replan:   cfg.Replan,
+		direct:   cfg.Direct,
 		cuts:     append([]core.CutPoint(nil), cfg.Cuts...),
 		local:    stages[0],
-		direct:   asTransport(cfg.Direct),
 		now:      time.Now,
 	}
 	c.calls = calls{c.Infer}
@@ -232,13 +213,6 @@ func NewRoutedChainClient(next Transport, cfg ChainConfig) (*ChainClient, error)
 		c.costs = costs
 	}
 	return c, nil
-}
-
-// SetDirect arms (or swaps) the degraded-mode direct-offload fallback.
-func (c *ChainClient) SetDirect(d CloudClient) {
-	c.mu.Lock()
-	c.direct = asTransport(d)
-	c.mu.Unlock()
 }
 
 // ChainStats snapshots the per-path accounting.
@@ -268,11 +242,10 @@ func (c *ChainClient) Infer(req protocol.InferRequest) (protocol.InferReply, err
 	c.mu.Lock()
 	local := c.local
 	cuts := c.cuts
-	direct := c.direct
-	excluded := direct != nil && c.now().Before(c.until)
+	excluded := c.direct != nil && c.now().Before(c.until)
 	c.mu.Unlock()
 	if excluded {
-		return c.fallback(direct, req, errors.New("chain excluded after a recent failure"))
+		return c.fallback(req, errors.New("chain excluded after a recent failure"))
 	}
 
 	active := c.localActive.Add(1)
@@ -289,7 +262,7 @@ func (c *ChainClient) Infer(req protocol.InferRequest) (protocol.InferReply, err
 		bounds[i] = int(b)
 	}
 	reply, err := c.next.Infer(protocol.InferRequest{
-		Rep: protocol.RepActivation, TTL: c.ttl, Pos: int(cuts[0]), Bounds: bounds, Tensor: act,
+		Rep: protocol.RepActivation, TTL: relayTTL, Pos: int(cuts[0]), Bounds: bounds, Tensor: act,
 	})
 	if err == nil {
 		c.mu.Lock()
@@ -316,20 +289,20 @@ func (c *ChainClient) Infer(req protocol.InferRequest) (protocol.InferReply, err
 	} else {
 		c.stats.ChainFailures++
 	}
-	if direct != nil {
+	if c.direct != nil {
 		c.until = extendWindow(c.until, c.now(), window)
 	}
 	c.mu.Unlock()
-	if direct == nil {
+	if c.direct == nil {
 		return protocol.InferReply{}, err
 	}
-	return c.fallback(direct, req, err)
+	return c.fallback(req, err)
 }
 
 // fallback serves a request the chain is not serving (cause says why) through
 // the direct replica, keeping the per-path books.
-func (c *ChainClient) fallback(direct Transport, req protocol.InferRequest, cause error) (protocol.InferReply, error) {
-	reply, derr := direct.Infer(req)
+func (c *ChainClient) fallback(req protocol.InferRequest, cause error) (protocol.InferReply, error) {
+	reply, derr := c.direct.Infer(req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if derr != nil {
@@ -358,16 +331,16 @@ func (c *ChainClient) spanMACs(from, to int) float64 {
 
 // maybeReplan re-solves the placement from measured conditions and moves the
 // cuts when the solved chain beats the current one by the hysteresis margin.
-// Rate-limited by Interval; skipped entirely until the telemetry is mature.
-// The solve itself runs outside the lock (it enumerates C(L-1,N-1) cut
-// chains); only the snapshot and the swap hold it.
+// Rate-limited by replanInterval on the client's clock; skipped entirely
+// until the telemetry is mature. The solve itself runs outside the lock (it
+// enumerates C(L-1,N-1) cut chains); only the snapshot and the swap hold it.
 func (c *ChainClient) maybeReplan() {
 	if !c.replan.Enabled {
 		return
 	}
-	now := time.Now()
 	c.mu.Lock()
-	if now.Sub(c.lastReplan) < c.replan.Interval ||
+	now := c.now()
+	if now.Sub(c.lastReplan) < replanInterval ||
 		c.hopSamples < replanMinSamples || len(c.hopStats) == 0 {
 		c.mu.Unlock()
 		return
@@ -382,16 +355,16 @@ func (c *ChainClient) maybeReplan() {
 		return // telemetry doesn't match the route yet (mid-move reply)
 	}
 
-	// Device 0: the edge. Prefer the measured local-stage rate; fall back to
-	// the configured prior until it matures.
-	devices := make([]profile.Device, 0, len(hops)+1)
-	edgeRate := c.replan.EdgeMACsPerSec
+	// Device 0: the edge, at its measured local-stage rate — no re-solve
+	// until that estimate matures (again right after a move resets it).
+	edgeRate := 0.0
 	if localSvc > 0 {
 		edgeRate = c.spanMACs(0, int(curCuts[0])) / localSvc
 	}
 	if edgeRate <= 0 {
 		return
 	}
+	devices := make([]profile.Device, 0, len(hops)+1)
 	devices = append(devices, profile.Device{Name: "edge", MACsPerSec: edgeRate})
 
 	// Cloud hops: rate = the MACs of the span each hop CURRENTLY runs over
@@ -470,7 +443,7 @@ func (c *ChainClient) maybeReplan() {
 // (hop 1 = the first stage server): each forwarding hop wraps the failure in
 // one "downstream relay:" layer, so the depth of the wrapping locates it.
 func (c *ChainClient) ProbeChain() (hop int, err error) {
-	hops, err := c.next.Probe(c.ttl)
+	hops, err := c.next.Probe(relayTTL)
 	if err != nil {
 		failing := strings.Count(err.Error(), "downstream relay:") + 1
 		return failing, fmt.Errorf("edge: chain probe failed at hop %d: %w", failing, err)

@@ -105,7 +105,7 @@ func classifyAsync(c *ChainClient) <-chan error {
 	return done
 }
 
-func newWindowChain(t *testing.T, direct CloudClient) (*ChainClient, *scriptedHop, *fakeClock) {
+func newWindowChain(t *testing.T, direct Transport) (*ChainClient, *scriptedHop, *fakeClock) {
 	t.Helper()
 	hop, next := newScriptedHop(t)
 	c, err := NewRoutedChainClient(next, ChainConfig{
@@ -193,7 +193,8 @@ func TestChainExclusionWindow(t *testing.T) {
 
 	// Without a direct replica there is nothing to skip to: the chain is
 	// tried even inside the window, its error surfaces, the window stays.
-	c.SetDirect(nil)
+	// (No call is in flight, so the test may disarm the fallback in place.)
+	c.direct = nil
 	done = classifyAsync(c)
 	hop.fail(hop.next())
 	if err := <-done; err == nil || !strings.Contains(err.Error(), "downstream relay") {
@@ -202,7 +203,7 @@ func TestChainExclusionWindow(t *testing.T) {
 	if got, want := c.windowEnd(), t0.Add(defaultFailureExclusion); !got.Equal(want) {
 		t.Fatalf("unarmed failure moved the window to %v, want %v", got, want)
 	}
-	c.SetDirect(direct)
+	c.direct = direct
 
 	// The window lapses: the chain is tried again, and a success leaves it
 	// open for business.

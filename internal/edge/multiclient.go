@@ -15,13 +15,6 @@ import (
 // MultiConfig tunes a MultiClient's routing behavior. The zero value picks
 // usable defaults.
 type MultiConfig struct {
-	// FailureExclusion is how long a replica is taken out of the candidate
-	// set after a transport error (default 250ms). The underlying client's
-	// redial-with-backoff repairs the connection in the background; the
-	// exclusion just keeps the router from burning every batch's first
-	// attempt on a replica that is mid-outage. A shed uses the server's own
-	// RetryAfter hint instead.
-	FailureExclusion time.Duration
 	// Seed seeds the power-of-two-choices sampler (default 1). Routing is
 	// load-driven — the seed only breaks ties among equally scored replicas —
 	// so any seed gives the same aggregate behavior; a fixed default keeps
@@ -30,17 +23,12 @@ type MultiConfig struct {
 }
 
 // defaultFailureExclusion is how long a transport that just failed is left
-// alone — a router's replica and a chain client's whole chain alike.
+// alone — a router's replica and a chain client's whole chain alike. The
+// underlying client's redial-with-backoff repairs the connection in the
+// background; the exclusion just keeps the router from burning every batch's
+// first attempt on a replica that is mid-outage. A shed uses the server's own
+// RetryAfter hint instead.
 const defaultFailureExclusion = 250 * time.Millisecond
-
-func (c *MultiConfig) fillDefaults() {
-	if c.FailureExclusion <= 0 {
-		c.FailureExclusion = defaultFailureExclusion
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
 
 // extendWindow is the exclusion-window rule shared by the replica router and
 // the chain client: a failure at now keeps the target out until now+d, and
@@ -131,8 +119,8 @@ type replica struct {
 // local scores avoid the herd behavior of deterministic least-loaded routing
 // when many edges share the same stale load snapshots.
 //
-// Membership is dynamic: AddReplica/AddReplicaAddr join a replica mid-run
-// and RemoveReplica retires one — removal drains, never aborts. A request
+// Membership is dynamic: AddReplica joins a replica mid-run and
+// RemoveReplica retires one — removal drains, never aborts. A request
 // only considers replicas whose advertised capabilities (MsgHello) serve its
 // representation, so a tail-less replica is skipped for a features request —
 // and one without a chain for a relay — rather than burned on an error.
@@ -148,12 +136,6 @@ type replica struct {
 // were in flight on it.
 type MultiClient struct {
 	calls // Classify, ClassifyBatch and their features twins, over Infer
-	cfg   MultiConfig
-
-	// dial reconnects the admin path: set by DialMultiCloud (capturing its
-	// DialConfig and the capability handshake), nil on a client built over
-	// pre-dialed transports. Immutable after construction.
-	dial func(addr string) (*TCPClient, error)
 
 	mu       sync.Mutex // guards rng, replicas, now
 	rng      *rand.Rand
@@ -193,13 +175,14 @@ func NewMultiClient(clients []CloudClient, addrs []string, cfg MultiConfig) (*Mu
 		}
 		seen[a] = true
 	}
-	cfg.fillDefaults()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
 	reps := make([]*replica, len(clients))
 	for i, c := range clients {
 		reps[i] = &replica{client: asTransport(c), addr: addrs[i]}
 	}
 	m := &MultiClient{
-		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		replicas: reps,
 		now:      time.Now,
@@ -217,30 +200,20 @@ func NewMultiClient(clients []CloudClient, addrs []string, cfg MultiConfig) (*Mu
 // dial failure: a legacy server answers MsgHello with an error frame and
 // simply keeps its capabilities unknown (routed optimistically, the
 // pre-handshake behavior).
-//
-// The returned client keeps the dial recipe, so AddReplicaAddr can join new
-// replicas mid-run with identical transport settings.
 func DialMultiCloud(addrs []string, cfg DialConfig, mcfg MultiConfig) (*MultiClient, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("edge: no replica addresses")
 	}
-	dial := func(addr string) (*TCPClient, error) {
-		c, err := DialCloud(addr, cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.Hello() // best-effort: errors leave capabilities unknown
-		return c, nil
-	}
 	clients := make([]CloudClient, 0, len(addrs))
 	for _, addr := range addrs {
-		c, err := dial(addr)
+		c, err := DialCloud(addr, cfg)
 		if err != nil {
 			for _, prev := range clients {
 				prev.Close()
 			}
 			return nil, err
 		}
+		c.Hello() // best-effort: errors leave capabilities unknown
 		clients = append(clients, c)
 	}
 	m, err := NewMultiClient(clients, addrs, mcfg)
@@ -250,7 +223,6 @@ func DialMultiCloud(addrs []string, cfg DialConfig, mcfg MultiConfig) (*MultiCli
 		}
 		return nil, err
 	}
-	m.dial = dial
 	return m, nil
 }
 
@@ -273,13 +245,15 @@ func SplitAddrs(s string) []string {
 	return out
 }
 
-// AddReplica joins a pre-dialed transport to the candidate set mid-run. The
-// addr labels it for reporting and duplicate detection ("" picks the next
-// replica-i label); joining an addr that is already open is rejected.
+// AddReplica joins a dialed transport to the candidate set mid-run (a
+// *TCPClient should have run its Hello handshake first, so routing knows its
+// capabilities). The addr labels it for reporting and duplicate detection
+// ("" picks the next replica-i label); joining an addr that is already open
+// is rejected, and the transport then stays the caller's to close.
 // Rejoining a previously removed addr is allowed and creates a NEW entry —
 // the removed entry keeps its historical counters, and reports aggregating
-// by addr sum the two. The MultiClient takes ownership of the transport.
-func (m *MultiClient) AddReplica(client CloudClient, addr string) error {
+// by addr sum the two. On success the MultiClient owns the transport.
+func (m *MultiClient) AddReplica(client Transport, addr string) error {
 	if client == nil {
 		return errors.New("edge: nil replica client")
 	}
@@ -293,35 +267,7 @@ func (m *MultiClient) AddReplica(client CloudClient, addr string) error {
 			return fmt.Errorf("edge: replica %s already present", addr)
 		}
 	}
-	m.replicas = append(m.replicas, &replica{client: asTransport(client), addr: addr})
-	return nil
-}
-
-// AddReplicaAddr dials addr with the MultiClient's original transport
-// settings (including the capability handshake) and joins it — the admin
-// path behind meanet-edge's control surface. Only available on a client
-// built by DialMultiCloud; a router over pre-dialed transports has no dial
-// recipe to reuse.
-func (m *MultiClient) AddReplicaAddr(addr string) error {
-	if m.dial == nil {
-		return errors.New("edge: cannot dial new replicas (client built over pre-dialed transports)")
-	}
-	m.mu.Lock()
-	for _, r := range m.replicas {
-		if !r.removed && r.addr == addr {
-			m.mu.Unlock()
-			return fmt.Errorf("edge: replica %s already present", addr)
-		}
-	}
-	m.mu.Unlock()
-	c, err := m.dial(addr)
-	if err != nil {
-		return err
-	}
-	if err := m.AddReplica(c, addr); err != nil {
-		c.Close() // lost the add race; do not leak the connection
-		return err
-	}
+	m.replicas = append(m.replicas, &replica{client: client, addr: addr})
 	return nil
 }
 
@@ -581,7 +527,7 @@ func (m *MultiClient) noteResult(r *replica, err error, svc time.Duration, ahead
 		m.exclude(r, protocol.RetryAfter(err), true)
 	default:
 		r.failures++
-		m.exclude(r, m.cfg.FailureExclusion, false)
+		m.exclude(r, defaultFailureExclusion, false)
 	}
 	r.inflight--
 	closeNow := r.drainedLocked()

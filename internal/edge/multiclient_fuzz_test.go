@@ -122,7 +122,7 @@ func FuzzMultiRoute(f *testing.F) {
 				case 2:
 					exclude(i, retryAfter, true)
 				case 3:
-					exclude(i, m.cfg.FailureExclusion, false)
+					exclude(i, defaultFailureExclusion, false)
 				}
 			}
 			if openAtEntry > 0 && len(called) == 0 {

@@ -223,7 +223,7 @@ func TestMultiP2CNeverPicksExcluded(t *testing.T) {
 
 // TestMultiFailoverOnTransportError: a dying replica costs one failed call,
 // then the batch lands on a healthy one; the dead replica sits out
-// FailureExclusion and is retried after.
+// the failure exclusion (defaultFailureExclusion) and is retried after.
 func TestMultiFailoverOnTransportError(t *testing.T) {
 	m, reps, clk := newTestMulti(t, 2)
 	reps[1].mu.Lock()
@@ -238,7 +238,7 @@ func TestMultiFailoverOnTransportError(t *testing.T) {
 	if stats[0].Failures != 1 || !stats[0].Excluded || stats[1].Offloads != 1 {
 		t.Fatalf("failover accounting wrong: %+v", stats)
 	}
-	// The replica heals; after FailureExclusion it carries traffic again.
+	// The replica heals; after the failure exclusion it carries traffic again.
 	reps[0].set(nil, nil)
 	clk.advance(251 * time.Millisecond)
 	if _, _, err := m.ClassifyBatch(testImgs(2)); err != nil {

@@ -65,24 +65,19 @@ func ParseOffloadMode(s string) (OffloadMode, error) {
 // model, the WiFi model, and the upload size per instance in each
 // representation.
 type CostParams struct {
-	MainMACs   int64 // main block + main exit
-	ExtMACs    int64 // adaptive + extension + extension exit
-	Compute    energy.ComputeModel
-	WiFi       energy.WiFiModel
+	MainMACs int64 // main block + main exit
+	ExtMACs  int64 // adaptive + extension + extension exit
+	Compute  energy.ComputeModel
+	WiFi     energy.WiFiModel
+	// ImageBytes is the modeled upload size of one raw instance — the
+	// paper's 8-bit pixels (energy.RawImageBytes) for its energy algebra.
+	// Live latency predictions do not use it: they price a raw upload at
+	// the float32 size the batch really ships (see rawWireBytes).
 	ImageBytes int64
 	// FeatureBytes is the upload size of one main-block feature tensor
 	// (energy.FeatureBytes of its element count). 0 means unknown, which
 	// disables the features choice in OffloadAuto.
 	FeatureBytes int64
-	// WireImageBytes is what one raw instance ACTUALLY puts on the wire.
-	// ImageBytes follows the paper's 8-bit pixel model for the energy
-	// algebra, but protocol.EncodeTensor ships float32 — 4× the bytes — and
-	// the live link estimator measures those real frames, so predicting a
-	// raw upload's latency from ImageBytes would undercount it 4×
-	// (FeatureBytes is already the true float32 size). 0 falls back to
-	// ImageBytes (correct when ImageBytes is itself a wire-true size, as
-	// the benchmarks and tests configure).
-	WireImageBytes int64
 }
 
 // uploadBytes is the per-instance MODELED upload size of a representation
@@ -94,17 +89,14 @@ func (c *CostParams) uploadBytes(rep protocol.Rep) int64 {
 	return c.ImageBytes
 }
 
-// wireUploadBytes is the per-instance size a representation actually
-// serializes — the unit the live latency predictions must use, since the
-// estimator's bandwidth was measured from real frames.
-func (c *CostParams) wireUploadBytes(rep protocol.Rep) int64 {
-	if rep == protocol.RepFeatures {
-		return c.FeatureBytes
+// rawWireBytes is what one raw instance of batch x actually puts on the
+// wire: protocol.EncodeTensor ships float32, 4 bytes per element — the
+// energy.FeatureBytes rule applied to an image.
+func rawWireBytes(x *tensor.Tensor) int64 {
+	if x.Dims() == 0 || x.Dim(0) == 0 {
+		return 0
 	}
-	if c.WireImageBytes > 0 {
-		return c.WireImageBytes
-	}
-	return c.ImageBytes
+	return energy.FeatureBytes(int64(x.Numel() / x.Dim(0)))
 }
 
 // AdaptConfig tunes the closed-loop adaptation (SetLatencyBudget and the
@@ -329,6 +321,17 @@ type adaptSnapshot struct {
 	adapt       AdaptConfig
 	lastRep     protocol.Rep
 	haveLastRep bool
+	rawWire     int64 // rawWireBytes of the batch being classified
+}
+
+// wireBytes is the per-instance size rep actually serializes for this batch
+// — the unit the live latency predictions must use, since the estimator's
+// bandwidth was measured from real frames.
+func (r *Runtime) wireBytes(rep protocol.Rep, snap adaptSnapshot) int64 {
+	if rep == protocol.RepFeatures {
+		return r.cost.FeatureBytes
+	}
+	return snap.rawWire
 }
 
 // liveEstimate returns the transport's link estimate when it is mature enough
@@ -400,8 +403,8 @@ func (r *Runtime) resolveRepStatic() protocol.Rep {
 // predicts from WIRE sizes — the estimator's bandwidth was measured from
 // the frames the transport really ships.
 func (r *Runtime) resolveRepLive(est linkest.Estimate, snap adaptSnapshot) protocol.Rep {
-	tRaw := est.RTT + est.UploadTime(r.cost.wireUploadBytes(protocol.RepRaw))
-	tFeat := est.RTT + est.UploadTime(r.cost.wireUploadBytes(protocol.RepFeatures))
+	tRaw := est.RTT + est.UploadTime(r.wireBytes(protocol.RepRaw, snap))
+	tFeat := est.RTT + est.UploadTime(r.wireBytes(protocol.RepFeatures, snap))
 	if snap.budget > 0 {
 		affordRaw := snap.budget
 		if snap.haveLastRep && snap.lastRep == protocol.RepFeatures {
@@ -465,7 +468,7 @@ func (r *Runtime) adaptThreshold(snap adaptSnapshot, rep protocol.Rep, shed bool
 			return
 		}
 		load, haveLoad := r.cloud.CloudLoad()
-		obs := observedCloudLatency(est, r.cost.wireUploadBytes(rep))
+		obs := observedCloudLatency(est, r.wireBytes(rep, snap))
 		switch {
 		case obs > snap.budget || (haveLoad && queueSaturated(load)):
 		case obs < time.Duration(float64(snap.budget)*adaptHeadroom):
@@ -514,6 +517,7 @@ func (r *Runtime) Classify(x *tensor.Tensor) ([]core.Decision, error) {
 	// window expires — honoring the hint is what makes shedding cheaper
 	// than letting every edge hammer a saturated server with rejections.
 	if pol.UseCloud && r.cloud != nil && !shedHold {
+		snap.rawWire = rawWireBytes(x)
 		rep = r.resolveRep(mode, snap)
 		// Capture shed replies on their way through to core's attempt loop:
 		// core stops retrying on them, but only the runtime can honor the

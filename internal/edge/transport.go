@@ -158,8 +158,8 @@ type foreign struct {
 	bytes func() uint64
 }
 
-// asTransport is the one place a CloudClient becomes a Transport: NewRuntime,
-// MultiClient membership and the chain client's direct fallback all call it.
+// asTransport is the one place a CloudClient becomes a Transport: NewRuntime
+// and NewMultiClient, the two entry points that take a CloudClient, call it.
 // nil stays nil.
 func asTransport(c CloudClient) Transport {
 	if c == nil {

@@ -108,12 +108,11 @@ func TestChainMidHopDeathFallsBackDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := edge.NewRoutedChainClient(next, edge.ChainConfig{Chain: chain, Cuts: cuts})
+	client, err := edge.NewRoutedChainClient(next, edge.ChainConfig{Chain: chain, Cuts: cuts, Direct: direct})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.SetDirect(direct)
 
 	rng := rand.New(rand.NewSource(72))
 	img := tensor.Randn(rng, 1, in.C, in.H, in.W)
@@ -270,14 +269,9 @@ func TestChainLiveCutMove(t *testing.T) {
 	}
 	initialCuts := []core.CutPoint{1, 2}
 	client, err := edge.NewRoutedChainClient(next, edge.ChainConfig{
-		Chain: chain,
-		Cuts:  append([]core.CutPoint(nil), initialCuts...),
-		Replan: edge.ReplanConfig{
-			Enabled:        true,
-			Interval:       25 * time.Millisecond,
-			In:             in,
-			EdgeMACsPerSec: 1e9,
-		},
+		Chain:  chain,
+		Cuts:   append([]core.CutPoint(nil), initialCuts...),
+		Replan: edge.ReplanConfig{Enabled: true, In: in},
 	})
 	if err != nil {
 		t.Fatal(err)

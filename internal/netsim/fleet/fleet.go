@@ -27,11 +27,10 @@ import (
 
 // Config describes one fleet run.
 type Config struct {
-	// Addr is the cloud server's address (the single-replica shorthand).
-	Addr string
-	// Addrs are the cloud replica addresses for a multi-replica fleet; each
-	// edge dials every replica and routes offloads with edge.MultiClient.
-	// Set Addr or Addrs, not both.
+	// Addrs are the cloud replica addresses: with one, each edge holds a
+	// single connection; with several, each edge dials every replica and
+	// routes offloads with edge.MultiClient. May be empty when Dial is set
+	// (one replica, reached through Dial).
 	Addrs []string
 	// Edges is the number of concurrent edge runtimes (required, ≥ 1).
 	Edges int
@@ -71,11 +70,8 @@ type Config struct {
 }
 
 func (c *Config) validate() error {
-	if c.Addr == "" && len(c.Addrs) == 0 && c.Dial == nil {
+	if len(c.Addrs) == 0 && c.Dial == nil {
 		return errors.New("fleet: no server address and no dialer")
-	}
-	if c.Addr != "" && len(c.Addrs) > 0 {
-		return errors.New("fleet: set Addr or Addrs, not both")
 	}
 	if c.Edges < 1 {
 		return fmt.Errorf("fleet: %d edges, want ≥ 1", c.Edges)
@@ -108,10 +104,7 @@ func (c *Config) dialer(i, r int) func() (net.Conn, error) {
 	if c.Dial != nil {
 		return func() (net.Conn, error) { return c.Dial(i) }
 	}
-	addr := c.Addr
-	if len(c.Addrs) > 0 {
-		addr = c.Addrs[r]
-	}
+	addr := c.Addrs[r]
 	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
 }
 

@@ -130,7 +130,7 @@ func TestFleetSoakSheddingFlakyLinks(t *testing.T) {
 
 	maxTh := 1.0 // below the untrained entropy (≈ ln 6), so pressure never dies
 	res, err := Run(Config{
-		Addr:    addr,
+		Addrs:   []string{addr},
 		Edges:   edges,
 		Batches: batches,
 		Net:     m,
