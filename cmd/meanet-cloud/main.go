@@ -177,11 +177,11 @@ func run(args []string) error {
 			return fmt.Errorf("train features tail: %w", err)
 		}
 		raw := cloud.Partitioned(m.Main, tail)
-		acc, err := evalModel(raw, synth.Test)
+		cm, err := core.EvaluateClassifier(raw, synth.Test, 64)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "partitioned model test accuracy: %.2f%%\n", 100*acc)
+		fmt.Fprintf(os.Stderr, "partitioned model test accuracy: %.2f%%\n", 100*cm.Accuracy())
 
 		// Chain hop: mount the full serving chain (the same deterministic
 		// construction the edge and every other hop run), so relay frames
@@ -194,15 +194,7 @@ func run(args []string) error {
 			// More than one address is a replica set at the next chain
 			// position, behind the edge's own router: the chain heals around
 			// a dead or shedding member without the edge noticing.
-			var down interface {
-				cloud.Downstream
-				Close() error
-			}
-			if len(downAddrs) == 1 {
-				down, err = edge.DialCloud(downAddrs[0], edge.DialConfig{})
-			} else {
-				down, err = edge.DialMultiCloud(downAddrs, edge.DialConfig{}, edge.MultiConfig{})
-			}
+			down, _, err := deploy.DialTier(downAddrs, edge.DialConfig{}, edge.MultiConfig{})
 			if err != nil {
 				return fmt.Errorf("dial downstream: %w", err)
 			}
@@ -325,32 +317,6 @@ func serve(raw cloud.Model, tail *cloud.Tail, addr, dataset string, classes, bat
 			st.BatchedRequests, st.Batches, float64(st.BatchedRequests)/float64(st.Batches))
 	}
 	return nil
-}
-
-// evalModel measures top-1 accuracy of a serving model over a dataset.
-func evalModel(m cloud.Model, ds *data.Dataset) (float64, error) {
-	if ds.N == 0 {
-		return 0, fmt.Errorf("empty test set")
-	}
-	correct := 0
-	for start := 0; start < ds.N; start += 64 {
-		end := start + 64
-		if end > ds.N {
-			end = ds.N
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, y := ds.Batch(idx)
-		preds := m.Logits(x, false).ArgMaxRows()
-		for i, p := range preds {
-			if p == y[i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(ds.N), nil
 }
 
 // cloudEpochs is how long the cloud trains its own model — the standalone

@@ -103,34 +103,33 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/meanet/meanet/internal/cloud"
 	"github.com/meanet/meanet/internal/core"
-	"github.com/meanet/meanet/internal/data"
 	"github.com/meanet/meanet/internal/deploy"
 	"github.com/meanet/meanet/internal/edge"
-	"github.com/meanet/meanet/internal/energy"
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/profile"
-	"github.com/meanet/meanet/internal/tensor"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "meanet-edge:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses args, trains and serves, and writes the report to w; progress
+// goes to stderr.
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("meanet-edge", flag.ContinueOnError)
 	cloudAddr := fs.String("cloud", "127.0.0.1:9400", "comma-separated cloud replica addresses (empty = edge only)")
 	dataset := fs.String("dataset", "c100", "dataset preset: c100 or imagenet")
@@ -159,14 +158,14 @@ func run(args []string) error {
 	// Fail fast on bad flags and illegal combinations: every check up to
 	// training reads only the flags (and the untrained network's geometry),
 	// so a bad invocation dies in milliseconds instead of after minutes of
-	// training. Each error names its flag.
+	// training. Each error names its flag; NaN fails every range check.
 	if *batch < 1 {
 		return fmt.Errorf("-batch %d, want ≥ 1", *batch)
 	}
 	if *retries < 0 {
 		return fmt.Errorf("-retries %d, want ≥ 0", *retries)
 	}
-	if *threshold < 0 && *threshold != -1 {
+	if !(*threshold >= 0 || *threshold == -1) {
 		return fmt.Errorf("-threshold %g, want ≥ 0 (or -1 = validation midpoint)", *threshold)
 	}
 	mode, err := edge.ParseOffloadMode(*offload)
@@ -205,7 +204,7 @@ func run(args []string) error {
 	if *replan && *cutsFlag == "" {
 		return fmt.Errorf("-replan moves the cut chain live; it needs -cuts to start from")
 	}
-	if *replanHyst <= 0 {
+	if !(*replanHyst > 0) {
 		return fmt.Errorf("-replan-hysteresis %g, want > 0", *replanHyst)
 	}
 	if *chainFallback != "" && *cutsFlag == "" {
@@ -214,7 +213,19 @@ func run(args []string) error {
 	if *adminAddr != "" && len(addrs) < 2 {
 		return fmt.Errorf("-admin needs a multi-replica run (-cloud with ≥2 addresses)")
 	}
-	if !*plan && (*planRates != "" || *planLinks != "") {
+	var devices []profile.Device
+	var links []netsim.Link
+	if *plan {
+		if *planRates == "" || *planLinks == "" {
+			return fmt.Errorf("-plan needs -plan-rates (MACs/s per device) and -plan-links (Mbps@latency per hop)")
+		}
+		if devices, err = deploy.ParseRates(*planRates); err != nil {
+			return fmt.Errorf("-plan-rates: %w", err)
+		}
+		if links, err = deploy.ParseLinks(*planLinks); err != nil {
+			return fmt.Errorf("-plan-links: %w", err)
+		}
+	} else if *planRates != "" || *planLinks != "" {
 		return fmt.Errorf("-plan-rates/-plan-links only apply with -plan")
 	}
 
@@ -223,6 +234,7 @@ func run(args []string) error {
 		return fmt.Errorf("-dataset: %w", err)
 	}
 	classes := synth.Train.NumClasses
+	inShape := profile.Shape{C: synth.Train.C, H: synth.Train.H, W: synth.Train.W}
 
 	// Build and train the edge network: the deterministic main-block half
 	// runs through the shared deploy pipeline (the cloud replays the same
@@ -240,7 +252,7 @@ func run(args []string) error {
 	// Planning mode: the solver only reads the chain's layer geometry, so it
 	// runs on the untrained networks and exits before any training.
 	if *plan {
-		return planPlacement(m, synth, *planRates, *planLinks)
+		return planPlacement(w, m, classes, inShape, devices, links)
 	}
 	flat := core.FlattenChain(m.Main)
 	if len(cuts) > 0 && int(cuts[0]) > len(flat) {
@@ -264,23 +276,15 @@ func run(args []string) error {
 	lo, hi, _ := tm.Entropy.ThresholdRange()
 	fmt.Fprintf(os.Stderr, "entropy means (val): correct %.3f, wrong %.3f; using threshold %.3f\n", lo, hi, th)
 
-	// Cloud transport: one pipelined connection per replica address, routed
-	// by edge.MultiClient when there is more than one.
-	var client cloudConn
+	// Cloud tier: one pipelined connection per replica address, routed by
+	// edge.MultiClient when there is more than one.
+	var client deploy.Tier
 	var mc *edge.MultiClient
 	var cc *edge.ChainClient
 	useCloud := len(addrs) > 0
-	link := netsim.Link{Latency: *latency, Mbps: *mbps}
-	dcfg := edge.DialConfig{Link: link}
+	dcfg := edge.DialConfig{Link: netsim.Link{Latency: *latency, Mbps: *mbps}}
 	if useCloud {
-		var err error
-		if len(addrs) == 1 {
-			client, err = edge.DialCloud(addrs[0], dcfg)
-		} else {
-			mc, err = edge.DialMultiCloud(addrs, dcfg, edge.MultiConfig{})
-			client = mc
-		}
-		if err != nil {
+		if client, mc, err = deploy.DialTier(addrs, dcfg, edge.MultiConfig{}); err != nil {
 			return fmt.Errorf("dial cloud: %w", err)
 		}
 		defer client.Close()
@@ -316,11 +320,7 @@ func run(args []string) error {
 			Cuts:     cuts,
 			MaxLocal: len(flat),
 			Direct:   direct,
-			Replan: edge.ReplanConfig{
-				Enabled:    *replan,
-				Hysteresis: *replanHyst,
-				In:         profile.Shape{C: synth.Train.C, H: synth.Train.H, W: synth.Train.W},
-			},
+			Replan:   edge.ReplanConfig{Enabled: *replan, Hysteresis: *replanHyst, In: inShape},
 		})
 		if err != nil {
 			return err
@@ -357,27 +357,10 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "admin control socket on %s (add/remove/list)\n", ln.Addr())
 	}
 
-	// Energy model. FeatureBytes comes from the main block's actual output
-	// geometry, probed with one dummy forward.
-	inShape := profile.Shape{C: synth.Train.C, H: synth.Train.H, W: synth.Train.W}
-	prof, err := profile.ProfileMEANet(m, inShape, 0)
+	cost, err := deploy.EdgeCost(spec, m, inShape)
 	if err != nil {
 		return err
 	}
-	compute := energy.EdgeGPUCIFAR()
-	if *dataset == "imagenet" {
-		compute = energy.EdgeGPUImageNet()
-	}
-	feat, _ := m.MainForward(tensor.Randn(rand.New(rand.NewSource(1)), 1, 1, inShape.C, inShape.H, inShape.W), false)
-	cost := &edge.CostParams{
-		MainMACs:     prof.Fixed.MACs,
-		ExtMACs:      prof.Trained.MACs,
-		Compute:      compute,
-		WiFi:         energy.DefaultWiFi(),
-		ImageBytes:   energy.RawImageBytes(inShape.H, inShape.W, inShape.C),
-		FeatureBytes: energy.FeatureBytes(int64(feat.Numel())),
-	}
-
 	rt, err := edge.NewRuntime(m, core.Policy{Threshold: th, UseCloud: useCloud, CloudRetries: *retries}, client, cost)
 	if err != nil {
 		return err
@@ -400,84 +383,59 @@ func run(args []string) error {
 
 	// Stream the test set; each batch's complex instances go to the cloud in
 	// one round trip.
-	correct := 0
 	streamStart := time.Now()
-	for startIdx := 0; startIdx < synth.Test.N; startIdx += *batch {
-		end := startIdx + *batch
-		if end > synth.Test.N {
-			end = synth.Test.N
-		}
-		idx := make([]int, end-startIdx)
-		for i := range idx {
-			idx[i] = startIdx + i
-		}
-		x, y := synth.Test.Batch(idx)
-		decisions, err := rt.Classify(x)
-		if err != nil {
-			return err
-		}
-		for i, d := range decisions {
-			if d.Pred == y[i] {
-				correct++
-			}
-		}
+	correct, err := deploy.Stream(rt, synth.Test, *batch)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(streamStart)
 
 	rep := rt.Report()
-	fmt.Printf("instances:        %d in %.1fs (%.0f inst/s)\n",
+	fmt.Fprintf(w, "instances:        %d in %.1fs (%.0f inst/s)\n",
 		rep.N, elapsed.Seconds(), float64(rep.N)/elapsed.Seconds())
-	fmt.Printf("accuracy:         %.2f%%\n", 100*float64(correct)/float64(rep.N))
-	fmt.Printf("exits:            main %d, extension %d, cloud %d (beta %.1f%%)\n",
+	fmt.Fprintf(w, "accuracy:         %.2f%%\n", 100*float64(correct)/float64(rep.N))
+	fmt.Fprintf(w, "exits:            main %d, extension %d, cloud %d (beta %.1f%%)\n",
 		rep.Exits[core.ExitMain], rep.Exits[core.ExitExtension], rep.Exits[core.ExitCloud],
 		100*rep.CloudFraction())
-	fmt.Printf("cloud failures:   %d\n", rep.CloudFailures)
+	fmt.Fprintf(w, "cloud failures:   %d\n", rep.CloudFailures)
 	if useCloud {
-		fmt.Printf("cloud sheds:      %d events, %d instances fell back to the edge (no upload charged)\n",
+		fmt.Fprintf(w, "cloud sheds:      %d events, %d instances fell back to the edge (no upload charged)\n",
 			rep.ShedEvents, rep.ShedFallbacks)
 	}
-	fmt.Printf("uploads:          %d raw, %d feature (mode %s)\n",
+	fmt.Fprintf(w, "uploads:          %d raw, %d feature (mode %s)\n",
 		rep.RawUploads, rep.FeatureUploads, mode)
-	fmt.Printf("bytes uploaded:   %d\n", rep.BytesSent)
-	fmt.Printf("edge energy:      %.3f J compute + %.3f J comm = %.3f J\n",
+	fmt.Fprintf(w, "bytes uploaded:   %d\n", rep.BytesSent)
+	fmt.Fprintf(w, "edge energy:      %.3f J compute + %.3f J comm = %.3f J\n",
 		rep.Energy.ComputeJ, rep.Energy.CommJ, rep.Energy.TotalJ())
-	fmt.Printf("modeled latency:  %v compute + %v upload\n",
+	fmt.Fprintf(w, "modeled latency:  %v compute + %v upload\n",
 		rep.LatencyCompute.Round(time.Microsecond), rep.LatencyComm.Round(time.Microsecond))
 	if *budget > 0 {
-		fmt.Printf("adaptation:       threshold %.3f (started %.3f), %d representation flips\n",
+		fmt.Fprintf(w, "adaptation:       threshold %.3f (started %.3f), %d representation flips\n",
 			rep.Threshold, th, rep.RepFlips)
 	}
 	if cc != nil {
 		cs := cc.ChainStats()
-		fmt.Printf("chain paths:      %d instances through the chain, %d via direct fallback, %d chain failures, %d direct failures\n",
+		fmt.Fprintf(w, "chain paths:      %d instances through the chain, %d via direct fallback, %d chain failures, %d direct failures\n",
 			cs.ChainInstances, cs.FallbackInstances, cs.ChainFailures, cs.DirectFailures)
 		if cs.Cuts != nil {
-			fmt.Printf("chain placement:  cuts %v after %d live move(s)\n", cs.Cuts, cs.CutMoves)
+			fmt.Fprintf(w, "chain placement:  cuts %v after %d live move(s)\n", cs.Cuts, cs.CutMoves)
 		}
 	}
 	if useCloud {
 		est := client.LinkEstimate()
-		fmt.Printf("link estimate:    rtt %v, %.2f Mbps over %d samples\n",
+		fmt.Fprintf(w, "link estimate:    rtt %v, %.2f Mbps over %d samples\n",
 			est.RTT.Round(time.Microsecond), est.Mbps, est.Samples)
 		if load, ok := client.CloudLoad(); ok {
-			fmt.Printf("cloud load:       queue %d, active %d (last piggybacked status)\n",
+			fmt.Fprintf(w, "cloud load:       queue %d, active %d (last piggybacked status)\n",
 				load.QueueDepth, load.Active)
 		}
 	}
 	if mc != nil {
 		for _, rs := range mc.ReplicaStats() {
-			fmt.Println(replicaRow(rs))
+			fmt.Fprintln(w, replicaRow(rs))
 		}
 	}
 	return nil
-}
-
-// cloudConn is what run holds of its dialed cloud tier — a TCPClient, a
-// MultiClient or a ChainClient: the runtime's classify surface plus the
-// transport's health probe and live signals.
-type cloudConn interface {
-	edge.CloudClient
-	edge.Transport
 }
 
 // serveAdmin accepts membership control connections until the listener
@@ -601,26 +559,13 @@ func untrainedServingChain(m *core.MEANet, classes int) ([]nn.Layer, error) {
 }
 
 // planPlacement runs the placement solver over the untrained serving chain
-// and prints the throughput-maximizing cut chain next to the all-edge and
-// direct-offload predictions.
-func planPlacement(m *core.MEANet, synth *data.Synth, ratesFlag, linksFlag string) error {
-	if ratesFlag == "" || linksFlag == "" {
-		return fmt.Errorf("-plan needs -plan-rates (MACs/s per device) and -plan-links (Mbps@latency per hop)")
-	}
-	devices, err := parseRates(ratesFlag)
+// and writes the throughput-maximizing cut chain to w, next to the all-edge
+// and direct-offload predictions.
+func planPlacement(w io.Writer, m *core.MEANet, classes int, in profile.Shape, devices []profile.Device, links []netsim.Link) error {
+	chain, err := untrainedServingChain(m, classes)
 	if err != nil {
 		return err
 	}
-	links, err := parseLinks(linksFlag)
-	if err != nil {
-		return err
-	}
-	chain, err := untrainedServingChain(m, synth.Train.NumClasses)
-	if err != nil {
-		return err
-	}
-	in := profile.Shape{C: synth.Train.C, H: synth.Train.H, W: synth.Train.W}
-
 	pipe, err := profile.PlacePipeline(chain, in, devices, links)
 	if err != nil {
 		return err
@@ -633,74 +578,29 @@ func planPlacement(m *core.MEANet, synth *data.Synth, ratesFlag, linksFlag strin
 	for i, c := range pipe.Cuts {
 		cutStrs[i] = fmt.Sprint(int(c))
 	}
-	fmt.Printf("placement over the %d-unit serving chain across %d device(s):\n", len(chain), len(devices))
-	fmt.Printf("  pipeline:  %.1f images/s predicted, cuts %s (bottleneck: %s)\n",
+	fmt.Fprintf(w, "placement over the %d-unit serving chain across %d device(s):\n", len(chain), len(devices))
+	fmt.Fprintf(w, "  pipeline:  %.1f images/s predicted, cuts %s (bottleneck: %s)\n",
 		pipe.Throughput, strings.Join(cutStrs, ","), pipe.Bottleneck)
-	fmt.Printf("  all-edge:  %.1f images/s predicted\n", local.Throughput)
+	fmt.Fprintf(w, "  all-edge:  %.1f images/s predicted\n", local.Throughput)
 	if len(devices) >= 2 {
 		direct, err := profile.DirectPlacement(chain, in, links[0], devices[0], devices[len(devices)-1])
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  direct:    %.1f images/s predicted (raw upload, whole chain on %s)\n",
+		fmt.Fprintf(w, "  direct:    %.1f images/s predicted (raw upload, whole chain on %s)\n",
 			direct.Throughput, devices[len(devices)-1].Name)
 	}
-	fmt.Printf("stage plan:\n")
+	fmt.Fprintf(w, "stage plan:\n")
 	for i, st := range pipe.Stages {
-		fmt.Printf("  stage %d on %-8s units [%d,%d)  %8.2f MMACs  compute %6.2fms  transfer %6.2fms  %d wire bytes\n",
+		fmt.Fprintf(w, "  stage %d on %-8s units [%d,%d)  %8.2f MMACs  compute %6.2fms  transfer %6.2fms  %d wire bytes\n",
 			i, st.Device, st.From, st.To, float64(st.Cost.MACs)/1e6,
 			1000*st.ComputeSec, 1000*st.TransferSec, st.WireBytes)
 	}
 	if len(pipe.Cuts) > 0 {
-		fmt.Printf("deploy with: meanet-edge -cuts %s over a chain of %d meanet-cloud -tail hop(s), each but the last with -downstream\n",
+		fmt.Fprintf(w, "deploy with: meanet-edge -cuts %s over a chain of %d meanet-cloud -tail hop(s), each but the last with -downstream\n",
 			strings.Join(cutStrs, ","), len(pipe.Cuts))
 	}
 	return nil
-}
-
-// parseRates parses the -plan-rates device list: MACs/s per device, first
-// device is the edge.
-func parseRates(s string) ([]profile.Device, error) {
-	var devices []profile.Device
-	for i, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -plan-rates entry %q: %w", part, err)
-		}
-		name := fmt.Sprintf("hop%d", i)
-		if i == 0 {
-			name = "edge"
-		}
-		devices = append(devices, profile.Device{Name: name, MACsPerSec: v})
-	}
-	return devices, nil
-}
-
-// parseLinks parses the -plan-links hop list: each entry is Mbps@latency
-// ("7@1ms"), ordered edge→hop1, hop1→hop2, ...
-func parseLinks(s string) ([]netsim.Link, error) {
-	var links []netsim.Link
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		mbpsStr, latStr, ok := strings.Cut(part, "@")
-		if !ok {
-			return nil, fmt.Errorf("bad -plan-links entry %q (want Mbps@latency, e.g. 7@1ms)", part)
-		}
-		mbps, err := strconv.ParseFloat(mbpsStr, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -plan-links bandwidth %q: %w", mbpsStr, err)
-		}
-		lat, err := time.ParseDuration(latStr)
-		if err != nil {
-			return nil, fmt.Errorf("bad -plan-links latency %q: %w", latStr, err)
-		}
-		link := netsim.Link{Latency: lat, Mbps: mbps}
-		if err := link.Validate(); err != nil {
-			return nil, fmt.Errorf("bad -plan-links entry %q: %w", part, err)
-		}
-		links = append(links, link)
-	}
-	return links, nil
 }
 
 func progressf(format string, args ...any) {

@@ -15,8 +15,7 @@ import (
 	meanet "github.com/meanet/meanet"
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/data"
-	"github.com/meanet/meanet/internal/edge"
-	"github.com/meanet/meanet/internal/energy"
+	"github.com/meanet/meanet/internal/deploy"
 	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/profile"
@@ -79,16 +78,9 @@ func main() {
 
 	// Energy accounting from the profiler + the paper's cost models.
 	inShape := profile.Shape{C: synth.Train.C, H: synth.Train.H, W: synth.Train.W}
-	prof, err := profile.ProfileMEANet(m, inShape, 0)
+	cost, err := deploy.EdgeCost(deploy.EdgeSpec{Dataset: "c100"}, m, inShape)
 	if err != nil {
 		log.Fatal(err)
-	}
-	cost := &edge.CostParams{
-		MainMACs:   prof.Fixed.MACs,
-		ExtMACs:    prof.Trained.MACs,
-		Compute:    energy.EdgeGPUCIFAR(),
-		WiFi:       energy.DefaultWiFi(),
-		ImageBytes: energy.RawImageBytes(inShape.H, inShape.W, inShape.C),
 	}
 
 	// Threshold sweep over the real socket (Fig 7 / Fig 8 protocol).
@@ -99,23 +91,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		correct := 0
-		for start := 0; start < synth.Test.N; start += 32 {
-			end := min(start+32, synth.Test.N)
-			idx := make([]int, end-start)
-			for i := range idx {
-				idx[i] = start + i
-			}
-			x, y := synth.Test.Batch(idx)
-			decisions, err := rt.Classify(x)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for i, d := range decisions {
-				if d.Pred == y[i] {
-					correct++
-				}
-			}
+		correct, err := deploy.Stream(rt, synth.Test, 32)
+		if err != nil {
+			log.Fatal(err)
 		}
 		rep := rt.Report()
 		fmt.Printf("  %9.3f | %7.2f%% | %12.1f%% | %.4f J + %.4f J\n",

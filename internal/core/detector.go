@@ -74,7 +74,7 @@ func DetectorAccuracy(m *MEANet, det *HardnessDetector, ds *data.Dataset, batch 
 		return 0, errors.New("core: hard classes not selected")
 	}
 	ok := 0
-	err := forEachBatch(ds, batch, func(x *tensor.Tensor, y []int) error {
+	err := ds.EachBatch(batch, func(_ int, x *tensor.Tensor, y []int) error {
 		feat := m.Main.Forward(x, false)
 		flags := det.Predict(feat)
 		for i := range y {

@@ -6,7 +6,6 @@ import (
 
 	"github.com/meanet/meanet/internal/data"
 	"github.com/meanet/meanet/internal/metrics"
-	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -15,15 +14,12 @@ import (
 // wrong predictions (used both for hard-class selection, Algorithm 1 step 2,
 // and for threshold estimation, §III-C).
 func EvaluateMain(m *MEANet, ds *data.Dataset, batch int) (*metrics.Confusion, metrics.EntropyStats, error) {
-	if batch < 1 {
-		return nil, metrics.EntropyStats{}, errors.New("core: batch must be ≥1")
-	}
 	if ds.NumClasses != m.NumClasses {
 		return nil, metrics.EntropyStats{}, fmt.Errorf("core: dataset has %d classes, MEANet expects %d", ds.NumClasses, m.NumClasses)
 	}
 	cm := metrics.NewConfusion(m.NumClasses)
 	var es metrics.EntropyStats
-	err := forEachBatch(ds, batch, func(x *tensor.Tensor, y []int) error {
+	err := ds.EachBatch(batch, func(_ int, x *tensor.Tensor, y []int) error {
 		_, logits := m.MainForward(x, false)
 		probs := tensor.Softmax(logits)
 		for i := range y {
@@ -41,17 +37,18 @@ func EvaluateMain(m *MEANet, ds *data.Dataset, batch int) (*metrics.Confusion, m
 	return cm, es, nil
 }
 
-// EvaluateClassifier computes the confusion matrix of a complete CNN (e.g.
-// the cloud AI) over a dataset.
-func EvaluateClassifier(c *models.Classifier, ds *data.Dataset, batch int) (*metrics.Confusion, error) {
-	if batch < 1 {
-		return nil, errors.New("core: batch must be ≥1")
-	}
+// LogitModel is a complete classifier seen through its batch forward — a
+// models.Classifier, the cloud AI, or a partitioned main∘tail serving model.
+type LogitModel interface {
+	Logits(x *tensor.Tensor, train bool) *tensor.Tensor
+}
+
+// EvaluateClassifier computes the confusion matrix of a complete classifier
+// (e.g. the cloud AI) over a dataset in evaluation mode.
+func EvaluateClassifier(c LogitModel, ds *data.Dataset, batch int) (*metrics.Confusion, error) {
 	cm := metrics.NewConfusion(ds.NumClasses)
-	err := forEachBatch(ds, batch, func(x *tensor.Tensor, y []int) error {
-		logits := c.Logits(x, false)
-		preds := logits.ArgMaxRows()
-		cm.AddBatch(y, preds)
+	err := ds.EachBatch(batch, func(_ int, x *tensor.Tensor, y []int) error {
+		cm.AddBatch(y, c.Logits(x, false).ArgMaxRows())
 		return nil
 	})
 	if err != nil {
@@ -152,7 +149,7 @@ func DetectionAccuracy(m *MEANet, ds *data.Dataset, batch int) (float64, error) 
 		return 0, errors.New("core: hard classes not selected")
 	}
 	ok := 0
-	err := forEachBatch(ds, batch, func(x *tensor.Tensor, y []int) error {
+	err := ds.EachBatch(batch, func(_ int, x *tensor.Tensor, y []int) error {
 		_, logits := m.MainForward(x, false)
 		preds := logits.ArgMaxRows()
 		for i := range y {
@@ -188,7 +185,7 @@ func HardSubsetAccuracy(m *MEANet, ds *data.Dataset, batch int) (mainAcc, meaAcc
 	}
 	sub := ds.Subset(idx)
 	var mainOK, meaOK int
-	err = forEachBatch(sub, batch, func(x *tensor.Tensor, y []int) error {
+	err = sub.EachBatch(batch, func(_ int, x *tensor.Tensor, y []int) error {
 		feat, logits := m.MainForward(x, false)
 		probs := tensor.Softmax(logits)
 		extLogits, err := m.ExtForward(x, feat, false)
@@ -219,26 +216,4 @@ func HardSubsetAccuracy(m *MEANet, ds *data.Dataset, batch int) (mainAcc, meaAcc
 	}
 	n := float64(sub.N)
 	return float64(mainOK) / n, float64(meaOK) / n, nil
-}
-
-// forEachBatch iterates a dataset in order without shuffling.
-func forEachBatch(ds *data.Dataset, batch int, fn func(x *tensor.Tensor, y []int) error) error {
-	if batch < 1 {
-		return errors.New("core: batch must be ≥1")
-	}
-	for start := 0; start < ds.N; start += batch {
-		end := start + batch
-		if end > ds.N {
-			end = ds.N
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, y := ds.Batch(idx)
-		if err := fn(x, y); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/meanet/meanet/internal/data"
+	"github.com/meanet/meanet/internal/tensor"
 )
 
 // FeatureDataset runs the (frozen) main block over a dataset in evaluation
@@ -16,35 +17,25 @@ func (m *MEANet) FeatureDataset(ds *data.Dataset, batch int) (*data.Dataset, err
 	if ds == nil {
 		return nil, errors.New("core: nil dataset")
 	}
-	if batch < 1 {
-		return nil, errors.New("core: batch must be ≥1")
-	}
 	if ds.N == 0 {
 		return data.NewDataset(0, 0, 0, 0, ds.NumClasses), nil
 	}
 	var out *data.Dataset
-	sz := 0
-	for start := 0; start < ds.N; start += batch {
-		end := start + batch
-		if end > ds.N {
-			end = ds.N
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, y := ds.Batch(idx)
+	err := ds.EachBatch(batch, func(start int, x *tensor.Tensor, y []int) error {
 		feat := m.Main.Forward(x, false)
 		if out == nil {
 			shape := feat.Shape()
 			if len(shape) != 4 {
-				return nil, fmt.Errorf("core: main block produced rank-%d features, want NCHW", len(shape))
+				return fmt.Errorf("core: main block produced rank-%d features, want NCHW", len(shape))
 			}
 			out = data.NewDataset(ds.N, shape[1], shape[2], shape[3], ds.NumClasses)
-			sz = shape[1] * shape[2] * shape[3]
 		}
-		copy(out.X[start*sz:end*sz], feat.Data())
-		copy(out.Y[start:end], y)
+		copy(out.X[start*out.ImageSize():], feat.Data())
+		copy(out.Y[start:], y)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

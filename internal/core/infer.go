@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/meanet/meanet/internal/data"
 	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
@@ -312,35 +313,17 @@ func (m *MEANet) extPart(x *tensor.Tensor, chunks []batchChunk, idx []int, decis
 
 // InferDataset runs InferBatchedRep (raw uploads) over a whole dataset in
 // mini-batches, returning one decision per instance in dataset order.
-func (m *MEANet) InferDataset(ds datasetView, batch int, pol Policy, cloud CloudBatchFunc) ([]Decision, error) {
-	if batch < 1 {
-		return nil, errors.New("core: batch must be ≥1")
-	}
-	out := make([]Decision, 0, ds.Len())
-	for start := 0; start < ds.Len(); start += batch {
-		end := start + batch
-		if end > ds.Len() {
-			end = ds.Len()
-		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, _ := ds.Batch(idx)
-		ds64, err := m.InferBatchedRep(x, pol, protocol.RepRaw, cloud)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ds64...)
+func (m *MEANet) InferDataset(ds *data.Dataset, batch int, pol Policy, cloud CloudBatchFunc) ([]Decision, error) {
+	out := make([]Decision, 0, ds.N)
+	err := ds.EachBatch(batch, func(_ int, x *tensor.Tensor, _ []int) error {
+		decisions, err := m.InferBatchedRep(x, pol, protocol.RepRaw, cloud)
+		out = append(out, decisions...)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// datasetView is the subset of data.Dataset InferDataset needs; declared
-// locally to keep the dependency direction explicit.
-type datasetView interface {
-	Batch(indices []int) (*tensor.Tensor, []int)
-	Len() int
 }
 
 func argmax(row []float32) int {

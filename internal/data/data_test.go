@@ -1,10 +1,14 @@
 package data
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"github.com/meanet/meanet/internal/tensor"
 )
 
 func tinyConfig(seed int64) SynthConfig {
@@ -256,6 +260,45 @@ func TestBatchGathersCorrectImages(t *testing.T) {
 	}
 	if y[0] != s.Train.Y[3] || y[1] != s.Train.Y[0] {
 		t.Fatal("batch labels wrong")
+	}
+}
+
+// TestEachBatchInOrder: the in-order iterator hands out exactly what Batch
+// gathers for consecutive index ranges, ending on the partial batch, and
+// stops at the callback's first error.
+func TestEachBatchInOrder(t *testing.T) {
+	s, err := Generate(tinyConfig(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := s.Test // 60 examples: batches of 25, 25, 10
+	next := 0
+	err = ds.EachBatch(25, func(start int, x *tensor.Tensor, y []int) error {
+		if start != next {
+			t.Fatalf("batch starts at %d, want %d", start, next)
+		}
+		idx := make([]int, len(y))
+		for i := range idx {
+			idx[i] = start + i
+		}
+		wx, wy := ds.Batch(idx)
+		if !x.SameShape(wx) || !slices.Equal(x.Data(), wx.Data()) || !slices.Equal(y, wy) {
+			t.Fatalf("batch at %d differs from Batch over the same indices", start)
+		}
+		next = start + len(y)
+		return nil
+	})
+	if err != nil || next != ds.N {
+		t.Fatalf("iterated %d of %d examples (err %v)", next, ds.N, err)
+	}
+
+	stop := errors.New("stop")
+	calls := 0
+	if err := ds.EachBatch(7, func(int, *tensor.Tensor, []int) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("callback error: got %v after %d calls, want it returned after 1", err, calls)
+	}
+	if err := ds.EachBatch(0, func(int, *tensor.Tensor, []int) error { return nil }); err == nil {
+		t.Fatal("batch size 0 accepted")
 	}
 }
 

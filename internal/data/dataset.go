@@ -48,8 +48,24 @@ func NewDataset(n, c, h, w, numClasses int) *Dataset {
 // ImageSize reports the per-image element count C*H*W.
 func (d *Dataset) ImageSize() int { return d.C * d.H * d.W }
 
-// Len reports the number of examples (satisfying batch-iteration interfaces).
-func (d *Dataset) Len() int { return d.N }
+// EachBatch walks the dataset in order, without shuffling, in batches of at
+// most size examples — the evaluation and streaming order — and calls fn on
+// each with the index of its first example. It stops at fn's first error.
+func (d *Dataset) EachBatch(size int, fn func(start int, x *tensor.Tensor, y []int) error) error {
+	if size < 1 {
+		return fmt.Errorf("data: batch size %d < 1", size)
+	}
+	sz := d.ImageSize()
+	for start := 0; start < d.N; start += size {
+		end := min(start+size, d.N)
+		x := tensor.New(end-start, d.C, d.H, d.W)
+		copy(x.Data(), d.X[start*sz:end*sz])
+		if err := fn(start, x, append([]int(nil), d.Y[start:end]...)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Image returns a view of image i as a [C,H,W] tensor sharing storage.
 func (d *Dataset) Image(i int) *tensor.Tensor {

@@ -1,4 +1,4 @@
-package deploy
+package deploy_test
 
 // The serving conformance matrix. Algorithm 2's decisions, and every
 // confidence the cloud tier returns, must be bitwise the same whatever
@@ -28,6 +28,7 @@ import (
 
 	"github.com/meanet/meanet/internal/cloud"
 	"github.com/meanet/meanet/internal/core"
+	"github.com/meanet/meanet/internal/deploy"
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/energy"
 	"github.com/meanet/meanet/internal/models"
@@ -73,7 +74,7 @@ type conformance struct {
 // three exits.
 func newConformance(t *testing.T) *conformance {
 	t.Helper()
-	m, tail := buildSweepNet(t)
+	m, tail := deploy.BuildSweepNet(t)
 	rng := rand.New(rand.NewSource(31))
 	cands := tensor.Randn(rng, 1, 4*conformancePool, 3, conformanceSide, conformanceSide)
 	n := cands.Dim(0)
@@ -114,7 +115,7 @@ func newConformance(t *testing.T) *conformance {
 	}
 	m.ExtExit = models.NewExit(rng, "conformance.extexit", m.ExtOutChannels(), len(hard))
 	sort.Float64s(entropies)
-	f := &conformance{m: m, tail: tail, chain: ServingChain(m, tail), th: entropies[n/2]}
+	f := &conformance{m: m, tail: tail, chain: deploy.ServingChain(m, tail), th: entropies[n/2]}
 
 	var groups [3][]int // cloud, extension, main
 	for i, d := range mains {
@@ -351,7 +352,7 @@ func conformanceTransports(f *conformance) []conformanceTransport {
 		ts = append(ts, conformanceTransport{fmt.Sprintf("chain-relay/cut=%d", cut), rawOnly,
 			func(t *testing.T, f *conformance) *tier { return f.chainTier(t, core.CutPoint(cut)) }})
 	}
-	mb := MainBoundary(f.m)
+	mb := deploy.MainBoundary(f.m)
 	return append(ts, conformanceTransport{fmt.Sprintf("chain-relay/2-hop=%d,%d", mb/2, mb), rawOnly,
 		func(t *testing.T, f *conformance) *tier { return f.chainTier(t, mb/2, mb) }})
 }

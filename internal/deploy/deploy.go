@@ -1,25 +1,33 @@
-// Package deploy builds the deterministic artefacts the two service commands
-// (meanet-edge and meanet-cloud) must agree on. Both ends derive everything
-// from the same (dataset, scale, seed, variant) tuple: the synthetic dataset,
-// the edge MEANet architecture, and — for the §III-C "sending features"
-// collaboration mode — the trained main block whose feature geometry the
-// cloud-side tail continues from. Centralizing the construction here keeps
-// the two commands bitwise consistent: a drift in seeds or training order
-// between them would silently break the partitioned-network mode.
+// Package deploy is where the edge-cloud stack is built and wired. It builds
+// the deterministic artefacts the two service commands (meanet-edge and
+// meanet-cloud) must agree on: both ends derive everything from the same
+// (dataset, scale, seed, variant) tuple — the synthetic dataset, the edge
+// MEANet architecture, and, for the §III-C "sending features" collaboration
+// mode, the trained main block whose feature geometry the cloud-side tail
+// continues from. Centralizing the construction here keeps the two commands
+// bitwise consistent: a drift in seeds or training order between them would
+// silently break the partitioned-network mode. It also wires the serving
+// path the same way for every caller — the commands, the fleet harness and
+// the examples: DialTier dials the cloud tier, EdgeCost prices the edge
+// runtime, and Stream runs a dataset through it.
 package deploy
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/meanet/meanet/internal/cloud"
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/data"
 	"github.com/meanet/meanet/internal/metrics"
 	"github.com/meanet/meanet/internal/models"
+	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/nn"
+	"github.com/meanet/meanet/internal/profile"
 )
 
 // EdgeSpec pins the deterministic inputs of the edge-side construction.
@@ -248,6 +256,56 @@ func ParseCuts(s string) ([]core.CutPoint, error) {
 		return nil, fmt.Errorf("deploy: no cut points in %q", s)
 	}
 	return cuts, nil
+}
+
+// ParseRates parses a -plan-rates value: one compute rate in MACs/s per
+// device, comma-separated, each finite and positive. The first device is
+// named "edge", the rest "hop1", "hop2", ...
+func ParseRates(s string) ([]profile.Device, error) {
+	var devices []profile.Device
+	for i, part := range strings.Split(s, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return nil, fmt.Errorf("deploy: bad rate %q: %w", part, err)
+		}
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("deploy: rate %q, want a finite MACs/s > 0", part)
+		}
+		name := fmt.Sprintf("hop%d", i)
+		if i == 0 {
+			name = "edge"
+		}
+		devices = append(devices, profile.Device{Name: name, MACsPerSec: v})
+	}
+	return devices, nil
+}
+
+// ParseLinks parses a -plan-links value: one Mbps@latency entry per hop
+// ("7@1ms"), comma-separated, ordered edge→hop1, hop1→hop2, ...; each must
+// pass netsim.Link.Validate.
+func ParseLinks(s string) ([]netsim.Link, error) {
+	var links []netsim.Link
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		mbpsStr, latStr, ok := strings.Cut(part, "@")
+		if !ok {
+			return nil, fmt.Errorf("deploy: bad link %q (want Mbps@latency, e.g. 7@1ms)", part)
+		}
+		mbps, err := strconv.ParseFloat(mbpsStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("deploy: bad link bandwidth %q: %w", mbpsStr, err)
+		}
+		lat, err := time.ParseDuration(latStr)
+		if err != nil {
+			return nil, fmt.Errorf("deploy: bad link latency %q: %w", latStr, err)
+		}
+		link := netsim.Link{Latency: lat, Mbps: mbps}
+		if err := link.Validate(); err != nil {
+			return nil, fmt.Errorf("deploy: bad link %q: %w", part, err)
+		}
+		links = append(links, link)
+	}
+	return links, nil
 }
 
 // DefaultEpochs is the scale default both commands share for edge training.

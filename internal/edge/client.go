@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/linkest"
 	"github.com/meanet/meanet/internal/netsim"
 	"github.com/meanet/meanet/internal/protocol"
@@ -518,9 +519,7 @@ func (c *TCPClient) Close() error {
 
 // LogitModel is a cloud-side network: logits over an NCHW batch. It is
 // satisfied by *models.Classifier, cloud.Partitioned and *cloud.Tail.
-type LogitModel interface {
-	Logits(x *tensor.Tensor, train bool) *tensor.Tensor
-}
+type LogitModel = core.LogitModel
 
 // InProcClient serves cloud requests from an in-process classifier — the
 // deterministic transport used by simulations and benchmarks. It is safe for

@@ -6,6 +6,7 @@ package energy
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -67,8 +68,8 @@ func (l Link) Validate() error {
 	if l.Latency < 0 {
 		return fmt.Errorf("energy: negative link latency %v", l.Latency)
 	}
-	if l.Mbps < 0 {
-		return fmt.Errorf("energy: negative link bandwidth %v", l.Mbps)
+	if !(l.Mbps >= 0) || math.IsInf(l.Mbps, 1) {
+		return fmt.Errorf("energy: link bandwidth %v, want a finite value ≥ 0", l.Mbps)
 	}
 	return nil
 }

@@ -1,8 +1,9 @@
 // Package fleet is the multi-edge scenario harness: it runs N concurrent
 // edge runtimes against M cloud replicas, each edge over its own connections
-// (shaped or fault-injected through Config.Dial) — one per replica, routed by
-// edge.MultiClient when M > 1 — and aggregates per-edge reports into
-// fleet-level throughput and accounting totals.
+// dialed by deploy.DialTier, the wiring meanet-edge runs — one per replica,
+// routed by edge.MultiClient when M > 1, fault-injected through Config.Dial
+// when M = 1 — and aggregates per-edge reports into fleet-level throughput
+// and accounting totals.
 //
 // The harness is what the stress/soak tests and the nightly saturation ratios
 // share: the caller owns the server (and its batching/shedding
@@ -21,16 +22,16 @@ import (
 
 	"github.com/meanet/meanet/internal/cloud"
 	"github.com/meanet/meanet/internal/core"
+	"github.com/meanet/meanet/internal/deploy"
 	"github.com/meanet/meanet/internal/edge"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
 // Config describes one fleet run.
 type Config struct {
-	// Addrs are the cloud replica addresses: with one, each edge holds a
-	// single connection; with several, each edge dials every replica and
-	// routes offloads with edge.MultiClient. May be empty when Dial is set
-	// (one replica, reached through Dial).
+	// Addrs are the cloud replica addresses (required): with one, each edge
+	// holds a single connection; with several, each edge dials every replica
+	// and routes offloads with edge.MultiClient (deploy.DialTier).
 	Addrs []string
 	// Edges is the number of concurrent edge runtimes (required, ≥ 1).
 	Edges int
@@ -47,10 +48,10 @@ type Config struct {
 	// Input is the NCHW batch each edge classifies per iteration (required).
 	Input *tensor.Tensor
 
-	// Dial, when non-nil, replaces the default dialer for edge i — the hook
-	// the soak tests use to inject flaky transports. The SAME function is
-	// installed as the client's Redial, so a broken connection is replaced
-	// by another Dial(i) call.
+	// Dial, when non-nil, dials edge i's connection to the one replica —
+	// the hook the soak tests use to inject flaky transports. It becomes the
+	// client's DialConfig.Redial, so a broken connection is replaced by
+	// another Dial(i) call. Single-replica runs only (exactly one Addr).
 	Dial func(i int) (net.Conn, error)
 	// Membership, when non-nil, runs in its own goroutine per edge next to
 	// the classify loop, holding that edge's replica router — the hook the
@@ -70,9 +71,6 @@ type Config struct {
 }
 
 func (c *Config) validate() error {
-	if len(c.Addrs) == 0 && c.Dial == nil {
-		return errors.New("fleet: no server address and no dialer")
-	}
 	if c.Edges < 1 {
 		return fmt.Errorf("fleet: %d edges, want ≥ 1", c.Edges)
 	}
@@ -89,23 +87,6 @@ func (c *Config) validate() error {
 		return errors.New("fleet: Membership needs a multi-replica run (≥ 2 Addrs)")
 	}
 	return nil
-}
-
-// replicaCount resolves how many cloud replicas each edge connects to.
-func (c *Config) replicaCount() int {
-	if len(c.Addrs) > 0 {
-		return len(c.Addrs)
-	}
-	return 1
-}
-
-// dialer resolves edge i's dial function for replica r.
-func (c *Config) dialer(i, r int) func() (net.Conn, error) {
-	if c.Dial != nil {
-		return func() (net.Conn, error) { return c.Dial(i) }
-	}
-	addr := c.Addrs[r]
-	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
 }
 
 // EdgeResult is one edge runtime's outcome.
@@ -233,53 +214,22 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runEdge is one edge's whole life: dial every replica, classify Batches
-// times, report. With one replica the client is the plain TCPClient; with
-// several, the per-replica clients are wrapped in an edge.MultiClient.
+// runEdge is one edge's whole life: dial the cloud tier, classify Batches
+// times, report.
 func runEdge(cfg *Config, i int) (EdgeResult, error) {
-	nrep := cfg.replicaCount()
-	clients := make([]edge.CloudClient, 0, nrep)
-	var tcp *edge.TCPClient // the last (with one replica: the only) connection
-	closeAll := func() {
-		for _, c := range clients {
-			c.Close()
-		}
+	dcfg := cfg.ClientConfig
+	if cfg.Dial != nil {
+		dcfg.Redial = func() (net.Conn, error) { return cfg.Dial(i) }
 	}
-	for r := 0; r < nrep; r++ {
-		dial := cfg.dialer(i, r)
-		conn, err := dial()
-		if err != nil {
-			closeAll()
-			return EdgeResult{}, fmt.Errorf("dial replica %d: %w", r, err)
-		}
-		ccfg := cfg.ClientConfig
-		ccfg.Redial = dial
-		tcp = edge.NewClientOnConn(conn, ccfg)
-		clients = append(clients, tcp)
-	}
-	// Both the TCPClient and the MultiClient classify and keep wire counters.
-	var client interface {
-		edge.CloudClient
-		BytesSent() uint64
-		Sheds() uint64
-	}
-	var mc *edge.MultiClient
-	if nrep == 1 {
-		client = tcp
-	} else {
-		// Decorrelate the edges' routers: same scenario, independent
-		// tie-breaks, so p2c does not sample in fleet-wide lockstep. Edge 0
-		// keeps the default seed.
-		var err error
-		mc, err = edge.NewMultiClient(clients, cfg.Addrs, edge.MultiConfig{Seed: int64(i) * 7919})
-		if err != nil {
-			closeAll()
-			return EdgeResult{}, err
-		}
-		client = mc
+	// Decorrelate the edges' routers: same scenario, independent
+	// tie-breaks, so p2c does not sample in fleet-wide lockstep. Edge 0
+	// keeps the default seed.
+	client, mc, err := deploy.DialTier(cfg.Addrs, dcfg, edge.MultiConfig{Seed: int64(i) * 7919})
+	if err != nil {
+		return EdgeResult{}, err
 	}
 	defer client.Close()
-	if mc != nil && cfg.Membership != nil {
+	if cfg.Membership != nil { // validate: ≥ 2 Addrs, so mc is the router
 		// Registered after the Close defer, so (LIFO) the hook is stopped
 		// before the router it holds is closed.
 		done := make(chan struct{})

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -27,8 +28,10 @@ func TestLinkValidate(t *testing.T) {
 	if err := (Link{Latency: -time.Second}).Validate(); err == nil {
 		t.Fatal("negative latency accepted")
 	}
-	if err := (Link{Mbps: -1}).Validate(); err == nil {
-		t.Fatal("negative bandwidth accepted")
+	for _, mbps := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := (Link{Mbps: mbps}).Validate(); err == nil {
+			t.Fatalf("bandwidth %v accepted", mbps)
+		}
 	}
 	if err := (Link{Latency: time.Millisecond, Mbps: 10}).Validate(); err != nil {
 		t.Fatal(err)

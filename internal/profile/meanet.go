@@ -14,6 +14,7 @@ type MEANetProfile struct {
 	Fixed   Cost
 	Trained Cost
 	InShape Shape
+	MainOut Shape // main-block output: one instance's features representation
 }
 
 // ProfileMEANet computes the Table VI decomposition for an input geometry.
@@ -32,6 +33,7 @@ func ProfileMEANet(m *core.MEANet, in Shape, extClasses int) (MEANetProfile, err
 		return p, fmt.Errorf("profile main exit: %w", err)
 	}
 	p.Fixed = mainCost.Add(exitCost)
+	p.MainOut = feat
 
 	extIn := feat
 	if m.Combine != core.CombineMainOnly {
