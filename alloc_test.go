@@ -8,8 +8,11 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/meanet/meanet/internal/cloud"
 	"github.com/meanet/meanet/internal/core"
+	"github.com/meanet/meanet/internal/deploy"
 	"github.com/meanet/meanet/internal/models"
+	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -37,23 +40,27 @@ func quietestPerImage(batch int, run func()) (kb, allocs float64) {
 // TestEdgeForwardAllocCeiling pins what one eval forward of the edge network
 // allocates per image: the main block and its exit, then the adaptive and
 // extension blocks and the extension exit, over a 16-image batch of the
-// benchmark's 3x12x12 inputs with two kernel workers. Beyond the layers'
-// outputs the forward allocates only the call-site closures of its forks and
-// a goroutine and WaitGroup for each fork that takes a helper: conv
-// workspaces and GEMM pack buffers come from shared free lists, the conv
-// packs its unfold straight from the images, and eval BN, ReLU and the
-// residual add run in place on tensors their own composite produced. The kB
-// ceiling sits 25 % above the 35.6 kB measured when it was set (35.4 now),
-// the allocation ceiling 25 % above the measured 9.2 per image; with a
-// goroutine for every chunk of every fork it measured 13.7, with one fork
-// per k block over a formed unfold 36.5 kB and 49.2, and with the per-image
-// im2col/GEMM and allocated BN/ReLU/add outputs 825.5 kB and 349.6. The race
-// detector's instrumentation allocates, so the file is excluded under -race.
+// benchmark's 3x12x12 inputs with two kernel workers. Beyond the outputs
+// that leave a composite (the main features, the adaptive and extension
+// outputs, the exits' pooled features and logits) the forward allocates only
+// the call-site closures of its forks and a goroutine and WaitGroup for each
+// fork that takes a helper: conv outputs a composite consumed go back to the
+// activation pool and come out of it again, conv workspaces and GEMM pack
+// buffers come from shared free lists, the conv packs its unfold straight
+// from the images, and eval BN, ReLU, the residual add and the adaptive sum
+// run in place on tensors their own composite produced. The kB ceiling sits
+// 25 % above the 7.0 kB measured when it was set, the allocation ceiling
+// 25 % above the measured 8.5 per image; with every conv output a fresh
+// allocation it measured 35.4 kB, with a goroutine for every chunk of every
+// fork 13.7 allocations, with one fork per k block over a formed unfold
+// 36.5 kB and 49.2, and with the per-image im2col/GEMM and allocated
+// BN/ReLU/add outputs 825.5 kB and 349.6. The race detector's
+// instrumentation allocates, so the file is excluded under -race.
 func TestEdgeForwardAllocCeiling(t *testing.T) {
 	const (
 		batch       = 16
-		maxKBPerImg = 44.5
-		maxAllocs   = 11.5
+		maxKBPerImg = 8.8
+		maxAllocs   = 10.6
 	)
 	// Each fork allocates a little, so pin the worker count the ceilings
 	// were measured at.
@@ -90,21 +97,23 @@ func TestEdgeForwardAllocCeiling(t *testing.T) {
 // TestEdgeTrainStepAllocCeiling pins what one step of Algorithm 1's edge
 // training allocates per image: edgeTrainStep over a 16-image batch with two
 // kernel workers. Beyond the layers' outputs, caches and gradients the step
-// allocates only small per-fork bookkeeping: the train-mode conv runs on the
-// forward tiles and caches its input rather than its unfold, and its
-// backward re-unfolds one image at a time into a shared per-worker
+// allocates only small per-fork bookkeeping: the frozen main block runs in
+// eval mode, so its consumed conv outputs are recycled; the train-mode conv
+// runs on the forward tiles and caches its input rather than its unfold, and
+// its backward re-unfolds one image at a time into a shared per-worker
 // workspace, whose per-image products find the helper taken and run inline.
-// The kB ceiling sits 25 % above the 109.6 kB measured when it was set
-// (108.1 now), the allocation ceiling 25 % above the measured 36.3 per
-// image; with a goroutine for every chunk of every fork, nested ones
-// included, it measured 92.3, with one fork per k block of every product
-// 112.0 kB and 157.2, and with a batch-sized unfold cache and fresh
-// per-image product tensors 311.9 kB and 377.2.
+// The kB ceiling sits 25 % above the 86.6 kB measured when it was set, the
+// allocation ceiling 25 % above the measured 35.5 per image; with every
+// eval conv output a fresh allocation it measured 108.1 kB, with a
+// goroutine for every chunk of every fork, nested ones included, 92.3
+// allocations, with one fork per k block of every product 112.0 kB and
+// 157.2, and with a batch-sized unfold cache and fresh per-image product
+// tensors 311.9 kB and 377.2.
 func TestEdgeTrainStepAllocCeiling(t *testing.T) {
 	const (
 		batch       = 16
-		maxKBPerImg = 137.0
-		maxAllocs   = 45.4
+		maxKBPerImg = 108.3
+		maxAllocs   = 44.4
 	)
 	defer tensor.SetParallelism(tensor.Parallelism())
 	tensor.SetParallelism(2)
@@ -117,5 +126,55 @@ func TestEdgeTrainStepAllocCeiling(t *testing.T) {
 	}
 	if allocs > maxAllocs {
 		t.Errorf("edge train step makes %.1f allocations per image, ceiling %.1f", allocs, maxAllocs)
+	}
+}
+
+// TestStageSpanAllocCeiling pins what one relay hop's eval forward allocates
+// per image: units [3, 9) of deploy.ServingChain over the edge network and a
+// features tail (the main block's two residual groups, then the tail's
+// stem conv, BN and ReLU and its residual block), run as one nn.Sequential
+// the way cloud.Server.routeSpan runs a hop's span, over a 16-image batch
+// with two kernel workers. The span's input is the decoded activation and
+// its output goes on the wire, so both are the caller's; in between, BN and
+// ReLU run in place and consumed conv outputs go back to the activation
+// pool. The kB ceiling sits 25 % above the 4.9 kB measured when it was set,
+// the allocation ceiling 25 % above the measured 5.7 per image; running the
+// units one Forward at a time with every conv output a fresh allocation, as
+// hops did before, measured 38.7 kB and 6.7.
+func TestStageSpanAllocCeiling(t *testing.T) {
+	const (
+		batch       = 16
+		cut0, cut1  = 3, 9
+		maxKBPerImg = 6.1
+		maxAllocs   = 7.1
+	)
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(2)
+	rng := rand.New(rand.NewSource(4))
+	backbone, err := models.BuildResNet(rng, models.ResNetEdgeC100(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.BuildMEANetA(rng, backbone, 2, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, err := deploy.BuildTailNet(rng, m.MainOutChannels(), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := deploy.ServingChain(m, &cloud.Tail{Body: cls.Backbone, Exit: cls.Exit})
+	x := nn.NewSequential("front", chain[:cut0]...).Forward(tensor.Randn(rng, 1, batch, 3, 12, 12), false)
+	span := func() {
+		nn.NewSequential("span", chain[cut0:cut1]...).Forward(x, false)
+	}
+	span() // fill the free lists
+	kb, allocs := quietestPerImage(batch, span)
+	t.Logf("hop span: %.1f kB and %.1f allocations per image", kb, allocs)
+	if kb > maxKBPerImg {
+		t.Errorf("hop span allocates %.1f kB per image, ceiling %.1f", kb, maxKBPerImg)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("hop span makes %.1f allocations per image, ceiling %.1f", allocs, maxAllocs)
 	}
 }

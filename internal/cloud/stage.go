@@ -147,7 +147,10 @@ func (s *Server) probeFrame(f protocol.Frame) protocol.Frame {
 // routeSpan validates an activation request's route against this hop and
 // returns the forward of the unit span it assigns: [Pos, Bounds[0]), or
 // through the end of the chain when no boundaries remain — the terminal hop
-// for THIS request. The cuts travel with the request, so two requests on the
+// for THIS request. The span runs as one nn.Sequential, so its BN and ReLU
+// units work in place on its conv outputs and the activations it consumes go
+// back to the pool (nn's in-place and recycling rules), exactly as in the
+// monolithic forward. The cuts travel with the request, so two requests on the
 // same connection may run different spans here: exactly what a live cut move
 // looks like mid-drain. The forward folds its own duration into the
 // service-time estimate piggybacked on relay replies: per-instance wall time
@@ -174,15 +177,13 @@ func (s *Server) routeSpan(req protocol.InferRequest) (func(*tensor.Tensor) *ten
 		}
 		next = req.Bounds[0]
 	}
-	units := s.chain[req.Pos:next]
+	span := nn.NewSequential("span", s.chain[req.Pos:next]...)
 	return func(x *tensor.Tensor) *tensor.Tensor {
 		n := x.Dim(0)
 		active := s.relayActive.Add(1)
 		defer s.relayActive.Add(-1) // also when a unit panics on bad geometry
 		start := time.Now()
-		for _, u := range units {
-			x = u.Forward(x, false)
-		}
+		x = span.Forward(x, false)
 		s.svcMu.Lock()
 		s.svc.Observe(time.Since(start).Seconds()/float64(n), float64(active), linkest.ServiceAlpha)
 		s.svcMu.Unlock()

@@ -197,7 +197,15 @@ func (m *MEANet) ExtForward(x, feat *tensor.Tensor, train bool) (*tensor.Tensor,
 		in = feat
 	} else {
 		f2 := m.Adaptive.Forward(x, train)
-		in = m.combined(feat, f2)
+		if m.Combine == CombineSum {
+			// f2 is the adaptive block's fresh output, and no layer keeps a
+			// reference to its own output, so the sum lands in f2; float
+			// addition commutes, so the bits are tensor.Add(feat, f2)'s.
+			f2.AddInPlace(feat)
+			in = f2
+		} else {
+			in = m.combined(feat, f2)
+		}
 	}
 	h := m.Extension.Forward(in, train)
 	return m.ExtExit.Forward(h, train), nil

@@ -36,27 +36,43 @@ func NewResidualBlock(rng *rand.Rand, name string, inC, outC, stride int) *Resid
 	return &ResidualBlock{Body: body, Shortcut: shortcut, act: NewReLU()}
 }
 
-// Forward computes relu(body(x) + shortcut(x)). In eval mode, when the body
-// produced its output itself (see Layer), the add and the ReLU run in place
-// on that output.
+// Forward computes relu(body(x) + shortcut(x)).
 func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	var y *tensor.Tensor
-	owned := false
-	if train {
-		y = b.Body.Forward(x, true)
-	} else {
-		y, owned = b.Body.forwardEval(x)
+	if !train {
+		y, _ := b.forwardEval(x)
+		return y
 	}
-	s := b.Shortcut.Forward(x, train)
+	y := b.Body.Forward(x, true)
+	s := b.Shortcut.Forward(x, true)
+	b.checkBranches(y, s)
+	return b.act.Forward(tensor.Add(y, s), true)
+}
+
+// forwardEval is the eval forward under the in-place and recycling rules
+// (see Layer): when the body produced its output itself, the add and the
+// ReLU run in place on that output, and a projection shortcut's output goes
+// back to the activation pool once added. The result is always one the
+// block produced.
+func (b *ResidualBlock) forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool) {
+	y, owned := b.Body.forwardEval(x)
+	s, sOwned := evalForward(b.Shortcut, x)
+	b.checkBranches(y, s)
+	if owned {
+		y.AddInPlace(s)
+	} else {
+		y = tensor.Add(y, s)
+	}
+	b.act.evalInPlace(y)
+	if sOwned {
+		recycle(s, y)
+	}
+	return y, true
+}
+
+func (b *ResidualBlock) checkBranches(y, s *tensor.Tensor) {
 	if !y.SameShape(s) {
 		panic(fmt.Sprintf("nn: residual branch shapes diverge: %v vs %v", y.Shape(), s.Shape()))
 	}
-	if !owned {
-		return b.act.Forward(tensor.Add(y, s), train)
-	}
-	y.AddInPlace(s)
-	b.act.evalInPlace(y)
-	return y
 }
 
 // Backward routes the gradient through both branches and sums.
@@ -104,11 +120,29 @@ func NewInvertedResidual(rng *rand.Rand, name string, inC, outC, stride, expand 
 
 // Forward computes x + body(x) when the skip applies, body(x) otherwise.
 func (b *InvertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := b.Body.Forward(x, train)
+	if !train {
+		y, _ := b.forwardEval(x)
+		return y
+	}
+	y := b.Body.Forward(x, true)
 	if b.UseSkip {
 		return tensor.Add(y, x)
 	}
 	return y
+}
+
+// forwardEval is the eval forward under the in-place rule (see Layer): the
+// skip is added in place when the body produced its output itself.
+func (b *InvertedResidual) forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool) {
+	y, owned := b.Body.forwardEval(x)
+	if !b.UseSkip {
+		return y, owned
+	}
+	if !owned {
+		return tensor.Add(y, x), true
+	}
+	y.AddInPlace(x)
+	return y, true
 }
 
 // Backward adds the skip gradient when the skip applies.

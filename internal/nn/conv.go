@@ -54,7 +54,9 @@ func (c *Conv2D) Kernel() int { return c.W.Data.Dim(2) }
 
 // Forward computes the convolution of an NCHW batch, one tile of images at a
 // time in both modes. Training caches a reference to x, not its unfold, so x
-// must stay unmodified until Backward.
+// must stay unmodified until Backward. In eval mode the output's storage
+// comes from the activation pool (see the recycling rule on Layer); every
+// element is overwritten, so what it held before never shows.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("nn: Conv2D expects NCHW input, got %v", x.Shape()))
@@ -65,12 +67,21 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	k := c.Kernel()
 	dims := tensor.NewConvDims(inC, h, w, k, k, c.Stride, c.Pad)
-	out := tensor.New(n, c.OutChannels(), dims.OutH, dims.OutW)
-	c.forwardTiles(x, out, dims)
+	outC := c.OutChannels()
+	var out *tensor.Tensor
 	if train {
+		out = tensor.New(n, outC, dims.OutH, dims.OutW)
 		c.x, c.dims = x, dims
+	} else {
+		out = tensor.FromSlice(activations.Get(n*outC*dims.OutH*dims.OutW), n, outC, dims.OutH, dims.OutW)
 	}
+	c.forwardTiles(x, out, dims)
 	return out
+}
+
+// forwardEval is Forward(x, false), whose result is always fresh.
+func (c *Conv2D) forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool) {
+	return c.Forward(x, false), true
 }
 
 // convTileFloats caps each conv workspace at 256 Ki floats (1 MiB).
@@ -108,6 +119,21 @@ func takeWorkspace(size int) (ws []float32, keep bool) {
 	}
 	return convWorkspaces.Get()[:size], true
 }
+
+// activationBufs and activationBytes cap what the activation pool retains:
+// a forward holds about four conv outputs at once (a residual block's
+// input, its two body convs and its projection), each layer's of its own
+// length, for each kernel worker's forward. No output longer than
+// convTileFloats is kept, and never more than 8 MiB in all.
+const (
+	activationBufs  = 16
+	activationBytes = 8 << 20
+)
+
+// activations holds eval conv outputs that a composite handed back once a
+// later step consumed them (the recycling rule on Layer); the next eval
+// conv of a similar size takes its output from there.
+var activations = tensor.NewBufferPool(convTileFloats, activationBufs, activationBytes)
 
 // convTile is the number of whole images whose [outC, oH*oW] results fit
 // together under convTileFloats, 0 when one image's alone exceeds it.

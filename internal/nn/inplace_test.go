@@ -63,9 +63,10 @@ func checkInputIntact(t *testing.T, name string, l Layer, x *tensor.Tensor) {
 }
 
 // TestInPlaceCompositesMatchUnitReplay pins the rule's second half: a
-// Sequential whose BN and ReLU run in place on its conv's output, and a
-// residual block adding and rectifying in place, give the bits of running
-// each unit on its own (where every step allocates its output).
+// Sequential whose BN and ReLU run in place on its conv's output, a
+// residual block adding and rectifying in place, and an inverted residual
+// adding its skip in place give the bits of running each unit on its own
+// (where every step allocates its output).
 func TestInPlaceCompositesMatchUnitReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	conv := NewConv2D(rng, "conv", 4, 6, 3, 1, 1, false)
@@ -93,6 +94,14 @@ func TestInPlaceCompositesMatchUnitReplay(t *testing.T) {
 		s = l.Forward(s, false)
 	}
 	requireBitwise(t, "residual block", blk.Forward(x, false), NewReLU().Forward(tensor.Add(y, s), false))
+
+	inv := NewInvertedResidual(rng, "inv", 4, 4, 1, 2)
+	randomizeNorms(rng, inv)
+	z := x
+	for _, l := range inv.Body.Layers {
+		z = l.Forward(z, false)
+	}
+	requireBitwise(t, "inverted residual", inv.Forward(x, false), tensor.Add(z, x))
 
 	// The values where "keep v" and "write 0" could part: both zeros, NaN,
 	// the infinities.

@@ -20,13 +20,26 @@ import "github.com/meanet/meanet/internal/tensor"
 // features feed the main exit, the combine step and features-mode offload).
 // In eval mode a composite may overwrite a tensor it produced itself and
 // has not yet returned: in a Sequential, a BatchNorm2D or ReLU step that
-// follows a Conv2D (directly or through such in-place steps) normalizes or
-// rectifies that conv's fresh output in place, and a ResidualBlock adds the
-// shortcut into its body's output and rectifies it there. The in-place ops
+// follows a Conv2D or a composite whose result it owns (directly or through
+// such in-place steps) normalizes or rectifies that fresh output in place,
+// a ResidualBlock adds the shortcut into its body's output and rectifies it
+// there, and an InvertedResidual adds its skip there. The in-place ops
 // evaluate the same float expressions as their allocating forms, so the
 // result is bitwise the same. A Sequential that starts with a BatchNorm2D
 // or ReLU — a partition stage cut between a conv and its norm — was handed
 // its input, so that step allocates.
+//
+// The recycling rule: an eval Conv2D takes its output from a bounded,
+// process-wide activation pool, and a Sequential or ResidualBlock hands a
+// tensor back to it once a later step has consumed it — only a tensor one
+// of its children produced itself (a conv output, or an owned composite
+// result), never the composite's own input or its return value, and never
+// one whose storage the consuming step's output shares (a Flatten view, an
+// Identity). A caller therefore never sees a recycled tensor: what Forward
+// returns, at any depth, is never handed back, so it escapes as ordinary
+// heap memory that the pool replaces with a fresh allocation. Every conv
+// output element is overwritten, so a recycled buffer's old values never
+// reach a result.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor
@@ -78,9 +91,35 @@ type inPlaceEval interface {
 	evalInPlace(x *tensor.Tensor)
 }
 
-// forwardEval runs the layers in eval mode under the in-place rule (see
-// Layer) and reports whether the result is a tensor this Sequential
-// produced, and so one its caller may overwrite too.
+// evalOwner is implemented by the layers whose eval forward can report that
+// its result is a tensor the layer produced itself: Conv2D, whose result is
+// always fresh, and the composites, which say so per call.
+type evalOwner interface {
+	forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool)
+}
+
+// evalForward runs l in eval mode and reports whether the result is a
+// tensor l produced itself, one its caller may overwrite and recycle.
+func evalForward(l Layer, x *tensor.Tensor) (*tensor.Tensor, bool) {
+	if o, ok := l.(evalOwner); ok {
+		return o.forwardEval(x)
+	}
+	return l.Forward(x, false), false
+}
+
+// recycle hands x, an owned tensor a later step has consumed, back to the
+// activation pool unless y, the output of the step that consumed it, shares
+// its storage (a Flatten view, an Identity).
+func recycle(x, y *tensor.Tensor) {
+	if !y.SharesStorage(x) {
+		activations.Put(x.Data())
+	}
+}
+
+// forwardEval runs the layers in eval mode under the in-place and recycling
+// rules (see Layer) and reports whether the result is a tensor this
+// Sequential produced, and so one its caller may overwrite and recycle too.
+// Only a child's owned result is ever recycled, so the input never is.
 func (s *Sequential) forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool) {
 	owned := false
 	for _, l := range s.Layers {
@@ -88,8 +127,11 @@ func (s *Sequential) forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool) {
 			ip.evalInPlace(x)
 			continue
 		}
-		x = l.Forward(x, false)
-		_, owned = l.(*Conv2D)
+		y, yOwned := evalForward(l, x)
+		if owned {
+			recycle(x, y)
+		}
+		x, owned = y, yOwned
 	}
 	return x, owned
 }
@@ -114,4 +156,9 @@ func (s *Sequential) Params() []*Param {
 var (
 	_ Layer = Identity{}
 	_ Layer = (*Sequential)(nil)
+
+	_ evalOwner = (*Conv2D)(nil)
+	_ evalOwner = (*Sequential)(nil)
+	_ evalOwner = (*ResidualBlock)(nil)
+	_ evalOwner = (*InvertedResidual)(nil)
 )

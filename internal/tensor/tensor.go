@@ -13,6 +13,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Tensor is a dense, contiguous, row-major float32 array with a shape.
@@ -152,6 +153,19 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 		}
 	}
 	return true
+}
+
+// SharesStorage reports whether t and o read or write any element in common,
+// as a view (Reshape, Sample) and the tensor it was taken from do. Tensors
+// without elements share nothing.
+func (t *Tensor) SharesStorage(o *Tensor) bool {
+	a, b := t.data, o.data
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	a0, a1 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&a[len(a)-1]))
+	b0, b1 := uintptr(unsafe.Pointer(&b[0])), uintptr(unsafe.Pointer(&b[len(b)-1]))
+	return a0 <= b1 && b0 <= a1
 }
 
 // Row returns a view of row i of a 2-D tensor as a slice of length Dim(1).
