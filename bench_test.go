@@ -11,6 +11,7 @@ package meanet_test
 // phase of its experiment.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -479,6 +480,37 @@ func BenchmarkProtocolTensorRoundTrip(b *testing.B) {
 			if _, err := protocol.DecodeInfer(enc); err != nil {
 				b.Fatal(err)
 			}
+		}
+		b.SetBytes(int64(3 * 32 * 32 * 4))
+	})
+	// The whole wire path of one request, each buffer pooled and handed
+	// back the way the TCP client and the server hand theirs back: encode,
+	// frame, read the frame, decode into pooled floats, release.
+	b.Run("frame", func(b *testing.B) {
+		req := protocol.InferRequest{Rep: protocol.RepRaw, Tensor: x}
+		floats := tensor.NewBufferPool(1<<18, 4, 1<<20)
+		var wire bytes.Buffer
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			payload, err := protocol.AppendInfer(protocol.NewBuffer(protocol.InferWireSize(0, x.Shape()...)), req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			err = protocol.WriteFrame(&wire, protocol.Frame{Type: protocol.MsgInfer, ID: uint64(i), Payload: payload})
+			protocol.Recycle(payload)
+			if err != nil {
+				b.Fatal(err)
+			}
+			f, err := protocol.ReadFrame(&wire)
+			if err != nil {
+				b.Fatal(err)
+			}
+			got, err := protocol.DecodeInferWith(f.Payload, floats.Get)
+			f.Release()
+			if err != nil {
+				b.Fatal(err)
+			}
+			floats.Put(got.Tensor.Data())
 		}
 		b.SetBytes(int64(3 * 32 * 32 * 4))
 	})

@@ -155,16 +155,19 @@ func (b *batcher) collect() {
 	}
 }
 
-// run stacks a shape-uniform batch into one NCHW tensor, executes a single
-// forward pass and fans the per-row results (or a shared error) back out.
+// run stacks a shape-uniform batch into one NCHW tensor from the request
+// pool, executes a single forward pass, fans the per-row results (or a
+// shared error) back out, and hands the stacked input back.
 func (b *batcher) run(batch []batchRequest) {
 	b.queued.Add(-int64(len(batch))) // now executing, no longer parked
-	x := tensor.New(append([]int{len(batch)}, batch[0].img.Shape()...)...)
+	per := batch[0].img.Numel()
+	x := tensor.FromSlice(requestFloats.Get(len(batch)*per), append([]int{len(batch)}, batch[0].img.Shape()...)...)
 	for i, r := range batch {
-		copy(x.Sample(i).Data(), r.img.Data())
+		copy(x.Data()[i*per:(i+1)*per], r.img.Data())
 	}
 	logits, err := safeLogits(b.infer, x)
 	if err != nil {
+		releaseInput(x, nil)
 		for _, r := range batch {
 			r.resp <- batchResponse{err: err}
 		}
@@ -176,4 +179,5 @@ func (b *batcher) run(batch []batchRequest) {
 		res := protocol.ResultOf(logits.Row(i))
 		r.resp <- batchResponse{pred: res.Pred, conf: res.Conf}
 	}
+	releaseInput(x, logits)
 }

@@ -435,6 +435,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			// unlatched shed write racing a close would recount the error and
 			// re-close the dead connection.
 			s.sheds.Add(1)
+			f.Release()
 			writeResp(s.shedFrame(f.ID, s.shedPol.RetryAfter))
 			continue
 		}
@@ -457,7 +458,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 		}
 		if lane == nil {
-			writeResp(s.dispatch(f))
+			writeResp(s.serve(f))
 			continue
 		}
 		lane <- struct{}{}
@@ -465,7 +466,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		go func(f protocol.Frame) {
 			defer s.wg.Done()
 			defer func() { <-lane }()
-			writeResp(s.dispatch(f))
+			writeResp(s.serve(f))
 		}(f)
 	}
 }
@@ -492,6 +493,14 @@ func (s *Server) collector(rep protocol.Rep) *batcher {
 		return s.featBatch
 	}
 	return nil
+}
+
+// serve computes the response frame for a request frame and releases the
+// request's payload: no response points into it.
+func (s *Server) serve(f protocol.Frame) protocol.Frame {
+	resp := s.dispatch(f)
+	f.Release()
+	return resp
 }
 
 // dispatch computes the response frame for a request frame.
@@ -533,10 +542,16 @@ func (s *Server) failed(id uint64, msg string) protocol.Frame {
 // non-terminal span's output downstream. One path and one post-processing
 // keep batched, unbatched and chained predictions bitwise identical.
 func (s *Server) infer(f protocol.Frame) protocol.Frame {
-	req, err := protocol.DecodeInfer(f.Payload)
+	req, err := protocol.DecodeInferWith(f.Payload, requestFloats.Get)
 	if err != nil {
 		return s.failed(f.ID, err.Error())
 	}
+	// The request's floats go back once the reply is built, or once
+	// forwardDownstream returns: by then its results are read and its
+	// activation encoded. An output that shares their storage may still be
+	// referenced, so they are then left to the garbage collector.
+	var out *tensor.Tensor
+	defer func() { releaseInput(req.Tensor, out) }()
 	var forward func(*tensor.Tensor) *tensor.Tensor
 	switch req.Rep {
 	case protocol.RepRaw:
@@ -567,7 +582,7 @@ func (s *Server) infer(f protocol.Frame) protocol.Frame {
 		s.instServed.Add(1)
 		return s.reply(f.ID, []protocol.Result{{Pred: pred, Conf: conf}}, nil)
 	}
-	out, err := safeLogits(forward, req.Batch())
+	out, err = safeLogits(forward, req.Batch())
 	if err != nil {
 		return s.failed(f.ID, err.Error())
 	}
@@ -600,6 +615,29 @@ func (s *Server) reply(id uint64, results []protocol.Result, hops []protocol.Sta
 		ID:      id,
 		Payload: protocol.EncodeReply(protocol.InferReply{Results: results, Load: s.loadStatus(), Hops: hops}),
 	}
+}
+
+// Request pool bounds: at most requestBufs buffers and requestPoolBytes
+// bytes, none longer than requestBufMax floats (1 MiB). A longer tensor is a
+// plain allocation and is never kept.
+const (
+	requestBufs      = 64
+	requestBufMax    = 1 << 18
+	requestPoolBytes = 8 << 20
+)
+
+// requestFloats holds the decoded request tensors and the collectors'
+// stacked inputs of every connection.
+var requestFloats = tensor.NewBufferPool(requestBufMax, requestBufs, requestPoolBytes)
+
+// releaseInput hands in, a forward's input from requestFloats, back once its
+// output out has been read — unless out shares its storage, as an Identity
+// or a Flatten view does, when a caller may still hold it.
+func releaseInput(in, out *tensor.Tensor) {
+	if out != nil && out.SharesStorage(in) {
+		return
+	}
+	requestFloats.Put(in.Data())
 }
 
 // safeLogits shields the connection handler from panics raised by the

@@ -160,10 +160,15 @@ func (c *TCPClient) readLoop(conn net.Conn, gen uint64) {
 			c.fail(err, gen)
 			return
 		}
+		// The frame goes to its waiter under mu (ch is buffered, so the send
+		// never blocks): a waiter that times out deregisters under mu too,
+		// and then either finds the frame in ch or the frame finds no
+		// waiter. Either way one side releases its payload.
 		c.mu.Lock()
 		ch, ok := c.pending[f.ID]
 		if ok {
 			delete(c.pending, f.ID)
+			ch <- clientResult{frame: f}
 		}
 		// A delivered response proves the link healthy end to end; only now
 		// is the redial backoff credit restored (a successful DIAL is not
@@ -176,8 +181,8 @@ func (c *TCPClient) readLoop(conn net.Conn, gen uint64) {
 			c.nextRedial = time.Time{}
 		}
 		c.mu.Unlock()
-		if ok {
-			ch <- clientResult{frame: f}
+		if !ok {
+			f.Release() // its request timed out
 		}
 	}
 }
@@ -296,7 +301,7 @@ func (c *TCPClient) send(msgType protocol.MsgType, payload []byte) (uint64, chan
 		// (failing all in-flight requests) rather than let later frames be
 		// parsed mid-frame by the server. A redial (never a reuse) may
 		// replace it on the next send.
-		c.forget(id)
+		c.forget(id, ch)
 		c.fail(err, gen)
 		return 0, nil, 0, fmt.Errorf("edge: send: %w", err)
 	}
@@ -305,16 +310,23 @@ func (c *TCPClient) send(msgType protocol.MsgType, payload []byte) (uint64, chan
 }
 
 // forget drops a waiter registration (after a failed write or a timeout).
-func (c *TCPClient) forget(id uint64) {
+// A response the read loop delivered before the registration went is
+// released: nobody will read it.
+func (c *TCPClient) forget(id uint64, ch chan clientResult) {
 	c.mu.Lock()
 	delete(c.pending, id)
 	c.mu.Unlock()
+	select {
+	case r := <-ch:
+		r.frame.Release()
+	default:
+	}
 }
 
 // await blocks until the response for id arrives or the request times out.
 // On timeout the waiter is deregistered, so a late response frame for this
 // ID is discarded by the read loop instead of being mistaken for another
-// request's answer.
+// request's answer. The caller owns the returned frame's payload.
 func (c *TCPClient) await(id uint64, ch chan clientResult) (protocol.Frame, error) {
 	timer := time.NewTimer(c.cfg.RequestTimeout)
 	defer timer.Stop()
@@ -325,7 +337,7 @@ func (c *TCPClient) await(id uint64, ch chan clientResult) (protocol.Frame, erro
 		}
 		return r.frame, nil
 	case <-timer.C:
-		c.forget(id)
+		c.forget(id, ch)
 		return protocol.Frame{}, errors.New("edge: request timed out")
 	}
 }
@@ -333,9 +345,12 @@ func (c *TCPClient) await(id uint64, ch chan clientResult) (protocol.Frame, erro
 // roundTrip sends one request frame and waits for the response frame matched
 // to it — the one exchange every call below is made of. Many round trips may
 // overlap on the same connection. It also returns how long the write and the
-// wait took, the two phases the link estimator consumes.
+// wait took, the two phases the link estimator consumes. It recycles payload
+// once the frame is written, so the caller may use only its length
+// afterwards, and the caller owns the returned frame's payload.
 func (c *TCPClient) roundTrip(typ protocol.MsgType, payload []byte) (f protocol.Frame, writeDur, waitDur time.Duration, err error) {
 	id, ch, writeDur, err := c.send(typ, payload)
+	protocol.Recycle(payload)
 	if err != nil {
 		return protocol.Frame{}, 0, 0, err
 	}
@@ -351,10 +366,12 @@ func (c *TCPClient) roundTrip(typ protocol.MsgType, payload []byte) (f protocol.
 // *protocol.ShedError; a MsgError reply — the one a server predating MsgInfer
 // sends included — is an ordinary cloud failure.
 func (c *TCPClient) exchange(typ protocol.MsgType, payload []byte, want int, observeLink bool) (protocol.InferReply, error) {
+	sent := protocol.FrameWireSize(len(payload))
 	f, writeDur, waitDur, err := c.roundTrip(typ, payload)
 	if err != nil {
 		return protocol.InferReply{}, err
 	}
+	defer f.Release() // every branch below copies out what it keeps
 	switch f.Type {
 	case protocol.MsgResultBatch:
 		reply, err := protocol.DecodeReply(f.Payload)
@@ -365,7 +382,7 @@ func (c *TCPClient) exchange(typ protocol.MsgType, payload []byte, want int, obs
 			return protocol.InferReply{}, fmt.Errorf("edge: reply has %d results for %d instances", len(reply.Results), want)
 		}
 		if observeLink {
-			c.est.Record(int64(protocol.FrameWireSize(len(payload))), writeDur, waitDur)
+			c.est.Record(int64(sent), writeDur, waitDur)
 		}
 		c.noteLoad(reply.Load)
 		return reply, nil
@@ -382,7 +399,7 @@ func (c *TCPClient) exchange(typ protocol.MsgType, payload []byte, want int, obs
 // pipelined transport. Each success feeds THIS connection's link estimator,
 // which is what gives a chain per-hop link estimation for free.
 func (c *TCPClient) Infer(req protocol.InferRequest) (protocol.InferReply, error) {
-	payload, err := protocol.EncodeInfer(req)
+	payload, err := protocol.AppendInfer(protocol.NewBuffer(protocol.InferWireSize(len(req.Bounds), req.Tensor.Shape()...)), req)
 	if err != nil {
 		return protocol.InferReply{}, err
 	}
@@ -449,6 +466,7 @@ func (c *TCPClient) Ping() error {
 	if err != nil {
 		return err
 	}
+	f.Release()
 	if f.Type != protocol.MsgPong {
 		return fmt.Errorf("edge: bad pong (type %s id %d)", f.Type, f.ID)
 	}
@@ -466,6 +484,7 @@ func (c *TCPClient) Hello() (protocol.Capabilities, error) {
 	if err != nil {
 		return protocol.Capabilities{}, err
 	}
+	defer f.Release()
 	switch f.Type {
 	case protocol.MsgHello:
 		caps, err := protocol.DecodeHello(f.Payload)

@@ -5,6 +5,26 @@
 // The paper's collaboration modes (§III-C: sending raw data or processed
 // features) and the multi-hop partitioned chain differ only in the request's
 // representation byte.
+//
+// The bytes of a frame and the floats of a decoded request come from bounded,
+// process-wide pools, and every stage of a round trip hands them back as soon
+// as it is done. Who owns what:
+//
+//   - WriteFrame assembles header and payload in a pooled buffer, passes it
+//     to ONE Write and takes it back when Write returns, so an io.Writer
+//     given to WriteFrame must not retain p (io.Writer's own contract; every
+//     Write in this tree forwards or counts p and returns).
+//   - ReadFrame reads the payload into a pooled buffer (a payload under
+//     256 bytes is a plain allocation) that the caller then owns. The owner calls Frame.Release once it is done with the payload
+//     and every slice of it — after the decode that copies out what it
+//     needs, or at once for a frame it drops — and never touches the payload
+//     again. A frame that is never released is only garbage: the pool
+//     allocates afresh.
+//   - NewBuffer hands out a pooled buffer for AppendInfer to encode a
+//     request into; the sender Recycles it once WriteFrame has returned.
+//   - DecodeInferWith takes the tensor's storage from a caller's source (a
+//     server's float pool), so the payload can go back before the tensor is
+//     used, and the tensor's storage back once its forward is read.
 package protocol
 
 import (
@@ -14,6 +34,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"github.com/meanet/meanet/internal/tensor"
@@ -78,11 +99,77 @@ const (
 	headerLen  = 4 + 1 + 8 + 4 // magic + type + id + length
 )
 
-// Frame is one protocol message.
+// Frame is one protocol message. A frame ReadFrame returns owns a pooled
+// payload: see Release.
 type Frame struct {
 	Type    MsgType
 	ID      uint64
 	Payload []byte
+}
+
+// Wire pool bounds: at most wireBufs buffers and MaxPoolBytes bytes, none
+// longer than wireBufMax bytes. A longer frame is a plain allocation and is
+// never kept. So is one shorter than wireBufMin bytes — a reply, a control
+// frame — since allocating it costs less than the pool's lock and search.
+const (
+	wireBufs     = 64
+	wireBufMin   = 256
+	wireBufMax   = 1 << 20
+	MaxPoolBytes = 8 << 20
+)
+
+// wire holds the frame buffers, payloads and encoded requests of every
+// connection in the process.
+var wire = tensor.NewBufferPoolOf[byte](wireBufMax, wireBufs, MaxPoolBytes)
+
+// getWire returns n bytes holding arbitrary values, from the wire pool
+// unless n is under wireBufMin.
+func getWire(n int) []byte {
+	if n < wireBufMin {
+		return make([]byte, n)
+	}
+	return wire.Get(n)
+}
+
+// putWire hands b back to the wire pool unless it is under wireBufMin.
+func putWire(b []byte) {
+	if cap(b) >= wireBufMin {
+		wire.Put(b)
+	}
+}
+
+// held counts the payloads ReadFrame handed out that no Release returned.
+var held atomic.Int64
+
+// NewBuffer returns an empty buffer with room for n bytes from the wire pool,
+// for AppendInfer to encode into. Hand it back with Recycle.
+func NewBuffer(n int) []byte { return getWire(n)[:0] }
+
+// Recycle hands b back to the wire pool: a buffer from NewBuffer, or any
+// other the caller owns outright. The caller must not use b, or any slice of
+// it, afterwards.
+func Recycle(b []byte) { putWire(b) }
+
+// PoolBytes reports the bytes the wire pool retains, at most MaxPoolBytes.
+func PoolBytes() int { return wire.Bytes() }
+
+// HeldPayloads reports how many payloads ReadFrame handed out that no
+// Release has returned yet, process-wide. Once a connection's traffic has
+// quiesced, its ends hold none: a count that stays above the baseline is a
+// payload that was dropped unreleased, one below it a payload released twice.
+func HeldPayloads() int64 { return held.Load() }
+
+// Release hands the payload of f, a frame ReadFrame returned, back to the
+// wire pool, and clears it. Its owner calls it exactly once, when nothing
+// reads the payload or any slice of it any more; a Frame built by other
+// means must not be released.
+func (f *Frame) Release() {
+	if f.Payload == nil {
+		return
+	}
+	held.Add(-1)
+	putWire(f.Payload)
+	f.Payload = nil
 }
 
 // FrameWireSize is the number of bytes a frame with the given payload length
@@ -93,12 +180,15 @@ func FrameWireSize(payloadLen int) int { return headerLen + payloadLen }
 // WriteFrame serializes a frame. Header and payload go out in a SINGLE Write
 // call: shaped links (netsim) and latency models charge per write, so a
 // two-write frame would pay the one-way link latency twice; a single write is
-// also what keeps per-frame syscall overhead flat on real sockets.
+// also what keeps per-frame syscall overhead flat on real sockets. The frame
+// is assembled in a pooled buffer that goes back once Write returns, so w
+// must not retain p.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxPayload {
 		return fmt.Errorf("protocol: payload %d exceeds limit %d", len(f.Payload), MaxPayload)
 	}
-	buf := make([]byte, headerLen+len(f.Payload))
+	buf := getWire(headerLen + len(f.Payload))
+	defer putWire(buf)
 	copy(buf, magic)
 	buf[4] = byte(f.Type)
 	binary.LittleEndian.PutUint64(buf[5:], f.ID)
@@ -110,7 +200,8 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return nil
 }
 
-// ReadFrame deserializes one frame, validating magic and payload bounds.
+// ReadFrame deserializes one frame, validating magic and payload bounds. The
+// payload is pooled, and the caller owns it until Frame.Release.
 func ReadFrame(r io.Reader) (Frame, error) {
 	hdr := make([]byte, headerLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -128,10 +219,12 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("protocol: payload %d exceeds limit %d", n, MaxPayload)
 	}
 	if n > 0 {
-		f.Payload = make([]byte, n)
+		f.Payload = getWire(int(n))
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
+			putWire(f.Payload)
 			return Frame{}, fmt.Errorf("protocol: read payload: %w", err)
 		}
+		held.Add(1)
 	}
 	return f, nil
 }
@@ -171,9 +264,21 @@ func EncodeTensor(t *tensor.Tensor) []byte {
 	return AppendTensor(make([]byte, 0, tensorWireSize(t.Shape())), t)
 }
 
-// DecodeTensor reverses EncodeTensor, validating the payload exactly. The
-// tensor owns fresh storage, so b may be a sub-slice of a frame payload.
+// DecodeTensor reverses EncodeTensor, validating the payload exactly, into
+// fresh storage (DecodeInferWith takes a request's from a caller's source
+// instead). Either way the tensor never points into b, so b may be a
+// sub-slice of a frame payload that is released once the call returns.
 func DecodeTensor(b []byte) (*tensor.Tensor, error) {
+	return decodeTensor(b, fresh)
+}
+
+// fresh is the storage of the allocating decoders.
+func fresh(n int) []float32 { return make([]float32, n) }
+
+// decodeTensor is DecodeTensor with the storage taken from storage(n), which
+// returns n floats holding any values. A payload that fails validation takes
+// none.
+func decodeTensor(b []byte, storage func(n int) []float32) (*tensor.Tensor, error) {
 	if len(b) < 1 {
 		return nil, fmt.Errorf("protocol: empty tensor payload")
 	}
@@ -202,7 +307,7 @@ func DecodeTensor(b []byte) (*tensor.Tensor, error) {
 	if len(b) != off+4*elems {
 		return nil, fmt.Errorf("protocol: tensor payload length %d, want %d", len(b), off+4*elems)
 	}
-	data := make([]float32, elems)
+	data := storage(elems)
 	for i := range data {
 		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
@@ -342,17 +447,26 @@ func InferWireSize(boundaries int, shape ...int) int {
 // EncodeInfer serializes a MsgInfer payload — header, boundaries and tensor
 // in ONE allocation.
 func EncodeInfer(r InferRequest) ([]byte, error) {
+	return AppendInfer(nil, r)
+}
+
+// AppendInfer appends r's MsgInfer payload to dst. It grows dst at most once,
+// and allocates nothing when dst has room for the payload, as a NewBuffer of
+// r's InferWireSize has (the frame's size, so the client's buffer and
+// WriteFrame's come from the same lengths).
+func AppendInfer(dst []byte, r InferRequest) ([]byte, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
+	off := len(dst)
 	hdr := inferHeaderLen + 2*len(r.Bounds)
-	out := make([]byte, hdr, hdr+tensorWireSize(r.Tensor.Shape()))
-	out[0] = byte(r.Rep)
-	out[1] = r.TTL
-	binary.LittleEndian.PutUint16(out[2:], uint16(r.Pos))
-	out[4] = byte(len(r.Bounds))
+	out := slices.Grow(dst, hdr+tensorWireSize(r.Tensor.Shape()))[:off+hdr]
+	out[off] = byte(r.Rep)
+	out[off+1] = r.TTL
+	binary.LittleEndian.PutUint16(out[off+2:], uint16(r.Pos))
+	out[off+4] = byte(len(r.Bounds))
 	for i, b := range r.Bounds {
-		binary.LittleEndian.PutUint16(out[inferHeaderLen+2*i:], uint16(b))
+		binary.LittleEndian.PutUint16(out[off+inferHeaderLen+2*i:], uint16(b))
 	}
 	return AppendTensor(out, r.Tensor), nil
 }
@@ -369,8 +483,17 @@ func PeekInfer(b []byte) (rep Rep, one bool) {
 }
 
 // DecodeInfer reverses EncodeInfer, decoding the tensor straight out of the
-// payload's tail.
+// payload's tail into fresh storage.
 func DecodeInfer(b []byte) (InferRequest, error) {
+	return DecodeInferWith(b, fresh)
+}
+
+// DecodeInferWith is DecodeInfer with the tensor's storage taken from
+// storage(n), which returns n floats holding any values. The storage is the
+// caller's to hand back once nothing reads the tensor. A payload that fails
+// validation before its tensor is decoded takes none; one that fails after
+// drops what it took rather than hand it back.
+func DecodeInferWith(b []byte, storage func(n int) []float32) (InferRequest, error) {
 	if len(b) < inferHeaderLen {
 		return InferRequest{}, fmt.Errorf("protocol: infer payload length %d, want >= %d", len(b), inferHeaderLen)
 	}
@@ -387,7 +510,7 @@ func DecodeInfer(b []byte) (InferRequest, error) {
 		}
 	}
 	var err error
-	if r.Tensor, err = DecodeTensor(b[off:]); err != nil {
+	if r.Tensor, err = decodeTensor(b[off:], storage); err != nil {
 		return InferRequest{}, err
 	}
 	if err := r.Validate(); err != nil {

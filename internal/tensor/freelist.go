@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // FreeList is a stack of equal-size float32 buffers that every goroutine
 // shares, holding at most a constant number of them. Kernels take their
@@ -52,50 +55,69 @@ func (l *FreeList) Put(b []float32) {
 	l.mu.Unlock()
 }
 
-// BufferPool is a free list of float32 buffers of varying length that every
-// goroutine shares. It recycles results whose length depends on the
-// caller's batch, which a FreeList of equal-size buffers cannot serve
-// without rounding every request up to its largest size. It retains at
-// most capacity buffers of at most maxSize floats each, and at most maxBytes
-// bytes of them in all.
+// BufferPool is a free list of buffers of varying length that every
+// goroutine shares: float32 activations in nn, wire bytes in protocol. It
+// recycles results whose length depends on the caller's batch, which a
+// FreeList of equal-size buffers cannot serve without rounding every request
+// up to its largest size. It retains at most capacity buffers of at most
+// maxSize elements each, and at most maxBytes bytes of them in all.
 //
-// Get hands out the shortest retained buffer that holds n floats and is
+// Get hands out the shortest retained buffer that holds n elements and is
 // shorter than 2n, so a request never takes a buffer twice its size: a
 // result that escapes its caller pins less than twice its own bytes, and the
 // pool's lengths follow the requests' instead of the longest ones serving
-// everything. A Get it cannot serve allocates exactly n floats, which the
+// everything. A Get it cannot serve allocates exactly n elements, which the
 // pool may retain once they come back. A Put of a buffer longer than maxSize
 // drops it, and a Put to a full pool first drops the buffers put longest
 // ago, so the pool follows the sizes the current traffic asks for.
-type BufferPool struct {
+type BufferPool[T element] struct {
 	maxSize, maxBytes int
 
 	mu    sync.Mutex
-	bufs  [][]float32 // guarded by mu; oldest first
-	bytes int         // guarded by mu; 4·Σ cap(bufs)
+	bufs  [][]T // guarded by mu; oldest first
+	bytes int   // guarded by mu; Σ cap(bufs) times the element size
 }
 
-// NewBufferPool returns an empty pool that retains at most capacity
-// buffers, each of at most maxSize floats, holding at most maxBytes bytes.
-func NewBufferPool(maxSize, capacity, maxBytes int) *BufferPool {
-	return &BufferPool{maxSize: maxSize, maxBytes: maxBytes, bufs: make([][]float32, 0, capacity)}
+// element is what a BufferPool holds.
+type element interface{ ~byte | ~float32 }
+
+// NewBufferPool returns an empty pool of float32 buffers that retains at
+// most capacity buffers, each of at most maxSize floats, holding at most
+// maxBytes bytes.
+func NewBufferPool(maxSize, capacity, maxBytes int) *BufferPool[float32] {
+	return NewBufferPoolOf[float32](maxSize, capacity, maxBytes)
 }
 
-// Get returns a buffer of n floats holding arbitrary values.
-func (p *BufferPool) Get(n int) []float32 {
+// NewBufferPoolOf returns an empty pool of T buffers that retains at most
+// capacity buffers, each of at most maxSize elements, holding at most
+// maxBytes bytes.
+func NewBufferPoolOf[T element](maxSize, capacity, maxBytes int) *BufferPool[T] {
+	return &BufferPool[T]{maxSize: maxSize, maxBytes: maxBytes, bufs: make([][]T, 0, capacity)}
+}
+
+// sizeOf is the bytes of storage b's capacity spans.
+func sizeOf[T element](b []T) int {
+	var e T
+	return int(unsafe.Sizeof(e)) * cap(b)
+}
+
+// Get returns a buffer of n elements holding arbitrary values.
+func (p *BufferPool[T]) Get(n int) []T {
 	if n == 0 || n > p.maxSize {
-		return make([]float32, n)
+		return make([]T, n)
 	}
 	p.mu.Lock()
 	best := -1
-	for i, b := range p.bufs {
-		if c := cap(b); c >= n && c < 2*n && (best < 0 || c < cap(p.bufs[best])) {
-			best = i
+	for i := len(p.bufs) - 1; i >= 0; i-- { // newest first: an exact fit ends the search
+		if c := cap(p.bufs[i]); c >= n && c < 2*n && (best < 0 || c < cap(p.bufs[best])) {
+			if best = i; c == n {
+				break
+			}
 		}
 	}
 	if best < 0 {
 		p.mu.Unlock()
-		return make([]float32, n)
+		return make([]T, n)
 	}
 	b := p.bufs[best]
 	p.drop(best)
@@ -105,8 +127,8 @@ func (p *BufferPool) Get(n int) []float32 {
 
 // Put hands b back to the pool, or drops it when it is longer than maxSize.
 // The caller must not use b, or any slice of its storage, afterwards.
-func (p *BufferPool) Put(b []float32) {
-	size := 4 * cap(b)
+func (p *BufferPool[T]) Put(b []T) {
+	size := sizeOf(b)
 	if size == 0 || cap(b) > p.maxSize || size > p.maxBytes {
 		return
 	}
@@ -123,8 +145,8 @@ func (p *BufferPool) Put(b []float32) {
 
 // drop removes bufs[i], keeping the others in the order they were put.
 // The caller holds p.mu.
-func (p *BufferPool) drop(i int) {
-	p.bytes -= 4 * cap(p.bufs[i])
+func (p *BufferPool[T]) drop(i int) {
+	p.bytes -= sizeOf(p.bufs[i])
 	last := len(p.bufs) - 1
 	copy(p.bufs[i:], p.bufs[i+1:])
 	p.bufs[last] = nil
@@ -132,7 +154,7 @@ func (p *BufferPool) drop(i int) {
 }
 
 // Bytes reports the bytes of storage the pool retains.
-func (p *BufferPool) Bytes() int {
+func (p *BufferPool[T]) Bytes() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.bytes

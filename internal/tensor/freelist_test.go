@@ -54,4 +54,32 @@ func TestBufferPoolContract(t *testing.T) {
 	if b := q.Get(36); cap(b) != 70 {
 		t.Fatalf("a request of 36 got cap %d, want the retained 70", cap(b))
 	}
+
+	// The []byte instantiation, the wire pool's: the same rules, with
+	// lengths and the byte bound both counted in bytes.
+	w := NewBufferPoolOf[byte](maxSize, capacity, 150)
+	if b := w.Get(40); len(b) != 40 || cap(b) != 40 {
+		t.Fatalf("bytes: miss on an empty pool: len %d cap %d, want exactly 40", len(b), cap(b))
+	}
+	w.Put(make([]byte, 80))
+	if b := w.Get(40); cap(b) != 40 {
+		t.Fatalf("bytes: a request of 40 took a buffer of %d, twice the request", cap(b))
+	}
+	if b := w.Get(41); len(b) != 41 || cap(b) != 80 {
+		t.Fatalf("bytes: a request of 41 got len %d cap %d, want the retained 80", len(b), cap(b))
+	}
+	w.Put(make([]byte, maxSize+1))
+	if w.Bytes() != 0 {
+		t.Fatalf("bytes: pool kept a buffer longer than maxSize: %d bytes", w.Bytes())
+	}
+	for _, n := range []int{10, 20, 30, 40} {
+		w.Put(make([]byte, n))
+	}
+	if got, want := w.Bytes(), 20+30+40; got != want {
+		t.Fatalf("bytes: after four Puts into a pool of three: %d bytes, want %d", got, want)
+	}
+	w.Put(make([]byte, 90)) // the count drops the 20, the 150-byte bound the 30
+	if got, want := w.Bytes(), 40+90; got != want {
+		t.Fatalf("bytes: after a Put over the byte bound: %d bytes, want %d", got, want)
+	}
 }
