@@ -12,8 +12,9 @@ package edge
 // for the client's lifetime, or the client may MOVE them mid-run — new
 // requests ship the new route while those in flight complete on the old one,
 // with bitwise-identical predictions either way. With Replan enabled the
-// client re-solves placement periodically from MEASURED conditions: the transport's linkest estimate for the first hop, and the
-// per-hop service-time/link telemetry piggybacked on every relay reply.
+// client re-solves placement periodically from MEASURED conditions: the
+// transport's linkest estimate for the first hop, and the per-hop
+// service-time/link telemetry piggybacked on every relay reply.
 //
 // Degraded mode: when the chain fails mid-hop — transport death, a dead hop,
 // a shed storm — the client falls back to DIRECT offload of the original raw

@@ -47,10 +47,11 @@ func (s *SlowStage) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (s *SlowStage) Backward(grad *tensor.Tensor) *tensor.Tensor { return s.Inner.Backward(grad) }
 func (s *SlowStage) Params() []*nn.Param                         { return s.Inner.Params() }
 
-// ShapeStage is the zero-cpu chain-stage stand-in for relay hops: it emits a zero tensor of the configured per-instance shape,
-// so a hop's serving cost is exactly its SlowStage delay and its downstream
-// wire cost is exactly the modeled activation size. Non-terminal hops use a
-// CHW Dims (rank-4 batches relay downstream); the terminal hop uses a single
+// ShapeStage is the zero-cpu chain-stage stand-in for relay hops: it emits
+// a zero tensor of the configured per-instance shape, so a hop's serving
+// cost is exactly its SlowStage delay and its downstream wire cost is
+// exactly the modeled activation size. Non-terminal hops use a CHW Dims
+// (rank-4 batches relay downstream); the terminal hop uses a single
 // class-count dim (rank-2 logits). Predictions are meaningless — pipeline
 // scenarios run unlabeled.
 type ShapeStage struct {

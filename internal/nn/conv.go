@@ -92,32 +92,29 @@ func (c *Conv2D) forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool) {
 // are packed once per tile rather than once per image and the GEMM sees
 // wide operands; the tile t (convTile) is the most images whose results
 // fit under the cap — 1 MiB keeps the working set cache-sized and every
-// shared buffer a constant size whatever batch a caller sends — and at
-// least one image: a single image larger than the cap gets an exact-size
-// buffer that is never kept. The backward takes one workspace per kernel
-// worker, holding the worker's partial dW and one image's dW product,
-// unfold and unfold gradient (2·outC·K + 2·K·oH·oW floats), under the same
-// rule.
+// pooled workspace one size whatever batch a caller sends — and at least
+// one image: a single image larger than the cap gets an exact-size buffer,
+// which the pool allocates and never keeps. The backward takes one
+// workspace per kernel worker, holding the worker's partial dW and one
+// image's dW product, unfold and unfold gradient (2·outC·K + 2·K·oH·oW
+// floats), under the same rule.
 const convTileFloats = 256 << 10
 
-// convWorkspaceBufs caps the workspaces the shared list retains: the
+// convWorkspaceBufs caps the workspaces the shared pool retains: the
 // forward's result and one per backward worker, for a few layers or models
 // running at once. It retains at most 8 MiB.
 const convWorkspaceBufs = 8
 
 // convWorkspaces holds the forward's result matrices and the backward's
-// per-worker scratch. They live here rather than on the layer because eval
-// Forward runs concurrently on one shared model.
-var convWorkspaces = tensor.NewFreeList(convTileFloats, convWorkspaceBufs)
+// per-worker scratch, every one convTileFloats long. They live here rather
+// than on the layer because eval Forward runs concurrently on one shared
+// model.
+var convWorkspaces = tensor.NewBufferPool(convTileFloats, convWorkspaceBufs, convWorkspaceBufs*convTileFloats*4)
 
-// takeWorkspace returns a buffer of size floats. It comes from
-// convWorkspaces, and keep is true, when it fits under convTileFloats; the
-// caller hands a kept buffer back with convWorkspaces.Put.
-func takeWorkspace(size int) (ws []float32, keep bool) {
-	if size > convTileFloats {
-		return make([]float32, size), false
-	}
-	return convWorkspaces.Get()[:size], true
+// takeWorkspace returns a buffer of size floats from convWorkspaces, which
+// the caller hands back with convWorkspaces.Put.
+func takeWorkspace(size int) []float32 {
+	return convWorkspaces.Get(max(size, convTileFloats))[:size]
 }
 
 // activationBufs and activationBytes cap what the activation pool retains:
@@ -151,7 +148,7 @@ func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
 	}
 	outC, plane := c.OutChannels(), dims.ColCols()
 	tile := min(n, max(1, convTile(outC, dims)))
-	res, keep := takeWorkspace(outC * tile * plane)
+	res := takeWorkspace(outC * tile * plane)
 	inSize, outSize := x.Numel()/n, outC*plane
 	xd, od, wd := x.Data(), out.Data(), c.W.Data.Data()
 	var bias []float32
@@ -181,17 +178,16 @@ func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
 			}
 		}
 	}
-	if keep {
-		convWorkspaces.Put(res)
-	}
+	convWorkspaces.Put(res)
 }
 
 // Backward accumulates dW (and dB) and returns dX.
 //
 // The batch splits into one contiguous chunk of images per kernel worker,
-// the chunks tensor.ParFor forks. A worker takes one shared workspace and, image by image, unfolds x_i
-// again, forms dy_i @ cols_iᵀ on its own and adds it to the worker's partial
-// dW, sums dy_i's planes into its partial dB, and folds Wᵀ @ dy_i into dx_i.
+// the chunks tensor.ParFor forks. A worker takes one shared workspace and,
+// image by image, unfolds x_i again, forms dy_i @ cols_iᵀ on its own and
+// adds it to the worker's partial dW, sums dy_i's planes into its partial
+// dB, and folds Wᵀ @ dy_i into dx_i.
 // The partials are then added to the gradients in worker order. That is the
 // summation order of the per-image products this layer has always formed,
 // so the trained weights do not depend on the forward's tiling; they do
@@ -213,14 +209,13 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	workers := max(1, min(tensor.Parallelism(), n))
 	chunk := (n + workers - 1) / workers
 	partials := make([][]float32, workers)
-	kept := make([][]float32, workers)
 	var dBs []float64
 	if c.B != nil {
 		dBs = make([]float64, workers*outC)
 	}
 	tensor.ParFor(n, func(start, end int) {
 		wkr := start / chunk // ParFor's chunks are these workers'
-		ws, keep := takeWorkspace(2*wSize + 2*rows*plane)
+		ws := takeWorkspace(2*wSize + 2*rows*plane)
 		dW, prod := ws[:wSize], ws[wSize:2*wSize]
 		cols, dcols := ws[2*wSize:2*wSize+rows*plane], ws[2*wSize+rows*plane:]
 		clear(dW)
@@ -245,9 +240,6 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			dims.Col2Im(dcols, dxd[i*inSize:(i+1)*inSize])
 		}
 		partials[wkr] = dW
-		if keep {
-			kept[wkr] = ws
-		}
 	})
 
 	gW := c.W.Grad.Data()
@@ -255,9 +247,7 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		for j, v := range dW {
 			gW[j] += v
 		}
-		if kept[wkr] != nil {
-			convWorkspaces.Put(kept[wkr])
-		}
+		convWorkspaces.Put(dW) // dW spans its workspace; nil for an idle worker
 		if dBs != nil {
 			gB := c.B.Grad.Data()
 			for f, v := range dBs[wkr*outC : (wkr+1)*outC] {

@@ -289,3 +289,47 @@ func TestConvConcurrentMixedShapesShareWorkspaces(t *testing.T) {
 		t.Fatal(e)
 	}
 }
+
+// TestConvWorkspacesStayBounded runs eval forwards and train steps at 2
+// kernel workers, on ordinary tiles and on one image too large for a
+// workspace, from more goroutines than convWorkspaces retains buffers, and
+// hands back twice that many workspaces at once. The pool must then hold at
+// most convWorkspaceBufs buffers, every one convTileFloats long: the
+// oversize image's exact-size buffers were never kept.
+func TestConvWorkspacesStayBounded(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(2)
+	geoms := []struct{ inC, outC, k, size, n int }{
+		{3, 8, 3, 12, 16}, {16, 32, 1, 6, 9}, {2, 32, 3, 96, 1},
+	}
+	rng := rand.New(rand.NewSource(38))
+	var wg sync.WaitGroup
+	for gr := 0; gr < 2*convWorkspaceBufs; gr++ {
+		g := geoms[gr%len(geoms)]
+		conv := NewConv2D(rng, "bound", g.inC, g.outC, g.k, 1, g.k/2, true)
+		x := tensor.Randn(rng, 1, g.n, g.inC, g.size, g.size)
+		dy := tensor.Randn(rng, 1, g.n, g.outC, g.size, g.size)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				conv.Forward(x, false)
+				conv.Forward(x, true)
+				conv.Backward(dy)
+			}
+		}()
+	}
+	wg.Wait()
+	flood := make([][]float32, 2*convWorkspaceBufs)
+	for i := range flood {
+		flood[i] = takeWorkspace(convTileFloats)
+	}
+	for _, ws := range flood {
+		convWorkspaces.Put(ws)
+	}
+	held := convWorkspaces.Bytes()
+	if held == 0 || held > convWorkspaceBufs*convTileFloats*4 || held%(convTileFloats*4) != 0 {
+		t.Fatalf("workspace pool holds %d bytes: want a positive multiple of %d, at most %d",
+			held, convTileFloats*4, convWorkspaceBufs*convTileFloats*4)
+	}
+}

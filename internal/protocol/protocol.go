@@ -15,11 +15,11 @@
 //     given to WriteFrame must not retain p (io.Writer's own contract; every
 //     Write in this tree forwards or counts p and returns).
 //   - ReadFrame reads the payload into a pooled buffer (a payload under
-//     256 bytes is a plain allocation) that the caller then owns. The owner calls Frame.Release once it is done with the payload
-//     and every slice of it — after the decode that copies out what it
-//     needs, or at once for a frame it drops — and never touches the payload
-//     again. A frame that is never released is only garbage: the pool
-//     allocates afresh.
+//     256 bytes is a plain allocation) that the caller then owns. The owner
+//     calls Frame.Release once it is done with the payload and every slice
+//     of it — after the decode that copies out what it needs, or at once
+//     for a frame it drops — and never touches the payload again. A frame
+//     that is never released is only garbage: the pool allocates afresh.
 //   - NewBuffer hands out a pooled buffer for AppendInfer to encode a
 //     request into; the sender Recycles it once WriteFrame has returned.
 //   - DecodeInferWith takes the tensor's storage from a caller's source (a

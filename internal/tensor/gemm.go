@@ -30,9 +30,9 @@ package tensor
 // panels of C, so no two write the same element.
 //
 // Each worker takes one pack buffer, an A panel and a B block, from a shared
-// FreeList sized for the largest block rather than for the operands, so a
-// product allocates only its fork's bookkeeping however often it runs and
-// however large its operands are.
+// BufferPool of buffers sized for the largest block rather than for the
+// operands, so a product allocates only its fork's bookkeeping however often
+// it runs and however large its operands are.
 //
 // Accumulation order over k is ascending everywhere — identical to the
 // naive small-product kernels and independent of worker count, split,
@@ -56,17 +56,19 @@ const (
 	// of them re-pack the whole of A.
 	gemmColsPerWorker = 4
 
-	// gemmPackBufs caps the pack buffers the shared list retains: one per
+	// gemmPackBufs caps the pack buffers the shared pool retains: one per
 	// worker of every product in flight, with room for the nested forks of
 	// a convolution's backward and a few concurrent callers. It retains at
 	// most 16 × 65 KiB ≈ 1.0 MiB.
 	gemmPackBufs = 16
 )
 
-// packBufs hands each worker of a product one buffer: an A panel
-// [gemmKC][gemmMR] followed by a B block, gemmNC/gemmNR panels
-// [gemmKC][gemmNR].
-var packBufs = NewFreeList(gemmKC*gemmMR+gemmKC*gemmNC, gemmPackBufs)
+// packFloats is the length of a pack buffer: an A panel [gemmKC][gemmMR]
+// followed by a B block, gemmNC/gemmNR panels [gemmKC][gemmNR].
+const packFloats = gemmKC*gemmMR + gemmKC*gemmNC
+
+// packBufs hands each worker of a product one pack buffer.
+var packBufs = NewBufferPool(packFloats, gemmPackBufs, gemmPackBufs*packFloats*4)
 
 // bPacker writes rows [p0, p0+kb) and columns [j0, j0+nb) of a GEMM's B
 // operand into dst as ceil(nb/gemmNR) panels, each [kb][gemmNR], with the
@@ -100,7 +102,7 @@ func gemmBlocked(a []float32, ars, acs int, pack bPacker, out []float32, m, k, n
 // [j0, j1) of the [m,n] product out (ldc = n), over all k. i0 and j0 fall on
 // panel boundaries, so the ragged panels are those of the whole product.
 func gemmRect(a []float32, ars, acs int, pack bPacker, out []float32, n, k, i0, i1, j0, j1 int) {
-	buf := packBufs.Get()
+	buf := packBufs.Get(packFloats)
 	defer packBufs.Put(buf)
 	aBuf, bBuf := buf[:gemmKC*gemmMR], buf[gemmKC*gemmMR:]
 	for jc := j0; jc < j1; jc += gemmNC {

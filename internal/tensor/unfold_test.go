@@ -192,3 +192,47 @@ func TestConcurrentProductsShareFreeList(t *testing.T) {
 		t.Fatal(e)
 	}
 }
+
+// TestPackBuffersStayBounded runs blocked products of mixed shapes from
+// more goroutines than packBufs retains buffers, hands back twice that many
+// pack buffers at once, and then requires the pool to hold at most
+// gemmPackBufs buffers, every one packFloats long. A warm Get and Put of a
+// pack buffer must allocate nothing.
+func TestPackBuffersStayBounded(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	SetParallelism(2)
+	rng := rand.New(rand.NewSource(38))
+	shapes := [][3]int{{8, 72, 2304}, {288, 32, 9}, {128, 128, 128}, {13, 200, 301}}
+	var wg sync.WaitGroup
+	for g := 0; g < 2*gemmPackBufs; g++ {
+		dims := shapes[g%len(shapes)]
+		m, k, n := dims[0], dims[1], dims[2]
+		a, b := Randn(rng, 1, m, k).Data(), Randn(rng, 1, k, n).Data()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]float32, m*n)
+			for r := 0; r < 4; r++ {
+				MatMulInto(out, a, b, m, k, n)
+				MatMulNTInto(out, a, b, m, k, n)
+				MatMulTNInto(out, a, b, m, k, n)
+			}
+		}()
+	}
+	wg.Wait()
+	flood := make([][]float32, 2*gemmPackBufs)
+	for i := range flood {
+		flood[i] = packBufs.Get(packFloats)
+	}
+	for _, b := range flood {
+		packBufs.Put(b)
+	}
+	held := packBufs.Bytes()
+	if held == 0 || held > gemmPackBufs*packFloats*4 || held%(packFloats*4) != 0 {
+		t.Fatalf("pack pool holds %d bytes: want a positive multiple of %d, at most %d",
+			held, packFloats*4, gemmPackBufs*packFloats*4)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { packBufs.Put(packBufs.Get(packFloats)) }); allocs != 0 {
+		t.Fatalf("a warm pack buffer Get and Put allocates %v times, want 0", allocs)
+	}
+}
