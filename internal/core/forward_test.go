@@ -27,6 +27,15 @@ func forwardMEANet(t testing.TB) *MEANet {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return warmedMEANetA(t, rng, bb)
+}
+
+// warmedMEANetA splits bb after two groups into a 20-class MEANet-A with a
+// 10-class extension exit, and runs three train-mode forwards (no Backward)
+// of seeded 16x16 batches so every BatchNorm carries non-trivial running
+// statistics.
+func warmedMEANetA(t testing.TB, rng *rand.Rand, bb *models.Backbone) *MEANet {
+	t.Helper()
 	m, err := BuildMEANetA(rng, bb, 2, 20)
 	if err != nil {
 		t.Fatal(err)

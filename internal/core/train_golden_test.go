@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/meanet/meanet/internal/data"
+	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/opt"
 	"github.com/meanet/meanet/internal/tensor"
@@ -50,7 +51,12 @@ func hashParams(params []*nn.Param) uint64 {
 // and exit, the adaptive block, the extension block and the extension exit.
 func trainStepHashes(t testing.TB, batch int) [4]uint64 {
 	t.Helper()
-	m := forwardMEANet(t)
+	return trainedHashes(t, forwardMEANet(t), batch)
+}
+
+// trainedHashes is trainStepHashes on a given MEANet.
+func trainedHashes(t testing.TB, m *MEANet, batch int) [4]uint64 {
+	t.Helper()
 	cfg := TrainConfig{Epochs: 1, Batch: batch, LR: opt.StepLR{Initial: 0.1}, Momentum: 0.9, WeightDecay: 5e-4, Seed: 5}
 	if err := TrainMainBlock(m, trainStepData(batch, 37, func(i int) int { return i % 20 }), cfg); err != nil {
 		t.Fatal(err)
@@ -88,6 +94,38 @@ func TestTrainStepGolden(t *testing.T) {
 			tensor.SetParallelism(workers)
 			key := fmt.Sprintf("workers %d batch %d", workers, batch)
 			if got := trainStepHashes(t, batch); got != want[key] {
+				t.Errorf("%s: main/adaptive/extension/extexit hashes %#x, want %#x", key, got, want[key])
+			}
+		}
+	}
+}
+
+// TestMobileNetTrainStepGolden is TestTrainStepGolden over the edge
+// MobileNetV2 backbone, split after its second stage: the main block's
+// steps run ReLU6, DepthwiseConv2D and InvertedResidual blocks with and
+// without their skip through train forward and backward, and the edge steps
+// the same in the extension block (stages 3 and 4, then the pointwise head).
+// The literals were taken before train-mode BN, ReLU, ReLU6 and the
+// residual adds ran in place and before the train path recycled its
+// activations and gradients, so they pin those to the allocating forms' bits.
+func TestMobileNetTrainStepGolden(t *testing.T) {
+	want := map[string][4]uint64{
+		"workers 1 batch 16": {0x9adcc4902dfba894, 0xd47552f73eb5ecb9, 0x5ed7f7c22e52f17d, 0xb53f77abe2b920dc},
+		"workers 1 batch 37": {0x8af714c138313e0b, 0x7aff5c0bb927d668, 0x34e16ab86979216c, 0x59b4876132594037},
+		"workers 2 batch 16": {0x433cd3dee6b90870, 0x4819897df5ccdcae, 0x5a7199a139e9f3b3, 0x7aeca391a47a2f5c},
+		"workers 2 batch 37": {0x8f6ff966ceb4607f, 0x73256482440095c1, 0xa4ec1375e09ea51c, 0x2b71e09b030a54ab},
+	}
+	defer tensor.SetParallelism(tensor.Parallelism())
+	for _, workers := range []int{1, 2} {
+		for _, batch := range []int{16, 37} {
+			tensor.SetParallelism(workers)
+			key := fmt.Sprintf("workers %d batch %d", workers, batch)
+			rng := rand.New(rand.NewSource(39))
+			bb, err := models.BuildMobileNet(rng, models.MobileNetEdge())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := trainedHashes(t, warmedMEANetA(t, rng, bb), batch); got != want[key] {
 				t.Errorf("%s: main/adaptive/extension/extexit hashes %#x, want %#x", key, got, want[key])
 			}
 		}

@@ -3,115 +3,118 @@ package nn
 import "github.com/meanet/meanet/internal/tensor"
 
 // ReLU is the rectified linear activation max(x, 0).
-type ReLU struct {
-	mask []bool // training cache: which inputs were positive
-}
+type ReLU struct{ gate }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward applies max(x, 0) elementwise.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
-	var mask []bool
-	if train {
-		mask = make([]bool, x.Numel())
-	}
-	for i, v := range x.Data() {
-		if v > 0 {
-			out.Data()[i] = v
-			if train {
-				mask[i] = true
-			}
-		}
-	}
-	if train {
-		r.mask = mask
-	}
+	out := x.Clone()
+	r.forwardInPlace(out, train)
 	return out
 }
 
-// evalInPlace applies max(x, 0) to x itself; see the in-place rule on
-// Layer. Everything not above zero (negatives, both zeros, NaN) becomes +0,
-// exactly as in Forward's zero-filled output.
-func (r *ReLU) evalInPlace(x *tensor.Tensor) {
+// forwardInPlace applies max(x, 0) to x itself; see the in-place rule on
+// Layer. Everything not above zero (negatives, both zeros, NaN) becomes +0.
+// In train mode it caches which inputs were positive.
+func (r *ReLU) forwardInPlace(x *tensor.Tensor, train bool) {
 	d := x.Data()
+	mask := r.start(len(d), train)
 	for i, v := range d {
-		if !(v > 0) {
+		switch {
+		case !(v > 0):
 			d[i] = 0
+		case train:
+			mask[i] = true
 		}
 	}
 }
-
-// Backward gates the gradient by the positive mask.
-func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if r.mask == nil {
-		panic("nn: ReLU.Backward without prior Forward(train=true)")
-	}
-	dx := tensor.New(dy.Shape()...)
-	for i, v := range dy.Data() {
-		if r.mask[i] {
-			dx.Data()[i] = v
-		}
-	}
-	r.mask = nil
-	return dx
-}
-
-// Params returns nil: ReLU has no parameters.
-func (r *ReLU) Params() []*Param { return nil }
 
 // ReLU6 is the clipped rectifier min(max(x, 0), 6) used by MobileNetV2.
-type ReLU6 struct {
-	mask []bool // true where 0 < x < 6
-}
+type ReLU6 struct{ gate }
 
 // NewReLU6 returns a ReLU6 activation layer.
 func NewReLU6() *ReLU6 { return &ReLU6{} }
 
 // Forward applies min(max(x, 0), 6) elementwise.
 func (r *ReLU6) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
-	var mask []bool
-	if train {
-		mask = make([]bool, x.Numel())
-	}
-	for i, v := range x.Data() {
-		switch {
-		case v <= 0:
-			// zero
-		case v >= 6:
-			out.Data()[i] = 6
-		default:
-			out.Data()[i] = v
-			if train {
-				mask[i] = true
-			}
-		}
-	}
-	if train {
-		r.mask = mask
-	}
+	out := x.Clone()
+	r.forwardInPlace(out, train)
 	return out
 }
 
-// Backward passes gradient only through the linear region.
-func (r *ReLU6) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if r.mask == nil {
-		panic("nn: ReLU6.Backward without prior Forward(train=true)")
-	}
-	dx := tensor.New(dy.Shape()...)
-	for i, v := range dy.Data() {
-		if r.mask[i] {
-			dx.Data()[i] = v
+// forwardInPlace applies min(max(x, 0), 6) to x itself; see the in-place
+// rule on Layer. In train mode it caches where the input lay strictly
+// between 0 and 6 (NaN included: it passes through).
+func (r *ReLU6) forwardInPlace(x *tensor.Tensor, train bool) {
+	d := x.Data()
+	mask := r.start(len(d), train)
+	for i, v := range d {
+		switch {
+		case v <= 0:
+			d[i] = 0
+		case v >= 6:
+			d[i] = 6
+		case train:
+			mask[i] = true
 		}
 	}
-	r.mask = nil
+}
+
+// gate is the rectifiers' train cache and Backward: the gradient passes
+// where the forward's input lay in the linear region and is +0 elsewhere.
+// The mask is taken from the input, never read back from the output, which
+// its consumer may overwrite (the adaptive sum lands in the adaptive
+// block's last ReLU output).
+type gate struct {
+	mask []bool // nil outside a train step
+}
+
+// start returns the mask a train forward of n elements fills, nil in eval.
+func (g *gate) start(n int, train bool) []bool {
+	if !train {
+		return nil
+	}
+	g.mask = make([]bool, n)
+	return g.mask
+}
+
+// Backward gates the gradient by the mask.
+func (g *gate) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	dx := pooledLike(dy)
+	g.into(dy, dx)
 	return dx
 }
 
-// Params returns nil: ReLU6 has no parameters.
-func (r *ReLU6) Params() []*Param { return nil }
+// backwardInPlace is Backward overwriting dy; see the in-place rule on Layer.
+func (g *gate) backwardInPlace(dy *tensor.Tensor) { g.into(dy, dy) }
+
+// into writes the gated dy to dx, which may be dy, and spends the mask.
+func (g *gate) into(dy, dx *tensor.Tensor) {
+	if g.mask == nil {
+		panic("nn: rectifier Backward without prior Forward(train=true)")
+	}
+	out := dx.Data()
+	for i, v := range dy.Data() {
+		if g.mask[i] {
+			out[i] = v
+		} else {
+			out[i] = 0
+		}
+	}
+	g.mask = nil
+}
+
+// Params returns nil: a rectifier has no parameters.
+func (*gate) Params() []*Param { return nil }
+
+// pooledLike returns a tensor of t's shape whose storage comes from the
+// activation pool, holding arbitrary values; see the recycling rule on
+// Layer.
+func pooledLike(t *tensor.Tensor) *tensor.Tensor {
+	return tensor.FromSlice(activations.Get(t.Numel()), t.Shape()...)
+}
 
 var (
 	_ Layer = (*ReLU)(nil)

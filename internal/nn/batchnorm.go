@@ -20,10 +20,10 @@ type BatchNorm2D struct {
 	Momentum    float64
 	Eps         float64
 
-	// Training caches.
+	// Training caches: xhat's storage comes from the activation pool and
+	// goes back at Backward.
 	xhat   *tensor.Tensor
 	invStd []float32
-	batch  int
 }
 
 // NewBatchNorm2D builds a batch-norm layer for c channels with gamma=1,
@@ -63,17 +63,36 @@ func (bn *BatchNorm2D) checkInput(x *tensor.Tensor) {
 // and updates the running statistics in place.
 func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bn.checkInput(x)
-	n, cch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	out := tensor.New(n, cch, h, w)
-	if !train {
+	out := tensor.New(x.Shape()...)
+	if train {
+		bn.trainInto(x, out)
+	} else {
 		bn.evalInto(x, out)
-		return out
 	}
-	plane := h * w
+	return out
+}
+
+// forwardInPlace normalizes x, overwriting it; see the in-place rule on
+// Layer.
+func (bn *BatchNorm2D) forwardInPlace(x *tensor.Tensor, train bool) {
+	bn.checkInput(x)
+	if train {
+		bn.trainInto(x, x)
+	} else {
+		bn.evalInto(x, x)
+	}
+}
+
+// trainInto writes the train-mode normalization of x to out, which may be
+// x: each channel's statistics are complete before any of its elements is
+// written.
+func (bn *BatchNorm2D) trainInto(x, out *tensor.Tensor) {
+	n, cch := x.Dim(0), x.Dim(1)
+	plane := x.Dim(2) * x.Dim(3)
 	m := n * plane
 	gamma, beta := bn.Gamma.Data.Data(), bn.Beta.Data.Data()
 
-	xhat := tensor.New(n, cch, h, w)
+	xhat := pooledLike(x)
 	invStd := make([]float32, cch)
 	tensor.ParFor(cch, func(c0, c1 int) {
 		for c := c0; c < c1; c++ {
@@ -109,15 +128,6 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	})
 	bn.xhat = xhat
 	bn.invStd = invStd
-	bn.batch = n
-	return out
-}
-
-// evalInPlace normalizes x with the running statistics, overwriting it; see
-// the in-place rule on Layer.
-func (bn *BatchNorm2D) evalInPlace(x *tensor.Tensor) {
-	bn.checkInput(x)
-	bn.evalInto(x, x)
 }
 
 // evalInto writes the eval-mode normalization of x to out, which may be x.
@@ -145,13 +155,24 @@ func (bn *BatchNorm2D) evalInto(x, out *tensor.Tensor) {
 //
 //	dx = gamma·invStd/m · (m·dy − Σdy − x̂·Σ(dy·x̂))
 func (bn *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	dx := pooledLike(dy)
+	bn.backwardInto(dy, dx)
+	return dx
+}
+
+// backwardInPlace is Backward overwriting dy; see the in-place rule on Layer.
+func (bn *BatchNorm2D) backwardInPlace(dy *tensor.Tensor) { bn.backwardInto(dy, dy) }
+
+// backwardInto writes Backward's result to dx, which may be dy: each
+// channel's sums are complete before any of its elements is written. It
+// hands the x̂ cache back to the activation pool.
+func (bn *BatchNorm2D) backwardInto(dy, dx *tensor.Tensor) {
 	if bn.xhat == nil {
 		panic("nn: BatchNorm2D.Backward without prior Forward(train=true)")
 	}
 	n, cch := dy.Dim(0), dy.Dim(1)
 	plane := dy.Dim(2) * dy.Dim(3)
 	m := float64(n * plane)
-	dx := tensor.New(dy.Shape()...)
 	gamma := bn.Gamma.Data.Data()
 	gGamma, gBeta := bn.Gamma.Grad.Data(), bn.Beta.Grad.Data()
 
@@ -179,9 +200,9 @@ func (bn *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	})
+	activations.Put(bn.xhat.Data())
 	bn.xhat = nil
 	bn.invStd = nil
-	return dx
 }
 
 // Params returns gamma and beta.

@@ -38,31 +38,25 @@ func NewResidualBlock(rng *rand.Rand, name string, inC, outC, stride int) *Resid
 
 // Forward computes relu(body(x) + shortcut(x)).
 func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train {
-		y, _ := b.forwardEval(x)
-		return y
-	}
-	y := b.Body.Forward(x, true)
-	s := b.Shortcut.Forward(x, true)
-	b.checkBranches(y, s)
-	return b.act.Forward(tensor.Add(y, s), true)
+	y, _ := b.forwardOwned(x, train)
+	return y
 }
 
-// forwardEval is the eval forward under the in-place and recycling rules
-// (see Layer): when the body produced its output itself, the add and the
-// ReLU run in place on that output, and a projection shortcut's output goes
-// back to the activation pool once added. The result is always one the
-// block produced.
-func (b *ResidualBlock) forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool) {
-	y, owned := b.Body.forwardEval(x)
-	s, sOwned := evalForward(b.Shortcut, x)
+// forwardOwned is Forward under the in-place and recycling rules (see
+// Layer): when the body produced its output itself, the add and the ReLU
+// run in place on that output, and a projection shortcut's output goes
+// back to the activation pool once added — no layer cached it. The result
+// is always one the block produced.
+func (b *ResidualBlock) forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tensor, bool) {
+	y, owned := b.Body.forwardOwned(x, train)
+	s, sOwned := forwardOwned(b.Shortcut, x, train)
 	b.checkBranches(y, s)
 	if owned {
 		y.AddInPlace(s)
 	} else {
 		y = tensor.Add(y, s)
 	}
-	b.act.evalInPlace(y)
+	b.act.forwardInPlace(y, train)
 	if sOwned {
 		recycle(s, y)
 	}
@@ -75,12 +69,27 @@ func (b *ResidualBlock) checkBranches(y, s *tensor.Tensor) {
 	}
 }
 
-// Backward routes the gradient through both branches and sums.
+// Backward routes the gradient through both branches and sums, into the
+// body's gradient when the body returned one of its own; the branch
+// gradients the sum consumed go back to the activation pool (see Layer).
 func (b *ResidualBlock) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dsum := b.act.Backward(dy)
 	dxBody := b.Body.Backward(dsum)
 	dxShort := b.Shortcut.Backward(dsum)
-	return tensor.Add(dxBody, dxShort)
+	dx := addOwned(dxBody, dxShort, dsum)
+	recycle(dxShort, dsum)
+	activations.Put(dsum.Data())
+	return dx
+}
+
+// addOwned returns y + s, summed into y unless y shares the storage of
+// handed, a tensor the caller must not write.
+func addOwned(y, s, handed *tensor.Tensor) *tensor.Tensor {
+	if y.SharesStorage(handed) {
+		return tensor.Add(y, s)
+	}
+	y.AddInPlace(s)
+	return y
 }
 
 // Params returns the parameters of both branches.
@@ -120,21 +129,14 @@ func NewInvertedResidual(rng *rand.Rand, name string, inC, outC, stride, expand 
 
 // Forward computes x + body(x) when the skip applies, body(x) otherwise.
 func (b *InvertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train {
-		y, _ := b.forwardEval(x)
-		return y
-	}
-	y := b.Body.Forward(x, true)
-	if b.UseSkip {
-		return tensor.Add(y, x)
-	}
+	y, _ := b.forwardOwned(x, train)
 	return y
 }
 
-// forwardEval is the eval forward under the in-place rule (see Layer): the
-// skip is added in place when the body produced its output itself.
-func (b *InvertedResidual) forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool) {
-	y, owned := b.Body.forwardEval(x)
+// forwardOwned is Forward under the in-place rule (see Layer): the skip is
+// added in place when the body produced its output itself.
+func (b *InvertedResidual) forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tensor, bool) {
+	y, owned := b.Body.forwardOwned(x, train)
 	if !b.UseSkip {
 		return y, owned
 	}
@@ -145,13 +147,14 @@ func (b *InvertedResidual) forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool) 
 	return y, true
 }
 
-// Backward adds the skip gradient when the skip applies.
+// Backward adds the skip gradient when the skip applies, into the body's
+// gradient when the body returned one of its own.
 func (b *InvertedResidual) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dx := b.Body.Backward(dy)
-	if b.UseSkip {
-		return tensor.Add(dx, dy)
+	if !b.UseSkip {
+		return dx
 	}
-	return dx
+	return addOwned(dx, dy, dy)
 }
 
 // Params returns the block's parameters.

@@ -54,9 +54,9 @@ func (c *Conv2D) Kernel() int { return c.W.Data.Dim(2) }
 
 // Forward computes the convolution of an NCHW batch, one tile of images at a
 // time in both modes. Training caches a reference to x, not its unfold, so x
-// must stay unmodified until Backward. In eval mode the output's storage
-// comes from the activation pool (see the recycling rule on Layer); every
-// element is overwritten, so what it held before never shows.
+// must stay unmodified until Backward. The output's storage comes from the
+// activation pool (see the recycling rule on Layer); every element is
+// overwritten, so what it held before never shows.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("nn: Conv2D expects NCHW input, got %v", x.Shape()))
@@ -68,20 +68,17 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	k := c.Kernel()
 	dims := tensor.NewConvDims(inC, h, w, k, k, c.Stride, c.Pad)
 	outC := c.OutChannels()
-	var out *tensor.Tensor
+	out := tensor.FromSlice(activations.Get(n*outC*dims.OutH*dims.OutW), n, outC, dims.OutH, dims.OutW)
 	if train {
-		out = tensor.New(n, outC, dims.OutH, dims.OutW)
 		c.x, c.dims = x, dims
-	} else {
-		out = tensor.FromSlice(activations.Get(n*outC*dims.OutH*dims.OutW), n, outC, dims.OutH, dims.OutW)
 	}
 	c.forwardTiles(x, out, dims)
 	return out
 }
 
-// forwardEval is Forward(x, false), whose result is always fresh.
-func (c *Conv2D) forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool) {
-	return c.Forward(x, false), true
+// forwardOwned is Forward, whose result is always fresh.
+func (c *Conv2D) forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tensor, bool) {
+	return c.Forward(x, train), true
 }
 
 // convTileFloats caps each conv workspace at 256 Ki floats (1 MiB).
@@ -118,18 +115,22 @@ func takeWorkspace(size int) []float32 {
 }
 
 // activationBufs and activationBytes cap what the activation pool retains:
-// a forward holds about four conv outputs at once (a residual block's
+// an eval forward holds about four conv outputs at once (a residual block's
 // input, its two body convs and its projection), each layer's of its own
-// length, for each kernel worker's forward. No output longer than
-// convTileFloats is kept, and never more than 8 MiB in all.
+// length, for each kernel worker's forward. A train step holds more, its
+// cached activations until Backward, but what it still allocates are the
+// tensors that leave a module and never come back: twice these bounds
+// measured the same bytes per image on the edge train step. No buffer
+// longer than convTileFloats is kept, and never more than 8 MiB in all.
 const (
 	activationBufs  = 16
 	activationBytes = 8 << 20
 )
 
-// activations holds eval conv outputs that a composite handed back once a
-// later step consumed them (the recycling rule on Layer); the next eval
-// conv of a similar size takes its output from there.
+// activations holds the conv outputs, BN caches and input gradients that a
+// layer or composite handed back once nothing could read them (the
+// recycling rule on Layer); the next request of a similar size, in either
+// mode, is served from there.
 var activations = tensor.NewBufferPool(convTileFloats, activationBufs, activationBytes)
 
 // convTile is the number of whole images whose [outC, oH*oW] results fit
@@ -181,7 +182,9 @@ func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
 	convWorkspaces.Put(res)
 }
 
-// Backward accumulates dW (and dB) and returns dX.
+// Backward accumulates dW (and dB) and returns dX, whose storage comes from
+// the activation pool and is cleared image by image before the fold adds
+// into it.
 //
 // The batch splits into one contiguous chunk of images per kernel worker,
 // the chunks tensor.ParFor forks. A worker takes one shared workspace and,
@@ -203,7 +206,7 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
 	outC, rows, plane := c.OutChannels(), dims.ColRows(), dims.ColCols()
 	inSize, outSize, wSize := dims.InC*dims.InH*dims.InW, outC*plane, outC*rows
-	dx := tensor.New(n, dims.InC, dims.InH, dims.InW)
+	dx := tensor.FromSlice(activations.Get(n*inSize), n, dims.InC, dims.InH, dims.InW)
 	xd, dyd, dxd, wd := x.Data(), dy.Data(), dx.Data(), c.W.Data.Data()
 
 	workers := max(1, min(tensor.Parallelism(), n))
@@ -237,7 +240,9 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				}
 			}
 			tensor.MatMulTNInto(dcols, wd, dyi, rows, outC, plane)
-			dims.Col2Im(dcols, dxd[i*inSize:(i+1)*inSize])
+			dxi := dxd[i*inSize : (i+1)*inSize]
+			clear(dxi)
+			dims.Col2Im(dcols, dxi)
 		}
 		partials[wkr] = dW
 	})

@@ -108,7 +108,7 @@ func TestInPlaceCompositesMatchUnitReplay(t *testing.T) {
 	edge := tensor.FromSlice([]float32{float32(math.Copysign(0, -1)), 0, float32(math.NaN()),
 		float32(math.Inf(-1)), float32(math.Inf(1)), -1, 1}, 7)
 	want := relu.Forward(edge, false)
-	relu.evalInPlace(edge)
+	relu.forwardInPlace(edge, false)
 	requireBitwise(t, "ReLU in place", edge, want)
 }
 

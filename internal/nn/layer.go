@@ -18,28 +18,45 @@ import "github.com/meanet/meanet/internal/tensor"
 // The in-place rule: Forward never writes the tensor it was handed, in
 // either mode, so a caller may keep reading its input (the main block's
 // features feed the main exit, the combine step and features-mode offload).
-// In eval mode a composite may overwrite a tensor it produced itself and
-// has not yet returned: in a Sequential, a BatchNorm2D or ReLU step that
-// follows a Conv2D or a composite whose result it owns (directly or through
-// such in-place steps) normalizes or rectifies that fresh output in place,
-// a ResidualBlock adds the shortcut into its body's output and rectifies it
-// there, and an InvertedResidual adds its skip there. The in-place ops
-// evaluate the same float expressions as their allocating forms, so the
+// A composite may overwrite a tensor it produced itself and has not yet
+// returned: in a Sequential, a BatchNorm2D, ReLU or ReLU6 step that follows
+// a Conv2D or a composite whose result it owns (directly or through such
+// in-place steps) normalizes or rectifies that fresh output in place, a
+// ResidualBlock adds the shortcut into its body's output and rectifies it
+// there, and an InvertedResidual adds its skip there. A train-mode step
+// still caches what its Backward reads (BN's normalized input and inverse
+// deviations, the rectifiers' masks, taken from the input before it is
+// overwritten), and no layer caches its own output, so overwriting it
+// loses nothing. Backward follows the same rule: a composite owns every
+// gradient a child returned that does not share the storage of the
+// gradient it handed that child, and a BatchNorm2D, ReLU or ReLU6 step
+// rewrites an owned gradient in place, a ResidualBlock adds the shortcut's
+// gradient into the body's and an InvertedResidual its skip's. The in-place
+// ops evaluate the same float expressions as their allocating forms, so the
 // result is bitwise the same. A Sequential that starts with a BatchNorm2D
 // or ReLU — a partition stage cut between a conv and its norm — was handed
 // its input, so that step allocates.
 //
-// The recycling rule: an eval Conv2D takes its output from a bounded,
-// process-wide activation pool, and a Sequential or ResidualBlock hands a
-// tensor back to it once a later step has consumed it — only a tensor one
-// of its children produced itself (a conv output, or an owned composite
-// result), never the composite's own input or its return value, and never
-// one whose storage the consuming step's output shares (a Flatten view, an
-// Identity). A caller therefore never sees a recycled tensor: what Forward
-// returns, at any depth, is never handed back, so it escapes as ordinary
-// heap memory that the pool replaces with a fresh allocation. Every conv
-// output element is overwritten, so a recycled buffer's old values never
-// reach a result.
+// The recycling rule: Conv2D takes its output, and its input gradient, from
+// a bounded, process-wide activation pool, as BatchNorm2D does its
+// normalized-input cache (back at Backward) and its and the rectifiers'
+// allocated input gradients. A composite hands a tensor back to the pool
+// once nothing can read it — only a tensor one of its children produced (a
+// conv output, an owned composite result, an owned gradient), never the
+// composite's own input or its return value, and never one whose storage
+// the consuming step's output shares (a Flatten view, an Identity). In eval
+// mode a Sequential or ResidualBlock hands an activation back once a later
+// step has consumed it; in train mode a later step may have cached it, so a
+// Sequential holds it until its own Backward has returned, and a train
+// forward that no Backward follows just drops what it held. A Sequential
+// hands a gradient back once the next child has read it, and a
+// ResidualBlock its projection's output after the add and its branch
+// gradients after their sum. A caller therefore never sees a recycled
+// tensor: what Forward or Backward returns, at any depth, is never handed
+// back, so it escapes as ordinary heap memory that the pool replaces with a
+// fresh allocation. Every element of a pooled tensor is written before it
+// is read (Conv2D clears its input gradient, which it accumulates), so a
+// recycled buffer's old values never reach a result.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor
@@ -63,6 +80,11 @@ func (Identity) Params() []*Param { return nil }
 type Sequential struct {
 	Name   string
 	Layers []Layer
+
+	// held is what a train forward's children produced and later children
+	// consumed, and may have cached: it goes back to the activation pool
+	// once Backward has returned.
+	held []*tensor.Tensor
 }
 
 // NewSequential builds a named sequential container.
@@ -75,36 +97,32 @@ func (s *Sequential) Append(layers ...Layer) { s.Layers = append(s.Layers, layer
 
 // Forward runs the layers in order.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train {
-		x, _ = s.forwardEval(x)
-		return x
-	}
-	for _, l := range s.Layers {
-		x = l.Forward(x, true)
-	}
+	x, _ = s.forwardOwned(x, train)
 	return x
 }
 
-// inPlaceEval is implemented by the eval ops a Sequential may run in place:
-// evalInPlace overwrites x with what Forward(x, false) would return.
-type inPlaceEval interface {
-	evalInPlace(x *tensor.Tensor)
+// inPlacer is implemented by the ops a composite may run in place:
+// forwardInPlace overwrites x with what Forward(x, train) would return, and
+// backwardInPlace overwrites dy with what Backward(dy) would return.
+type inPlacer interface {
+	forwardInPlace(x *tensor.Tensor, train bool)
+	backwardInPlace(dy *tensor.Tensor)
 }
 
-// evalOwner is implemented by the layers whose eval forward can report that
-// its result is a tensor the layer produced itself: Conv2D, whose result is
+// owner is implemented by the layers whose forward can report that its
+// result is a tensor the layer produced itself: Conv2D, whose result is
 // always fresh, and the composites, which say so per call.
-type evalOwner interface {
-	forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool)
+type owner interface {
+	forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tensor, bool)
 }
 
-// evalForward runs l in eval mode and reports whether the result is a
-// tensor l produced itself, one its caller may overwrite and recycle.
-func evalForward(l Layer, x *tensor.Tensor) (*tensor.Tensor, bool) {
-	if o, ok := l.(evalOwner); ok {
-		return o.forwardEval(x)
+// forwardOwned runs l and reports whether the result is a tensor l
+// produced itself, one its caller may overwrite and recycle.
+func forwardOwned(l Layer, x *tensor.Tensor, train bool) (*tensor.Tensor, bool) {
+	if o, ok := l.(owner); ok {
+		return o.forwardOwned(x, train)
 	}
-	return l.Forward(x, false), false
+	return l.Forward(x, train), false
 }
 
 // recycle hands x, an owned tensor a later step has consumed, back to the
@@ -116,31 +134,59 @@ func recycle(x, y *tensor.Tensor) {
 	}
 }
 
-// forwardEval runs the layers in eval mode under the in-place and recycling
-// rules (see Layer) and reports whether the result is a tensor this
-// Sequential produced, and so one its caller may overwrite and recycle too.
-// Only a child's owned result is ever recycled, so the input never is.
-func (s *Sequential) forwardEval(x *tensor.Tensor) (*tensor.Tensor, bool) {
+// forwardOwned runs the layers under the in-place and recycling rules (see
+// Layer) and reports whether the result is a tensor this Sequential
+// produced, and so one its caller may overwrite and recycle too. Only a
+// child's owned result is ever recycled, so the input never is; in train
+// mode it is held for Backward instead, and what a previous train forward
+// held is dropped.
+func (s *Sequential) forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tensor, bool) {
+	if train {
+		clear(s.held)
+		s.held = s.held[:0]
+	}
 	owned := false
 	for _, l := range s.Layers {
-		if ip, ok := l.(inPlaceEval); ok && owned {
-			ip.evalInPlace(x)
+		if ip, ok := l.(inPlacer); ok && owned {
+			ip.forwardInPlace(x, train)
 			continue
 		}
-		y, yOwned := evalForward(l, x)
-		if owned {
-			recycle(x, y)
+		y, yOwned := forwardOwned(l, x, train)
+		if owned && !y.SharesStorage(x) {
+			if train {
+				s.held = append(s.held, x)
+			} else {
+				activations.Put(x.Data())
+			}
 		}
 		x, owned = y, yOwned
 	}
 	return x, owned
 }
 
-// Backward runs the layers in reverse order.
+// Backward runs the layers in reverse order under the in-place and
+// recycling rules (see Layer), then hands back what the train forward held.
+// The gradient it was handed is never owned, so it is neither written nor
+// recycled.
 func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	owned := false
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dy = s.Layers[i].Backward(dy)
+		l := s.Layers[i]
+		if ip, ok := l.(inPlacer); ok && owned {
+			ip.backwardInPlace(dy)
+			continue
+		}
+		dx := l.Backward(dy)
+		if owned {
+			recycle(dy, dx)
+		}
+		dy, owned = dx, !dx.SharesStorage(dy)
 	}
+	for _, h := range s.held {
+		activations.Put(h.Data())
+	}
+	clear(s.held)
+	s.held = s.held[:0]
 	return dy
 }
 
@@ -157,8 +203,12 @@ var (
 	_ Layer = Identity{}
 	_ Layer = (*Sequential)(nil)
 
-	_ evalOwner = (*Conv2D)(nil)
-	_ evalOwner = (*Sequential)(nil)
-	_ evalOwner = (*ResidualBlock)(nil)
-	_ evalOwner = (*InvertedResidual)(nil)
+	_ owner = (*Conv2D)(nil)
+	_ owner = (*Sequential)(nil)
+	_ owner = (*ResidualBlock)(nil)
+	_ owner = (*InvertedResidual)(nil)
+
+	_ inPlacer = (*BatchNorm2D)(nil)
+	_ inPlacer = (*ReLU)(nil)
+	_ inPlacer = (*ReLU6)(nil)
 )

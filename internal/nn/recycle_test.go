@@ -148,3 +148,133 @@ func TestEvalRecyclingNeverAliases(t *testing.T) {
 	}
 	checkBound("the concurrent forwards")
 }
+
+// trainNets are the stacks TestTrainRecyclingNeverAliases trains, each
+// built from rng: a ResNet-shaped one (recycleNet, identity and projection
+// residual blocks, an inverted residual with its skip), a MobileNet-shaped
+// one (a ReLU6 stem, an expand-1 inverted residual whose body starts with
+// its depthwise conv, one without a skip and one with), a conv whose output
+// a Flatten views for a Linear, a conv→BN→Identity stack that returns
+// storage its conv produced, and blocks with empty bodies, whose branch
+// gradients are the very tensors their sums must not write. They take
+// [n, 3, 8, 8] inputs.
+func trainNets(rng *rand.Rand) []*Sequential {
+	resnet := recycleNet(rng)
+	mobile := NewSequential("mobile",
+		NewSequential("mstem", NewConv2D(rng, "mstem.conv", 3, 8, 3, 1, 1, false), NewBatchNorm2D("mstem.bn", 8), NewReLU6()),
+		NewInvertedResidual(rng, "m1", 8, 8, 1, 1),
+		NewInvertedResidual(rng, "m2", 8, 16, 2, 4),
+		NewInvertedResidual(rng, "m3", 16, 16, 1, 4),
+	)
+	randomizeNorms(rng, mobile)
+	linear := NewSequential("conv-flatten-linear", NewConv2D(rng, "lin.conv", 3, 4, 3, 1, 1, true),
+		NewFlatten(), NewLinear(rng, "lin.fc", 4*8*8, 5))
+	ident := NewSequential("conv-bn-identity", NewConv2D(rng, "ident.conv", 3, 4, 3, 1, 1, true),
+		NewBatchNorm2D("ident.bn", 4), Identity{})
+	randomizeNorms(rng, ident)
+	empty := NewSequential("empty-bodies", NewConv2D(rng, "empty.conv", 3, 4, 3, 1, 1, true),
+		&ResidualBlock{Body: NewSequential("empty.res"), Shortcut: Identity{}, act: NewReLU()},
+		&InvertedResidual{Body: NewSequential("empty.inv"), UseSkip: true})
+	return []*Sequential{resnet, mobile, linear, ident, empty}
+}
+
+// replayForward is the train forward of l run unit by unit, every leaf on
+// its own and every add allocating, so no tensor of the replay is ever
+// written in place or handed back by a composite.
+func replayForward(l Layer, x *tensor.Tensor) *tensor.Tensor {
+	switch v := l.(type) {
+	case *Sequential:
+		for _, c := range v.Layers {
+			x = replayForward(c, x)
+		}
+		return x
+	case *ResidualBlock:
+		return v.act.Forward(tensor.Add(replayForward(v.Body, x), replayForward(v.Shortcut, x)), true)
+	case *InvertedResidual:
+		y := replayForward(v.Body, x)
+		if v.UseSkip {
+			return tensor.Add(y, x)
+		}
+		return y
+	}
+	return l.Forward(x, true)
+}
+
+// replayBackward is replayForward's Backward.
+func replayBackward(l Layer, dy *tensor.Tensor) *tensor.Tensor {
+	switch v := l.(type) {
+	case *Sequential:
+		for i := len(v.Layers) - 1; i >= 0; i-- {
+			dy = replayBackward(v.Layers[i], dy)
+		}
+		return dy
+	case *ResidualBlock:
+		dsum := v.act.Backward(dy)
+		return tensor.Add(replayBackward(v.Body, dsum), replayBackward(v.Shortcut, dsum))
+	case *InvertedResidual:
+		dx := replayBackward(v.Body, dy)
+		if v.UseSkip {
+			return tensor.Add(dx, dy)
+		}
+		return dx
+	}
+	return l.Backward(dy)
+}
+
+// TestTrainRecyclingNeverAliases is TestEvalRecyclingNeverAliases for the
+// train path: train-mode BN, ReLU, ReLU6 and the residual adds run in place
+// on tensors their composite owns, forward and backward, and the conv
+// outputs, BN caches and backward results go back to the activation pool
+// once nothing can reach them. Every step of every stack must give the bits
+// of a unit-by-unit allocating replay on a twin built from the same seed —
+// its output, its input gradient and every parameter gradient — and what a
+// step returned, and the input and gradient it was handed, must keep their
+// bits across 50 later steps of other batch sizes. A copy of the package
+// with a SharesStorage guard dropped (in Sequential's forward or Backward,
+// or in addOwned), with a Sequential recycling the gradient it was handed,
+// or with a Sequential handing back its held activations at the end of its
+// train forward instead of after its Backward fails here.
+func TestTrainRecyclingNeverAliases(t *testing.T) {
+	nets := trainNets(rand.New(rand.NewSource(39)))
+	twins := trainNets(rand.New(rand.NewSource(39)))
+	batches := []int{1, 7, 16, 64}
+	type result struct{ x, dy, out, dx *tensor.Tensor }
+	var held, heldBits []result
+	for r := 0; r <= 50; r++ {
+		n := batches[r%len(batches)]
+		for i, s := range nets {
+			rng := rand.New(rand.NewSource(int64(100*r + i)))
+			x := tensor.Randn(rng, 1, n, 3, 8, 8)
+			ZeroGrads(s.Params())
+			out := s.Forward(x, true)
+			dy := tensor.Randn(rng, 1, out.Shape()...)
+			dx := s.Backward(dy)
+
+			twin := twins[i]
+			ZeroGrads(twin.Params())
+			wantOut := replayForward(twin, x)
+			wantDx := replayBackward(twin, dy)
+			label := fmt.Sprintf("step %d (batch %d) of %s", r, n, s.Name)
+			requireBitwise(t, label+": output", out, wantOut)
+			requireBitwise(t, label+": input gradient", dx, wantDx)
+			twinParams := twin.Params()
+			for j, p := range s.Params() {
+				requireBitwise(t, label+": gradient of "+p.Name, p.Grad, twinParams[j].Grad)
+			}
+			if r == 0 {
+				held = append(held, result{x, dy, out, dx})
+				heldBits = append(heldBits, result{x.Clone(), dy.Clone(), out.Clone(), dx.Clone()})
+			}
+			if b := activations.Bytes(); b > activationBytes {
+				t.Fatalf("after %s the activation pool holds %d bytes, bound %d", label, b, activationBytes)
+			}
+		}
+	}
+	for i, h := range held {
+		name := nets[i].Name + " step 0 "
+		requireBitwise(t, name+"input held across 50 later steps", h.x, heldBits[i].x)
+		requireBitwise(t, name+"output gradient held across 50 later steps", h.dy, heldBits[i].dy)
+		requireBitwise(t, name+"output held across 50 later steps", h.out, heldBits[i].out)
+		requireBitwise(t, name+"input gradient held across 50 later steps", h.dx, heldBits[i].dx)
+	}
+}

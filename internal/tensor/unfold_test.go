@@ -123,12 +123,12 @@ func TestGemmShapesSplitInvariance(t *testing.T) {
 	}
 }
 
-// TestConcurrentProductsShareFreeList runs mixed-shape products — the
+// TestConcurrentProductsSharePackBuffers runs mixed-shape products — the
 // three strided forms and the packed-from-image convolution — from 8
 // goroutines at once at 2 workers each, so the shared pack buffers change
 // hands between products of different shapes, and requires every result to
 // equal the same product computed alone. Run it under -race.
-func TestConcurrentProductsShareFreeList(t *testing.T) {
+func TestConcurrentProductsSharePackBuffers(t *testing.T) {
 	defer SetParallelism(Parallelism())
 	SetParallelism(2)
 	rng := rand.New(rand.NewSource(33))
