@@ -189,6 +189,38 @@ func TestStageSpanAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestPartitionedForwardAllocCeiling pins what the cloud's raw forward of a
+// partitioned deployment allocates per image: cloud.Partitioned over the
+// edge main block and a deploy.BuildTailNet features tail, the model
+// offload-wan's server answers raw uploads with, over a 16-image batch with
+// two kernel workers. The logits leave; the main block's features and the
+// tail's stem and residual outputs go back to the activation pool once the
+// next step has consumed them, as every conv output inside them does. The
+// kB ceiling sits 25 % above the 0.59 kB measured when it was set, the
+// allocation ceiling 25 % above the measured 6.9 per image; forwarding the
+// main block, the tail body and the tail exit one Forward at a time, which
+// dropped each of their outputs, measured 10.3 kB and 7.2.
+func TestPartitionedForwardAllocCeiling(t *testing.T) {
+	const (
+		batch       = 16
+		maxKBPerImg = 0.74
+		maxAllocs   = 8.7
+	)
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(2)
+	model, x := partitionedCloud(t, batch)
+	forward := func() { model.Logits(x, false) }
+	forward() // fill the free lists
+	kb, allocs := quietestPerImage(batch, forward)
+	t.Logf("partitioned forward: %.2f kB and %.2f allocations per image", kb, allocs)
+	if kb > maxKBPerImg {
+		t.Errorf("partitioned forward allocates %.2f kB per image, ceiling %.2f", kb, maxKBPerImg)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("partitioned forward makes %.1f allocations per image, ceiling %.1f", allocs, maxAllocs)
+	}
+}
+
 // TestServedRoundTripAllocCeiling pins what one served round trip allocates,
 // process-wide, client and server together: a features-mode TCPClient.Infer
 // of one main-block feature tensor over loopback into a batching server whose

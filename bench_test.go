@@ -18,8 +18,10 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/meanet/meanet/internal/cloud"
 	"github.com/meanet/meanet/internal/core"
 	"github.com/meanet/meanet/internal/data"
+	"github.com/meanet/meanet/internal/deploy"
 	"github.com/meanet/meanet/internal/experiments"
 	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/nn"
@@ -454,6 +456,41 @@ func BenchmarkMEANetInferBatchMixed(b *testing.B) {
 	}
 	b.ReportMetric(float64(16*b.N)/b.Elapsed().Seconds(), "images/s")
 	b.ReportMetric(float64(ext), "ext-images/batch")
+}
+
+// partitionedCloud is the cloud's raw-upload model of a partitioned
+// deployment, cloud.Partitioned over the edge network's main block and a
+// deploy.BuildTailNet features tail, with a batch of the benchmark's
+// 3x12x12 images.
+func partitionedCloud(tb testing.TB, batch int) (cloud.Model, *tensor.Tensor) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(4))
+	backbone, err := models.BuildResNet(rng, models.ResNetEdgeC100(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := core.BuildMEANetA(rng, backbone, 2, 20)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cls, err := deploy.BuildTailNet(rng, m.MainOutChannels(), 20)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tail := &cloud.Tail{Body: cls.Backbone, Exit: cls.Exit}
+	return cloud.Partitioned(m.Main, tail), tensor.Randn(rng, 1, batch, 3, 12, 12)
+}
+
+// BenchmarkCloudPartitionedForward is the cloud forward of one offload-wan
+// offload: a 4-image raw batch through partitionedCloud.
+func BenchmarkCloudPartitionedForward(b *testing.B) {
+	model, x := partitionedCloud(b, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		model.Logits(x, false)
+	}
+	b.ReportMetric(float64(4*b.N)/b.Elapsed().Seconds(), "images/s")
 }
 
 func BenchmarkProtocolTensorRoundTrip(b *testing.B) {

@@ -39,29 +39,35 @@ type Tail struct {
 	Exit nn.Layer
 }
 
-// Logits runs the tail on a feature batch.
+// Logits runs the tail on a feature batch, composed for this call as the
+// nn.Sequential a server builds once for its features path.
 func (t *Tail) Logits(f *tensor.Tensor, train bool) *tensor.Tensor {
-	return t.Exit.Forward(t.Body.Forward(f, train), train)
+	return t.net().Forward(f, train)
 }
+
+// net composes the tail as one nn.Sequential: body, then exit.
+func (t *Tail) net() *nn.Sequential { return nn.NewSequential("tail", t.Body, t.Exit) }
 
 // Partitioned composes an edge main block with a features tail into the raw
-// model of a partitioned deployment: Logits(x) = tail(main(x)). A server
-// built with Partitioned(main, tail) as its raw model and tail as its
-// feature tail answers raw uploads and feature uploads of the same instance
-// with bitwise-identical predictions (the kernels accumulate in the same
-// order wherever the split runs), which is what lets the edge switch upload
+// model of a partitioned deployment: Logits(x) = tail(main(x)), forwarded
+// through one nn.Sequential of main, tail body and tail exit, built here
+// once. The composition recycles across main → tail like any Sequential:
+// the main block's features, and the tail body's output, go back to the
+// activation pool once the next step has consumed them. A server built
+// with Partitioned(main, tail) as its raw model and tail as its feature
+// tail answers raw uploads and feature uploads of the same instance with
+// bitwise-identical predictions (the kernels accumulate in the same order
+// wherever the split runs), which is what lets the edge switch upload
 // representation freely on channel cost alone.
 func Partitioned(main nn.Layer, tail *Tail) Model {
-	return &partitioned{main: main, tail: tail}
+	return sequential{nn.NewSequential("partitioned", main, tail.Body, tail.Exit)}
 }
 
-type partitioned struct {
-	main nn.Layer
-	tail *Tail
-}
+// sequential is a Model that forwards through one nn.Sequential.
+type sequential struct{ net *nn.Sequential }
 
-func (p *partitioned) Logits(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return p.tail.Logits(p.main.Forward(x, train), train)
+func (s sequential) Logits(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return s.net.Forward(x, train)
 }
 
 // Stats are cumulative server counters, safe to read concurrently.
@@ -123,10 +129,10 @@ type ShedPolicy struct {
 // Server serves classification requests over TCP.
 type Server struct {
 	raw       Model
-	feat      *Tail       // nil when the features mode is unsupported
-	batch     *batcher    // nil when micro-batching is disabled
-	featBatch *batcher    // features-mode collector; nil unless batching and feat are both on
-	shedPol   *ShedPolicy // nil when admission control is disabled
+	feat      *nn.Sequential // the feature tail, built once; nil when the features mode is unsupported
+	batch     *batcher       // nil when micro-batching is disabled
+	featBatch *batcher       // features-mode collector; nil unless batching and feat are both on
+	shedPol   *ShedPolicy    // nil when admission control is disabled
 
 	// Stage-server mode (WithStage): all three are fixed before Listen and
 	// read-only afterwards, like raw/feat above.
@@ -187,7 +193,7 @@ func WithShedding(pol ShedPolicy) Option {
 // rawLogits and featLogits run the raw-image classifier and the
 // partitioned-network tail on an NCHW batch, in eval mode.
 func (s *Server) rawLogits(x *tensor.Tensor) *tensor.Tensor  { return s.raw.Logits(x, false) }
-func (s *Server) featLogits(x *tensor.Tensor) *tensor.Tensor { return s.feat.Logits(x, false) }
+func (s *Server) featLogits(x *tensor.Tensor) *tensor.Tensor { return s.feat.Forward(x, false) }
 
 // NewServer builds a server around a raw-image model (typically a
 // *models.Classifier, or cloud.Partitioned for a partitioned deployment).
@@ -195,7 +201,10 @@ func (s *Server) featLogits(x *tensor.Tensor) *tensor.Tensor { return s.feat.Log
 // such a hop serves activation requests and answers raw ones with an error,
 // like a tail-less server answers feature requests.
 func NewServer(raw Model, tail *Tail, opts ...Option) (*Server, error) {
-	s := &Server{raw: raw, feat: tail, conns: make(map[net.Conn]struct{})}
+	s := &Server{raw: raw, conns: make(map[net.Conn]struct{})}
+	if tail != nil {
+		s.feat = tail.net()
+	}
 	for _, opt := range opts {
 		opt(s)
 	}

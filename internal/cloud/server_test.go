@@ -2,8 +2,10 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -673,4 +675,39 @@ func TestRetiredFrameTypesRejected(t *testing.T) {
 	if st := s.Stats(); st.Errors != uint64(len(retired)) || st.InstancesServed != 2 {
 		t.Fatalf("after recovery: %+v, want still %d errors and 2 instances served", st, len(retired))
 	}
+}
+
+// TestPartitionedLogitsSurviveNextCall pins the raw path of a partitioned
+// deployment now that it forwards through one recycling nn.Sequential: its
+// logits equal the tail run on the main block's output, and logits a caller
+// holds are never storage a later call hands back to the pool and
+// overwrites.
+func TestPartitionedLogitsSurviveNextCall(t *testing.T) {
+	cls := testClassifier(t, 31)
+	rng := rand.New(rand.NewSource(32))
+	tail := &Tail{Body: nn.Identity{}, Exit: models.NewExit(rng, "ptail", 8, 5)}
+	model := Partitioned(cls.Backbone, tail)
+	x := tensor.Randn(rng, 1, 4, 3, 8, 8)
+	held := model.Logits(x, false)
+	ref := tail.Logits(cls.Backbone.Forward(x, false), false)
+	if !bytes.Equal(floatBits(held), floatBits(ref)) || !held.SameShape(ref) {
+		t.Fatal("partitioned logits differ from tail(main(x))")
+	}
+	snapshot := floatBits(held)
+	for i := 0; i < 4; i++ {
+		model.Logits(tensor.Randn(rng, 1, 4, 3, 8, 8), false)
+	}
+	if !bytes.Equal(floatBits(held), snapshot) {
+		t.Fatal("a later raw forward overwrote logits the caller still holds")
+	}
+}
+
+// floatBits is t's data as little-endian IEEE-754 bytes, for bitwise
+// comparison.
+func floatBits(t *tensor.Tensor) []byte {
+	out := make([]byte, 0, 4*t.Numel())
+	for _, v := range t.Data() {
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
+	}
+	return out
 }

@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/nn"
 )
 
@@ -25,8 +24,9 @@ import (
 type CutPoint int
 
 // FlattenChain expands containers into the ordered list of atomic chain
-// units a Partition may cut between: *nn.Sequential and *models.Backbone are
-// flattened recursively; everything else (convolutions, norms, activations,
+// units a Partition may cut between: an *nn.Sequential (a block, a
+// classifier's backbone, a backbone's stem or group) is flattened
+// recursively; everything else (convolutions, norms, activations,
 // residual blocks — whose two branches join at an add and cannot be split
 // sequentially — pools, linears) is one atomic unit. Nil layers are skipped,
 // so optional chain parts compose without padding.
@@ -38,11 +38,6 @@ func FlattenChain(layers ...nn.Layer) []nn.Layer {
 			continue
 		case *nn.Sequential:
 			out = append(out, FlattenChain(v.Layers...)...)
-		case *models.Backbone:
-			out = append(out, FlattenChain(v.Stem)...)
-			for _, g := range v.Groups {
-				out = append(out, FlattenChain(g)...)
-			}
 		default:
 			out = append(out, l)
 		}

@@ -183,8 +183,8 @@ func TrainTail(m *core.MEANet, train *data.Dataset, seed int64, epochs int,
 	if err := core.TrainClassifier(cls, feats, cfg); err != nil {
 		return nil, err
 	}
-	// Backbone is itself an nn.Layer, so the tail forwards exactly as the
-	// classifier trained.
+	// The classifier's backbone is one nn.Sequential, so the tail forwards
+	// through the same layers, in the same order, as the classifier trained.
 	return &cloud.Tail{Body: cls.Backbone, Exit: cls.Exit}, nil
 }
 

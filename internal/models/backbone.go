@@ -14,8 +14,10 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// Backbone is a feature extractor decomposed into a stem and resolution
-// groups. MEANet splitting operates at group granularity.
+// Backbone is a feature extractor's blueprint: a stem and resolution groups,
+// with the per-group geometry the adaptive block mirrors. It is not itself a
+// layer: AsSequential composes its layers into the nn.Sequential that runs
+// them, and SplitAt carves them at group granularity into MEANet blocks.
 type Backbone struct {
 	Name        string
 	Stem        *nn.Sequential
@@ -33,32 +35,6 @@ func (b *Backbone) FeatureChannels() int {
 		return 0
 	}
 	return b.GroupOutC[len(b.GroupOutC)-1]
-}
-
-// Forward runs the stem and all groups.
-func (b *Backbone) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	x = b.Stem.Forward(x, train)
-	for _, g := range b.Groups {
-		x = g.Forward(x, train)
-	}
-	return x
-}
-
-// Backward runs the backbone's backward pass in reverse order.
-func (b *Backbone) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	for i := len(b.Groups) - 1; i >= 0; i-- {
-		dy = b.Groups[i].Backward(dy)
-	}
-	return b.Stem.Backward(dy)
-}
-
-// Params returns all backbone parameters.
-func (b *Backbone) Params() []*nn.Param {
-	out := b.Stem.Params()
-	for _, g := range b.Groups {
-		out = append(out, g.Params()...)
-	}
-	return out
 }
 
 // AsSequential flattens the backbone into one Sequential (stem then groups).
@@ -90,8 +66,6 @@ func (b *Backbone) SplitAt(groups int) (front, back *nn.Sequential, frontOutC in
 	return front, back, b.GroupOutC[groups-1], nil
 }
 
-var _ nn.Layer = (*Backbone)(nil)
-
 // NewExit builds a classifier exit: global average pooling followed by a
 // fully-connected layer, as attached to each MEANet block.
 func NewExit(rng *rand.Rand, name string, inC, classes int) *nn.Sequential {
@@ -102,31 +76,35 @@ func NewExit(rng *rand.Rand, name string, inC, classes int) *nn.Sequential {
 }
 
 // Classifier pairs a backbone with an exit, forming a complete CNN such as
-// the cloud AI.
+// the cloud AI. It forwards, backpropagates and lists its parameters
+// through one nn.Sequential of the two, built once by NewClassifier, so the
+// backbone's output goes back to the activation pool once the exit has
+// consumed it.
 type Classifier struct {
-	Backbone *Backbone
+	Backbone *nn.Sequential // the backbone's stem and groups, as AsSequential builds them
 	Exit     *nn.Sequential
+
+	net *nn.Sequential // Backbone then Exit
 }
 
 // NewClassifier attaches a fresh exit for the given class count.
 func NewClassifier(rng *rand.Rand, b *Backbone, classes int) *Classifier {
-	return &Classifier{
-		Backbone: b,
-		Exit:     NewExit(rng, b.Name+".exit", b.FeatureChannels(), classes),
-	}
+	body := b.AsSequential()
+	exit := NewExit(rng, b.Name+".exit", b.FeatureChannels(), classes)
+	return &Classifier{Backbone: body, Exit: exit, net: nn.NewSequential(b.Name+".classifier", body, exit)}
 }
 
 // Logits runs the full network.
 func (c *Classifier) Logits(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return c.Exit.Forward(c.Backbone.Forward(x, train), train)
+	return c.net.Forward(x, train)
 }
 
 // Backward propagates through exit then backbone.
 func (c *Classifier) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	return c.Backbone.Backward(c.Exit.Backward(dy))
+	return c.net.Backward(dy)
 }
 
 // Params returns all parameters.
 func (c *Classifier) Params() []*nn.Param {
-	return append(c.Backbone.Params(), c.Exit.Params()...)
+	return c.net.Params()
 }

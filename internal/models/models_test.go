@@ -2,6 +2,7 @@ package models
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestBuildResNetShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.Randn(rng, 1, 2, 3, 12, 12)
-	out := b.Forward(x, false)
+	out := b.AsSequential().Forward(x, false)
 	// Strides 1,2,2 → 12→12→6→3 with 32 channels.
 	want := []int{2, 32, 3, 3}
 	for i, w := range want {
@@ -50,7 +51,7 @@ func TestBuildMobileNetShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.Randn(rng, 1, 2, 3, 16, 16)
-	out := b.Forward(x, false)
+	out := b.AsSequential().Forward(x, false)
 	// Strides 1,2,2,2 then head: 16→16→8→4→2, 64 channels.
 	want := []int{2, 64, 2, 2}
 	for i, w := range want {
@@ -74,7 +75,7 @@ func TestSplitAtRoundTrip(t *testing.T) {
 		t.Fatalf("front out channels %d, want 16", outC)
 	}
 	x := tensor.Randn(rng, 1, 2, 3, 12, 12)
-	whole := b.Forward(x, false)
+	whole := b.AsSequential().Forward(x, false)
 	split := back.Forward(front.Forward(x, false), false)
 	if !whole.SameShape(split) {
 		t.Fatalf("split shapes differ: %v vs %v", whole.Shape(), split.Shape())
@@ -124,13 +125,13 @@ func TestAdaptiveBlockMatchesMainGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.Randn(rng, 1, 2, 3, 12, 12)
-	main := b.Forward(x, false)
+	main := b.AsSequential().Forward(x, false)
 	side := ad.Forward(x, false)
 	if !main.SameShape(side) {
 		t.Fatalf("adaptive output %v does not match main output %v", side.Shape(), main.Shape())
 	}
 	// The adaptive block must be much shallower: fewer parameters.
-	mainP, _ := nn.CountParams(b.Params())
+	mainP, _ := nn.CountParams(b.AsSequential().Params())
 	adP, _ := nn.CountParams(ad.Params())
 	if adP*2 >= mainP {
 		t.Fatalf("adaptive block too heavy: %d vs main %d params", adP, mainP)
@@ -208,14 +209,14 @@ func TestLoadWeightsRejectsMismatchedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveWeights(&buf, a); err != nil {
+	if err := SaveWeights(&buf, a.AsSequential()); err != nil {
 		t.Fatal(err)
 	}
 	other, err := BuildResNet(rng, ResNetEdgeImageNet(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadWeights(bytes.NewReader(buf.Bytes()), other); err == nil {
+	if err := LoadWeights(bytes.NewReader(buf.Bytes()), other.AsSequential()); err == nil {
 		t.Fatal("weights for a different architecture loaded without error")
 	}
 }
@@ -227,16 +228,16 @@ func TestLoadWeightsRejectsCorruptHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveWeights(&buf, a); err != nil {
+	if err := SaveWeights(&buf, a.AsSequential()); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	raw[0] = 'X' // corrupt magic
-	if err := LoadWeights(bytes.NewReader(raw), a); err == nil {
+	if err := LoadWeights(bytes.NewReader(raw), a.AsSequential()); err == nil {
 		t.Fatal("corrupt magic accepted")
 	}
 	// Truncated file.
-	if err := LoadWeights(bytes.NewReader(buf.Bytes()[:buf.Len()/2]), a); err == nil {
+	if err := LoadWeights(bytes.NewReader(buf.Bytes()[:buf.Len()/2]), a.AsSequential()); err == nil {
 		t.Fatal("truncated file accepted")
 	}
 }
@@ -248,12 +249,12 @@ func TestWalkVisitsAllParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	var visited int64
-	Walk(b, func(l nn.Layer) {
+	Walk(b.AsSequential(), func(l nn.Layer) {
 		for _, p := range l.Params() {
 			visited += int64(p.Numel())
 		}
 	})
-	total, _ := nn.CountParams(b.Params())
+	total, _ := nn.CountParams(b.AsSequential().Params())
 	if visited != total {
 		t.Fatalf("Walk visited %d params, model has %d", visited, total)
 	}
@@ -285,4 +286,73 @@ func TestResNet32PaperParameterCount(t *testing.T) {
 	if total < 440_000 || total > 500_000 {
 		t.Fatalf("ResNet32 paper-scale params = %d, want ≈470k", total)
 	}
+}
+
+// TestBackboneIsNotALayer pins that a Backbone is a blueprint, not a
+// composite: the layers it describes run only through the nn.Sequential
+// AsSequential builds, so no layer-tree walker needs a case for it.
+func TestBackboneIsNotALayer(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	b, err := BuildResNet(rng, ResNetSpec{
+		Name: "blueprint", InChannels: 3, StemChannels: 4,
+		Channels: []int{4, 8}, Blocks: []int{1, 1}, Strides: []int{1, 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := any(b).(nn.Layer); ok {
+		t.Fatal("*Backbone implements nn.Layer")
+	}
+}
+
+// TestClassifierComposesBackboneThenExit pins what the Classifier's one
+// Sequential must keep of the hand-written composite it replaced: logits
+// bitwise equal to the exit run on the backbone's output, parameters in
+// backbone-then-exit order (the order weight files are written in), and a
+// returned batch of logits that no later forward recycles.
+func TestClassifierComposesBackboneThenExit(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	b, err := BuildResNet(rng, ResNetSpec{
+		Name: "composed", InChannels: 3, StemChannels: 4,
+		Channels: []int{4, 8}, Blocks: []int{1, 1}, Strides: []int{1, 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClassifier(rng, b, 5)
+	want := append(c.Backbone.Params(), c.Exit.Params()...)
+	got := c.Params()
+	if len(got) != len(want) {
+		t.Fatalf("classifier has %d params, backbone+exit %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("param %d is %s, want %s", i, got[i].Name, want[i].Name)
+		}
+	}
+	x := tensor.Randn(rng, 1, 4, 3, 8, 8)
+	held := c.Logits(x, false)
+	ref := c.Exit.Forward(c.Backbone.Forward(x, false), false)
+	if !sameBits(held, ref) {
+		t.Fatal("classifier logits differ from exit(backbone(x))")
+	}
+	snapshot := held.Clone()
+	for i := 0; i < 4; i++ {
+		c.Logits(tensor.Randn(rng, 1, 4, 3, 8, 8), false)
+	}
+	if !sameBits(held, snapshot) {
+		t.Fatal("a later forward overwrote logits the caller still holds")
+	}
+}
+
+func sameBits(a, b *tensor.Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range b.Data() {
+		if math.Float32bits(a.Data()[i]) != math.Float32bits(v) {
+			return false
+		}
+	}
+	return true
 }

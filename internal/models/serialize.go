@@ -28,7 +28,8 @@ type stateEntry struct {
 }
 
 // Walk visits every leaf layer of a layer tree in deterministic order,
-// descending through the container types defined in package nn.
+// descending through the container types defined in package nn. A
+// backbone's layers are walked as the nn.Sequential AsSequential builds.
 func Walk(l nn.Layer, fn func(nn.Layer)) {
 	switch v := l.(type) {
 	case *nn.Sequential:
@@ -40,11 +41,6 @@ func Walk(l nn.Layer, fn func(nn.Layer)) {
 		Walk(v.Shortcut, fn)
 	case *nn.InvertedResidual:
 		Walk(v.Body, fn)
-	case *Backbone:
-		Walk(v.Stem, fn)
-		for _, g := range v.Groups {
-			Walk(g, fn)
-		}
 	default:
 		fn(l)
 	}

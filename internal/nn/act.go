@@ -66,17 +66,24 @@ func (r *ReLU6) forwardInPlace(x *tensor.Tensor, train bool) {
 // where the forward's input lay in the linear region and is +0 elsewhere.
 // The mask is taken from the input, never read back from the output, which
 // its consumer may overwrite (the adaptive sum lands in the adaptive
-// block's last ReLU output).
+// block's last ReLU output). Its storage outlives the step: the next train
+// forward clears and refills it, and grows it only when it is too short.
 type gate struct {
 	mask []bool // nil outside a train step
+	buf  []bool // the mask's storage, kept across steps
 }
 
-// start returns the mask a train forward of n elements fills, nil in eval.
+// start returns the cleared mask a train forward of n elements fills, nil
+// in eval.
 func (g *gate) start(n int, train bool) []bool {
 	if !train {
 		return nil
 	}
-	g.mask = make([]bool, n)
+	if cap(g.buf) < n {
+		g.buf = make([]bool, n)
+	}
+	g.mask = g.buf[:n]
+	clear(g.mask)
 	return g.mask
 }
 

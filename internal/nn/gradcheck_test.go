@@ -162,14 +162,6 @@ func TestGradReLU6(t *testing.T) {
 	gradCheckLayer(t, "ReLU6", NewReLU6(), []int{2, 2, 3, 3}, 23)
 }
 
-func TestGradAvgPool2D(t *testing.T) {
-	gradCheckLayer(t, "AvgPool2D", NewAvgPool2D(2, 2), []int{2, 2, 4, 4}, 24)
-}
-
-func TestGradMaxPool2D(t *testing.T) {
-	gradCheckLayer(t, "MaxPool2D", NewMaxPool2D(2, 2), []int{2, 2, 4, 4}, 25)
-}
-
 func TestGradGlobalAvgPool(t *testing.T) {
 	gradCheckLayer(t, "GlobalAvgPool", NewGlobalAvgPool(), []int{2, 3, 4, 4}, 26)
 }

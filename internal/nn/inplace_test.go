@@ -33,8 +33,6 @@ func TestEvalForwardLeavesInputIntact(t *testing.T) {
 		NewReLU(),
 		NewReLU6(),
 		NewDepthwiseConv2D(rng, "dw", c, 3, 1, 1),
-		NewAvgPool2D(2, 2),
-		NewMaxPool2D(2, 2),
 		NewGlobalAvgPool(),
 		NewFlatten(),
 		Identity{},
@@ -125,8 +123,6 @@ func TestTrainStepLeavesInputsIntact(t *testing.T) {
 		NewReLU(),
 		NewReLU6(),
 		NewDepthwiseConv2D(rng, "dw", c, 3, 1, 1),
-		NewAvgPool2D(2, 2),
-		NewMaxPool2D(2, 2),
 		NewGlobalAvgPool(),
 		NewFlatten(),
 		Identity{},
@@ -152,3 +148,75 @@ func TestTrainStepLeavesInputsIntact(t *testing.T) {
 		requireBitwise(t, name+" gradient after Backward", dy, dyBefore)
 	}
 }
+
+// TestRectifierMaskStorageKeptAcrossSteps pins the rectifiers' train cache:
+// the mask's storage outlives a step and grows only when a forward is
+// longer than it, yet every step's Backward gates by that step's input
+// alone — a position set by a longer earlier step never leaks into a
+// shorter later one — and a spent mask still refuses a second Backward.
+func TestRectifierMaskStorageKeptAcrossSteps(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, tc := range []struct {
+		name string
+		l    interface {
+			Layer
+			gateOf() *gate
+		}
+		pass func(v float32) bool
+	}{
+		{"relu", reluGate{NewReLU()}, func(v float32) bool { return v > 0 }},
+		{"relu6", relu6Gate{NewReLU6()}, func(v float32) bool { return v > 0 && v < 6 }},
+	} {
+		g := tc.l.gateOf()
+		var first *bool
+		for step, n := range []int{64, 16, 64, 128} {
+			// Step 1 is all negative, so any position a step-0 mask left
+			// set would pass a gradient it must not.
+			x := tensor.Randn(rng, 4, 1, 1, 1, n)
+			if step == 1 {
+				for i, v := range x.Data() {
+					x.Data()[i] = -float32(math.Abs(float64(v))) - 1
+				}
+			}
+			tc.l.Forward(x, true)
+			if step == 0 {
+				first = &g.buf[0]
+			}
+			if grew := &g.buf[0] != first; grew != (n > 64) {
+				t.Fatalf("%s step %d (n=%d): mask storage reallocated = %v", tc.name, step, n, grew)
+			}
+			dy := tensor.Randn(rng, 1, 1, 1, 1, n)
+			dx := tc.l.Backward(dy)
+			for i, v := range dx.Data() {
+				want := float32(0)
+				if tc.pass(x.Data()[i]) {
+					want = dy.Data()[i]
+				}
+				if math.Float32bits(v) != math.Float32bits(want) {
+					t.Fatalf("%s step %d: dx[%d] = %v, want %v", tc.name, step, i, v, want)
+				}
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s step %d: second Backward on a spent mask did not panic", tc.name, step)
+					}
+				}()
+				tc.l.Backward(dy)
+			}()
+		}
+	}
+	r := NewReLU()
+	r.Forward(tensor.Randn(rng, 1, 1, 1, 1, 32), false)
+	if r.mask != nil || r.buf != nil {
+		t.Fatal("eval forward allocated a mask")
+	}
+}
+
+type reluGate struct{ *ReLU }
+
+func (r reluGate) gateOf() *gate { return &r.gate }
+
+type relu6Gate struct{ *ReLU6 }
+
+func (r relu6Gate) gateOf() *gate { return &r.gate }

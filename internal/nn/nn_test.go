@@ -145,7 +145,6 @@ func TestEvalForwardIsConcurrencySafe(t *testing.T) {
 		NewConv2D(rng, "c1", 1, 4, 3, 1, 1, false),
 		NewBatchNorm2D("b1", 4),
 		NewReLU(),
-		NewMaxPool2D(2, 2),
 		NewResidualBlock(rng, "r1", 4, 8, 2),
 		NewGlobalAvgPool(),
 		NewLinear(rng, "fc", 8, 3),
@@ -169,38 +168,6 @@ func TestEvalForwardIsConcurrencySafe(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestMaxPoolForward(t *testing.T) {
-	x := tensor.FromSlice([]float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 1, 4, 4)
-	out := NewMaxPool2D(2, 2).Forward(x, false)
-	want := []float32{6, 8, 14, 16}
-	for i, w := range want {
-		if out.Data()[i] != w {
-			t.Fatalf("maxpool[%d] = %v, want %v", i, out.Data()[i], w)
-		}
-	}
-}
-
-func TestAvgPoolForward(t *testing.T) {
-	x := tensor.FromSlice([]float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 1, 4, 4)
-	out := NewAvgPool2D(2, 2).Forward(x, false)
-	want := []float32{3.5, 5.5, 11.5, 13.5}
-	for i, w := range want {
-		if out.Data()[i] != w {
-			t.Fatalf("avgpool[%d] = %v, want %v", i, out.Data()[i], w)
-		}
-	}
 }
 
 func TestGlobalAvgPoolShape(t *testing.T) {
@@ -312,7 +279,6 @@ func TestBackwardWithoutForwardPanics(t *testing.T) {
 		"bn":     NewBatchNorm2D("b", 1),
 		"relu":   NewReLU(),
 		"linear": NewLinear(rng, "f", 2, 2),
-		"max":    NewMaxPool2D(2, 2),
 	}
 	for name, l := range layers {
 		t.Run(name, func(t *testing.T) {

@@ -155,8 +155,11 @@ func TestEvalRecyclingNeverAliases(t *testing.T) {
 // one (a ReLU6 stem, an expand-1 inverted residual whose body starts with
 // its depthwise conv, one without a skip and one with), a conv whose output
 // a Flatten views for a Linear, a conv→BN→Identity stack that returns
-// storage its conv produced, and blocks with empty bodies, whose branch
-// gradients are the very tensors their sums must not write. They take
+// storage its conv produced, blocks with empty bodies, whose branch
+// gradients are the very tensors their sums must not write, and a
+// classifier-shaped stack (a backbone Sequential of a stem Sequential and a
+// group Sequential, then a GAP+FC exit Sequential), whose outer Sequential
+// holds the backbone's result while the exit caches it. They take
 // [n, 3, 8, 8] inputs.
 func trainNets(rng *rand.Rand) []*Sequential {
 	resnet := recycleNet(rng)
@@ -175,7 +178,15 @@ func trainNets(rng *rand.Rand) []*Sequential {
 	empty := NewSequential("empty-bodies", NewConv2D(rng, "empty.conv", 3, 4, 3, 1, 1, true),
 		&ResidualBlock{Body: NewSequential("empty.res"), Shortcut: Identity{}, act: NewReLU()},
 		&InvertedResidual{Body: NewSequential("empty.inv"), UseSkip: true})
-	return []*Sequential{resnet, mobile, linear, ident, empty}
+	classifier := NewSequential("classifier",
+		NewSequential("backbone",
+			NewSequential("cstem", NewConv2D(rng, "cstem.conv", 3, 8, 3, 1, 1, false), NewBatchNorm2D("cstem.bn", 8), NewReLU()),
+			NewSequential("cgroup", NewResidualBlock(rng, "cres", 8, 16, 2)),
+		),
+		NewSequential("cexit", NewGlobalAvgPool(), NewLinear(rng, "cexit.fc", 16, 5)),
+	)
+	randomizeNorms(rng, classifier)
+	return []*Sequential{resnet, mobile, linear, ident, empty, classifier}
 }
 
 // replayForward is the train forward of l run unit by unit, every leaf on

@@ -211,11 +211,6 @@ func collectLayers(seen map[string]bool, layers ...nn.Layer) {
 		switch v := l.(type) {
 		case *nn.Sequential:
 			collectLayers(seen, v.Layers...)
-		case *models.Backbone:
-			collectLayers(seen, v.Stem)
-			for _, g := range v.Groups {
-				collectLayers(seen, g)
-			}
 		case *nn.ResidualBlock:
 			collectLayers(seen, v.Body, v.Shortcut)
 		case *nn.InvertedResidual:
@@ -272,10 +267,8 @@ func TestLayerCostCoversReachableLayers(t *testing.T) {
 	}
 
 	// And the pricing must stay total over the rest of nn's layer zoo that
-	// models can reach (pool and flatten variants).
+	// models can reach.
 	for _, l := range []nn.Layer{
-		&nn.AvgPool2D{K: 2, Stride: 2},
-		&nn.MaxPool2D{K: 2, Stride: 2},
 		&nn.Flatten{},
 		nn.Identity{},
 	} {

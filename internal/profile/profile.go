@@ -8,7 +8,6 @@ package profile
 import (
 	"fmt"
 
-	"github.com/meanet/meanet/internal/models"
 	"github.com/meanet/meanet/internal/nn"
 )
 
@@ -33,8 +32,8 @@ func (c Cost) Add(o Cost) Cost {
 }
 
 // LayerCost computes the cost of one layer on the given input shape and
-// returns the output shape. It understands every layer type in package nn
-// plus models.Backbone.
+// returns the output shape. It understands every layer type in package nn;
+// a backbone is priced as the nn.Sequential its AsSequential builds.
 func LayerCost(l nn.Layer, in Shape) (Cost, Shape, error) {
 	switch v := l.(type) {
 	case *nn.Conv2D:
@@ -73,18 +72,6 @@ func LayerCost(l nn.Layer, in Shape) (Cost, Shape, error) {
 
 	case *nn.ReLU, *nn.ReLU6:
 		return Cost{Activations: in.Elems()}, in, nil
-
-	case *nn.AvgPool2D:
-		oh := (in.H-v.K)/v.Stride + 1
-		ow := (in.W-v.K)/v.Stride + 1
-		out := Shape{C: in.C, H: oh, W: ow}
-		return Cost{Activations: out.Elems()}, out, nil
-
-	case *nn.MaxPool2D:
-		oh := (in.H-v.K)/v.Stride + 1
-		ow := (in.W-v.K)/v.Stride + 1
-		out := Shape{C: in.C, H: oh, W: ow}
-		return Cost{Activations: out.Elems()}, out, nil
 
 	case *nn.GlobalAvgPool:
 		out := Shape{C: in.C, H: 1, W: 1}
@@ -132,22 +119,6 @@ func LayerCost(l nn.Layer, in Shape) (Cost, Shape, error) {
 			body.Activations += out.Elems()
 		}
 		return body, out, nil
-
-	case *models.Backbone:
-		stem, mid, err := LayerCost(v.Stem, in)
-		if err != nil {
-			return Cost{}, in, err
-		}
-		total := stem
-		for _, g := range v.Groups {
-			var c Cost
-			c, mid, err = LayerCost(g, mid)
-			if err != nil {
-				return Cost{}, in, err
-			}
-			total = total.Add(c)
-		}
-		return total, mid, nil
 
 	default:
 		return Cost{}, in, fmt.Errorf("profile: unsupported layer type %T", l)
