@@ -44,26 +44,29 @@ func quietestPerImage(batch int, run func()) (kb, allocs float64) {
 // allocates per image: the main block and its exit, then the adaptive and
 // extension blocks and the extension exit, over a 16-image batch of the
 // benchmark's 3x12x12 inputs with two kernel workers. Beyond the outputs
-// that leave a composite (the main features, the adaptive and extension
-// outputs, the exits' pooled features and logits) the forward allocates only
-// the call-site closures of its forks and a goroutine and WaitGroup for each
-// fork that takes a helper: conv outputs a composite consumed go back to the
-// activation pool and come out of it again, conv workspaces and GEMM pack
-// buffers come from shared free lists, the conv packs its unfold straight
-// from the images, and eval BN, ReLU, the residual add and the adaptive sum
-// run in place on tensors their own composite produced. The kB ceiling sits
-// 25 % above the 7.0 kB measured when it was set, the allocation ceiling
-// 25 % above the measured 8.5 per image; with every conv output a fresh
-// allocation it measured 35.4 kB, with a goroutine for every chunk of every
-// fork 13.7 allocations, with one fork per k block over a formed unfold
-// 36.5 kB and 49.2, and with the per-image im2col/GEMM and allocated
-// BN/ReLU/add outputs 825.5 kB and 349.6. The race detector's
+// that leave a module (the main features, the exits' pooled features and
+// logits) the forward allocates only the call-site closures of its forks
+// and a goroutine and WaitGroup for each fork that takes a helper: conv
+// outputs a composite consumed go back to the activation pool and come out
+// of it again, and so do the combined input and the extension output, which
+// ExtForward hands back once the next block has read them; conv workspaces
+// and GEMM pack buffers come from shared free lists, the conv packs its
+// unfold straight from the images, and eval BN, ReLU, the residual add and
+// the adaptive sum run in place on tensors their own composite produced.
+// The kB ceiling sits 25 % above the 3.3 kB measured when it was set, the
+// allocation ceiling 25 % above the measured 8.3 per image; with the
+// combined input and the extension output left to the garbage collector it
+// measured 7.0 kB and 8.4, with every conv output a fresh allocation
+// 35.4 kB, with a goroutine for every chunk of every fork 13.7
+// allocations, with one fork per k block over a formed unfold 36.5 kB and
+// 49.2, and with the per-image im2col/GEMM and allocated BN/ReLU/add
+// outputs 825.5 kB and 349.6. The race detector's
 // instrumentation allocates, so the file is excluded under -race.
 func TestEdgeForwardAllocCeiling(t *testing.T) {
 	const (
 		batch       = 16
-		maxKBPerImg = 8.8
-		maxAllocs   = 10.6
+		maxKBPerImg = 4.1
+		maxAllocs   = 10.4
 	)
 	// Each fork allocates a little, so pin the worker count the ceilings
 	// were measured at.
@@ -97,33 +100,77 @@ func TestEdgeForwardAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestInferBatchedRepAllocCeiling pins what one call of Algorithm 2
+// allocates per image on the edge-only batch shape: InferBatchedRep without
+// a cloud over mixedBatch's 16 images, 8 of them on the extension path, with
+// two kernel workers. Beyond the decisions, the main exit's and the
+// extension exit's pooled features, logits and softmax, the chunks' and the
+// hard instances' bookkeeping and the forks' closures, the call allocates
+// nothing: the chunks' main features go back to the activation pool once
+// phase 3 has read them, phase 3 gathers its raw images and features into
+// pooled storage and hands it back after the extension path, and that path
+// hands back its combined input and extension output. The kB ceiling sits
+// 25 % above the 1.18 kB measured when it was set, the allocation ceiling
+// 25 % above the measured 13.9 per image; with every tensor that crossed a
+// module boundary left to the garbage collector it measured 7.30 kB and
+// 14.2.
+func TestInferBatchedRepAllocCeiling(t *testing.T) {
+	const (
+		batch       = 16
+		maxKBPerImg = 1.48
+		maxAllocs   = 17.4
+	)
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(2)
+	m, x, _ := mixedBatch(t)
+	infer := func() {
+		if _, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, protocol.RepRaw, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	infer() // fill the free lists
+	kb, allocs := quietestPerImage(batch, infer)
+	t.Logf("Algorithm 2 batch: %.2f kB and %.1f allocations per image", kb, allocs)
+	if kb > maxKBPerImg {
+		t.Errorf("Algorithm 2 batch allocates %.2f kB per image, ceiling %.2f", kb, maxKBPerImg)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("Algorithm 2 batch makes %.1f allocations per image, ceiling %.1f", allocs, maxAllocs)
+	}
+}
+
 // TestEdgeTrainStepAllocCeiling pins what one step of Algorithm 1's edge
-// training allocates per image: edgeTrainStep over a 16-image batch with two
-// kernel workers. Beyond what leaves a module (the main features, the
-// adaptive and extension outputs, the gradients Extension.Backward and
-// Adaptive.Backward return, the exit's logits and gradients), the rectifier
-// masks and small per-fork bookkeeping, the step allocates nothing: the
-// frozen main block runs in eval mode, so its consumed conv outputs are
-// recycled; train-mode BN, ReLU and the residual add run in place on the
-// conv outputs, forward and backward; the conv outputs, BN's normalized
-// inputs and the conv, BN and ReLU gradients come from the activation pool
-// and go back to it once the step's Backward is done with them; the
-// train-mode conv caches its input rather than its unfold, and its backward
-// re-unfolds one image at a time into a shared per-worker workspace, whose
-// per-image products find the helper taken and run inline. The kB ceiling
-// sits 25 % above the 17.5 kB measured when it was set, the allocation
-// ceiling 25 % above the measured 30.4 per image; with every train-mode
-// layer allocating its output, caches and gradient it measured 86.6 kB and
-// 34.9 allocations, with every eval conv output a fresh allocation 108.1
-// kB, with a goroutine for every chunk of every fork, nested ones included,
+// training allocates per image: edgeTrainStep, core's EdgeTrainStep between
+// the gradients' zeroing and the SGD update, over a 16-image batch with two
+// kernel workers. Beyond the exits' logits, loss gradient and pooled
+// features, the rectifier masks and small per-fork bookkeeping, the step
+// allocates nothing: the frozen main block runs in eval mode, so its
+// consumed conv outputs are recycled; train-mode BN, ReLU and the residual
+// add run in place on the conv outputs, forward and backward; the conv
+// outputs, BN's normalized inputs and the conv, BN and ReLU gradients come
+// from the activation pool and go back to it once the step's Backward is
+// done with them, and so does what crossed a module boundary (the main
+// features, the combined input, the extension output and the gradients the
+// extension exit, the extension block and the adaptive block returned),
+// which EdgeTrainStep hands back after Backward; the train-mode conv caches
+// its input rather than its unfold, and its backward re-unfolds one image
+// at a time into a shared per-worker workspace, whose per-image products
+// find the helper taken and run inline. The kB ceiling sits 25 % above the
+// 3.8 kB measured when it was set, the allocation ceiling 25 % above the
+// measured 29.8 per image; with what crossed a module boundary left to the
+// garbage collector it measured 15.0 kB and 30.1, with the rectifier masks
+// made afresh each step 17.5 kB and 30.4, with every train-mode layer
+// allocating its output, caches and gradient 86.6 kB and 34.9
+// allocations, with every eval conv output a fresh allocation 108.1 kB,
+// with a goroutine for every chunk of every fork, nested ones included,
 // 92.3 allocations, with one fork per k block of every product 112.0 kB and
 // 157.2, and with a batch-sized unfold cache and fresh per-image product
 // tensors 311.9 kB and 377.2.
 func TestEdgeTrainStepAllocCeiling(t *testing.T) {
 	const (
 		batch       = 16
-		maxKBPerImg = 21.9
-		maxAllocs   = 38.0
+		maxKBPerImg = 4.8
+		maxAllocs   = 37.3
 	)
 	defer tensor.SetParallelism(tensor.Parallelism())
 	tensor.SetParallelism(2)

@@ -320,9 +320,10 @@ func BenchmarkConv2DTrainStep(b *testing.B) {
 }
 
 // edgeTrainStep returns one step of TrainEdgeBlocks on a seeded batch of the
-// benchmark's 3x12x12 inputs: the frozen main block's eval forward, the
-// train-mode forward and backward of the adaptive and extension blocks and
-// the extension exit, and the SGD update.
+// benchmark's 3x12x12 inputs: the gradients zeroed, core's EdgeTrainStep
+// (the frozen main block's eval forward, the train-mode forward and backward
+// of the adaptive and extension blocks and the extension exit), and the SGD
+// update.
 func edgeTrainStep(tb testing.TB, batch int) func() {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(4))
@@ -345,13 +346,9 @@ func edgeTrainStep(tb testing.TB, batch int) func() {
 	}
 	return func() {
 		nn.ZeroGrads(params)
-		feat := m.Main.Forward(x, false)
-		logits, err := m.ExtForward(x, feat, true)
-		if err != nil {
+		if _, err := m.EdgeTrainStep(x, labels); err != nil {
 			tb.Fatal(err)
 		}
-		_, dy := nn.SoftmaxCrossEntropy(logits, labels)
-		m.Adaptive.Backward(m.Extension.Backward(m.ExtExit.Backward(dy)))
 		sgd.Step(params)
 	}
 }
@@ -388,22 +385,24 @@ func BenchmarkMEANetInferBatch(b *testing.B) {
 	b.ReportMetric(float64(16*b.N)/b.Elapsed().Seconds(), "images/s")
 }
 
-// BenchmarkMEANetInferBatchMixed is BenchmarkMEANetInferBatch with the
-// extension path built: an extension exit, and a hard-class set that the
-// main exit predicts for part of the 16-image batch, so both of Algorithm 2's
-// edge exits run in every iteration.
-func BenchmarkMEANetInferBatchMixed(b *testing.B) {
+// mixedBatch is the edge network of BenchmarkMEANetInferBatch with the
+// extension path built, and its 16-image batch of the benchmark's 3x12x12
+// inputs: an extension exit, and a hard-class set that the main exit
+// predicts for part of the batch, so both of Algorithm 2's edge exits run
+// on every call. It reports how many images take the extension exit.
+func mixedBatch(tb testing.TB) (m *core.MEANet, x *tensor.Tensor, ext int) {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(4))
 	backbone, err := models.BuildResNet(rng, models.ResNetEdgeC100(1))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	m, err := core.BuildMEANetA(rng, backbone, 2, 20)
+	m, err = core.BuildMEANetA(rng, backbone, 2, 20)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m.ExtExit = models.NewExit(rng, "bench.extexit", m.ExtOutChannels(), 10)
-	x := tensor.Randn(rng, 1, 16, 3, 12, 12)
+	x = tensor.Randn(rng, 1, 16, 3, 12, 12)
 	// Untrained, the main exit gives every image the same label. Centring
 	// its logits over the batch spreads them; then the hard classes are the
 	// labels of the batch's first six images, padded to the extension
@@ -432,21 +431,27 @@ func BenchmarkMEANetInferBatchMixed(b *testing.B) {
 		}
 	}
 	if m.Dict, err = core.NewClassDict(hard); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	dec, err := m.InferBatchedRep(x, core.Policy{UseCloud: false}, protocol.RepRaw, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	ext := 0
 	for _, d := range dec {
 		if d.Exit == core.ExitExtension {
 			ext++
 		}
 	}
 	if ext == 0 || ext == len(dec) {
-		b.Fatalf("%d of %d images take the extension exit, want part of the batch", ext, len(dec))
+		tb.Fatalf("%d of %d images take the extension exit, want part of the batch", ext, len(dec))
 	}
+	return m, x, ext
+}
+
+// BenchmarkMEANetInferBatchMixed is BenchmarkMEANetInferBatch on
+// mixedBatch, so both of Algorithm 2's edge exits run in every iteration.
+func BenchmarkMEANetInferBatchMixed(b *testing.B) {
+	m, x, ext := mixedBatch(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

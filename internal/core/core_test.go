@@ -607,7 +607,7 @@ func TestTrainConfigValidation(t *testing.T) {
 
 func TestGatherSamples(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2)
-	g := gatherSamples(x, []int{2, 0})
+	g := gatherSamples(x, []int{2, 0}, tensor.New)
 	want := []float32{5, 6, 1, 2}
 	for i, w := range want {
 		if g.Data()[i] != w {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/meanet/meanet/internal/data"
 	"github.com/meanet/meanet/internal/metrics"
+	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -20,7 +21,8 @@ func EvaluateMain(m *MEANet, ds *data.Dataset, batch int) (*metrics.Confusion, m
 	cm := metrics.NewConfusion(m.NumClasses)
 	var es metrics.EntropyStats
 	err := ds.EachBatch(batch, func(_ int, x *tensor.Tensor, y []int) error {
-		_, logits := m.MainForward(x, false)
+		feat, logits := m.MainForward(x, false)
+		nn.Recycle(feat, x, logits)
 		probs := tensor.Softmax(logits)
 		for i := range y {
 			row := probs.Row(i)
@@ -150,7 +152,8 @@ func DetectionAccuracy(m *MEANet, ds *data.Dataset, batch int) (float64, error) 
 	}
 	ok := 0
 	err := ds.EachBatch(batch, func(_ int, x *tensor.Tensor, y []int) error {
-		_, logits := m.MainForward(x, false)
+		feat, logits := m.MainForward(x, false)
+		nn.Recycle(feat, x, logits)
 		preds := logits.ArgMaxRows()
 		for i := range y {
 			if m.Dict.IsHard(preds[i]) == m.Dict.IsHard(y[i]) {
@@ -192,6 +195,7 @@ func HardSubsetAccuracy(m *MEANet, ds *data.Dataset, batch int) (mainAcc, meaAcc
 		if err != nil {
 			return err
 		}
+		nn.Recycle(feat, x, logits, extLogits)
 		extProbs := tensor.Softmax(extLogits)
 		for i := range y {
 			row := probs.Row(i)

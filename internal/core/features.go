@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/meanet/meanet/internal/data"
+	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/tensor"
 )
 
@@ -31,6 +32,7 @@ func (m *MEANet) FeatureDataset(ds *data.Dataset, batch int) (*data.Dataset, err
 			out = data.NewDataset(ds.N, shape[1], shape[2], shape[3], ds.NumClasses)
 		}
 		copy(out.X[start*out.ImageSize():], feat.Data())
+		nn.Recycle(feat, x)
 		copy(out.Y[start:], y)
 		return nil
 	})

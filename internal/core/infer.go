@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/meanet/meanet/internal/data"
+	"github.com/meanet/meanet/internal/nn"
 	"github.com/meanet/meanet/internal/protocol"
 	"github.com/meanet/meanet/internal/tensor"
 )
@@ -131,6 +132,13 @@ type Policy struct {
 // The kernels' own forks inside a phase find the helpers taken and run
 // inline, so a batch forks twice instead of once per layer. Decisions and
 // the tensor the cloud receives are bitwise those of a one-worker run.
+//
+// InferBatchedRep owns what its blocks return at the module boundary: once
+// phase 3 is done, on its error path too, each chunk's main features go back
+// to nn's activation pool, and phase 3's gathers come from that pool and go
+// back once the extension path has read them (see the recycling rule on
+// nn.Layer). The sub-batch a CloudBatchFunc receives is ordinary heap
+// memory: nothing in the contract says the callee is done with it on return.
 func (m *MEANet) InferBatchedRep(x *tensor.Tensor, pol Policy, rep protocol.Rep, cloud CloudBatchFunc) ([]Decision, error) {
 	if x.Dims() != 4 {
 		return nil, fmt.Errorf("core: Infer expects NCHW input, got %v", x.Shape())
@@ -159,7 +167,7 @@ func (m *MEANet) InferBatchedRep(x *tensor.Tensor, pol Policy, rep protocol.Rep,
 		}
 	}
 	if len(cloudIdx) > 0 {
-		sub := gatherRows(x, chunks, cloudIdx, rep)
+		sub := gatherRows(x, chunks, cloudIdx, rep, tensor.New)
 		// Attempt loop: a call succeeds or fails as one, so every attempt
 		// ships the whole gathered set.
 		served, shed := false, false
@@ -207,6 +215,9 @@ func (m *MEANet) InferBatchedRep(x *tensor.Tensor, pol Policy, rep protocol.Rep,
 			mu.Unlock()
 		}
 	})
+	for _, c := range chunks {
+		nn.Recycle(c.feat, c.x) // a main block that returns its input returned the caller's batch
+	}
 	if extErr != nil {
 		return nil, extErr
 	}
@@ -270,14 +281,13 @@ func (m *MEANet) mainChunk(c *batchChunk, decisions []Decision, det *HardnessDet
 }
 
 // gatherRows copies the instances idx (ascending batch positions) into one
-// tensor: their raw images from x, or their main-block features from the
-// chunks that computed them.
-func gatherRows(x *tensor.Tensor, chunks []batchChunk, idx []int, rep protocol.Rep) *tensor.Tensor {
+// tensor that alloc makes (tensor.New or nn.Pooled): their raw images from
+// x, or their main-block features from the chunks that computed them.
+func gatherRows(x *tensor.Tensor, chunks []batchChunk, idx []int, rep protocol.Rep, alloc func(...int) *tensor.Tensor) *tensor.Tensor {
 	if rep == protocol.RepRaw {
-		return gatherSamples(x, idx)
+		return gatherSamples(x, idx, alloc)
 	}
-	shape := append([]int{len(idx)}, chunks[0].feat.Shape()[1:]...)
-	out := tensor.New(shape...)
+	out := alloc(gatherShape(chunks[0].feat, idx)...)
 	per, size := out.Numel()/len(idx), chunks[0].end
 	for bi, i := range idx {
 		c := &chunks[i/size]
@@ -287,14 +297,26 @@ func gatherRows(x *tensor.Tensor, chunks []batchChunk, idx []int, rep protocol.R
 	return out
 }
 
+// gatherShape is the shape of the instances idx of a batch shaped like t.
+func gatherShape(t *tensor.Tensor, idx []int) []int {
+	return append([]int{len(idx)}, t.Shape()[1:]...)
+}
+
 // extPart runs the adaptive and extension blocks on the hard instances idx
-// (ascending batch positions), and the more confident edge exit wins.
+// (ascending batch positions), and the more confident edge exit wins. The
+// gathers it hands them come from the activation pool, and go back to it
+// once the extension path has returned.
 func (m *MEANet) extPart(x *tensor.Tensor, chunks []batchChunk, idx []int, decisions []Decision) error {
-	extLogits, err := m.ExtForward(gatherRows(x, chunks, idx, protocol.RepRaw),
-		gatherRows(x, chunks, idx, protocol.RepFeatures), false)
+	raw := gatherRows(x, chunks, idx, protocol.RepRaw, nn.Pooled)
+	feat := gatherRows(x, chunks, idx, protocol.RepFeatures, nn.Pooled)
+	extLogits, err := m.ExtForward(raw, feat, false)
 	if err != nil {
+		nn.Recycle(raw)
+		nn.Recycle(feat)
 		return err
 	}
+	nn.Recycle(raw, extLogits)
+	nn.Recycle(feat, extLogits)
 	extProbs := tensor.Softmax(extLogits)
 	for bi, i := range idx {
 		row := extProbs.Row(bi)
@@ -336,11 +358,10 @@ func argmax(row []float32) int {
 	return best
 }
 
-// gatherSamples copies the selected leading-dimension slices into a new
-// tensor.
-func gatherSamples(t *tensor.Tensor, idx []int) *tensor.Tensor {
-	shape := append([]int{len(idx)}, t.Shape()[1:]...)
-	out := tensor.New(shape...)
+// gatherSamples copies the selected leading-dimension slices of t into one
+// tensor that alloc makes.
+func gatherSamples(t *tensor.Tensor, idx []int, alloc func(...int) *tensor.Tensor) *tensor.Tensor {
+	out := alloc(gatherShape(t, idx)...)
 	sub, src := t.Numel()/t.Dim(0), t.Data()
 	for bi, i := range idx {
 		copy(out.Data()[bi*sub:(bi+1)*sub], src[i*sub:(i+1)*sub])

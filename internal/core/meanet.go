@@ -187,12 +187,28 @@ func (m *MEANet) combined(feat, f2 *tensor.Tensor) *tensor.Tensor {
 
 // ExtForward runs the adaptive and extension blocks on raw input x and main
 // features feat, returning the hard-class logits ŷ2. It requires the
-// extension exit to exist (after TrainEdgeBlocks).
+// extension exit to exist (after TrainEdgeBlocks). In eval mode it hands
+// the combined input back to nn's activation pool once the extension block
+// has read it, and the extension output once the exit has; it never hands
+// back x or feat, which stay the caller's (under CombineMainOnly the
+// combined input is feat itself).
 func (m *MEANet) ExtForward(x, feat *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	if m.ExtExit == nil {
-		return nil, errors.New("core: extension exit not built; run TrainEdgeBlocks first")
+	in, h, logits, err := m.extForward(x, feat, train)
+	if err == nil && !train {
+		nn.Recycle(in, h, x, feat)
+		nn.Recycle(h, logits, x, feat)
 	}
-	var in *tensor.Tensor
+	return logits, err
+}
+
+// extForward is ExtForward, which also returns the combined input in and
+// the extension output h. It hands nothing back: in train mode the blocks
+// have cached in and h for Backward, so the caller hands them back once
+// Backward has returned.
+func (m *MEANet) extForward(x, feat *tensor.Tensor, train bool) (in, h, logits *tensor.Tensor, err error) {
+	if m.ExtExit == nil {
+		return nil, nil, nil, errors.New("core: extension exit not built; run TrainEdgeBlocks first")
+	}
 	if m.Combine == CombineMainOnly {
 		in = feat
 	} else {
@@ -207,8 +223,8 @@ func (m *MEANet) ExtForward(x, feat *tensor.Tensor, train bool) (*tensor.Tensor,
 			in = m.combined(feat, f2)
 		}
 	}
-	h := m.Extension.Forward(in, train)
-	return m.ExtExit.Forward(h, train), nil
+	h = m.Extension.Forward(in, train)
+	return in, h, m.ExtExit.Forward(h, train), nil
 }
 
 // adaptiveStrides mirrors the main path's downsampling in the adaptive

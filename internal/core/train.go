@@ -147,24 +147,43 @@ func TrainEdgeBlocks(m *MEANet, train *data.Dataset, cfg TrainConfig) error {
 	m.FreezeMain()
 	params := m.EdgeParams()
 	nn.UnfreezeParams(params)
-	return runTraining(cfg, hard, params, func(x *tensor.Tensor, y []int) (float64, error) {
-		feat := m.Main.Forward(x, false) // frozen main: evaluation mode, no caches
-		logits, err := m.ExtForward(x, feat, true)
-		if err != nil {
-			return 0, err
+	return runTraining(cfg, hard, params, m.EdgeTrainStep)
+}
+
+// EdgeTrainStep is one step of TrainEdgeBlocks on a batch x with hard-class
+// labels y: the frozen main block's eval forward, then the train-mode
+// forward and backward of the adaptive block, the extension block and the
+// extension exit, accumulating their parameter gradients. It returns the
+// loss; the caller zeroes the gradients before and steps the optimizer
+// after. Once Backward has returned, the step hands back to nn's activation
+// pool what crossed its module boundaries: the main features, the combined
+// input, the extension output, and the gradients the extension exit, the
+// extension block and the adaptive block returned. It never hands back x.
+func (m *MEANet) EdgeTrainStep(x *tensor.Tensor, y []int) (float64, error) {
+	feat := m.Main.Forward(x, false) // frozen main: evaluation mode, no caches
+	in, h, logits, err := m.extForward(x, feat, true)
+	if err != nil {
+		nn.Recycle(feat, x)
+		return 0, err
+	}
+	loss, dy := nn.SoftmaxCrossEntropy(logits, y)
+	dh := m.ExtExit.Backward(dy)
+	dcomb := m.Extension.Backward(dh)
+	if m.Combine != CombineMainOnly {
+		df2 := dcomb
+		if m.Combine == CombineConcat {
+			_, df2 = tensor.SplitChannels(dcomb, m.mainOutC)
 		}
-		loss, dy := nn.SoftmaxCrossEntropy(logits, y)
-		dh := m.ExtExit.Backward(dy)
-		dcomb := m.Extension.Backward(dh)
-		if m.Combine != CombineMainOnly {
-			df2 := dcomb
-			if m.Combine == CombineConcat {
-				_, df2 = tensor.SplitChannels(dcomb, m.mainOutC)
-			}
-			m.Adaptive.Backward(df2)
-		}
-		return loss, nil
-	})
+		nn.Recycle(m.Adaptive.Backward(df2), df2, dcomb, x)
+	}
+	// Each goes back unless it shares storage with x, the loss gradient or a
+	// tensor handed back after it, so no storage goes back twice.
+	nn.Recycle(dcomb, dh)
+	nn.Recycle(dh, dy)
+	nn.Recycle(h, in)
+	nn.Recycle(in, feat, x)
+	nn.Recycle(feat, x)
+	return loss, nil
 }
 
 // TrainEdgeBlocksWithReplay adapts the edge blocks on newly collected

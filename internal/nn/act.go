@@ -89,7 +89,7 @@ func (g *gate) start(n int, train bool) []bool {
 
 // Backward gates the gradient by the mask.
 func (g *gate) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := pooledLike(dy)
+	dx := Pooled(dy.Shape()...)
 	g.into(dy, dx)
 	return dx
 }
@@ -115,13 +115,6 @@ func (g *gate) into(dy, dx *tensor.Tensor) {
 
 // Params returns nil: a rectifier has no parameters.
 func (*gate) Params() []*Param { return nil }
-
-// pooledLike returns a tensor of t's shape whose storage comes from the
-// activation pool, holding arbitrary values; see the recycling rule on
-// Layer.
-func pooledLike(t *tensor.Tensor) *tensor.Tensor {
-	return tensor.FromSlice(activations.Get(t.Numel()), t.Shape()...)
-}
 
 var (
 	_ Layer = (*ReLU)(nil)

@@ -92,7 +92,7 @@ func (bn *BatchNorm2D) trainInto(x, out *tensor.Tensor) {
 	m := n * plane
 	gamma, beta := bn.Gamma.Data.Data(), bn.Beta.Data.Data()
 
-	xhat := pooledLike(x)
+	xhat := Pooled(x.Shape()...)
 	invStd := make([]float32, cch)
 	tensor.ParFor(cch, func(c0, c1 int) {
 		for c := c0; c < c1; c++ {
@@ -155,7 +155,7 @@ func (bn *BatchNorm2D) evalInto(x, out *tensor.Tensor) {
 //
 //	dx = gamma·invStd/m · (m·dy − Σdy − x̂·Σ(dy·x̂))
 func (bn *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := pooledLike(dy)
+	dx := Pooled(dy.Shape()...)
 	bn.backwardInto(dy, dx)
 	return dx
 }

@@ -58,7 +58,7 @@ func (b *ResidualBlock) forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tens
 	}
 	b.act.forwardInPlace(y, train)
 	if sOwned {
-		recycle(s, y)
+		Recycle(s, y)
 	}
 	return y, true
 }
@@ -77,7 +77,7 @@ func (b *ResidualBlock) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dxBody := b.Body.Backward(dsum)
 	dxShort := b.Shortcut.Backward(dsum)
 	dx := addOwned(dxBody, dxShort, dsum)
-	recycle(dxShort, dsum)
+	Recycle(dxShort, dsum)
 	activations.Put(dsum.Data())
 	return dx
 }

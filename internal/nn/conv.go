@@ -68,7 +68,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	k := c.Kernel()
 	dims := tensor.NewConvDims(inC, h, w, k, k, c.Stride, c.Pad)
 	outC := c.OutChannels()
-	out := tensor.FromSlice(activations.Get(n*outC*dims.OutH*dims.OutW), n, outC, dims.OutH, dims.OutW)
+	out := Pooled(n, outC, dims.OutH, dims.OutW)
 	if train {
 		c.x, c.dims = x, dims
 	}
@@ -114,16 +114,23 @@ func takeWorkspace(size int) []float32 {
 	return convWorkspaces.Get(max(size, convTileFloats))[:size]
 }
 
-// activationBufs and activationBytes cap what the activation pool retains:
-// an eval forward holds about four conv outputs at once (a residual block's
-// input, its two body convs and its projection), each layer's of its own
-// length, for each kernel worker's forward. A train step holds more, its
-// cached activations until Backward, but what it still allocates are the
-// tensors that leave a module and never come back: twice these bounds
-// measured the same bytes per image on the edge train step. No buffer
-// longer than convTileFloats is kept, and never more than 8 MiB in all.
+// activationBufs and activationBytes cap what the activation pool retains.
+// Inside a module an eval forward holds about four conv outputs at once (a
+// residual block's input, its two body convs and its projection), each
+// layer's of its own length, for each kernel worker's forward, and a train
+// step its cached activations until Backward. At the module boundary core
+// hands back each chunk's main features, the extension path's gathers, its
+// combined input and extension output, and a train step's gradients, so a
+// mixed edge batch cycles about twice as many distinct lengths through the
+// pool as its blocks alone. With 16 buffers the extension path's hand-backs
+// filled the pool and its oldest-first eviction dropped the main block's
+// buffers, so a 16-image batch with 8 images on the extension path
+// allocated 199 kB, more than the 117 kB it allocated when nothing crossed
+// a module boundary; with 32 no request missed. The count only lets the
+// pool hold more distinct lengths at once: no buffer longer than
+// convTileFloats is kept, and never more than 8 MiB in all.
 const (
-	activationBufs  = 16
+	activationBufs  = 32
 	activationBytes = 8 << 20
 )
 
@@ -206,7 +213,7 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
 	outC, rows, plane := c.OutChannels(), dims.ColRows(), dims.ColCols()
 	inSize, outSize, wSize := dims.InC*dims.InH*dims.InW, outC*plane, outC*rows
-	dx := tensor.FromSlice(activations.Get(n*inSize), n, dims.InC, dims.InH, dims.InW)
+	dx := Pooled(n, dims.InC, dims.InH, dims.InW)
 	xd, dyd, dxd, wd := x.Data(), dy.Data(), dx.Data(), c.W.Data.Data()
 
 	workers := max(1, min(tensor.Parallelism(), n))

@@ -53,8 +53,15 @@ import "github.com/meanet/meanet/internal/tensor"
 // ResidualBlock its projection's output after the add and its branch
 // gradients after their sum. A caller therefore never sees a recycled
 // tensor: what Forward or Backward returns, at any depth, is never handed
-// back, so it escapes as ordinary heap memory that the pool replaces with a
-// fresh allocation. Every element of a pooled tensor is written before it
+// back by the layer, so it belongs to the caller. At the module boundary
+// internal/core is that owner (see Pooled and Recycle): Algorithm 2 hands
+// back each chunk's main features once every reader is done, takes its
+// extension-path gathers from the pool, and ExtForward hands back its
+// combined input and extension output in eval mode; an edge training step
+// hands back its main features, combined input, extension output and the
+// gradients its blocks returned once Backward has returned. Anything else a
+// layer returns escapes as ordinary heap memory that the pool replaces with
+// a fresh allocation. Every element of a pooled tensor is written before it
 // is read (Conv2D clears its input gradient, which it accumulates), so a
 // recycled buffer's old values never reach a result.
 type Layer interface {
@@ -125,13 +132,32 @@ func forwardOwned(l Layer, x *tensor.Tensor, train bool) (*tensor.Tensor, bool) 
 	return l.Forward(x, train), false
 }
 
-// recycle hands x, an owned tensor a later step has consumed, back to the
-// activation pool unless y, the output of the step that consumed it, shares
-// its storage (a Flatten view, an Identity).
-func recycle(x, y *tensor.Tensor) {
-	if !y.SharesStorage(x) {
-		activations.Put(x.Data())
+// Pooled returns a tensor of the given shape whose storage comes from the
+// activation pool and holds arbitrary values, so the caller writes every
+// element before reading any. The layers take their outputs, caches and
+// gradients here; a module that owns such a tensor hands it back with
+// Recycle once nothing can read it (see the recycling rule on Layer).
+func Pooled(shape ...int) *tensor.Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
 	}
+	return tensor.FromSlice(activations.Get(n), shape...)
+}
+
+// Recycle hands x, a tensor nothing will read again, back to the activation
+// pool unless it shares storage with one of keep: the output of the step
+// that consumed it (a Flatten view, an Identity), or any tensor the caller
+// still reads. x need not have come from Pooled: a heap tensor's storage
+// joins the pool. The caller must not use x afterwards, nor hand back the
+// same storage twice.
+func Recycle(x *tensor.Tensor, keep ...*tensor.Tensor) {
+	for _, k := range keep {
+		if k.SharesStorage(x) {
+			return
+		}
+	}
+	activations.Put(x.Data())
 }
 
 // forwardOwned runs the layers under the in-place and recycling rules (see
@@ -178,7 +204,7 @@ func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 		dx := l.Backward(dy)
 		if owned {
-			recycle(dy, dx)
+			Recycle(dy, dx)
 		}
 		dy, owned = dx, !dx.SharesStorage(dy)
 	}

@@ -27,6 +27,59 @@ func recycleNet(rng *rand.Rand) *Sequential {
 	return net
 }
 
+// handOff forwards through two stacks the way internal/core composes its
+// blocks at a module boundary: it owns what first returns, gathers it into a
+// Pooled tensor (as core's extension path gathers its hard instances),
+// feeds the gather to second, and hands back with Recycle what crossed the
+// boundary once nothing can read it — in eval mode at once, in train mode
+// once Backward has returned, with the gradient second returned.
+type handOff struct {
+	first, second *Sequential
+
+	x, y, g *tensor.Tensor // a train forward's input, first's output and the gather
+}
+
+func (b *handOff) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	y := b.first.Forward(x, train)
+	g := Pooled(y.Shape()...)
+	g.CopyFrom(y)
+	z := b.second.Forward(g, train)
+	if train {
+		b.x, b.y, b.g = x, y, g
+		return z
+	}
+	Recycle(y, x)
+	Recycle(g, z)
+	return z
+}
+
+func (b *handOff) Backward(dz *tensor.Tensor) *tensor.Tensor {
+	dg := b.second.Backward(dz)
+	dx := b.first.Backward(dg)
+	Recycle(dg, dz, dx)
+	Recycle(b.g, dz)
+	Recycle(b.y, b.x)
+	b.x, b.y, b.g = nil, nil, nil
+	return dx
+}
+
+func (b *handOff) Params() []*Param { return append(b.first.Params(), b.second.Params()...) }
+
+// boundaryNet is a stack whose one layer is a handOff from a conv-BN-ReLU
+// stem to a group of an identity and a projection residual block; it takes
+// [n, 3, 8, 8] inputs.
+func boundaryNet(rng *rand.Rand) *Sequential {
+	net := NewSequential("module-boundary", &handOff{
+		first: NewSequential("bstem", NewConv2D(rng, "bstem.conv", 3, 8, 3, 1, 1, false), NewBatchNorm2D("bstem.bn", 8), NewReLU()),
+		second: NewSequential("bgroup",
+			NewResidualBlock(rng, "bres", 8, 8, 1),
+			NewResidualBlock(rng, "bresproj", 8, 16, 2),
+		),
+	})
+	randomizeNorms(rng, net)
+	return net
+}
+
 // randomizeNorms gives every BatchNorm2D in l random running statistics and
 // affine parameters.
 func randomizeNorms(rng *rand.Rand, l Layer) {
@@ -47,6 +100,9 @@ func randomizeNorms(rng *rand.Rand, l Layer) {
 		randomizeNorms(rng, v.Shortcut)
 	case *InvertedResidual:
 		randomizeNorms(rng, v.Body)
+	case *handOff:
+		randomizeNorms(rng, v.first)
+		randomizeNorms(rng, v.second)
 	}
 }
 
@@ -63,11 +119,12 @@ func sameBits(a, b *tensor.Tensor) bool {
 }
 
 // TestEvalRecyclingNeverAliases pins the recycling rule on Layer: a
-// composite hands back to the activation pool only storage nothing can
-// still reach, and the pool stays within its stated bound. A tensor
-// recycled too early is overwritten by a later conv output, so holding
-// results and inputs across many later forwards of other batch sizes, and
-// racing forwards against a serial replay, shows any early release.
+// composite, or a module boundary's owner through Pooled and Recycle,
+// hands back to the activation pool only storage nothing can still reach,
+// and the pool stays within its stated bound. A tensor recycled too early
+// is overwritten by a later conv output, so holding results and inputs
+// across many later forwards of other batch sizes, and racing forwards
+// against a serial replay, shows any early release.
 func TestEvalRecyclingNeverAliases(t *testing.T) {
 	if activationBytes > 8<<20 {
 		t.Fatalf("activation pool bound %d bytes, want at most 8 MiB", activationBytes)
@@ -86,7 +143,7 @@ func TestEvalRecyclingNeverAliases(t *testing.T) {
 	ident := NewSequential("conv-bn-identity", NewConv2D(rng, "ident.conv", 3, 4, 3, 1, 1, true),
 		NewBatchNorm2D("ident.bn", 4), Identity{})
 	randomizeNorms(rng, ident)
-	nets := []*Sequential{net, flat, ident}
+	nets := []*Sequential{net, flat, ident, boundaryNet(rng)}
 
 	batches := []int{1, 7, 16, 64}
 	input := func(n int) *tensor.Tensor { return tensor.Randn(rand.New(rand.NewSource(int64(n))), 1, n, 3, 8, 8) }
@@ -159,8 +216,9 @@ func TestEvalRecyclingNeverAliases(t *testing.T) {
 // gradients are the very tensors their sums must not write, and a
 // classifier-shaped stack (a backbone Sequential of a stem Sequential and a
 // group Sequential, then a GAP+FC exit Sequential), whose outer Sequential
-// holds the backbone's result while the exit caches it. They take
-// [n, 3, 8, 8] inputs.
+// holds the backbone's result while the exit caches it, and a module
+// boundary (boundaryNet) whose owner holds what crossed it until Backward.
+// They take [n, 3, 8, 8] inputs.
 func trainNets(rng *rand.Rand) []*Sequential {
 	resnet := recycleNet(rng)
 	mobile := NewSequential("mobile",
@@ -186,7 +244,7 @@ func trainNets(rng *rand.Rand) []*Sequential {
 		NewSequential("cexit", NewGlobalAvgPool(), NewLinear(rng, "cexit.fc", 16, 5)),
 	)
 	randomizeNorms(rng, classifier)
-	return []*Sequential{resnet, mobile, linear, ident, empty, classifier}
+	return []*Sequential{resnet, mobile, linear, ident, empty, classifier, boundaryNet(rng)}
 }
 
 // replayForward is the train forward of l run unit by unit, every leaf on
@@ -207,6 +265,8 @@ func replayForward(l Layer, x *tensor.Tensor) *tensor.Tensor {
 			return tensor.Add(y, x)
 		}
 		return y
+	case *handOff:
+		return replayForward(v.second, replayForward(v.first, x))
 	}
 	return l.Forward(x, true)
 }
@@ -228,6 +288,8 @@ func replayBackward(l Layer, dy *tensor.Tensor) *tensor.Tensor {
 			return tensor.Add(dx, dy)
 		}
 		return dx
+	case *handOff:
+		return replayBackward(v.first, replayBackward(v.second, dy))
 	}
 	return l.Backward(dy)
 }
