@@ -4,12 +4,12 @@
 # The CI bench-regression gate: compares two `go test -bench` outputs and
 # fails (exit 1) on a >15% regression in the gated benchmarks: ns/op of
 # MatMul512 and MEANetInferBatch, B/op and allocs/op of MEANetInferBatch (the
-# edge forward's garbage per 16-image batch) and of MEANetTrainStep (one
-# 16-image step of the edge blocks' training), and ns/op, B/op and
-# allocs/op of MEANetInferBatchMixed (the same batch with part of it on the
-# extension path, the edge-only workload's shape), each by its best
-# (minimum) value. The serving path is gated by
-# benchmark/ (BENCHMARK.json), not here.
+# edge forward's garbage per 16-image batch), ns/op, B/op and allocs/op of
+# MEANetTrainStep (one 16-image step of the edge blocks' training), and
+# ns/op, B/op and allocs/op of MEANetInferBatchMixed (the same batch with
+# part of it on the extension path, the edge-only workload's shape), each by
+# its best (minimum) value. The serving path is gated by benchmark/
+# (BENCHMARK.json), not here.
 #
 # A gated benchmark the base lacks but the head has is printed NEW and
 # passes, so a change can add a benchmark and gate it in one go; one the
@@ -65,7 +65,7 @@ gate() {
 }
 
 for gated in "BenchmarkMatMul512 ns/op" "BenchmarkMEANetInferBatch ns/op" \
-  "BenchmarkMEANetInferBatch B/op" "BenchmarkMEANetTrainStep B/op" \
+  "BenchmarkMEANetInferBatch B/op" "BenchmarkMEANetTrainStep ns/op" "BenchmarkMEANetTrainStep B/op" \
   "BenchmarkMEANetInferBatch allocs/op" "BenchmarkMEANetTrainStep allocs/op" \
   "BenchmarkMEANetInferBatchMixed ns/op" "BenchmarkMEANetInferBatchMixed B/op" \
   "BenchmarkMEANetInferBatchMixed allocs/op"; do

@@ -62,7 +62,7 @@ func TrainDetector(m *MEANet, det *HardnessDetector, train *data.Dataset, cfg Tr
 			}
 		}
 		loss, dy := nn.SoftmaxCrossEntropy(logits, labels)
-		det.Head.Backward(dy)
+		det.Head.BackwardParams(dy)
 		return loss, nil
 	})
 }

@@ -103,7 +103,7 @@ func TrainMainBlock(m *MEANet, train *data.Dataset, cfg TrainConfig) error {
 	return runTraining(cfg, train, params, func(x *tensor.Tensor, y []int) (float64, error) {
 		_, logits := m.MainForward(x, true)
 		loss, dy := nn.SoftmaxCrossEntropy(logits, y)
-		m.Main.Backward(m.MainExit.Backward(dy))
+		m.Main.BackwardParams(m.MainExit.Backward(dy))
 		return loss, nil
 	})
 }
@@ -115,7 +115,7 @@ func TrainClassifier(c *models.Classifier, train *data.Dataset, cfg TrainConfig)
 	return runTraining(cfg, train, params, func(x *tensor.Tensor, y []int) (float64, error) {
 		logits := c.Logits(x, true)
 		loss, dy := nn.SoftmaxCrossEntropy(logits, y)
-		c.Backward(dy)
+		c.BackwardParams(dy)
 		return loss, nil
 	})
 }
@@ -155,10 +155,12 @@ func TrainEdgeBlocks(m *MEANet, train *data.Dataset, cfg TrainConfig) error {
 // forward and backward of the adaptive block, the extension block and the
 // extension exit, accumulating their parameter gradients. It returns the
 // loss; the caller zeroes the gradients before and steps the optimizer
-// after. Once Backward has returned, the step hands back to nn's activation
-// pool what crossed its module boundaries: the main features, the combined
-// input, the extension output, and the gradients the extension exit, the
-// extension block and the adaptive block returned. It never hands back x.
+// after. The adaptive block runs BackwardParams: the raw-image gradient
+// nobody reads is never formed. Once the blocks' backward has returned, the
+// step hands back to nn's activation pool what crossed its module
+// boundaries: the main features, the combined input, the extension output,
+// and the gradients the extension exit and the extension block returned.
+// It never hands back x.
 func (m *MEANet) EdgeTrainStep(x *tensor.Tensor, y []int) (float64, error) {
 	feat := m.Main.Forward(x, false) // frozen main: evaluation mode, no caches
 	in, h, logits, err := m.extForward(x, feat, true)
@@ -174,7 +176,7 @@ func (m *MEANet) EdgeTrainStep(x *tensor.Tensor, y []int) (float64, error) {
 		if m.Combine == CombineConcat {
 			_, df2 = tensor.SplitChannels(dcomb, m.mainOutC)
 		}
-		nn.Recycle(m.Adaptive.Backward(df2), df2, dcomb, x)
+		m.Adaptive.BackwardParams(df2)
 	}
 	// Each goes back unless it shares storage with x, the loss gradient or a
 	// tensor handed back after it, so no storage goes back twice.
@@ -271,14 +273,14 @@ func TrainJoint(m *MEANet, train *data.Dataset, cfg TrainConfig, w1, w2 float64)
 		case CombineConcat:
 			dfeatExt, df2 := tensor.SplitChannels(dcomb, m.mainOutC)
 			dfeat.AddInPlace(dfeatExt)
-			m.Adaptive.Backward(df2)
+			m.Adaptive.BackwardParams(df2)
 		case CombineMainOnly:
 			dfeat.AddInPlace(dcomb)
 		default: // CombineSum
 			dfeat.AddInPlace(dcomb)
-			m.Adaptive.Backward(dcomb)
+			m.Adaptive.BackwardParams(dcomb)
 		}
-		m.Main.Backward(dfeat)
+		m.Main.BackwardParams(dfeat)
 		return w1*loss1 + w2*loss2, nil
 	})
 }
@@ -297,7 +299,7 @@ func TrainSeparate(m *MEANet, train *data.Dataset, cfg TrainConfig) error {
 		feat := m.Main.Forward(x, false)
 		logits := m.MainExit.Forward(feat, true)
 		loss, dy := nn.SoftmaxCrossEntropy(logits, y)
-		m.MainExit.Backward(dy)
+		m.MainExit.BackwardParams(dy)
 		return loss, nil
 	})
 	if err != nil {

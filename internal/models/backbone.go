@@ -99,9 +99,11 @@ func (c *Classifier) Logits(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.net.Forward(x, train)
 }
 
-// Backward propagates through exit then backbone.
-func (c *Classifier) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	return c.net.Backward(dy)
+// BackwardParams propagates through exit then backbone, accumulating every
+// parameter gradient; the raw-image gradient, which no caller reads, is
+// never formed (see nn.Sequential.BackwardParams).
+func (c *Classifier) BackwardParams(dy *tensor.Tensor) {
+	c.net.BackwardParams(dy)
 }
 
 // Params returns all parameters.

@@ -9,11 +9,14 @@ import (
 
 // Conv2D is a standard 2-D convolution over NCHW tensors, implemented as a
 // matrix product of the weights with the input's unfold (im2col). Weight
-// layout is [outC, inC, kh, kw]. The forward, in both modes, convolves a
-// tile of images with one product that packs the unfold straight from the
-// images and never forms it; Backward keeps the per-image Im2Col products
-// and the per-worker dW reduction the layer has always used, so training
-// stays bit-identical at a given worker count.
+// layout is [outC, inC, kh, kw]. No path forms the unfold: every product
+// packs its blocks straight from the images or the gradients. The forward,
+// in both modes, convolves a tile of images with one product; Backward
+// forms the input gradient a tile of images at a time with one Wᵀ·dy
+// product, and keeps the per-image dW products and the per-worker dW
+// reduction the layer has always used, so training stays bit-identical at
+// a given worker count. A caller that drops the input gradient reaches the
+// backward without it through Sequential.BackwardParams.
 type Conv2D struct {
 	W      *Param
 	B      *Param // nil when the convolution has no bias (conv+BN idiom)
@@ -21,8 +24,8 @@ type Conv2D struct {
 	Pad    int
 
 	// Training caches (valid between Forward(train=true) and Backward): the
-	// input, which Backward unfolds again one image at a time, and its
-	// geometry.
+	// input, whose unfold Backward's dW products read one image at a time,
+	// and its geometry.
 	x    *tensor.Tensor
 	dims tensor.ConvDims
 }
@@ -92,9 +95,11 @@ func (c *Conv2D) forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tensor, boo
 // pooled workspace one size whatever batch a caller sends — and at least
 // one image: a single image larger than the cap gets an exact-size buffer,
 // which the pool allocates and never keeps. The backward takes one
-// workspace per kernel worker, holding the worker's partial dW and one
-// image's dW product, unfold and unfold gradient (2·outC·K + 2·K·oH·oW
-// floats), under the same rule.
+// workspace per kernel worker, holding the worker's partial dW, one image's
+// dW product and the unfold gradients of a tile of its images
+// (2·outC·K + t·K·oH·oW floats), under the same rule: its tile
+// (backwardTile) is the most images that fit, at least one. Without an
+// input gradient to form it holds the first two alone.
 const convTileFloats = 256 << 10
 
 // convWorkspaceBufs caps the workspaces the shared pool retains: the
@@ -192,19 +197,39 @@ func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
 // Backward accumulates dW (and dB) and returns dX, whose storage comes from
 // the activation pool and is cleared image by image before the fold adds
 // into it.
+func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	return c.backward(dy, true)
+}
+
+// backwardTile is the number of whole images whose [K, oH*oW] unfold
+// gradients (K = inC*kh*kw) fit beside a worker's partial dW and one
+// image's dW product under convTileFloats, at least one.
+func backwardTile(outC int, dims tensor.ConvDims) int {
+	rows := dims.ColRows()
+	return max(1, (convTileFloats-2*outC*rows)/(rows*dims.ColCols()))
+}
+
+// backward is Backward, forming the input gradient only when wantDX is
+// set: without it there is no dX buffer, no Wᵀ·dy product and no fold, and
+// backward returns nil.
 //
 // The batch splits into one contiguous chunk of images per kernel worker,
-// the chunks tensor.ParFor forks. A worker takes one shared workspace and,
-// image by image, unfolds x_i again, forms dy_i @ cols_iᵀ on its own and
-// adds it to the worker's partial dW, sums dy_i's planes into its partial
-// dB, and folds Wᵀ @ dy_i into dx_i.
-// The partials are then added to the gradients in worker order. That is the
-// summation order of the per-image products this layer has always formed,
-// so the trained weights do not depend on the forward's tiling; they do
-// depend on the worker count. A worker left without images takes no
-// workspace and its all-zero partial dW is skipped: adding it could only
-// have turned a -0 gradient (unreachable from ZeroGrads' +0) into +0.
-func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+// the chunks tensor.ParFor forks. A worker takes one shared workspace and
+// walks its chunk a tile of images at a time (backwardTile; the whole
+// chunk when there is no dX to form). Image by image, it forms dy_i @
+// unfold(x_i)ᵀ, packed straight from x_i, on its own and adds it to the
+// worker's partial dW, and sums dy_i's planes into its partial dB; then
+// one product Wᵀ @ [dy_0 … dy_{t-1}], packed straight from dy, forms the
+// tile's unfold gradients side by side, and each is folded into its
+// image's dx. Each column of that product is the per-image product's, sum
+// for sum, so dx does not depend on the tile. The partials are then added
+// to the gradients in worker order. That is the summation order of the
+// per-image products this layer has always formed, so the trained weights
+// do not depend on the forward's tiling or the backward's; they do depend
+// on the worker count. A worker left without images takes no workspace
+// and its all-zero partial dW is skipped: adding it could only have turned
+// a -0 gradient (unreachable from ZeroGrads' +0) into +0.
+func (c *Conv2D) backward(dy *tensor.Tensor, wantDX bool) *tensor.Tensor {
 	if c.x == nil {
 		panic("nn: Conv2D.Backward without prior Forward(train=true)")
 	}
@@ -213,8 +238,13 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
 	outC, rows, plane := c.OutChannels(), dims.ColRows(), dims.ColCols()
 	inSize, outSize, wSize := dims.InC*dims.InH*dims.InW, outC*plane, outC*rows
-	dx := Pooled(n, dims.InC, dims.InH, dims.InW)
-	xd, dyd, dxd, wd := x.Data(), dy.Data(), dx.Data(), c.W.Data.Data()
+	var dx *tensor.Tensor
+	var dxd []float32
+	if wantDX {
+		dx = Pooled(n, dims.InC, dims.InH, dims.InW)
+		dxd = dx.Data()
+	}
+	xd, dyd, wd := x.Data(), dy.Data(), c.W.Data.Data()
 
 	workers := max(1, min(tensor.Parallelism(), n))
 	chunk := (n + workers - 1) / workers
@@ -225,31 +255,42 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	tensor.ParFor(n, func(start, end int) {
 		wkr := start / chunk // ParFor's chunks are these workers'
-		ws := takeWorkspace(2*wSize + 2*rows*plane)
-		dW, prod := ws[:wSize], ws[wSize:2*wSize]
-		cols, dcols := ws[2*wSize:2*wSize+rows*plane], ws[2*wSize+rows*plane:]
+		tile, colsSize := end-start, 0
+		if wantDX {
+			tile = min(tile, backwardTile(outC, dims))
+			colsSize = tile * rows * plane
+		}
+		ws := takeWorkspace(2*wSize + colsSize)
+		dW, prod, dcols := ws[:wSize], ws[wSize:2*wSize], ws[2*wSize:]
 		clear(dW)
-		for i := start; i < end; i++ {
-			dyi := dyd[i*outSize : (i+1)*outSize] // [outC, plane]
-			dims.Im2Col(xd[i*inSize:(i+1)*inSize], cols)
-			tensor.MatMulNTInto(prod, dyi, cols, outC, plane, rows)
-			for j, v := range prod {
-				dW[j] += v
-			}
-			if dBs != nil {
-				dB := dBs[wkr*outC : (wkr+1)*outC]
-				for f := range dB {
-					var s float64
-					for _, v := range dyi[f*plane : (f+1)*plane] {
-						s += float64(v)
+		for i0 := start; i0 < end; i0 += tile {
+			t := min(tile, end-i0)
+			for i := i0; i < i0+t; i++ {
+				dyi := dyd[i*outSize : (i+1)*outSize] // [outC, plane]
+				dims.WeightGradInto(prod, dyi, xd[i*inSize:(i+1)*inSize], outC)
+				for j, v := range prod {
+					dW[j] += v
+				}
+				if dBs != nil {
+					dB := dBs[wkr*outC : (wkr+1)*outC]
+					for f := range dB {
+						var s float64
+						for _, v := range dyi[f*plane : (f+1)*plane] {
+							s += float64(v)
+						}
+						dB[f] += s
 					}
-					dB[f] += s
 				}
 			}
-			tensor.MatMulTNInto(dcols, wd, dyi, rows, outC, plane)
-			dxi := dxd[i*inSize : (i+1)*inSize]
-			clear(dxi)
-			dims.Col2Im(dcols, dxi)
+			if !wantDX {
+				continue
+			}
+			dims.UnfoldGradInto(dcols, wd, dyd[i0*outSize:(i0+t)*outSize], outC, t)
+			for j := 0; j < t; j++ {
+				dxi := dxd[(i0+j)*inSize : (i0+j+1)*inSize]
+				clear(dxi)
+				dims.Col2ImStrided(dcols[j*plane:], t*plane, dxi)
+			}
 		}
 		partials[wkr] = dW
 	})

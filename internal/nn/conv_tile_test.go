@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -146,23 +147,28 @@ func referenceConvStep(c *Conv2D, x, dy, gW0, gB0 *tensor.Tensor, workers int) p
 // the forward's tile boundaries — no images, one, a tile short, a full tile,
 // one over, two tiles plus a ragged tail (the tile is convTile's, the one
 // forwardTiles uses), and a single image whose result alone is too large
-// for the shared workspace — at 1, 2 and 3 kernel workers (3 leaves a worker
-// idle at some sizes), and requires the output, the input gradient and the
-// accumulated weight and bias gradients to equal referenceConvStep bit for
-// bit. Geometries cover stride 1 and 2, pad 0 and 1, with and without bias;
+// for the shared workspace — and across the backward's — a tile short, a
+// full tile and one over (backwardTile's, per worker), and a single image
+// whose unfold gradient alone is too large for the workspace — at 1, 2 and
+// 3 kernel workers (3 leaves a worker idle at some sizes), and requires the
+// output, the input gradient and the accumulated weight and bias gradients
+// to equal referenceConvStep bit for bit. Geometries cover stride 1 and 2, pad 0 and 1, with and without bias;
 // the gradients start from non-zero values, so the order the worker
 // partials are added in is pinned too.
 func TestConvMatchesPerImageReference(t *testing.T) {
 	geoms := []struct {
-		name           string
-		inC, outC, k   int
-		size           int
-		strides, pads  []int
-		singleOversize bool
+		name                   string
+		inC, outC, k           int
+		size                   int
+		strides, pads          []int
+		backwardTiles          bool // also walk backwardTile's boundaries (the 1x1 rows' are over a thousand images)
+		singleOversize         bool
+		singleOversizeBackward bool
 	}{
-		{name: "3x3", inC: 4, outC: 32, k: 3, size: 20, strides: []int{1, 2}, pads: []int{0, 1}},
+		{name: "3x3", inC: 4, outC: 32, k: 3, size: 20, strides: []int{1, 2}, pads: []int{0, 1}, backwardTiles: true},
 		{name: "1x1-wide", inC: 2, outC: 24, k: 1, size: 20, strides: []int{1, 2}, pads: []int{0, 1}},
 		{name: "oversize", inC: 2, outC: 32, k: 3, size: 96, strides: []int{1}, pads: []int{1}, singleOversize: true},
+		{name: "oversize-backward", inC: 4, outC: 8, k: 3, size: 96, strides: []int{1}, pads: []int{1}, singleOversizeBackward: true},
 	}
 	defer tensor.SetParallelism(tensor.Parallelism())
 	rng := rand.New(rand.NewSource(29))
@@ -175,8 +181,17 @@ func TestConvMatchesPerImageReference(t *testing.T) {
 						conv.B.Data.CopyFrom(tensor.Randn(rng, 1, g.outC))
 					}
 					dims := tensor.NewConvDims(g.inC, g.size, g.size, g.k, g.k, stride, pad)
-					tile := convTile(g.outC, dims)
+					tile, btile := convTile(g.outC, dims), backwardTile(g.outC, dims)
 					ns := []int{0, 1, tile - 1, tile, tile + 1, 2*tile + 3}
+					if g.backwardTiles {
+						// The tile is the most images whose workspace fits the cap.
+						ws := func(t int) int { return 2*g.outC*dims.ColRows() + t*dims.ColRows()*dims.ColCols() }
+						if ws(btile) > convTileFloats || ws(btile+1) <= convTileFloats {
+							t.Fatalf("%s stride %d pad %d: backward tile %d takes %d floats, %d one more; cap %d",
+								g.name, stride, pad, btile, ws(btile), ws(btile+1), convTileFloats)
+						}
+						ns = append(ns, btile-1, btile, btile+1)
+					}
 					if g.singleOversize {
 						if tile != 0 {
 							t.Fatalf("%s: %d result floats per image fit the %d-float workspace",
@@ -184,7 +199,15 @@ func TestConvMatchesPerImageReference(t *testing.T) {
 						}
 						ns = []int{1, 2}
 					}
-					for _, n := range ns {
+					if g.singleOversizeBackward {
+						if cols := dims.ColRows() * dims.ColCols(); cols <= convTileFloats {
+							t.Fatalf("%s: one image's %d-float unfold gradient fits the %d-float workspace",
+								g.name, cols, convTileFloats)
+						}
+						ns = []int{1, 2}
+					}
+					slices.Sort(ns)
+					for _, n := range slices.Compact(ns) {
 						if n < 0 {
 							continue
 						}
@@ -193,8 +216,8 @@ func TestConvMatchesPerImageReference(t *testing.T) {
 						gW0 := tensor.Randn(rng, 1, conv.W.Data.Shape()...)
 						gB0 := tensor.Randn(rng, 1, g.outC)
 						for _, workers := range []int{1, 2, 3} {
-							label := fmt.Sprintf("%s stride %d pad %d bias %v tile %d N %d workers %d",
-								g.name, stride, pad, bias, tile, n, workers)
+							label := fmt.Sprintf("%s stride %d pad %d bias %v tiles %d/%d N %d workers %d",
+								g.name, stride, pad, bias, tile, btile, n, workers)
 							tensor.SetParallelism(workers)
 							want := referenceConvStep(conv, x, dy, gW0, gB0, workers)
 							conv.W.Grad.CopyFrom(gW0)

@@ -8,9 +8,12 @@ import "github.com/meanet/meanet/internal/tensor"
 // train=false it caches nothing and is safe for concurrent use. Backward
 // consumes the gradient of the loss w.r.t. the layer output, accumulates
 // parameter gradients, and returns the gradient w.r.t. the layer input.
-// Backward must follow a Forward(train=true) on the same layer. A train-mode
-// Forward may keep a reference to its input until Backward rather than a
-// copy (Conv2D unfolds it again there; DepthwiseConv2D and Linear read it),
+// Backward must follow a Forward(train=true) on the same layer. A caller
+// that drops the input gradient runs a Sequential's BackwardParams instead,
+// which accumulates the same parameter gradients and forms no input
+// gradient where it can (a first Conv2D). A train-mode Forward may keep a
+// reference to its input until Backward rather than a copy (Conv2D, which
+// packs its unfold from it there, DepthwiseConv2D and Linear read it),
 // so the caller must not write that input in between, and Backward never
 // writes the gradient it was handed (a residual block hands the same one to
 // both branches).
@@ -49,7 +52,8 @@ import "github.com/meanet/meanet/internal/tensor"
 // step has consumed it; in train mode a later step may have cached it, so a
 // Sequential holds it until its own Backward has returned, and a train
 // forward that no Backward follows just drops what it held. A Sequential
-// hands a gradient back once the next child has read it, and a
+// hands a gradient back once the next child has read it — under
+// BackwardParams its first child's result too, which no one reads — and a
 // ResidualBlock its projection's output after the add and its branch
 // gradients after their sum. A caller therefore never sees a recycled
 // tensor: what Forward or Backward returns, at any depth, is never handed
@@ -59,11 +63,13 @@ import "github.com/meanet/meanet/internal/tensor"
 // extension-path gathers from the pool, and ExtForward hands back its
 // combined input and extension output in eval mode; an edge training step
 // hands back its main features, combined input, extension output and the
-// gradients its blocks returned once Backward has returned. Anything else a
-// layer returns escapes as ordinary heap memory that the pool replaces with
-// a fresh allocation. Every element of a pooled tensor is written before it
-// is read (Conv2D clears its input gradient, which it accumulates), so a
-// recycled buffer's old values never reach a result.
+// gradients the extension block and its exit returned once Backward has
+// returned, and runs the adaptive block's BackwardParams, which returns
+// none. Anything else a layer returns escapes as ordinary heap memory that
+// the pool replaces with a fresh allocation. Every element of a pooled
+// tensor is written before it is read (Conv2D clears its input gradient,
+// which it accumulates), so a recycled buffer's old values never reach a
+// result.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(dy *tensor.Tensor) *tensor.Tensor
@@ -195,25 +201,70 @@ func (s *Sequential) forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tensor,
 // The gradient it was handed is never owned, so it is neither written nor
 // recycled.
 func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	owned := false
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		l := s.Layers[i]
-		if ip, ok := l.(inPlacer); ok && owned {
-			ip.backwardInPlace(dy)
-			continue
+	dy, _ = s.backwardTo(0, dy)
+	s.release()
+	return dy
+}
+
+// BackwardParams is Backward for a caller that drops the input gradient:
+// it accumulates every parameter gradient Backward would, bitwise, and
+// returns nothing. Layers after the first run their Backward; a first
+// child that is a Sequential runs its BackwardParams, and a first Conv2D
+// its backward without the input-gradient half — no dX buffer, no Wᵀ·dy
+// product, no fold. Any other first child runs Backward, and what it
+// returned goes back to the activation pool.
+func (s *Sequential) BackwardParams(dy *tensor.Tensor) {
+	dy, owned := s.backwardTo(1, dy)
+	if len(s.Layers) > 0 {
+		switch first := s.Layers[0].(type) {
+		case *Sequential:
+			first.BackwardParams(dy)
+		case *Conv2D:
+			first.backward(dy, false)
+		default:
+			dy, owned = backwardStep(first, dy, owned)
 		}
-		dx := l.Backward(dy)
-		if owned {
-			Recycle(dy, dx)
-		}
-		dy, owned = dx, !dx.SharesStorage(dy)
 	}
+	if owned {
+		activations.Put(dy.Data())
+	}
+	s.release()
+}
+
+// backwardTo runs the layers from the last down to index stop under the
+// in-place and recycling rules (see Layer), and returns the gradient the
+// last of them returned and whether this Sequential owns it.
+func (s *Sequential) backwardTo(stop int, dy *tensor.Tensor) (*tensor.Tensor, bool) {
+	owned := false
+	for i := len(s.Layers) - 1; i >= stop; i-- {
+		dy, owned = backwardStep(s.Layers[i], dy, owned)
+	}
+	return dy, owned
+}
+
+// backwardStep runs l's backward on dy, in place when l can and dy is
+// owned, hands dy back once l has read it if it is owned and the result
+// does not share its storage, and returns the result and whether it is
+// owned.
+func backwardStep(l Layer, dy *tensor.Tensor, owned bool) (*tensor.Tensor, bool) {
+	if ip, ok := l.(inPlacer); ok && owned {
+		ip.backwardInPlace(dy)
+		return dy, true
+	}
+	dx := l.Backward(dy)
+	if owned {
+		Recycle(dy, dx)
+	}
+	return dx, !dx.SharesStorage(dy)
+}
+
+// release hands back to the activation pool what the train forward held.
+func (s *Sequential) release() {
 	for _, h := range s.held {
 		activations.Put(h.Data())
 	}
 	clear(s.held)
 	s.held = s.held[:0]
-	return dy
 }
 
 // Params returns the concatenated parameters of all layers.

@@ -274,20 +274,24 @@ func TestInvertedResidualSkipGeometry(t *testing.T) {
 
 func TestBackwardWithoutForwardPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	layers := map[string]Layer{
-		"conv":   NewConv2D(rng, "c", 1, 1, 3, 1, 1, false),
-		"bn":     NewBatchNorm2D("b", 1),
-		"relu":   NewReLU(),
-		"linear": NewLinear(rng, "f", 2, 2),
+	backwards := map[string]func(dy *tensor.Tensor){
+		"conv":   func(dy *tensor.Tensor) { NewConv2D(rng, "c", 1, 1, 3, 1, 1, false).Backward(dy) },
+		"bn":     func(dy *tensor.Tensor) { NewBatchNorm2D("b", 1).Backward(dy) },
+		"relu":   func(dy *tensor.Tensor) { NewReLU().Backward(dy) },
+		"linear": func(dy *tensor.Tensor) { NewLinear(rng, "f", 2, 2).Backward(dy) },
+		// BackwardParams' first Conv2D skips the input gradient, not the check.
+		"conv params": func(dy *tensor.Tensor) {
+			NewSequential("s", NewConv2D(rng, "c", 1, 1, 3, 1, 1, false)).BackwardParams(dy)
+		},
 	}
-	for name, l := range layers {
+	for name, backward := range backwards {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("%s: Backward without Forward should panic", name)
 				}
 			}()
-			l.Backward(tensor.New(1, 1, 2, 2))
+			backward(tensor.New(1, 1, 2, 2))
 		})
 	}
 }

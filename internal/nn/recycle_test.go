@@ -216,9 +216,11 @@ func TestEvalRecyclingNeverAliases(t *testing.T) {
 // gradients are the very tensors their sums must not write, and a
 // classifier-shaped stack (a backbone Sequential of a stem Sequential and a
 // group Sequential, then a GAP+FC exit Sequential), whose outer Sequential
-// holds the backbone's result while the exit caches it, and a module
-// boundary (boundaryNet) whose owner holds what crossed it until Backward.
-// They take [n, 3, 8, 8] inputs.
+// holds the backbone's result while the exit caches it, a module
+// boundary (boundaryNet) whose owner holds what crossed it until Backward,
+// and a conv alone inside a Sequential inside a Sequential, which hands
+// the gradient it was given straight down to the conv. They take
+// [n, 3, 8, 8] inputs.
 func trainNets(rng *rand.Rand) []*Sequential {
 	resnet := recycleNet(rng)
 	mobile := NewSequential("mobile",
@@ -244,7 +246,8 @@ func trainNets(rng *rand.Rand) []*Sequential {
 		NewSequential("cexit", NewGlobalAvgPool(), NewLinear(rng, "cexit.fc", 16, 5)),
 	)
 	randomizeNorms(rng, classifier)
-	return []*Sequential{resnet, mobile, linear, ident, empty, classifier, boundaryNet(rng)}
+	lone := NewSequential("lone-conv", NewSequential("lone.stem", NewConv2D(rng, "lone.conv", 3, 4, 3, 1, 1, true)))
+	return []*Sequential{resnet, mobile, linear, ident, empty, classifier, boundaryNet(rng), lone}
 }
 
 // replayForward is the train forward of l run unit by unit, every leaf on
@@ -349,5 +352,115 @@ func TestTrainRecyclingNeverAliases(t *testing.T) {
 		requireBitwise(t, name+"output gradient held across 50 later steps", h.dy, heldBits[i].dy)
 		requireBitwise(t, name+"output held across 50 later steps", h.out, heldBits[i].out)
 		requireBitwise(t, name+"input gradient held across 50 later steps", h.dx, heldBits[i].dx)
+	}
+}
+
+// TestBackwardParamsMatchesBackward pins Sequential.BackwardParams against
+// Backward: over steps of batch 1, 7, 16 and 64, every trainNets stack must
+// accumulate the parameter gradients, and keep the BatchNorm running
+// statistics, that Backward gives on a twin built from the same seed, bit
+// for bit, and the input, output and gradient of its first step must keep
+// their bits across the later ones, so BackwardParams hands back nothing a
+// caller holds. The stacks' first children cover a nested Sequential down
+// to a first Conv2D (the stems, the classifier's backbone), a first Conv2D
+// itself, and a first child of neither kind (the module boundary's
+// handOff), which falls back to Backward.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	nets := trainNets(rand.New(rand.NewSource(41)))
+	twins := trainNets(rand.New(rand.NewSource(41)))
+	var held, heldBits [][3]*tensor.Tensor // x, out, dy of each stack's first step
+	for r := 0; r < 12; r++ {
+		n := []int{1, 7, 16, 64}[r%4]
+		for i, s := range nets {
+			rng := rand.New(rand.NewSource(int64(100*r + i)))
+			x := tensor.Randn(rng, 1, n, 3, 8, 8)
+			twin := twins[i]
+			ZeroGrads(s.Params())
+			ZeroGrads(twin.Params())
+			out := s.Forward(x, true)
+			requireBitwise(t, fmt.Sprintf("step %d of %s: output", r, s.Name), out, twin.Forward(x, true))
+			dy := tensor.Randn(rng, 1, out.Shape()...)
+			if r == 0 {
+				held = append(held, [3]*tensor.Tensor{x, out, dy})
+				heldBits = append(heldBits, [3]*tensor.Tensor{x.Clone(), out.Clone(), dy.Clone()})
+			}
+			s.BackwardParams(dy)
+			twin.Backward(dy)
+			twinParams := twin.Params()
+			for j, p := range s.Params() {
+				requireBitwise(t, fmt.Sprintf("step %d (batch %d) of %s: gradient of %s", r, n, s.Name, p.Name),
+					p.Grad, twinParams[j].Grad)
+			}
+			norms, twinNorms := batchNorms(s), batchNorms(twin)
+			for j, bn := range norms {
+				label := fmt.Sprintf("step %d of %s: norm %d running ", r, s.Name, j)
+				requireBitwise(t, label+"mean", tensor.FromSlice(bn.RunningMean, len(bn.RunningMean)),
+					tensor.FromSlice(twinNorms[j].RunningMean, len(bn.RunningMean)))
+				requireBitwise(t, label+"variance", tensor.FromSlice(bn.RunningVar, len(bn.RunningVar)),
+					tensor.FromSlice(twinNorms[j].RunningVar, len(bn.RunningVar)))
+			}
+		}
+	}
+	for i, h := range held {
+		for j, what := range []string{"input", "output", "output gradient"} {
+			requireBitwise(t, nets[i].Name+" step 0 "+what+" held across 11 later steps", h[j], heldBits[i][j])
+		}
+	}
+}
+
+// batchNorms lists the BatchNorm2D layers of l in forward order.
+func batchNorms(l Layer) []*BatchNorm2D {
+	switch v := l.(type) {
+	case *BatchNorm2D:
+		return []*BatchNorm2D{v}
+	case *Sequential:
+		var out []*BatchNorm2D
+		for _, c := range v.Layers {
+			out = append(out, batchNorms(c)...)
+		}
+		return out
+	case *ResidualBlock:
+		return append(batchNorms(v.Body), batchNorms(v.Shortcut)...)
+	case *InvertedResidual:
+		return batchNorms(v.Body)
+	case *handOff:
+		return append(batchNorms(v.first), batchNorms(v.second)...)
+	}
+	return nil
+}
+
+// TestBackwardParamsFormsNoInputGradient requires a first Conv2D under
+// BackwardParams, nested one Sequential deep as in a stem, to take no
+// input-gradient buffer from the activation pool: a buffer of exactly the
+// input gradient's length, handed to the pool before the backward and
+// holding NaN, must come out of it again untouched, while Backward on the
+// same step does take it.
+func TestBackwardParamsFormsNoInputGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	net := NewSequential("net",
+		NewSequential("stem", NewConv2D(rng, "stem.conv", 3, 8, 3, 1, 1, false), NewBatchNorm2D("stem.bn", 8), NewReLU()))
+	x := tensor.Randn(rng, 1, 4, 3, 8, 8)
+	dy := tensor.Randn(rng, 1, 4, 8, 8, 8)
+	for _, params := range []bool{true, false} {
+		net.Forward(x, true)
+		sentinel := make([]float32, x.Numel())
+		for i := range sentinel {
+			sentinel[i] = float32(math.NaN())
+		}
+		activations.Put(sentinel)
+		var dx *tensor.Tensor
+		if params {
+			net.BackwardParams(dy)
+		} else {
+			dx = net.Backward(dy)
+		}
+		if params {
+			got := activations.Get(x.Numel())
+			if &got[0] != &sentinel[0] || !math.IsNaN(float64(got[0])) {
+				t.Fatal("BackwardParams took the input gradient's buffer from the activation pool")
+			}
+		} else if &dx.Data()[0] != &sentinel[0] {
+			t.Fatal("Backward did not take the input gradient's buffer from the activation pool: the check shows nothing")
+		}
 	}
 }

@@ -19,15 +19,17 @@ package tensor
 // accumulators resident in registers across the whole k block. On amd64 the
 // micro-kernel is four-wide SSE assembly (see gemm_amd64.s); elsewhere a
 // pure-Go version with the same accumulation order is used. A strided
-// matrix's packer is packB; a convolution's (ConvDims.MatMulUnfoldInto)
-// reads the images themselves, so the unfold is never formed.
+// matrix's packer is packB; a convolution's products read the images
+// themselves (ConvDims.MatMulUnfoldInto, WeightGradInto) or its output
+// gradients (ConvDims.UnfoldGradInto), so the unfold is never formed.
 //
 // A product forks exactly once. When C has at least gemmColsPerWorker
 // column panels per worker, the workers split the column panels, each
-// packing its own B blocks and all of A; otherwise (tall, narrow products
-// such as a convolution's input gradient Wᵀ @ dy) they split the row panels,
-// each packing its own A panels and all of B. Every worker owns whole
-// panels of C, so no two write the same element.
+// packing its own B blocks and all of A; otherwise (narrow products such as
+// a first convolution's per-image weight gradient dy @ unfoldᵀ, only
+// inC·kh·kw wide) they split the row panels, each packing its own A panels
+// and all of B. Every worker owns whole panels of C, so no two write the
+// same element.
 //
 // Each worker takes one pack buffer, an A panel and a B block, from a shared
 // BufferPool of buffers sized for the largest block rather than for the

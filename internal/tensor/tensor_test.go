@@ -376,23 +376,39 @@ func TestIm2ColMatchesDirectPatchExtraction(t *testing.T) {
 
 // TestCol2ImIsAdjointOfIm2Col verifies the defining adjoint identity
 // <Im2Col(x), y> == <x, Col2Im(y)> for random x, y across geometries —
-// exactly the property backpropagation through convolution relies on.
+// exactly the property backpropagation through convolution relies on. The
+// strided row reads y as columns [off, off+ColCols()) of a wider matrix
+// whose rows are ld apart, through Col2ImStrided, the way a convolution's
+// backward folds one image of a tile.
 func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
-	geoms := []ConvDims{
-		NewConvDims(1, 5, 5, 3, 3, 1, 0),
-		NewConvDims(3, 8, 8, 3, 3, 1, 1),
-		NewConvDims(2, 7, 9, 3, 3, 2, 1),
-		NewConvDims(4, 6, 6, 1, 1, 1, 0),
-		NewConvDims(2, 9, 9, 5, 5, 2, 2),
+	geoms := []struct {
+		d       ConvDims
+		ld, off int // 0: y is its own [ColRows, ColCols] matrix, folded by Col2Im
+	}{
+		{d: NewConvDims(1, 5, 5, 3, 3, 1, 0)},
+		{d: NewConvDims(3, 8, 8, 3, 3, 1, 1)},
+		{d: NewConvDims(2, 7, 9, 3, 3, 2, 1)},
+		{d: NewConvDims(4, 6, 6, 1, 1, 1, 0)},
+		{d: NewConvDims(2, 9, 9, 5, 5, 2, 2)},
+		{d: NewConvDims(2, 7, 9, 3, 3, 2, 1), ld: 3 * 20, off: 20}, // image 1 of a 3-image tile
 	}
 	rng := rand.New(rand.NewSource(5))
-	for gi, d := range geoms {
+	for gi, g := range geoms {
+		d := g.d
 		x := Randn(rng, 1, d.InC, d.InH, d.InW)
 		y := Randn(rng, 1, d.ColRows(), d.ColCols())
 		cx := make([]float32, d.ColRows()*d.ColCols())
 		d.Im2Col(x.Data(), cx)
 		iy := make([]float32, d.InC*d.InH*d.InW)
-		d.Col2Im(y.Data(), iy)
+		if g.ld == 0 {
+			d.Col2Im(y.Data(), iy)
+		} else {
+			wide := Randn(rng, 1, d.ColRows(), g.ld).Data()
+			for r := 0; r < d.ColRows(); r++ {
+				copy(wide[r*g.ld+g.off:], y.Row(r))
+			}
+			d.Col2ImStrided(wide[g.off:], g.ld, iy)
+		}
 		var lhs, rhs float64
 		for i := range cx {
 			lhs += float64(cx[i]) * float64(y.Data()[i])

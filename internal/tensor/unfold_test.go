@@ -236,3 +236,107 @@ func TestPackBuffersStayBounded(t *testing.T) {
 		t.Fatalf("a warm pack buffer Get and Put allocates %v times, want 0", allocs)
 	}
 }
+
+// TestConvGradProductsMatchReferencesBitwise pins the two products of a
+// convolution's backward against the per-image references they replace.
+// UnfoldGradInto over a tile of t images must give, in image j's column
+// block, the bits of MatMulTNInto of the weights and that image's gradient
+// alone, and Col2ImStrided of that block must fold the bits Col2Im of the
+// per-image matrix does onto the same starting image; WeightGradInto must
+// give the bits of Im2Col followed by MatMulNTInto. Geometries cover 1x1
+// and 3x3 kernels, stride 1 and 2, pad 0 and 1, one image and ragged tiles
+// whose columns cross image boundaries inside a panel, output channels on
+// both sides of the 64-deep k block, and products both below and above
+// gemmSmall, at 1 and 2 workers. Outputs start as NaN, and
+// the float past each product must stay NaN.
+func TestConvGradProductsMatchReferencesBitwise(t *testing.T) {
+	defer SetParallelism(Parallelism())
+	rng := rand.New(rand.NewSource(43))
+	nan := float32(math.NaN())
+	sizes := map[string]int{}
+	for _, k := range []int{1, 3} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1} {
+				for _, inC := range []int{3, 8} { // K = 3, 8, 27, 72
+					for _, size := range []int{5, 12} {
+						d := NewConvDims(inC, size, size, k, k, stride, pad)
+						rows, plane, inSize := d.ColRows(), d.ColCols(), inC*size*size
+						for _, m := range []int{4, 72} { // output channels, the dx product's k: one k block or two
+							w := Randn(rng, 1, m*rows).Data()
+							for _, tile := range []int{1, 3} {
+								x := Randn(rng, 1, tile*inSize).Data()
+								dy := Randn(rng, 1, tile*m*plane).Data()
+								start := Randn(rng, 1, tile*inSize).Data() // the fold accumulates onto it
+								// The per-image references: each image's unfold gradient,
+								// its fold onto start, and its weight gradient.
+								wantCols := make([][]float32, tile)
+								wantDX := make([][]float32, tile)
+								wantDW := make([][]float32, tile)
+								for j := range wantDX {
+									dyj := dy[j*m*plane : (j+1)*m*plane]
+									wantCols[j] = make([]float32, rows*plane)
+									MatMulTNInto(wantCols[j], w, dyj, rows, m, plane)
+									wantDX[j] = append([]float32(nil), start[j*inSize:(j+1)*inSize]...)
+									d.Col2Im(wantCols[j], wantDX[j])
+									cols := make([]float32, rows*plane)
+									d.Im2Col(x[j*inSize:(j+1)*inSize], cols)
+									wantDW[j] = make([]float32, m*rows)
+									MatMulNTInto(wantDW[j], dyj, cols, m, plane, rows)
+								}
+								if rows*m*tile*plane > gemmSmall {
+									sizes["dx above gemmSmall"]++
+								} else {
+									sizes["dx below gemmSmall"]++
+								}
+								if m*plane*rows > gemmSmall {
+									sizes["dW above gemmSmall"]++
+								} else {
+									sizes["dW below gemmSmall"]++
+								}
+								for _, workers := range []int{1, 2} {
+									SetParallelism(workers)
+									label := fmt.Sprintf("k %d stride %d pad %d inC %d size %d m %d tile %d workers %d",
+										k, stride, pad, inC, size, m, tile, workers)
+									n := tile * plane
+									dcols := make([]float32, rows*n+1)
+									for i := range dcols {
+										dcols[i] = nan
+									}
+									d.UnfoldGradInto(dcols, w, dy, m, tile)
+									if !math.IsNaN(float64(dcols[rows*n])) {
+										t.Fatalf("%s: UnfoldGradInto wrote past out[:ColRows*t*ColCols]", label)
+									}
+									for j := 0; j < tile; j++ {
+										for r := 0; r < rows; r++ {
+											requireSameBits(t, fmt.Sprintf("%s: image %d unfold gradient row %d", label, j, r),
+												dcols[r*n+j*plane:r*n+(j+1)*plane], wantCols[j][r*plane:(r+1)*plane])
+										}
+										dx := append([]float32(nil), start[j*inSize:(j+1)*inSize]...)
+										d.Col2ImStrided(dcols[j*plane:], n, dx)
+										requireSameBits(t, fmt.Sprintf("%s: image %d folded gradient", label, j), dx, wantDX[j])
+
+										dW := make([]float32, m*rows+1)
+										for i := range dW {
+											dW[i] = nan
+										}
+										d.WeightGradInto(dW, dy[j*m*plane:(j+1)*m*plane], x[j*inSize:(j+1)*inSize], m)
+										requireSameBits(t, fmt.Sprintf("%s: image %d weight gradient", label, j), dW, wantDW[j])
+										if !math.IsNaN(float64(dW[m*rows])) {
+											t.Fatalf("%s: WeightGradInto wrote past out[:m*ColRows]", label)
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, s := range []string{"dx below gemmSmall", "dx above gemmSmall", "dW below gemmSmall", "dW above gemmSmall"} {
+		if sizes[s] == 0 {
+			t.Fatalf("no product %s: sizes %v", s, sizes)
+		}
+	}
+	t.Logf("products by size: %v", sizes)
+}
