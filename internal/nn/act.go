@@ -1,6 +1,11 @@
 package nn
 
-import "github.com/meanet/meanet/internal/tensor"
+import (
+	"fmt"
+	"math"
+
+	"github.com/meanet/meanet/internal/tensor"
+)
 
 // ReLU is the rectified linear activation max(x, 0).
 type ReLU struct{ gate }
@@ -17,18 +22,34 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // forwardInPlace applies max(x, 0) to x itself; see the in-place rule on
 // Layer. Everything not above zero (negatives, both zeros, NaN) becomes +0.
-// In train mode it caches which inputs were positive.
+// In train mode it caches which inputs were positive. One comparison per
+// element (positive) selects both the value, all of its bits or none, and
+// the mask: there is no branch on the sign, which half the activations
+// would mispredict.
 func (r *ReLU) forwardInPlace(x *tensor.Tensor, train bool) {
 	d := x.Data()
-	mask := r.start(len(d), train)
-	for i, v := range d {
-		switch {
-		case !(v > 0):
-			d[i] = 0
-		case train:
-			mask[i] = true
+	if !train {
+		for i, v := range d {
+			u := math.Float32bits(v)
+			d[i] = math.Float32frombits(u & positive(u))
 		}
+		return
 	}
+	mask := r.start(len(d))[:len(d)]
+	for i, v := range d {
+		u := math.Float32bits(v)
+		keep := positive(u)
+		d[i] = math.Float32frombits(u & keep)
+		mask[i] = keep != 0
+	}
+}
+
+// positive is all 32 bits set when the float32 whose bits are u lies above
+// zero, and none when it is a zero, negative or NaN: exactly then u-1, read
+// as unsigned, lies below the bits of +Inf. It is integer arithmetic, with
+// no branch and no float compare.
+func positive(u uint32) uint32 {
+	return uint32((int64(u-1) - 0x7f800000) >> 63)
 }
 
 // ReLU6 is the clipped rectifier min(max(x, 0), 6) used by MobileNetV2.
@@ -46,20 +67,32 @@ func (r *ReLU6) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // forwardInPlace applies min(max(x, 0), 6) to x itself; see the in-place
 // rule on Layer. In train mode it caches where the input lay strictly
-// between 0 and 6 (NaN included: it passes through).
+// between 0 and 6 (NaN included: it passes through). Like ReLU it selects
+// the value and the mask from its two comparisons without a branch.
 func (r *ReLU6) forwardInPlace(x *tensor.Tensor, train bool) {
+	const six = 0x40c00000 // the bits of float32(6)
 	d := x.Data()
-	mask := r.start(len(d), train)
+	var mask []bool
+	if train {
+		mask = r.start(len(d))[:len(d)]
+	}
 	for i, v := range d {
-		switch {
-		case v <= 0:
-			d[i] = 0
-		case v >= 6:
-			d[i] = 6
-		case train:
-			mask[i] = true
+		low, high := ones(v <= 0), ones(v >= 6)
+		d[i] = math.Float32frombits(math.Float32bits(v)&^(low|high) | six&high)
+		if mask != nil {
+			mask[i] = low|high == 0
 		}
 	}
+}
+
+// ones is all 32 bits set when b holds and none otherwise; the compiler
+// forms it with a conditional move, not a branch.
+func ones(b bool) uint32 {
+	var m uint32
+	if b {
+		m = ^uint32(0)
+	}
+	return m
 }
 
 // gate is the rectifiers' train cache and Backward: the gradient passes
@@ -73,17 +106,13 @@ type gate struct {
 	buf  []bool // the mask's storage, kept across steps
 }
 
-// start returns the cleared mask a train forward of n elements fills, nil
-// in eval.
-func (g *gate) start(n int, train bool) []bool {
-	if !train {
-		return nil
-	}
+// start returns the mask a train forward of n elements fills, every
+// element of it.
+func (g *gate) start(n int) []bool {
 	if cap(g.buf) < n {
 		g.buf = make([]bool, n)
 	}
 	g.mask = g.buf[:n]
-	clear(g.mask)
 	return g.mask
 }
 
@@ -102,13 +131,13 @@ func (g *gate) into(dy, dx *tensor.Tensor) {
 	if g.mask == nil {
 		panic("nn: rectifier Backward without prior Forward(train=true)")
 	}
-	out := dx.Data()
-	for i, v := range dy.Data() {
-		if g.mask[i] {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
+	mask, d, out := g.mask, dy.Data(), dx.Data()
+	if len(d) != len(mask) || len(out) != len(mask) {
+		panic(fmt.Sprintf("nn: rectifier Backward of %d gradients into %d, forward saw %d", len(d), len(out), len(mask)))
+	}
+	d, out = d[:len(mask)], out[:len(mask)]
+	for i, m := range mask {
+		out[i] = math.Float32frombits(math.Float32bits(d[i]) & ones(m))
 	}
 	g.mask = nil
 }

@@ -10,7 +10,9 @@ import (
 // Conv2D is a standard 2-D convolution over NCHW tensors, implemented as a
 // matrix product of the weights with the input's unfold (im2col). Weight
 // layout is [outC, inC, kh, kw]. No path forms the unfold: every product
-// packs its blocks straight from the images or the gradients. The forward,
+// packs its blocks straight from the images or the gradients, and a padded
+// convolution's products read the images from one zero-bordered copy in
+// the layer's workspace, so no packer tests for the padding. The forward,
 // in both modes, convolves a tile of images with one product; Backward
 // forms the input gradient a tile of images at a time with one Wᵀ·dy
 // product, and keeps the per-image dW products and the per-worker dW
@@ -90,16 +92,19 @@ func (c *Conv2D) forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tensor, boo
 // into the GEMM's panels, so no [K, t*oH*oW] unfold (K = inC*kh*kw) is ever
 // formed. The product lands in one [outC, t*oH*oW] result, so the weights
 // are packed once per tile rather than once per image and the GEMM sees
-// wide operands; the tile t (convTile) is the most images whose results
-// fit under the cap — 1 MiB keeps the working set cache-sized and every
-// pooled workspace one size whatever batch a caller sends — and at least
-// one image: a single image larger than the cap gets an exact-size buffer,
+// wide operands. A padded convolution's workspace also holds the tile's
+// images copied once with their zero border, [t, inC, H+2P, W+2P]
+// (PaddedLen floats per image), which the packer reads. The tile t
+// (convTile) is the most images whose results and padded copies fit under
+// the cap — 1 MiB keeps the working set cache-sized and every pooled
+// workspace one size whatever batch a caller sends — and at least one
+// image: a single image larger than the cap gets an exact-size buffer,
 // which the pool allocates and never keeps. The backward takes one
 // workspace per kernel worker, holding the worker's partial dW, one image's
-// dW product and the unfold gradients of a tile of its images
-// (2·outC·K + t·K·oH·oW floats), under the same rule: its tile
-// (backwardTile) is the most images that fit, at least one. Without an
-// input gradient to form it holds the first two alone.
+// dW product, that image's padded copy and the unfold gradients of a tile
+// of its images (2·outC·K + PaddedLen + t·K·oH·oW floats), under the same
+// rule: its tile (backwardTile) is the most images that fit, at least one.
+// Without an input gradient to form it holds the first three alone.
 const convTileFloats = 256 << 10
 
 // convWorkspaceBufs caps the workspaces the shared pool retains: the
@@ -145,14 +150,16 @@ const (
 // mode, is served from there.
 var activations = tensor.NewBufferPool(convTileFloats, activationBufs, activationBytes)
 
-// convTile is the number of whole images whose [outC, oH*oW] results fit
-// together under convTileFloats, 0 when one image's alone exceeds it.
+// convTile is the number of whole images whose [outC, oH*oW] results and
+// padded copies fit together under convTileFloats, 0 when one image's
+// result and copy alone exceed it.
 func convTile(outC int, dims tensor.ConvDims) int {
-	return convTileFloats / (outC * dims.ColCols())
+	return convTileFloats / (outC*dims.ColCols() + dims.PaddedLen())
 }
 
 // forwardTiles is the convolution of x into out, one tile of images at a
-// time. Each output column of a product depends only on its own unfold
+// time, each tile's images padded once into the workspace beside its
+// result. Each output column of a product depends only on its own unfold
 // column and the weights, so out is bitwise what a per-image product gives.
 func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
 	n := x.Dim(0)
@@ -161,7 +168,8 @@ func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
 	}
 	outC, plane := c.OutChannels(), dims.ColCols()
 	tile := min(n, max(1, convTile(outC, dims)))
-	res := takeWorkspace(outC * tile * plane)
+	ws := takeWorkspace((outC*plane + dims.PaddedLen()) * tile)
+	res, padded := ws[:outC*tile*plane], ws[outC*tile*plane:]
 	inSize, outSize := x.Numel()/n, outC*plane
 	xd, od, wd := x.Data(), out.Data(), c.W.Data.Data()
 	var bias []float32
@@ -171,7 +179,7 @@ func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
 	for i0 := 0; i0 < n; i0 += tile {
 		t := min(tile, n-i0)
 		ld := t * plane
-		dims.MatMulUnfoldInto(res, wd, xd[i0*inSize:(i0+t)*inSize], outC, t)
+		dims.MatMulUnfoldInto(res, wd, xd[i0*inSize:(i0+t)*inSize], padded, outC, t)
 		// Scatter the [outC, t*plane] result into the images' NCHW
 		// outputs, adding the bias. It moves a few kB per image: serial, it
 		// costs less than a fork.
@@ -191,7 +199,7 @@ func (c *Conv2D) forwardTiles(x, out *tensor.Tensor, dims tensor.ConvDims) {
 			}
 		}
 	}
-	convWorkspaces.Put(res)
+	convWorkspaces.Put(ws)
 }
 
 // Backward accumulates dW (and dB) and returns dX, whose storage comes from
@@ -202,11 +210,11 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 }
 
 // backwardTile is the number of whole images whose [K, oH*oW] unfold
-// gradients (K = inC*kh*kw) fit beside a worker's partial dW and one
-// image's dW product under convTileFloats, at least one.
+// gradients (K = inC*kh*kw) fit beside a worker's partial dW, one image's
+// dW product and one padded image under convTileFloats, at least one.
 func backwardTile(outC int, dims tensor.ConvDims) int {
 	rows := dims.ColRows()
-	return max(1, (convTileFloats-2*outC*rows)/(rows*dims.ColCols()))
+	return max(1, (convTileFloats-2*outC*rows-dims.PaddedLen())/(rows*dims.ColCols()))
 }
 
 // backward is Backward, forming the input gradient only when wantDX is
@@ -217,8 +225,9 @@ func backwardTile(outC int, dims tensor.ConvDims) int {
 // the chunks tensor.ParFor forks. A worker takes one shared workspace and
 // walks its chunk a tile of images at a time (backwardTile; the whole
 // chunk when there is no dX to form). Image by image, it forms dy_i @
-// unfold(x_i)ᵀ, packed straight from x_i, on its own and adds it to the
-// worker's partial dW, and sums dy_i's planes into its partial dB; then
+// unfold(x_i)ᵀ, packed from x_i's padded copy in the workspace (from x_i
+// itself when there is no padding), on its own and adds it to the worker's
+// partial dW, and sums dy_i's planes into its partial dB; then
 // one product Wᵀ @ [dy_0 … dy_{t-1}], packed straight from dy, forms the
 // tile's unfold gradients side by side, and each is folded into its
 // image's dx. Each column of that product is the per-image product's, sum
@@ -260,14 +269,16 @@ func (c *Conv2D) backward(dy *tensor.Tensor, wantDX bool) *tensor.Tensor {
 			tile = min(tile, backwardTile(outC, dims))
 			colsSize = tile * rows * plane
 		}
-		ws := takeWorkspace(2*wSize + colsSize)
-		dW, prod, dcols := ws[:wSize], ws[wSize:2*wSize], ws[2*wSize:]
+		padSize := dims.PaddedLen()
+		ws := takeWorkspace(2*wSize + padSize + colsSize)
+		dW, prod := ws[:wSize], ws[wSize:2*wSize]
+		padded, dcols := ws[2*wSize:2*wSize+padSize], ws[2*wSize+padSize:]
 		clear(dW)
 		for i0 := start; i0 < end; i0 += tile {
 			t := min(tile, end-i0)
 			for i := i0; i < i0+t; i++ {
 				dyi := dyd[i*outSize : (i+1)*outSize] // [outC, plane]
-				dims.WeightGradInto(prod, dyi, xd[i*inSize:(i+1)*inSize], outC)
+				dims.WeightGradInto(prod, dyi, xd[i*inSize:(i+1)*inSize], padded, outC)
 				for j, v := range prod {
 					dW[j] += v
 				}

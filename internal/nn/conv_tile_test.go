@@ -184,8 +184,11 @@ func TestConvMatchesPerImageReference(t *testing.T) {
 					tile, btile := convTile(g.outC, dims), backwardTile(g.outC, dims)
 					ns := []int{0, 1, tile - 1, tile, tile + 1, 2*tile + 3}
 					if g.backwardTiles {
-						// The tile is the most images whose workspace fits the cap.
-						ws := func(t int) int { return 2*g.outC*dims.ColRows() + t*dims.ColRows()*dims.ColCols() }
+						// The tile is the most images whose workspace fits the cap:
+						// two dW matrices, one padded image and t unfold gradients.
+						ws := func(t int) int {
+							return 2*g.outC*dims.ColRows() + dims.PaddedLen() + t*dims.ColRows()*dims.ColCols()
+						}
 						if ws(btile) > convTileFloats || ws(btile+1) <= convTileFloats {
 							t.Fatalf("%s stride %d pad %d: backward tile %d takes %d floats, %d one more; cap %d",
 								g.name, stride, pad, btile, ws(btile), ws(btile+1), convTileFloats)
@@ -234,6 +237,57 @@ func TestConvMatchesPerImageReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestConvStaleWorkspacesKeepBits fills every buffer convWorkspaces can
+// retain with NaN before each eval forward, train forward and backward, so
+// the padded copies of a tile's images and of each image the backward
+// reads land on stale NaN: their zero border must be written, not assumed.
+// The output, the input gradient and the weight and bias gradients must
+// keep referenceConvStep's bits. Geometries cover pad 1 and 2, stride 1
+// and 2, 3x3 and 5x5 kernels and non-square images, at 1 and 2 kernel
+// workers.
+func TestConvStaleWorkspacesKeepBits(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	nan := float32(math.NaN())
+	poison := func() {
+		held := make([][]float32, convWorkspaceBufs)
+		for i := range held {
+			held[i] = takeWorkspace(convTileFloats)
+			for j := range held[i] {
+				held[i][j] = nan
+			}
+		}
+		for _, ws := range held {
+			convWorkspaces.Put(ws)
+		}
+	}
+	rng := rand.New(rand.NewSource(44))
+	for _, g := range []struct{ inC, outC, k, stride, pad, h, w, n int }{
+		{3, 8, 3, 1, 1, 12, 12, 16}, {8, 16, 3, 2, 1, 13, 9, 5}, {4, 6, 5, 1, 2, 9, 7, 3}, {8, 8, 3, 2, 2, 6, 11, 4},
+	} {
+		conv := NewConv2D(rng, "stale", g.inC, g.outC, g.k, g.stride, g.pad, true)
+		conv.B.Data.CopyFrom(tensor.Randn(rng, 1, g.outC))
+		dims := tensor.NewConvDims(g.inC, g.h, g.w, g.k, g.k, g.stride, g.pad)
+		x := tensor.Randn(rng, 1, g.n, g.inC, g.h, g.w)
+		dy := tensor.Randn(rng, 1, g.n, g.outC, dims.OutH, dims.OutW)
+		gW0, gB0 := tensor.Randn(rng, 1, conv.W.Data.Shape()...), tensor.Randn(rng, 1, g.outC)
+		for _, workers := range []int{1, 2} {
+			tensor.SetParallelism(workers)
+			label := fmt.Sprintf("%+v workers %d", g, workers)
+			want := referenceConvStep(conv, x, dy, gW0, gB0, workers)
+			conv.W.Grad.CopyFrom(gW0)
+			conv.B.Grad.CopyFrom(gB0)
+			poison()
+			requireBitwise(t, label+" eval output", conv.Forward(x, false), want.out)
+			poison()
+			requireBitwise(t, label+" train output", conv.Forward(x, true), want.out)
+			poison()
+			requireBitwise(t, label+" dx", conv.Backward(dy), want.dx)
+			requireBitwise(t, label+" dW", conv.W.Grad, want.gW)
+			requireBitwise(t, label+" dB", conv.B.Grad, want.gB)
 		}
 	}
 }

@@ -20,8 +20,10 @@ package tensor
 // micro-kernel is four-wide SSE assembly (see gemm_amd64.s); elsewhere a
 // pure-Go version with the same accumulation order is used. A strided
 // matrix's packer is packB; a convolution's products read the images
-// themselves (ConvDims.MatMulUnfoldInto, WeightGradInto) or its output
-// gradients (ConvDims.UnfoldGradInto), so the unfold is never formed.
+// themselves (ConvDims.MatMulUnfoldInto, WeightGradInto), from one
+// zero-bordered copy when the convolution pads, so their packers never test
+// for the border, or its output gradients (ConvDims.UnfoldGradInto), so the
+// unfold is never formed.
 //
 // A product forks exactly once. When C has at least gemmColsPerWorker
 // column panels per worker, the workers split the column panels, each
@@ -29,7 +31,9 @@ package tensor
 // a first convolution's per-image weight gradient dy @ unfoldᵀ, only
 // inC·kh·kw wide) they split the row panels, each packing its own A panels
 // and all of B. Every worker owns whole panels of C, so no two write the
-// same element.
+// same element. The chunks no helper goroutine takes run on the caller as
+// one span (parForSpans): a product nested inside another fork, or at
+// GOMAXPROCS 1, packs each B block once however many row chunks it spans.
 //
 // Each worker takes one pack buffer, an A panel and a B block, from a shared
 // BufferPool of buffers sized for the largest block rather than for the
@@ -90,12 +94,12 @@ func gemmBlocked(a []float32, ars, acs int, pack bPacker, out []float32, m, k, n
 	rowPanels := (m + gemmMR - 1) / gemmMR
 	colPanels := (n + gemmNR - 1) / gemmNR
 	if colPanels >= gemmColsPerWorker*maxWorkers {
-		ParFor(colPanels, func(s, e int) {
+		parForSpans(colPanels, func(s, e int) {
 			gemmRect(a, ars, acs, pack, out, n, k, 0, m, s*gemmNR, min(e*gemmNR, n))
 		})
 		return
 	}
-	ParFor(rowPanels, func(s, e int) {
+	parForSpans(rowPanels, func(s, e int) {
 		gemmRect(a, ars, acs, pack, out, n, k, s*gemmMR, min(e*gemmMR, m), 0, n)
 	})
 }

@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -169,6 +171,38 @@ func TestGemmAgainstFloat64Reference(t *testing.T) {
 			}
 			if d := math.Abs(float64(got.At(i, j)) - s); d > 1e-3 {
 				t.Fatalf("(%d,%d): %v vs float64 %v", i, j, got.At(i, j), s)
+			}
+		}
+	}
+}
+
+// TestInlineChunksPackSharedOperandOnce pins that a blocked product whose
+// chunks all run on the caller — every product at GOMAXPROCS 1, and one
+// nested inside another fork — packs each block of B once, not once per
+// chunk, whichever way it splits: over row panels (a first conv's per-image
+// weight gradient, [8, 144] x [144, 27], 4 column panels) or over column
+// panels. It must keep the reference bits at 1, 2, 3 and 8 workers.
+func TestInlineChunksPackSharedOperandOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer SetParallelism(Parallelism())
+	rng := rand.New(rand.NewSource(44))
+	for _, dims := range [][3]int{{8, 144, 27}, {72, 40, 600}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		a, b := Randn(rng, 1, m, k), Randn(rng, 1, k, n)
+		want := refGemm(a, b).Data()
+		blocks := (k + gemmKC - 1) / gemmKC * ((n + gemmNC - 1) / gemmNC)
+		for _, workers := range []int{1, 2, 3, 8} {
+			SetParallelism(workers)
+			packs := 0
+			out := make([]float32, m*n)
+			gemmBlocked(a.Data(), k, 1, func(dst []float32, p0, kb, j0, nb int) {
+				packs++
+				packB(dst, b.Data(), n, 1, p0, kb, j0, nb)
+			}, out, m, k, n)
+			label := fmt.Sprintf("%v workers %d", dims, workers)
+			requireSameBits(t, label, out, want)
+			if packs != blocks {
+				t.Fatalf("%s: B packed %d times, want once per block: %d", label, packs, blocks)
 			}
 		}
 	}

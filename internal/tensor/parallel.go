@@ -45,7 +45,19 @@ func Parallelism() int { return maxWorkers }
 // up, so a ParFor nested inside a chunk, or issued while other goroutines'
 // forks hold the helpers, runs inline instead of oversubscribing the CPUs or
 // deadlocking, and a fork that finds no helper allocates nothing.
-func ParFor(n int, body func(start, end int)) {
+func ParFor(n int, body func(start, end int)) { parFor(n, body, false) }
+
+// parForSpans is ParFor for a body whose result does not depend on how its
+// range is cut: the chunks the caller keeps it runs as few spans as
+// possible, [0, n) in one call when no helper was free, else chunk 0 and
+// the run of chunks after the handed-off ones. The blocked GEMM forks
+// through it, so a product that finds no helper — one nested inside
+// another fork, or at GOMAXPROCS 1 — packs each block of its shared
+// operand once, not once per chunk.
+func parForSpans(n int, body func(start, end int)) { parFor(n, body, true) }
+
+// parFor is ParFor, and with spans set parForSpans.
+func parFor(n int, body func(start, end int), spans bool) {
 	if n <= 0 {
 		return
 	}
@@ -65,9 +77,16 @@ func ParFor(n int, body func(start, end int)) {
 		wg.Add(1)
 		go runHelper(wg, body, handed, min(handed+chunk, n))
 	}
+	step := chunk // what the caller runs in one call after chunk 0
+	if spans {
+		step = n
+		if handed == chunk {
+			handed, chunk = n, n // nothing was handed off: one span
+		}
+	}
 	body(0, chunk)
-	for start := handed; start < n; start += chunk {
-		body(start, min(start+chunk, n))
+	for start := handed; start < n; start += step {
+		body(start, min(start+step, n))
 	}
 	if wg != nil {
 		wg.Wait()

@@ -23,6 +23,16 @@ func unfoldTile(d ConvDims, x []float32, t int) []float32 {
 	return cols
 }
 
+// nanFilled returns n floats of NaN: scratch a product must overwrite
+// wherever it reads.
+func nanFilled(n int) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		s[i] = float32(math.NaN())
+	}
+	return s
+}
+
 // requireSameBits fails unless got[:len(want)] holds want's bits.
 func requireSameBits(t *testing.T, label string, got, want []float32) {
 	t.Helper()
@@ -33,54 +43,73 @@ func requireSameBits(t *testing.T, label string, got, want []float32) {
 	}
 }
 
+// convGeoms returns the square geometries of every kernel, stride, pad,
+// channel count and size given (skipping kernels larger than the padded
+// image), then the extra ones: the conv tests' grid plus the shapes a
+// square grid misses.
+func convGeoms(ks, strides, pads, inCs, sizes []int, extra ...ConvDims) []ConvDims {
+	var geoms []ConvDims
+	for _, k := range ks {
+		for _, stride := range strides {
+			for _, pad := range pads {
+				for _, inC := range inCs {
+					for _, size := range sizes {
+						if size+2*pad >= k {
+							geoms = append(geoms, NewConvDims(inC, size, size, k, k, stride, pad))
+						}
+					}
+				}
+			}
+		}
+	}
+	return append(geoms, extra...)
+}
+
+// oddConvGeoms are the padded geometries a square grid misses: images
+// taller than wide and wider than tall, and odd sizes under stride 2,
+// whose last window stops short of the bottom and right padding.
+var oddConvGeoms = []ConvDims{
+	NewConvDims(3, 13, 9, 3, 3, 2, 1),
+	NewConvDims(8, 7, 12, 3, 3, 1, 1),
+	NewConvDims(3, 9, 13, 5, 5, 1, 2),
+	NewConvDims(8, 11, 5, 3, 3, 2, 2),
+}
+
 // TestMatMulUnfoldMatchesIm2ColBitwise pins the packed-from-image product
 // against the unfold it replaces: Im2Col of each image side by side, then
 // MatMulInto. Geometries cover 1x1, 3x3 and 5x5 kernels, stride 1 and 2,
-// pad 0, 1 and 2, unfold heights K on both sides of the 64-deep k block,
-// products whose t*oH*oW crosses the 256-wide column block and ragged ones
-// a single panel wide, and weight rows that leave a ragged row panel and
-// that outnumber the column panels (the row-split branch), at 1, 2, 3 and
-// 8 workers. out starts as NaN, and the float past the product must stay
-// NaN.
+// pad 0, 1 and 2, non-square images and odd sizes under stride 2, unfold
+// heights K on both sides of the 64-deep k block, products whose t*oH*oW
+// crosses the 256-wide column block and ragged ones a single panel wide,
+// and weight rows that leave a ragged row panel and that outnumber the
+// column panels (the row-split branch), at 1, 2, 3 and 8 workers. out and
+// the padded scratch start as NaN, and the float past the product must
+// stay NaN.
 func TestMatMulUnfoldMatchesIm2ColBitwise(t *testing.T) {
 	defer SetParallelism(Parallelism())
 	rng := rand.New(rand.NewSource(31))
 	cases := 0
-	for _, k := range []int{1, 3, 5} {
-		for _, stride := range []int{1, 2} {
-			for _, pad := range []int{0, 1, 2} {
-				for _, inC := range []int{3, 8} { // K = inC*k*k: 3, 8, 27, 72, 75, 200
-					for _, size := range []int{5, 12} {
-						if size+2*pad < k {
-							continue
-						}
-						d := NewConvDims(inC, size, size, k, k, stride, pad)
-						for _, imgs := range []int{1, 3, 16} {
-							x := Randn(rng, 1, imgs*inC*size*size).Data()
-							cols := unfoldTile(d, x, imgs)
-							for _, m := range []int{5, 33} {
-								w := Randn(rng, 1, m*d.ColRows()).Data()
-								n := imgs * d.ColCols()
-								want := make([]float32, m*n)
-								MatMulInto(want, w, cols, m, d.ColRows(), n)
-								for _, workers := range []int{1, 2, 3, 8} {
-									SetParallelism(workers)
-									out := make([]float32, m*n+1)
-									for i := range out {
-										out[i] = float32(math.NaN())
-									}
-									d.MatMulUnfoldInto(out, w, x, m, imgs)
-									label := fmt.Sprintf("k %d stride %d pad %d inC %d size %d images %d m %d workers %d",
-										k, stride, pad, inC, size, imgs, m, workers)
-									requireSameBits(t, label, out, want)
-									if !math.IsNaN(float64(out[m*n])) {
-										t.Fatalf("%s: wrote past out[:m*n]", label)
-									}
-									cases++
-								}
-							}
-						}
+	// K = inC*k*k: 3, 8, 27, 72, 75, 200
+	for _, d := range convGeoms([]int{1, 3, 5}, []int{1, 2}, []int{0, 1, 2}, []int{3, 8}, []int{5, 12}, oddConvGeoms...) {
+		inSize := d.InC * d.InH * d.InW
+		for _, imgs := range []int{1, 3, 16} {
+			x := Randn(rng, 1, imgs*inSize).Data()
+			cols := unfoldTile(d, x, imgs)
+			for _, m := range []int{5, 33} {
+				w := Randn(rng, 1, m*d.ColRows()).Data()
+				n := imgs * d.ColCols()
+				want := make([]float32, m*n)
+				MatMulInto(want, w, cols, m, d.ColRows(), n)
+				for _, workers := range []int{1, 2, 3, 8} {
+					SetParallelism(workers)
+					out := nanFilled(m*n + 1)
+					d.MatMulUnfoldInto(out, w, x, nanFilled(imgs*d.PaddedLen()), m, imgs)
+					label := fmt.Sprintf("%+v images %d m %d workers %d", d, imgs, m, workers)
+					requireSameBits(t, label, out, want)
+					if !math.IsNaN(float64(out[m*n])) {
+						t.Fatalf("%s: wrote past out[:m*n]", label)
 					}
+					cases++
 				}
 			}
 		}
@@ -155,7 +184,9 @@ func TestConcurrentProductsSharePackBuffers(t *testing.T) {
 		x := Randn(rng, 1, g.imgs*g.inC*g.size*g.size).Data()
 		w := Randn(rng, 1, g.m*d.ColRows()).Data()
 		m, imgs := g.m, g.imgs
-		jobs = append(jobs, job{run: func(out []float32) { d.MatMulUnfoldInto(out, w, x, m, imgs) }, size: m * imgs * d.ColCols()})
+		jobs = append(jobs, job{run: func(out []float32) {
+			d.MatMulUnfoldInto(out, w, x, make([]float32, imgs*d.PaddedLen()), m, imgs)
+		}, size: m * imgs * d.ColCols()})
 	}
 	longest := 0
 	for i := range jobs {
@@ -252,81 +283,65 @@ func TestPackBuffersStayBounded(t *testing.T) {
 func TestConvGradProductsMatchReferencesBitwise(t *testing.T) {
 	defer SetParallelism(Parallelism())
 	rng := rand.New(rand.NewSource(43))
-	nan := float32(math.NaN())
 	sizes := map[string]int{}
-	for _, k := range []int{1, 3} {
-		for _, stride := range []int{1, 2} {
-			for _, pad := range []int{0, 1} {
-				for _, inC := range []int{3, 8} { // K = 3, 8, 27, 72
-					for _, size := range []int{5, 12} {
-						d := NewConvDims(inC, size, size, k, k, stride, pad)
-						rows, plane, inSize := d.ColRows(), d.ColCols(), inC*size*size
-						for _, m := range []int{4, 72} { // output channels, the dx product's k: one k block or two
-							w := Randn(rng, 1, m*rows).Data()
-							for _, tile := range []int{1, 3} {
-								x := Randn(rng, 1, tile*inSize).Data()
-								dy := Randn(rng, 1, tile*m*plane).Data()
-								start := Randn(rng, 1, tile*inSize).Data() // the fold accumulates onto it
-								// The per-image references: each image's unfold gradient,
-								// its fold onto start, and its weight gradient.
-								wantCols := make([][]float32, tile)
-								wantDX := make([][]float32, tile)
-								wantDW := make([][]float32, tile)
-								for j := range wantDX {
-									dyj := dy[j*m*plane : (j+1)*m*plane]
-									wantCols[j] = make([]float32, rows*plane)
-									MatMulTNInto(wantCols[j], w, dyj, rows, m, plane)
-									wantDX[j] = append([]float32(nil), start[j*inSize:(j+1)*inSize]...)
-									d.Col2Im(wantCols[j], wantDX[j])
-									cols := make([]float32, rows*plane)
-									d.Im2Col(x[j*inSize:(j+1)*inSize], cols)
-									wantDW[j] = make([]float32, m*rows)
-									MatMulNTInto(wantDW[j], dyj, cols, m, plane, rows)
-								}
-								if rows*m*tile*plane > gemmSmall {
-									sizes["dx above gemmSmall"]++
-								} else {
-									sizes["dx below gemmSmall"]++
-								}
-								if m*plane*rows > gemmSmall {
-									sizes["dW above gemmSmall"]++
-								} else {
-									sizes["dW below gemmSmall"]++
-								}
-								for _, workers := range []int{1, 2} {
-									SetParallelism(workers)
-									label := fmt.Sprintf("k %d stride %d pad %d inC %d size %d m %d tile %d workers %d",
-										k, stride, pad, inC, size, m, tile, workers)
-									n := tile * plane
-									dcols := make([]float32, rows*n+1)
-									for i := range dcols {
-										dcols[i] = nan
-									}
-									d.UnfoldGradInto(dcols, w, dy, m, tile)
-									if !math.IsNaN(float64(dcols[rows*n])) {
-										t.Fatalf("%s: UnfoldGradInto wrote past out[:ColRows*t*ColCols]", label)
-									}
-									for j := 0; j < tile; j++ {
-										for r := 0; r < rows; r++ {
-											requireSameBits(t, fmt.Sprintf("%s: image %d unfold gradient row %d", label, j, r),
-												dcols[r*n+j*plane:r*n+(j+1)*plane], wantCols[j][r*plane:(r+1)*plane])
-										}
-										dx := append([]float32(nil), start[j*inSize:(j+1)*inSize]...)
-										d.Col2ImStrided(dcols[j*plane:], n, dx)
-										requireSameBits(t, fmt.Sprintf("%s: image %d folded gradient", label, j), dx, wantDX[j])
+	// K = 3, 8, 27, 72, and 27, 72, 75, 72 for the odd shapes
+	for _, d := range convGeoms([]int{1, 3}, []int{1, 2}, []int{0, 1}, []int{3, 8}, []int{5, 12}, oddConvGeoms...) {
+		rows, plane, inSize := d.ColRows(), d.ColCols(), d.InC*d.InH*d.InW
+		for _, m := range []int{4, 72} { // output channels, the dx product's k: one k block or two
+			w := Randn(rng, 1, m*rows).Data()
+			for _, tile := range []int{1, 3} {
+				x := Randn(rng, 1, tile*inSize).Data()
+				dy := Randn(rng, 1, tile*m*plane).Data()
+				start := Randn(rng, 1, tile*inSize).Data() // the fold accumulates onto it
+				// The per-image references: each image's unfold gradient,
+				// its fold onto start, and its weight gradient.
+				wantCols := make([][]float32, tile)
+				wantDX := make([][]float32, tile)
+				wantDW := make([][]float32, tile)
+				for j := range wantDX {
+					dyj := dy[j*m*plane : (j+1)*m*plane]
+					wantCols[j] = make([]float32, rows*plane)
+					MatMulTNInto(wantCols[j], w, dyj, rows, m, plane)
+					wantDX[j] = append([]float32(nil), start[j*inSize:(j+1)*inSize]...)
+					d.Col2Im(wantCols[j], wantDX[j])
+					cols := make([]float32, rows*plane)
+					d.Im2Col(x[j*inSize:(j+1)*inSize], cols)
+					wantDW[j] = make([]float32, m*rows)
+					MatMulNTInto(wantDW[j], dyj, cols, m, plane, rows)
+				}
+				if rows*m*tile*plane > gemmSmall {
+					sizes["dx above gemmSmall"]++
+				} else {
+					sizes["dx below gemmSmall"]++
+				}
+				if m*plane*rows > gemmSmall {
+					sizes["dW above gemmSmall"]++
+				} else {
+					sizes["dW below gemmSmall"]++
+				}
+				for _, workers := range []int{1, 2} {
+					SetParallelism(workers)
+					label := fmt.Sprintf("%+v m %d tile %d workers %d", d, m, tile, workers)
+					n := tile * plane
+					dcols := nanFilled(rows*n + 1)
+					d.UnfoldGradInto(dcols, w, dy, m, tile)
+					if !math.IsNaN(float64(dcols[rows*n])) {
+						t.Fatalf("%s: UnfoldGradInto wrote past out[:ColRows*t*ColCols]", label)
+					}
+					for j := 0; j < tile; j++ {
+						for r := 0; r < rows; r++ {
+							requireSameBits(t, fmt.Sprintf("%s: image %d unfold gradient row %d", label, j, r),
+								dcols[r*n+j*plane:r*n+(j+1)*plane], wantCols[j][r*plane:(r+1)*plane])
+						}
+						dx := append([]float32(nil), start[j*inSize:(j+1)*inSize]...)
+						d.Col2ImStrided(dcols[j*plane:], n, dx)
+						requireSameBits(t, fmt.Sprintf("%s: image %d folded gradient", label, j), dx, wantDX[j])
 
-										dW := make([]float32, m*rows+1)
-										for i := range dW {
-											dW[i] = nan
-										}
-										d.WeightGradInto(dW, dy[j*m*plane:(j+1)*m*plane], x[j*inSize:(j+1)*inSize], m)
-										requireSameBits(t, fmt.Sprintf("%s: image %d weight gradient", label, j), dW, wantDW[j])
-										if !math.IsNaN(float64(dW[m*rows])) {
-											t.Fatalf("%s: WeightGradInto wrote past out[:m*ColRows]", label)
-										}
-									}
-								}
-							}
+						dW := nanFilled(m*rows + 1)
+						d.WeightGradInto(dW, dy[j*m*plane:(j+1)*m*plane], x[j*inSize:(j+1)*inSize], nanFilled(d.PaddedLen()), m)
+						requireSameBits(t, fmt.Sprintf("%s: image %d weight gradient", label, j), dW, wantDW[j])
+						if !math.IsNaN(float64(dW[m*rows])) {
+							t.Fatalf("%s: WeightGradInto wrote past out[:m*ColRows]", label)
 						}
 					}
 				}
