@@ -148,8 +148,8 @@ func (s *Server) probeFrame(f protocol.Frame) protocol.Frame {
 // returns the forward of the unit span it assigns: [Pos, Bounds[0]), or
 // through the end of the chain when no boundaries remain — the terminal hop
 // for THIS request. The span runs as one nn.Sequential, so its BN and ReLU
-// units work in place on its conv outputs and the activations it consumes go
-// back to the pool (nn's in-place and recycling rules), exactly as in the
+// units work in place on the outputs it owns and the activations it consumes
+// go back to the pool (nn's ownership rule), exactly as in the
 // monolithic forward. The cuts travel with the request, so two requests on the
 // same connection may run different spans here: exactly what a live cut move
 // looks like mid-drain. The forward folds its own duration into the

@@ -133,11 +133,11 @@ type Policy struct {
 // inline, so a batch forks twice instead of once per layer. Decisions and
 // the tensor the cloud receives are bitwise those of a one-worker run.
 //
-// InferBatchedRep owns what its blocks return at the module boundary: once
-// phase 3 is done, on its error path too, each chunk's main features go back
-// to nn's activation pool, and phase 3's gathers come from that pool and go
-// back once the extension path has read them (see the recycling rule on
-// nn.Layer). The sub-batch a CloudBatchFunc receives is ordinary heap
+// InferBatchedRep owns what its blocks return at the module boundary: each
+// exit's logits go back to nn's activation pool once their softmax is
+// taken, each chunk's main features once phase 3 is done (on its error
+// path too), and phase 3's gathers come from that pool and go back once
+// the extension path has read them (see the ownership rule on nn.Layer). The sub-batch a CloudBatchFunc receives is ordinary heap
 // memory: nothing in the contract says the callee is done with it on return.
 func (m *MEANet) InferBatchedRep(x *tensor.Tensor, pol Policy, rep protocol.Rep, cloud CloudBatchFunc) ([]Decision, error) {
 	if x.Dims() != 4 {
@@ -252,11 +252,13 @@ func splitBatch(x *tensor.Tensor) []batchChunk {
 
 // mainChunk runs the main block and its exit on c's images, fills their
 // decisions as main exits, and marks the ones the hard-class dictionary (or
-// the detector, when set) routes to the extension path.
+// the detector, when set) routes to the extension path. The exit's logits
+// go back to the activation pool once their softmax is taken.
 func (m *MEANet) mainChunk(c *batchChunk, decisions []Decision, det *HardnessDetector) {
 	feat, logits := m.MainForward(c.x, false)
 	c.feat = feat
 	probs := tensor.Softmax(logits)
+	nn.Recycle(logits, feat, c.x)
 	for i := c.start; i < c.end; i++ {
 		row := probs.Row(i - c.start)
 		pred1 := argmax(row)
@@ -305,7 +307,8 @@ func gatherShape(t *tensor.Tensor, idx []int) []int {
 // extPart runs the adaptive and extension blocks on the hard instances idx
 // (ascending batch positions), and the more confident edge exit wins. The
 // gathers it hands them come from the activation pool, and go back to it
-// once the extension path has returned.
+// once the extension path has returned, as the extension exit's logits do
+// once their softmax is taken.
 func (m *MEANet) extPart(x *tensor.Tensor, chunks []batchChunk, idx []int, decisions []Decision) error {
 	raw := gatherRows(x, chunks, idx, protocol.RepRaw, nn.Pooled)
 	feat := gatherRows(x, chunks, idx, protocol.RepFeatures, nn.Pooled)
@@ -318,6 +321,7 @@ func (m *MEANet) extPart(x *tensor.Tensor, chunks []batchChunk, idx []int, decis
 	nn.Recycle(raw, extLogits)
 	nn.Recycle(feat, extLogits)
 	extProbs := tensor.Softmax(extLogits)
+	nn.Recycle(extLogits, x)
 	for bi, i := range idx {
 		row := extProbs.Row(bi)
 		pred2 := argmax(row)

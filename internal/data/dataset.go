@@ -67,12 +67,6 @@ func (d *Dataset) EachBatch(size int, fn func(start int, x *tensor.Tensor, y []i
 	return nil
 }
 
-// Image returns a view of image i as a [C,H,W] tensor sharing storage.
-func (d *Dataset) Image(i int) *tensor.Tensor {
-	sz := d.ImageSize()
-	return tensor.FromSlice(d.X[i*sz:(i+1)*sz], d.C, d.H, d.W)
-}
-
 // Batch gathers the given indices into an NCHW tensor and a label slice.
 func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
 	sz := d.ImageSize()

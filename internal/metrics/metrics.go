@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -76,20 +75,6 @@ func (c *Confusion) Precision(k int) (float64, bool) {
 		return 0, false
 	}
 	return float64(tp) / float64(col), true
-}
-
-// Recall returns TP/(TP+FN) for class k, and ok=false when the class has no
-// instances.
-func (c *Confusion) Recall(k int) (float64, bool) {
-	tp := c.M[k*c.K+k]
-	row := 0
-	for j := 0; j < c.K; j++ {
-		row += c.M[k*c.K+j]
-	}
-	if row == 0 {
-		return 0, false
-	}
-	return float64(tp) / float64(row), true
 }
 
 // FDR returns the false discovery rate 1−precision of class k — the paper's
@@ -239,17 +224,4 @@ func Mean(xs []float64) float64 {
 		s += v
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, v := range xs {
-		s += (v - m) * (v - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }

@@ -17,16 +17,13 @@ import (
 // other cost models in energy; this package applies it to real sockets.
 type Link = energy.Link
 
-// ShapedConn delays writes according to a Link, emulating a slow uplink on a
+// shapedConn delays writes according to a Link, emulating a slow uplink on a
 // real socket. Reads are untouched (the downlink result payloads are tiny).
 // Each Write call is charged the link's one-way latency plus serialization
 // ONCE — the protocol layer writes one frame per Write call, so the charge
-// is exactly once per frame. The link may be changed mid-connection with
-// SetLink to simulate degrading or recovering conditions.
-type ShapedConn struct {
+// is exactly once per frame. Concurrent writers each sleep their own delay.
+type shapedConn struct {
 	net.Conn
-
-	mu   sync.Mutex // guards link and serializes the pacing of writers
 	link Link
 }
 
@@ -36,29 +33,12 @@ func Shape(conn net.Conn, link Link) net.Conn {
 	if link.Latency == 0 && link.Mbps == 0 {
 		return conn
 	}
-	return ShapeVar(conn, link)
-}
-
-// ShapeVar always wraps, returning the concrete *ShapedConn so callers can
-// vary the link mid-run (the adaptive-offload tests and benchmarks degrade
-// and recover the uplink while a client is connected).
-func ShapeVar(conn net.Conn, link Link) *ShapedConn {
-	return &ShapedConn{Conn: conn, link: link}
-}
-
-// SetLink replaces the link model; subsequent writes pace at the new rate.
-func (c *ShapedConn) SetLink(link Link) {
-	c.mu.Lock()
-	c.link = link
-	c.mu.Unlock()
+	return &shapedConn{Conn: conn, link: link}
 }
 
 // Write paces the payload through the simulated link before forwarding it.
-func (c *ShapedConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	delay := c.link.TransferTime(int64(len(p)))
-	c.mu.Unlock()
-	if delay > 0 {
+func (c *shapedConn) Write(p []byte) (int, error) {
+	if delay := c.link.TransferTime(int64(len(p))); delay > 0 {
 		time.Sleep(delay)
 	}
 	return c.Conn.Write(p)
@@ -113,19 +93,4 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		return 0, fmt.Errorf("netsim: injected fault: write failed")
 	}
 	return c.Conn.Write(p)
-}
-
-// ShapedListener wraps accepted connections with a link model.
-type ShapedListener struct {
-	net.Listener
-	Link Link
-}
-
-// Accept shapes every accepted connection.
-func (l *ShapedListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return Shape(conn, l.Link), nil
 }

@@ -13,14 +13,14 @@ type ReLU struct{ gate }
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies max(x, 0) elementwise.
+// Forward applies max(x, 0) elementwise to a pooled copy of x.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
+	out := pooledCopy(x)
 	r.forwardInPlace(out, train)
 	return out
 }
 
-// forwardInPlace applies max(x, 0) to x itself; see the in-place rule on
+// forwardInPlace applies max(x, 0) to x itself; see the ownership rule on
 // Layer. Everything not above zero (negatives, both zeros, NaN) becomes +0.
 // In train mode it caches which inputs were positive. One comparison per
 // element (positive) selects both the value, all of its bits or none, and
@@ -58,14 +58,14 @@ type ReLU6 struct{ gate }
 // NewReLU6 returns a ReLU6 activation layer.
 func NewReLU6() *ReLU6 { return &ReLU6{} }
 
-// Forward applies min(max(x, 0), 6) elementwise.
+// Forward applies min(max(x, 0), 6) elementwise to a pooled copy of x.
 func (r *ReLU6) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
+	out := pooledCopy(x)
 	r.forwardInPlace(out, train)
 	return out
 }
 
-// forwardInPlace applies min(max(x, 0), 6) to x itself; see the in-place
+// forwardInPlace applies min(max(x, 0), 6) to x itself; see the ownership
 // rule on Layer. In train mode it caches where the input lay strictly
 // between 0 and 6 (NaN included: it passes through). Like ReLU it selects
 // the value and the mask from its two comparisons without a branch.
@@ -123,7 +123,7 @@ func (g *gate) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// backwardInPlace is Backward overwriting dy; see the in-place rule on Layer.
+// backwardInPlace is Backward overwriting dy; see the ownership rule on Layer.
 func (g *gate) backwardInPlace(dy *tensor.Tensor) { g.into(dy, dy) }
 
 // into writes the gated dy to dx, which may be dy, and spends the mask.

@@ -60,10 +60,11 @@ func (bn *BatchNorm2D) checkInput(x *tensor.Tensor) {
 
 // Forward normalizes x. Training mode computes batch statistics (biased
 // variance, matching the normalization path of standard implementations)
-// and updates the running statistics in place.
+// and updates the running statistics in place. The output is pooled (see
+// the allocation rule on Layer).
 func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	bn.checkInput(x)
-	out := tensor.New(x.Shape()...)
+	out := Pooled(x.Shape()...)
 	if train {
 		bn.trainInto(x, out)
 	} else {
@@ -72,7 +73,7 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// forwardInPlace normalizes x, overwriting it; see the in-place rule on
+// forwardInPlace normalizes x, overwriting it; see the ownership rule on
 // Layer.
 func (bn *BatchNorm2D) forwardInPlace(x *tensor.Tensor, train bool) {
 	bn.checkInput(x)
@@ -160,7 +161,7 @@ func (bn *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// backwardInPlace is Backward overwriting dy; see the in-place rule on Layer.
+// backwardInPlace is Backward overwriting dy; see the ownership rule on Layer.
 func (bn *BatchNorm2D) backwardInPlace(dy *tensor.Tensor) { bn.backwardInto(dy, dy) }
 
 // backwardInto writes Backward's result to dx, which may be dy: each

@@ -36,31 +36,20 @@ func NewResidualBlock(rng *rand.Rand, name string, inC, outC, stride int) *Resid
 	return &ResidualBlock{Body: body, Shortcut: shortcut, act: NewReLU()}
 }
 
-// Forward computes relu(body(x) + shortcut(x)).
+// Forward computes relu(body(x) + shortcut(x)) under the ownership rule
+// (see Layer): the add and the ReLU run in place on the body's output when
+// the block owns it, and a projection shortcut's output goes back to the
+// activation pool once added — no layer cached it.
 func (b *ResidualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y, _ := b.forwardOwned(x, train)
-	return y
-}
-
-// forwardOwned is Forward under the in-place and recycling rules (see
-// Layer): when the body produced its output itself, the add and the ReLU
-// run in place on that output, and a projection shortcut's output goes
-// back to the activation pool once added — no layer cached it. The result
-// is always one the block produced.
-func (b *ResidualBlock) forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tensor, bool) {
-	y, owned := b.Body.forwardOwned(x, train)
-	s, sOwned := forwardOwned(b.Shortcut, x, train)
+	y := b.Body.Forward(x, train)
+	s := b.Shortcut.Forward(x, train)
 	b.checkBranches(y, s)
-	if owned {
-		y.AddInPlace(s)
-	} else {
-		y = tensor.Add(y, s)
-	}
+	y = addOwned(y, s, x)
 	b.act.forwardInPlace(y, train)
-	if sOwned {
+	if !s.SharesStorage(x) {
 		Recycle(s, y)
 	}
-	return y, true
+	return y
 }
 
 func (b *ResidualBlock) checkBranches(y, s *tensor.Tensor) {
@@ -83,10 +72,11 @@ func (b *ResidualBlock) Backward(dy *tensor.Tensor) *tensor.Tensor {
 }
 
 // addOwned returns y + s, summed into y unless y shares the storage of
-// handed, a tensor the caller must not write.
+// handed, the tensor the caller handed the child that returned y, and then
+// into a pooled copy of y.
 func addOwned(y, s, handed *tensor.Tensor) *tensor.Tensor {
 	if y.SharesStorage(handed) {
-		return tensor.Add(y, s)
+		y = pooledCopy(y)
 	}
 	y.AddInPlace(s)
 	return y
@@ -127,24 +117,15 @@ func NewInvertedResidual(rng *rand.Rand, name string, inC, outC, stride, expand 
 	return &InvertedResidual{Body: body, UseSkip: stride == 1 && inC == outC}
 }
 
-// Forward computes x + body(x) when the skip applies, body(x) otherwise.
+// Forward computes x + body(x) when the skip applies, body(x) otherwise,
+// adding the skip in place when the block owns the body's output (see
+// Layer).
 func (b *InvertedResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y, _ := b.forwardOwned(x, train)
-	return y
-}
-
-// forwardOwned is Forward under the in-place rule (see Layer): the skip is
-// added in place when the body produced its output itself.
-func (b *InvertedResidual) forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tensor, bool) {
-	y, owned := b.Body.forwardOwned(x, train)
+	y := b.Body.Forward(x, train)
 	if !b.UseSkip {
-		return y, owned
+		return y
 	}
-	if !owned {
-		return tensor.Add(y, x), true
-	}
-	y.AddInPlace(x)
-	return y, true
+	return addOwned(y, x, x)
 }
 
 // Backward adds the skip gradient when the skip applies, into the body's

@@ -60,7 +60,7 @@ func (c *Conv2D) Kernel() int { return c.W.Data.Dim(2) }
 // Forward computes the convolution of an NCHW batch, one tile of images at a
 // time in both modes. Training caches a reference to x, not its unfold, so x
 // must stay unmodified until Backward. The output's storage comes from the
-// activation pool (see the recycling rule on Layer); every element is
+// activation pool (see the allocation rule on Layer); every element is
 // overwritten, so what it held before never shows.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 {
@@ -79,11 +79,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	c.forwardTiles(x, out, dims)
 	return out
-}
-
-// forwardOwned is Forward, whose result is always fresh.
-func (c *Conv2D) forwardOwned(x *tensor.Tensor, train bool) (*tensor.Tensor, bool) {
-	return c.Forward(x, train), true
 }
 
 // convTileFloats caps each conv workspace at 256 Ki floats (1 MiB).
@@ -144,9 +139,9 @@ const (
 	activationBytes = 8 << 20
 )
 
-// activations holds the conv outputs, BN caches and input gradients that a
+// activations holds the layer outputs, BN caches and input gradients that a
 // layer or composite handed back once nothing could read them (the
-// recycling rule on Layer); the next request of a similar size, in either
+// ownership rule on Layer); the next request of a similar size, in either
 // mode, is served from there.
 var activations = tensor.NewBufferPool(convTileFloats, activationBufs, activationBytes)
 

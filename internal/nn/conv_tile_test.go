@@ -131,7 +131,7 @@ func referenceConvStep(c *Conv2D, x, dy, gW0, gB0 *tensor.Tensor, workers int) p
 				}
 				dB[f] += s
 			}
-			dims.Col2Im(tensor.MatMulTN(w2d, dyi).Data(), ref.dx.Sample(i).Data())
+			dims.Col2ImStrided(tensor.MatMulTN(w2d, dyi).Data(), plane, ref.dx.Sample(i).Data())
 		}
 		gW.AddInPlace(dW)
 		if ref.gB != nil {

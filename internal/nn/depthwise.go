@@ -37,7 +37,8 @@ func (d *DepthwiseConv2D) Channels() int { return d.W.Data.Dim(0) }
 // Kernel reports the (square) kernel size.
 func (d *DepthwiseConv2D) Kernel() int { return d.W.Data.Dim(1) }
 
-// Forward applies the per-channel convolution to an NCHW batch.
+// Forward applies the per-channel convolution to an NCHW batch, into a
+// pooled output every element of which it writes.
 func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("nn: DepthwiseConv2D expects NCHW input, got %v", x.Shape()))
@@ -48,7 +49,7 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	k := d.Kernel()
 	geo := tensor.NewConvDims(1, h, w, k, k, d.Stride, d.Pad)
-	out := tensor.New(n, c, geo.OutH, geo.OutW)
+	out := Pooled(n, c, geo.OutH, geo.OutW)
 	tensor.ParFor(n*c, func(idx0, idx1 int) {
 		for idx := idx0; idx < idx1; idx++ {
 			ch := idx % c
@@ -83,7 +84,8 @@ func (d *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward accumulates per-channel filter gradients and returns dX.
+// Backward accumulates per-channel filter gradients and returns dX, in
+// pooled storage cleared before the accumulation.
 // Parallelised over channels so each worker touches disjoint gradient state.
 func (d *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if d.lastX == nil {
@@ -93,7 +95,8 @@ func (d *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	k := d.Kernel()
 	geo := d.dims
-	dx := tensor.New(n, c, h, w)
+	dx := Pooled(n, c, h, w)
+	clear(dx.Data())
 	tensor.ParFor(c, func(ch0, ch1 int) {
 		for ch := ch0; ch < ch1; ch++ {
 			gW := d.W.Grad.Data()[ch*k*k : (ch+1)*k*k]

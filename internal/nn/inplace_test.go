@@ -9,7 +9,7 @@ import (
 	"github.com/meanet/meanet/internal/tensor"
 )
 
-// TestEvalForwardLeavesInputIntact pins the in-place rule's first half: the
+// TestEvalForwardLeavesInputIntact pins the ownership rule's first half: the
 // eval Forward of every Layer type — including the composites that run
 // BN/ReLU/the residual add in place, and a Sequential that starts with a
 // norm, as a partition stage cut after a conv does — leaves the tensor it

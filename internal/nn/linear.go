@@ -33,7 +33,7 @@ func (l *Linear) InFeatures() int { return l.W.Data.Dim(1) }
 // OutFeatures reports the output width.
 func (l *Linear) OutFeatures() int { return l.W.Data.Dim(0) }
 
-// Forward computes x Wᵀ + b.
+// Forward computes x Wᵀ + b into a pooled output.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 2 {
 		panic(fmt.Sprintf("nn: Linear expects [N, features] input, got %v", x.Shape()))
@@ -41,7 +41,9 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dim(1) != l.InFeatures() {
 		panic(fmt.Sprintf("nn: Linear %s: input width %d, want %d", l.W.Name, x.Dim(1), l.InFeatures()))
 	}
-	out := tensor.MatMulNT(x, l.W.Data)
+	n, inF, outF := x.Dim(0), l.InFeatures(), l.OutFeatures()
+	out := Pooled(n, outF)
+	tensor.MatMulNTInto(out.Data(), x.Data(), l.W.Data.Data(), n, inF, outF)
 	bd := l.B.Data.Data()
 	for r := 0; r < out.Dim(0); r++ {
 		row := out.Row(r)
@@ -55,7 +57,8 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward accumulates dW = dyᵀx and db = Σdy, returning dx = dy W.
+// Backward accumulates dW = dyᵀx and db = Σdy, returning dx = dy W in
+// pooled storage.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if l.lastX == nil {
 		panic("nn: Linear.Backward without prior Forward(train=true)")
@@ -67,7 +70,9 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			gB[j] += v
 		}
 	}
-	dx := tensor.MatMul(dy, l.W.Data)
+	n, inF := dy.Dim(0), l.InFeatures()
+	dx := Pooled(n, inF)
+	tensor.MatMulInto(dx.Data(), dy.Data(), l.W.Data.Data(), n, l.OutFeatures(), inF)
 	l.lastX = nil
 	return dx
 }

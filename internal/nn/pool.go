@@ -14,13 +14,13 @@ type GlobalAvgPool struct {
 // NewGlobalAvgPool builds a global average pooling layer.
 func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{} }
 
-// Forward averages each channel plane.
+// Forward averages each channel plane into a pooled [N, C] output.
 func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("nn: GlobalAvgPool expects NCHW input, got %v", x.Shape()))
 	}
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	out := tensor.New(n, c)
+	out := Pooled(n, c)
 	plane := h * w
 	inv := 1.0 / float64(plane)
 	for i := 0; i < n; i++ {
@@ -39,7 +39,8 @@ func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward broadcasts each channel gradient uniformly over its plane.
+// Backward broadcasts each channel gradient uniformly over its plane of a
+// pooled input gradient.
 func (p *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if p.inShape == nil {
 		panic("nn: GlobalAvgPool.Backward without prior Forward(train=true)")
@@ -47,7 +48,7 @@ func (p *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3]
 	plane := h * w
 	inv := 1.0 / float32(plane)
-	dx := tensor.New(n, c, h, w)
+	dx := Pooled(n, c, h, w)
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
 			g := dy.Data()[i*c+ch] * inv

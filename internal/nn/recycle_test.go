@@ -11,7 +11,7 @@ import (
 )
 
 // recycleNet is a small ResNet/MobileNet-shaped stack with every composite
-// the recycling rule covers: nested Sequentials, a residual block with an
+// the ownership rule covers: nested Sequentials, a residual block with an
 // identity shortcut, one with a projection, and an inverted residual with
 // its skip. BN layers carry non-trivial running statistics.
 func recycleNet(rng *rand.Rand) *Sequential {
@@ -25,6 +25,44 @@ func recycleNet(rng *rand.Rand) *Sequential {
 	)
 	randomizeNorms(rng, net)
 	return net
+}
+
+// mobileNet is a MobileNet-shaped stack: a ReLU6 stem, an expand-1
+// inverted residual whose body starts with its depthwise conv, one without
+// a skip and one with.
+func mobileNet(rng *rand.Rand) *Sequential {
+	mobile := NewSequential("mobile",
+		NewSequential("mstem", NewConv2D(rng, "mstem.conv", 3, 8, 3, 1, 1, false), NewBatchNorm2D("mstem.bn", 8), NewReLU6()),
+		NewInvertedResidual(rng, "m1", 8, 8, 1, 1),
+		NewInvertedResidual(rng, "m2", 8, 16, 2, 4),
+		NewInvertedResidual(rng, "m3", 16, 16, 1, 4),
+	)
+	randomizeNorms(rng, mobile)
+	return mobile
+}
+
+// ownershipNets are stacks whose owned tensors no layer-type test names:
+// the ownership rule derives them from storage. A stack that starts with a
+// BatchNorm2D, as a partition stage cut between a conv and its norm does,
+// owns that norm's fresh output, rectifies it in place and recycles it once
+// the conv has read it; a GlobalAvgPool→Linear exit recycles the pooled
+// features once the Linear has read them; a fresh output that a Flatten or
+// an Identity views stays out of the pool while the view is live, whether
+// the view is read by a later step or returned. They take [n, 3, 8, 8]
+// inputs.
+func ownershipNets(rng *rand.Rand) []*Sequential {
+	nets := []*Sequential{
+		NewSequential("bn-first", NewBatchNorm2D("bnf.bn0", 3), NewReLU(),
+			NewConv2D(rng, "bnf.conv", 3, 8, 3, 1, 1, false), NewBatchNorm2D("bnf.bn1", 8), NewReLU()),
+		NewSequential("gap-linear", NewConv2D(rng, "gl.conv", 3, 8, 3, 2, 1, false), NewBatchNorm2D("gl.bn", 8), NewReLU(),
+			NewSequential("gl.exit", NewGlobalAvgPool(), NewLinear(rng, "gl.fc", 8, 5))),
+		NewSequential("relu-flatten-linear", NewReLU(), NewFlatten(), NewLinear(rng, "rfl.fc", 3*8*8, 5)),
+		NewSequential("gap-identity", NewConv2D(rng, "gi.conv", 3, 8, 3, 1, 1, true), NewGlobalAvgPool(), Identity{}),
+	}
+	for _, n := range nets {
+		randomizeNorms(rng, n)
+	}
+	return nets
 }
 
 // handOff forwards through two stacks the way internal/core composes its
@@ -118,7 +156,7 @@ func sameBits(a, b *tensor.Tensor) bool {
 	return true
 }
 
-// TestEvalRecyclingNeverAliases pins the recycling rule on Layer: a
+// TestEvalRecyclingNeverAliases pins the ownership rule on Layer: a
 // composite, or a module boundary's owner through Pooled and Recycle,
 // hands back to the activation pool only storage nothing can still reach,
 // and the pool stays within its stated bound. A tensor recycled too early
@@ -143,7 +181,7 @@ func TestEvalRecyclingNeverAliases(t *testing.T) {
 	ident := NewSequential("conv-bn-identity", NewConv2D(rng, "ident.conv", 3, 4, 3, 1, 1, true),
 		NewBatchNorm2D("ident.bn", 4), Identity{})
 	randomizeNorms(rng, ident)
-	nets := []*Sequential{net, flat, ident, boundaryNet(rng)}
+	nets := append([]*Sequential{net, flat, ident, boundaryNet(rng), mobileNet(rng)}, ownershipNets(rng)...)
 
 	batches := []int{1, 7, 16, 64}
 	input := func(n int) *tensor.Tensor { return tensor.Randn(rand.New(rand.NewSource(int64(n))), 1, n, 3, 8, 8) }
@@ -210,7 +248,8 @@ func TestEvalRecyclingNeverAliases(t *testing.T) {
 // built from rng: a ResNet-shaped one (recycleNet, identity and projection
 // residual blocks, an inverted residual with its skip), a MobileNet-shaped
 // one (a ReLU6 stem, an expand-1 inverted residual whose body starts with
-// its depthwise conv, one without a skip and one with), a conv whose output
+// its depthwise conv, one without a skip and one with: mobileNet), a conv
+// whose output
 // a Flatten views for a Linear, a conv→BN→Identity stack that returns
 // storage its conv produced, blocks with empty bodies, whose branch
 // gradients are the very tensors their sums must not write, and a
@@ -219,17 +258,11 @@ func TestEvalRecyclingNeverAliases(t *testing.T) {
 // holds the backbone's result while the exit caches it, a module
 // boundary (boundaryNet) whose owner holds what crossed it until Backward,
 // and a conv alone inside a Sequential inside a Sequential, which hands
-// the gradient it was given straight down to the conv. They take
-// [n, 3, 8, 8] inputs.
+// the gradient it was given straight down to the conv, then the
+// ownershipNets. They take [n, 3, 8, 8] inputs.
 func trainNets(rng *rand.Rand) []*Sequential {
 	resnet := recycleNet(rng)
-	mobile := NewSequential("mobile",
-		NewSequential("mstem", NewConv2D(rng, "mstem.conv", 3, 8, 3, 1, 1, false), NewBatchNorm2D("mstem.bn", 8), NewReLU6()),
-		NewInvertedResidual(rng, "m1", 8, 8, 1, 1),
-		NewInvertedResidual(rng, "m2", 8, 16, 2, 4),
-		NewInvertedResidual(rng, "m3", 16, 16, 1, 4),
-	)
-	randomizeNorms(rng, mobile)
+	mobile := mobileNet(rng)
 	linear := NewSequential("conv-flatten-linear", NewConv2D(rng, "lin.conv", 3, 4, 3, 1, 1, true),
 		NewFlatten(), NewLinear(rng, "lin.fc", 4*8*8, 5))
 	ident := NewSequential("conv-bn-identity", NewConv2D(rng, "ident.conv", 3, 4, 3, 1, 1, true),
@@ -247,7 +280,7 @@ func trainNets(rng *rand.Rand) []*Sequential {
 	)
 	randomizeNorms(rng, classifier)
 	lone := NewSequential("lone-conv", NewSequential("lone.stem", NewConv2D(rng, "lone.conv", 3, 4, 3, 1, 1, true)))
-	return []*Sequential{resnet, mobile, linear, ident, empty, classifier, boundaryNet(rng), lone}
+	return append([]*Sequential{resnet, mobile, linear, ident, empty, classifier, boundaryNet(rng), lone}, ownershipNets(rng)...)
 }
 
 // replayForward is the train forward of l run unit by unit, every leaf on
@@ -462,5 +495,81 @@ func TestBackwardParamsFormsNoInputGradient(t *testing.T) {
 		} else if &dx.Data()[0] != &sentinel[0] {
 			t.Fatal("Backward did not take the input gradient's buffer from the activation pool: the check shows nothing")
 		}
+	}
+}
+
+// poisonActivations fills the activation pool with buffers holding v: two
+// of each length on a ladder of lengths from 1 float past 4096 whose rungs
+// at most double, so every Pooled request up to 2048 floats, and a second
+// one of the same length, is served a buffer of stale v.
+func poisonActivations(v float32) {
+	for n := 1; n < 2*2048; n = n*19/10 + 1 {
+		for range 2 {
+			b := make([]float32, n)
+			for i := range b {
+				b[i] = v
+			}
+			activations.Put(b)
+		}
+	}
+}
+
+// TestLayersWriteEveryPooledElement pins the allocation rule's other side:
+// Pooled storage holds arbitrary values, so every layer writes each element
+// of a pooled output, cache or input gradient before it reads one. Each
+// layer type, built twice from one seed, runs an eval forward, a train
+// forward and a backward, each with the activation pool full of stale
+// zeros in one build and stale NaN in the other; the outputs, the input
+// gradient and every parameter gradient must agree bit for bit, as they
+// cannot where a layer reads or accumulates into a pooled buffer it never
+// cleared.
+func TestLayersWriteEveryPooledElement(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func(rng *rand.Rand) Layer
+		in    []int
+	}{
+		{"Conv2D", func(rng *rand.Rand) Layer { return NewConv2D(rng, "c", 3, 4, 3, 2, 1, true) }, []int{2, 3, 6, 6}},
+		{"BatchNorm2D", func(rng *rand.Rand) Layer { return NewBatchNorm2D("bn", 3) }, []int{2, 3, 6, 6}},
+		{"ReLU", func(rng *rand.Rand) Layer { return NewReLU() }, []int{2, 3, 6, 6}},
+		{"ReLU6", func(rng *rand.Rand) Layer { return NewReLU6() }, []int{2, 3, 6, 6}},
+		{"DepthwiseConv2D", func(rng *rand.Rand) Layer { return NewDepthwiseConv2D(rng, "dw", 3, 3, 2, 1) }, []int{2, 3, 7, 5}},
+		{"GlobalAvgPool", func(rng *rand.Rand) Layer { return NewGlobalAvgPool() }, []int{2, 3, 6, 6}},
+		{"Linear", func(rng *rand.Rand) Layer { return NewLinear(rng, "fc", 12, 5) }, []int{3, 12}},
+		{"ResidualBlock", func(rng *rand.Rand) Layer { return NewResidualBlock(rng, "res", 3, 3, 1) }, []int{2, 3, 6, 6}},
+		{"ResidualBlockProjection", func(rng *rand.Rand) Layer { return NewResidualBlock(rng, "proj", 3, 4, 2) }, []int{2, 3, 6, 6}},
+		{"InvertedResidual", func(rng *rand.Rand) Layer { return NewInvertedResidual(rng, "inv", 3, 3, 1, 2) }, []int{2, 3, 6, 6}},
+		{"Sequential", func(rng *rand.Rand) Layer {
+			return NewSequential("seq", NewConv2D(rng, "s.conv", 3, 4, 3, 1, 1, false), NewBatchNorm2D("s.bn", 4), NewReLU(),
+				NewGlobalAvgPool(), NewLinear(rng, "s.fc", 4, 5))
+		}, []int{2, 3, 6, 6}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(45))
+			x := tensor.Randn(rng, 1, c.in...)
+			var dy *tensor.Tensor
+			run := func(stale float32) []*tensor.Tensor {
+				l := c.build(rand.New(rand.NewSource(46)))
+				randomizeNorms(rand.New(rand.NewSource(47)), l)
+				poisonActivations(stale)
+				evalOut := l.Forward(x, false).Clone()
+				poisonActivations(stale)
+				trainOut := l.Forward(x, true).Clone()
+				if dy == nil {
+					dy = tensor.Randn(rng, 1, trainOut.Shape()...)
+				}
+				poisonActivations(stale)
+				got := []*tensor.Tensor{evalOut, trainOut, l.Backward(dy).Clone()}
+				for _, p := range l.Params() {
+					got = append(got, p.Grad)
+				}
+				return got
+			}
+			want, got := run(0), run(float32(math.NaN()))
+			for i := range want {
+				label := fmt.Sprintf("result %d (eval out, train out, dx, then parameter gradients)", i)
+				requireBitwise(t, label, got[i], want[i])
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/meanet/meanet/internal/core"
-	"github.com/meanet/meanet/internal/nn"
 )
 
 // MEANetProfile separates a MEANet's cost into the fixed (frozen main block
@@ -121,18 +120,4 @@ func (p MEANetProfile) JointTrainingMemory(batch int) TrainingMemory {
 		MomentumBytes:    bytesPerFloat * all.Params,
 		ActivationsBytes: bytesPerFloat * int64(batch) * all.Activations,
 	}
-}
-
-// ClassifierCost profiles a backbone-plus-exit classifier (e.g. the cloud
-// AI) end to end.
-func ClassifierCost(backbone nn.Layer, exit nn.Layer, in Shape) (Cost, error) {
-	c1, feat, err := LayerCost(backbone, in)
-	if err != nil {
-		return Cost{}, err
-	}
-	c2, _, err := LayerCost(exit, feat)
-	if err != nil {
-		return Cost{}, err
-	}
-	return c1.Add(c2), nil
 }

@@ -8,7 +8,7 @@ package profile
 // stage — either one device's per-instance compute time (stage MACs divided
 // by the device's MACs/s) or one link's per-instance transfer time for the
 // activation crossing it. Link times use energy.Link.TransferTime (latency +
-// serialization), matching how ShapedConn charges each relay frame, so the
+// serialization), matching how netsim.Shape charges each relay frame, so the
 // solver's predictions line up with netsim-measured scenarios; on real links
 // latency would partly amortize across pipelined frames, making the
 // prediction conservative.

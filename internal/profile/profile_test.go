@@ -91,7 +91,7 @@ func TestParamCountMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls := models.NewClassifier(rng, b, 100)
-	cost, err := ClassifierCost(cls.Backbone, cls.Exit, Shape{C: 3, H: 32, W: 32})
+	cost, _, err := LayerCost(nn.NewSequential("classifier", cls.Backbone, cls.Exit), Shape{C: 3, H: 32, W: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestResNet32MACsMatchKnownValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls := models.NewClassifier(rng, b, 10)
-	cost, err := ClassifierCost(cls.Backbone, cls.Exit, Shape{C: 3, H: 32, W: 32})
+	cost, _, err := LayerCost(nn.NewSequential("classifier", cls.Backbone, cls.Exit), Shape{C: 3, H: 32, W: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestMobileNetV2PaperParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls := models.NewClassifier(rng, b, 1000)
-	cost, err := ClassifierCost(cls.Backbone, cls.Exit, Shape{C: 3, H: 56, W: 56})
+	cost, _, err := LayerCost(nn.NewSequential("classifier", cls.Backbone, cls.Exit), Shape{C: 3, H: 56, W: 56})
 	if err != nil {
 		t.Fatal(err)
 	}

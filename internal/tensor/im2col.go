@@ -398,16 +398,6 @@ func (d ConvDims) packUnfoldT(dst, x []float32, p0, kb, j0, nb int) {
 	}
 }
 
-// Col2Im folds a column matrix [ColRows(), ColCols()] back into an image,
-// accumulating overlapping patches — the adjoint of Im2Col. It is
-// Col2ImStrided of a matrix whose rows are ColCols() apart.
-func (d ConvDims) Col2Im(src, dst []float32) {
-	if len(src) != d.ColRows()*d.ColCols() {
-		panic(fmt.Sprintf("tensor: Col2Im src length %d != %d", len(src), d.ColRows()*d.ColCols()))
-	}
-	d.Col2ImStrided(src, d.ColCols(), dst)
-}
-
 // Col2ImStrided folds a column matrix [ColRows(), ColCols()] whose rows
 // start ld floats apart in src back into an image, accumulating
 // overlapping patches: the adjoint of Im2Col, used for input gradients.
@@ -417,11 +407,11 @@ func (d ConvDims) Col2Im(src, dst []float32) {
 // zero is desired.
 func (d ConvDims) Col2ImStrided(src []float32, ld int, dst []float32) {
 	if len(dst) != d.InC*d.InH*d.InW {
-		panic(fmt.Sprintf("tensor: Col2Im dst length %d != %d", len(dst), d.InC*d.InH*d.InW))
+		panic(fmt.Sprintf("tensor: Col2ImStrided dst length %d != %d", len(dst), d.InC*d.InH*d.InW))
 	}
 	cols := d.ColCols()
 	if ld < cols || len(src) < (d.ColRows()-1)*ld+cols {
-		panic(fmt.Sprintf("tensor: Col2Im src length %d too short for %d rows of %d at stride %d",
+		panic(fmt.Sprintf("tensor: Col2ImStrided src length %d too short for %d rows of %d at stride %d",
 			len(src), d.ColRows(), cols, ld))
 	}
 	row := 0

@@ -25,16 +25,6 @@ func Sub(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns the elementwise (Hadamard) product a * b as a new tensor.
-func Mul(a, b *Tensor) *Tensor {
-	mustSameShape("Mul", a, b)
-	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = v * b.data[i]
-	}
-	return out
-}
-
 // Scale returns a * s as a new tensor.
 func Scale(a *Tensor, s float32) *Tensor {
 	out := New(a.shape...)
@@ -52,34 +42,10 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	}
 }
 
-// SubInPlace computes t -= o elementwise.
-func (t *Tensor) SubInPlace(o *Tensor) {
-	mustSameShape("SubInPlace", t, o)
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-}
-
-// MulInPlace computes t *= o elementwise.
-func (t *Tensor) MulInPlace(o *Tensor) {
-	mustSameShape("MulInPlace", t, o)
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-}
-
 // ScaleInPlace computes t *= s.
 func (t *Tensor) ScaleInPlace(s float32) {
 	for i := range t.data {
 		t.data[i] *= s
-	}
-}
-
-// AxpyInPlace computes t += alpha * x (BLAS axpy).
-func (t *Tensor) AxpyInPlace(alpha float32, x *Tensor) {
-	mustSameShape("AxpyInPlace", t, x)
-	for i, v := range x.data {
-		t.data[i] += alpha * v
 	}
 }
 
@@ -98,21 +64,6 @@ func (t *Tensor) Mean() float64 {
 		return 0
 	}
 	return t.Sum() / float64(len(t.data))
-}
-
-// ArgMax returns the index of the largest element of a flat view of t.
-// Ties break toward the lower index. Panics on empty tensors.
-func (t *Tensor) ArgMax() int {
-	if len(t.data) == 0 {
-		panic("tensor: ArgMax of empty tensor")
-	}
-	best, bestV := 0, t.data[0]
-	for i, v := range t.data[1:] {
-		if v > bestV {
-			best, bestV = i+1, v
-		}
-	}
-	return best
 }
 
 // ArgMaxRows returns, for a 2-D tensor, the argmax of each row.
@@ -190,52 +141,6 @@ func Entropy(p []float32) float64 {
 		}
 	}
 	return h
-}
-
-// MaxVal returns the maximum element of a slice. Panics on empty input.
-func MaxVal(p []float32) float32 {
-	if len(p) == 0 {
-		panic("tensor: MaxVal of empty slice")
-	}
-	m := p[0]
-	for _, v := range p[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Concat concatenates tensors along dimension 0. All inputs must share the
-// trailing dimensions.
-func Concat(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: Concat of no tensors")
-	}
-	rest := ts[0].shape[1:]
-	total := 0
-	for _, t := range ts {
-		if len(t.shape) == 0 {
-			panic("tensor: Concat of scalar tensor")
-		}
-		if len(t.shape[1:]) != len(rest) {
-			panic(fmt.Sprintf("tensor: Concat rank mismatch %v vs %v", t.shape, ts[0].shape))
-		}
-		for i := range rest {
-			if t.shape[i+1] != rest[i] {
-				panic(fmt.Sprintf("tensor: Concat trailing-shape mismatch %v vs %v", t.shape, ts[0].shape))
-			}
-		}
-		total += t.shape[0]
-	}
-	outShape := append([]int{total}, rest...)
-	out := New(outShape...)
-	off := 0
-	for _, t := range ts {
-		copy(out.data[off:], t.data)
-		off += len(t.data)
-	}
-	return out
 }
 
 // ConcatChannels concatenates NCHW tensors along the channel dimension.

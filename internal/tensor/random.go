@@ -15,15 +15,6 @@ func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	return t
 }
 
-// RandUniform returns a tensor with elements drawn i.i.d. from U[lo, hi).
-func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = float32(lo + rng.Float64()*(hi-lo))
-	}
-	return t
-}
-
 // KaimingConv initialises a convolution weight tensor [outC, inC, kh, kw]
 // with He/Kaiming-normal scaling, the standard initialisation for
 // ReLU networks (std = sqrt(2 / fan_in)).

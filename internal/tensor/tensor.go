@@ -203,13 +203,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // CopyFrom copies the contents of src (same shape required) into t.
 func (t *Tensor) CopyFrom(src *Tensor) {
 	if !t.SameShape(src) {

@@ -88,7 +88,6 @@ func TestElementwiseOps(t *testing.T) {
 	}{
 		{"Add", Add(a, b), []float32{11, 22, 33, 44}},
 		{"Sub", Sub(b, a), []float32{9, 18, 27, 36}},
-		{"Mul", Mul(a, b), []float32{10, 40, 90, 160}},
 		{"Scale", Scale(a, 2), []float32{2, 4, 6, 8}},
 	}
 	for _, tc := range tests {
@@ -106,8 +105,7 @@ func TestInPlaceOps(t *testing.T) {
 	a := FromSlice([]float32{1, 2}, 2)
 	a.AddInPlace(FromSlice([]float32{3, 4}, 2))
 	a.ScaleInPlace(2)
-	a.AxpyInPlace(0.5, FromSlice([]float32{2, 2}, 2))
-	want := []float32{9, 13}
+	want := []float32{8, 12}
 	for i, w := range want {
 		if a.Data()[i] != w {
 			t.Fatalf("chained in-place result[%d] = %v, want %v", i, a.Data()[i], w)
@@ -120,16 +118,13 @@ func TestShapeMismatchPanics(t *testing.T) {
 	Add(New(2, 2), New(2, 3))
 }
 
-func TestSumMeanArgMax(t *testing.T) {
+func TestSumMean(t *testing.T) {
 	x := FromSlice([]float32{3, -1, 4, 1}, 4)
 	if got := x.Sum(); got != 7 {
 		t.Fatalf("Sum = %v, want 7", got)
 	}
 	if got := x.Mean(); got != 1.75 {
 		t.Fatalf("Mean = %v, want 1.75", got)
-	}
-	if got := x.ArgMax(); got != 2 {
-		t.Fatalf("ArgMax = %d, want 2", got)
 	}
 }
 
@@ -331,15 +326,6 @@ func TestConcatAndSplitChannels(t *testing.T) {
 	}
 }
 
-func TestConcatDim0(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 1, 2)
-	b := FromSlice([]float32{3, 4, 5, 6}, 2, 2)
-	c := Concat(a, b)
-	if c.Dim(0) != 3 || c.At(2, 1) != 6 {
-		t.Fatalf("Concat wrong: %v %v", c.Shape(), c.Data())
-	}
-}
-
 // TestIm2ColMatchesDirectPatchExtraction verifies the unfolding against a
 // straightforward triple-loop patch reader on a small case.
 func TestIm2ColMatchesDirectPatchExtraction(t *testing.T) {
@@ -375,7 +361,7 @@ func TestIm2ColMatchesDirectPatchExtraction(t *testing.T) {
 }
 
 // TestCol2ImIsAdjointOfIm2Col verifies the defining adjoint identity
-// <Im2Col(x), y> == <x, Col2Im(y)> for random x, y across geometries —
+// <Im2Col(x), y> == <x, Col2ImStrided(y)> for random x, y across geometries —
 // exactly the property backpropagation through convolution relies on. The
 // strided row reads y as columns [off, off+ColCols()) of a wider matrix
 // whose rows are ld apart, through Col2ImStrided, the way a convolution's
@@ -383,7 +369,7 @@ func TestIm2ColMatchesDirectPatchExtraction(t *testing.T) {
 func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	geoms := []struct {
 		d       ConvDims
-		ld, off int // 0: y is its own [ColRows, ColCols] matrix, folded by Col2Im
+		ld, off int // 0: y is its own [ColRows, ColCols] matrix, rows ColCols apart
 	}{
 		{d: NewConvDims(1, 5, 5, 3, 3, 1, 0)},
 		{d: NewConvDims(3, 8, 8, 3, 3, 1, 1)},
@@ -401,7 +387,7 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 		d.Im2Col(x.Data(), cx)
 		iy := make([]float32, d.InC*d.InH*d.InW)
 		if g.ld == 0 {
-			d.Col2Im(y.Data(), iy)
+			d.Col2ImStrided(y.Data(), d.ColCols(), iy)
 		} else {
 			wide := Randn(rng, 1, d.ColRows(), g.ld).Data()
 			for r := 0; r < d.ColRows(); r++ {

@@ -272,8 +272,8 @@ func TestPackBuffersStayBounded(t *testing.T) {
 // convolution's backward against the per-image references they replace.
 // UnfoldGradInto over a tile of t images must give, in image j's column
 // block, the bits of MatMulTNInto of the weights and that image's gradient
-// alone, and Col2ImStrided of that block must fold the bits Col2Im of the
-// per-image matrix does onto the same starting image; WeightGradInto must
+// alone, and Col2ImStrided of that block must fold the bits it folds from
+// the per-image matrix (rows ColCols apart) onto the same starting image; WeightGradInto must
 // give the bits of Im2Col followed by MatMulNTInto. Geometries cover 1x1
 // and 3x3 kernels, stride 1 and 2, pad 0 and 1, one image and ragged tiles
 // whose columns cross image boundaries inside a panel, output channels on
@@ -303,7 +303,7 @@ func TestConvGradProductsMatchReferencesBitwise(t *testing.T) {
 					wantCols[j] = make([]float32, rows*plane)
 					MatMulTNInto(wantCols[j], w, dyj, rows, m, plane)
 					wantDX[j] = append([]float32(nil), start[j*inSize:(j+1)*inSize]...)
-					d.Col2Im(wantCols[j], wantDX[j])
+					d.Col2ImStrided(wantCols[j], plane, wantDX[j])
 					cols := make([]float32, rows*plane)
 					d.Im2Col(x[j*inSize:(j+1)*inSize], cols)
 					wantDW[j] = make([]float32, m*rows)
