@@ -131,11 +131,19 @@ func takeWorkspace(size int) []float32 {
 // filled the pool and its oldest-first eviction dropped the main block's
 // buffers, so a 16-image batch with 8 images on the extension path
 // allocated 199 kB, more than the 117 kB it allocated when nothing crossed
-// a module boundary; with 32 no request missed. The count only lets the
-// pool hold more distinct lengths at once: no buffer longer than
-// convTileFloats is kept, and never more than 8 MiB in all.
+// a module boundary; with 32 no request missed. Every exit's pooling and
+// linear outputs come from the pool too, and an edge that shares its
+// process with a cloud server (the in-process serving tests, the benchmark's
+// offload-wan) cycles the server's lengths as well, while the logits the
+// server replies with never come back: with 32 buffers such a process kept
+// the pool full, eviction dropped conv outputs, and which ones depended on
+// the order the kernel workers handed theirs back, so the same stream
+// allocated 2.09 to 2.31 kB per image from one run to the next. With 64 it
+// settles at about 55 and evicts nothing. The count only lets the pool hold
+// more distinct lengths at once: no buffer longer than convTileFloats is
+// kept, and never more than 8 MiB in all.
 const (
-	activationBufs  = 32
+	activationBufs  = 64
 	activationBytes = 8 << 20
 )
 
